@@ -5,8 +5,8 @@ A compatible pair is two metric trees on the identical combinatorial shape
 whose identity point map passes the shape verification (centers and
 segment memberships agree).  Blending takes the edgewise affine
 combination of the two length assignments; the certification route then
-re-checks 0-hyperbolicity from scratch and confirms realizability by
-rebuilding a tree from the blended table.
+rebuilds a tree from the blended table and replays every distance through
+it, which certifies 0-hyperbolicity and realizability at once.
 """
 from __future__ import annotations
 
@@ -17,7 +17,8 @@ from typing import Callable, Iterable, Mapping, Sequence
 from .hyperbolicity import (
     HyperbolicityVerdict,
     MetricTable,
-    check_hyperbolic,
+    NotZeroHyperbolicError,
+    realization_mismatch,
     reconstruct_tree,
 )
 from .observers import verify_shape_map
@@ -113,16 +114,19 @@ class CertifyResult:
 
 
 def certify_rtree(space: MetricTable) -> CertifyResult:
-    """Full certification: four-point check at delta 0, then geodesicity by
-    rebuilding a tree and replaying every distance through it."""
-    verdict = check_hyperbolic(space, 0)
-    if not verdict.passes:
+    """Full certification at delta 0: rebuild a tree from the table and
+    replay every distance through it.  reconstruct_tree replays an exact
+    table itself and raises the first violating quadruple on a mismatch; a
+    float table passes its four-point scan there and is replayed here."""
+    try:
+        rebuilt = reconstruct_tree(space)
+    except NotZeroHyperbolicError as exc:
+        verdict = HyperbolicityVerdict(False, Fraction(0), exc.witness)
         return CertifyResult(verdict, None, "four-point condition fails at delta=0")
-    rebuilt = reconstruct_tree(space)
-    for i, x in enumerate(space.points):
-        for y in space.points[i + 1 :]:
-            if rebuilt.distance(x, y) != space.distance(x, y):
-                return CertifyResult(verdict, False, f"realization mismatch at ({x},{y})")
+    verdict = HyperbolicityVerdict(True, Fraction(0))
+    mismatch = None if space.exact else realization_mismatch(space, rebuilt)
+    if mismatch is not None:
+        return CertifyResult(verdict, False, "realization mismatch at ({},{})".format(*mismatch))
     return CertifyResult(verdict, True, "0-hyperbolic; realized exactly by a finite tree")
 
 

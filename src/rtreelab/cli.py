@@ -24,7 +24,7 @@ from .blend import (
 )
 from .boundary import BoundaryPair, parse_boundary_point
 from .formats import FormatError, format_number
-from .hyperbolicity import MetricTable, check_hyperbolic, max_four_point_defect
+from .hyperbolicity import MetricTable, first_violation, max_four_point_defect
 from .qmap import DenseLineAction
 from .observers import (
     PointSequence,
@@ -69,10 +69,9 @@ def _echo_config(out, args, keys):
 
 def _four_point_witness_payload(table: MetricTable, witness, delta):
     names = sorted(set(witness.quadruple))
-    distances = {f"{x}|{y}": table.distance(x, y) for x, y in combinations(names, 2)}
     return {
         "quadruple": list(witness.quadruple),
-        "distances": distances,
+        "distances": [[x, y, table.distance(x, y)] for x, y in combinations(names, 2)],
         "delta": delta,
         "margin": witness.margin,
     }
@@ -143,15 +142,20 @@ def run_certify(args, out) -> int:
     else:
         table = formats.parse_table(_read(args.table))
         out.append(f"loaded table: {len(table.points)} points")
-    result = certify_rtree(table) if delta == 0 else None
-    verdict = result.verdict if delta == 0 else check_hyperbolic(table, delta)
-    out.append(f"four-point defect: {format_number(max_four_point_defect(table))}")
-    if verdict.passes:
+    # a pass at delta 0 is a realized tree metric, whose defect is 0
+    if delta == 0:
+        result = certify_rtree(table)
+        witness = result.verdict.witness
+        defect = Fraction(0) if witness is None else max_four_point_defect(table)
+    else:
+        defect = max_four_point_defect(table)
+        witness = first_violation(table, delta) if defect > delta else None
+    out.append(f"four-point defect: {format_number(defect)}")
+    if witness is None:
         if delta == 0:
             out.append(f"realization: {result.note}")
         out.append(f"RESULT: pass (delta={format_number(delta)})")
         return PASS
-    witness = verdict.witness
     out.append(f"RESULT: fail -- {witness}")
     out.append(formats.witness_line("four_point", _four_point_witness_payload(table, witness, delta)))
     return FAIL

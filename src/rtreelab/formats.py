@@ -315,7 +315,10 @@ def replay_witness(data: dict) -> bool:
     """Re-verify a self-contained witness record from its own numbers."""
     kind = data.get("kind")
     if kind == "four_point":
-        d = {tuple(k.split("|")): _wnum(v) for k, v in data["distances"].items()}
+        raw = data["distances"]
+        if isinstance(raw, dict):  # "x|y" keys, as in reports written before [x, y, value] rows
+            raw = [(*k.split("|"), v) for k, v in raw.items()]
+        d = {(x, y): _wnum(v) for x, y, v in raw}
 
         def dist(x, y):
             if x == y:

@@ -6,10 +6,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 from typing import Mapping
 
-from .tree import Location, MetricTree, Num, UnknownPointError, _exactify
+from .tree import MetricTree, Num, UnknownPointError, _exactify
 
 
 class InvalidTableError(ValueError):
@@ -43,7 +43,14 @@ class HyperbolicityVerdict:
 
 
 class MetricTable:
-    """Finite symmetric metric (zero diagonal, triangle inequality checked)."""
+    """Finite symmetric metric (zero diagonal, triangle inequality checked).
+
+    Besides the distances as given, the table keeps one index-addressed
+    matrix that every scan runs on: for ``exact`` tables (all distances
+    ``int`` or ``Fraction``) the distances times their common denominator
+    ``scale``, as integers; for float tables the floats themselves, with
+    scale 1.  Points are indexed in sorted name order.
+    """
 
     def __init__(self, distances: Mapping[tuple[str, str], Num]):
         pts: set[str] = set()
@@ -75,10 +82,46 @@ class MetricTable:
         for x in self.points:
             if self._d.get((x, x), 0) != 0:
                 raise InvalidTableError(f"d({x},{x}) must be zero")
-        for x, y, z in combinations(self.points, 3):
-            dxy, dxz, dyz = self.distance(x, y), self.distance(x, z), self.distance(y, z)
-            if dxy > dxz + dyz or dxz > dxy + dyz or dyz > dxy + dxz:
-                raise InvalidTableError(f"triangle inequality fails on ({x},{y},{z})")
+        self._build_matrix()
+        m, n = self._m, len(self.points)
+        for i in range(n - 2):
+            mi = m[i]
+            for j in range(i + 1, n - 1):
+                mj, dij = m[j], mi[j]
+                for k in range(j + 1, n):
+                    dik, djk = mi[k], mj[k]
+                    if dij > dik + djk or dik > dij + djk or djk > dij + dik:
+                        x, y, z = self.points[i], self.points[j], self.points[k]
+                        raise InvalidTableError(f"triangle inequality fails on ({x},{y},{z})")
+
+    def _build_matrix(self) -> None:
+        off_diagonal = list(combinations(self.points, 2))
+        values = [self._d[key] for key in off_diagonal]
+        self.exact = all(isinstance(v, Fraction) for v in values)
+        if self.exact:
+            self.scale = math.lcm(*(v.denominator for v in values)) if values else 1
+            entries = [v.numerator * (self.scale // v.denominator) for v in values]
+        else:
+            self.scale = 1
+            entries = [float(v) for v in values]
+        index = {name: i for i, name in enumerate(self.points)}
+        n = len(self.points)
+        self._m = m = [[0] * n for _ in range(n)]
+        for (x, y), v in zip(off_diagonal, entries):
+            i, j = index[x], index[y]
+            m[i][j] = m[j][i] = v
+
+    def _unscale(self, v) -> Num:
+        """A matrix value back in distance units."""
+        return Fraction(v, self.scale) if self.exact else v
+
+    def _threshold(self, delta: Num):
+        """2*delta in matrix units: a quadruple violates the four-point
+        inequality at delta exactly when its gap (twice the margin at
+        delta 0, in matrix units) exceeds this."""
+        if self.exact:
+            return math.floor(2 * Fraction(delta) * self.scale)
+        return 2 * delta
 
     def distance(self, x: str, y: str) -> Num:
         if x == y:
@@ -93,19 +136,6 @@ class MetricTable:
     def gromov_product(self, x: str, z: str, w: str) -> Num:
         return (self.distance(w, x) + self.distance(w, z) - self.distance(x, z)) / 2
 
-    def _scaled_int_matrix(self) -> tuple[dict[tuple[str, str], int], int] | None:
-        """Distances as integers on a common denominator; None in float mode."""
-        denoms = []
-        for v in self._d.values():
-            if isinstance(v, Fraction):
-                denoms.append(v.denominator)
-            elif isinstance(v, int):
-                denoms.append(1)
-            else:
-                return None
-        scale = math.lcm(*denoms) if denoms else 1
-        return {k: int(v * scale) for k, v in self._d.items()}, scale
-
     def __repr__(self) -> str:
         return f"MetricTable({len(self.points)} points)"
 
@@ -114,25 +144,39 @@ def gromov_product(space: MetricTable, x: str, z: str, w: str) -> Num:
     return space.gromov_product(x, z, w)
 
 
-def _pairing_sums(d, q):
-    x, y, z, w = q
-    return (
-        d(x, y) + d(z, w),  # pairing xy|zw
-        d(x, z) + d(y, w),  # pairing xz|yw
-        d(x, w) + d(y, z),  # pairing xw|yz
-    )
+def _max_gap(space: MetricTable, stop_above=None):
+    """Largest gap between the largest and second-largest pairing sums over
+    the 4-subsets of the table, in matrix units; returns the first gap above
+    ``stop_above`` as soon as one is found."""
+    m, n = space._m, len(space.points)
+    worst = 0
+    for i in range(n - 3):
+        mi = m[i]
+        for j in range(i + 1, n - 2):
+            mj, dij = m[j], mi[j]
+            for k in range(j + 1, n - 1):
+                mk, dik, djk = m[k], mi[k], mj[k]
+                for l in range(k + 1, n):
+                    s1, s2, s3 = dij + mk[l], dik + mj[l], mi[l] + djk
+                    hi, lo = (s1, s2) if s1 >= s2 else (s2, s1)
+                    if s3 > hi:
+                        gap = s3 - hi
+                    elif s3 > lo:
+                        gap = hi - s3
+                    else:
+                        gap = hi - lo
+                    if gap > worst:
+                        worst = gap
+                        if stop_above is not None and gap > stop_above:
+                            return gap
+    return worst
 
 
 def max_four_point_defect(space: MetricTable) -> Num:
     """The least delta for which check_hyperbolic passes: half the maximal
     gap between the largest and second-largest pairing sums over 4-subsets."""
-    worst = Fraction(0)
-    for quad in combinations(space.points, 4):
-        s = sorted(_pairing_sums(space.distance, quad))
-        gap = (s[2] - s[1]) / 2
-        if gap > worst:
-            worst = gap
-    return worst
+    worst = _max_gap(space)
+    return space._unscale(worst) / 2 if worst else Fraction(0)
 
 
 def check_hyperbolic(space: MetricTable, delta: Num = 0) -> HyperbolicityVerdict:
@@ -147,28 +191,9 @@ def check_hyperbolic(space: MetricTable, delta: Num = 0) -> HyperbolicityVerdict
     if delta < 0:
         raise ValueError("delta must be nonnegative")
     delta = _exactify(delta)
-    scaled = space._scaled_int_matrix()
-    if scaled is not None and isinstance(delta, Fraction):
-        ints, scale = scaled
-        two_delta = 2 * delta * scale
-
-        def d(x, y):
-            if x == y:
-                return 0
-            return ints[(x, y) if x <= y else (y, x)]
-
-        failed = False
-        for quad in combinations(space.points, 4):
-            s = sorted(_pairing_sums(d, quad))
-            if s[2] - s[1] > two_delta:
-                failed = True
-                break
-        if not failed:
-            return HyperbolicityVerdict(True, delta)
-    else:
-        if max_four_point_defect(space) <= delta:
-            return HyperbolicityVerdict(True, delta)
-
+    limit = space._threshold(delta)
+    if _max_gap(space, limit) <= limit:
+        return HyperbolicityVerdict(True, delta)
     witness = first_violation(space, delta)
     assert witness is not None
     return HyperbolicityVerdict(False, delta, witness)
@@ -177,11 +202,21 @@ def check_hyperbolic(space: MetricTable, delta: Num = 0) -> HyperbolicityVerdict
 def first_violation(space: MetricTable, delta: Num = 0) -> FourPointWitness | None:
     """First ordered quadruple (lexicographic in point names) violating the
     four-point inequality, with its margin."""
-    gp = space.gromov_product
-    for x, y, z, w in product(space.points, repeat=4):
-        margin = min(gp(x, y, w), gp(y, z, w)) - gp(x, z, w) - delta
-        if margin > 0:
-            return FourPointWitness((x, y, z, w), margin)
+    m, n, limit = space._m, len(space.points), space._threshold(delta)
+    for x in range(n):
+        mx = m[x]
+        for y in range(n):
+            my, dxy = m[y], mx[y]
+            for z in range(n):
+                mz, dxz, dyz = m[z], mx[z], my[z]
+                for w in range(n):
+                    # twice the Gromov products (x,y)_w, (y,z)_w, (x,z)_w
+                    a = mx[w] + my[w] - dxy
+                    b = my[w] + mz[w] - dyz
+                    gap = (a if a < b else b) - (mx[w] + mz[w] - dxz)
+                    if gap > limit:
+                        quad = tuple(space.points[i] for i in (x, y, z, w))
+                        return FourPointWitness(quad, space._unscale(gap) / 2 - delta)
     return None
 
 
@@ -198,95 +233,101 @@ def reconstruct_tree(space: MetricTable) -> MetricTree:
     """Realize a 0-hyperbolic table as a MetricTree whose named points
     reproduce the table distances exactly.
 
-    Points are inserted in sorted name order.  Each new point attaches at
-    the location nearest to it on the current tree (found via Gromov
-    products against already-placed pairs), splitting an edge with a fresh
-    Steiner vertex (".s1", ".s2", ...) if needed.
+    The tree grows rooted at the anchor ``space.points[0]``; the other
+    points are inserted in sorted name order.  A new point x attaches at
+    distance t = max over placed p of (x|p)_anchor from the anchor, on the
+    path to a maximizing p, with a pendant edge of length d(anchor, x) - t,
+    splitting an edge with a fresh Steiner vertex (".s1", ".s2", ..., skipping
+    table point names) if needed.
+
+    An exact table is realized first and then every distance is replayed
+    through the tree; a table that a tree reproduces is a tree metric, hence
+    0-hyperbolic, so no four-point scan runs unless the replay fails, and then
+    the first violating quadruple is raised.  Exact equality proves nothing
+    for floats, so a float table is scanned first and built without replay.
     """
-    verdict = check_hyperbolic(space, 0)
-    if not verdict.passes:
-        raise NotZeroHyperbolicError(verdict.witness)
+    if not space.exact:
+        verdict = check_hyperbolic(space, 0)
+        if not verdict.passes:
+            raise NotZeroHyperbolicError(verdict.witness)
+        return _realize(space)
+    tree = _realize(space)
+    if realization_mismatch(space, tree) is not None:
+        witness = first_violation(space, 0)
+        assert witness is not None
+        raise NotZeroHyperbolicError(witness)
+    return tree
 
-    names = list(space.points)
-    if len(names) == 1:
-        return MetricTree((), vertices=(names[0],))
 
-    # mutable builder state
-    counter = 0
-    edges: dict[tuple[str, str], Num] = {}
-    placed: dict[str, object] = {}  # table name -> vertex name or Location
+def realization_mismatch(space: MetricTable, tree: MetricTree) -> tuple[str, str] | None:
+    """The first pair of table points (in sorted order) whose distance in
+    the tree differs from the table, or None when the tree reproduces it."""
+    points = space.points
+    for i, x in enumerate(points):
+        for y in points[i + 1 :]:
+            if tree.distance(x, y) != space.distance(x, y):
+                return x, y
+    return None
 
-    def fresh_steiner() -> str:
-        nonlocal counter
-        counter += 1
-        return f".s{counter}"
 
-    def build() -> MetricTree:
-        pts = [
-            (n, loc) if isinstance(loc, str) else (n, *loc.edge, loc.offset)
-            for n, loc in placed.items()
-            if not isinstance(loc, str) or n != loc
-        ]
-        return MetricTree(
-            ((u, v, l) for (u, v), l in edges.items()),
-            pts,
-            vertices=[loc for loc in placed.values() if isinstance(loc, str)],
-        )
+def _realize(space: MetricTable) -> MetricTree:
+    """The anchored realization behind reconstruct_tree, without checks.
 
-    def split_edge(e: tuple[str, str], off: Num) -> str:
-        length = edges.pop(e)
-        s = fresh_steiner()
-        u, v = e
-        ck1 = (u, s) if u <= s else (s, u)
-        ck2 = (s, v) if s <= v else (v, s)
-        edges[ck1] = off
-        edges[ck2] = length - off
-        for n, loc in list(placed.items()):
-            if isinstance(loc, Location) and loc.edge == e:
-                if loc.offset < off:
-                    placed[n] = _relocate(ck1, u, loc.offset)
-                elif loc.offset > off:
-                    placed[n] = _relocate(ck2, s, loc.offset - off)
-                else:
-                    placed[n] = s
-        return s
+    Vertices carry a parent and a root distance.  Every placed table point
+    sits at (v, r): root distance r on the edge from vertex v up to its
+    parent, or at v itself when r is v's root distance; a point whose
+    pendant would be empty stays such a designated point.  Lengths are
+    matrix values doubled, so that Gromov products keep the matrix's number
+    type.
+    """
+    names, m = space.points, space._m
+    anchor = names[0]
+    parent: dict[str, str | None] = {anchor: None}
+    root: dict[str, Num] = {anchor: 0}
+    at: dict[str, tuple[str, Num]] = {anchor: (anchor, 0)}
+    taken, counter = set(names), 0
+    for i in range(1, len(names)):
+        x, mi = names[i], m[i]
+        # t = max over placed p of 2 (x|p)_anchor, attained at best
+        t, best = 0, anchor
+        for j in range(1, i):
+            gp = mi[0] + m[j][0] - mi[j]
+            if gp > t:
+                t, best = gp, names[j]
+        # walk up from best to root distance t (never past best: floats may round)
+        vertex, r = at[best]
+        t = min(t, r)
+        while root[vertex] > t:
+            below, vertex = vertex, parent[vertex]
+        if 2 * mi[0] - t <= 0:
+            at[x] = (vertex, t) if root[vertex] == t else (below, t)
+            continue
+        if root[vertex] != t:
+            counter += 1
+            while f".s{counter}" in taken:
+                counter += 1
+            vertex = f".s{counter}"
+            parent[vertex], parent[below], root[vertex] = parent[below], vertex, t
+            for p, (lower, r) in at.items():
+                if lower == below and r <= t:
+                    at[p] = (vertex, r)
+        parent[x], root[x] = vertex, 2 * mi[0]
+        at[x] = (x, root[x])
 
-    def _relocate(canon: tuple[str, str], from_vertex: str, off: Num):
-        length = edges[canon]
-        if canon[0] != from_vertex:
-            off = length - off
-        if off == 0:
-            return canon[0]
-        if off == length:
-            return canon[1]
-        return Location(canon, off)
+    def length(v):
+        return space._unscale(v) / 2
 
-    def as_vertex(loc) -> str:
-        if isinstance(loc, str):
-            return loc
-        return split_edge(loc.edge, loc.offset)
-
-    a, b = names[0], names[1]
-    edges[(a, b) if a <= b else (b, a)] = space.distance(a, b)
-    placed[a], placed[b] = a, b
-
-    for x in names[2:]:
-        tree = build()
-        done = sorted(placed)
-        best = None
-        for p, q in combinations(done, 2):
-            gp_x = (space.distance(x, p) + space.distance(x, q) - space.distance(p, q)) / 2
-            if best is None or gp_x < best[0]:
-                best = (gp_x, p, q)
-        gp_x, p, q = best
-        from_p = space.distance(x, p) - gp_x  # = (q,x)_p, distance from p to attachment
-        attach_loc = tree.point_along(placed[p], placed[q], from_p)
-        if gp_x == 0:
-            placed[x] = attach_loc
+    edges = [(v, u, length(root[v] - root[u])) for v, u in parent.items() if u is not None]
+    points = []
+    for p in names:
+        lower, r = at[p]
+        if p == lower:
+            continue
+        if r == root[lower]:
+            points.append((p, lower))
         else:
-            attach_vertex = as_vertex(attach_loc)
-            key = (attach_vertex, x) if attach_vertex <= x else (x, attach_vertex)
-            edges[key] = gp_x
-            placed[x] = x
-
-    return build()
+            upper = parent[lower]
+            # offsets run from the smaller-named endpoint of the edge
+            u, v = sorted((upper, lower))
+            points.append((p, u, v, length(r - root[upper] if u == upper else root[lower] - r)))
+    return MetricTree(edges, points, vertices=(anchor,))

@@ -2,11 +2,11 @@
 tables, pairs, and sequences."""
 import random
 from fractions import Fraction as Fr
-from itertools import product
+from itertools import combinations, product
 
 from rtreelab.blend import CompatibleMetricPair, IncompatiblePairError
 from rtreelab.hyperbolicity import MetricTable
-from rtreelab.tree import MetricTree
+from rtreelab.tree import Location, MetricTree
 
 
 def brute_force_four_point(table: MetricTable, delta):
@@ -18,6 +18,101 @@ def brute_force_four_point(table: MetricTable, delta):
         if margin > 0:
             return False, (x, y, z, w), margin
     return True, None, None
+
+
+def brute_force_max_defect(table: MetricTable):
+    """Independent oracle: the largest four-point margin at delta 0 over
+    every ordered quadruple (0 for a tree metric)."""
+    gp = table.gromov_product
+    worst = Fr(0)
+    for x, y, z, w in product(table.points, repeat=4):
+        worst = max(worst, min(gp(x, y, w), gp(y, z, w)) - gp(x, z, w))
+    return worst
+
+
+def reference_realization(space: MetricTable) -> MetricTree:
+    """Slow reference for reconstruct_tree on a 0-hyperbolic table.
+
+    Points are inserted in sorted name order.  Each new point attaches at
+    the location nearest to it on the current tree, found by minimizing
+    its Gromov product over every pair of placed points, and the whole
+    tree is rebuilt after each insertion.  Steiner vertices are named
+    ".s1", ".s2", ..., skipping table point names.
+    """
+    names = list(space.points)
+    if len(names) == 1:
+        return MetricTree((), vertices=(names[0],))
+
+    counter = 0
+    edges: dict[tuple[str, str], object] = {}
+    placed: dict[str, object] = {}  # table name -> vertex name or Location
+
+    def fresh_steiner() -> str:
+        nonlocal counter
+        counter += 1
+        while f".s{counter}" in space.points:
+            counter += 1
+        return f".s{counter}"
+
+    def build() -> MetricTree:
+        pts = [
+            (n, loc) if isinstance(loc, str) else (n, *loc.edge, loc.offset)
+            for n, loc in placed.items()
+            if not isinstance(loc, str) or n != loc
+        ]
+        return MetricTree(
+            ((u, v, l) for (u, v), l in edges.items()),
+            pts,
+            vertices=[loc for loc in placed.values() if isinstance(loc, str)],
+        )
+
+    def relocate(canon, from_vertex, off):
+        length = edges[canon]
+        if canon[0] != from_vertex:
+            off = length - off
+        if off == 0:
+            return canon[0]
+        if off == length:
+            return canon[1]
+        return Location(canon, off)
+
+    def split_edge(e, off) -> str:
+        length = edges.pop(e)
+        s = fresh_steiner()
+        u, v = e
+        ck1 = (u, s) if u <= s else (s, u)
+        ck2 = (s, v) if s <= v else (v, s)
+        edges[ck1] = off
+        edges[ck2] = length - off
+        for n, loc in list(placed.items()):
+            if isinstance(loc, Location) and loc.edge == e:
+                if loc.offset < off:
+                    placed[n] = relocate(ck1, u, loc.offset)
+                elif loc.offset > off:
+                    placed[n] = relocate(ck2, s, loc.offset - off)
+                else:
+                    placed[n] = s
+        return s
+
+    a, b = names[0], names[1]
+    edges[(a, b) if a <= b else (b, a)] = space.distance(a, b)
+    placed[a], placed[b] = a, b
+    for x in names[2:]:
+        tree = build()
+        best = None
+        for p, q in combinations(sorted(placed), 2):
+            gp_x = space.gromov_product(p, q, x)
+            if best is None or gp_x < best[0]:
+                best = (gp_x, p, q)
+        gp_x, p, q = best
+        attach = tree.point_along(placed[p], placed[q], space.distance(x, p) - gp_x)
+        if gp_x == 0:
+            placed[x] = attach
+        else:
+            vertex = attach if isinstance(attach, str) else split_edge(attach.edge, attach.offset)
+            edges[(vertex, x) if vertex <= x else (x, vertex)] = gp_x
+            placed[x] = x
+    return build()
 
 
 def random_tree(rng: random.Random, max_points: int = 12, edge_points: int = 0) -> MetricTree:

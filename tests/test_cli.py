@@ -384,3 +384,130 @@ def test_observers_liminf_inconclusive_exit(tmp_path, capsys):
     )
     assert code == 2
     assert "inconclusive" in out
+
+
+# -- pinned certify reports ------------------------------------------------------------
+
+POINTED_TREE = "edge A B 1\nedge B C 2\nedge B D 3/2\npoint M B C 1/2\n"
+# all distances of the tree a-h 2, b-h 3, h-k 1, c-k 2, d-k 5/2
+TREE_TABLE = (
+    "dist a b 5\ndist a c 5\ndist a d 11/2\ndist a h 2\ndist a k 3\n"
+    "dist b c 6\ndist b d 13/2\ndist b h 3\ndist b k 4\ndist c d 9/2\n"
+    "dist c h 3\ndist c k 2\ndist d h 7/2\ndist d k 5/2\ndist h k 1\n"
+)
+# the same with d(a,c) shortened by 1/2: four-point defect 1/4
+SHORTENED_TABLE = TREE_TABLE.replace("dist a c 5\n", "dist a c 9/2\n")
+SHORTENED_WITNESS = (
+    '"distances": [["a", "b", "5"], ["a", "c", "9/2"], ["a", "d", "11/2"], ["b", "c", "6"],'
+    ' ["b", "d", "13/2"], ["c", "d", "9/2"]], "kind": "four_point"'
+)
+
+
+def _certify_report(tmp_path, capsys, name, text, *flags):
+    path = tmp_path / name
+    path.write_text(text)
+    source = "tree" if name.endswith(".tree") else "table"
+    code, out, _ = run_cli(capsys, "certify", f"--{source}", str(path), *flags)
+    return code, out, path
+
+
+def test_certify_report_bytes_tree_pass(tmp_path, capsys):
+    code, out, path = _certify_report(tmp_path, capsys, "t.tree", POINTED_TREE)
+    assert code == 0
+    assert out == (
+        "rtreelab certify\n"
+        f"config: delta=0 tree={path} seed=0\n"
+        "loaded tree: 4 vertices, 3 edges\n"
+        "four-point defect: 0\n"
+        "realization: 0-hyperbolic; realized exactly by a finite tree\n"
+        "RESULT: pass (delta=0)\n"
+    )
+
+
+def test_certify_report_bytes_table_pass(tmp_path, capsys):
+    code, out, path = _certify_report(tmp_path, capsys, "t.metric", TREE_TABLE)
+    assert code == 0
+    assert out == (
+        "rtreelab certify\n"
+        f"config: delta=0 table={path} seed=0\n"
+        "loaded table: 6 points\n"
+        "four-point defect: 0\n"
+        "realization: 0-hyperbolic; realized exactly by a finite tree\n"
+        "RESULT: pass (delta=0)\n"
+    )
+
+
+def test_certify_report_bytes_fail_at_zero(tmp_path, capsys):
+    code, out, path = _certify_report(tmp_path, capsys, "bad.metric", SHORTENED_TABLE)
+    assert code == 1
+    assert out == (
+        "rtreelab certify\n"
+        f"config: delta=0 table={path} seed=0\n"
+        "loaded table: 6 points\n"
+        "four-point defect: 1/4\n"
+        "RESULT: fail -- (a,b,d;c) violates the four-point inequality by 1/4\n"
+        f'WITNESS {{"delta": "0", {SHORTENED_WITNESS}, "margin": "1/4", "quadruple": ["a", "b", "d", "c"]}}\n'
+    )
+
+
+def test_certify_report_bytes_pass_at_defect(tmp_path, capsys):
+    code, out, path = _certify_report(tmp_path, capsys, "bad.metric", SHORTENED_TABLE, "--delta", "1/4")
+    assert code == 0
+    assert out == (
+        "rtreelab certify\n"
+        f"config: delta=1/4 table={path} seed=0\n"
+        "loaded table: 6 points\n"
+        "four-point defect: 1/4\n"
+        "RESULT: pass (delta=1/4)\n"
+    )
+
+
+def test_certify_report_bytes_fail_below_defect(tmp_path, capsys):
+    code, out, path = _certify_report(tmp_path, capsys, "bad.metric", SHORTENED_TABLE, "--delta", "63/256")
+    assert code == 1
+    assert out == (
+        "rtreelab certify\n"
+        f"config: delta=63/256 table={path} seed=0\n"
+        "loaded table: 6 points\n"
+        "four-point defect: 1/4\n"
+        "RESULT: fail -- (a,b,d;c) violates the four-point inequality by 1/256\n"
+        f'WITNESS {{"delta": "63/256", {SHORTENED_WITNESS}, "margin": "1/256", "quadruple": ["a", "b", "d", "c"]}}\n'
+    )
+
+
+def test_certify_table_with_steiner_like_point_name(tmp_path, capsys):
+    # a 4-point star: the first minted Steiner name would be the point '.s1'
+    names = [".s1", "a", "b", "c"]
+    text = "".join(f"dist {x} {y} 2\n" for i, x in enumerate(names) for y in names[i + 1 :])
+    code, out, _ = _certify_report(tmp_path, capsys, "star.metric", text)
+    assert code == 0
+    assert "RESULT: pass (delta=0)" in out
+
+
+def test_square_with_bar_in_a_point_name_replays(tmp_path, capsys):
+    code, out, _ = _certify_report(tmp_path, capsys, "sq.metric", SQUARE_TABLE.replace(" a ", " a|x "))
+    assert code == 1
+    assert '"a|x"' in out
+    report = tmp_path / "report.txt"
+    report.write_text(out)
+    code2, out2, _ = run_cli(capsys, "replay", str(report))
+    assert code2 == 0
+    assert "witness 0 (four_point): confirmed" in out2
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    path = tmp_path / "path.tree"
+    path.write_text(PATH_TREE)
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "rtreelab", "certify", "--tree", str(path)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "RESULT: pass (delta=0)" in proc.stdout

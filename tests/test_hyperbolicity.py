@@ -3,9 +3,11 @@ from fractions import Fraction as Fr
 from itertools import combinations, product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from rtreelab.blend import certify_rtree
 from rtreelab.hyperbolicity import (
+    FourPointWitness,
     InvalidTableError,
     MetricTable,
     NotZeroHyperbolicError,
@@ -16,6 +18,8 @@ from rtreelab.hyperbolicity import (
     verify_witness,
 )
 from rtreelab.tree import MetricTree, star_tree
+
+import helpers
 
 
 # ---------------------------------------------------------------------------
@@ -30,15 +34,6 @@ def brute_force_verdict(table: MetricTable, delta):
             margin = min(gp(x, y, w), gp(y, z, w)) - gp(x, z, w) - delta
             return False, (x, y, z, w), margin
     return True, None, None
-
-
-def brute_force_max_defect(table: MetricTable):
-    gp = table.gromov_product
-    worst = Fr(0)
-    for x, y, z, w in product(table.points, repeat=4):
-        gap = min(gp(x, y, w), gp(y, z, w)) - gp(x, z, w)
-        worst = max(worst, gap)
-    return worst
 
 
 def unit_square_table():
@@ -119,7 +114,7 @@ def test_square_fails_at_zero_with_brute_force_agreement():
 def test_square_passes_at_delta_one():
     table = unit_square_table()
     assert check_hyperbolic(table, 1).passes
-    assert max_four_point_defect(table) == brute_force_max_defect(table) == 1
+    assert max_four_point_defect(table) == helpers.brute_force_max_defect(table) == 1
 
 
 def test_witness_is_lexicographically_first():
@@ -225,6 +220,11 @@ def test_float_mode_uses_tolerance_delta():
     )
     assert check_hyperbolic(table, 1e-9).passes
     assert max_four_point_defect(table) <= 1e-9
+    # the gap scan sees no defect, but exact replay of a float realization fails
+    result = certify_rtree(table)
+    assert result.verdict.passes
+    assert result.realizable is False
+    assert result.note.startswith("realization mismatch at (")
 
 
 def test_subset_scan_agrees_with_ordered_brute_force_at_every_delta():
@@ -248,3 +248,65 @@ def test_subset_scan_agrees_with_ordered_brute_force_at_every_delta():
                 assert verdict.witness.quadruple == quad
                 assert verdict.witness.margin == margin
                 assert verify_witness(table, verdict.witness, delta)
+
+
+def test_reconstruct_skips_steiner_names_that_are_table_points():
+    names = [".s1", "a", "b", "c"]
+    table = MetricTable({(x, y): 2 for x, y in combinations(names, 2)})
+    tree = reconstruct_tree(table)
+    assert tree.vertices == (".s1", ".s2", "a", "b", "c")
+    assert tree.degree(".s2") == 4
+    for x, y in combinations(names, 2):
+        assert tree.distance(x, y) == 2
+    assert certify_rtree(table).passes
+
+
+def _perturbed_tree_table(rng: random.Random) -> MetricTable:
+    tree = helpers.random_tree(rng, 6, edge_points=rng.randint(0, 1))
+    d = {(x, y): tree.distance(x, y) for x, y in combinations(tree.point_names, 2)}
+    while True:
+        key = rng.choice(sorted(d))
+        try:
+            return MetricTable(d | {key: d[key] + Fr(rng.choice([-1, 1]), rng.randint(2, 8))})
+        except InvalidTableError:
+            continue
+
+
+ORACLE_FAMILIES = {
+    "tree with edge points": lambda rng: MetricTable.from_tree(
+        helpers.random_tree(rng, 7, edge_points=rng.randint(1, 3))
+    ),
+    "vertex subset": lambda rng: MetricTable.from_tree(
+        tree := helpers.random_tree(rng, 9),
+        rng.sample(tree.vertices, min(len(tree.vertices), rng.randint(2, 6))),
+    ),
+    "perturbed tree": _perturbed_tree_table,
+    "l1": lambda rng: random_l1_table(rng, rng.randint(4, 6)),
+    "cycle": helpers.random_cycle_table,
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(ORACLE_FAMILIES)), st.integers(0, 2**32 - 1))
+def test_kernel_and_builder_agree_with_the_slow_oracles(family, seed):
+    """The integer kernel against the literal Fraction scans, and the
+    anchored builder against the pairwise-attachment reference builder."""
+    table = ORACLE_FAMILIES[family](random.Random(seed))
+    defect = helpers.brute_force_max_defect(table)
+    assert max_four_point_defect(table) == defect
+    deltas = {Fr(0), defect, defect * Fr(63, 64)}
+    for delta in deltas:
+        ok, quad, margin = helpers.brute_force_four_point(table, delta)
+        expected = None if ok else FourPointWitness(quad, margin)
+        verdict = check_hyperbolic(table, delta)
+        assert verdict.passes == ok
+        assert verdict.witness == expected
+        assert first_violation(table, delta) == expected
+    ok, quad, margin = helpers.brute_force_four_point(table, Fr(0))
+    if ok:
+        tree, ref = reconstruct_tree(table), helpers.reference_realization(table)
+        assert (tree.vertices, tree.edges, tree.designated) == (ref.vertices, ref.edges, ref.designated)
+    else:
+        with pytest.raises(NotZeroHyperbolicError) as exc:
+            reconstruct_tree(table)
+        assert exc.value.witness == FourPointWitness(quad, margin)
