@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .hyperbolicity import (
@@ -199,12 +200,12 @@ def marked_graph_length(
     # applying the marking commutes with free reduction, so the input is
     # not pre-reduced; one reduction of the image suffices
     image = cyclic_reduce(apply_marking(marking, word))
-    total = Fraction(0)
+    total = 0  # integral weights add up as ints
     for g in basis.symbols:
         n = image.count(g) + image.count(g.upper())
         if n:
-            total += n * _exactify(edge_lengths[g])
-    return total
+            total += n * edge_lengths[g]
+    return _exactify(total)
 
 
 # -- length functions ----------------------------------------------------------
@@ -303,6 +304,119 @@ class AxiomVerdict:
     words_checked: int
 
 
+@dataclass(frozen=True)
+class AxiomScanEntry:
+    lam: Num
+    ok: bool
+    witness: AxiomWitness | None
+
+
+def _grid_slot(lam: Num) -> tuple:
+    """(lam, p, r, q): the blend lam*x1 + (1-lam)*x0 is held as p*x1 + r*x0
+    in units of 1/q, so an exact lam = p/q keeps integral values integral.
+    A float lam blends in floats, as blend_length_functions does (q None)."""
+    lam = _exactify(lam)
+    if lam < 0 or lam > 1:
+        raise BlendRangeError(f"lambda must lie in [0, 1], got {lam}")
+    if isinstance(lam, Fraction):
+        return lam, lam.numerator, lam.denominator - lam.numerator, lam.denominator
+    return lam, lam, 1 - lam, None
+
+
+def _integral(x):
+    return x.numerator if isinstance(x, Fraction) and x.denominator == 1 else x
+
+
+def _axiom_scan(
+    lf0: LengthFunction,
+    lf1: LengthFunction,
+    grid: Sequence[Num],
+    words: Sequence[str],
+    basis: Basis,
+    conjugators: Sequence[str] | None,
+) -> list[AxiomScanEntry]:
+    """Axiom scan of every blend lam*lf1 + (1-lam)*lf0 on the grid, in one
+    pass over ``words`` (reduced, distinct, in scan order).
+
+    Per lambda, in scan order: inversion invariance, then conjugation
+    invariance by each conjugator (default: every letter), then the
+    pairing bound over unordered pairs u <= v (whenever |uv| and |uv^-1|
+    differ, the larger is at most |u| + |v|).  Each lambda keeps its first
+    witness; the scan stops once every lambda has one.  Each word is
+    evaluated once per function and the pair of values cached, integral
+    values as ints: at a rational lambda, int and Fraction values are
+    compared exactly (integers for integral values), and Fractions appear
+    only in witnesses.
+    """
+    slots = [_grid_slot(lam) for lam in grid]
+    found: dict[int, AxiomWitness] = {}
+    cache: dict[str, tuple] = {}
+
+    def values(w: str) -> tuple:
+        pair = cache.get(w)
+        if pair is None:
+            x0 = _integral(lf0(w))
+            pair = cache[w] = (x0, x0 if lf1 is lf0 else _integral(lf1(w)))
+        return pair
+
+    def record(s: int, kind: str, u: str, v: str | None, scaled: dict) -> None:
+        q = slots[s][3]
+        if q is not None:
+            scaled = {k: Fraction(n, q) if isinstance(n, int) else n / q for k, n in scaled.items()}
+        found[s] = AxiomWitness(kind, u, v, scaled)
+
+    invariances = chain(
+        (("inversion", u, None, "u_inv", invert_word(u)) for u in words),
+        (
+            ("conjugation", u, v, "conjugated", reduce_word(v + u + invert_word(v)))
+            for u in words
+            for v in (basis.letters if conjugators is None else conjugators)
+        ),
+    )
+    for kind, u, v, key, other in invariances:
+        if len(found) == len(slots):
+            break
+        (u0, u1), (o0, o1) = values(u), values(other)
+        if u0 == o0 and u1 == o1:
+            continue
+        for s, (_, p, r, _) in enumerate(slots):
+            nu, no = p * u1 + r * u0, p * o1 + r * o0
+            if s not in found and nu != no:
+                record(s, kind, u, v, {"u": nu, key: no})
+
+    pending = [s for s in range(len(slots)) if s not in found]
+    # a pair with no positive margin against the sum bound in either
+    # function cannot violate at an exact lambda in [0, 1]; float lambdas
+    # round, so they are never pruned
+    unpruned = [s for s in pending if slots[s][3] is None]
+    singles = [values(w) for w in words]
+    inverses = [invert_word(w) for w in words]
+    for i, u in enumerate(words):
+        if not pending:
+            break
+        u0, u1 = singles[i]
+        for j in range(i, len(words)):
+            v0, v1 = singles[j]
+            uv, ui = reduced_product(u, words[j]), reduced_product(u, inverses[j])
+            uv0, uv1 = cache.get(uv) or values(uv)
+            ui0, ui1 = cache.get(ui) or values(ui)
+            b0, b1 = u0 + v0, u1 + v1
+            pruned = uv0 <= b0 and uv1 <= b1 and ui0 <= b0 and ui1 <= b1
+            for s in unpruned if pruned else pending:
+                _, p, r, _ = slots[s]
+                nuv, nui = p * uv1 + r * uv0, p * ui1 + r * ui0
+                nu, nv = p * u1 + r * u0, p * v1 + r * v0
+                if nuv != nui and (nuv > nu + nv or nui > nu + nv):
+                    scaled = {"uv": nuv, "uv_inv": nui, "u": nu, "v": nv}
+                    record(s, "product", u, words[j], scaled)
+            if len(found) + len(pending) > len(slots):
+                pending = [s for s in pending if s not in found]
+                unpruned = [s for s in unpruned if s not in found]
+                if not pending:
+                    break
+    return [AxiomScanEntry(slot[0], s not in found, found.get(s)) for s, slot in enumerate(slots)]
+
+
 def length_axiom_check(
     lf: LengthFunction,
     words: Sequence[str],
@@ -319,55 +433,11 @@ def length_axiom_check(
     First witness in scan order wins; a pass means no violation found.
     (Words are freely reduced up front: a length function is a class
     function on group elements, so reduction cannot change any value.)
+    This is the axiom scan on the one-point grid lambda = 1.
     """
     words = sorted({reduce_word(w) for w in words}, key=lambda w: (len(w), w))
-    if basis is None:
-        basis = Basis(2)
-    if conjugators is None:
-        conjugators = list(basis.letters)
-    values = {w: lf(w) for w in words}
-    for u in words:
-        inv = lf(invert_word(u))
-        if inv != values[u]:
-            return AxiomVerdict(
-                False,
-                AxiomWitness("inversion", u, None, {"u": values[u], "u_inv": inv}),
-                len(words),
-            )
-    for u in words:
-        for v in conjugators:
-            conj = lf(reduce_word(v + u + invert_word(v)))
-            if conj != values[u]:
-                return AxiomVerdict(
-                    False,
-                    AxiomWitness(
-                        "conjugation", u, v, {"u": values[u], "conjugated": conj}
-                    ),
-                    len(words),
-                )
-    for i, u in enumerate(words):
-        for v in words[i:]:
-            uv = lf(reduced_product(u, v))
-            uv_inv = lf(reduced_product(u, invert_word(v)))
-            if uv != uv_inv and max(uv, uv_inv) > values[u] + values[v]:
-                return AxiomVerdict(
-                    False,
-                    AxiomWitness(
-                        "product",
-                        u,
-                        v,
-                        {"uv": uv, "uv_inv": uv_inv, "u": values[u], "v": values[v]},
-                    ),
-                    len(words),
-                )
-    return AxiomVerdict(True, None, len(words))
-
-
-@dataclass(frozen=True)
-class AxiomScanEntry:
-    lam: Num
-    ok: bool
-    witness: AxiomWitness | None
+    (entry,) = _axiom_scan(lf, lf, [1], words, basis or Basis(2), conjugators)
+    return AxiomVerdict(entry.ok, entry.witness, len(words))
 
 
 def rose_blend_axiom_scan(
@@ -379,110 +449,21 @@ def rose_blend_axiom_scan(
     lengths0: Mapping[str, Num] | None = None,
     lengths1: Mapping[str, Num] | None = None,
 ) -> list[AxiomScanEntry]:
-    """Axiom scan of the lambda-blends of two rose length functions over all
-    reduced words of length <= maxlen, sharing the word computations across
-    the whole lambda grid.
-
-    Inversion and conjugation invariance hold for any pointwise blend of
-    class functions, so the scan searches the product condition; the first
-    violating unordered pair (by (length, lex) of u then v) is reported per
-    lambda.
+    """Axiom scan of the lambda-blends of two rose length functions (marking0
+    defaults to the identity, lengths to 1) over all reduced words of
+    length <= maxlen, sharing the word computations across the whole
+    lambda grid.  The first witness per lambda is reported; blends of
+    class functions keep inversion and conjugation invariance, so the
+    witnesses found are product violations.
     """
     if basis is None:
         basis = Basis(2)
-    if marking0 is None:
-        marking0 = {s: s for s in basis.symbols}
-    if lengths0 is None:
-        lengths0 = {s: 1 for s in basis.symbols}
-    if lengths1 is None:
-        lengths1 = {s: 1 for s in basis.symbols}
-    for marking in (marking0, marking1):
-        if not nielsen_generates(marking, basis):
-            raise MarkingError("marking images do not freely generate")
-
-    def make_length(marking: Mapping[str, str], lengths: Mapping[str, Num]):
-        identity = all(marking[s] == s for s in basis.symbols)
-        unit = all(lengths[s] == 1 for s in basis.symbols)
-        if unit:
-            if identity:
-                return lambda cyc: len(cyc)
-            return lambda cyc: len(cyclic_reduce(apply_marking(marking, cyc)))
-
-        def value(cyc: str) -> Num:
-            image = cyc if identity else cyclic_reduce(apply_marking(marking, cyc))
-            total = 0
-            for c in image:
-                total += lengths[c.lower()]
-            return total
-
-        return value
-
-    len0 = make_length(marking0, lengths0)
-    len1 = make_length(marking1, lengths1)
-    words = reduced_words(basis, maxlen)
-
-    def pair_values(w: str) -> tuple[Num, Num]:
-        cyc = cyclic_reduce(w)
-        return (len0(cyc), len1(cyc))
-
-    # one lambda = p/q turns each blended value into p*x1 + (q-p)*x0 in
-    # 1/q units: integer arithmetic whenever the edge lengths are integral,
-    # exact Fractions otherwise, shared across the whole grid in one pass
-    grid = []
-    for lam in lambdas:
-        lam = _exactify(lam)
-        if lam < 0 or lam > 1:
-            raise BlendRangeError(f"lambda must lie in [0, 1], got {lam}")
-        if isinstance(lam, Fraction):
-            grid.append((lam, lam.numerator, lam.denominator - lam.numerator))
-        else:
-            grid.append((lam, lam, 1 - lam))
-    found: list[AxiomWitness | None] = [None] * len(grid)
-    single = {w: pair_values(w) for w in words}
-    open_slots = len(grid)
-    for i, u in enumerate(words):
-        if open_slots == 0:
-            break
-        su0, su1 = single[u]
-        for v in words[i:]:
-            sv0, sv1 = single[v]
-            suv0, suv1 = pair_values(reduced_product(u, v))
-            sui0, sui1 = pair_values(reduced_product(u, invert_word(v)))
-            # margins against the sum bound, per side; if neither side has a
-            # positive margin in either metric, no lambda in [0,1] can
-            # violate and the grid loop is skipped
-            b0, b1 = su0 + sv0, su1 + sv1
-            d0, d1 = suv0 - b0, suv1 - b1
-            e0, e1 = sui0 - b0, sui1 - b1
-            if d0 <= 0 and d1 <= 0 and e0 <= 0 and e1 <= 0:
-                continue
-            for slot, (lam, p, r) in enumerate(grid):
-                if found[slot] is not None:
-                    continue
-                bound = p * b1 + r * b0
-                nuv = p * suv1 + r * suv0
-                nui = p * sui1 + r * sui0
-                if nuv != nui and (nuv > bound or nui > bound):
-                    q = p + r
-                    found[slot] = AxiomWitness(
-                        "product",
-                        u,
-                        v,
-                        {
-                            "uv": Fraction(nuv, q) if isinstance(nuv, int) else nuv / q,
-                            "uv_inv": Fraction(nui, q) if isinstance(nui, int) else nui / q,
-                            "u": Fraction(p * su1 + r * su0, q)
-                            if isinstance(p, int)
-                            else (p * su1 + r * su0) / q,
-                            "v": Fraction(p * sv1 + r * sv0, q)
-                            if isinstance(p, int)
-                            else (p * sv1 + r * sv0) / q,
-                        },
-                    )
-                    open_slots -= 1
-            if open_slots == 0:
-                break
-    return [
-        AxiomScanEntry(lam, found[slot] is None, found[slot])
-        for slot, (lam, _, _) in enumerate(grid)
-    ]
+    identity = {s: s for s in basis.symbols}
+    unit = {s: 1 for s in basis.symbols}
+    lf0 = length_function_from_marked_graph(
+        identity if marking0 is None else marking0, unit if lengths0 is None else lengths0, basis
+    )
+    lf1 = length_function_from_marked_graph(
+        marking1, unit if lengths1 is None else lengths1, basis
+    )
+    return _axiom_scan(lf0, lf1, lambdas, reduced_words(basis, maxlen), basis, None)

@@ -74,16 +74,18 @@ class BoundaryPoint:
         """The first k letters (always reduced; re-entrant)."""
         if k <= len(self._cache):
             return self._cache[:k]
-        chunk = list(self._cache)
-        for i in range(len(chunk), k):
+        last = self._cache[-1:]
+        new = []
+        for i in range(len(self._cache), k):
             c = self._fn(i)
             self.basis.validate(c)
-            if chunk and chunk[-1] == invert_letter(c):
+            if last and last == invert_letter(c):
                 raise BoundaryFormatError(
                     f"generator produced a cancellation at position {i}"
                 )
-            chunk.append(c)
-        self._cache = "".join(chunk)
+            new.append(c)
+            last = c
+        self._cache += "".join(new)
         return self._cache
 
     def __repr__(self) -> str:

@@ -13,6 +13,7 @@ and carry stabilization certificates instead of unconditional claims.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Callable, Iterable, Sequence, Union
@@ -106,7 +107,8 @@ class LiminfResult:
     ``point`` is the endpoint of the intersection of the segments
     [basepoint, P_n] over the tail n = head..terms_used-1; ``certificate``
     is the distance between the endpoints for head-1 and head (0 means the
-    estimate did not move when the last prefix term was dropped).
+    estimate did not move when the last prefix term was dropped; inf at
+    head 0, where no two endpoints were compared).
     """
 
     point: object
@@ -132,7 +134,7 @@ def liminf_from(
     [Q, R] and [Q, P] is [Q, center(R, P, Q)]).  The reported point is R_m
     at m = ``head`` (default depth // 2: half the window is spent
     discarding the prefix, half certifying the tail), with the movement
-    between the last two m values as certificate.
+    between the last two m values as certificate (inf at head 0).
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -148,7 +150,8 @@ def liminf_from(
         suffix[i] = oracle.center(terms[i], suffix[i + 1], basepoint)
     h = n // 2 if head is None else head
     h = max(0, min(h, n - 1))
-    cert = oracle.distance(suffix[h - 1], suffix[h]) if h >= 1 else 0
+    # at head 0 nothing was compared: the estimate is uncertified
+    cert = oracle.distance(suffix[h - 1], suffix[h]) if h >= 1 else math.inf
     return LiminfResult(suffix[h], cert, n, h)
 
 
@@ -259,7 +262,8 @@ def extract_convergent_subsequence(
     exhausted_at = None
     for j, d in enumerate(dirs):
         inside = [i for i in indices if _contains(oracle, d, terms[i])]
-        outside = [i for i in indices if i not in set(inside)]
+        inside_set = set(inside)
+        outside = [i for i in indices if i not in inside_set]
         if len(inside) > len(outside):
             chosen = inside
         elif len(outside) > len(inside):

@@ -165,7 +165,7 @@ class MultipodOracle:
         if p == self.HUB:
             return None
         arm, off = p
-        if self.arms is not None and not 0 <= arm < self.arms:
+        if arm < 0 or (self.arms is not None and arm >= self.arms):
             raise ValueError(f"arm {arm} out of range")
         if off < 0 or off > self.arm_length:
             raise ValueError(f"offset {off} outside [0, {self.arm_length}]")

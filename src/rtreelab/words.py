@@ -6,6 +6,7 @@ letters (``a`` has inverse ``A``).  The empty string is the identity.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 _ALPHABET = "abcdefghijklmnopqrstuvwxyz"
 _INV = {c: c.upper() for c in _ALPHABET} | {c.upper(): c for c in _ALPHABET}
@@ -46,13 +47,13 @@ class Basis:
             if len(s) != 1 or not s.islower():
                 raise ValueError(f"symbols must be single lowercase letters, got {s!r}")
 
-    @property
+    @cached_property
     def letters(self) -> tuple[str, ...]:
         """All 2N letters, generators then inverses."""
         return self.symbols + tuple(s.upper() for s in self.symbols)
 
     def validate(self, word: str) -> None:
-        extra = set(word) - set(self.letters)
+        extra = set(word).difference(self.letters)
         if extra:
             bad = sorted(extra)[0]
             raise UnknownSymbolError(f"symbol {bad!r} not in basis {self.symbols}")

@@ -4,9 +4,10 @@ import random
 from fractions import Fraction as Fr
 from itertools import combinations, product
 
-from rtreelab.blend import CompatibleMetricPair, IncompatiblePairError
+from rtreelab.blend import AxiomVerdict, AxiomWitness, CompatibleMetricPair, IncompatiblePairError
 from rtreelab.hyperbolicity import MetricTable
 from rtreelab.tree import Location, MetricTree
+from rtreelab.words import Basis, invert_word, reduce_word, reduced_product
 
 
 def brute_force_four_point(table: MetricTable, delta):
@@ -28,6 +29,53 @@ def brute_force_max_defect(table: MetricTable):
     for x, y, z, w in product(table.points, repeat=4):
         worst = max(worst, min(gp(x, y, w), gp(y, z, w)) - gp(x, z, w))
     return worst
+
+
+def brute_force_axiom_check(lf, words, basis=None, conjugators=None) -> AxiomVerdict:
+    """Slow reference for length_axiom_check: the literal scan on raw
+    values, evaluating lf afresh for every word it meets.  Inversion over
+    the words, then conjugation by each conjugator (default: every
+    letter), then the pairing bound over unordered pairs u <= v in
+    (length, lex) order; the first witness wins."""
+    words = sorted({reduce_word(w) for w in words}, key=lambda w: (len(w), w))
+    if basis is None:
+        basis = Basis(2)
+    if conjugators is None:
+        conjugators = list(basis.letters)
+    values = {w: lf(w) for w in words}
+    for u in words:
+        inv = lf(invert_word(u))
+        if inv != values[u]:
+            return AxiomVerdict(
+                False,
+                AxiomWitness("inversion", u, None, {"u": values[u], "u_inv": inv}),
+                len(words),
+            )
+    for u in words:
+        for v in conjugators:
+            conj = lf(reduce_word(v + u + invert_word(v)))
+            if conj != values[u]:
+                return AxiomVerdict(
+                    False,
+                    AxiomWitness("conjugation", u, v, {"u": values[u], "conjugated": conj}),
+                    len(words),
+                )
+    for i, u in enumerate(words):
+        for v in words[i:]:
+            uv = lf(reduced_product(u, v))
+            uv_inv = lf(reduced_product(u, invert_word(v)))
+            if uv != uv_inv and max(uv, uv_inv) > values[u] + values[v]:
+                return AxiomVerdict(
+                    False,
+                    AxiomWitness(
+                        "product",
+                        u,
+                        v,
+                        {"uv": uv, "uv_inv": uv_inv, "u": values[u], "v": values[v]},
+                    ),
+                    len(words),
+                )
+    return AxiomVerdict(True, None, len(words))
 
 
 def reference_realization(space: MetricTable) -> MetricTree:

@@ -1,14 +1,17 @@
 import random
 from fractions import Fraction as Fr
+from functools import lru_cache
 from itertools import combinations, permutations
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from rtreelab.blend import (
     AxiomWitness,
     BlendRangeError,
     CompatibleMetricPair,
     IncompatiblePairError,
+    LengthFunction,
     MarkingError,
     apply_marking,
     blend_length_functions,
@@ -21,14 +24,22 @@ from rtreelab.blend import (
     length_function_from_table,
     marked_graph_length,
     nielsen_generates,
+    _axiom_scan,
     rose_blend_axiom_scan,
 )
 from rtreelab.hyperbolicity import MetricTable
 from rtreelab.qmap import DenseLineAction
 from rtreelab.tree import Location, MetricTree, path_tree
-from rtreelab.words import Basis, cyclically_reduced_words, reduced_words
+from rtreelab.words import (
+    Basis,
+    cyclic_reduce,
+    cyclically_reduced_words,
+    reduce_word,
+    reduced_words,
+)
 
 from helpers import (
+    brute_force_axiom_check,
     brute_force_four_point,
     random_compatible_pair,
     unit_square_table,
@@ -64,6 +75,8 @@ def test_blend_rejects_lambda_outside_unit_interval():
     for lam in (-1, Fr(11, 10), 2):
         with pytest.raises(BlendRangeError):
             blend_metric(pair, lam)
+        with pytest.raises(BlendRangeError):
+            rose_blend_axiom_scan({"a": "a", "b": "ba"}, [Fr(1, 2), lam], maxlen=2)
 
 
 def test_random_blend_passes_certification_and_brute_force():
@@ -284,6 +297,98 @@ def test_rose_blend_scan_agrees_with_generic_checker():
         assert generic.ok == entry.ok
         if not entry.ok:
             assert (generic.witness.u, generic.witness.v) == (entry.witness.u, entry.witness.v)
+
+
+def _cached(evaluator, provenance):
+    return LengthFunction(lru_cache(maxsize=None)(evaluator), provenance)
+
+
+def _rose(marking, lengths=None):
+    lf = length_function_from_marked_graph(marking, lengths or {"a": 1, "b": 1}, B2)
+    return _cached(lf.evaluator, lf.provenance)
+
+
+_IDENTITY = _rose({"a": "a", "b": "b"})
+AXIOM_FUNCTIONS = {
+    "identity rose": _IDENTITY,
+    "rose a->abb": _rose({"a": "abb", "b": "b"}),
+    "rose b->ba": _rose({"a": "a", "b": "ba"}),
+    "rose a->ab, weights 1/2, 3": _rose({"a": "ab", "b": "b"}, {"a": Fr(1, 2), "b": 3}),
+    "squared length": _cached(lambda w: _IDENTITY(w) ** 2, "squared"),
+    # a counts twice and A once: |a| = 2 but |A| = 1
+    "not inversion-invariant": _cached(
+        lambda w: _IDENTITY(w) + cyclic_reduce(w).count("a"), "lowercase a weighted"
+    ),
+    # reduced (not cyclically reduced) length: |aba^-1| = 3 but |b| = 1
+    "not conjugation-invariant": _cached(lambda w: Fr(len(reduce_word(w))), "word length"),
+}
+AXIOM_LAMBDAS = [
+    *(Fr(0), Fr(1, 10), Fr(1, 3), Fr(1, 2), Fr(9, 10), Fr(1)),
+    *(0.0, 0.1, 0.3, 1 / 3, 0.75, 1.0),
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(sorted(AXIOM_FUNCTIONS)),
+    st.sampled_from(sorted(AXIOM_FUNCTIONS)),
+    st.lists(st.sampled_from(AXIOM_LAMBDAS), min_size=1, max_size=4),
+    st.integers(1, 3),
+)
+@example("identity rose", "not inversion-invariant", [Fr(0), 0.1, Fr(1, 2), 1.0], 3)
+@example("identity rose", "not conjugation-invariant", [Fr(1, 3), 0.3], 2)
+@example("identity rose", "rose a->abb", [Fr(1, 10), 0.1, Fr(1)], 4)
+@example("rose b->ba", "rose a->ab, weights 1/2, 3", [Fr(0), Fr(9, 10), 0.75], 4)
+@example("squared length", "rose b->ba", [0.75, Fr(0)], 3)
+# a float blend rounds: at lam = 0.3, |AB| = 0.3*2 + 0.7*4 reads above
+# |A| + |B| = (0.3*1 + 0.7*3) + (0.3*1 + 0.7*1), though the two are equal
+@example("rose a->abb", "identity rose", [Fr(1, 3), 0.3], 1)
+def test_axiom_scan_agrees_with_the_slow_reference(name0, name1, grid, maxlen):
+    """The integer grid kernel, run on lf0 and lf1, against the literal
+    scan of each blend lam*lf1 + (1-lam)*lf0 on raw values, and
+    length_axiom_check on that blend against the same reference."""
+    lf0, lf1 = AXIOM_FUNCTIONS[name0], AXIOM_FUNCTIONS[name1]
+    words = reduced_words(B2, maxlen)
+    entries = _axiom_scan(lf0, lf1, grid, words, B2, None)
+    assert len(entries) == len(grid)
+    for lam, entry in zip(grid, entries):
+        blend = blend_length_functions(lf0, lf1, lam)
+        expected = brute_force_axiom_check(blend, words, B2)
+        assert entry.lam == lam
+        assert (entry.ok, entry.witness) == (expected.ok, expected.witness)
+        assert length_axiom_check(blend, words, B2) == expected
+        if not entry.ok:
+            assert entry.witness.violates()
+
+
+def test_axiom_scan_reports_inversion_and_conjugation_witnesses():
+    # words in (length, lex) order start A, B, a, b; letters conjugate in
+    # the order a, b, A, B
+    words = reduced_words(B2, 2)
+    lopsided = AXIOM_FUNCTIONS["not inversion-invariant"]
+    verdict = length_axiom_check(lopsided, words, B2)
+    assert verdict.witness == AxiomWitness("inversion", "A", None, {"u": 1, "u_inv": 2})
+    unconjugated = AXIOM_FUNCTIONS["not conjugation-invariant"]
+    verdict = length_axiom_check(unconjugated, words, B2)
+    assert verdict.witness == AxiomWitness("conjugation", "A", "b", {"u": 1, "conjugated": 3})
+    # per lambda: the blends of the identity rose with the lopsided function
+    # break inversion invariance at every lambda but 0
+    entries = _axiom_scan(_IDENTITY, lopsided, [Fr(0), Fr(1, 2), 0.25], words, B2, None)
+    assert entries[0].ok and entries[0].witness is None
+    assert [e.witness.kind for e in entries[1:]] == ["inversion", "inversion"]
+    assert entries[1].witness.values == {"u": 1, "u_inv": Fr(3, 2)}
+    assert entries[2].witness.values == {"u": 1.0, "u_inv": 1.25}
+
+
+def test_axiom_check_finds_a_violation_through_uv_inverse_alone():
+    # |ab| = |a| + |b| but |aB| exceeds it; with no b^-1 among the words the
+    # pair (a, B) is never scanned, so only uv^-1 of the pair (a, b) shows it
+    table = {"": 0, "a": 1, "A": 1, "b": 1, "B": 1, "aa": 2, "ab": 2, "aB": 3, "bb": 2}
+    lf = length_function_from_table(table)
+    verdict = length_axiom_check(lf, ["a", "b"], B2, conjugators=[])
+    assert verdict == brute_force_axiom_check(lf, ["a", "b"], B2, conjugators=[])
+    values = {"uv": 2, "uv_inv": 3, "u": 1, "v": 1}
+    assert verdict.witness == AxiomWitness("product", "a", "b", values)
 
 
 def test_length_function_from_table():

@@ -198,6 +198,16 @@ def test_qmap_estimate_escape(capsys):
     assert "method: drift" in out
 
 
+def test_qmap_estimate_at_depth_one_is_not_a_vacuous_pass(capsys):
+    # one orbit term leaves nothing to compare: no certificate, no pass
+    code, out, _ = run_cli(
+        capsys, "qmap", "estimate", "--weights", "1,sqrt:2", "--word", ";abAB", "--depth", "1"
+    )
+    assert code == 2
+    assert "certificate: inf" in out
+    assert "RESULT: inconclusive" in out
+    assert "RESULT: pass" not in out
+
 def test_qmap_fibers_opposite_ends(tmp_path, capsys):
     code, out, _ = run_cli(
         capsys,

@@ -1,4 +1,5 @@
 """Seeded randomized consistency checks across the trickier code paths."""
+import math
 import random
 from fractions import Fraction as Fr
 from itertools import combinations
@@ -96,7 +97,8 @@ def test_liminf_head_parameter_bounds():
     names = list(tree.point_names)
     seq = PointSequence([rng.choice(names) for _ in range(10)])
     full = liminf_from(oracle, names[0], seq, depth=10, head=0)
-    assert full.head == 0 and full.certificate == 0
+    assert full.head == 0 and full.certificate == math.inf  # nothing compared
+    assert not full.stabilized()
     clamped = liminf_from(oracle, names[0], seq, depth=10, head=99)
     assert clamped.head == 9  # capped at the last term
     assert oracle.points_equal(clamped.point, seq.point(9))

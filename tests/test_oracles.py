@@ -111,6 +111,9 @@ def test_multipod_arm_bounds(pod5):
         pod5.distance((7, 1), "hub")
     lazy = MultipodOracle()
     assert lazy.distance((10**6, 1), (0, 1)) == 2
+    for pod in (pod5, lazy):
+        with pytest.raises(ValueError):
+            pod.distance((-3, 1), (2, 1))
 
 
 def test_multipod_sample_stream_reaches_every_arm():
