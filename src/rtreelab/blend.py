@@ -249,7 +249,8 @@ def length_function_from_table(table: Mapping[str, Num]) -> LengthFunction:
 
 
 def blend_length_functions(lf0: LengthFunction, lf1: LengthFunction, lam: Num) -> LengthFunction:
-    lam = _exactify(lam)
+    """lam*lf1 + (1-lam)*lf0, with lam taken exactly (a float at its binary value)."""
+    lam = Fraction(lam)
 
     def ev(word: str) -> Num:
         return lam * lf1(word) + (1 - lam) * lf0(word)
@@ -313,14 +314,12 @@ class AxiomScanEntry:
 
 def _grid_slot(lam: Num) -> tuple:
     """(lam, p, r, q): the blend lam*x1 + (1-lam)*x0 is held as p*x1 + r*x0
-    in units of 1/q, so an exact lam = p/q keeps integral values integral.
-    A float lam blends in floats, as blend_length_functions does (q None)."""
-    lam = _exactify(lam)
+    in units of 1/q, so lam = p/q keeps integral values integral.  A float
+    lam is taken at its exact binary value, as blend_length_functions does."""
+    lam = Fraction(lam)
     if lam < 0 or lam > 1:
         raise BlendRangeError(f"lambda must lie in [0, 1], got {lam}")
-    if isinstance(lam, Fraction):
-        return lam, lam.numerator, lam.denominator - lam.numerator, lam.denominator
-    return lam, lam, 1 - lam, None
+    return lam, lam.numerator, lam.denominator - lam.numerator, lam.denominator
 
 
 def _integral(x):
@@ -344,9 +343,9 @@ def _axiom_scan(
     differ, the larger is at most |u| + |v|).  Each lambda keeps its first
     witness; the scan stops once every lambda has one.  Each word is
     evaluated once per function and the pair of values cached, integral
-    values as ints: at a rational lambda, int and Fraction values are
-    compared exactly (integers for integral values), and Fractions appear
-    only in witnesses.
+    values as ints: every lambda is exact (a float at its binary value), so
+    int and Fraction values are compared exactly (integers for integral
+    values), and Fractions appear only in witnesses.
     """
     slots = [_grid_slot(lam) for lam in grid]
     found: dict[int, AxiomWitness] = {}
@@ -361,9 +360,9 @@ def _axiom_scan(
 
     def record(s: int, kind: str, u: str, v: str | None, scaled: dict) -> None:
         q = slots[s][3]
-        if q is not None:
-            scaled = {k: Fraction(n, q) if isinstance(n, int) else n / q for k, n in scaled.items()}
-        found[s] = AxiomWitness(kind, u, v, scaled)
+        found[s] = AxiomWitness(
+            kind, u, v, {k: Fraction(n, q) if isinstance(n, int) else n / q for k, n in scaled.items()}
+        )
 
     invariances = chain(
         (("inversion", u, None, "u_inv", invert_word(u)) for u in words),
@@ -385,10 +384,6 @@ def _axiom_scan(
                 record(s, kind, u, v, {"u": nu, key: no})
 
     pending = [s for s in range(len(slots)) if s not in found]
-    # a pair with no positive margin against the sum bound in either
-    # function cannot violate at an exact lambda in [0, 1]; float lambdas
-    # round, so they are never pruned
-    unpruned = [s for s in pending if slots[s][3] is None]
     singles = [values(w) for w in words]
     inverses = [invert_word(w) for w in words]
     for i, u in enumerate(words):
@@ -401,8 +396,11 @@ def _axiom_scan(
             uv0, uv1 = cache.get(uv) or values(uv)
             ui0, ui1 = cache.get(ui) or values(ui)
             b0, b1 = u0 + v0, u1 + v1
-            pruned = uv0 <= b0 and uv1 <= b1 and ui0 <= b0 and ui1 <= b1
-            for s in unpruned if pruned else pending:
+            # no positive margin against the sum bound in either function:
+            # no lambda in [0, 1] can violate
+            if uv0 <= b0 and uv1 <= b1 and ui0 <= b0 and ui1 <= b1:
+                continue
+            for s in pending:
                 _, p, r, _ = slots[s]
                 nuv, nui = p * uv1 + r * uv0, p * ui1 + r * ui0
                 nu, nv = p * u1 + r * u0, p * v1 + r * v0
@@ -411,7 +409,6 @@ def _axiom_scan(
                     record(s, "product", u, words[j], scaled)
             if len(found) + len(pending) > len(slots):
                 pending = [s for s in pending if s not in found]
-                unpruned = [s for s in unpruned if s not in found]
                 if not pending:
                     break
     return [AxiomScanEntry(slot[0], s not in found, found.get(s)) for s, slot in enumerate(slots)]

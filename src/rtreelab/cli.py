@@ -385,7 +385,8 @@ def run_blend_metric(args, out) -> int:
     pair = CompatibleMetricPair(t0, t1)
     lam = _parse_lambda(getattr(args, "lambda"))
     blended = blend_metric(pair, lam)
-    result = certify_rtree(MetricTable.from_tree(blended))
+    table = MetricTable.from_tree(blended)
+    result = certify_rtree(table)
     out.append(formats.format_tree(blended).rstrip("\n"))
     out.append(f"certification: {result.note}")
     if result.passes:
@@ -393,7 +394,6 @@ def run_blend_metric(args, out) -> int:
         return PASS
     witness = result.verdict.witness
     if witness is not None:
-        table = MetricTable.from_tree(blended)
         out.append(formats.witness_line("four_point", _four_point_witness_payload(table, witness, 0)))
     out.append("RESULT: fail")
     return FAIL

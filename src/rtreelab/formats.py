@@ -280,7 +280,8 @@ def _jsonable(x):
     if isinstance(x, Fraction):
         return format_number(x)
     if isinstance(x, float):
-        return x
+        # strict JSON has no Infinity: non-finite floats go as "inf"/"-inf"
+        return x if math.isfinite(x) else format_number(x)
     if isinstance(x, (list, tuple)):
         return [_jsonable(v) for v in x]
     if isinstance(x, dict):
@@ -307,7 +308,7 @@ def parse_witness_lines(text: str) -> list[dict]:
 
 def _wnum(x):
     if isinstance(x, str):
-        return parse_number(x)
+        return float(x) if x in ("inf", "-inf") else parse_number(x)
     return x
 
 

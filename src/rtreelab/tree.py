@@ -6,11 +6,18 @@ names share one namespace) or by an explicit :class:`Location` inside an
 edge.  Edge lengths and offsets should be exact numbers (``Fraction``/``int``)
 unless the caller deliberately works in floats; every operation is a pure
 function of the immutable tree.
+
+Every query runs on one rooted index: the tree is rooted at its smallest
+vertex, and each vertex keeps its parent, depth and root distance (ints
+over the common denominator of the lengths and offsets on an exact tree).
+Building costs O(V); each query walks parent pointers, O(depth).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Mapping, Union
 
 Num = Union[int, Fraction, float]
@@ -107,10 +114,33 @@ class MetricTree:
             adj.setdefault(v, []).append((u, length))
         if not adj:
             raise TreeStructureError("tree needs at least one vertex")
-        for v in adj:
-            adj[v].sort()
+        if len(self._lengths) != len(adj) - 1:
+            raise TreeStructureError(
+                f"{len(adj)} vertices and {len(self._lengths)} edges cannot form a tree"
+            )
         self._adj = adj
-        self._check_connected_acyclic()
+        points = list(points)
+        # one denominator puts every vertex and designated point on the grid
+        offsets = [_exactify(entry[3]) for entry in points if len(entry) == 4]
+        exact = [x for x in chain(self._lengths.values(), offsets) if isinstance(x, Fraction)]
+        self._scale = math.lcm(*(x.denominator for x in exact))
+
+        # the rooted index: parent, depth and scaled root distance per vertex
+        root = min(adj)
+        self._parent: dict[str, str | None] = {root: None}
+        self._depth = {root: 0}
+        self._root = {root: 0}
+        stack = [root]
+        while stack:
+            x = stack.pop()
+            for y, length in adj[x]:
+                if y not in self._parent:
+                    self._parent[y] = x
+                    self._depth[y] = self._depth[x] + 1
+                    self._root[y] = self._root[x] + self._scaled(length)
+                    stack.append(y)
+        if len(self._parent) != len(adj):
+            raise TreeStructureError("edge graph is not connected")
 
         self._points: dict[str, Point] = {}
         for entry in points:
@@ -129,26 +159,14 @@ class MetricTree:
         for v in self.open_ends:
             if v not in adj:
                 raise UnknownPointError(v)
-        self._vdist = self._all_pairs()
+        self._addr = {v: (v, r) for v, r in self._root.items()}
+        self._name_at: dict[Point, str] = {}
+        for name in sorted(self._points):
+            loc = self._points[name]
+            self._addr[name] = self._locate(loc)
+            self._name_at.setdefault(loc, name)
 
     # -- construction helpers -------------------------------------------------
-
-    def _check_connected_acyclic(self) -> None:
-        n_edges = len(self._lengths)
-        if n_edges != len(self._adj) - 1:
-            raise TreeStructureError(
-                f"{len(self._adj)} vertices and {n_edges} edges cannot form a tree"
-            )
-        seen = set()
-        stack = [next(iter(sorted(self._adj)))]
-        while stack:
-            v = stack.pop()
-            if v in seen:
-                continue
-            seen.add(v)
-            stack.extend(w for w, _ in self._adj[v] if w not in seen)
-        if len(seen) != len(self._adj):
-            raise TreeStructureError("edge graph is not connected")
 
     def _normalize_edge_point(self, u: str, v: str, off: Num) -> Point:
         e = canonical_edge(u, v)
@@ -165,19 +183,79 @@ class MetricTree:
             return e[1]
         return Location(e, off)
 
-    def _all_pairs(self) -> dict[str, dict[str, Num]]:
-        table = {}
-        for src in self._adj:
-            dist = {src: Fraction(0)}
-            stack = [src]
-            while stack:
-                x = stack.pop()
-                for y, length in self._adj[x]:
-                    if y not in dist:
-                        dist[y] = dist[x] + length
-                        stack.append(y)
-            table[src] = dist
-        return table
+    # -- the rooted index ------------------------------------------------------
+    # A point is addressed as (v, r): root distance r, in units of 1/scale,
+    # on the edge from vertex v up to its parent (r is v's own root
+    # distance at v).
+
+    def _scaled(self, x: Num) -> Num:
+        """x in index units; an int whenever x lies on the grid."""
+        x = x * self._scale
+        return x.numerator if isinstance(x, Fraction) and x.denominator == 1 else x
+
+    def _unscale(self, x: Num) -> Num:
+        return Fraction(x, self._scale) if isinstance(x, int) else x / self._scale
+
+    def _locate(self, loc: Point) -> tuple[str, Num]:
+        """The address of a resolved point."""
+        if isinstance(loc, str):
+            return loc, self._root[loc]
+        u, w = loc.edge
+        off = self._scaled(loc.offset)
+        if self._parent[u] == w:
+            return u, self._root[u] - off
+        return w, self._root[u] + off
+
+    def _address(self, p: Point) -> tuple[str, Num]:
+        addr = self._addr.get(p)
+        return self._locate(self.resolve(p)) if addr is None else addr
+
+    def _meet(self, a: tuple[str, Num], b: tuple[str, Num]) -> Num:
+        """Root distance at which the root paths of two addresses part."""
+        (u, ru), (v, rv) = a, b
+        depth, parent = self._depth, self._parent
+        while depth[u] > depth[v]:
+            u = parent[u]
+        while depth[v] > depth[u]:
+            v = parent[v]
+        while u != v:
+            u, v = parent[u], parent[v]
+        return min(self._root[u], ru, rv)
+
+    def _offset(self, v: str, r: Num) -> Num:
+        """Offset, from the smaller-named end, of the point at root distance
+        r on the edge from v up to its parent; the ends give 0 and the
+        stored length."""
+        up, root = self._parent[v], self._root
+        if v < up:
+            if r == root[v]:
+                return 0
+            return self._lengths[(v, up)] if r == root[up] else self._unscale(root[v] - r)
+        if r == root[up]:
+            return 0
+        return self._lengths[(up, v)] if r == root[v] else self._unscale(r - root[up])
+
+    def _point_at(self, v: str, r: Num) -> Point:
+        """The point at root distance r on the root path of vertex v."""
+        parent, root = self._parent, self._root
+        while (up := parent[v]) is not None and r <= root[up]:
+            v = up
+        if r >= root[v]:
+            return v
+        # the offset from v; min() keeps a float rounding inside the edge
+        off = min(self._unscale(root[v] - r), self.edge_length(v, up))
+        return self._normalize_edge_point(v, up, off)
+
+    def _climb(self, v: str, r: Num, top: Num) -> list[SegmentPiece]:
+        """The pieces from address (v, r) up its root path to root distance top."""
+        pieces = []
+        while r > top:
+            up = self._parent[v]
+            end = max(top, self._root[up])
+            piece = SegmentPiece(canonical_edge(v, up), self._offset(v, r), self._offset(v, end))
+            pieces.append(piece)
+            v, r = up, end
+        return pieces
 
     # -- introspection ---------------------------------------------------------
 
@@ -222,12 +300,7 @@ class MetricTree:
     def name_of(self, p: Point) -> str | None:
         """Name addressing this location, if any (vertex name wins)."""
         loc = self.resolve(p)
-        if isinstance(loc, str):
-            return loc
-        for name in sorted(self._points):
-            if self._points[name] == loc:
-                return name
-        return None
+        return loc if isinstance(loc, str) else self._name_at.get(loc)
 
     def same_point(self, p: Point, q: Point) -> bool:
         return self.resolve(p) == self.resolve(q)
@@ -242,119 +315,28 @@ class MetricTree:
     # -- metric ----------------------------------------------------------------
 
     def distance(self, p: Point, q: Point) -> Num:
-        a, b = self.resolve(p), self.resolve(q)
-        if isinstance(a, str) and isinstance(b, str):
-            return self._vdist[a][b]
-        if isinstance(a, str):
-            a, b = b, a
-        # a is a Location
-        (u, v), off = a.edge, a.offset
-        length = self._lengths[a.edge]
-        if isinstance(b, Location):
-            if b.edge == a.edge:
-                return abs(off - b.offset)
-            (x, y), boff = b.edge, b.offset
-            blen = self._lengths[b.edge]
-            return min(
-                off + self._vdist[u][x] + boff,
-                off + self._vdist[u][y] + (blen - boff),
-                (length - off) + self._vdist[v][x] + boff,
-                (length - off) + self._vdist[v][y] + (blen - boff),
-            )
-        return min(off + self._vdist[u][b], (length - off) + self._vdist[v][b])
-
-    def _vertex_path(self, a: str, b: str) -> list[str]:
-        if a == b:
-            return [a]
-        parent = {a: None}
-        stack = [a]
-        while stack:
-            x = stack.pop()
-            if x == b:
-                break
-            for y, _ in self._adj[x]:
-                if y not in parent:
-                    parent[y] = x
-                    stack.append(y)
-        path = [b]
-        while path[-1] != a:
-            path.append(parent[path[-1]])
-        path.reverse()
-        return path
-
-    def _exit_vertex(self, loc: Location, target_vertex: str) -> tuple[str, Num]:
-        """Endpoint through which the path from loc to the target leaves
-        loc's edge, with the distance from loc to that endpoint."""
-        (u, v), off = loc.edge, loc.offset
-        length = self._lengths[loc.edge]
-        via_u = off + self._vdist[u][target_vertex]
-        via_v = (length - off) + self._vdist[v][target_vertex]
-        return (u, off) if via_u <= via_v else (v, length - off)
+        a, b = self._address(p), self._address(q)
+        return self._unscale(a[1] + b[1] - 2 * self._meet(a, b))
 
     def segment(self, p: Point, q: Point) -> list[SegmentPiece]:
         """The unique arc from p to q as ordered edge sub-intervals."""
-        a, b = self.resolve(p), self.resolve(q)
-        if a == b:
-            return []
-        if isinstance(a, Location) and isinstance(b, Location) and a.edge == b.edge:
-            return [SegmentPiece(a.edge, a.offset, b.offset)]
-        if isinstance(a, Location) and isinstance(b, str) and b in a.edge:
-            u, v = a.edge
-            return [SegmentPiece(a.edge, a.offset, 0 if b == u else self._lengths[a.edge])]
-        if isinstance(a, str) and isinstance(b, Location) and a in b.edge:
-            u, v = b.edge
-            return [SegmentPiece(b.edge, 0 if a == u else self._lengths[b.edge], b.offset)]
-
-        pieces: list[SegmentPiece] = []
-        if isinstance(a, str):
-            start_vertex = a
-        else:
-            start_vertex, _ = self._exit_vertex(a, self._side_vertex(b))
-            u, v = a.edge
-            pieces.append(
-                SegmentPiece(a.edge, a.offset, 0 if start_vertex == u else self._lengths[a.edge])
-            )
-        if isinstance(b, str):
-            end_vertex = b
-        else:
-            end_vertex, _ = self._exit_vertex(b, self._side_vertex(a))
-
-        path = self._vertex_path(start_vertex, end_vertex)
-        for x, y in zip(path, path[1:]):
-            e = canonical_edge(x, y)
-            length = self._lengths[e]
-            if x == e[0]:
-                pieces.append(SegmentPiece(e, 0, length))
-            else:
-                pieces.append(SegmentPiece(e, length, 0))
-        if isinstance(b, Location):
-            u, v = b.edge
-            pieces.append(
-                SegmentPiece(b.edge, 0 if end_vertex == u else self._lengths[b.edge], b.offset)
-            )
-        return pieces
-
-    def _side_vertex(self, p: Point) -> str:
-        return p if isinstance(p, str) else p.edge[0]
+        a, b = self._address(p), self._address(q)
+        meet = self._meet(a, b)
+        down = [SegmentPiece(s.edge, s.end, s.start) for s in reversed(self._climb(*b, meet))]
+        return self._climb(*a, meet) + down
 
     def point_along(self, p: Point, q: Point, t: Num) -> Point:
         """The point of [p, q] at distance t from p."""
         t = _exactify(t)
-        total = self.distance(p, q)
+        a, b = self._address(p), self._address(q)
+        meet = self._meet(a, b)
+        total = self._unscale(a[1] + b[1] - 2 * meet)
         if t < 0 or t > total:
             raise ValueError(f"t={t} outside [0, {total}]")
-        if t == 0:
-            return self.resolve(p)
-        remaining = t
-        for piece in self.segment(p, q):
-            if remaining <= piece.length:
-                if piece.end >= piece.start:
-                    off = piece.start + remaining
-                else:
-                    off = piece.start - remaining
-                return self._normalize_edge_point(piece.edge[0], piece.edge[1], off)
-            remaining -= piece.length
-        return self.resolve(q)
+        s, rise = self._scaled(t), a[1] - meet
+        if s <= rise:
+            return self._point_at(a[0], a[1] - s)
+        return self._point_at(b[0], meet + s - rise)
 
     def midpoint(self, p: Point, q: Point) -> Point:
         return self.point_along(p, q, self.distance(p, q) / 2)
@@ -362,12 +344,12 @@ class MetricTree:
     # -- centers ---------------------------------------------------------------
 
     def center(self, p1: Point, p2: Point, p3: Point) -> Point:
-        """The unique point Z with d(Pi,Pj) = d(Pi,Z) + d(Z,Pj) for all pairs."""
-        d12 = self.distance(p1, p2)
-        d13 = self.distance(p1, p3)
-        d23 = self.distance(p2, p3)
-        t = (d12 + d13 - d23) / 2  # distance from p1 to the center, along [p1,p2]
-        return self.point_along(p1, p2, t)
+        """The unique point Z with d(Pi,Pj) = d(Pi,Z) + d(Z,Pj) for all pairs:
+        the deepest of the three pairwise meets of the root paths."""
+        a, b, c = self._address(p1), self._address(p2), self._address(p3)
+        ab, ac, bc = self._meet(a, b), self._meet(a, c), self._meet(b, c)
+        deepest = max(ab, ac, bc)
+        return self._point_at(b[0] if bc == deepest else a[0], deepest)
 
     def gromov_product(self, x: Point, z: Point, w: Point) -> Num:
         return (self.distance(w, x) + self.distance(w, z) - self.distance(x, z)) / 2

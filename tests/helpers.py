@@ -6,7 +6,7 @@ from itertools import combinations, product
 
 from rtreelab.blend import AxiomVerdict, AxiomWitness, CompatibleMetricPair, IncompatiblePairError
 from rtreelab.hyperbolicity import MetricTable
-from rtreelab.tree import Location, MetricTree
+from rtreelab.tree import Location, MetricTree, SegmentPiece, canonical_edge
 from rtreelab.words import Basis, invert_word, reduce_word, reduced_product
 
 
@@ -161,6 +161,140 @@ def reference_realization(space: MetricTable) -> MetricTree:
             edges[(vertex, x) if vertex <= x else (x, vertex)] = gp_x
             placed[x] = x
     return build()
+
+
+class ReferenceTree:
+    """Slow reference for MetricTree's queries, on the tree's public
+    description: an all-pairs vertex distance table, a DFS per vertex path,
+    and edge points handled through the endpoint by which a path leaves
+    their edge."""
+
+    def __init__(self, tree: MetricTree):
+        self.tree = tree
+        self.lengths = {(u, v): length for u, v, length in tree.edges}
+        self.adj = {v: [] for v in tree.vertices}
+        for (u, v), length in self.lengths.items():
+            self.adj[u].append((v, length))
+            self.adj[v].append((u, length))
+        for v in self.adj:
+            self.adj[v].sort()
+        self.vdist = {}
+        for src in self.adj:
+            dist = {src: Fr(0)}
+            stack = [src]
+            while stack:
+                x = stack.pop()
+                for y, length in self.adj[x]:
+                    if y not in dist:
+                        dist[y] = dist[x] + length
+                        stack.append(y)
+            self.vdist[src] = dist
+
+    def distance(self, p, q):
+        a, b = self.tree.resolve(p), self.tree.resolve(q)
+        if isinstance(a, str) and isinstance(b, str):
+            return self.vdist[a][b]
+        if isinstance(a, str):
+            a, b = b, a
+        (u, v), off = a.edge, a.offset
+        length = self.lengths[a.edge]
+        if isinstance(b, Location):
+            if b.edge == a.edge:
+                return abs(off - b.offset)
+            (x, y), boff = b.edge, b.offset
+            blen = self.lengths[b.edge]
+            return min(
+                off + self.vdist[u][x] + boff,
+                off + self.vdist[u][y] + (blen - boff),
+                (length - off) + self.vdist[v][x] + boff,
+                (length - off) + self.vdist[v][y] + (blen - boff),
+            )
+        return min(off + self.vdist[u][b], (length - off) + self.vdist[v][b])
+
+    def vertex_path(self, a: str, b: str) -> list[str]:
+        parent = {a: None}
+        stack = [a]
+        while stack:
+            x = stack.pop()
+            if x == b:
+                break
+            for y, _ in self.adj[x]:
+                if y not in parent:
+                    parent[y] = x
+                    stack.append(y)
+        path = [b]
+        while path[-1] != a:
+            path.append(parent[path[-1]])
+        return path[::-1]
+
+    def exit_vertex(self, loc: Location, target):
+        """The endpoint of loc's edge through which the path from loc to
+        the target (a vertex, or a point of another edge) leaves the edge."""
+        if isinstance(target, Location):
+            target = target.edge[0]
+        (u, v), off = loc.edge, loc.offset
+        length = self.lengths[loc.edge]
+        return u if off + self.vdist[u][target] <= (length - off) + self.vdist[v][target] else v
+
+    def segment(self, p, q) -> list[SegmentPiece]:
+        a, b = self.tree.resolve(p), self.tree.resolve(q)
+        if a == b:
+            return []
+        if isinstance(a, Location) and isinstance(b, Location) and a.edge == b.edge:
+            return [SegmentPiece(a.edge, a.offset, b.offset)]
+        if isinstance(a, Location) and isinstance(b, str) and b in a.edge:
+            return [SegmentPiece(a.edge, a.offset, 0 if b == a.edge[0] else self.lengths[a.edge])]
+        if isinstance(a, str) and isinstance(b, Location) and a in b.edge:
+            return [SegmentPiece(b.edge, 0 if a == b.edge[0] else self.lengths[b.edge], b.offset)]
+        pieces = []
+        start = a
+        if isinstance(a, Location):
+            start = self.exit_vertex(a, b)
+            pieces.append(
+                SegmentPiece(a.edge, a.offset, 0 if start == a.edge[0] else self.lengths[a.edge])
+            )
+        end = b if isinstance(b, str) else self.exit_vertex(b, a)
+        path = self.vertex_path(start, end)
+        for x, y in zip(path, path[1:]):
+            e = canonical_edge(x, y)
+            length = self.lengths[e]
+            pieces.append(SegmentPiece(e, 0, length) if x == e[0] else SegmentPiece(e, length, 0))
+        if isinstance(b, Location):
+            pieces.append(
+                SegmentPiece(b.edge, 0 if end == b.edge[0] else self.lengths[b.edge], b.offset)
+            )
+        return pieces
+
+    def point_along(self, p, q, t):
+        total = self.distance(p, q)
+        assert 0 <= t <= total
+        if t == 0:
+            return self.tree.resolve(p)
+        remaining = t
+        for piece in self.segment(p, q):
+            if remaining <= piece.length:
+                off = piece.start + remaining if piece.end >= piece.start else piece.start - remaining
+                return self.tree.resolve(Location(piece.edge, off))
+            remaining -= piece.length
+        return self.tree.resolve(q)
+
+    def midpoint(self, p, q):
+        return self.point_along(p, q, self.distance(p, q) / 2)
+
+    def center(self, p1, p2, p3):
+        d12, d13, d23 = self.distance(p1, p2), self.distance(p1, p3), self.distance(p2, p3)
+        # float sums can put t a rounding error outside [0, d12]
+        return self.point_along(p1, p2, min(max((d12 + d13 - d23) / 2, 0), d12))
+
+    def name_of(self, p):
+        loc = self.tree.resolve(p)
+        if isinstance(loc, str):
+            return loc
+        designated = self.tree.designated
+        for name in sorted(designated):
+            if designated[name] == loc:
+                return name
+        return None
 
 
 def random_tree(rng: random.Random, max_points: int = 12, edge_points: int = 0) -> MetricTree:

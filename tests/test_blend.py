@@ -340,8 +340,8 @@ AXIOM_LAMBDAS = [
 @example("identity rose", "rose a->abb", [Fr(1, 10), 0.1, Fr(1)], 4)
 @example("rose b->ba", "rose a->ab, weights 1/2, 3", [Fr(0), Fr(9, 10), 0.75], 4)
 @example("squared length", "rose b->ba", [0.75, Fr(0)], 3)
-# a float blend rounds: at lam = 0.3, |AB| = 0.3*2 + 0.7*4 reads above
-# |A| + |B| = (0.3*1 + 0.7*3) + (0.3*1 + 0.7*1), though the two are equal
+# lam = 0.3 is taken at its binary value: |AB| = 0.3*2 + 0.7*4 equals
+# |A| + |B| = (0.3*1 + 0.7*3) + (0.3*1 + 0.7*1); in floats the sum rounds below
 @example("rose a->abb", "identity rose", [Fr(1, 3), 0.3], 1)
 def test_axiom_scan_agrees_with_the_slow_reference(name0, name1, grid, maxlen):
     """The integer grid kernel, run on lf0 and lf1, against the literal
@@ -359,6 +359,16 @@ def test_axiom_scan_agrees_with_the_slow_reference(name0, name1, grid, maxlen):
         assert length_axiom_check(blend, words, B2) == expected
         if not entry.ok:
             assert entry.witness.violates()
+
+
+def test_float_lambda_blend_of_roses_passes():
+    # in floats |AB| = 0.3*2 + 0.7*4 = 3.4 reads above |A| + |B| =
+    # 2.3999999999999995 + 1.0; at the binary value of 0.3 the two are equal
+    identity, abb = AXIOM_FUNCTIONS["identity rose"], AXIOM_FUNCTIONS["rose a->abb"]
+    blend = blend_length_functions(abb, identity, 0.3)
+    assert length_axiom_check(blend, reduced_words(B2, 1), B2).ok
+    scan = rose_blend_axiom_scan({"a": "abb", "b": "b"}, [0.3, 0.7], maxlen=1)
+    assert [entry.ok for entry in scan] == [True, True]
 
 
 def test_axiom_scan_reports_inversion_and_conjugation_witnesses():

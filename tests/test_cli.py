@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -225,6 +226,26 @@ def test_qmap_fibers_opposite_ends(tmp_path, capsys):
     report.write_text(out)
     code2, _, _ = run_cli(capsys, "replay", str(report))
     assert code2 == 0
+
+
+def test_qmap_fibers_witness_with_infinite_residual_is_strict_json(tmp_path, capsys):
+    code, out, _ = run_cli(
+        capsys, "qmap", "fibers", "--weights", "1,sqrt:2", "--pair", ";a | ;A", "--depth", "100"
+    )
+    assert code == 1
+    assert "residual inf" in out
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    (line,) = [line for line in out.splitlines() if line.startswith("WITNESS ")]
+    witness = json.loads(line[len("WITNESS ") :], parse_constant=reject)
+    assert witness["residual"] == "inf"
+    report = tmp_path / "fibers.txt"
+    report.write_text(out)
+    code2, out2, _ = run_cli(capsys, "replay", str(report))
+    assert code2 == 0
+    assert "confirmed" in out2
 
 
 def test_qmap_smallwords_table(capsys):

@@ -1,8 +1,11 @@
+import math
 from fractions import Fraction as Fr
-from itertools import permutations, product
+from itertools import islice, permutations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from rtreelab.oracles import FiniteTreeOracle
 from rtreelab.tree import (
     Location,
     MetricTree,
@@ -11,6 +14,8 @@ from rtreelab.tree import (
     path_tree,
     star_tree,
 )
+
+from helpers import ReferenceTree
 
 
 # ---------------------------------------------------------------------------
@@ -297,3 +302,75 @@ def test_point_along_walks_segments(star_xyz):
     assert star_xyz.distance("x", p) == 2
     assert star_xyz.distance(p, "z") == 2
     assert star_xyz.point_on_segment(p, "x", "z")
+
+
+@st.composite
+def trees_with_queries(draw):
+    """A bushy, path-like or single-vertex tree with exact or float lengths,
+    designated points inside edges (two may coincide) and at a vertex, and
+    query points: names, dyadic sample_stream points, Locations given from
+    either end at offsets off the common denominator, and midpoints."""
+    n = draw(st.integers(1, 8))
+    floats, bushy = draw(st.booleans()), draw(st.booleans())
+    names = draw(st.permutations([f"v{i}" for i in range(n)]))
+    edges = []
+    for i in range(1, n):
+        parent = draw(st.integers(0, i - 1)) if bushy else i - 1
+        if floats:
+            length = draw(st.integers(1, 40)) / draw(st.sampled_from([1, 3, 7]))
+        else:
+            length = Fr(draw(st.integers(1, 40)), draw(st.integers(1, 12)))
+        edges.append((names[parent], names[i], length))
+    points = [("at", draw(st.sampled_from(names)))]
+    for k in range(draw(st.integers(0, 3)) if edges else 0):
+        u, v, length = draw(st.sampled_from(edges))
+        points.append((f"m{k}", u, v, length * draw(st.sampled_from([Fr(1, 3), Fr(1, 2), Fr(5, 7)]))))
+    tree = MetricTree(edges, points, vertices=names[:1])
+    ref = ReferenceTree(tree)
+    queries = list(tree.point_names)
+    if edges:
+        queries += islice(FiniteTreeOracle(tree).sample_stream(), len(queries) + 6)
+        for _ in range(3):
+            u, v, length = draw(st.sampled_from(edges))
+            queries.append(Location((v, u), length * Fr(draw(st.integers(0, 11)), 11)))
+        for _ in range(2):
+            queries.append(ref.midpoint(draw(st.sampled_from(names)), draw(st.sampled_from(names))))
+    return tree, ref, draw(st.lists(st.sampled_from(queries), min_size=1, max_size=5)), floats
+
+
+@settings(max_examples=80, deadline=None)
+@given(trees_with_queries())
+def test_queries_agree_with_the_slow_reference(case):
+    """distance, segment, point_along, midpoint, center and name_of on the
+    rooted index against the all-pairs table and DFS paths: equal values
+    and types on exact trees, equal within 1e-9 on float trees."""
+    tree, ref, queries, floats = case
+
+    def same_point(got, expected):
+        if floats:
+            assert ref.distance(got, expected) <= 1e-9
+        else:
+            assert got == expected
+
+    for p in queries:
+        assert tree.name_of(p) == ref.name_of(p)
+    for p, q in product(queries, repeat=2):
+        got, expected = tree.distance(p, q), ref.distance(p, q)
+        if floats:
+            assert math.isclose(got, expected, abs_tol=1e-9)
+        else:
+            assert (got, type(got)) == (expected, type(expected))
+        pieces, expected_pieces = tree.segment(p, q), ref.segment(p, q)
+        if floats:
+            assert [s.edge for s in pieces] == [s.edge for s in expected_pieces]
+            for s, e in zip(pieces, expected_pieces):
+                assert math.isclose(s.start, e.start, abs_tol=1e-9)
+                assert math.isclose(s.end, e.end, abs_tol=1e-9)
+        else:
+            assert pieces == expected_pieces
+        total = min(got, expected)
+        for t in (0, total / 3, total / 2, total):
+            same_point(tree.point_along(p, q, t), ref.point_along(p, q, t))
+        same_point(tree.midpoint(p, q), ref.midpoint(p, q))
+    for triple in product(queries[:4], repeat=3):
+        same_point(tree.center(*triple), ref.center(*triple))
