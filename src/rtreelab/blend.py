@@ -23,10 +23,11 @@ from .hyperbolicity import (
     reconstruct_tree,
 )
 from .observers import verify_shape_map
+from .qmap import EmptyWordError
 from .tree import Location, MetricTree, Num, _exactify
 from .words import (
     Basis,
-    cyclic_reduce,
+    cyclic_core,
     invert_word,
     reduce_word,
     reduced_product,
@@ -199,7 +200,7 @@ def marked_graph_length(
     basis.validate(word)
     # applying the marking commutes with free reduction, so the input is
     # not pre-reduced; one reduction of the image suffices
-    image = cyclic_reduce(apply_marking(marking, word))
+    image = cyclic_core(apply_marking(marking, word))
     total = 0  # integral weights add up as ints
     for g in basis.symbols:
         n = image.count(g) + image.count(g.upper())
@@ -224,8 +225,10 @@ class LengthFunction:
 
 def length_function_from_line_action(action) -> LengthFunction:
     def ev(word: str) -> Num:
-        w = cyclic_reduce(word)
-        return 0 if not w else action.translation_length(w)
+        try:
+            return action.translation_length(word)  # reduces the word itself
+        except EmptyWordError:
+            return 0
 
     return LengthFunction(ev, "line action")
 

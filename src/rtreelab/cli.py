@@ -8,6 +8,7 @@ fixed configuration and seed: no timestamps, canonical ordering.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 from itertools import combinations
@@ -25,7 +26,6 @@ from .blend import (
 from .boundary import BoundaryPair, parse_boundary_point
 from .formats import FormatError, format_number
 from .hyperbolicity import MetricTable, first_violation, max_four_point_defect
-from .qmap import DenseLineAction
 from .observers import (
     PointSequence,
     converges_obs,
@@ -35,6 +35,7 @@ from .observers import (
 )
 from .oracles import FiniteTreeOracle, LineOracle, MultipodOracle
 from .qmap import (
+    DenseLineAction,
     dual_lamination_sample,
     line_action_from_weights,
     q_fiber_check,
@@ -667,10 +668,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    # parsing leaves no state behind in the parser, so one per process serves
+    # every call; it is built on the first call, not at import
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
     except ParameterError as exc:
         print(f"parameter error: {exc}", file=sys.stderr)
         return BAD_PARAMS

@@ -94,13 +94,14 @@ class LineOracle:
     ``LINE_PLUS`` and ``LINE_MINUS``."""
 
     def _coord(self, p):
+        # the type test first: a number compared with a Ray takes the slow path
+        if not isinstance(p, Ray):
+            return p
         if p == LINE_PLUS:
             return math.inf
         if p == LINE_MINUS:
             return -math.inf
-        if isinstance(p, Ray):
-            raise BoundaryPointError(f"unknown ray {p}")
-        return p
+        raise BoundaryPointError(f"unknown ray {p}")
 
     def _from_coord(self, c):
         if c == math.inf:

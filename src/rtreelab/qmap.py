@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable, Protocol, runtime_checkable
 
 from .boundary import BoundaryPoint, BoundaryPair, LaminationSample, act
@@ -59,6 +60,11 @@ class DenseLineAction:
     orbit closure); it is a recorded hypothesis flag, not a checked one.
     The action is never very small (the kernel of the weight map fixes the
     line pointwise).
+
+    Exact weights (ints and Fractions) are also held as ``int_weights``,
+    integers over ``scale``, the lcm of their denominators; ``scale`` is
+    None when some weight is a float, and then every sum runs on the
+    weights themselves.
     """
 
     weights: dict
@@ -67,21 +73,40 @@ class DenseLineAction:
     dense_image: bool = False
     oracle: LineOracle = field(default_factory=LineOracle, compare=False)
     very_small: bool = field(default=False, init=False)
+    scale: int | None = field(default=None, init=False, repr=False, compare=False)
+    int_weights: tuple[int, ...] = field(default=(), init=False, repr=False, compare=False)
+    # exact results are Fractions when some weight is one, else ints
+    _fraction_valued: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         missing = [s for s in self.basis.symbols if s not in self.weights]
         if missing:
             raise ValueError(f"weights missing for generators {missing}")
+        values = [self.weights[s] for s in self.basis.symbols]
+        if all(isinstance(w, (int, Fraction)) for w in values):
+            scale = math.lcm(*(w.denominator for w in values))
+            object.__setattr__(self, "scale", scale)
+            object.__setattr__(
+                self, "int_weights", tuple(w.numerator * (scale // w.denominator) for w in values)
+            )
+            object.__setattr__(
+                self, "_fraction_valued", any(isinstance(w, Fraction) for w in values)
+            )
 
     def mu(self, word: str) -> object:
         """Signed weight sum, computed through the integer abelianization so
         that zero-sum words come out exactly zero.  (Free reduction cannot
         change the letter counts, so none is performed.)"""
-        total = 0
-        for n, s in zip(abelianization(word, self.basis), self.basis.symbols):
-            if n:
-                total += n * self.weights[s]
-        return total
+        vec = abelianization(word, self.basis)
+        if self.scale is None:
+            total = 0
+            for n, s in zip(vec, self.basis.symbols):
+                if n:
+                    total += n * self.weights[s]
+            return total
+        total = sum(n * w for n, w in zip(vec, self.int_weights) if n)
+        # a word with no letter count left sums to the int 0, as term by term
+        return Fraction(total, self.scale) if self._fraction_valued and any(vec) else total
 
     def apply(self, word: str, point):
         if isinstance(point, Ray):
@@ -159,21 +184,41 @@ def qmap_estimate(action, x: BoundaryPoint, basepoint=None, depth: int = 10_000)
         if drift != 0:
             ray = LINE_PLUS if drift > 0 else LINE_MINUS
             return QEstimate(ray, 0, "drift", depth)
-    orbit = _orbit_sequence(action, x, basepoint, depth)
-    res: LiminfResult = liminf_from(action.oracle, basepoint, orbit, depth)
-    return QEstimate(res.point, res.certificate, "liminf", res.terms_used)
+    orbit, start, scale = _orbit_sequence(action, x, basepoint, depth)
+    # the fold only takes medians and differences, so it runs on scaled
+    # points unchanged and its results are divided by the scale once
+    res: LiminfResult = liminf_from(action.oracle, start, orbit, depth)
+    return QEstimate(
+        _unscaled(res.point, scale), _unscaled(res.certificate, scale), "liminf", res.terms_used
+    )
 
 
-def _orbit_sequence(action, x: BoundaryPoint, basepoint, depth: int) -> PointSequence:
-    """Orbit points prefix_i(X) . P for i = 1..depth.
+def _orbit_sequence(action, x: BoundaryPoint, basepoint, depth: int):
+    """Orbit points prefix_i(X) . P for i = 1..depth, with the basepoint in
+    the same units and the scale that divides both back (None when they
+    are already in the action's units).
 
-    Line actions get an incremental evaluation through the running
-    abelianization vector, which keeps zero-sum returns exactly zero and
-    the cost linear in depth; other actions apply each prefix directly.
+    Line actions get an incremental evaluation, linear in depth: with
+    exact weights and basepoint the points are integers over
+    lcm(scale, basepoint denominator), one signed weight added per letter;
+    with float weights each point is summed afresh from the running
+    abelianization vector, which keeps zero-sum returns exactly zero.
+    Other actions apply each prefix directly.
     """
     if isinstance(action, DenseLineAction):
         letters = x.prefix(depth)
         symbols = action.basis.symbols
+        if action.scale is not None and isinstance(basepoint, (int, Fraction)):
+            scale = math.lcm(action.scale, basepoint.denominator)
+            k = scale // action.scale
+            step = {}
+            for s, w in zip(symbols, action.int_weights):
+                step[s], step[s.upper()] = w * k, -w * k
+            start = basepoint.numerator * (scale // basepoint.denominator)
+            pts = list(accumulate(map(step.__getitem__, letters), initial=start))[1:]
+            # all-int input is already in the action's units (scale 1, ints)
+            exact = action._fraction_valued or isinstance(basepoint, Fraction)
+            return PointSequence(pts), start, scale if exact else None
         index = {s: i for i, s in enumerate(symbols)}
         weights = [action.weights[s] for s in symbols]
         vec = [0] * len(symbols)
@@ -185,8 +230,15 @@ def _orbit_sequence(action, x: BoundaryPoint, basepoint, depth: int) -> PointSeq
                 if n:
                     total = total + n * w
             pts.append(total)
-        return PointSequence(pts)
-    return PointSequence(lambda i: action.apply(x.prefix(i + 1), basepoint))
+        return PointSequence(pts), basepoint, None
+    return PointSequence(lambda i: action.apply(x.prefix(i + 1), basepoint)), basepoint, None
+
+
+def _unscaled(value, scale):
+    """A fold result back in the action's units; inf and rays pass through."""
+    if scale is None or not isinstance(value, int):
+        return value
+    return Fraction(value, scale)
 
 
 def separation(oracle: TreeOracle, a, b):
@@ -396,8 +448,6 @@ def parse_weight(text: str):
         if root * root == n:
             return Fraction(root), False
         return math.sqrt(n), True
-    if "/" in text:
-        return Fraction(text), False
     return Fraction(text), False
 
 

@@ -91,13 +91,18 @@ def reduced_product(u: str, v: str) -> str:
 
 
 def cyclic_reduce(word: str) -> str:
+    """Free reduction, then the matching inverse pairs stripped from the
+    two ends."""
+    return cyclic_core(word if is_reduced(word) else reduce_word(word))
+
+
+def cyclic_core(reduced: str) -> str:
     """Strip matching inverse pairs from the two ends of a reduced word."""
-    w = word if is_reduced(word) else reduce_word(word)
-    i, j = 0, len(w)
-    while j - i >= 2 and w[i] == invert_letter(w[j - 1]):
+    i, j = 0, len(reduced)
+    while j - i >= 2 and reduced[i] == invert_letter(reduced[j - 1]):
         i += 1
         j -= 1
-    return w[i:j]
+    return reduced[i:j]
 
 
 def is_cyclically_reduced(word: str) -> bool:

@@ -1,13 +1,23 @@
 """Shared fixtures-by-function for the test suite: seeded random trees,
 tables, pairs, and sequences."""
+import math
 import random
 from fractions import Fraction as Fr
 from itertools import combinations, product
 
 from rtreelab.blend import AxiomVerdict, AxiomWitness, CompatibleMetricPair, IncompatiblePairError
 from rtreelab.hyperbolicity import MetricTable
+from rtreelab.oracles import LINE_MINUS, LINE_PLUS, Ray
+from rtreelab.qmap import EmptyWordError, QEstimate
 from rtreelab.tree import Location, MetricTree, SegmentPiece, canonical_edge
-from rtreelab.words import Basis, invert_word, reduce_word, reduced_product
+from rtreelab.words import (
+    Basis,
+    abelianization,
+    cyclic_reduce,
+    invert_word,
+    reduce_word,
+    reduced_product,
+)
 
 
 def brute_force_four_point(table: MetricTable, delta):
@@ -76,6 +86,84 @@ def brute_force_axiom_check(lf, words, basis=None, conjugators=None) -> AxiomVer
                     len(words),
                 )
     return AxiomVerdict(True, None, len(words))
+
+
+def reference_mu(action, word: str):
+    """Slow reference for DenseLineAction.mu: the signed weight sum term by
+    term on the weights themselves (Fraction or float arithmetic)."""
+    total = 0
+    for n, s in zip(abelianization(word, action.basis), action.basis.symbols):
+        if n:
+            total += n * action.weights[s]
+    return total
+
+
+def reference_translation_length(action, word: str):
+    w = cyclic_reduce(word)
+    if not w:
+        raise EmptyWordError("translation length of the empty word")
+    return abs(reference_mu(action, w))
+
+
+def reference_orbit(action, x, basepoint, depth: int) -> list:
+    """Orbit points prefix_i(X) . P for i = 1..depth, each summed afresh
+    from the running abelianization vector on the weights themselves."""
+    symbols = action.basis.symbols
+    index = {s: i for i, s in enumerate(symbols)}
+    weights = [action.weights[s] for s in symbols]
+    vec = [0] * len(symbols)
+    pts = []
+    for c in x.prefix(depth):
+        vec[index[c.lower()]] += 1 if c.islower() else -1
+        total = basepoint
+        for n, w in zip(vec, weights):
+            if n:
+                total = total + n * w
+        pts.append(total)
+    return pts
+
+
+def reference_fold(points: list, basepoint, head=None):
+    """The backward liminf fold on the line, literally: R_m is the median of
+    (P_m, R_{m+1}, basepoint); returns (R_head, |R_{head-1} - R_head|), the
+    certificate inf at head 0.  Default head n // 2, clamped to the terms."""
+    n = len(points)
+    ends = list(points)
+    for i in range(n - 2, -1, -1):
+        ends[i] = sorted((points[i], ends[i + 1], basepoint))[1]
+    h = max(0, min(n // 2 if head is None else head, n - 1))
+    return ends[h], (abs(ends[h - 1] - ends[h]) if h >= 1 else math.inf)
+
+
+def reference_qmap_estimate(action, x, basepoint=None, depth: int = 10_000) -> QEstimate:
+    """Slow reference for qmap_estimate on a line action: drift escape of an
+    eventually periodic word, else the fold over the orbit."""
+    if basepoint is None:
+        basepoint = action.basepoint
+    if x.periodic_form is not None:
+        drift = reference_mu(action, x.periodic_form[1])
+        if drift != 0:
+            return QEstimate(LINE_PLUS if drift > 0 else LINE_MINUS, 0, "drift", depth)
+    pts = reference_orbit(action, x, basepoint, depth)
+    point, cert = reference_fold(pts, basepoint)
+    return QEstimate(point, cert, "liminf", len(pts))
+
+
+def reference_fiber_check(action, x, y, depth: int, tol):
+    """Slow reference for q_fiber_check on a line action: (status,
+    residual, first estimate, second estimate)."""
+    e1 = reference_qmap_estimate(action, x, depth=depth)
+    e2 = reference_qmap_estimate(action, y, depth=depth)
+    a_ray, b_ray = isinstance(e1.point, Ray), isinstance(e2.point, Ray)
+    if a_ray or b_ray:
+        residual = 0 if (a_ray and b_ray and e1.point == e2.point) else math.inf
+    else:
+        residual = abs(e1.point - e2.point)
+    if a_ray and b_ray:
+        return ("equal" if residual == 0 else "different"), residual, e1, e2
+    if not (e1.certificate <= tol and e2.certificate <= tol):
+        return "inconclusive", residual, e1, e2
+    return ("equal" if residual <= tol else "different"), residual, e1, e2
 
 
 def reference_realization(space: MetricTable) -> MetricTree:

@@ -542,3 +542,31 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert "RESULT: pass (delta=0)" in proc.stdout
+
+
+def test_one_parser_serves_every_call_in_a_process(tmp_path, capsys):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    good, bad = tmp_path / "path.tree", tmp_path / "bad.tree"
+    good.write_text(PATH_TREE)
+    bad.write_text("edge A B\n")
+    calls = [
+        ["--format", "xml", "certify", "--tree", str(good)],  # argparse error, 65
+        ["certify", "--tree", str(bad)],  # input parse error, 64
+        ["--format", "table", "qmap", "estimate", "--weights", "1/2,1/3", "--word", ";abAB", "--depth", "40"],
+        ["certify", "--tree", str(good)],
+    ]
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    codes = []
+    for argv in calls:
+        fresh = subprocess.run(
+            [sys.executable, "-m", "rtreelab", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert run_cli(capsys, *argv) == (fresh.returncode, fresh.stdout, fresh.stderr)
+        codes.append(fresh.returncode)
+    assert codes == [65, 64, 0, 0]

@@ -3,12 +3,26 @@ import random
 from fractions import Fraction as Fr
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from helpers import (
+    reference_fiber_check,
+    reference_fold,
+    reference_mu,
+    reference_orbit,
+    reference_qmap_estimate,
+    reference_translation_length,
+)
+from rtreelab.blend import length_function_from_line_action
 from rtreelab.boundary import BoundaryPoint, act, parse_boundary_point
-from rtreelab.oracles import LINE_MINUS, LINE_PLUS
+from rtreelab.formats import format_number
+from rtreelab.observers import liminf_from
+from rtreelab.oracles import LINE_MINUS, LINE_PLUS, Ray
 from rtreelab.qmap import (
     DenseLineAction,
     EmptyWordError,
+    _orbit_sequence,
+    _unscaled,
     dual_lamination_sample,
     equivariance_check,
     line_action_from_weights,
@@ -25,7 +39,9 @@ from rtreelab.words import (
     abelianization,
     canonical_rotation,
     commutator,
+    cyclic_reduce,
     cyclically_reduced_words,
+    invert_letter,
     invert_word,
     rotations,
 )
@@ -412,3 +428,154 @@ def test_act_then_estimate_consistency(irr_action):
     # prepending b^2 shifts every orbit point by 2*sqrt2 after the prefix
     assert est.method == "liminf"
     assert abs(est.point - 2 * SQRT2) < 1e-9
+
+
+# -- the integer line action against the slow reference ---------------------------
+
+# weight denominators; basepoints take 7, 11, 13 or 17, none of them
+WEIGHT_DENOMINATORS = [1, 2, 3, 4, 6, 9, 10, 12]
+
+
+@st.composite
+def reduced_words_st(draw, rank, min_size=0, max_size=8):
+    letters = Basis(rank).letters
+    word = ""
+    for c in draw(st.lists(st.sampled_from(letters), min_size=min_size, max_size=max_size)):
+        if not word or word[-1] != invert_letter(c):
+            word += c
+    return word
+
+
+@st.composite
+def boundary_specs(draw, rank):
+    """("periodic", prefix, block) with drift of either sign or none, or
+    ("random", seed): a non-periodic reduced word from a seeded walk."""
+    if draw(st.booleans()):
+        return ("random", draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        # zero abelianization: the block is a commutator of two words
+        u = draw(reduced_words_st(rank, 1, 3))
+        v = draw(reduced_words_st(rank, 1, 3))
+        block = cyclic_reduce(commutator(u, v)) or "ab"
+    else:
+        block = cyclic_reduce(draw(reduced_words_st(rank, 1, 6))) or "a"
+    prefix = draw(reduced_words_st(rank))
+    while prefix and prefix[-1] == invert_letter(block[0]):
+        prefix = prefix[:-1]
+    return ("periodic", prefix, block)
+
+
+def boundary_point(basis, spec):
+    if spec[0] == "periodic":
+        return BoundaryPoint.periodic(basis, spec[1], spec[2])
+    rng = random.Random(spec[1])
+    letters = []
+    while len(letters) < 300:
+        c = rng.choice(basis.letters)
+        if not letters or letters[-1] != invert_letter(c):
+            letters.append(c)
+    return BoundaryPoint.from_function(basis, letters.__getitem__)
+
+
+@st.composite
+def line_cases(draw):
+    """Weights all-int, rational with mixed denominators, negative, or
+    mixed sqrt:/rational; the action's basepoint and an explicit one (None
+    for the action's), with denominators not among the weights'; two
+    boundary points, a depth, a head and a fiber tolerance."""
+    rank = draw(st.integers(2, 3))
+    kind = draw(st.sampled_from(["int", "rational", "negative", "mixed"]))
+
+    def rational(lo=-12, hi=12):
+        return Fr(draw(st.integers(lo, hi)), draw(st.sampled_from(WEIGHT_DENOMINATORS)))
+
+    if kind == "int":
+        weights = [draw(st.integers(-6, 6)) for _ in range(rank)]
+    elif kind == "rational":
+        weights = [rational() for _ in range(rank)]
+    elif kind == "negative":
+        weights = [rational(-12, -1) for _ in range(rank)]
+    else:
+        weights = [rational() for _ in range(rank)]
+        for i in draw(st.sets(st.integers(0, rank - 1), min_size=1)):
+            weights[i] = math.sqrt(draw(st.sampled_from([2, 3, 5, 7])))
+
+    def basepoint():
+        if draw(st.booleans()):
+            return draw(st.integers(-5, 5))
+        return Fr(draw(st.integers(-40, 40)), draw(st.sampled_from([7, 11, 13, 17])))
+
+    own = basepoint()
+    given_bp = None if draw(st.booleans()) else basepoint()
+    x, y = draw(boundary_specs(rank)), draw(boundary_specs(rank))
+    depth = draw(st.integers(1, 300))
+    head = draw(st.one_of(st.none(), st.integers(0, 310)))
+    tol = draw(st.sampled_from([0, 1e-6, Fr(1, 3), 2]))
+    return weights, own, given_bp, x, y, depth, head, tol
+
+
+def same(a, b):
+    return a == b and format_number(a) == format_number(b)
+
+
+def same_type(action, basepoint, value, ref) -> bool:
+    """Float weights keep the reference's own arithmetic, so its types;
+    exact weights give ints when every input is an int, else Fractions
+    (inf and rays pass through)."""
+    if action.scale is None or isinstance(ref, (float, Ray)):
+        return type(value) is type(ref)
+    ints = all(type(w) is int for w in action.weights.values()) and type(basepoint) is int
+    return type(value) is (int if ints else Fr)
+
+
+@settings(max_examples=150, deadline=None)
+@given(line_cases())
+@example(([Fr(1, 2), Fr(1, 3)], Fr(1, 7), None, ("periodic", "", "abAB"), ("periodic", "b", "aBAb"), 300, None, 0))
+@example(([Fr(-3, 4), Fr(5, 6)], 0, Fr(2, 13), ("periodic", "ab", "ab"), ("random", 7), 120, 0, 1e-6))
+@example(([1, 3], 2, None, ("periodic", "", "aabAB"), ("periodic", "", "abAB"), 1, None, 0))
+@example(([Fr(1, 2), math.sqrt(2)], Fr(3, 11), Fr(-5, 17), ("periodic", "a", "abAB"), ("random", 3), 250, 299, 1e-6))
+@example(([math.sqrt(3), Fr(2, 9), Fr(-1, 4)], 0, 1, ("random", 11), ("periodic", "", "acAC"), 300, 17, Fr(1, 3)))
+def test_line_action_agrees_with_the_slow_reference(case):
+    weights, own, given_bp, x_spec, y_spec, depth, head, tol = case
+    basis = Basis(len(weights))
+    action = DenseLineAction(dict(zip(basis.symbols, weights)), basis, basepoint=own)
+    x, y = boundary_point(basis, x_spec), boundary_point(basis, y_spec)
+
+    est = qmap_estimate(action, x, basepoint=given_bp, depth=depth)
+    ref = reference_qmap_estimate(action, x, basepoint=given_bp, depth=depth)
+    assert (est.method, est.depth) == (ref.method, ref.depth)
+    assert same(est.point, ref.point) and same(est.certificate, ref.certificate)
+    base = own if given_bp is None else given_bp
+    if est.method == "liminf":
+        assert same_type(action, base, est.point, ref.point)
+        assert same_type(action, base, est.certificate, ref.certificate)
+
+    # the fold on scaled integers at any head, against the fold on the line
+    orbit, start, scale = _orbit_sequence(action, x, base, depth)
+    res = liminf_from(action.oracle, start, orbit, depth, head=head)
+    point, cert = reference_fold(reference_orbit(action, x, base, depth), base, head)
+    assert same(_unscaled(res.point, scale), point)
+    assert same(_unscaled(res.certificate, scale), cert)
+    assert same_type(action, base, _unscaled(res.point, scale), point)
+
+    check = q_fiber_check(action, x, y, depth=depth, tol=tol)
+    status, residual, first, second = reference_fiber_check(action, x, y, depth, tol)
+    assert check.status == status and same(check.residual, residual)
+    assert same(check.first.point, first.point) and same(check.second.point, second.point)
+
+    line_length = length_function_from_line_action(action)
+    words = [x.prefix(min(depth, 12)), y.prefix(min(depth, 7)) + invert_word(x.prefix(3))]
+    words += [spec[2] for spec in (x_spec, y_spec) if spec[0] == "periodic"]
+    for w in words:
+        mu = reference_mu(action, w)
+        assert same(action.mu(w), mu) and type(action.mu(w)) is type(mu)
+        if not cyclic_reduce(w):
+            with pytest.raises(EmptyWordError):
+                action.translation_length(w)
+            assert line_length(w) == 0
+            continue
+        expected = reference_translation_length(action, w)
+        assert same(action.translation_length(w), expected)
+        assert type(action.translation_length(w)) is type(expected)
+        assert same(translation_length(action, w).value, expected)
+        assert same(line_length(w), expected)
