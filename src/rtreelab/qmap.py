@@ -104,7 +104,7 @@ class DenseLineAction:
                 if n:
                     total += n * self.weights[s]
             return total
-        total = sum(n * w for n, w in zip(vec, self.int_weights) if n)
+        total = sum(n * w for n, w in zip(vec, self.int_weights))
         # a word with no letter count left sums to the int 0, as term by term
         return Fraction(total, self.scale) if self._fraction_valued and any(vec) else total
 
