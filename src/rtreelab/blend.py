@@ -10,9 +10,9 @@ it, which certifies 0-hyperbolicity and realizability at once.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
+from operator import add
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .hyperbolicity import (
@@ -27,6 +27,7 @@ from .qmap import EmptyWordError
 from .tree import Location, MetricTree, Num, _exactify
 from .words import (
     Basis,
+    abelianization,
     cyclic_core,
     invert_word,
     reduce_word,
@@ -135,19 +136,11 @@ def certify_rtree(space: MetricTable) -> CertifyResult:
 # -- marked roses -------------------------------------------------------------
 
 
-_MARKING_TABLES: dict[tuple, dict[int, str]] = {}
-
-
 def _marking_table(marking: Mapping[str, str]) -> dict[int, str]:
-    key = tuple(sorted(marking.items()))
-    table = _MARKING_TABLES.get(key)
-    if table is None:
-        expanded = dict(marking) | {
-            g.upper(): invert_word(image) for g, image in marking.items()
-        }
-        table = str.maketrans(expanded)
-        _MARKING_TABLES[key] = table
-    return table
+    """``str.translate`` table sending each letter to its marking image."""
+    return str.maketrans(
+        dict(marking) | {g.upper(): invert_word(image) for g, image in marking.items()}
+    )
 
 
 def apply_marking(marking: Mapping[str, str], word: str) -> str:
@@ -184,6 +177,44 @@ def nielsen_generates(marking: Mapping[str, str], basis: Basis) -> bool:
     return all(len(w) == 1 for w in images) and letters == sorted(basis.symbols)
 
 
+def _rose_rule(
+    marking: Mapping[str, str], edge_lengths: Mapping[str, Num], basis: Basis
+) -> tuple[Callable[[str], str], Callable[[str], Num]]:
+    """(state, length) of the rose length function.  The state of a word is
+    its reduced marking image: applying the marking commutes with free
+    reduction, so the word is not pre-reduced, and the image of a product
+    of reduced words is the reduced product of their images.  The length of
+    an image is the weighted length of its cyclic core, summed per
+    generator (an int when the weights are ints)."""
+    table = _marking_table(marking)
+    symbols = [(g, g.upper()) for g in basis.symbols]
+
+    def state(word: str) -> str:
+        basis.validate(word)
+        return reduce_word(word.translate(table))
+
+    values = [edge_lengths.get(g) for g in basis.symbols]
+    if all(type(w) is int for w in values) and len(set(values)) == 1:
+        weight = values[0]
+
+        def length(image: str) -> Num:
+            # one int weight on every edge: the same sum, as a product
+            return weight * len(cyclic_core(image))
+
+    else:
+
+        def length(image: str) -> Num:
+            core = cyclic_core(image)
+            total = 0
+            for g, inverse in symbols:
+                n = core.count(g) + core.count(inverse)
+                if n:
+                    total += n * edge_lengths[g]
+            return total
+
+    return state, length
+
+
 def marked_graph_length(
     marking: Mapping[str, str],
     edge_lengths: Mapping[str, Num],
@@ -197,40 +228,76 @@ def marked_graph_length(
         basis = Basis(len(marking))
     if check_marking and not nielsen_generates(marking, basis):
         raise MarkingError("marking images do not freely generate")
-    basis.validate(word)
-    # applying the marking commutes with free reduction, so the input is
-    # not pre-reduced; one reduction of the image suffices
-    image = cyclic_core(apply_marking(marking, word))
-    total = 0  # integral weights add up as ints
-    for g in basis.symbols:
-        n = image.count(g) + image.count(g.upper())
-        if n:
-            total += n * edge_lengths[g]
-    return _exactify(total)
+    state, length = _rose_rule(marking, edge_lengths, basis)
+    return _exactify(length(state(word)))
 
 
 # -- length functions ----------------------------------------------------------
 
 
+def _word_state(word: str) -> str:
+    return word
+
+
 @dataclass(frozen=True, eq=False)
 class LengthFunction:
-    """A conjugacy-class length evaluator with a provenance tag."""
+    """A conjugacy-class length evaluator with a provenance tag.
+
+    It also carries a per-word ``state`` with a ``product`` rule: for
+    reduced words u and v, ``length(product(state(u), state(v)))`` is the
+    evaluator's value at uv.  By default the state is the word itself, the
+    product is the reduced product and the length is the evaluator.  The
+    constructors below give roses, line actions and blends cheaper states,
+    and set ``class_function`` when the function is invariant under
+    inversion and conjugation by construction.
+    """
 
     evaluator: Callable[[str], Num]
     provenance: str
+    state: Callable[[str], object] = field(init=False, repr=False)
+    product: Callable[[object, object], object] = field(init=False, repr=False)
+    length: Callable[[object], Num] = field(init=False, repr=False)
+    class_function: bool = field(init=False, repr=False)
+
+    def __post_init__(self):
+        _set_rule(self, _word_state, reduced_product, self.evaluator, False)
 
     def __call__(self, word: str) -> Num:
         return self.evaluator(word)
 
 
+def _set_rule(lf: LengthFunction, state, product, length, class_function: bool) -> LengthFunction:
+    for name, value in (
+        ("state", state),
+        ("product", product),
+        ("length", length),
+        ("class_function", class_function),
+    ):
+        object.__setattr__(lf, name, value)
+    return lf
+
+
+def _vector_sum(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(map(add, a, b))
+
+
 def length_function_from_line_action(action) -> LengthFunction:
+    """|mu| on conjugacy classes; the state of a word is its abelianization
+    vector, so products add vectors."""
+
     def ev(word: str) -> Num:
         try:
             return action.translation_length(word)  # reduces the word itself
         except EmptyWordError:
             return 0
 
-    return LengthFunction(ev, "line action")
+    def state(word: str) -> tuple[int, ...]:
+        return abelianization(word, action.basis)
+
+    def length(vec: tuple[int, ...]) -> Num:
+        return abs(action.mu_of_vector(vec))
+
+    return _set_rule(LengthFunction(ev, "line action"), state, _vector_sum, length, True)
 
 
 def length_function_from_marked_graph(
@@ -240,11 +307,12 @@ def length_function_from_marked_graph(
         basis = Basis(len(marking))
     if not nielsen_generates(marking, basis):
         raise MarkingError("marking images do not freely generate")
+    state, length = _rose_rule(marking, edge_lengths, basis)
 
     def ev(word: str) -> Num:
-        return marked_graph_length(marking, edge_lengths, word, basis, check_marking=False)
+        return _exactify(length(state(word)))
 
-    return LengthFunction(ev, "marked graph")
+    return _set_rule(LengthFunction(ev, "marked graph"), state, reduced_product, length, True)
 
 
 def length_function_from_table(table: Mapping[str, Num]) -> LengthFunction:
@@ -252,13 +320,67 @@ def length_function_from_table(table: Mapping[str, Num]) -> LengthFunction:
 
 
 def blend_length_functions(lf0: LengthFunction, lf1: LengthFunction, lam: Num) -> LengthFunction:
-    """lam*lf1 + (1-lam)*lf0, with lam taken exactly (a float at its binary value)."""
+    """lam*lf1 + (1-lam)*lf0, with lam taken exactly (a float at its binary
+    value).  Its state is the pair of the two states."""
     lam = Fraction(lam)
 
     def ev(word: str) -> Num:
         return lam * lf1(word) + (1 - lam) * lf0(word)
 
-    return LengthFunction(ev, f"blend(lambda={lam})")
+    def state(word: str) -> tuple:
+        return lf0.state(word), lf1.state(word)
+
+    def product(a: tuple, b: tuple) -> tuple:
+        return lf0.product(a[0], b[0]), lf1.product(a[1], b[1])
+
+    def length(pair: tuple) -> Num:
+        return lam * lf1.length(pair[1]) + (1 - lam) * lf0.length(pair[0])
+
+    blend = LengthFunction(ev, f"blend(lambda={lam})")
+    return _set_rule(blend, state, product, length, lf0.class_function and lf1.class_function)
+
+
+def _affine_deviation(
+    lf0: LengthFunction,
+    lf1: LengthFunction,
+    lf_blend: LengthFunction,
+    lam: Num,
+    words: Iterable[str],
+) -> tuple[Num, str | None]:
+    """The largest |lf_blend(w) - (lam*lf1(w) + (1-lam)*lf0(w))| over the
+    words, and the largest word (in string order) attaining it; None when
+    there are no words.  The deviation is Fraction(0) when every word's is
+    0, else the value at the first word attaining the maximum.
+
+    lam is taken exactly (a float at its binary value).  For lam = p/q and
+    exact values x0, x1, xb the deviation is |q*xb - p*x1 - (q-p)*x0| / q,
+    compared across words in integers over the values' denominators; a
+    Fraction is made only for the result.  A word with a float value is
+    measured in floats, as the blend evaluates it.
+    """
+    lam = Fraction(lam)
+    p, q = lam.numerator, lam.denominator
+    r = q - p
+    s0, s1, sb = lf0.state, lf1.state, lf_blend.state
+    l0, l1, lb = lf0.length, lf1.length, lf_blend.length
+    # the worst deviation so far is worst_n / worst_d, or the float worst_float
+    worst_n, worst_d, worst_float, worst_word = 0, 1, None, None
+    for w in words:
+        x0, x1, xb = l0(s0(w)), l1(s1(w)), lb(sb(w))
+        if isinstance(x0, float) or isinstance(x1, float) or isinstance(xb, float):
+            dev = abs(xb - (lam * x1 + (1 - lam) * x0))
+            n, d = dev.as_integer_ratio()
+        else:
+            n0, d0 = x0.numerator, x0.denominator
+            n1, d1 = x1.numerator, x1.denominator
+            nb, db = xb.numerator, xb.denominator
+            n = abs((q * nb * d1 - p * n1 * db) * d0 - r * n0 * d1 * db)
+            d, dev = q * d0 * d1 * db, None
+        if n * worst_d > worst_n * d:
+            worst_n, worst_d, worst_float, worst_word = n, d, dev, w
+        elif n * worst_d == worst_n * d and (worst_word is None or w > worst_word):
+            worst_word = w
+    return (Fraction(worst_n, worst_d) if worst_float is None else worst_float), worst_word
 
 
 def convex_combination_length_check(
@@ -268,13 +390,9 @@ def convex_combination_length_check(
     lam: Num,
     words: Iterable[str],
 ) -> Num:
-    """Max over the words of |lf_blend(w) - (lam*lf1(w) + (1-lam)*lf0(w))|."""
-    lam = _exactify(lam)
-    worst = Fraction(0)
-    for w in words:
-        deviation = abs(lf_blend(w) - (lam * lf1(w) + (1 - lam) * lf0(w)))
-        worst = max(worst, deviation)
-    return worst
+    """Max over the words of |lf_blend(w) - (lam*lf1(w) + (1-lam)*lf0(w))|,
+    with lam taken exactly (a float at its binary value)."""
+    return _affine_deviation(lf0, lf1, lf_blend, lam, words)[0]
 
 
 # -- axiom checking -------------------------------------------------------------
@@ -326,7 +444,7 @@ def _grid_slot(lam: Num) -> tuple:
 
 
 def _integral(x):
-    return x.numerator if isinstance(x, Fraction) and x.denominator == 1 else x
+    return x.numerator if type(x) is Fraction and x.denominator == 1 else x
 
 
 def _axiom_scan(
@@ -344,22 +462,40 @@ def _axiom_scan(
     invariance by each conjugator (default: every letter), then the
     pairing bound over unordered pairs u <= v (whenever |uv| and |uv^-1|
     differ, the larger is at most |u| + |v|).  Each lambda keeps its first
-    witness; the scan stops once every lambda has one.  Each word is
-    evaluated once per function and the pair of values cached, integral
-    values as ints: every lambda is exact (a float at its binary value), so
-    int and Fraction values are compared exactly (integers for integral
-    values), and Fractions appear only in witnesses.
+    witness; the scan stops once every lambda has one.
+
+    Each word's state is computed once per function, and the values at
+    conjugates, uv and uv^-1 are lengths of products of states; nothing
+    else is kept.  Every lambda is exact (a float at its binary value) and
+    integral values are held as ints, so values compare exactly and
+    Fractions appear only in witnesses.
+
+    When both functions are class functions, the pairs {u, v}, {u, v^-1},
+    {u^-1, v} and {u^-1, v^-1} have the same values and so violate
+    together.  One of the last three comes earlier in scan order exactly
+    when u^-1 precedes u or v^-1 precedes v, so pairs are then taken only
+    over the words that precede their inverse (or whose inverse is not
+    among the words), and the first witness per lambda is unchanged.
     """
     slots = [_grid_slot(lam) for lam in grid]
     found: dict[int, AxiomWitness] = {}
-    cache: dict[str, tuple] = {}
+    same = lf1 is lf0
+    prod0, len0, prod1, len1 = lf0.product, lf0.length, lf1.product, lf1.length
+    index = {w: i for i, w in enumerate(words)}
+    inverses = [invert_word(w) for w in words]
+    inverse_at = [index.get(w) for w in inverses]
 
-    def values(w: str) -> tuple:
-        pair = cache.get(w)
-        if pair is None:
-            x0 = _integral(lf0(w))
-            pair = cache[w] = (x0, x0 if lf1 is lf0 else _integral(lf1(w)))
-        return pair
+    def states(lf: LengthFunction) -> tuple[list, list]:
+        """The states of the words and of their inverses."""
+        own = [lf.state(w) for w in words]
+        return own, [own[k] if k is not None else lf.state(w) for k, w in zip(inverse_at, inverses)]
+
+    s0, t0 = states(lf0)
+    s1, t1 = (s0, t0) if same else states(lf1)
+
+    def values(a0, a1) -> tuple:
+        x0 = _integral(len0(a0))
+        return x0, x0 if same else _integral(len1(a1))
 
     def record(s: int, kind: str, u: str, v: str | None, scaled: dict) -> None:
         q = slots[s][3]
@@ -367,37 +503,48 @@ def _axiom_scan(
             kind, u, v, {k: Fraction(n, q) if isinstance(n, int) else n / q for k, n in scaled.items()}
         )
 
-    invariances = chain(
-        (("inversion", u, None, "u_inv", invert_word(u)) for u in words),
-        (
-            ("conjugation", u, v, "conjugated", reduce_word(v + u + invert_word(v)))
-            for u in words
-            for v in (basis.letters if conjugators is None else conjugators)
-        ),
-    )
-    for kind, u, v, key, other in invariances:
+    conj = []
+    for v in basis.letters if conjugators is None else conjugators:
+        c = reduce_word(v)
+        conj.append((v, *(lf.state(w) for lf in (lf0, lf1) for w in (c, invert_word(c)))))
+
+    def invariances():
+        for i in range(len(words)):
+            yield "inversion", i, None, "u_inv", t0[i], t1[i]
+        for i in range(len(words)):
+            for v, c0, ci0, c1, ci1 in conj:
+                o1 = None if same else prod1(prod1(c1, s1[i]), ci1)
+                yield "conjugation", i, v, "conjugated", prod0(prod0(c0, s0[i]), ci0), o1
+
+    singles = [values(a0, a1) for a0, a1 in zip(s0, s1)]
+    for kind, i, v, key, a0, a1 in invariances():
         if len(found) == len(slots):
             break
-        (u0, u1), (o0, o1) = values(u), values(other)
+        (u0, u1), (o0, o1) = singles[i], values(a0, a1)
         if u0 == o0 and u1 == o1:
             continue
         for s, (_, p, r, _) in enumerate(slots):
             nu, no = p * u1 + r * u0, p * o1 + r * o0
             if s not in found and nu != no:
-                record(s, kind, u, v, {"u": nu, key: no})
+                record(s, kind, words[i], v, {"u": nu, key: no})
 
     pending = [s for s in range(len(slots)) if s not in found]
-    singles = [values(w) for w in words]
-    inverses = [invert_word(w) for w in words]
-    for i, u in enumerate(words):
+    rows = range(len(words))
+    if lf0.class_function and lf1.class_function:
+        rows = [i for i in rows if inverse_at[i] is None or inverse_at[i] > i]
+    integral = _integral
+    for a, i in enumerate(rows):
         if not pending:
             break
         u0, u1 = singles[i]
-        for j in range(i, len(words)):
+        su0, su1 = s0[i], s1[i]
+        for j in rows[a:]:
             v0, v1 = singles[j]
-            uv, ui = reduced_product(u, words[j]), reduced_product(u, inverses[j])
-            uv0, uv1 = cache.get(uv) or values(uv)
-            ui0, ui1 = cache.get(ui) or values(ui)
+            uv0, ui0 = integral(len0(prod0(su0, s0[j]))), integral(len0(prod0(su0, t0[j])))
+            if same:
+                uv1, ui1 = uv0, ui0
+            else:
+                uv1, ui1 = integral(len1(prod1(su1, s1[j]))), integral(len1(prod1(su1, t1[j])))
             b0, b1 = u0 + v0, u1 + v1
             # no positive margin against the sum bound in either function:
             # no lambda in [0, 1] can violate
@@ -409,7 +556,7 @@ def _axiom_scan(
                 nu, nv = p * u1 + r * u0, p * v1 + r * v0
                 if nuv != nui and (nuv > nu + nv or nui > nu + nv):
                     scaled = {"uv": nuv, "uv_inv": nui, "u": nu, "v": nv}
-                    record(s, "product", u, words[j], scaled)
+                    record(s, "product", words[i], words[j], scaled)
             if len(found) + len(pending) > len(slots):
                 pending = [s for s in pending if s not in found]
                 if not pending:

@@ -71,21 +71,41 @@ class BoundaryPoint:
         return cls(basis, fn, None)
 
     def prefix(self, k: int) -> str:
-        """The first k letters (always reduced; re-entrant)."""
-        if k <= len(self._cache):
-            return self._cache[:k]
-        last = self._cache[-1:]
-        new = []
-        for i in range(len(self._cache), k):
-            c = self._fn(i)
-            self.basis.validate(c)
-            if last and last == invert_letter(c):
-                raise BoundaryFormatError(
-                    f"generator produced a cancellation at position {i}"
-                )
-            new.append(c)
-            last = c
-        self._cache += "".join(new)
+        """The first k letters (always reduced; re-entrant).
+
+        The missing letters are fetched in one batch and checked together:
+        each generator output must be one letter of the basis, and no letter
+        may cancel the one before it.  The error raised is the one for the
+        earliest faulty position."""
+        cache = self._cache
+        if k <= len(cache):
+            return cache[:k]
+        start = len(cache)
+        outputs = [self._fn(i) for i in range(start, k)]
+        try:
+            new = "".join(outputs)
+            one_letter_each = set(map(len, outputs)) == {1}
+        except TypeError:
+            one_letter_each = False
+        end = k  # the first position whose output is not one letter
+        if not one_letter_each:
+            end = next(
+                i for i, c in enumerate(outputs, start) if not (isinstance(c, str) and len(c) == 1)
+            )
+            new = "".join(outputs[: end - start])
+        last = cache[-1:]
+        fault = self.basis.fault_pattern.search(last + new)
+        if fault is not None:
+            # the faulty letter is the last one matched
+            position = start - len(last) + fault.end() - 1
+            if len(fault.group()) == 1:
+                self.basis.validate(fault.group())
+            raise BoundaryFormatError(f"generator produced a cancellation at position {position}")
+        if end < k:
+            raise BoundaryFormatError(
+                f"generator output at position {end} is not one letter: {outputs[end - start]!r}"
+            )
+        self._cache = cache + new
         return self._cache
 
     def __repr__(self) -> str:

@@ -16,9 +16,9 @@ from itertools import combinations
 from . import formats
 from .blend import (
     CompatibleMetricPair,
+    _affine_deviation,
     blend_metric,
     certify_rtree,
-    convex_combination_length_check,
     length_function_from_line_action,
     length_function_from_table,
     rose_blend_axiom_scan,
@@ -425,15 +425,14 @@ def run_blend_lengths(args, out) -> int:
         lf0, lf1, lfb = map(length_function_from_table, (t0, t1, tb))
     else:
         raise ParameterError("need --weights0/--weights1 or --table0/--table1/--tableb")
-    deviation = convex_combination_length_check(lf0, lf1, lfb, lam, words)
+    deviation, worst_word = _affine_deviation(lf0, lf1, lfb, lam, words)
     out.append(f"words checked: {len(words)}")
     out.append(f"max deviation: {format_number(deviation)}")
     if deviation <= tol:
         out.append("RESULT: pass")
         return PASS
-    worst_word = max(
-        words, key=lambda w: (abs(lfb(w) - (lam * lf1(w) + (1 - lam) * lf0(w))), w)
-    )
+    if worst_word is None:
+        raise ParameterError("no words to check")
     out.append(f"RESULT: fail -- blend is not the affine combination (word {worst_word})")
     out.append(
         formats.witness_line(

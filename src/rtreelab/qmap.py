@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
+from operator import mul
 from typing import Iterable, Protocol, runtime_checkable
 
 from .boundary import BoundaryPoint, BoundaryPair, LaminationSample, act
@@ -97,14 +98,19 @@ class DenseLineAction:
         """Signed weight sum, computed through the integer abelianization so
         that zero-sum words come out exactly zero.  (Free reduction cannot
         change the letter counts, so none is performed.)"""
-        vec = abelianization(word, self.basis)
+        return self.mu_of_vector(abelianization(word, self.basis))
+
+    def mu_of_vector(self, vec: tuple[int, ...]) -> object:
+        """mu of any word with abelianization ``vec``.  The vector is the
+        line action's per-word state: the vector of a product is the sum of
+        the factors' vectors."""
         if self.scale is None:
             total = 0
             for n, s in zip(vec, self.basis.symbols):
                 if n:
                     total += n * self.weights[s]
             return total
-        total = sum(n * w for n, w in zip(vec, self.int_weights))
+        total = sum(map(mul, vec, self.int_weights))
         # a word with no letter count left sums to the int 0, as term by term
         return Fraction(total, self.scale) if self._fraction_valued and any(vec) else total
 

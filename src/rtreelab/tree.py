@@ -391,23 +391,6 @@ class MetricTree:
             open_ends=self.open_ends | leaves,
         )
 
-    # -- misc --------------------------------------------------------------------
-
-    def with_point(self, name: str, p: Point) -> "MetricTree":
-        """A copy with one more designated point at an existing location."""
-        loc = self.resolve(p)
-        entry = (name, loc) if isinstance(loc, str) else (name, *loc.edge, loc.offset)
-        pts = [
-            (n, l) if isinstance(l, str) else (n, *l.edge, l.offset)
-            for n, l in self._points.items()
-        ]
-        pts.append(entry)
-        return MetricTree(
-            ((u, v, self._lengths[(u, v)]) for u, v in sorted(self._lengths)),
-            pts,
-            open_ends=self.open_ends,
-        )
-
     def __repr__(self) -> str:
         return (
             f"MetricTree({len(self._adj)} vertices, {len(self._lengths)} edges, "

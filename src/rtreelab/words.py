@@ -5,6 +5,7 @@ letters (``a`` has inverse ``A``).  The empty string is the identity.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -51,6 +52,13 @@ class Basis:
     def letters(self) -> tuple[str, ...]:
         """All 2N letters, generators then inverses."""
         return self.symbols + tuple(s.upper() for s in self.symbols)
+
+    @cached_property
+    def fault_pattern(self) -> re.Pattern:
+        """Matches a symbol outside the basis or a cancelling pair (a letter,
+        then its inverse); ``search`` finds the leftmost of either."""
+        pairs = "|".join(c + invert_letter(c) for c in self.letters)
+        return re.compile(f"{pairs}|[^{''.join(self.letters)}]")
 
     def validate(self, word: str) -> None:
         extra = set(word).difference(self.letters)
@@ -99,7 +107,8 @@ def cyclic_reduce(word: str) -> str:
 def cyclic_core(reduced: str) -> str:
     """Strip matching inverse pairs from the two ends of a reduced word."""
     i, j = 0, len(reduced)
-    while j - i >= 2 and reduced[i] == invert_letter(reduced[j - 1]):
+    inv = _INV
+    while j - i >= 2 and reduced[i] == inv.get(reduced[j - 1]):
         i += 1
         j -= 1
     return reduced[i:j]
@@ -142,15 +151,6 @@ def reduced_words(basis: Basis, maxlen: int) -> list[str]:
 
 def cyclically_reduced_words(basis: Basis, maxlen: int) -> list[str]:
     return [w for w in reduced_words(basis, maxlen) if is_cyclically_reduced(w)]
-
-
-def word_ball(basis: Basis, maxlen: int) -> list[str]:
-    """Reduced words of length <= maxlen including the identity.
-
-    Closed under inversion, and under those pairwise products whose reduced
-    form stays within the length bound.
-    """
-    return [""] + reduced_words(basis, maxlen)
 
 
 def commutator(u: str, v: str) -> str:

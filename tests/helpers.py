@@ -6,6 +6,7 @@ from fractions import Fraction as Fr
 from itertools import combinations, product
 
 from rtreelab.blend import AxiomVerdict, AxiomWitness, CompatibleMetricPair, IncompatiblePairError
+from rtreelab.boundary import BoundaryFormatError
 from rtreelab.hyperbolicity import MetricTable
 from rtreelab.oracles import LINE_MINUS, LINE_PLUS, Ray
 from rtreelab.qmap import EmptyWordError, QEstimate
@@ -86,6 +87,26 @@ def brute_force_axiom_check(lf, words, basis=None, conjugators=None) -> AxiomVer
                     len(words),
                 )
     return AxiomVerdict(True, None, len(words))
+
+
+def reference_prefix(basis, fn, cache: list, k: int) -> str:
+    """Slow reference for BoundaryPoint.prefix: fetch and check one letter
+    at a time, extending ``cache`` (a one-element list holding the letters
+    so far) only when every new letter passes.  Each output must be one
+    basis letter that does not cancel the letter before it."""
+    if k <= len(cache[0]):
+        return cache[0][:k]
+    letters = cache[0]
+    for i in range(len(letters), k):
+        c = fn(i)
+        if not (isinstance(c, str) and len(c) == 1):
+            raise BoundaryFormatError(f"generator output at position {i} is not one letter: {c!r}")
+        basis.validate(c)
+        if letters and letters[-1] == invert_word(c):
+            raise BoundaryFormatError(f"generator produced a cancellation at position {i}")
+        letters += c
+    cache[0] = letters
+    return letters
 
 
 def reference_mu(action, word: str):

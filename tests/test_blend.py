@@ -4,7 +4,7 @@ from functools import lru_cache
 from itertools import combinations, permutations
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from rtreelab.blend import (
     AxiomWitness,
@@ -28,13 +28,15 @@ from rtreelab.blend import (
     rose_blend_axiom_scan,
 )
 from rtreelab.hyperbolicity import MetricTable
-from rtreelab.qmap import DenseLineAction
+from rtreelab.qmap import DenseLineAction, line_action_from_weights
 from rtreelab.tree import Location, MetricTree, path_tree
 from rtreelab.words import (
     Basis,
     cyclic_reduce,
     cyclically_reduced_words,
+    invert_word,
     reduce_word,
+    reduced_product,
     reduced_words,
 )
 
@@ -406,3 +408,137 @@ def test_length_function_from_table():
     assert lf("a") == 2
     with pytest.raises(KeyError):
         lf("ab")
+
+
+# -- per-word states -------------------------------------------------------------
+
+
+def _nielsen_marking(moves) -> dict:
+    """The identity marking after Nielsen moves (i, right, inverse): image i
+    times image 1-i (or its inverse) on the right, else on the left."""
+    images = ["a", "b"]
+    for i, right, inverse in moves:
+        other = invert_word(images[1 - i]) if inverse else images[1 - i]
+        images[i] = reduce_word(images[i] + other if right else other + images[i])
+    return dict(zip("ab", images))
+
+
+_MARKINGS = st.lists(st.tuples(st.integers(0, 1), st.booleans(), st.booleans()), max_size=4).map(
+    _nielsen_marking
+)
+_ROSE_WEIGHTS = st.one_of(
+    st.integers(1, 3).map(lambda w: {"a": w, "b": w}),
+    st.fixed_dictionaries({s: st.integers(1, 5) for s in "ab"}),
+    st.fixed_dictionaries(
+        {s: st.fractions(Fr(1, 5), 4, max_denominator=6).filter(bool) for s in "ab"}
+    ),
+)
+_LINE_WEIGHT = st.one_of(
+    st.integers(-5, 5).map(str),
+    st.fractions(-4, 4, max_denominator=7).map(str),
+    st.integers(2, 12).map(lambda n: f"sqrt:{n}"),
+)
+_WORDS = st.lists(st.sampled_from("abAB"), max_size=9).map(lambda cs: reduce_word("".join(cs)))
+
+
+def _rose_from(marking, weights):
+    assume(nielsen_generates(marking, B2))
+    return length_function_from_marked_graph(marking, weights, B2)
+
+
+_CLASS_FUNCTIONS = st.deferred(
+    lambda: st.one_of(
+        st.builds(_rose_from, _MARKINGS, _ROSE_WEIGHTS),
+        st.lists(_LINE_WEIGHT, min_size=2, max_size=2).map(
+            lambda texts: length_function_from_line_action(line_action_from_weights(texts, B2))
+        ),
+        st.builds(
+            blend_length_functions,
+            _CLASS_FUNCTIONS,
+            _CLASS_FUNCTIONS,
+            st.sampled_from([Fr(0), Fr(2, 7), Fr(1, 2), 0.3, Fr(1)]),
+        ),
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_CLASS_FUNCTIONS, _WORDS, _WORDS)
+@example(length_function_from_marked_graph({"a": "a", "b": "b"}, {"a": 1, "b": 1}), "ab", "BA")
+@example(
+    length_function_from_marked_graph({"a": "abb", "b": "b"}, {"a": Fr(1, 2), "b": 3}), "A", "BAb"
+)
+@example(
+    length_function_from_line_action(line_action_from_weights(["1", "sqrt:2"], B2)), "abb", "Ba"
+)
+def test_state_products_agree_with_evaluating_the_product_word(lf, u, v):
+    """For roses, line actions and their blends, the length of a product of
+    states is the evaluator's value at the reduced product word."""
+    assert lf.class_function
+    su = lf.state(u)
+    assert lf.length(su) == lf(u)
+    for w in (v, invert_word(v)):
+        product = lf.length(lf.product(su, lf.state(w)))
+        assert product == lf(reduced_product(u, w))
+
+
+def test_only_constructed_functions_are_class_functions():
+    table = length_function_from_table({"a": 1, "A": 1})
+    callable_lf = LengthFunction(lambda w: len(w), "word length")
+    rose = length_function_from_marked_graph({"a": "a", "b": "ba"}, {"a": 1, "b": 1})
+    assert not table.class_function and not callable_lf.class_function
+    assert not blend_length_functions(rose, callable_lf, Fr(1, 2)).class_function
+    assert blend_length_functions(rose, rose, Fr(1, 2)).class_function
+    assert callable_lf.state("ab") == "ab" and callable_lf.length is callable_lf.evaluator
+
+
+def test_a_table_that_is_no_class_function_gets_every_pair():
+    # inversion-invariant on a, A, b, B, but |ab| = 3 while its conjugate
+    # |ba| = 2: only the pair (a, b) violates, and a scan that took only the
+    # words before their inverses (A, B) would miss it
+    table = dict.fromkeys(["AA", "aa", "BB", "bb", "AB", "Ab", "BA", "Ba", "aB", "ba", "bA"], 2)
+    table |= {"": 0, "a": 1, "A": 1, "b": 1, "B": 1, "ab": 3}
+    lf = length_function_from_table(table)
+    words = ["a", "A", "b", "B"]
+    verdict = length_axiom_check(lf, words, B2, conjugators=[])
+    assert verdict == brute_force_axiom_check(lf, words, B2, conjugators=[])
+    values = {"uv": 3, "uv_inv": 2, "u": 1, "v": 1}
+    assert verdict.witness == AxiomWitness("product", "a", "b", values)
+    # nor does a blend of it with a rose, at any lambda where it counts
+    rose = length_function_from_marked_graph({"a": "a", "b": "b"}, {"a": 1, "b": 1}, B2)
+    (entry,) = _axiom_scan(rose, lf, [Fr(1)], ["A", "B", "a", "b"], B2, [])
+    assert entry.witness == verdict.witness
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    _MARKINGS,
+    _MARKINGS,
+    _ROSE_WEIGHTS,
+    _ROSE_WEIGHTS,
+    st.lists(st.sampled_from(AXIOM_LAMBDAS), min_size=1, max_size=3),
+    st.integers(1, 3),
+)
+@example({"a": "abb", "b": "b"}, {"a": "a", "b": "b"}, {"a": 1, "b": 1}, {"a": 1, "b": 1},
+         [Fr(0), Fr(1, 10), 0.3, Fr(1)], 4)
+@example({"a": "ab", "b": "b"}, {"a": "a", "b": "ba"}, {"a": 2, "b": 1}, {"a": Fr(1, 2), "b": 3},
+         [Fr(1, 3), Fr(9, 10)], 4)
+def test_symmetric_rose_scan_agrees_with_the_slow_reference(
+    marking1, marking0, lengths1, lengths0, grid, maxlen
+):
+    """Rose functions are class functions, so the scan takes the pairs of
+    words that precede their inverses only; per lambda it must still find
+    the slow reference's first witness on the blend, and so must
+    length_axiom_check on the blend (a class function too)."""
+    assume(nielsen_generates(marking1, B2) and nielsen_generates(marking0, B2))
+    entries = rose_blend_axiom_scan(
+        marking1, grid, maxlen, B2, marking0=marking0, lengths0=lengths0, lengths1=lengths1
+    )
+    lf0 = length_function_from_marked_graph(marking0, lengths0, B2)
+    lf1 = length_function_from_marked_graph(marking1, lengths1, B2)
+    words = reduced_words(B2, maxlen)
+    for lam, entry in zip(grid, entries):
+        blend = blend_length_functions(lf0, lf1, lam)
+        expected = brute_force_axiom_check(blend, words, B2)
+        assert (entry.ok, entry.witness) == (expected.ok, expected.witness)
+        assert length_axiom_check(blend, words, B2) == expected

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rtreelab.boundary import (
     BoundaryFormatError,
@@ -16,7 +17,9 @@ from rtreelab.boundary import (
     parse_boundary_point,
     saturate,
 )
-from rtreelab.words import Basis, invert_word, reduce_word
+from rtreelab.words import Basis, UnknownSymbolError, invert_word, reduce_word
+
+from helpers import reference_prefix
 
 B2 = Basis(2)
 
@@ -57,6 +60,62 @@ def test_from_function_detects_cancellation():
     bad = BoundaryPoint.from_function(B2, lambda i: "a" if i % 2 == 0 else "A")
     with pytest.raises(BoundaryFormatError):
         bad.prefix(2)
+
+
+@pytest.mark.parametrize("output", ["ab", "", None, 1])
+def test_from_function_rejects_outputs_that_are_not_one_letter(output):
+    x = BoundaryPoint.from_function(B2, lambda i: output)
+    for _ in range(2):  # the second call fails the same way
+        with pytest.raises(BoundaryFormatError, match="position 0 is not one letter"):
+            x.prefix(3)
+
+
+def test_prefix_errors_name_the_earliest_faulty_position():
+    # the cancellation at 6 comes in a later batch than the letters before it
+    x = BoundaryPoint.from_function(B2, lambda i: "B" if i == 6 else "ab"[i % 2])
+    assert x.prefix(3) == "aba"
+    with pytest.raises(BoundaryFormatError, match="cancellation at position 6$"):
+        x.prefix(8)
+    assert x.prefix(6) == "ababab"
+    # a cancellation across the batch boundary
+    y = BoundaryPoint.from_function(B2, lambda i: "abaA"[i])
+    assert y.prefix(3) == "aba"
+    with pytest.raises(BoundaryFormatError, match="cancellation at position 3$"):
+        y.prefix(4)
+    # an unknown symbol before a cancellation, and after one
+    with pytest.raises(UnknownSymbolError, match="'x'"):
+        BoundaryPoint.from_function(B2, lambda i: "abxzA"[i]).prefix(5)
+    with pytest.raises(BoundaryFormatError, match="cancellation at position 3$"):
+        BoundaryPoint.from_function(B2, lambda i: "abaAx"[i]).prefix(5)
+
+
+_OUTPUTS = st.sampled_from(["a", "b", "A", "B", "x", "ab", ""])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.sampled_from(["a", "b", "A", "B"]), min_size=1, max_size=40),
+    st.dictionaries(st.integers(0, 39), _OUTPUTS, max_size=3),
+    st.lists(st.integers(0, 45), min_size=1, max_size=5),
+)
+def test_prefix_agrees_with_the_letter_by_letter_reference(letters, faults, requests):
+    """Batched fetching and checking gives every prefix, error type and
+    message that checking one letter at a time gives."""
+
+    def fn(i):
+        return faults.get(i, letters[i % len(letters)])
+
+    x, cache = BoundaryPoint.from_function(B2, fn), [""]
+    for k in requests:
+        try:
+            expected = reference_prefix(B2, fn, cache, k)
+        except ValueError as exc:
+            expected = (type(exc), str(exc))
+        try:
+            got = x.prefix(k)
+        except ValueError as exc:
+            got = (type(exc), str(exc))
+        assert got == expected
 
 
 def test_parse_and_format_round_trip():

@@ -354,8 +354,100 @@ def test_blend_axioms_grid(capsys):
         "--maxlen",
         "3",
     )
-    assert code in (0, 1)
+    assert code == 0
+    assert out == (
+        "rtreelab blend axioms\n"
+        "config: lambda_grid=0:1:1/2 marking=a:a,b:ba maxlen=3 seed=0\n"
+        "lambda 0: no violation found (words <= 3)\n"
+        "lambda 1/2: no violation found (words <= 3)\n"
+        "lambda 1: no violation found (words <= 3)\n"
+        "RESULT: pass (0 violating lambdas)\n"
+    )
     assert out.count("lambda ") == 3
+
+
+AXIOMS_REPORTS = {
+    "a:a,b:ba": (
+        0,
+        "lambda 0: no violation found (words <= 4)\n"
+        "lambda 1/4: no violation found (words <= 4)\n"
+        "lambda 1/2: no violation found (words <= 4)\n"
+        "lambda 3/4: no violation found (words <= 4)\n"
+        "lambda 1: no violation found (words <= 4)\n"
+        "RESULT: pass (0 violating lambdas)\n",
+    ),
+    "a:abb,b:b": (
+        1,
+        "lambda 0: no violation found (words <= 4)\n"
+        "lambda 1/4: VIOLATION u=A v=BAb uv=9/2 uv_inv=4 bound=3\n"
+        'WITNESS {"axiom": "product", "kind": "axiom", "u": "A", "v": "BAb", "values":'
+        ' {"u": "3/2", "uv": "9/2", "uv_inv": "4", "v": "3/2"}}\n'
+        "lambda 1/2: VIOLATION u=A v=BAb uv=5 uv_inv=4 bound=4\n"
+        'WITNESS {"axiom": "product", "kind": "axiom", "u": "A", "v": "BAb", "values":'
+        ' {"u": "2", "uv": "5", "uv_inv": "4", "v": "2"}}\n'
+        "lambda 3/4: VIOLATION u=A v=BAb uv=11/2 uv_inv=4 bound=5\n"
+        'WITNESS {"axiom": "product", "kind": "axiom", "u": "A", "v": "BAb", "values":'
+        ' {"u": "5/2", "uv": "11/2", "uv_inv": "4", "v": "5/2"}}\n'
+        "lambda 1: no violation found (words <= 4)\n"
+        "RESULT: fail (3 violating lambdas)\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("marking", sorted(AXIOMS_REPORTS))
+def test_blend_axioms_report_bytes(marking, capsys):
+    code, out, _ = run_cli(
+        capsys, "blend", "axioms", "--marking", marking, "--lambda-grid", "0:1:1/4", "--maxlen", "4"
+    )
+    expected_code, body = AXIOMS_REPORTS[marking]
+    assert code == expected_code
+    assert out == (
+        "rtreelab blend axioms\n"
+        f"config: lambda_grid=0:1:1/4 marking={marking} maxlen=4 seed=0\n" + body
+    )
+
+
+LENGTHS_REPORTS = {
+    # rational weights: every value is exact
+    "1/2,3 -2,1/6 7/10 4": (
+        "words checked: 128\n"
+        "max deviation: 21/5\n"
+        "RESULT: fail -- blend is not the affine combination (word bbaa)\n"
+        'WITNESS {"blend": "7/15", "kind": "affine_deviation", "lambda": "7/10", "lf0": "7",'
+        ' "lf1": "11/3", "tol": "0", "word": "bbaa"}\n'
+    ),
+    # a sqrt weight: the deviation 3 is first met at the exact word aaa, and
+    # baa, the largest word that meets it, has float values
+    "1,sqrt:2 -2,1 1/2 3": (
+        "words checked: 44\n"
+        "max deviation: 3\n"
+        "RESULT: fail -- blend is not the affine combination (word baa)\n"
+        'WITNESS {"blend": 0.20710678118654746, "kind": "affine_deviation", "lambda": "1/2",'
+        ' "lf0": 3.414213562373095, "lf1": "3", "tol": "0", "word": "baa"}\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LENGTHS_REPORTS))
+def test_blend_lengths_failing_report_bytes(case, capsys):
+    w0, w1, lam, maxlen = case.split()
+    code, out, _ = run_cli(
+        capsys,
+        "blend",
+        "lengths",
+        f"--weights0={w0}",
+        f"--weights1={w1}",
+        "--lambda",
+        lam,
+        "--maxlen",
+        maxlen,
+    )
+    assert code == 1
+    assert out == (
+        "rtreelab blend lengths\n"
+        f"config: lambda={lam} maxlen={maxlen} tol=0 weights0={w0} weights1={w1} seed=0\n"
+        + LENGTHS_REPORTS[case]
+    )
 
 
 def test_action_file_input(tmp_path, capsys):
