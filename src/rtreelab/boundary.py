@@ -42,6 +42,7 @@ class BoundaryPoint:
         self.basis = basis
         self._fn = fn
         self._cache = ""
+        self._inverse = {c: invert_letter(c) for c in basis.letters}
         self.periodic_form = periodic  # (prefix, block) or None
 
     @classmethod
@@ -73,39 +74,26 @@ class BoundaryPoint:
     def prefix(self, k: int) -> str:
         """The first k letters (always reduced; re-entrant).
 
-        The missing letters are fetched in one batch and checked together:
-        each generator output must be one letter of the basis, and no letter
-        may cancel the one before it.  The error raised is the one for the
-        earliest faulty position."""
+        Each generator output must be one letter of the basis that does not
+        cancel the letter before it; the first faulty output raises, and the
+        generator is not called past it."""
         cache = self._cache
         if k <= len(cache):
             return cache[:k]
-        start = len(cache)
-        outputs = [self._fn(i) for i in range(start, k)]
-        try:
-            new = "".join(outputs)
-            one_letter_each = set(map(len, outputs)) == {1}
-        except TypeError:
-            one_letter_each = False
-        end = k  # the first position whose output is not one letter
-        if not one_letter_each:
-            end = next(
-                i for i, c in enumerate(outputs, start) if not (isinstance(c, str) and len(c) == 1)
-            )
-            new = "".join(outputs[: end - start])
+        fn, letters, inverse = self._fn, self.basis.letters, self._inverse
         last = cache[-1:]
-        fault = self.basis.fault_pattern.search(last + new)
-        if fault is not None:
-            # the faulty letter is the last one matched
-            position = start - len(last) + fault.end() - 1
-            if len(fault.group()) == 1:
-                self.basis.validate(fault.group())
-            raise BoundaryFormatError(f"generator produced a cancellation at position {position}")
-        if end < k:
-            raise BoundaryFormatError(
-                f"generator output at position {end} is not one letter: {outputs[end - start]!r}"
-            )
-        self._cache = cache + new
+        new = []
+        for i in range(len(cache), k):
+            c = fn(i)
+            if c not in letters:
+                if not isinstance(c, str) or len(c) != 1:
+                    raise BoundaryFormatError(f"generator output at position {i} is not one letter: {c!r}")
+                self.basis.validate(c)  # raises UnknownSymbolError
+            if inverse[c] == last:
+                raise BoundaryFormatError(f"generator produced a cancellation at position {i}")
+            new.append(c)
+            last = c
+        self._cache = cache + "".join(new)
         return self._cache
 
     def __repr__(self) -> str:

@@ -16,7 +16,7 @@ from itertools import combinations
 from . import formats
 from .blend import (
     CompatibleMetricPair,
-    _affine_deviation,
+    affine_deviation,
     blend_metric,
     certify_rtree,
     length_function_from_line_action,
@@ -425,7 +425,7 @@ def run_blend_lengths(args, out) -> int:
         lf0, lf1, lfb = map(length_function_from_table, (t0, t1, tb))
     else:
         raise ParameterError("need --weights0/--weights1 or --table0/--table1/--tableb")
-    deviation, worst_word = _affine_deviation(lf0, lf1, lfb, lam, words)
+    deviation, worst_word = affine_deviation(lf0, lf1, lfb, lam, words)
     out.append(f"words checked: {len(words)}")
     out.append(f"max deviation: {format_number(deviation)}")
     if deviation <= tol:

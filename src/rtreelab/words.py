@@ -5,7 +5,6 @@ letters (``a`` has inverse ``A``).  The empty string is the identity.
 """
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -52,13 +51,6 @@ class Basis:
     def letters(self) -> tuple[str, ...]:
         """All 2N letters, generators then inverses."""
         return self.symbols + tuple(s.upper() for s in self.symbols)
-
-    @cached_property
-    def fault_pattern(self) -> re.Pattern:
-        """Matches a symbol outside the basis or a cancelling pair (a letter,
-        then its inverse); ``search`` finds the leftmost of either."""
-        pairs = "|".join(c + invert_letter(c) for c in self.letters)
-        return re.compile(f"{pairs}|[^{''.join(self.letters)}]")
 
     def validate(self, word: str) -> None:
         extra = set(word).difference(self.letters)

@@ -482,6 +482,20 @@ def test_state_products_agree_with_evaluating_the_product_word(lf, u, v):
         assert product == lf(reduced_product(u, w))
 
 
+@settings(max_examples=200, deadline=None)
+@given(_MARKINGS, _ROSE_WEIGHTS, _WORDS)
+def test_rose_length_is_the_weighted_length_of_the_cyclic_core(marking, weights, word):
+    """Both rose length rules (one int weight on every edge, and counts per
+    generator) give the weighted letter count of the cyclically reduced
+    marking image."""
+    assume(nielsen_generates(marking, B2))
+    image = cyclic_reduce(apply_marking(marking, word))
+    expected = sum((weights[c.lower()] for c in image), Fr(0))
+    assert marked_graph_length(marking, weights, word, B2) == expected
+    as_fractions = {s: Fr(w) for s, w in weights.items()}  # never the one-int-weight rule
+    assert marked_graph_length(marking, as_fractions, word, B2) == expected
+
+
 def test_only_constructed_functions_are_class_functions():
     table = length_function_from_table({"a": 1, "A": 1})
     callable_lf = LengthFunction(lambda w: len(w), "word length")

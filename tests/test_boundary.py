@@ -71,13 +71,13 @@ def test_from_function_rejects_outputs_that_are_not_one_letter(output):
 
 
 def test_prefix_errors_name_the_earliest_faulty_position():
-    # the cancellation at 6 comes in a later batch than the letters before it
+    # the cancellation at 6 comes in a later call than the letters before it
     x = BoundaryPoint.from_function(B2, lambda i: "B" if i == 6 else "ab"[i % 2])
     assert x.prefix(3) == "aba"
     with pytest.raises(BoundaryFormatError, match="cancellation at position 6$"):
         x.prefix(8)
     assert x.prefix(6) == "ababab"
-    # a cancellation across the batch boundary
+    # a cancellation against the last cached letter
     y = BoundaryPoint.from_function(B2, lambda i: "abaA"[i])
     assert y.prefix(3) == "aba"
     with pytest.raises(BoundaryFormatError, match="cancellation at position 3$"):
@@ -87,6 +87,19 @@ def test_prefix_errors_name_the_earliest_faulty_position():
         BoundaryPoint.from_function(B2, lambda i: "abxzA"[i]).prefix(5)
     with pytest.raises(BoundaryFormatError, match="cancellation at position 3$"):
         BoundaryPoint.from_function(B2, lambda i: "abaAx"[i]).prefix(5)
+
+
+def test_prefix_stops_calling_the_generator_at_the_first_fault():
+    # a finite generator: a call past its end would raise IndexError
+    with pytest.raises(BoundaryFormatError, match="cancellation at position 2$"):
+        BoundaryPoint.from_function(B2, lambda i: "abB"[i]).prefix(10)
+    with pytest.raises(BoundaryFormatError, match="position 1 is not one letter"):
+        BoundaryPoint.from_function(B2, lambda i: "a?"[i] * (i + 1)).prefix(10)
+    calls = []
+    x = BoundaryPoint.from_function(B2, lambda i: calls.append(i) or "aA"[i % 2])
+    with pytest.raises(BoundaryFormatError, match="cancellation at position 1$"):
+        x.prefix(50)
+    assert calls == [0, 1]
 
 
 _OUTPUTS = st.sampled_from(["a", "b", "A", "B", "x", "ab", ""])
@@ -99,8 +112,8 @@ _OUTPUTS = st.sampled_from(["a", "b", "A", "B", "x", "ab", ""])
     st.lists(st.integers(0, 45), min_size=1, max_size=5),
 )
 def test_prefix_agrees_with_the_letter_by_letter_reference(letters, faults, requests):
-    """Batched fetching and checking gives every prefix, error type and
-    message that checking one letter at a time gives."""
+    """prefix gives every prefix, error type and message that the
+    letter-by-letter reference gives, over repeated and growing requests."""
 
     def fn(i):
         return faults.get(i, letters[i % len(letters)])
