@@ -605,6 +605,8 @@ def rose_blend_axiom_scan(
     class functions keep inversion and conjugation invariance, so the
     witnesses found are product violations.
     """
+    if maxlen < 1:
+        raise ValueError("maxlen must be >= 1")
     if basis is None:
         basis = Basis(2)
     identity = {s: s for s in basis.symbols}

@@ -38,11 +38,11 @@ class BoundaryPoint:
     Use :meth:`periodic` or :meth:`from_function` to construct.
     """
 
-    def __init__(self, basis: Basis, fn: Callable[[int], str], periodic: tuple[str, str] | None):
+    def __init__(self, basis: Basis, fn: Callable[[int], str] | None, periodic: tuple[str, str] | None):
         self.basis = basis
-        self._fn = fn
+        self._fn = fn  # None for a periodic point
         self._cache = ""
-        self._inverse = {c: invert_letter(c) for c in basis.letters}
+        self._inverse = None if fn is None else {c: invert_letter(c) for c in basis.letters}
         self.periodic_form = periodic  # (prefix, block) or None
 
     @classmethod
@@ -58,13 +58,7 @@ class BoundaryPoint:
             raise BoundaryFormatError(f"block {block!r} is not cyclically reduced")
         if prefix and block and prefix[-1] == invert_letter(block[0]):
             raise BoundaryFormatError("prefix cancels into the block")
-
-        def fn(i: int) -> str:
-            if i < len(prefix):
-                return prefix[i]
-            return block[(i - len(prefix)) % len(block)]
-
-        return cls(basis, fn, (prefix, block))
+        return cls(basis, None, (prefix, block))
 
     @classmethod
     def from_function(cls, basis: Basis, fn: Callable[[int], str]) -> "BoundaryPoint":
@@ -74,9 +68,14 @@ class BoundaryPoint:
     def prefix(self, k: int) -> str:
         """The first k letters (always reduced; re-entrant).
 
-        Each generator output must be one letter of the basis that does not
-        cancel the letter before it; the first faulty output raises, and the
-        generator is not called past it."""
+        A periodic point slices them from its form, which :meth:`periodic`
+        checked once.  For a programmatic point each generator output must
+        be one letter of the basis that does not cancel the letter before
+        it; the first faulty output raises, and the generator is not called
+        past it."""
+        if self.periodic_form is not None:
+            head, block = self.periodic_form
+            return (head + block * -(-max(0, k - len(head)) // len(block)))[:k]
         cache = self._cache
         if k <= len(cache):
             return cache[:k]

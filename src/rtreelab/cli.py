@@ -205,6 +205,9 @@ def run_observers_liminf(args, out) -> int:
     if args.depth < 1:
         raise ParameterError("depth must be >= 1")
     res = liminf_from(oracle, basepoint, seq, args.depth, head=args.head)
+    # the fold stops at head - 1; the terms before it are still checked, last first
+    for p in reversed(seq.take(res.head - 1)):
+        oracle.points_equal(p, p)
     out.append(f"terms used: {res.terms_used} (head {res.head})")
     out.append(f"liminf: {formats.format_oracle_point(res.point, oracle, tree)}")
     out.append(f"certificate: {format_number(res.certificate)}")
@@ -414,6 +417,8 @@ def run_blend_lengths(args, out) -> int:
         lf0 = length_function_from_line_action(a0)
         lf1 = length_function_from_line_action(a1)
         lfb = length_function_from_line_action(blend_action)
+        if args.maxlen < 1:
+            raise ParameterError("maxlen must be >= 1")
         words = cyclically_reduced_words(a0.basis, args.maxlen)
     elif args.table0 and args.table1 and args.tableb:
         t0 = formats.parse_length_table(_read(args.table0))

@@ -79,10 +79,14 @@ class PointSequence:
         if callable(source):
             self._fn = source
             self.length = length
+            self._items = None
         else:
             items = list(source)
+            if length is not None:
+                del items[max(length, 0):]
+            self._items = items
             self._fn = items.__getitem__
-            self.length = len(items) if length is None else min(length, len(items))
+            self.length = len(items)
 
     def point(self, i: int):
         if self.length is not None and i >= self.length:
@@ -90,6 +94,8 @@ class PointSequence:
         return self._fn(i)
 
     def take(self, n: int) -> list:
+        if self._items is not None:
+            return self._items[: max(n, 0)]
         stop = n if self.length is None else min(n, self.length)
         return [self._fn(i) for i in range(stop)]
 
@@ -129,12 +135,14 @@ def liminf_from(
 ) -> LiminfResult:
     """Inferior limit from a basepoint, truncated at ``depth`` sequence terms.
 
-    The endpoint R_m of the intersection of [Q, P_n] over n = m..depth-1 is
-    computed for every m by one backward center fold (the intersection of
-    [Q, R] and [Q, P] is [Q, center(R, P, Q)]).  The reported point is R_m
-    at m = ``head`` (default depth // 2: half the window is spent
-    discarding the prefix, half certifying the tail), with the movement
-    between the last two m values as certificate (inf at head 0).
+    R_m is the endpoint of the intersection of the segments [Q, P_n] over
+    n = m..depth-1.  The reported point is R_m at m = ``head`` (default
+    depth // 2: half the window is spent discarding the prefix, half
+    certifying the tail), with the movement from R_{head-1} as certificate
+    (inf at head 0).  Only those two endpoints are computed: the oracle's
+    ``common_segment_end`` gives R_head, and one center query gives
+    R_{head-1} = center(P_{head-1}, R_head, Q).  The terms before head-1
+    are not visited.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -144,15 +152,14 @@ def liminf_from(
     n = len(terms)
     if n == 0:
         raise EmptySequenceError("cannot take a limit of an empty sequence")
-    suffix = [None] * n
-    suffix[n - 1] = terms[n - 1]
-    for i in range(n - 2, -1, -1):
-        suffix[i] = oracle.center(terms[i], suffix[i + 1], basepoint)
     h = n // 2 if head is None else head
     h = max(0, min(h, n - 1))
+    point = oracle.common_segment_end(basepoint, terms[h:])
     # at head 0 nothing was compared: the estimate is uncertified
-    cert = oracle.distance(suffix[h - 1], suffix[h]) if h >= 1 else math.inf
-    return LiminfResult(suffix[h], cert, n, h)
+    if h == 0:
+        return LiminfResult(point, math.inf, n, h)
+    before = oracle.center(terms[h - 1], point, basepoint)
+    return LiminfResult(point, oracle.distance(before, point), n, h)
 
 
 @dataclass(frozen=True)

@@ -48,7 +48,20 @@ class TreeOracle(Protocol):
 
     def points_equal(self, p, q) -> bool: ...
 
+    def common_segment_end(self, basepoint, points): ...
+
     def sample_stream(self) -> Iterator: ...
+
+
+def _center_fold(oracle, basepoint, points):
+    """The endpoint R of the intersection [basepoint, R] of the segments
+    [basepoint, p] over a nonempty list of points, by one center per point
+    before the last, folded backward: with Q the basepoint, [Q, R] and
+    [Q, P] meet in [Q, center(P, R, Q)]."""
+    end = points[-1]
+    for p in points[-2::-1]:
+        end = oracle.center(p, end, basepoint)
+    return end
 
 
 class FiniteTreeOracle:
@@ -71,6 +84,8 @@ class FiniteTreeOracle:
 
     def points_equal(self, p, q) -> bool:
         return self.tree.same_point(p, q)
+
+    common_segment_end = _center_fold
 
     def sample_stream(self) -> Iterator:
         seen = set()
@@ -119,6 +134,23 @@ class LineOracle:
     def center(self, p, q, r):
         coords = sorted((self._coord(p), self._coord(q), self._coord(r)))
         return self._from_coord(coords[1])
+
+    def common_segment_end(self, basepoint, points):
+        """The center fold in closed form: with Q the basepoint, the
+        intersection of the segments [Q, p] ends at the largest point when
+        every point is <= Q, at the smallest when every point is > Q, and at
+        Q otherwise.  Ties go to the latest largest and the earliest smallest
+        point, the objects the fold's stable medians keep."""
+        if len(points) == 1:
+            return points[0]  # as the fold returns it, uncoordinatized
+        if Ray in set(map(type, points)):
+            points = list(map(self._coord, points))
+        q = self._coord(basepoint)
+        top = max(reversed(points))
+        if top <= q:
+            return self._from_coord(top)
+        low = min(points)
+        return self._from_coord(low if low > q else q)
 
     def midpoint(self, p, q):
         a, b = self._coord(p), self._coord(q)
@@ -214,6 +246,8 @@ class MultipodOracle:
 
     def points_equal(self, p, q) -> bool:
         return self._resolve(p) == self._resolve(q)
+
+    common_segment_end = _center_fold
 
     def sample_stream(self) -> Iterator:
         yield self.HUB

@@ -302,17 +302,14 @@ def small_words_search(action, epsilon, maxlen: int) -> list[ConjugacyClassRecor
     if maxlen < 1:
         raise ValueError("maxlen must be >= 1")
     records = []
-    seen: set[str] = set()
     for w in cyclically_reduced_words(action.basis, maxlen):
-        rep = canonical_rotation(w)
-        if rep != w or rep in seen:
+        # a class representative starts at its least letter; the words
+        # are distinct, so each class is met once as its representative
+        if w[0] != min(w) or canonical_rotation(w) != w:
             continue
-        seen.add(rep)
-        tl = action.translation_length(rep)
+        tl = action.translation_length(w)
         if tl < epsilon:
-            records.append(
-                ConjugacyClassRecord(rep, tl, abelianization(rep, action.basis))
-            )
+            records.append(ConjugacyClassRecord(w, tl, abelianization(w, action.basis)))
     records.sort(key=lambda r: (r.translation_length, len(r.word), r.word))
     return records
 

@@ -44,8 +44,9 @@ class Basis:
         if len(set(self.symbols)) != self.rank:
             raise ValueError("symbols must be distinct")
         for s in self.symbols:
-            if len(s) != 1 or not s.islower():
-                raise ValueError(f"symbols must be single lowercase letters, got {s!r}")
+            # the word functions invert letters by ASCII case
+            if len(s) != 1 or s not in _ALPHABET:
+                raise ValueError(f"symbols must be single lowercase letters a-z, got {s!r}")
 
     @cached_property
     def letters(self) -> tuple[str, ...]:
@@ -142,7 +143,9 @@ def reduced_words(basis: Basis, maxlen: int) -> list[str]:
 
 
 def cyclically_reduced_words(basis: Basis, maxlen: int) -> list[str]:
-    return [w for w in reduced_words(basis, maxlen) if is_cyclically_reduced(w)]
+    # the words are reduced, so only the two end letters can cancel
+    inv = _INV
+    return [w for w in reduced_words(basis, maxlen) if w[0] != inv[w[-1]]]
 
 
 def commutator(u: str, v: str) -> str:

@@ -8,16 +8,19 @@ from itertools import combinations, product
 from rtreelab.blend import AxiomVerdict, AxiomWitness, CompatibleMetricPair, IncompatiblePairError
 from rtreelab.boundary import BoundaryFormatError
 from rtreelab.hyperbolicity import MetricTable
+from rtreelab.observers import LiminfResult
 from rtreelab.oracles import LINE_MINUS, LINE_PLUS, Ray
-from rtreelab.qmap import EmptyWordError, QEstimate
+from rtreelab.qmap import ConjugacyClassRecord, EmptyWordError, QEstimate
 from rtreelab.tree import Location, MetricTree, SegmentPiece, canonical_edge
 from rtreelab.words import (
     Basis,
     abelianization,
     cyclic_reduce,
     invert_word,
+    is_cyclically_reduced,
     reduce_word,
     reduced_product,
+    reduced_words,
 )
 
 
@@ -154,6 +157,38 @@ def reference_fold(points: list, basepoint, head=None):
         ends[i] = sorted((points[i], ends[i + 1], basepoint))[1]
     h = max(0, min(n // 2 if head is None else head, n - 1))
     return ends[h], (abs(ends[h - 1] - ends[h]) if h >= 1 else math.inf)
+
+
+def reference_liminf(oracle, basepoint, points: list, head=None) -> LiminfResult:
+    """Slow reference for liminf_from over every term of ``points``: the
+    full backward center fold R_m = center(P_m, R_{m+1}, Q) for every m,
+    then R_head and the distance from R_{head-1} (inf at head 0)."""
+    n = len(points)
+    ends = list(points)
+    for i in range(n - 2, -1, -1):
+        ends[i] = oracle.center(points[i], ends[i + 1], basepoint)
+    h = max(0, min(n // 2 if head is None else head, n - 1))
+    cert = oracle.distance(ends[h - 1], ends[h]) if h >= 1 else math.inf
+    return LiminfResult(ends[h], cert, n, h)
+
+
+def reference_small_words(action, epsilon, maxlen: int) -> list:
+    """Slow reference for small_words_search: every cyclically reduced word
+    (rescanned by is_cyclically_reduced), its least rotation as class tag,
+    one record per tag met as itself, sorted by (length value, length, lex)."""
+    records, seen = [], set()
+    for w in reduced_words(action.basis, maxlen):
+        if not is_cyclically_reduced(w):
+            continue
+        rep = min(w[i:] + w[:i] for i in range(len(w)))
+        if rep != w or rep in seen:
+            continue
+        seen.add(rep)
+        tl = action.translation_length(rep)
+        if tl < epsilon:
+            records.append(ConjugacyClassRecord(rep, tl, abelianization(rep, action.basis)))
+    records.sort(key=lambda r: (r.translation_length, len(r.word), r.word))
+    return records
 
 
 def reference_qmap_estimate(action, x, basepoint=None, depth: int = 10_000) -> QEstimate:

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rtreelab.boundary import (
     BoundaryFormatError,
@@ -17,7 +17,14 @@ from rtreelab.boundary import (
     parse_boundary_point,
     saturate,
 )
-from rtreelab.words import Basis, UnknownSymbolError, invert_word, reduce_word
+from rtreelab.words import (
+    Basis,
+    UnknownSymbolError,
+    cyclically_reduced_words,
+    invert_word,
+    reduce_word,
+    reduced_words,
+)
 
 from helpers import reference_prefix
 
@@ -129,6 +136,28 @@ def test_prefix_agrees_with_the_letter_by_letter_reference(letters, faults, requ
         except ValueError as exc:
             got = (type(exc), str(exc))
         assert got == expected
+
+
+_PERIODIC_FORMS = st.tuples(
+    st.sampled_from([""] + reduced_words(B2, 4)), st.sampled_from(cyclically_reduced_words(B2, 4))
+).filter(lambda form: not form[0] or form[0][-1] != invert_word(form[1][0]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_PERIODIC_FORMS, st.lists(st.integers(0, 30), min_size=1, max_size=6))
+@example(("ab", "ba"), [0, 1, 2, 3, 9, 4, 0, 12, 13])
+@example(("", "aBAb"), [5, 4, 8, 1])
+def test_periodic_prefix_agrees_with_the_letter_by_letter_reference(form, requests):
+    """A periodic point's prefixes, sliced from its form, are the letters a
+    checked generator of the same word gives: at k = 0, inside and past
+    the prefix part, over growing and shrinking requests."""
+    head, block = form
+    x = periodic(head, block)
+    letters = head + block * 31
+    y, cache = BoundaryPoint.from_function(B2, letters.__getitem__), [""]
+    for k in [0, len(head) // 2, len(head), len(head) + 1] + requests:
+        expected = reference_prefix(B2, letters.__getitem__, cache, k)
+        assert x.prefix(k) == y.prefix(k) == expected
 
 
 def test_parse_and_format_round_trip():

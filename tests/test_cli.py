@@ -509,6 +509,35 @@ def test_observers_liminf_inconclusive_exit(tmp_path, capsys):
     assert "inconclusive" in out
 
 
+def test_observers_liminf_still_rejects_a_bad_term_before_the_head(tmp_path, capsys):
+    # the fold never reaches the first term; the command still checks it
+    tree, seq = tmp_path / "path.tree", tmp_path / "seq.txt"
+    tree.write_text(PATH_TREE)
+    seq.write_text("Z\nA\nB\nC\nC\nC\n")
+    code, out, err = run_cli(
+        capsys, "observers", "liminf", "--tree", str(tree), "--seq", str(seq),
+        "--basepoint", "A", "--depth", "6",
+    )
+    assert code == 65
+    assert "RESULT" not in out and err == "parameter error: 'Z'\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["blend", "axioms", "--marking", "a:a,b:ba", "--lambda-grid", "0:1:1/2", "--maxlen", "0"],
+        ["blend", "lengths", "--weights0", "1,3", "--weights1", "1,2", "--lambda", "1/2", "--maxlen", "0"],
+        ["blend", "lengths", "--weights0", "1,3", "--weights1", "1,2", "--lambda", "1/2", "--maxlen", "-2"],
+    ],
+)
+def test_blend_checks_reject_an_empty_word_range(argv, capsys):
+    # with no word to check, a pass would be vacuous
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 65
+    assert "RESULT" not in out and "no violation" not in out
+    assert err == "parameter error: maxlen must be >= 1\n"
+
+
 # -- pinned certify reports ------------------------------------------------------------
 
 POINTED_TREE = "edge A B 1\nedge B C 2\nedge B D 3/2\npoint M B C 1/2\n"

@@ -1,8 +1,10 @@
+import math
 import random
 from fractions import Fraction as Fr
 from itertools import islice
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from rtreelab.observers import (
     ConvergenceVerdict,
@@ -21,10 +23,11 @@ from rtreelab.observers import (
     subbasis_from_sample,
     verify_shape_map,
 )
-from rtreelab.oracles import FiniteTreeOracle, LineOracle, MultipodOracle, LINE_PLUS
+from rtreelab.formats import format_number, format_point
+from rtreelab.oracles import FiniteTreeOracle, LineOracle, MultipodOracle, LINE_MINUS, LINE_PLUS
 from rtreelab.tree import Location, MetricTree, path_tree, star_tree
 
-from helpers import random_tree, wandering_then_constant
+from helpers import random_tree, reference_liminf, wandering_then_constant
 
 
 @pytest.fixture
@@ -214,6 +217,77 @@ def test_liminf_in_direction_with_outside_basepoint_forces_tail_inside():
                 )
                 assert last_out < depth - 1
                 checked += 1
+
+
+# The fold stops at head - 1 and the line folds in closed form; the full
+# center fold in tests/helpers is the reference.  Small value pools make
+# ties: equal values of different types, terms equal to the basepoint,
+# repeated extremes, and the two line ends as rays and as float infinities.
+_LINE_TERMS = st.one_of(
+    st.integers(-3, 3),
+    st.builds(Fr, st.integers(-6, 6), st.sampled_from([1, 2])),
+    st.integers(-6, 6).map(lambda v: v / 2),
+    st.sampled_from([LINE_PLUS, LINE_MINUS, math.inf, -math.inf]),
+)
+_LINE_BASEPOINTS = st.one_of(
+    st.integers(-3, 3),
+    st.builds(Fr, st.integers(-6, 6), st.sampled_from([1, 2])),
+    st.integers(-6, 6).map(lambda v: v / 2),
+)
+
+
+@st.composite
+def liminf_cases(draw):
+    """(oracle, formatter, basepoint, terms, depth, head) on the line, a
+    finite tree with points inside edges, or a finite or infinite multipod."""
+    kind = draw(st.sampled_from(["line", "tree", "multipod"]))
+    if kind == "line":
+        oracle, fmt = LineOracle(), format_number
+        points, basepoint = _LINE_TERMS, draw(_LINE_BASEPOINTS)
+    elif kind == "tree":
+        tree = random_tree(random.Random(draw(st.integers(0, 2**32 - 1))), 9, edge_points=2)
+        oracle = FiniteTreeOracle(tree)
+        pool = list(tree.point_names) + list(islice(oracle.sample_stream(), 20))
+        points = st.sampled_from(pool)
+        basepoint = draw(points)
+
+        def fmt(p):
+            return format_point(tree, p)
+
+    else:
+        arms = draw(st.sampled_from([None, 1, 3]))
+        length = draw(st.sampled_from([1, Fr(3, 2)]))
+        oracle = MultipodOracle(arms, length)
+        points = st.one_of(
+            st.just("hub"),
+            st.tuples(st.integers(0, (arms or 5) - 1), st.integers(0, 4).map(lambda j: length * Fr(j, 4))),
+        )
+        basepoint = draw(points)
+        fmt = repr
+    terms = draw(st.lists(points, min_size=1, max_size=14))
+    depth = draw(st.integers(1, len(terms) + 2))
+    head = draw(st.one_of(st.none(), st.integers(0, len(terms) - 1)))
+    return oracle, fmt, basepoint, terms, depth, head
+
+
+@settings(max_examples=400, deadline=None)
+@given(liminf_cases())
+@example((LineOracle(), format_number, Fr(0), [0.0, 1, Fr(0), 0, 2, 0.0], 6, None))
+@example((LineOracle(), format_number, Fr(1, 2), [0.5, -1, 0.5, Fr(1, 2), -1.0, -1], 6, 2))
+@example((LineOracle(), format_number, 0, [LINE_MINUS, 3, 2.0, Fr(2), 2, LINE_PLUS], 6, 1))
+@example((LineOracle(), format_number, 1, [-math.inf, LINE_MINUS, 0, -1.0], 4, 0))
+def test_liminf_agrees_with_the_full_fold(case):
+    oracle, fmt, basepoint, terms, depth, head = case
+    got = liminf_from(oracle, basepoint, PointSequence(terms), depth, head=head)
+    ref = reference_liminf(oracle, basepoint, terms[:depth], head)
+    assert (got.terms_used, got.head) == (ref.terms_used, ref.head)
+    for value, expected in ((got.point, ref.point), (got.certificate, ref.certificate)):
+        assert value == expected and type(value) is type(expected)
+    assert fmt(got.point) == fmt(ref.point)
+    assert format_number(got.certificate) == format_number(ref.certificate)
+    if isinstance(oracle, LineOracle):
+        # the closed form hands back the very object the fold keeps
+        assert got.point is ref.point
 
 
 # -- converges_obs -----------------------------------------------------------

@@ -11,6 +11,7 @@ from helpers import (
     reference_mu,
     reference_orbit,
     reference_qmap_estimate,
+    reference_small_words,
     reference_translation_length,
 )
 from rtreelab.blend import length_function_from_line_action
@@ -428,6 +429,19 @@ def test_act_then_estimate_consistency(irr_action):
     # prepending b^2 shifts every orbit point by 2*sqrt2 after the prefix
     assert est.method == "liminf"
     assert abs(est.point - 2 * SQRT2) < 1e-9
+
+
+@pytest.mark.parametrize("weights", ["1,2", "1,sqrt:2", "2,3,5", "1,sqrt:3,1/2"])
+def test_small_words_search_agrees_with_the_slow_reference(weights):
+    action = line_action_from_weights(weights.split(","))
+    for maxlen in range(1, 7):
+        for epsilon in (1.5, math.inf):
+            got = small_words_search(action, epsilon, maxlen)
+            expected = reference_small_words(action, epsilon, maxlen)
+            assert got == expected
+            assert [type(r.translation_length) for r in got] == [
+                type(r.translation_length) for r in expected
+            ]
 
 
 # -- the integer line action against the slow reference ---------------------------

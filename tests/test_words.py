@@ -106,6 +106,23 @@ def test_cyclically_reduced_enumeration_matches_filter():
     assert "abA" not in words
 
 
+@pytest.mark.parametrize("rank", [2, 3])
+def test_cyclically_reduced_enumeration_is_the_rescanned_filter(rank):
+    basis = Basis(rank)
+    for maxlen in range(1, 7):
+        expected = [w for w in reduced_words(basis, maxlen) if is_cyclically_reduced(w)]
+        assert cyclically_reduced_words(basis, maxlen) == expected
+
+
+def test_basis_takes_ascii_lowercase_letters_only():
+    # the word functions invert by ASCII case: 'é' would pass as reduced
+    # against 'É', and 'ß'.upper() is the two letters 'SS'
+    for symbols in (("é", "ü"), ("ß", "a"), ("a", "ü")):
+        with pytest.raises(ValueError, match="a-z"):
+            Basis(2, symbols)
+    assert Basis(2, ("x", "y")).letters == ("x", "y", "X", "Y")
+
+
 def test_basis_requires_rank_at_least_two():
     with pytest.raises(ValueError):
         Basis(1)
