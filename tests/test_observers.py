@@ -223,17 +223,12 @@ def test_liminf_in_direction_with_outside_basepoint_forces_tail_inside():
 # center fold in tests/helpers is the reference.  Small value pools make
 # ties: equal values of different types, terms equal to the basepoint,
 # repeated extremes, and the two line ends as rays and as float infinities.
-_LINE_TERMS = st.one_of(
-    st.integers(-3, 3),
-    st.builds(Fr, st.integers(-6, 6), st.sampled_from([1, 2])),
-    st.integers(-6, 6).map(lambda v: v / 2),
-    st.sampled_from([LINE_PLUS, LINE_MINUS, math.inf, -math.inf]),
-)
 _LINE_BASEPOINTS = st.one_of(
     st.integers(-3, 3),
     st.builds(Fr, st.integers(-6, 6), st.sampled_from([1, 2])),
     st.integers(-6, 6).map(lambda v: v / 2),
 )
+_LINE_TERMS = st.one_of(_LINE_BASEPOINTS, st.sampled_from([LINE_PLUS, LINE_MINUS, math.inf, -math.inf]))
 
 
 @st.composite
