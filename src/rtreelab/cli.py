@@ -191,11 +191,17 @@ def _sequence_from_args(args, oracle, tree):
     return PointSequence(pts)
 
 
-def _probes_from_args(args, oracle, tree):
-    if args.probes.startswith("auto:"):
-        k = int(args.probes[5:])
-        return subbasis_from_sample(oracle, oracle.sample_stream(), k)
-    return formats.parse_directions(_read(args.probes), oracle, tree)
+def _directions_from_arg(text, oracle, tree):
+    """A directions file, or ``auto:<k>``: the subbasis from k sample points."""
+    if not text.startswith("auto:"):
+        return formats.parse_directions(_read(text), oracle, tree)
+    try:
+        k = int(text[5:])
+    except ValueError:
+        k = 0
+    if k < 2:
+        raise ParameterError("auto:<k> needs an integer k >= 2")
+    return subbasis_from_sample(oracle, oracle.sample_stream(), k)
 
 
 def run_observers_liminf(args, out) -> int:
@@ -222,7 +228,7 @@ def run_observers_converge(args, out) -> int:
     oracle, tree = _oracle_from_args(args)
     seq = _sequence_from_args(args, oracle, tree)
     limit = formats.parse_oracle_point(args.limit, oracle, tree)
-    probes = _probes_from_args(args, oracle, tree)
+    probes = _directions_from_arg(args.probes, oracle, tree)
     verdict = converges_obs(oracle, seq, limit, probes, args.depth)
     relevant = [r for r in verdict.reports if r.contains_limit]
     out.append(f"probes: {len(probes)} total, {len(relevant)} containing the limit")
@@ -230,6 +236,9 @@ def run_observers_converge(args, out) -> int:
         base = formats.format_oracle_point(report.direction.base, oracle, tree)
         rep = formats.format_oracle_point(report.direction.representative, oracle, tree)
         out.append(f"probe dir[{base} -> {rep}]: last outside index {report.last_outside}")
+    if not relevant:
+        out.append("RESULT: inconclusive (no probe direction contains the limit)")
+        return INCONCLUSIVE
     if verdict.consistent:
         out.append(f"RESULT: pass (consistent with convergence at depth {verdict.depth})")
         return PASS
@@ -249,11 +258,7 @@ def run_observers_converge(args, out) -> int:
 def run_observers_extract(args, out) -> int:
     oracle, tree = _oracle_from_args(args)
     seq = _sequence_from_args(args, oracle, tree)
-    dirs = (
-        formats.parse_directions(_read(args.dirs), oracle, tree)
-        if not args.dirs.startswith("auto:")
-        else subbasis_from_sample(oracle, oracle.sample_stream(), int(args.dirs[5:]))
-    )
+    dirs = _directions_from_arg(args.dirs, oracle, tree)
     basepoint = (
         formats.parse_oracle_point(args.basepoint, oracle, tree) if args.basepoint else None
     )

@@ -178,11 +178,10 @@ def parse_directions(text: str, oracle: TreeOracle, tree: MetricTree | None = No
         if "|" not in joined:
             raise FormatError(f"line {lineno}: expected '<base> | <representative>'")
         left, right = (part.strip() for part in joined.split("|", 1))
-        dirs.append(
-            Direction(
-                parse_oracle_point(left, oracle, tree), parse_oracle_point(right, oracle, tree)
-            )
-        )
+        base, rep = parse_oracle_point(left, oracle, tree), parse_oracle_point(right, oracle, tree)
+        if oracle.points_equal(base, rep):
+            raise FormatError(f"line {lineno}: a direction needs a representative distinct from its base")
+        dirs.append(Direction(base, rep))
     if not dirs:
         raise FormatError("no directions given")
     return dirs

@@ -3,9 +3,9 @@
 The topology in play is generated by *directions*: for a point ``P`` and a
 second point ``Q``, the direction of ``Q`` at ``P`` is the connected
 component of the tree-minus-``P`` containing ``Q``.  Membership reduces to
-a center query (R lies in the direction of Q at P iff the center of
-(P, Q, R) is not P), so everything here runs over any
-:class:`~rtreelab.oracles.TreeOracle`, finite or lazy-infinite.
+the oracle's ``germ`` query (R lies in the direction of Q at P iff the
+germs of R and Q at P are equal and not None), so everything here runs
+over any :class:`~rtreelab.oracles.TreeOracle`, finite or lazy-infinite.
 
 Convergence statements about infinite sequences are finitely probed:
 verdicts are explicitly relative to a probe family and a truncation depth,
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, product
 from typing import Callable, Iterable, Sequence, Union
 
 from .oracles import TreeOracle
@@ -52,19 +52,40 @@ def direction_of(oracle: TreeOracle, p, q) -> Direction:
 
 
 def in_direction(oracle: TreeOracle, d: Direction, r) -> bool:
-    """Whether r lies in d: the center of (base, representative, r) is not
-    the base exactly when base does not separate r from the representative."""
-    if oracle.points_equal(r, d.base):
+    """Whether r lies in d: r and the representative have one germ at the base."""
+    g = oracle.germ(d.base, r)
+    if g is None:
         raise ValueError("the base of a direction is not a member of it")
-    z = oracle.center(d.base, d.representative, r)
-    return not oracle.points_equal(z, d.base)
+    return g == oracle.germ(d.base, d.representative)
 
 
 def _contains(oracle: TreeOracle, d: Direction, r) -> bool:
     # membership with the base itself counted as outside
-    if oracle.points_equal(r, d.base):
-        return False
-    return in_direction(oracle, d, r)
+    g = oracle.germ(d.base, r)
+    return g is not None and g == oracle.germ(d.base, d.representative)
+
+
+def _slots(points) -> tuple[list, list[int]]:
+    """The distinct points in order of first appearance, and the index of
+    each point among them."""
+    index: dict = {}
+    slots = [index.setdefault(p, len(index)) for p in points]
+    return list(index), slots
+
+
+def _member_flags(oracle: TreeOracle, base, rep_germ, distinct: list, slots) -> list[bool]:
+    """Whether the point in each slot has the germ ``rep_germ`` at ``base``
+    (the base itself counted as outside), with one germ query per distinct
+    point that a slot names."""
+    hits: list = [None] * len(distinct)
+    out = []
+    for s in slots:
+        hit = hits[s]
+        if hit is None:
+            g = oracle.germ(base, distinct[s])
+            hit = hits[s] = g is not None and g == rep_germ
+        out.append(hit)
+    return out
 
 
 def same_direction(oracle: TreeOracle, d1: Direction, d2: Direction) -> bool:
@@ -195,16 +216,17 @@ def converges_obs(
     terms = seq.take(depth)
     if not terms:
         raise EmptySequenceError("empty sequence")
+    distinct, slots = _slots(terms)
     reports = []
     refuting = None
     for d in probes:
-        if not _contains(oracle, d, limit):
+        g = oracle.germ(d.base, limit)
+        rep = oracle.germ(d.base, d.representative)
+        if g is None or g != rep:
             reports.append(ProbeReport(d, False, -1))
             continue
-        last_out = -1
-        for i, t in enumerate(terms):
-            if not _contains(oracle, d, t):
-                last_out = i
+        flags = _member_flags(oracle, d.base, rep, distinct, slots)
+        last_out = max((i for i, hit in enumerate(flags) if not hit), default=-1)
         report = ProbeReport(d, True, last_out)
         reports.append(report)
         if last_out == len(terms) - 1 and refuting is None:
@@ -235,13 +257,14 @@ def subbasis_from_sample(oracle: TreeOracle, sample, k: int) -> list[Direction]:
         if not any(oracle.points_equal(m, m2) for m2 in mids):
             mids.append(m)
     out: list[Direction] = []
+    # the midpoints are distinct, so directions can only repeat at one midpoint
     for m in mids:
+        seen = {None}
         for q in pts:
-            if oracle.points_equal(q, m):
-                continue
-            d = Direction(m, q)
-            if not any(same_direction(oracle, d, d2) for d2 in out):
-                out.append(d)
+            g = oracle.germ(m, q)
+            if g not in seen:
+                seen.add(g)
+                out.append(Direction(m, q))
     return out
 
 
@@ -265,12 +288,14 @@ def extract_convergent_subsequence(
     terms = seq.take(depth)
     if not terms:
         raise EmptySequenceError("empty sequence")
+    distinct, slots = _slots(terms)
     indices = list(range(len(terms)))
     exhausted_at = None
     for j, d in enumerate(dirs):
-        inside = [i for i in indices if _contains(oracle, d, terms[i])]
-        inside_set = set(inside)
-        outside = [i for i in indices if i not in inside_set]
+        rep = oracle.germ(d.base, d.representative)
+        flags = _member_flags(oracle, d.base, rep, distinct, [slots[i] for i in indices])
+        inside = [i for i, hit in zip(indices, flags) if hit]
+        outside = [i for i, hit in zip(indices, flags) if not hit]
         if len(inside) > len(outside):
             chosen = inside
         elif len(outside) > len(inside):
@@ -322,14 +347,30 @@ def verify_shape_map(tree_a: MetricTree, tree_b: MetricTree, bijection: dict) ->
         else:
             if nb is not None and nb in inverse_range:
                 return ShapeMapVerdict(False, ("center", p, q, r))
-    for r in sorted(names_a):
-        for p in sorted(names_a):
-            for q in sorted(names_a):
-                mem_a = tree_a.point_on_segment(r, p, q)
-                mem_b = tree_b.point_on_segment(bijection[r], bijection[p], bijection[q])
-                if mem_a != mem_b:
-                    return ShapeMapVerdict(False, ("segment", r, p, q))
+    # r lies on [p, q] unless p and q share one germ at r: equal class rows
+    # mean every triple at r agrees, and only a differing row is scanned
+    names = sorted(names_a)
+    images = [bijection[p] for p in names]
+    for r in names:
+        ca = _germ_classes(tree_a, r, names)
+        cb = _germ_classes(tree_b, bijection[r], images)
+        if ca == cb:
+            continue
+        for i, j in product(range(len(names)), repeat=2):
+            if (ca[i] < 0 or ca[i] != ca[j]) != (cb[i] < 0 or cb[i] != cb[j]):
+                return ShapeMapVerdict(False, ("segment", r, names[i], names[j]))
     return ShapeMapVerdict(True)
+
+
+def _germ_classes(tree: MetricTree, r, points) -> list[int]:
+    """Per point, -1 where it is r, else the index of the first point in
+    the same direction at r."""
+    first: dict = {}
+    out = []
+    for i, p in enumerate(points):
+        g = tree.germ(r, p)
+        out.append(-1 if g is None else first.setdefault(g, i))
+    return out
 
 
 def is_convex_point_set(tree: MetricTree, names: Iterable[str]) -> bool:
@@ -337,11 +378,13 @@ def is_convex_point_set(tree: MetricTree, names: Iterable[str]) -> bool:
     segment between two of its members (connectedness at named resolution,
     which for finite trees is the observers' notion as well)."""
     chosen = list(names)
+    if len(chosen) < 2:
+        return True
     chosen_set = set(chosen)
-    for a, b in combinations(chosen, 2):
-        for r in tree.point_names:
-            if r in chosen_set:
-                continue
-            if tree.point_on_segment(r, a, b):
+    # r lies on a segment between members unless all of them share one germ at r
+    for r in tree.point_names:
+        if r not in chosen_set:
+            germs = {tree.germ(r, a) for a in chosen}
+            if None in germs or len(germs) > 1:
                 return False
     return True

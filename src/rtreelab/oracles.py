@@ -48,6 +48,8 @@ class TreeOracle(Protocol):
 
     def points_equal(self, p, q) -> bool: ...
 
+    def germ(self, p, r): ...
+
     def common_segment_end(self, basepoint, points): ...
 
     def sample_stream(self) -> Iterator: ...
@@ -84,6 +86,9 @@ class FiniteTreeOracle:
 
     def points_equal(self, p, q) -> bool:
         return self.tree.same_point(p, q)
+
+    def germ(self, p, r):
+        return self.tree.germ(p, r)
 
     common_segment_end = _center_fold
 
@@ -163,6 +168,11 @@ class LineOracle:
 
     def points_equal(self, p, q) -> bool:
         return self._coord(p) == self._coord(q)
+
+    def germ(self, p, r):
+        """The side of p that r lies on: True above, False below, None at p."""
+        a, b = self._coord(p), self._coord(r)
+        return None if a == b else b > a
 
     def sample_stream(self) -> Iterator:
         # Farey-style enumeration of the rationals: dense, deterministic
@@ -246,6 +256,16 @@ class MultipodOracle:
 
     def points_equal(self, p, q) -> bool:
         return self._resolve(p) == self._resolve(q)
+
+    def germ(self, p, r):
+        """The direction at p containing r: the arm index at the hub, "out"
+        or "in" along p's arm, and None when r is p."""
+        a, b = self._resolve(p), self._resolve(r)
+        if a == b:
+            return None
+        if a is None:
+            return b[0]
+        return "out" if b is not None and b[0] == a[0] and b[1] > a[1] else "in"
 
     common_segment_end = _center_fold
 

@@ -361,8 +361,34 @@ class MetricTree:
             self.gromov_product(p, r, w), self.gromov_product(q, r, w)
         )
 
+    def germ(self, p: Point, r: Point) -> str | None:
+        """The direction at p containing r, as a label, or None when r is p.
+
+        Two points lie in one component of the tree minus p exactly when
+        their germs at p are equal and not None.  The label is the first
+        vertex other than p on the way from p to r (for p inside an edge,
+        the end of that edge toward r).  Only addresses and meets are
+        compared, so float trees round nothing.
+        """
+        a, b = self._address(p), self._address(r)
+        u, ra = a
+        if self._meet(a, b) < ra:
+            return self._parent[u]
+        v, rb = b
+        if rb == ra:
+            return None
+        if ra < self._root[u]:
+            return u
+        # r lies below the vertex u: the child of u on r's root path
+        depth, parent = self._depth, self._parent
+        below = depth[u] + 1
+        while depth[v] > below:
+            v = parent[v]
+        return v
+
     def point_on_segment(self, r: Point, p: Point, q: Point) -> bool:
-        return self.same_point(self.center(p, q, r), r)
+        gp, gq = self.germ(r, p), self.germ(r, q)
+        return gp is None or gq is None or gp != gq
 
     # -- extremal structure ------------------------------------------------------
 

@@ -8,7 +8,7 @@ from itertools import combinations, product
 from rtreelab.blend import AxiomVerdict, AxiomWitness, CompatibleMetricPair, IncompatiblePairError
 from rtreelab.boundary import BoundaryFormatError
 from rtreelab.hyperbolicity import MetricTable
-from rtreelab.observers import LiminfResult
+from rtreelab.observers import Direction, LiminfResult, ShapeMapVerdict
 from rtreelab.oracles import LINE_MINUS, LINE_PLUS, Ray
 from rtreelab.qmap import ConjugacyClassRecord, EmptyWordError, QEstimate
 from rtreelab.tree import Location, MetricTree, SegmentPiece, canonical_edge
@@ -170,6 +170,102 @@ def reference_liminf(oracle, basepoint, points: list, head=None) -> LiminfResult
     h = max(0, min(n // 2 if head is None else head, n - 1))
     cert = oracle.distance(ends[h - 1], ends[h]) if h >= 1 else math.inf
     return LiminfResult(ends[h], cert, n, h)
+
+
+def reference_in_direction(oracle, d, r) -> bool:
+    """Slow reference for in_direction through a center query: r lies in d
+    iff the center of (base, representative, r) is not the base; raises at
+    the base."""
+    if oracle.points_equal(r, d.base):
+        raise ValueError("the base of a direction is not a member of it")
+    z = oracle.center(d.base, d.representative, r)
+    return not oracle.points_equal(z, d.base)
+
+
+def reference_point_on_segment(tree: MetricTree, r, p, q) -> bool:
+    """Slow reference for point_on_segment: r is the center of (p, q, r)."""
+    return tree.same_point(tree.center(p, q, r), r)
+
+
+def reference_subbasis(oracle, sample, k: int) -> list:
+    """Slow reference for subbasis_from_sample: every direction is compared
+    with every kept one (same base, representative in it), O(D^2)."""
+    pts, budget = [], max(1000, 50 * k)
+    for p in sample:
+        budget -= 1
+        if not oracle.is_boundary(p) and not any(oracle.points_equal(p, q) for q in pts):
+            pts.append(p)
+        if len(pts) == k or budget == 0:
+            break
+    mids = []
+    for a, b in combinations(pts, 2):
+        m = oracle.midpoint(a, b)
+        if not any(oracle.points_equal(m, m2) for m2 in mids):
+            mids.append(m)
+    out = []
+    for m in mids:
+        for q in pts:
+            if oracle.points_equal(q, m):
+                continue
+            if not any(
+                oracle.points_equal(m, d.base) and not oracle.points_equal(d.representative, m)
+                and reference_in_direction(oracle, Direction(m, q), d.representative)
+                for d in out
+            ):
+                out.append(Direction(m, q))
+    return out
+
+
+def reference_extract_window(oracle, terms: list, dirs) -> tuple[list, int | None]:
+    """Slow reference for the greedy window of extract_convergent_subsequence:
+    every term of the window tested against every direction by center
+    queries.  Returns the final indices and the exhausting direction."""
+
+    def inside(d, r):
+        return not oracle.points_equal(r, d.base) and reference_in_direction(oracle, d, r)
+
+    indices = list(range(len(terms)))
+    for j, d in enumerate(dirs):
+        ins = [i for i in indices if inside(d, terms[i])]
+        outs = [i for i in indices if i not in ins]
+        if len(ins) != len(outs):
+            chosen = max(ins, outs, key=len)
+        else:
+            chosen = ins if (ins and indices[-1] == ins[-1]) else outs
+        if len(chosen) < 2:
+            return indices, j
+        indices = chosen
+    return indices, None
+
+
+def reference_shape_map(tree_a: MetricTree, tree_b: MetricTree, bijection: dict) -> ShapeMapVerdict:
+    """Slow reference for verify_shape_map on a valid bijection: the center
+    pass, then all ordered triples with center-based segment membership,
+    the first violation in sorted order."""
+    names = sorted(tree_a.point_names)
+    images = set(bijection.values())
+    for p, q, r in combinations(names, 3):
+        na = tree_a.name_of(tree_a.center(p, q, r))
+        nb = tree_b.name_of(tree_b.center(bijection[p], bijection[q], bijection[r]))
+        if (nb is None or nb != bijection[na]) if na is not None else (nb is not None and nb in images):
+            return ShapeMapVerdict(False, ("center", p, q, r))
+    for r, p, q in product(names, repeat=3):
+        mem_a = reference_point_on_segment(tree_a, r, p, q)
+        mem_b = reference_point_on_segment(tree_b, bijection[r], bijection[p], bijection[q])
+        if mem_a != mem_b:
+            return ShapeMapVerdict(False, ("segment", r, p, q))
+    return ShapeMapVerdict(True)
+
+
+def reference_convex(tree: MetricTree, names) -> bool:
+    """Slow reference for is_convex_point_set: every pair, every outside name."""
+    chosen = list(names)
+    return not any(
+        reference_point_on_segment(tree, r, a, b)
+        for a, b in combinations(chosen, 2)
+        for r in tree.point_names
+        if r not in chosen
+    )
 
 
 def reference_small_words(action, epsilon, maxlen: int) -> list:

@@ -691,3 +691,63 @@ def test_one_parser_serves_every_call_in_a_process(tmp_path, capsys):
         assert run_cli(capsys, *argv) == (fresh.returncode, fresh.stdout, fresh.stderr)
         codes.append(fresh.returncode)
     assert codes == [65, 64, 0, 0]
+
+
+FORK_TREE = "edge a b 1\nedge b c 1\nedge b d 1\npoint m a b 1\n"
+
+
+@pytest.mark.parametrize("command", ["converge", "extract"])
+@pytest.mark.parametrize(
+    "rows, lineno",
+    [("b | b\n", 1), ("b | a\nc | c\n", 2), ("b | a\n# comment\nm | b\n", 3)],
+)
+def test_observers_reject_a_direction_whose_representative_is_its_base(
+    tmp_path, capsys, command, rows, lineno
+):
+    # such a direction contains nothing, so a probe or a step made of it is void;
+    # m is a second name of the vertex b
+    tree, seq, dirs = tmp_path / "fork.tree", tmp_path / "seq.txt", tmp_path / "dirs.txt"
+    tree.write_text(FORK_TREE)
+    seq.write_text("a\na\na\na\n")
+    dirs.write_text(rows)
+    flag = "--probes" if command == "converge" else "--dirs"
+    extra = ["--limit=c"] if command == "converge" else []
+    code, out, err = run_cli(
+        capsys, "observers", command, "--tree", str(tree), "--seq", str(seq), *extra,
+        flag, str(dirs), "--depth", "4",
+    )
+    assert code == 64
+    assert "RESULT" not in out
+    assert err == f"parse error: line {lineno}: a direction needs a representative distinct from its base\n"
+
+
+def test_observers_converge_without_a_probe_holding_the_limit_is_inconclusive(tmp_path, capsys):
+    # the probe b | a misses c: nothing was tested, so there is no pass
+    tree, seq, probes = tmp_path / "fork.tree", tmp_path / "seq.txt", tmp_path / "probes.txt"
+    tree.write_text(FORK_TREE)
+    seq.write_text("a\na\na\na\n")
+    probes.write_text("b | a\n")
+    code, out, _ = run_cli(
+        capsys, "observers", "converge", "--tree", str(tree), "--seq", str(seq), "--limit=c",
+        "--probes", str(probes), "--depth", "4",
+    )
+    assert code == 2
+    assert out.splitlines()[-2:] == [
+        "probes: 1 total, 0 containing the limit",
+        "RESULT: inconclusive (no probe direction contains the limit)",
+    ]
+
+
+@pytest.mark.parametrize("command", ["converge", "extract"])
+@pytest.mark.parametrize("spec", ["auto:", "auto:x", "auto:1", "auto:-3", "auto:2.5"])
+def test_observers_reject_a_bad_auto_subbasis_size(tmp_path, capsys, command, spec):
+    seq = tmp_path / "seq.txt"
+    seq.write_text("0\n1\n0\n1\n")
+    flag = "--probes" if command == "converge" else "--dirs"
+    extra = ["--limit=0"] if command == "converge" else []
+    code, out, err = run_cli(
+        capsys, "observers", command, "--line", "--seq", str(seq), *extra, flag, spec, "--depth", "4",
+    )
+    assert code == 65
+    assert "RESULT" not in out
+    assert err == "parameter error: auto:<k> needs an integer k >= 2\n"

@@ -27,7 +27,17 @@ from rtreelab.formats import format_number, format_point
 from rtreelab.oracles import FiniteTreeOracle, LineOracle, MultipodOracle, LINE_MINUS, LINE_PLUS
 from rtreelab.tree import Location, MetricTree, path_tree, star_tree
 
-from helpers import random_tree, reference_liminf, wandering_then_constant
+from helpers import (
+    random_tree,
+    reference_convex,
+    reference_extract_window,
+    reference_in_direction,
+    reference_liminf,
+    reference_point_on_segment,
+    reference_shape_map,
+    reference_subbasis,
+    wandering_then_constant,
+)
 
 
 @pytest.fixture
@@ -92,6 +102,88 @@ def test_in_direction_representative_and_path_case(star_oracle):
     assert in_direction(star_oracle, d, "x")
     oracle = FiniteTreeOracle(path_tree([1, 1, 1], names=["A", "B", "C", "D"]))
     assert in_direction(oracle, direction_of(oracle, "B", "D"), "C")
+
+
+def test_germ_labels_a_direction_by_its_first_vertex():
+    # vertex names that read like labels do not confuse the directions
+    tree = MetricTree([("a", "b", 1), ("b", "up", 1), ("b", "down", 2)], [("m", "b", "up", Fr(1, 2))])
+    oracle = FiniteTreeOracle(tree)
+    assert [tree.germ("b", p) for p in ("a", "up", "m", "down", "b")] == ["a", "up", "up", "down", None]
+    assert [tree.germ("m", p) for p in ("a", "b", "up", "m")] == ["b", "b", "up", None]
+    assert not in_direction(oracle, direction_of(oracle, "b", "a"), "up")
+    assert LineOracle().germ(0, LINE_PLUS) is True and LineOracle().germ(LINE_PLUS, 0) is False
+    pod = MultipodOracle()
+    assert [pod.germ("hub", (7, 1)), pod.germ((7, Fr(1, 2)), (7, 1)), pod.germ((7, 1), (2, 1))] == [7, "out", "in"]
+
+
+def _float_tree(rng: random.Random) -> MetricTree:
+    """A random tree with float lengths and offsets on a dyadic grid, where
+    float sums are exact and the center reference rounds nothing."""
+    n = rng.randint(2, 8)
+    edges = [(f"p{rng.randrange(i)}", f"p{i}", rng.randint(1, 12) / 4) for i in range(1, n)]
+    points = [(f"m{k}", u, v, length * rng.randint(1, 3) / 4) for k, (u, v, length) in enumerate(edges[:2])]
+    return MetricTree(edges, points)
+
+
+def _tree_points(tree: MetricTree) -> list:
+    """Names, and Locations in both edge orientations at the ends and inside."""
+    pool = list(tree.point_names)
+    for u, v, length in tree.edges:
+        for j in range(5):
+            off = length * j / 4 if isinstance(length, float) else length * Fr(j, 4)
+            pool += [Location((u, v), off), Location((v, u), off)]
+    return pool
+
+
+@st.composite
+def membership_cases(draw):
+    """(oracle, direction, points) on exact and float trees, the line with
+    ints, Fractions, floats and rays, and finite and infinite multipods."""
+    kind = draw(st.sampled_from(["exact tree", "float tree", "line", "multipod"]))
+    if kind == "line":
+        oracle, points = LineOracle(), _LINE_TERMS
+    elif kind == "multipod":
+        arms = draw(st.sampled_from([None, 1, 3]))
+        length = draw(st.sampled_from([1, Fr(3, 2)]))
+        oracle = MultipodOracle(arms, length)
+        points = st.one_of(
+            st.just("hub"),
+            st.tuples(st.integers(0, (arms or 5) - 1), st.integers(0, 4).map(lambda j: length * Fr(j, 4))),
+        )
+    else:
+        rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+        tree = random_tree(rng, 9, edge_points=2) if kind == "exact tree" else _float_tree(rng)
+        oracle = FiniteTreeOracle(tree)
+        points = st.sampled_from(_tree_points(tree))
+    d = Direction(draw(points), draw(points))
+    return oracle, d, draw(st.lists(points, min_size=1, max_size=8))
+
+
+@settings(max_examples=500, deadline=None)
+@given(membership_cases())
+@example((LineOracle(), Direction(LINE_PLUS, 0), [math.inf, 3, LINE_MINUS, -math.inf]))
+@example((LineOracle(), Direction(-math.inf, LINE_PLUS), [0.5, LINE_MINUS, Fr(-7, 2)]))
+@example((LineOracle(), Direction(Fr(1, 2), 0.5), [0.5, 1, 0]))
+def test_germ_membership_agrees_with_the_center_reference(case):
+    oracle, d, points = case
+    for r in points:
+        try:
+            expected = reference_in_direction(oracle, d, r)
+        except ValueError:
+            assert oracle.germ(d.base, r) is None
+            with pytest.raises(ValueError):
+                in_direction(oracle, d, r)
+            continue
+        assert in_direction(oracle, d, r) == expected
+        other = Direction(d.base, r)
+        assert same_direction(oracle, d, other) == (
+            not oracle.points_equal(d.base, d.representative) and reference_in_direction(oracle, other, d.representative)
+        )
+        if isinstance(oracle, FiniteTreeOracle):
+            tree = oracle.tree
+            assert tree.point_on_segment(r, d.base, d.representative) == reference_point_on_segment(
+                tree, r, d.base, d.representative
+            )
 
 
 # -- liminf ------------------------------------------------------------------
@@ -318,6 +410,25 @@ def test_line_one_over_n_consistent(line):
     assert verdict.consistent
 
 
+@settings(max_examples=300, deadline=None)
+@given(membership_cases(), st.data())
+def test_converge_reports_agree_with_center_membership(case, data):
+    oracle, d, points = case
+    limit = points[0]
+    terms = data.draw(st.lists(st.sampled_from(points), min_size=1, max_size=12))
+    probes = [d, Direction(d.representative, d.base)]
+    verdict = converges_obs(oracle, PointSequence(terms), limit, probes, len(terms))
+
+    def inside(probe, r):
+        return not oracle.points_equal(r, probe.base) and reference_in_direction(oracle, probe, r)
+
+    for probe, report in zip(probes, verdict.reports):
+        assert report.contains_limit == inside(probe, limit)
+        if report.contains_limit:
+            outside = [i for i, t in enumerate(terms) if not inside(probe, t)]
+            assert report.last_outside == max(outside, default=-1)
+
+
 def test_converges_requires_probes(line):
     with pytest.raises(ValueError):
         converges_obs(line, PointSequence([1]), 0, [], depth=1)
@@ -400,6 +511,38 @@ def test_subbasis_unit_star_collapses_to_hub():
     assert all(oracle.points_equal(d.base, "H") for d in dirs)
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(["tree", "line", "multipod"]),
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 6),
+    st.booleans(),
+)
+def test_subbasis_agrees_with_the_pairwise_dedupe(kind, seed, k, streamed):
+    rng = random.Random(seed)
+    if kind == "tree":
+        tree = random_tree(rng, 9, edge_points=2)
+        oracle = FiniteTreeOracle(tree)
+        pool = list(tree.point_names)
+    elif kind == "line":
+        oracle = LineOracle()
+        pool = [LINE_PLUS, LINE_MINUS, 0, 0.5, Fr(1, 2), 3, -2, Fr(7, 3), 1.25]
+    else:
+        oracle = MultipodOracle(rng.choice([None, 2, 5]))
+        pool = ["hub"] + [(arm, Fr(j, 4)) for arm in range(2) for j in range(5)]
+    fixed = [rng.choice(pool) for _ in range(12)]
+
+    def sample():
+        return oracle.sample_stream() if streamed else iter(fixed)
+
+    try:
+        got = subbasis_from_sample(oracle, sample(), k)
+    except DegenerateSampleError:
+        assert not streamed
+        return
+    assert got == reference_subbasis(oracle, sample(), k)
+
+
 def test_subbasis_degenerate_sample(line):
     with pytest.raises(DegenerateSampleError):
         subbasis_from_sample(line, [0, 0, 0], k=2)
@@ -433,6 +576,20 @@ def test_extract_multipod_turning_limit_is_hub():
     dirs = [direction_of(pod, (i, Fr(1, 2)), (i, 1)) for i in range(3)]
     res = extract_convergent_subsequence(pod, seq, dirs, depth=30, basepoint="hub")
     assert pod.points_equal(res.limit.point, "hub")
+
+
+@settings(max_examples=300, deadline=None)
+@given(membership_cases(), st.data())
+def test_extract_window_agrees_with_center_membership(case, data):
+    # the drawn directions include degenerate ones, whose base is outside
+    oracle, d, points = case
+    terms = data.draw(st.lists(st.sampled_from(points), min_size=1, max_size=12))
+    pool = st.sampled_from([*points, d.base, d.representative])
+    dirs = [d] + data.draw(st.lists(st.builds(Direction, pool, pool), max_size=4))
+    # a finite basepoint: the default, the window's first term, may be a ray
+    basepoint = 0 if isinstance(oracle, LineOracle) else None
+    res = extract_convergent_subsequence(oracle, PointSequence(terms), dirs, len(terms), basepoint)
+    assert (list(res.indices), res.exhausted_at) == reference_extract_window(oracle, terms, dirs)
 
 
 # -- shape maps ----------------------------------------------------------------
@@ -479,6 +636,79 @@ def test_convexity_agrees_across_shape_equivalent_metrics():
         assert is_convex_point_set(t0, subset) == is_convex_point_set(t1, subset)
     assert not is_convex_point_set(t0, ["A", "C"])
     assert is_convex_point_set(t0, ["A", "B"])
+
+
+def _point_rows(tree: MetricTree, extra=()) -> list:
+    return [
+        (name, loc) if isinstance(loc, str) else (name, *loc.edge, loc.offset)
+        for name, loc in [*tree.designated.items(), *extra]
+    ]
+
+
+def _with_aliases(rng: random.Random, tree: MetricTree, prefix: str = "z") -> MetricTree:
+    """The tree with up to three more names, each at the place of a named
+    point: only such aliases can fail the segment pass of the shape check
+    after its center pass."""
+    extra = [(f"{prefix}{k}", tree.resolve(rng.choice(tree.point_names))) for k in range(rng.randint(0, 3))]
+    return MetricTree(tree.edges, _point_rows(tree, extra), vertices=tree.vertices)
+
+
+def _relengthed(rng: random.Random, tree: MetricTree) -> MetricTree:
+    """The same shape with new lengths, designated points on the same edges."""
+    lengths = {(u, v): Fr(rng.randint(1, 12), rng.randint(1, 3)) for u, v, _ in tree.edges}
+    points = [
+        (name, loc) if isinstance(loc, str) else (name, *loc.edge, lengths[loc.edge] * Fr(rng.randint(1, 7), 8))
+        for name, loc in tree.designated.items()
+    ]
+    return MetricTree([(u, v, length) for (u, v), length in lengths.items()], points)
+
+
+def _tiny_tree(rng: random.Random, prefix: str) -> MetricTree:
+    """One to three vertices with aliases, where segment witnesses are common."""
+    if rng.random() < 0.3:
+        tree = MetricTree([], vertices=["p0"])
+    else:
+        tree = random_tree(rng, 3, edge_points=rng.randint(0, 1))
+    return _with_aliases(rng, tree, prefix)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["identity", "relengthed", "scrambled", "other tree", "tiny"]))
+def test_shape_map_agrees_with_the_triple_loop_reference(seed, kind):
+    rng = random.Random(seed)
+    if kind == "tiny":
+        t0 = _tiny_tree(rng, "z")
+    else:
+        t0 = _with_aliases(rng, random_tree(rng, 8, edge_points=rng.randint(0, 3)))
+    names = sorted(t0.point_names)
+    bijection = {n: n for n in names}
+    t1 = t0
+    if kind == "tiny":
+        t1 = _tiny_tree(rng, "y")
+        while len(t1.point_names) < len(names):
+            t1 = _tiny_tree(rng, "y")
+        bijection = dict(zip(names, rng.sample(t1.point_names, len(names))))
+    elif kind == "relengthed":
+        t1 = _relengthed(rng, t0)
+    elif kind == "scrambled":
+        images = names[:]
+        rng.shuffle(images)
+        bijection = dict(zip(names, images))
+    elif kind == "other tree":
+        t1 = _with_aliases(rng, random_tree(rng, 12, edge_points=3))
+        while len(t1.point_names) < len(names):
+            t1 = _with_aliases(rng, random_tree(rng, 12, edge_points=3))
+        bijection = dict(zip(names, rng.sample(t1.point_names, len(names))))
+    assert verify_shape_map(t0, t1, bijection) == reference_shape_map(t0, t1, bijection)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 5))
+def test_convexity_agrees_with_the_pairwise_reference(seed, size):
+    rng = random.Random(seed)
+    tree = _with_aliases(rng, random_tree(rng, 9, edge_points=2))
+    chosen = [rng.choice(tree.point_names) for _ in range(size)]
+    assert is_convex_point_set(tree, chosen) == reference_convex(tree, chosen)
 
 
 def test_point_sequence_from_list_and_fn():
