@@ -336,8 +336,9 @@ def verify_shape_map(tree_a: MetricTree, tree_b: MetricTree, bijection: dict) ->
     for v in values:
         tree_b.resolve(v)
     inverse_range = set(values)
+    names = sorted(names_a)
 
-    for p, q, r in combinations(sorted(names_a), 3):
+    for p, q, r in combinations(names, 3):
         za = tree_a.center(p, q, r)
         zb = tree_b.center(bijection[p], bijection[q], bijection[r])
         na, nb = tree_a.name_of(za), tree_b.name_of(zb)
@@ -349,7 +350,6 @@ def verify_shape_map(tree_a: MetricTree, tree_b: MetricTree, bijection: dict) ->
                 return ShapeMapVerdict(False, ("center", p, q, r))
     # r lies on [p, q] unless p and q share one germ at r: equal class rows
     # mean every triple at r agrees, and only a differing row is scanned
-    names = sorted(names_a)
     images = [bijection[p] for p in names]
     for r in names:
         ca = _germ_classes(tree_a, r, names)
