@@ -5,7 +5,7 @@ A compatible pair is two metric trees on the identical combinatorial shape
 whose identity point map passes the shape verification (centers and
 segment memberships agree).  Blending takes the edgewise affine
 combination of the two length assignments; the certification route then
-rebuilds a tree from the blended table and replays every distance through
+realizes the blended table as a tree and replays every distance against
 it, which certifies 0-hyperbolicity and realizability at once.
 """
 from __future__ import annotations
@@ -117,19 +117,20 @@ class CertifyResult:
 
 
 def certify_rtree(space: MetricTable) -> CertifyResult:
-    """Full certification at delta 0: rebuild a tree from the table and
-    replay every distance through it.  reconstruct_tree replays an exact
-    table itself and raises the first violating quadruple on a mismatch; a
-    float table passes its four-point scan there and is replayed here."""
-    try:
-        rebuilt = reconstruct_tree(space)
-    except NotZeroHyperbolicError as exc:
-        verdict = HyperbolicityVerdict(False, Fraction(0), exc.witness)
-        return CertifyResult(verdict, None, "four-point condition fails at delta=0")
+    """Full certification at delta 0: a tree that reproduces every distance
+    of the table.  An exact table was realized and replayed when it was
+    built, so only a failed replay costs a scan, for the first violating
+    quadruple; a float table is scanned and rebuilt by reconstruct_tree and
+    replayed here."""
     verdict = HyperbolicityVerdict(True, Fraction(0))
-    mismatch = None if space.exact else realization_mismatch(space, rebuilt)
-    if mismatch is not None:
-        return CertifyResult(verdict, False, "realization mismatch at ({},{})".format(*mismatch))
+    if not space.realized:
+        try:
+            mismatch = realization_mismatch(space, reconstruct_tree(space))
+        except NotZeroHyperbolicError as exc:
+            verdict = HyperbolicityVerdict(False, Fraction(0), exc.witness)
+            return CertifyResult(verdict, None, "four-point condition fails at delta=0")
+        if mismatch is not None:
+            return CertifyResult(verdict, False, "realization mismatch at ({},{})".format(*mismatch))
     return CertifyResult(verdict, True, "0-hyperbolic; realized exactly by a finite tree")
 
 

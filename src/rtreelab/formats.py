@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from fractions import Fraction
+from itertools import chain
+from typing import Iterator
 
 from .hyperbolicity import MetricTable
 from .oracles import LINE_MINUS, LINE_PLUS, LineOracle, MultipodOracle, Ray, TreeOracle
@@ -21,11 +24,27 @@ class FormatError(ValueError):
     pass
 
 
-def parse_number(text: str) -> Fraction:
+def parse_ratio(text: str) -> tuple[int, int]:
+    """A number literal as (numerator, denominator), the denominator
+    positive and not necessarily in lowest terms.  Signed ASCII integers
+    and ``p/q`` take a fast path; any other literal is read by
+    ``Fraction(text)``."""
+    head, slash, tail = text.partition("/")
+    digits = head[1:] if head[:1] in ("+", "-") else head
     try:
-        return Fraction(text)
+        if digits.isascii() and digits.isdigit() and (not slash or tail.isascii() and tail.isdigit()):
+            den = int(tail) if slash else 1
+            if not den:
+                raise ZeroDivisionError(text)
+            return int(head), den
+        value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise FormatError(f"bad number {text!r}") from exc
+    return value.numerator, value.denominator
+
+
+def parse_number(text: str) -> Fraction:
+    return Fraction(*parse_ratio(text))
 
 
 def format_number(x) -> str:
@@ -38,13 +57,30 @@ def format_number(x) -> str:
     return str(x)
 
 
-def _content_lines(text: str) -> list[tuple[int, list[str]]]:
-    out = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+# line breaks of str.splitlines other than "\n"
+_OTHER_BREAKS = re.compile("[\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
+
+
+def _raw_lines(text: str) -> Iterator[str]:
+    """The lines of str.splitlines, one at a time when "\n" is the only
+    line break, so that a large file is never held as a list of lines."""
+    if _OTHER_BREAKS.search(text):
+        yield from text.splitlines()
+        return
+    start, end = 0, len(text)
+    while start < end:
+        stop = text.find("\n", start)
+        if stop < 0:
+            stop = end
+        yield text[start:stop]
+        start = stop + 1
+
+
+def _content_lines(text: str) -> Iterator[tuple[int, list[str]]]:
+    for lineno, raw in enumerate(_raw_lines(text), start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
-            out.append((lineno, line.split()))
-    return out
+            yield lineno, line.split()
 
 
 # -- trees ---------------------------------------------------------------------
@@ -108,16 +144,57 @@ def format_point(tree: MetricTree, p) -> str:
 
 
 def parse_table(text: str) -> MetricTable:
-    """``dist <x> <y> <value>`` records."""
-    d = {}
+    """``dist <x> <y> <value>`` records.
+
+    The lines are read one at a time into numerator and denominator
+    matrices indexed by first appearance, one cell per ordered pair: a
+    repeated ``dist x y`` keeps its last value, while ``dist y x`` with a
+    different value is a conflict, reported at the first line that named
+    the second order of a pair.
+    """
+    index: dict[str, int] = {}
+    num: list[list] = []
+    den: list[list] = []
+    second_orders: list[tuple[int, int]] = []
+
+    def add_point(name: str) -> int:
+        i = index[name] = len(index)
+        for row in chain(num, den):
+            row.append(None)
+        num.append([None] * (i + 1))
+        den.append([None] * (i + 1))
+        return i
+
     for lineno, fields in _content_lines(text):
         if fields[0] != "dist" or len(fields) != 4:
             raise FormatError(f"line {lineno}: expected 'dist <x> <y> <value>'")
-        d[(fields[1], fields[2])] = parse_number(fields[3])
-    if not d:
+        _, x, y, literal = fields
+        i = index.get(x)
+        if i is None:
+            i = add_point(x)
+        j = index.get(y)
+        if j is None:
+            j = add_point(y)
+        p, q = parse_ratio(literal)
+        if num[i][j] is None and num[j][i] is not None:
+            second_orders.append((i, j))
+        num[i][j], den[i][j] = p, q
+    if not index:
         raise FormatError("table file has no distances")
+    names = list(index)
+    for i, j in second_orders:
+        if num[i][j] * den[j][i] != num[j][i] * den[i][j]:
+            raise FormatError(f"conflicting distances for {names[i]},{names[j]}")
+    # sorted point order; a pair named in one order only fills both cells
+    order = sorted(range(len(names)), key=names.__getitem__)
+
+    def merged(cells):
+        return [[cells[i][j] if cells[i][j] is not None else cells[j][i] for j in order] for i in order]
+
+    num = merged(num)
+    den = merged(den)
     try:
-        return MetricTable(d)
+        return MetricTable._from_fractions([names[i] for i in order], num, den)
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
 
@@ -208,7 +285,7 @@ def parse_action_file(text: str):
     """``line`` header plus ``weight <gen> <value>`` lines; values may be
     ``sqrt:<n>`` literals.  Returns the list of (generator, literal) rows."""
     rows = []
-    lines = _content_lines(text)
+    lines = list(_content_lines(text))
     if not lines or lines[0][1] != ["line"]:
         raise FormatError("action file must start with a 'line' header")
     for lineno, fields in lines[1:]:

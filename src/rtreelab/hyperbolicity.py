@@ -6,7 +6,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Mapping
 
 from .tree import MetricTree, Num, UnknownPointError, _exactify
@@ -43,46 +42,120 @@ class HyperbolicityVerdict:
 
 
 class MetricTable:
-    """Finite symmetric metric (zero diagonal, triangle inequality checked).
+    """Finite symmetric metric (zero diagonal, positive off the diagonal,
+    triangle inequality).
 
-    Besides the distances as given, the table keeps one index-addressed
-    matrix that every scan runs on: for ``exact`` tables (all distances
-    ``int`` or ``Fraction``) the distances times their common denominator
-    ``scale``, as integers; for float tables the floats themselves, with
-    scale 1.  Points are indexed in sorted name order.
+    The distances live in one index-addressed matrix, points in sorted name
+    order: for ``exact`` tables (all distances ``int`` or ``Fraction``) the
+    distances times their common denominator ``scale``, as integers; for
+    float tables the floats themselves, with scale 1.
+
+    Every constructor validates eagerly.  An exact table is realized as a
+    tree from its first point and every distance is replayed against that
+    tree in integers, O(n²); a table that a tree reproduces is a tree
+    metric, hence a metric, and ``realized`` is set.  Only when the replay
+    fails does the O(n³) triangle scan run.  Exact equality proves nothing
+    for floats, so a float table is always scanned.
     """
 
     def __init__(self, distances: Mapping[tuple[str, str], Num]):
-        pts: set[str] = set()
-        self._d: dict[tuple[str, str], Num] = {}
+        canon: dict[tuple[str, str], Num] = {}
         for (x, y), raw in distances.items():
-            pts.update((x, y))
             val = _exactify(raw)
             key = (x, y) if x <= y else (y, x)
-            if key in self._d and self._d[key] != val:
+            if key in canon and canon[key] != val:
                 raise InvalidTableError(f"conflicting distances for {x},{y}")
-            self._d[key] = val
-        self.points = tuple(sorted(pts))
-        self._validate()
+            canon[key] = val
+        points = sorted({p for key in canon for p in key})
+        index = {name: i for i, name in enumerate(points)}
+        n = len(points)
+        num: list[list] = [[None] * n for _ in range(n)]
+        den: list[list] = [[None] * n for _ in range(n)]
+        for (x, y), v in canon.items():
+            i, j = index[x], index[y]
+            exact = isinstance(v, Fraction)
+            num[i][j] = num[j][i] = v.numerator if exact else v
+            den[i][j] = den[j][i] = v.denominator if exact else None
+        self._load(points, num, den)
+
+    @classmethod
+    def _from_fractions(cls, points: list[str], num: list[list], den: list[list]) -> "MetricTable":
+        """A table from numerator and denominator matrices in point order
+        (ints; a float numerator and a None denominator for a float
+        distance; None in both for a missing one), which it takes over."""
+        table = cls.__new__(cls)
+        table._load(points, num, den)
+        return table
 
     @classmethod
     def from_tree(cls, tree: MetricTree, points=None) -> "MetricTable":
-        names = list(points) if points is not None else list(tree.point_names)
-        return cls(
-            {(a, b): tree.distance(a, b) for a, b in combinations(names, 2)}
-            | {(n, n): 0 for n in names}
-        )
+        table = cls.__new__(cls)
+        table.points = tuple(sorted(set(tree.point_names if points is None else points)))
+        m, scale = tree._scaled_distances(table.points), tree._scale
+        table._check_entries(m)
+        if all(type(v) is int for row in m for v in row):
+            table._adopt(m, scale, True)
+        else:
+            table._adopt([[v / scale for v in row] for row in m], 1, False)
+        return table
 
-    def _validate(self) -> None:
-        for x, y in combinations(self.points, 2):
-            if (x, y) not in self._d:
-                raise InvalidTableError(f"missing distance {x},{y}")
-            if not self._d[(x, y)] > 0:
-                raise InvalidTableError(f"d({x},{y}) must be positive")
-        for x in self.points:
-            if self._d.get((x, x), 0) != 0:
+    def _check_entries(self, m: list[list]) -> None:
+        """Missing and nonpositive distances, first pair in sorted order
+        first, then nonzero diagonal entries."""
+        points, n = self.points, len(self.points)
+        for i in range(n - 1):
+            row = m[i]
+            for j in range(i + 1, n):
+                v = row[j]
+                if v is None:
+                    raise InvalidTableError(f"missing distance {points[i]},{points[j]}")
+                if not v > 0:
+                    raise InvalidTableError(f"d({points[i]},{points[j]}) must be positive")
+        for i, x in enumerate(points):
+            if m[i][i] is not None and m[i][i] != 0:
                 raise InvalidTableError(f"d({x},{x}) must be zero")
-        self._build_matrix()
+
+    def _load(self, points: list[str], num: list[list], den: list[list]) -> None:
+        """Check numerator and denominator matrices and adopt them over
+        their common denominator (floats if any distance is a float)."""
+        self.points = tuple(points)
+        self._check_entries(num)
+        for i, (nrow, drow) in enumerate(zip(num, den)):
+            nrow[i], drow[i] = 0, 1
+        denominators = set().union(*den)
+        if None in denominators:
+            m = [
+                [float(v) if d is None else v / d for v, d in zip(nrow, drow)]
+                for nrow, drow in zip(num, den)
+            ]
+            self._adopt(m, 1, False)
+            return
+        scale = math.lcm(*denominators)
+        if scale > 1:
+            # scale num in place, one int per pair
+            steps = {d: scale // d for d in denominators}
+            for i, (nrow, drow) in enumerate(zip(num, den)):
+                nrow[i + 1 :] = [v * steps[d] for v, d in zip(nrow[i + 1 :], drow[i + 1 :])]
+                nrow[:i] = [num[j][i] for j in range(i)]
+        self._adopt(num, scale, True)
+
+    def _adopt(self, m: list[list], scale: int, exact: bool) -> None:
+        """Take the checked matrix and prove the triangle inequality: by the
+        realization's replay on an exact table, by the scan otherwise."""
+        self._m, self.scale, self.exact = m, scale, exact
+        self._index = {name: i for i, name in enumerate(self.points)}
+        self._realization = _attachments(m, replay=True) if exact else None
+        if self._realization is None:
+            self._triangle_scan()
+
+    @property
+    def realized(self) -> bool:
+        """Whether the table's realization reproduced every distance in the
+        integer replay: an exact tree metric, 0-hyperbolic.  Always False
+        on a float table, which is never replayed at construction."""
+        return self._realization is not None
+
+    def _triangle_scan(self) -> None:
         m, n = self._m, len(self.points)
         for i in range(n - 2):
             mi = m[i]
@@ -93,23 +166,6 @@ class MetricTable:
                     if dij > dik + djk or dik > dij + djk or djk > dij + dik:
                         x, y, z = self.points[i], self.points[j], self.points[k]
                         raise InvalidTableError(f"triangle inequality fails on ({x},{y},{z})")
-
-    def _build_matrix(self) -> None:
-        off_diagonal = list(combinations(self.points, 2))
-        values = [self._d[key] for key in off_diagonal]
-        self.exact = all(isinstance(v, Fraction) for v in values)
-        if self.exact:
-            self.scale = math.lcm(*(v.denominator for v in values)) if values else 1
-            entries = [v.numerator * (self.scale // v.denominator) for v in values]
-        else:
-            self.scale = 1
-            entries = [float(v) for v in values]
-        index = {name: i for i, name in enumerate(self.points)}
-        n = len(self.points)
-        self._m = m = [[0] * n for _ in range(n)]
-        for (x, y), v in zip(off_diagonal, entries):
-            i, j = index[x], index[y]
-            m[i][j] = m[j][i] = v
 
     def _unscale(self, v) -> Num:
         """A matrix value back in distance units."""
@@ -125,13 +181,12 @@ class MetricTable:
 
     def distance(self, x: str, y: str) -> Num:
         if x == y:
-            if x not in self.points:
+            if x not in self._index:
                 raise UnknownPointError(x)
             return Fraction(0)
-        key = (x, y) if x <= y else (y, x)
-        if key not in self._d:
+        if x not in self._index or y not in self._index:
             raise UnknownPointError(f"{x} or {y}")
-        return self._d[key]
+        return self._unscale(self._m[self._index[x]][self._index[y]])
 
     def gromov_product(self, x: str, z: str, w: str) -> Num:
         return (self.distance(w, x) + self.distance(w, z) - self.distance(x, z)) / 2
@@ -240,23 +295,22 @@ def reconstruct_tree(space: MetricTable) -> MetricTree:
     splitting an edge with a fresh Steiner vertex (".s1", ".s2", ..., skipping
     table point names) if needed.
 
-    An exact table is realized first and then every distance is replayed
-    through the tree; a table that a tree reproduces is a tree metric, hence
-    0-hyperbolic, so no four-point scan runs unless the replay fails, and then
-    the first violating quadruple is raised.  Exact equality proves nothing
-    for floats, so a float table is scanned first and built without replay.
+    An exact table was realized and replayed when it was built: a table
+    that a tree reproduces is a tree metric, hence 0-hyperbolic, so no
+    four-point scan runs unless the replay failed, and then the first
+    violating quadruple is raised.  Exact equality proves nothing for
+    floats, so a float table is scanned first and built without replay.
     """
     if not space.exact:
         verdict = check_hyperbolic(space, 0)
         if not verdict.passes:
             raise NotZeroHyperbolicError(verdict.witness)
-        return _realize(space)
-    tree = _realize(space)
-    if realization_mismatch(space, tree) is not None:
+        return _realize(space, _attachments(space._m, replay=False))
+    if not space.realized:
         witness = first_violation(space, 0)
         assert witness is not None
         raise NotZeroHyperbolicError(witness)
-    return tree
+    return _realize(space, space._realization)
 
 
 def realization_mismatch(space: MetricTable, tree: MetricTree) -> tuple[str, str] | None:
@@ -270,8 +324,46 @@ def realization_mismatch(space: MetricTable, tree: MetricTree) -> tuple[str, str
     return None
 
 
-def _realize(space: MetricTable) -> MetricTree:
-    """The anchored realization behind reconstruct_tree, without checks.
+def _attachments(m: list[list], replay: bool) -> list[tuple[Num, int]] | None:
+    """Per point i in matrix order, (t, best): t = max over j < i of
+    2 (x_i|x_j)_{x_0} in matrix units, first attained at j = best (0 when
+    the max is 0).  The anchored realization hangs x_i at root distance t
+    on the root path of x_best.
+
+    With ``replay``, check that this tree reproduces every distance, and
+    return None at the first point where it does not.  While it does for
+    the points before x_i, twice the Gromov product at the anchor of two of
+    them is the root distance where their root paths part.  So the root
+    paths of x_i and x_j part at min(t, 2 (x_best|x_j)_{x_0}), which must
+    equal the table's 2 (x_i|x_j)_{x_0}, and x_i sits at its table
+    distance from the anchor unless t exceeds it.  Each row is O(i)
+    integer work, O(n²) in all, with no tree built.
+    """
+    if not m:
+        return []
+    anchor = [row[0] for row in m]
+    out: list[tuple[Num, int]] = [(0, 0)]
+    for i in range(1, len(m)):
+        mi, a = m[i], anchor[i]
+        products = [a + anchor[j] - mi[j] for j in range(i)]
+        t = max(products)
+        best = products.index(t)
+        out.append((t, best))
+        if replay:
+            mb, b = m[best], anchor[best]
+            t = min(t, 2 * b)
+            if t > 2 * a:
+                return None
+            for j, p in enumerate(products):
+                q = b + anchor[j] - mb[j]
+                if (t if t < q else q) != p:
+                    return None
+    return out
+
+
+def _realize(space: MetricTable, attachments: list[tuple[Num, int]]) -> MetricTree:
+    """The anchored realization behind reconstruct_tree, from the table's
+    attachments, without checks.
 
     Vertices carry a parent and a root distance.  Every placed table point
     sits at (v, r): root distance r on the edge from vertex v up to its
@@ -288,12 +380,8 @@ def _realize(space: MetricTable) -> MetricTree:
     taken, counter = set(names), 0
     for i in range(1, len(names)):
         x, mi = names[i], m[i]
-        # t = max over placed p of 2 (x|p)_anchor, attained at best
-        t, best = 0, anchor
-        for j in range(1, i):
-            gp = mi[0] + m[j][0] - mi[j]
-            if gp > t:
-                t, best = gp, names[j]
+        t, best = attachments[i]
+        best = names[best]
         # walk up from best to root distance t (never past best: floats may round)
         vertex, r = at[best]
         t = min(t, r)

@@ -338,19 +338,21 @@ def verify_shape_map(tree_a: MetricTree, tree_b: MetricTree, bijection: dict) ->
     inverse_range = set(values)
     names = sorted(names_a)
 
-    for p, q, r in combinations(names, 3):
-        za = tree_a.center(p, q, r)
-        zb = tree_b.center(bijection[p], bijection[q], bijection[r])
-        na, nb = tree_a.name_of(za), tree_b.name_of(zb)
+    # the center of a triple is the deepest of its three pairwise meets, so
+    # its name is the name at the meet of a pair with the largest meet
+    images = [bijection[p] for p in names]
+    meets_a, at_a = tree_a._meet_names(names)
+    meets_b, at_b = tree_b._meet_names(images)
+    for i, j, k in combinations(range(len(names)), 3):
+        na, nb = _center_name(meets_a, at_a, i, j, k), _center_name(meets_b, at_b, i, j, k)
         if na is not None:
             if nb is None or nb != bijection[na]:
-                return ShapeMapVerdict(False, ("center", p, q, r))
+                return ShapeMapVerdict(False, ("center", names[i], names[j], names[k]))
         else:
             if nb is not None and nb in inverse_range:
-                return ShapeMapVerdict(False, ("center", p, q, r))
+                return ShapeMapVerdict(False, ("center", names[i], names[j], names[k]))
     # r lies on [p, q] unless p and q share one germ at r: equal class rows
     # mean every triple at r agrees, and only a differing row is scanned
-    images = [bijection[p] for p in names]
     for r in names:
         ca = _germ_classes(tree_a, r, names)
         cb = _germ_classes(tree_b, bijection[r], images)
@@ -360,6 +362,15 @@ def verify_shape_map(tree_a: MetricTree, tree_b: MetricTree, bijection: dict) ->
             if (ca[i] < 0 or ca[i] != ca[j]) != (cb[i] < 0 or cb[i] != cb[j]):
                 return ShapeMapVerdict(False, ("segment", r, names[i], names[j]))
     return ShapeMapVerdict(True)
+
+
+def _center_name(meets, at, i: int, j: int, k: int) -> str | None:
+    """The name at the center of points i, j, k from their pairwise meets
+    and the names at those meets; a tie names one point."""
+    ij, ik, jk = meets[i][j], meets[i][k], meets[j][k]
+    if ij >= ik and ij >= jk:
+        return at[i][j]
+    return at[i][k] if ik >= jk else at[j][k]
 
 
 def _germ_classes(tree: MetricTree, r, points) -> list[int]:

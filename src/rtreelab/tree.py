@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain
 from typing import Iterable, Mapping, Union
 
@@ -190,8 +191,11 @@ class MetricTree:
 
     def _scaled(self, x: Num) -> Num:
         """x in index units; an int whenever x lies on the grid."""
-        x = x * self._scale
-        return x.numerator if isinstance(x, Fraction) and x.denominator == 1 else x
+        if isinstance(x, Fraction):
+            steps, off_grid = divmod(self._scale, x.denominator)
+            if not off_grid:
+                return x.numerator * steps
+        return x * self._scale
 
     def _unscale(self, x: Num) -> Num:
         return Fraction(x, self._scale) if isinstance(x, int) else x / self._scale
@@ -235,11 +239,57 @@ class MetricTree:
             return 0
         return self._lengths[(up, v)] if r == root[v] else self._unscale(r - root[up])
 
-    def _point_at(self, v: str, r: Num) -> Point:
-        """The point at root distance r on the root path of vertex v."""
+    def _canonical(self, v: str, r: Num) -> tuple[str, Num]:
+        """The address of the point at root distance r on the root path of
+        vertex v, moved up to the lowest vertex at or below the point."""
         parent, root = self._parent, self._root
         while (up := parent[v]) is not None and r <= root[up]:
             v = up
+        return v, r
+
+    def _meets(self, points: list) -> tuple[list, list[list]]:
+        """The addresses of the points and the matrix of their pairwise
+        meets; the diagonal holds each point's own root distance."""
+        addr = [self._address(p) for p in points]
+        n, meet = len(addr), self._meet
+        rows = [[a[1]] * n for a in addr]
+        for i, a in enumerate(addr):
+            row = rows[i]
+            for j in range(i + 1, n):
+                row[j] = rows[j][i] = meet(a, addr[j])
+        return addr, rows
+
+    def _scaled_distances(self, points: list) -> list[list]:
+        """The matrix of pairwise distances of the points in index units:
+        ints over the tree's scale on an exact tree."""
+        addr, meets = self._meets(points)
+        roots = [a[1] for a in addr]
+        rows = [[ri + rj - 2 * m for rj, m in zip(roots, row)] for ri, row in zip(roots, meets)]
+        for i, row in enumerate(rows):
+            row[i] = 0
+        return rows
+
+    def _meet_names(self, points: list) -> tuple[list[list], list[list]]:
+        """The pairwise meets of the points and, per pair, the name of the
+        meet point (vertex name first, then the first designated name) or
+        None."""
+        addr, meets = self._meets(points)
+        names, canonical = self._names_by_address, self._canonical
+        return meets, [[names.get(canonical(a[0], m)) for m in row] for a, row in zip(addr, meets)]
+
+    @cached_property
+    def _names_by_address(self) -> dict[tuple[str, Num], str]:
+        """Address to name, as name_of names a point: a vertex name first,
+        then the first designated name in sorted order."""
+        names: dict[tuple[str, Num], str] = {}
+        for name, addr in self._addr.items():
+            names.setdefault(addr, name)
+        return names
+
+    def _point_at(self, v: str, r: Num) -> Point:
+        """The point at root distance r on the root path of vertex v."""
+        v, r = self._canonical(v, r)
+        up, root = self._parent[v], self._root
         if r >= root[v]:
             return v
         # the offset from v; min() keeps a float rounding inside the edge

@@ -7,7 +7,8 @@ from itertools import combinations, product
 
 from rtreelab.blend import AxiomVerdict, AxiomWitness, CompatibleMetricPair, IncompatiblePairError
 from rtreelab.boundary import BoundaryFormatError
-from rtreelab.hyperbolicity import MetricTable
+from rtreelab.formats import FormatError, format_number, witness_line
+from rtreelab.hyperbolicity import FourPointWitness, InvalidTableError, MetricTable
 from rtreelab.observers import Direction, LiminfResult, ShapeMapVerdict
 from rtreelab.oracles import LINE_MINUS, LINE_PLUS, Ray
 from rtreelab.qmap import ConjugacyClassRecord, EmptyWordError, QEstimate
@@ -22,6 +23,96 @@ from rtreelab.words import (
     reduced_product,
     reduced_words,
 )
+
+
+class ReferenceTable:
+    """Slow reference for MetricTable: a dict of Fraction (or float)
+    distances per sorted pair, validated eagerly by the O(n³) triangle
+    scan in Fractions, with the same messages in the same order."""
+
+    def __init__(self, distances):
+        self._d = {}
+        pts = set()
+        for (x, y), raw in distances.items():
+            pts.update((x, y))
+            val = Fr(raw) if isinstance(raw, int) else raw
+            key = (x, y) if x <= y else (y, x)
+            if key in self._d and self._d[key] != val:
+                raise InvalidTableError(f"conflicting distances for {x},{y}")
+            self._d[key] = val
+        self.points = tuple(sorted(pts))
+        for x, y in combinations(self.points, 2):
+            if (x, y) not in self._d:
+                raise InvalidTableError(f"missing distance {x},{y}")
+            if not self._d[(x, y)] > 0:
+                raise InvalidTableError(f"d({x},{y}) must be positive")
+        for x in self.points:
+            if self._d.get((x, x), 0) != 0:
+                raise InvalidTableError(f"d({x},{x}) must be zero")
+        d = self.distance
+        for x, y, z in combinations(self.points, 3):
+            a, b, c = d(x, y), d(x, z), d(y, z)
+            if a > b + c or b > a + c or c > a + b:
+                raise InvalidTableError(f"triangle inequality fails on ({x},{y},{z})")
+
+    def distance(self, x, y):
+        return Fr(0) if x == y else self._d[(x, y) if x <= y else (y, x)]
+
+    def gromov_product(self, x, z, w):
+        return (self.distance(w, x) + self.distance(w, z) - self.distance(x, z)) / 2
+
+
+def reference_parse_table(text: str) -> ReferenceTable:
+    """Slow reference for formats.parse_table: every line split up front,
+    every literal read by Fraction(text), a dict keyed by the pair as
+    written (a repeated row keeps its last value), then ReferenceTable."""
+    d = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        fields = raw.split("#", 1)[0].split()
+        if not fields:
+            continue
+        if fields[0] != "dist" or len(fields) != 4:
+            raise FormatError(f"line {lineno}: expected 'dist <x> <y> <value>'")
+        try:
+            d[(fields[1], fields[2])] = Fr(fields[3])
+        except (ValueError, ZeroDivisionError) as exc:
+            raise FormatError(f"bad number {fields[3]!r}") from exc
+    if not d:
+        raise FormatError("table file has no distances")
+    try:
+        return ReferenceTable(d)
+    except ValueError as exc:
+        raise FormatError(str(exc)) from exc
+
+
+def reference_certify_table(text: str, path: str, delta: str):
+    """The (exit code, stdout, stderr) that ``rtreelab certify --table path
+    --delta delta`` must give on a table file with this text, from
+    reference_parse_table and the brute-force four-point scans."""
+    out = ["rtreelab certify", f"config: delta={delta} table={path} seed=0"]
+    try:
+        table = reference_parse_table(text)
+    except FormatError as exc:
+        return 64, "\n".join(out) + "\n", f"parse error: {exc}\n"
+    out.append(f"loaded table: {len(table.points)} points")
+    value = Fr(delta)
+    out.append(f"four-point defect: {format_number(brute_force_max_defect(table))}")
+    ok, quad, margin = brute_force_four_point(table, value)
+    if ok:
+        if value == 0:
+            out.append("realization: 0-hyperbolic; realized exactly by a finite tree")
+        out.append(f"RESULT: pass (delta={format_number(value)})")
+        return 0, "\n".join(out) + "\n", ""
+    out.append(f"RESULT: fail -- {FourPointWitness(quad, margin)}")
+    names = sorted(set(quad))
+    payload = {
+        "quadruple": list(quad),
+        "distances": [[x, y, table.distance(x, y)] for x, y in combinations(names, 2)],
+        "delta": value,
+        "margin": margin,
+    }
+    out.append(witness_line("four_point", payload))
+    return 1, "\n".join(out) + "\n", ""
 
 
 def brute_force_four_point(table: MetricTable, delta):

@@ -1,10 +1,17 @@
 import json
 import math
+import random
+from fractions import Fraction as Fr
+from itertools import combinations
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from rtreelab.cli import main
+from rtreelab.formats import FormatError, format_number
 from rtreelab.words import canonical_rotation
+
+import helpers
 
 SQRT2 = math.sqrt(2)
 
@@ -751,3 +758,101 @@ def test_observers_reject_a_bad_auto_subbasis_size(tmp_path, capsys, command, sp
     assert code == 65
     assert "RESULT" not in out
     assert err == "parameter error: auto:<k> needs an integer k >= 2\n"
+
+
+# -- certify --table against the reference table and the brute-force scans ------------
+
+
+def _tree_rows(rng):
+    tree = helpers.random_tree(rng, 6, edge_points=rng.randint(0, 2))
+    return {(x, y): tree.distance(x, y) for x, y in combinations(tree.point_names, 2)}
+
+
+def _cycle_rows(rng):
+    """A 4-cycle's shortest-path metric: fails the four-point condition."""
+    w = [1 + Fr(rng.randint(0, 32), 32) for _ in range(4)]
+    rows = {("a", "b"): w[0], ("b", "c"): w[1], ("c", "d"): w[2], ("a", "d"): w[3]}
+    return rows | {("a", "c"): min(w[0] + w[1], w[2] + w[3]), ("b", "d"): min(w[1] + w[2], w[3] + w[0])}
+
+
+def _break_triangle(rng, rows):
+    """Lengthen d(x, y) past d(x, z) + d(z, y)."""
+    names = sorted({p for key in rows for p in key})
+    if len(names) < 3:
+        return rows
+    x, y, z = rng.sample(names, 3)
+    d = {frozenset(k): v for k, v in rows.items()}
+    key = (x, y) if (x, y) in rows else (y, x)
+    return rows | {key: d[frozenset((x, z))] + d[frozenset((z, y))] + Fr(1, rng.randint(1, 9))}
+
+
+def _table_rows(kind, rng):
+    """Rows (x, y, value) of a table of the given kind, in file order."""
+    extra = []
+    if kind in ("cycle", "triangle and cycle"):
+        rows = _cycle_rows(rng)
+    else:
+        rows = _tree_rows(rng)
+    if kind == "perturbed":
+        key = rng.choice(sorted(rows))
+        eps = Fr(1, rng.randint(2, 8))
+        rows[key] = max(rows[key] - eps, eps) if rng.random() < 0.8 else rows[key] + eps
+    elif kind in ("triangle", "triangle and cycle"):
+        rows = _break_triangle(rng, rows)
+    elif kind == "missing":
+        del rows[rng.choice(sorted(rows))]
+    elif kind == "zero":
+        names = sorted({p for key in rows for p in key})
+        twin = rng.choice(names)
+        d = {frozenset(k): val for k, val in rows.items()}
+        rows |= {(twin, "z"): Fr(0)} | {(p, "z"): d[frozenset((p, twin))] for p in names if p != twin}
+    elif kind == "conflict":
+        (x, y) = rng.choice(sorted(rows))
+        changed = rows[(x, y)] + Fr(1, rng.randint(1, 5))
+        extra.append((y, x, changed))
+        if rng.random() < 0.3:
+            extra.append((x, y, changed))  # the later row overwrites: no conflict left
+    listed = [(x, y, v) if rng.random() < 0.5 else (y, x, v) for (x, y), v in rows.items()]
+    rng.shuffle(listed)
+    for row in extra:
+        listed.insert(rng.randint(0, len(listed)), row)
+    return listed
+
+
+def _literal(rng, value):
+    p, q = value.numerator, value.denominator
+    if q == 1 and rng.random() < 0.5:
+        return rng.choice(["", "+"]) + str(p) if p >= 0 else str(p)
+    if 10**6 % q == 0 and rng.random() < 0.5:
+        whole, frac = divmod(abs(p) * (10**6 // q), 10**6)
+        return f"{'-' if p < 0 else ''}{whole}.{frac:06d}".rstrip("0")
+    return f"{p}/{q}" if rng.random() < 0.8 else f"{2 * p}/{2 * q}"
+
+
+_TABLE_KINDS = ["tree", "perturbed", "triangle", "cycle", "triangle and cycle", "conflict", "missing", "zero"]
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(_TABLE_KINDS), st.integers(0, 2**32 - 1))
+def test_certify_table_matches_the_reference_table(tmp_path, capsys, kind, seed):
+    """Exit code, stdout and stderr of ``certify --table`` at delta 0, at the
+    defect and just below it, against ReferenceTable (eager Fraction dict and
+    O(n³) triangle scan) and the brute-force four-point scans."""
+    rng = random.Random(seed)
+    lines = [f"dist {x} {y} {_literal(rng, v)}" for x, y, v in _table_rows(kind, rng)]
+    if rng.random() < 0.3:
+        lines.insert(rng.randint(0, len(lines)), "# a comment")
+        lines.insert(rng.randint(0, len(lines)), "")
+    text = ("\r\n" if rng.random() < 0.2 else "\n").join(lines) + "\n"
+    path = tmp_path / "table.metric"
+    path.write_bytes(text.encode())
+    deltas = ["0"]
+    try:
+        defect = helpers.brute_force_max_defect(helpers.reference_parse_table(text))
+    except FormatError:
+        defect = 0
+    if defect > 0:
+        deltas += [format_number(defect), format_number(defect * Fr(63, 64))]
+    for delta in deltas:
+        expected = helpers.reference_certify_table(text, str(path), delta)
+        assert run_cli(capsys, "certify", "--table", str(path), "--delta", delta) == expected

@@ -2,6 +2,7 @@ import math
 from fractions import Fraction as Fr
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rtreelab.formats import (
     FormatError,
@@ -16,6 +17,7 @@ from rtreelab.formats import (
     parse_number,
     parse_oracle_point,
     parse_pair_file,
+    parse_ratio,
     parse_sequence,
     parse_table,
     parse_tree,
@@ -211,3 +213,59 @@ def test_witness_axiom():
 def test_unknown_witness_kind():
     with pytest.raises(FormatError):
         replay_witness({"kind": "mystery"})
+
+
+_LITERAL_PIECES = st.sampled_from(
+    ["0", "1", "7", "12", "007", "+", "-", "/", "/0", ".", "e", "E", "e-", "1_0", " ", "\t", "x", "٣", "²", "inf", "nan"]
+)
+_LITERALS = st.one_of(
+    st.lists(_LITERAL_PIECES, min_size=0, max_size=6).map("".join),
+    st.builds(
+        "{}{}{}/{}{}".format,
+        st.sampled_from(["", " ", "\t"]),
+        st.sampled_from(["", "+", "-", "--"]),
+        st.integers(0, 10**30),
+        st.integers(0, 99),
+        st.sampled_from(["", " ", "x"]),
+    ),
+    st.builds("{}{}".format, st.sampled_from(["", "+", "-"]), st.integers(0, 10**30)),
+    st.builds(
+        "{}{}.{}e{}".format,
+        st.sampled_from(["", "-"]),
+        st.integers(0, 999),
+        st.integers(0, 999),
+        st.integers(-5, 5),
+    ),
+    st.text(max_size=8),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_LITERALS)
+def test_number_literals_read_as_fraction_reads_them(text):
+    """The literal fast path against Fraction(text): the same value, or the
+    same 'bad number' error."""
+    try:
+        expected = Fr(text)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(FormatError, match="^bad number ") as exc:
+            parse_number(text)
+        assert str(exc.value) == f"bad number {text!r}"
+        with pytest.raises(FormatError) as exc_ratio:
+            parse_ratio(text)
+        assert str(exc_ratio.value) == str(exc.value)
+        return
+    assert parse_number(text) == expected
+    num, den = parse_ratio(text)
+    assert den > 0 and Fr(num, den) == expected
+
+
+@pytest.mark.parametrize("text", ["3/0", "-0/0", "1/-2", "+-1", "1 /2", "١٢/٣", "²", "1" * 5000])
+def test_number_literal_edge_cases_match_fraction(text):
+    try:
+        expected = Fr(text)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(FormatError, match="^bad number "):
+            parse_number(text)
+        return
+    assert parse_number(text) == expected

@@ -310,3 +310,56 @@ def test_kernel_and_builder_agree_with_the_slow_oracles(family, seed):
         with pytest.raises(NotZeroHyperbolicError) as exc:
             reconstruct_tree(table)
         assert exc.value.witness == FourPointWitness(quad, margin)
+
+
+def _tree_with_points(rng: random.Random, floats: bool) -> MetricTree:
+    """A random tree with designated points inside edges and, sometimes,
+    one at a vertex; with ``floats``, most lengths and offsets are dyadic
+    floats, so every sum is exact in floating point."""
+    edges, points = [], []
+    for i in range(1, rng.randint(2, 7)):
+        length = Fr(rng.randint(1, 64), 8)
+        if floats and rng.random() < 0.7:
+            length = float(length)
+        edges.append((f"p{rng.randrange(i)}", f"p{i}", length))
+    for k in range(rng.randint(0, 3)):
+        u, v, length = rng.choice(edges)
+        points.append((f"m{k}", u, v, length * Fr(2 * k + 1, 8)))
+    if rng.random() < 0.3:
+        points.append(("twin", rng.choice(edges)[rng.randint(0, 1)]))
+    return MetricTree(edges, points)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.booleans(), st.integers(0, 2**32 - 1))
+def test_from_tree_matrix_matches_pairwise_tree_distances(floats, seed):
+    """from_tree's matrix from root distances and meets against n² calls of
+    tree.distance; two names on one point give the reference's message."""
+    rng = random.Random(seed)
+    tree = _tree_with_points(rng, floats)
+    names = list(tree.point_names)
+    if rng.random() < 0.5:
+        names = rng.sample(names, rng.randint(1, len(names)))
+    reference = {(x, y): tree.distance(x, y) for x, y in combinations(sorted(names), 2)}
+    try:
+        helpers.ReferenceTable(reference)
+    except InvalidTableError as exc:
+        with pytest.raises(InvalidTableError) as got:
+            MetricTable.from_tree(tree, names)
+        assert str(got.value) == str(exc)
+        return
+    table = MetricTable.from_tree(tree, names)
+    assert table.points == tuple(sorted(set(names)))
+    assert table.exact == all(isinstance(v, Fr) for v in reference.values())
+    for i, j in combinations(range(len(table.points)), 2):
+        expected = reference[(table.points[i], table.points[j])]
+        expected = expected * table.scale if table.exact else float(expected)
+        assert table._m[i][j] == table._m[j][i] == expected
+        assert type(table._m[i][j]) is (int if table.exact else float)
+    assert all(table._m[i][i] == 0 for i in range(len(table.points)))
+
+
+def test_from_tree_two_names_on_one_point_is_rejected():
+    tree = MetricTree([("a", "b", Fr(3, 2)), ("b", "c", 2)], [("x", "b")])
+    with pytest.raises(InvalidTableError, match=r"^d\(b,x\) must be positive$"):
+        MetricTable.from_tree(tree)
