@@ -24,6 +24,7 @@ from .hyperbolicity import (
 )
 from .observers import verify_shape_map
 from .qmap import EmptyWordError
+from .surds import Surd
 from .tree import Location, MetricTree, Num, _exactify
 from .words import (
     Basis,
@@ -261,6 +262,9 @@ class LengthFunction:
     product: Callable[[object, object], object] = field(init=False, repr=False)
     length: Callable[[object], Num] = field(init=False, repr=False)
     class_function: bool = field(init=False, repr=False)
+    # when set, int_length(state) is length(state) * unit, an int
+    int_length: Callable[[object], int] | None = field(default=None, init=False, repr=False)
+    unit: int = field(default=1, init=False, repr=False)
 
     def __post_init__(self):
         _set_rule(self, _word_state, reduced_product, self.evaluator, False)
@@ -269,12 +273,16 @@ class LengthFunction:
         return self.evaluator(word)
 
 
-def _set_rule(lf: LengthFunction, state, product, length, class_function: bool) -> LengthFunction:
+def _set_rule(
+    lf: LengthFunction, state, product, length, class_function: bool, int_length=None, unit=1
+) -> LengthFunction:
     for name, value in (
         ("state", state),
         ("product", product),
         ("length", length),
         ("class_function", class_function),
+        ("int_length", int_length),
+        ("unit", unit),
     ):
         object.__setattr__(lf, name, value)
     return lf
@@ -286,7 +294,8 @@ def _vector_sum(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
 
 def length_function_from_line_action(action) -> LengthFunction:
     """|mu| on conjugacy classes; the state of a word is its abelianization
-    vector, so products add vectors."""
+    vector, so products add vectors.  With rational weights a length is
+    also an int over the action's scale."""
 
     def ev(word: str) -> Num:
         try:
@@ -300,7 +309,10 @@ def length_function_from_line_action(action) -> LengthFunction:
     def length(vec: tuple[int, ...]) -> Num:
         return abs(action.mu_of_vector(vec))
 
-    return _set_rule(LengthFunction(ev, "line action"), state, _vector_sum, length, True)
+    lf = LengthFunction(ev, "line action")
+    if action.radicands:
+        return _set_rule(lf, state, _vector_sum, length, True)
+    return _set_rule(lf, state, _vector_sum, length, True, action.int_length, action.scale)
 
 
 def length_function_from_marked_graph(
@@ -355,35 +367,68 @@ def affine_deviation(
     there are no words.  The deviation is Fraction(0) when every word's is
     0, else the value at the first word attaining the maximum.
 
-    lam is taken exactly (a float at its binary value).  For lam = p/q and
-    exact values x0, x1, xb the deviation is |q*xb - p*x1 - (q-p)*x0| / q,
-    compared across words in integers over the values' denominators; a
-    Fraction is made only for the result.  A word with a float value is
-    measured in floats, as the blend evaluates it.
+    lam is taken exactly (a float at its binary value), and so is every
+    value.  For lam = p/q and rational values x0, x1, xb the deviation is
+    |q*xb - p*x1 - (q-p)*x0| / q, compared across words in integers over
+    the values' denominators (a function with an ``int_length`` gives its
+    numerator over its fixed ``unit``); a Fraction is made only for the
+    result.  A word with an irrational value is measured in Surds.
     """
     lam = Fraction(lam)
     p, q = lam.numerator, lam.denominator
     r = q - p
-    s0, s1, sb = lf0.state, lf1.state, lf_blend.state
-    l0, l1, lb = lf0.length, lf1.length, lf_blend.length
-    # the worst deviation so far is worst_n / worst_d, or the float worst_float
-    worst_n, worst_d, worst_float, worst_word = 0, 1, None, None
+
+    def rule(lf):
+        if lf.int_length is not None:
+            return lf.state, lf.int_length, lf.unit
+        return lf.state, lf.length, 0
+
+    (s0, l0, u0), (s1, l1, u1), (sb, lb, ub) = map(rule, (lf0, lf1, lf_blend))
+    # the worst deviation so far is worst_n / worst_d, or the Surd worst_surd
+    worst_n, worst_d, worst_surd, worst_word = 0, 1, None, None
     for w in words:
         x0, x1, xb = l0(s0(w)), l1(s1(w)), lb(sb(w))
-        if isinstance(x0, float) or isinstance(x1, float) or isinstance(xb, float):
-            dev = abs(xb - (lam * x1 + (1 - lam) * x0))
-            n, d = dev.as_integer_ratio()
+        if not (type(x0) in _RATIONAL and type(x1) in _RATIONAL and type(xb) in _RATIONAL):
+            v0, v1, vb = (_exact(x, u) for x, u in ((x0, u0), (x1, u1), (xb, ub)))
+            dev = abs(vb - (lam * v1 + (1 - lam) * v0))
+            worst = worst_surd if worst_surd is not None else Fraction(worst_n, worst_d)
+            if dev > worst:
+                worst_word = w
+                if isinstance(dev, Surd):
+                    worst_surd = dev
+                else:
+                    worst_n, worst_d, worst_surd = dev.numerator, dev.denominator, None
+            elif dev == worst and (worst_word is None or w > worst_word):
+                worst_word = w
+            continue
+        n0, d0 = (x0, u0) if u0 else (x0.numerator, x0.denominator)
+        n1, d1 = (x1, u1) if u1 else (x1.numerator, x1.denominator)
+        nb, db = (xb, ub) if ub else (xb.numerator, xb.denominator)
+        n = abs((q * nb * d1 - p * n1 * db) * d0 - r * n0 * d1 * db)
+        d = q * d0 * d1 * db
+        if worst_surd is not None:
+            above = Fraction(n, d) > worst_surd
+            tie = False
         else:
-            n0, d0 = x0.numerator, x0.denominator
-            n1, d1 = x1.numerator, x1.denominator
-            nb, db = xb.numerator, xb.denominator
-            n = abs((q * nb * d1 - p * n1 * db) * d0 - r * n0 * d1 * db)
-            d, dev = q * d0 * d1 * db, None
-        if n * worst_d > worst_n * d:
-            worst_n, worst_d, worst_float, worst_word = n, d, dev, w
-        elif n * worst_d == worst_n * d and (worst_word is None or w > worst_word):
+            above, tie = n * worst_d > worst_n * d, n * worst_d == worst_n * d
+        if above:
+            worst_n, worst_d, worst_surd, worst_word = n, d, None, w
+        elif tie and (worst_word is None or w > worst_word):
             worst_word = w
-    return (Fraction(worst_n, worst_d) if worst_float is None else worst_float), worst_word
+    if worst_surd is not None:
+        return worst_surd, worst_word
+    return Fraction(worst_n, worst_d), worst_word
+
+
+_RATIONAL = frozenset((int, Fraction))
+
+
+def _exact(x, unit: int):
+    """A length as an exact number: an int over its unit, a float at its
+    binary value, ints, Fractions and Surds as they are."""
+    if unit:
+        return Fraction(x, unit)
+    return Fraction(x) if isinstance(x, float) else x
 
 
 def convex_combination_length_check(

@@ -310,13 +310,13 @@ def _fiber_payload(action, check, tol):
         "first": enc(check.first),
         "second": enc(check.second),
         "residual": check.residual,
-        "tol": tol,
+        "tol": float(tol),
     }
 
 
 def run_qmap_fibers(args, out) -> int:
     action = _action_from_args(args)
-    tol = float(formats.parse_number(args.tol))
+    tol = formats.parse_number(args.tol)
     if args.pair:
         raw_pairs = [tuple(part.strip() for part in args.pair.split("|", 1))]
         if len(raw_pairs[0]) != 2:
@@ -347,9 +347,9 @@ def run_qmap_fibers(args, out) -> int:
 
 def run_qmap_lamination(args, out) -> int:
     action = _action_from_args(args)
-    epsilon = float(formats.parse_number(args.epsilon))
+    epsilon = formats.parse_number(args.epsilon)
     sample = dual_lamination_sample(
-        action, epsilon, args.maxlen, depth=args.depth, tol=float(formats.parse_number(args.tol))
+        action, epsilon, args.maxlen, depth=args.depth, tol=formats.parse_number(args.tol)
     )
     out.append(
         f"sample: {len(sample.pairs)} pairs at depth {sample.depth}"
@@ -377,7 +377,7 @@ def run_qmap_lamination(args, out) -> int:
 
 def run_qmap_smallwords(args, out) -> int:
     action = _action_from_args(args)
-    epsilon = float(formats.parse_number(args.epsilon))
+    epsilon = formats.parse_number(args.epsilon)
     records = small_words_search(action, epsilon, args.maxlen)
     out.append("word\tlength\ttranslation_length\tabelianization")
     for rec in records:

@@ -17,6 +17,7 @@ from typing import Iterator
 
 from .hyperbolicity import MetricTable
 from .oracles import LINE_MINUS, LINE_PLUS, LineOracle, MultipodOracle, Ray, TreeOracle
+from .surds import Surd
 from .tree import Location, MetricTree
 
 
@@ -48,8 +49,13 @@ def parse_number(text: str) -> Fraction:
 
 
 def format_number(x) -> str:
+    """A rational as an int or p/q, a float as its repr, and a Surd (a
+    number with a nonzero irrational part) as the repr of its correctly
+    rounded float."""
     if isinstance(x, Fraction):
         return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    if isinstance(x, Surd):
+        return repr(float(x))
     if isinstance(x, float):
         if math.isinf(x):
             return "inf" if x > 0 else "-inf"
@@ -355,6 +361,8 @@ WITNESS_PREFIX = "WITNESS "
 def _jsonable(x):
     if isinstance(x, Fraction):
         return format_number(x)
+    if isinstance(x, Surd):
+        return float(x)
     if isinstance(x, float):
         # strict JSON has no Infinity: non-finite floats go as "inf"/"-inf"
         return x if math.isfinite(x) else format_number(x)

@@ -12,9 +12,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 from itertools import count
 from typing import Iterator, Protocol, runtime_checkable
 
+from .surds import LineCode
 from .tree import Location, MetricTree, Num
 
 
@@ -110,8 +112,20 @@ class FiniteTreeOracle:
 
 
 class LineOracle:
-    """The real line as an oracle; points are numbers, the two ends are
-    ``LINE_PLUS`` and ``LINE_MINUS``."""
+    """The real line as an oracle; points are numbers (ints, Fractions,
+    floats and Surds), and the two ends are ``LINE_PLUS`` and
+    ``LINE_MINUS``.
+
+    A line built with a :class:`~rtreelab.surds.LineCode` takes its finite
+    points as the code's ints, the exact numbers of an orbit.  Their
+    integer order is the order of the numbers outside the code's window,
+    and comparisons inside it are decided exactly.  Such a line answers the
+    fold's queries (``common_segment_end``, ``center``, ``distance``) and
+    the comparisons (``points_equal``, ``germ``), not ``midpoint``.
+    """
+
+    def __init__(self, code: LineCode | None = None):
+        self.code = code
 
     def _coord(self, p):
         # the type test first: a number compared with a Ray takes the slow path
@@ -130,14 +144,24 @@ class LineOracle:
             return LINE_MINUS
         return c
 
+    def _above(self, a, b) -> bool:
+        """a > b for coordinates, exactly."""
+        return a > b if self.code is None else self.code.sign(a - b) > 0
+
     def distance(self, p, q) -> Num:
         a, b = self._coord(p), self._coord(q)
+        if self.code is not None:
+            return a - b if self._above(a, b) else b - a
         if math.isinf(a) or math.isinf(b):
             return 0 if a == b else math.inf
         return abs(a - b)
 
     def center(self, p, q, r):
-        coords = sorted((self._coord(p), self._coord(q), self._coord(r)))
+        coords = [self._coord(p), self._coord(q), self._coord(r)]
+        if self.code is None:
+            coords.sort()
+        else:
+            coords.sort(key=cmp_to_key(lambda a, b: self.code.sign(a - b)))
         return self._from_coord(coords[1])
 
     def common_segment_end(self, basepoint, points):
@@ -145,19 +169,27 @@ class LineOracle:
         intersection of the segments [Q, p] ends at the largest point when
         every point is <= Q, at the smallest when every point is > Q, and at
         Q otherwise.  Ties go to the latest largest and the earliest smallest
-        point, the objects the fold's stable medians keep."""
+        point, the objects the fold's stable medians keep.  On a coded line
+        the largest and smallest ints are settled exactly within the
+        window."""
         if len(points) == 1:
             return points[0]  # as the fold returns it, uncoordinatized
         if Ray in set(map(type, points)):
             points = list(map(self._coord, points))
         q = self._coord(basepoint)
         top = max(reversed(points))
-        if top <= q:
+        if self.code is not None:
+            top = self.code.extreme(points, top, upper=True)
+        if not self._above(top, q):
             return self._from_coord(top)
         low = min(points)
-        return self._from_coord(low if low > q else q)
+        if self.code is not None:
+            low = self.code.extreme(points, low, upper=False)
+        return self._from_coord(low if self._above(low, q) else q)
 
     def midpoint(self, p, q):
+        if self.code is not None:
+            raise ValueError("a coded line has no midpoints")
         a, b = self._coord(p), self._coord(q)
         if math.isinf(a) or math.isinf(b):
             raise BoundaryPointError("midpoint needs finite points")
@@ -172,7 +204,7 @@ class LineOracle:
     def germ(self, p, r):
         """The side of p that r lies on: True above, False below, None at p."""
         a, b = self._coord(p), self._coord(r)
-        return None if a == b else b > a
+        return None if a == b else self._above(b, a)
 
     def sample_stream(self) -> Iterator:
         # Farey-style enumeration of the rationals: dense, deterministic

@@ -13,6 +13,12 @@ here, but it does NOT satisfy the dense-orbit/very-small hypotheses the
 theory needs for basepoint independence and continuity (arc stabilizers
 contain the whole kernel of the weight homomorphism); results on it are
 estimates with certificates, never unconditional claims.
+
+Its numbers are exact for every weight, ``sqrt:`` weights (the dense-orbit
+case) included: they live in the span of 1 and square roots of squarefree
+integers (:mod:`rtreelab.surds`).  An orbit is one signed int step per
+letter in a code whose integer order is the order of its numbers, the
+liminf fold runs on those ints, and only reported values are decoded.
 """
 from __future__ import annotations
 
@@ -21,11 +27,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
 from operator import mul
-from typing import Iterable, Protocol, runtime_checkable
+from typing import Callable, Iterable, Protocol, runtime_checkable
 
 from .boundary import BoundaryPoint, BoundaryPair, LaminationSample, act
+from .formats import FormatError
 from .oracles import LINE_MINUS, LINE_PLUS, LineOracle, Ray, TreeOracle
 from .observers import LiminfResult, PointSequence, liminf_from
+from .surds import LineCode, Surd, coordinates, sign, value_of
 from .words import (
     Basis,
     abelianization,
@@ -62,10 +70,11 @@ class DenseLineAction:
     The action is never very small (the kernel of the weight map fixes the
     line pointwise).
 
-    Exact weights (ints and Fractions) are also held as ``int_weights``,
-    integers over ``scale``, the lcm of their denominators; ``scale`` is
-    None when some weight is a float, and then every sum runs on the
-    weights themselves.
+    Weights are exact: ints, Fractions and Surds (a float is taken at its
+    exact binary value).  They are also held as integer coordinates over
+    the basis {1} and {sqrt(d) : d in ``radicands``} with the common
+    denominator ``scale``: ``columns[j]`` holds coordinate j of every
+    generator's weight, so rational weights are the one-column case.
     """
 
     weights: dict
@@ -74,9 +83,10 @@ class DenseLineAction:
     dense_image: bool = False
     oracle: LineOracle = field(default_factory=LineOracle, compare=False)
     very_small: bool = field(default=False, init=False)
-    scale: int | None = field(default=None, init=False, repr=False, compare=False)
-    int_weights: tuple[int, ...] = field(default=(), init=False, repr=False, compare=False)
-    # exact results are Fractions when some weight is one, else ints
+    radicands: tuple[int, ...] = field(default=(), init=False, repr=False, compare=False)
+    scale: int = field(default=1, init=False, repr=False, compare=False)
+    columns: tuple[tuple[int, ...], ...] = field(default=(), init=False, repr=False, compare=False)
+    # exact results are ints when every weight is one, else Fractions or Surds
     _fraction_valued: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -84,15 +94,11 @@ class DenseLineAction:
         if missing:
             raise ValueError(f"weights missing for generators {missing}")
         values = [self.weights[s] for s in self.basis.symbols]
-        if all(isinstance(w, (int, Fraction)) for w in values):
-            scale = math.lcm(*(w.denominator for w in values))
-            object.__setattr__(self, "scale", scale)
-            object.__setattr__(
-                self, "int_weights", tuple(w.numerator * (scale // w.denominator) for w in values)
-            )
-            object.__setattr__(
-                self, "_fraction_valued", any(isinstance(w, Fraction) for w in values)
-            )
+        radicands, scale, rows = coordinates(values)
+        object.__setattr__(self, "radicands", radicands)
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "columns", tuple(zip(*rows)))
+        object.__setattr__(self, "_fraction_valued", any(type(w) is not int for w in values))
 
     def mu(self, word: str) -> object:
         """Signed weight sum, computed through the integer abelianization so
@@ -104,15 +110,35 @@ class DenseLineAction:
         """mu of any word with abelianization ``vec``.  The vector is the
         line action's per-word state: the vector of a product is the sum of
         the factors' vectors."""
-        if self.scale is None:
-            total = 0
-            for n, s in zip(vec, self.basis.symbols):
-                if n:
-                    total += n * self.weights[s]
-            return total
-        total = sum(map(mul, vec, self.int_weights))
+        if not self._fraction_valued:
+            return sum(map(mul, vec, self.columns[0]))
         # a word with no letter count left sums to the int 0, as term by term
-        return Fraction(total, self.scale) if self._fraction_valued and any(vec) else total
+        if not any(vec):
+            return 0
+        return value_of([sum(map(mul, vec, col)) for col in self.columns], self.radicands, self.scale)
+
+    def int_length(self, vec: tuple[int, ...]) -> int:
+        """|mu| of ``vec`` times ``scale``, for rational weights."""
+        return abs(sum(map(mul, vec, self.columns[0])))
+
+    def shorter_than(self, bound) -> Callable[[tuple[int, ...]], bool]:
+        """The test |mu(vec)| < bound for abelianization vectors, with bound
+        a rational, a float at its binary value, or inf: -bound < mu < bound
+        on the integer coordinates, without building the value."""
+        if bound == math.inf:
+            return lambda vec: True
+        n, q = Fraction(bound).as_integer_ratio()
+        n *= self.scale
+        columns, radicands = self.columns, self.radicands
+        if not radicands:
+            (col,) = columns
+            return lambda vec: abs(sum(map(mul, vec, col))) * q < n
+
+        def test(vec):
+            c0, *rest = [sum(map(mul, vec, col)) * q for col in columns]
+            return sign((c0 - n, *rest), radicands) < 0 < sign((c0 + n, *rest), radicands)
+
+        return test
 
     def apply(self, word: str, point):
         if isinstance(point, Ray):
@@ -184,67 +210,46 @@ def qmap_estimate(action, x: BoundaryPoint, basepoint=None, depth: int = 10_000)
         raise ValueError("depth must be >= 1")
     if basepoint is None:
         basepoint = action.basepoint
-    if isinstance(action, DenseLineAction) and x.periodic_form is not None:
+    if not isinstance(action, DenseLineAction):
+        orbit = PointSequence(lambda i: action.apply(x.prefix(i + 1), basepoint))
+        res: LiminfResult = liminf_from(action.oracle, basepoint, orbit, depth)
+        return QEstimate(res.point, res.certificate, "liminf", res.terms_used)
+    if x.periodic_form is not None:
         prefix, block = x.periodic_form
         drift = action.mu(block)
         if drift != 0:
             ray = LINE_PLUS if drift > 0 else LINE_MINUS
             return QEstimate(ray, 0, "drift", depth)
-    orbit, start, scale = _orbit_sequence(action, x, basepoint, depth)
-    # the fold only takes medians and differences, so it runs on scaled
-    # points unchanged and its results are divided by the scale once
-    res: LiminfResult = liminf_from(action.oracle, start, orbit, depth)
-    return QEstimate(
-        _unscaled(res.point, scale), _unscaled(res.certificate, scale), "liminf", res.terms_used
-    )
+    orbit, start, code = _orbit_sequence(action, x, basepoint, depth)
+    # the fold takes maxima, minima and differences of the orbit's ints on
+    # the line of their code, and only the results are decoded
+    res = liminf_from(LineOracle(code), start, orbit, depth)
+    return QEstimate(code.value(res.point), code.value(res.certificate), "liminf", res.terms_used)
 
 
-def _orbit_sequence(action, x: BoundaryPoint, basepoint, depth: int):
-    """Orbit points prefix_i(X) . P for i = 1..depth, with the basepoint in
-    the same units and the scale that divides both back (None when they
-    are already in the action's units).
-
-    Line actions get an incremental evaluation, linear in depth: with
-    exact weights and basepoint the points are integers over
-    lcm(scale, basepoint denominator), one signed weight added per letter;
-    with float weights each point is summed afresh from the running
-    abelianization vector, which keeps zero-sum returns exactly zero.
-    Other actions apply each prefix directly.
+def _orbit_sequence(action: DenseLineAction, x: BoundaryPoint, basepoint, depth: int):
+    """Orbit points prefix_i(X) . P for i = 1..depth, linear in depth: the
+    weights and the basepoint as integer coordinates over one basis and one
+    denominator, each point the int of a LineCode for them, one signed
+    weight added per letter.  Returns the points, the basepoint's int and
+    the code.  For rational weights and basepoint the code is the identity,
+    so the points are the numbers times the common denominator.
     """
-    if isinstance(action, DenseLineAction):
-        letters = x.prefix(depth)
-        symbols = action.basis.symbols
-        if action.scale is not None and isinstance(basepoint, (int, Fraction)):
-            scale = math.lcm(action.scale, basepoint.denominator)
-            k = scale // action.scale
-            step = {}
-            for s, w in zip(symbols, action.int_weights):
-                step[s], step[s.upper()] = w * k, -w * k
-            start = basepoint.numerator * (scale // basepoint.denominator)
-            pts = list(accumulate(map(step.__getitem__, letters), initial=start))[1:]
-            # all-int input is already in the action's units (scale 1, ints)
-            exact = action._fraction_valued or isinstance(basepoint, Fraction)
-            return PointSequence(pts), start, scale if exact else None
-        index = {s: i for i, s in enumerate(symbols)}
-        weights = [action.weights[s] for s in symbols]
-        vec = [0] * len(symbols)
-        pts = []
-        for c in letters:
-            vec[index[c.lower()]] += 1 if c.islower() else -1
-            total = basepoint
-            for n, w in zip(vec, weights):
-                if n:
-                    total = total + n * w
-            pts.append(total)
-        return PointSequence(pts), basepoint, None
-    return PointSequence(lambda i: action.apply(x.prefix(i + 1), basepoint)), basepoint, None
-
-
-def _unscaled(value, scale):
-    """A fold result back in the action's units; inf and rays pass through."""
-    if scale is None or not isinstance(value, int):
-        return value
-    return Fraction(value, scale)
+    letters = x.prefix(depth)
+    symbols = action.basis.symbols
+    values = [action.weights[s] for s in symbols]
+    radicands, scale, rows = coordinates([*values, basepoint])
+    *steps, base = rows
+    bounds = [abs(b) + depth * max(abs(w[j]) for w in steps) for j, b in enumerate(base)]
+    int_valued = all(type(v) is int for v in values) and type(basepoint) is int
+    code = LineCode(radicands, scale, bounds, int_valued)
+    step = {}
+    for s, w in zip(symbols, steps):
+        step[s] = code.encode(w)
+        step[s.upper()] = -step[s]
+    start = code.encode(base)
+    pts = list(accumulate(map(step.__getitem__, letters), initial=start))[1:]
+    return PointSequence(pts), start, code
 
 
 def separation(oracle: TreeOracle, a, b):
@@ -302,14 +307,18 @@ def small_words_search(action, epsilon, maxlen: int) -> list[ConjugacyClassRecor
     if maxlen < 1:
         raise ValueError("maxlen must be >= 1")
     records = []
+    pairs = [(s, s.upper()) for s in action.basis.symbols]
+    short = action.shorter_than(epsilon)
     for w in cyclically_reduced_words(action.basis, maxlen):
         # a class representative starts at its least letter; the words
         # are distinct, so each class is met once as its representative
         if w[0] != min(w) or canonical_rotation(w) != w:
             continue
-        tl = action.translation_length(w)
-        if tl < epsilon:
-            records.append(ConjugacyClassRecord(w, tl, abelianization(w, action.basis)))
+        # the enumeration's words are cyclically reduced basis words: the
+        # translation length is |mu| of their letter counts
+        vec = tuple(w.count(s) - w.count(inverse) for s, inverse in pairs)
+        if short(vec):
+            records.append(ConjugacyClassRecord(w, abs(action.mu_of_vector(vec)), vec))
     records.sort(key=lambda r: (r.translation_length, len(r.word), r.word))
     return records
 
@@ -327,7 +336,7 @@ def min_positive_translation(action: DenseLineAction, maxlen: int):
     for vec in enumerate_integer_vectors(action.basis.rank, maxlen):
         if all(n == 0 for n in vec):
             continue
-        value = abs(sum(n * action.weights[s] for n, s in zip(vec, action.basis.symbols) if n))
+        value = abs(action.mu_of_vector(vec))
         if best is None or value < best[0]:
             best = (value, vec)
     if best is None:
@@ -438,20 +447,20 @@ def equivariance_check(action, word: str, x: BoundaryPoint, depth: int = 10_000)
 
 
 def parse_weight(text: str):
-    """Weight literal: decimal/rational (exact) or ``sqrt:<n>`` (float).
+    """Weight literal: decimal/rational, or ``sqrt:<n>`` for an integer
+    0 <= n <= 10**18, exact with the square factor taken out (``sqrt:8`` is
+    2*sqrt(2), ``sqrt:9`` is 3).  A malformed literal is a FormatError.
 
     Returns ``(value, irrational)``.
     """
     text = text.strip()
-    if text.startswith("sqrt:"):
-        n = int(text[5:])
-        if n < 0:
-            raise ValueError("sqrt of a negative integer")
-        root = math.isqrt(n)
-        if root * root == n:
-            return Fraction(root), False
-        return math.sqrt(n), True
-    return Fraction(text), False
+    try:
+        if text.startswith("sqrt:"):
+            value = Surd.sqrt(int(text[5:]))
+            return value, isinstance(value, Surd)
+        return Fraction(text), False
+    except (ValueError, ZeroDivisionError) as exc:
+        raise FormatError(f"bad weight {text!r}: {exc}") from exc
 
 
 def line_action_from_weights(

@@ -205,7 +205,7 @@ def reference_prefix(basis, fn, cache: list, k: int) -> str:
 
 def reference_mu(action, word: str):
     """Slow reference for DenseLineAction.mu: the signed weight sum term by
-    term on the weights themselves (Fraction or float arithmetic)."""
+    term on the weights themselves (Fraction, Surd or float arithmetic)."""
     total = 0
     for n, s in zip(abelianization(word, action.basis), action.basis.symbols):
         if n:
@@ -222,7 +222,9 @@ def reference_translation_length(action, word: str):
 
 def reference_orbit(action, x, basepoint, depth: int) -> list:
     """Orbit points prefix_i(X) . P for i = 1..depth, each summed afresh
-    from the running abelianization vector on the weights themselves."""
+    from the running abelianization vector on the weights themselves: in
+    Fractions and Surds on exact weights, and the float loop on
+    math.sqrt weights."""
     symbols = action.basis.symbols
     index = {s: i for i, s in enumerate(symbols)}
     weights = [action.weights[s] for s in symbols]

@@ -36,6 +36,7 @@ from rtreelab.qmap import (
     q_fiber_check,
     small_words_search,
 )
+from rtreelab.surds import Surd
 from rtreelab.tree import Location, MetricTree, path_tree, star_tree
 from rtreelab.words import (
     Basis,
@@ -54,6 +55,7 @@ from helpers import (
 
 B2 = Basis(2)
 SQRT2 = math.sqrt(2)
+ROOT2 = Surd.sqrt(2)
 
 
 def test_criterion_01_four_point_soundness():
@@ -304,19 +306,21 @@ def test_criterion_09_small_word_search():
     (17, -12), i.e. word length 29; at the literal bound 12 the minimum is
     |7 - 5*sqrt2| and both routes agree on that too.)"""
     start = time.monotonic()
-    action = DenseLineAction({"a": 1, "b": SQRT2}, B2, dense_image=True)
+    action = DenseLineAction({"a": 1, "b": ROOT2}, B2, dense_image=True)
     value29, vec29, word29 = min_positive_translation(action, 29)
     assert abs(value29 - abs(17 - 12 * SQRT2)) < 1e-9
     assert vec29 in ((17, -12), (-17, 12))
     assert len(word29) == 29
-    (oracle_best, _, oracle_q), convergents = continued_fraction_best(29)
-    assert abs(value29 - oracle_best) < 1e-18
+    # the oracle's float scan names the minimizer; its value is exact here
+    (oracle_best, oracle_p, oracle_q), convergents = continued_fraction_best(29)
+    assert value29 == abs(oracle_p - oracle_q * ROOT2)
+    assert abs(value29 - oracle_best) < 1e-14
     assert (17, 12) in convergents
     # the literal length-12 bound cannot reach the 17/12 convergent
     value12, _, _ = min_positive_translation(action, 12)
-    assert abs(value12 - abs(7 - 5 * SQRT2)) < 1e-9
-    (oracle12, _, _), _ = continued_fraction_best(12)
-    assert abs(value12 - oracle12) < 1e-18
+    assert value12 == abs(7 - 5 * ROOT2)
+    (oracle12, p12, q12), _ = continued_fraction_best(12)
+    assert value12 == abs(p12 - q12 * ROOT2)
     # lattice route == literal word enumeration wherever the latter is feasible
     for maxlen in (4, 6, 8):
         enum_min = min(
@@ -341,7 +345,7 @@ def test_criterion_10_lamination_audits():
     """Every emitted dual-lamination sample at depth <= 1000 passes its
     closure audit; fiber checks are symmetric and reflexive on a 100-pair
     panel."""
-    action = DenseLineAction({"a": 1, "b": SQRT2}, B2, dense_image=True)
+    action = DenseLineAction({"a": 1, "b": ROOT2}, B2, dense_image=True)
     for epsilon, maxlen, depth in ((0.2, 4, 100), (0.2, 5, 1000), (0.05, 4, 500)):
         sample = dual_lamination_sample(action, epsilon, maxlen, depth=depth)
         audit = sample.audit()

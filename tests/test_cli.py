@@ -272,6 +272,38 @@ def test_qmap_smallwords_table(capsys):
     assert canonical_rotation("abAB") in out
 
 
+def test_qmap_smallwords_with_dependent_radicands_finds_exact_zeros(capsys):
+    # sqrt:8 is 2*sqrt:2, so aaB translates by exactly 0
+    code, out, _ = run_cli(
+        capsys, "qmap", "smallwords", "--weights", "sqrt:2,sqrt:8", "--epsilon", "1/10", "--maxlen", "3"
+    )
+    assert code == 0
+    assert out.splitlines()[2:] == [
+        "word\tlength\ttranslation_length\tabelianization",
+        "AAb\t3\t0\t-2,1",
+        "Baa\t3\t0\t2,-1",
+        "RESULT: pass (2 classes)",
+    ]
+    assert canonical_rotation("aaB") == "Baa"
+
+
+@pytest.mark.parametrize("weight", ["sqrt:-2", "sqrt:two", "sqrt:1/2", "1/0"])
+def test_qmap_rejects_a_bad_weight_literal_as_a_parse_error(weight, capsys):
+    code, out, err = run_cli(capsys, "qmap", "estimate", "--weights", f"1,{weight}", "--word", ";ab")
+    assert code == 64
+    assert "RESULT" not in out and err.startswith(f"parse error: bad weight '{weight}'")
+
+
+def test_qmap_estimate_reports_exact_irrational_values(capsys):
+    code, out, _ = run_cli(
+        capsys, "qmap", "estimate", "--weights", "1,sqrt:2", "--word", "b;aabAAB", "--depth", "3000"
+    )
+    assert code == 0
+    # the limit is sqrt 2, printed as its correctly rounded float; the
+    # certificate is exactly 0
+    assert "estimate: 1.4142135623730951\n" in out and "certificate: 0\n" in out
+
+
 def test_qmap_lamination(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -329,6 +361,17 @@ def test_blend_lengths_table_mismatch_emits_replayable_witness(tmp_path, capsys)
     report.write_text(out)
     code2, out2, _ = run_cli(capsys, "replay", str(report))
     assert code2 == 0
+
+
+def test_blend_lengths_with_a_sqrt_weight_finds_no_false_violation(capsys):
+    # every word's blend equals its affine combination exactly (bbba: 13/3 +
+    # 2*sqrt 2 on both sides), where float sums read a deviation of 8.88e-16
+    code, out, _ = run_cli(
+        capsys, "blend", "lengths", "--weights0", "1,sqrt:2", "--weights1", "2,3",
+        "--lambda", "1/3", "--maxlen", "4",
+    )
+    assert code == 0
+    assert out.splitlines()[2:] == ["words checked: 128", "max deviation: 0", "RESULT: pass"]
 
 
 def test_blend_lengths_proportional_weights(capsys):
@@ -423,13 +466,14 @@ LENGTHS_REPORTS = {
         'WITNESS {"blend": "7/15", "kind": "affine_deviation", "lambda": "7/10", "lf0": "7",'
         ' "lf1": "11/3", "tol": "0", "word": "bbaa"}\n'
     ),
-    # a sqrt weight: the deviation 3 is first met at the exact word aaa, and
-    # baa, the largest word that meets it, has float values
+    # a sqrt weight: the deviation 3 is first met at the rational word aaa,
+    # and baa, the largest word that meets it, has irrational values, which
+    # the witness carries as correctly rounded floats
     "1,sqrt:2 -2,1 1/2 3": (
         "words checked: 44\n"
         "max deviation: 3\n"
         "RESULT: fail -- blend is not the affine combination (word baa)\n"
-        'WITNESS {"blend": 0.20710678118654746, "kind": "affine_deviation", "lambda": "1/2",'
+        'WITNESS {"blend": 0.20710678118654752, "kind": "affine_deviation", "lambda": "1/2",'
         ' "lf0": 3.414213562373095, "lf1": "3", "tol": "0", "word": "baa"}\n'
     ),
 }

@@ -1,14 +1,22 @@
 """Seeded randomized consistency checks across the trickier code paths."""
+import io
 import math
+import os
 import random
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as Fr
 from itertools import combinations
 
+from hypothesis import given, settings, strategies as st
+
 from rtreelab.boundary import BoundaryPoint, act
+from rtreelab.cli import main
+from rtreelab.formats import WITNESS_PREFIX
 from rtreelab.hyperbolicity import MetricTable, reconstruct_tree
 from rtreelab.observers import PointSequence, liminf_from
 from rtreelab.oracles import FiniteTreeOracle
-from rtreelab.words import Basis, cyclically_reduced_words, reduce_word, reduced_words
+from rtreelab.words import Basis, cyclic_reduce, cyclically_reduced_words, reduce_word, reduced_words
 
 from helpers import random_tree
 
@@ -102,3 +110,91 @@ def test_liminf_head_parameter_bounds():
     clamped = liminf_from(oracle, names[0], seq, depth=10, head=99)
     assert clamped.head == 9  # capped at the last term
     assert oracle.points_equal(clamped.point, seq.point(9))
+
+
+# -- CLI fuzz over line actions ------------------------------------------------------
+
+_EXIT_CODES = {0, 1, 2, 64, 65}
+
+_VALID_WEIGHT = st.one_of(
+    st.integers(-4, 4).map(str),
+    st.tuples(st.integers(-9, 9), st.integers(1, 4)).map(lambda t: f"{t[0]}/{t[1]}"),
+    st.integers(0, 13).map(lambda n: f"sqrt:{n}"),
+)
+_MALFORMED_WEIGHT = st.sampled_from(["sqrt:-2", "sqrt:x", "-sqrt:2", ""])
+
+
+@st.composite
+def _weights(draw):
+    """Two or three weight literals, one in ten lists with a malformed one."""
+    literals = draw(st.lists(_VALID_WEIGHT, min_size=2, max_size=3))
+    if draw(st.integers(0, 9)) == 0:
+        literals[draw(st.integers(0, len(literals) - 1))] = draw(_MALFORMED_WEIGHT)
+    return ",".join(literals)
+
+
+@st.composite
+def _reduced(draw, min_size=0):
+    word = ""
+    for c in draw(st.lists(st.sampled_from("abAB"), min_size=min_size, max_size=6)):
+        if not word or word[-1] != c.swapcase():
+            word += c
+    return word
+
+
+@st.composite
+def _boundary(draw):
+    block = cyclic_reduce(draw(_reduced(1))) or "ab"
+    prefix = draw(_reduced())
+    while prefix and prefix[-1] == block[0].swapcase():
+        prefix = prefix[:-1]
+    return f"{prefix};{block}"
+
+
+_NUMBERS = st.sampled_from(["0", "1/3", "1/2", "-2", "1e-6", "1/10", "1", "2", "x"])
+
+
+def _run(argv) -> tuple[int, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.sampled_from(["estimate", "fibers", "smallwords", "lengths"]),
+    _weights(),
+    _weights(),
+    _boundary(),
+    _boundary(),
+    _NUMBERS,
+    st.integers(1, 4),
+    st.integers(1, 400),
+)
+def test_line_action_commands_exit_cleanly_and_their_witnesses_replay(
+    command, weights, weights1, x, y, number, maxlen, depth
+):
+    """Any sqrt:/rational weight list and boundary word gives a documented
+    exit code and no traceback, and every printed WITNESS replays."""
+    if command == "estimate":
+        argv = ["qmap", "estimate", f"--weights={weights}", f"--word={x}", f"--basepoint={number}",
+                "--depth", str(depth)]
+    elif command == "fibers":
+        argv = ["qmap", "fibers", f"--weights={weights}", f"--pair={x} | {y}", f"--tol={number}",
+                "--depth", str(depth)]
+    elif command == "smallwords":
+        argv = ["qmap", "smallwords", f"--weights={weights}", f"--epsilon={number}", "--maxlen", str(maxlen)]
+    else:
+        argv = ["blend", "lengths", f"--weights0={weights}", f"--weights1={weights1}",
+                f"--lambda={number}", "--maxlen", str(maxlen)]
+    code, out = _run(argv)
+    assert code in _EXIT_CODES
+    if WITNESS_PREFIX not in out:
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        report = os.path.join(tmp, "report.txt")
+        with open(report, "w", encoding="utf-8") as fh:
+            fh.write(out)
+        replay_code, replay_out = _run(["replay", report])
+    assert replay_code == 0 and "NOT CONFIRMED" not in replay_out

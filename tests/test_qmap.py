@@ -16,14 +16,13 @@ from helpers import (
 )
 from rtreelab.blend import length_function_from_line_action
 from rtreelab.boundary import BoundaryPoint, act, parse_boundary_point
-from rtreelab.formats import format_number
+from rtreelab.formats import FormatError, format_number
 from rtreelab.observers import liminf_from
-from rtreelab.oracles import LINE_MINUS, LINE_PLUS, Ray
+from rtreelab.oracles import LINE_MINUS, LINE_PLUS, LineOracle, Ray
 from rtreelab.qmap import (
     DenseLineAction,
     EmptyWordError,
     _orbit_sequence,
-    _unscaled,
     dual_lamination_sample,
     equivariance_check,
     line_action_from_weights,
@@ -35,6 +34,7 @@ from rtreelab.qmap import (
     small_words_search,
     translation_length,
 )
+from rtreelab.surds import Surd
 from rtreelab.words import (
     Basis,
     abelianization,
@@ -49,11 +49,12 @@ from rtreelab.words import (
 
 B2 = Basis(2)
 SQRT2 = math.sqrt(2)
+ROOT2 = Surd.sqrt(2)
 
 
 @pytest.fixture
 def irr_action():
-    return DenseLineAction({"a": 1, "b": SQRT2}, B2, basepoint=0, dense_image=True)
+    return DenseLineAction({"a": 1, "b": ROOT2}, B2, basepoint=0, dense_image=True)
 
 
 @pytest.fixture
@@ -395,8 +396,15 @@ def test_parse_weight_literals():
     assert parse_weight("3/2") == (Fr(3, 2), False)
     assert parse_weight("1.25") == (Fr(5, 4), False)
     value, irr = parse_weight("sqrt:2")
-    assert irr and abs(value - SQRT2) < 1e-15
+    assert irr and value == ROOT2 and float(value) == SQRT2
+    # the square factor is taken out, and perfect squares are rational
+    assert parse_weight("sqrt:8") == (2 * ROOT2, True)
+    assert parse_weight("sqrt:72") == (6 * ROOT2, True)
     assert parse_weight("sqrt:9") == (Fr(3), False)
+    assert parse_weight("sqrt:0") == (Fr(0), False)
+    for bad in ("sqrt:-2", "sqrt:x", "sqrt:1.5", "1/0", f"sqrt:{10**18 + 1}"):
+        with pytest.raises(FormatError):
+            parse_weight(bad)
 
 
 def test_line_action_from_weights_sets_density_flag():
@@ -494,9 +502,10 @@ def boundary_point(basis, spec):
 @st.composite
 def line_cases(draw):
     """Weights all-int, rational with mixed denominators, negative, or
-    mixed sqrt:/rational; the action's basepoint and an explicit one (None
-    for the action's), with denominators not among the weights'; two
-    boundary points, a depth, a head and a fiber tolerance."""
+    mixed sqrt:/rational (sqrt:8 is 2*sqrt:2, so two radicands may be
+    dependent); the action's basepoint and an explicit one (None for the
+    action's), with denominators not among the weights'; two boundary
+    points, a depth, a head and a fiber tolerance."""
     rank = draw(st.integers(2, 3))
     kind = draw(st.sampled_from(["int", "rational", "negative", "mixed"]))
 
@@ -512,7 +521,7 @@ def line_cases(draw):
     else:
         weights = [rational() for _ in range(rank)]
         for i in draw(st.sets(st.integers(0, rank - 1), min_size=1)):
-            weights[i] = math.sqrt(draw(st.sampled_from([2, 3, 5, 7])))
+            weights[i] = draw(st.sampled_from([1, -1])) * Surd.sqrt(draw(st.sampled_from([2, 3, 5, 7, 8])))
 
     def basepoint():
         if draw(st.booleans()):
@@ -532,14 +541,35 @@ def same(a, b):
     return a == b and format_number(a) == format_number(b)
 
 
-def same_type(action, basepoint, value, ref) -> bool:
-    """Float weights keep the reference's own arithmetic, so its types;
-    exact weights give ints when every input is an int, else Fractions
-    (inf and rays pass through)."""
-    if action.scale is None or isinstance(ref, (float, Ray)):
-        return type(value) is type(ref)
+def same_type(action, basepoint, value) -> bool:
+    """Ints when every weight and the basepoint are ints, Fractions when
+    some input is a Fraction and the value is rational, Surds for
+    irrational values; inf and rays pass through."""
+    if isinstance(value, (float, Ray)):
+        return True
     ints = all(type(w) is int for w in action.weights.values()) and type(basepoint) is int
-    return type(value) is (int if ints else Fr)
+    if ints:
+        return type(value) is int
+    return type(value) is (Surd if isinstance(value, Surd) else Fr)
+
+
+def close(a, b) -> bool:
+    """A sqrt: value against the float loop's: rays and infinities equal,
+    numbers within a relative 1e-9."""
+    if isinstance(a, Ray) or isinstance(b, Ray) or math.isinf(a) or math.isinf(b):
+        return a == b
+    return abs(float(a) - float(b)) <= 1e-9 * max(1.0, abs(float(b)))
+
+
+def float_twin(action, basepoint):
+    """The action with every sqrt: weight and the basepoint's irrational
+    part as a math.sqrt float: the reference loops then sum in floats."""
+
+    def approx(v):
+        return float(v) if isinstance(v, Surd) else v
+
+    weights = {s: approx(w) for s, w in action.weights.items()}
+    return DenseLineAction(weights, action.basis, basepoint=approx(basepoint))
 
 
 @settings(max_examples=150, deadline=None)
@@ -547,35 +577,51 @@ def same_type(action, basepoint, value, ref) -> bool:
 @example(([Fr(1, 2), Fr(1, 3)], Fr(1, 7), None, ("periodic", "", "abAB"), ("periodic", "b", "aBAb"), 300, None, 0))
 @example(([Fr(-3, 4), Fr(5, 6)], 0, Fr(2, 13), ("periodic", "ab", "ab"), ("random", 7), 120, 0, 1e-6))
 @example(([1, 3], 2, None, ("periodic", "", "aabAB"), ("periodic", "", "abAB"), 1, None, 0))
-@example(([Fr(1, 2), math.sqrt(2)], Fr(3, 11), Fr(-5, 17), ("periodic", "a", "abAB"), ("random", 3), 250, 299, 1e-6))
-@example(([math.sqrt(3), Fr(2, 9), Fr(-1, 4)], 0, 1, ("random", 11), ("periodic", "", "acAC"), 300, 17, Fr(1, 3)))
+@example(([Fr(1, 2), ROOT2], Fr(3, 11), Fr(-5, 17), ("periodic", "a", "abAB"), ("random", 3), 250, 299, 1e-6))
+@example(([Surd.sqrt(3), Fr(2, 9), Fr(-1, 4)], 0, 1, ("random", 11), ("periodic", "", "acAC"), 300, 17, Fr(1, 3)))
+@example(([ROOT2, -Surd.sqrt(8)], 0, None, ("periodic", "", "aab"), ("periodic", "a", "aaB"), 200, None, 0))
 def test_line_action_agrees_with_the_slow_reference(case):
+    """Every value equals the reference loops' on the exact weights (term by
+    term in Fractions and Surds), with the same types; sqrt: cases also
+    agree with the float loops on math.sqrt weights within 1e-9 relative,
+    and where those loops take the same decisions."""
     weights, own, given_bp, x_spec, y_spec, depth, head, tol = case
     basis = Basis(len(weights))
     action = DenseLineAction(dict(zip(basis.symbols, weights)), basis, basepoint=own)
+    irrational = bool(action.radicands)
+    twin = float_twin(action, own) if irrational else None
     x, y = boundary_point(basis, x_spec), boundary_point(basis, y_spec)
+    base = own if given_bp is None else given_bp
 
     est = qmap_estimate(action, x, basepoint=given_bp, depth=depth)
     ref = reference_qmap_estimate(action, x, basepoint=given_bp, depth=depth)
     assert (est.method, est.depth) == (ref.method, ref.depth)
     assert same(est.point, ref.point) and same(est.certificate, ref.certificate)
-    base = own if given_bp is None else given_bp
     if est.method == "liminf":
-        assert same_type(action, base, est.point, ref.point)
-        assert same_type(action, base, est.certificate, ref.certificate)
+        assert same_type(action, base, est.point) and same_type(action, base, est.certificate)
+    if twin is not None:
+        flt = reference_qmap_estimate(twin, x, basepoint=given_bp, depth=depth)
+        if flt.method == est.method:
+            assert close(est.point, flt.point) and close(est.certificate, flt.certificate)
 
-    # the fold on scaled integers at any head, against the fold on the line
-    orbit, start, scale = _orbit_sequence(action, x, base, depth)
-    res = liminf_from(action.oracle, start, orbit, depth, head=head)
+    # the fold on the orbit's ints at any head, against the fold on the line
+    orbit, start, code = _orbit_sequence(action, x, base, depth)
+    res = liminf_from(LineOracle(code), start, orbit, depth, head=head)
     point, cert = reference_fold(reference_orbit(action, x, base, depth), base, head)
-    assert same(_unscaled(res.point, scale), point)
-    assert same(_unscaled(res.certificate, scale), cert)
-    assert same_type(action, base, _unscaled(res.point, scale), point)
+    assert same(code.value(res.point), point) and same(code.value(res.certificate), cert)
+    assert same_type(action, base, code.value(res.point))
+    if twin is not None:
+        fpoint, fcert = reference_fold(reference_orbit(twin, x, base, depth), base, head)
+        assert close(code.value(res.point), fpoint) and close(code.value(res.certificate), fcert)
 
     check = q_fiber_check(action, x, y, depth=depth, tol=tol)
     status, residual, first, second = reference_fiber_check(action, x, y, depth, tol)
     assert check.status == status and same(check.residual, residual)
     assert same(check.first.point, first.point) and same(check.second.point, second.point)
+    if twin is not None:
+        _, fresidual, _, _ = reference_fiber_check(twin, x, y, depth, tol)
+        if (first.method, second.method) == (check.first.method, check.second.method):
+            assert close(check.residual, fresidual)
 
     line_length = length_function_from_line_action(action)
     words = [x.prefix(min(depth, 12)), y.prefix(min(depth, 7)) + invert_word(x.prefix(3))]
@@ -583,6 +629,8 @@ def test_line_action_agrees_with_the_slow_reference(case):
     for w in words:
         mu = reference_mu(action, w)
         assert same(action.mu(w), mu) and type(action.mu(w)) is type(mu)
+        if twin is not None:
+            assert close(action.mu(w), reference_mu(twin, w))
         if not cyclic_reduce(w):
             with pytest.raises(EmptyWordError):
                 action.translation_length(w)
@@ -593,3 +641,6 @@ def test_line_action_agrees_with_the_slow_reference(case):
         assert type(action.translation_length(w)) is type(expected)
         assert same(translation_length(action, w).value, expected)
         assert same(line_length(w), expected)
+        if line_length.int_length is not None:
+            vec = abelianization(w, basis)
+            assert Fr(line_length.int_length(vec), line_length.unit) == expected
