@@ -355,6 +355,17 @@ def blend_length_functions(lf0: LengthFunction, lf1: LengthFunction, lam: Num) -
     return _set_rule(blend, state, product, length, lf0.class_function and lf1.class_function)
 
 
+_RATIONAL = frozenset((int, Fraction))
+
+
+def _exact(x, unit: int):
+    """A length as an exact number: an int over its unit, a float at its
+    binary value, ints, Fractions and Surds as they are."""
+    if unit:
+        return Fraction(x, unit)
+    return Fraction(x) if isinstance(x, float) else x
+
+
 def affine_deviation(
     lf0: LengthFunction,
     lf1: LengthFunction,
@@ -418,17 +429,6 @@ def affine_deviation(
     if worst_surd is not None:
         return worst_surd, worst_word
     return Fraction(worst_n, worst_d), worst_word
-
-
-_RATIONAL = frozenset((int, Fraction))
-
-
-def _exact(x, unit: int):
-    """A length as an exact number: an int over its unit, a float at its
-    binary value, ints, Fractions and Surds as they are."""
-    if unit:
-        return Fraction(x, unit)
-    return Fraction(x) if isinstance(x, float) else x
 
 
 def convex_combination_length_check(
