@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache, partial
 from operator import add
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -292,6 +293,12 @@ def _vector_sum(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(map(add, a, b))
 
 
+@lru_cache(maxsize=16)
+def _vector_state(basis: Basis) -> Callable[[str], tuple[int, ...]]:
+    """The abelianization over the basis, one function for equal bases."""
+    return partial(abelianization, basis=basis)
+
+
 def length_function_from_line_action(action) -> LengthFunction:
     """|mu| on conjugacy classes; the state of a word is its abelianization
     vector, so products add vectors.  With rational weights a length is
@@ -303,8 +310,7 @@ def length_function_from_line_action(action) -> LengthFunction:
         except EmptyWordError:
             return 0
 
-    def state(word: str) -> tuple[int, ...]:
-        return abelianization(word, action.basis)
+    state = _vector_state(action.basis)
 
     def length(vec: tuple[int, ...]) -> Num:
         return abs(action.mu_of_vector(vec))
@@ -398,7 +404,8 @@ def affine_deviation(
     # the worst deviation so far is worst_n / worst_d, or the Surd worst_surd
     worst_n, worst_d, worst_surd, worst_word = 0, 1, None, None
     for w in words:
-        x0, x1, xb = l0(s0(w)), l1(s1(w)), lb(sb(w))
+        a0 = s0(w)
+        x0, x1, xb = l0(a0), l1(a0 if s1 is s0 else s1(w)), lb(a0 if sb is s0 else sb(w))
         if not (type(x0) in _RATIONAL and type(x1) in _RATIONAL and type(xb) in _RATIONAL):
             v0, v1, vb = (_exact(x, u) for x, u in ((x0, u0), (x1, u1), (xb, ub)))
             dev = abs(vb - (lam * v1 + (1 - lam) * v0))

@@ -169,12 +169,12 @@ class LineOracle:
         intersection of the segments [Q, p] ends at the largest point when
         every point is <= Q, at the smallest when every point is > Q, and at
         Q otherwise.  Ties go to the latest largest and the earliest smallest
-        point, the objects the fold's stable medians keep.  On a coded line
-        the largest and smallest ints are settled exactly within the
-        window."""
+        point, the objects the fold's stable medians keep.  A coded line
+        holds only the code's ints, never a Ray, and settles its largest
+        and smallest ints exactly within the window."""
         if len(points) == 1:
             return points[0]  # as the fold returns it, uncoordinatized
-        if Ray in set(map(type, points)):
+        if self.code is None and Ray in set(map(type, points)):
             points = list(map(self._coord, points))
         q = self._coord(basepoint)
         top = max(reversed(points))

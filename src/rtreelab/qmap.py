@@ -37,9 +37,8 @@ from .surds import LineCode, Surd, coordinates, sign, value_of
 from .words import (
     Basis,
     abelianization,
-    canonical_rotation,
+    class_representatives,
     cyclic_reduce,
-    cyclically_reduced_words,
     enumerate_integer_vectors,
     invert_word,
     reduce_word,
@@ -306,21 +305,12 @@ def small_words_search(action, epsilon, maxlen: int) -> list[ConjugacyClassRecor
     sorted by (translation length, word length, lexicographic)."""
     if maxlen < 1:
         raise ValueError("maxlen must be >= 1")
-    records = []
-    pairs = [(s, s.upper()) for s in action.basis.symbols]
+    # a representative's translation length is |mu| of its letter counts
+    vectors = {w: abelianization(w, action.basis) for w in class_representatives(action.basis, maxlen)}
     short = action.shorter_than(epsilon)
-    for w in cyclically_reduced_words(action.basis, maxlen):
-        # a class representative starts at its least letter; the words
-        # are distinct, so each class is met once as its representative
-        if w[0] != min(w) or canonical_rotation(w) != w:
-            continue
-        # the enumeration's words are cyclically reduced basis words: the
-        # translation length is |mu| of their letter counts
-        vec = tuple(w.count(s) - w.count(inverse) for s, inverse in pairs)
-        if short(vec):
-            records.append(ConjugacyClassRecord(w, abs(action.mu_of_vector(vec)), vec))
-    records.sort(key=lambda r: (r.translation_length, len(r.word), r.word))
-    return records
+    lengths = {vec: abs(action.mu_of_vector(vec)) for vec in set(vectors.values()) if short(vec)}
+    records = [ConjugacyClassRecord(w, lengths[vec], vec) for w, vec in vectors.items() if vec in lengths]
+    return sorted(records, key=lambda r: (r.translation_length, len(r.word), r.word))
 
 
 def min_positive_translation(action: DenseLineAction, maxlen: int):

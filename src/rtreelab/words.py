@@ -7,6 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import sub
 
 _ALPHABET = "abcdefghijklmnopqrstuvwxyz"
 _INV = {c: c.upper() for c in _ALPHABET} | {c.upper(): c for c in _ALPHABET}
@@ -52,6 +53,15 @@ class Basis:
     def letters(self) -> tuple[str, ...]:
         """All 2N letters, generators then inverses."""
         return self.symbols + tuple(s.upper() for s in self.symbols)
+
+    @cached_property
+    def alphabet(self) -> str:
+        return "".join(self.letters)
+
+    @cached_property
+    def followers(self) -> dict[str, list[str]]:
+        """Each letter in sorted order, with the sorted letters that may follow it."""
+        return {c: [d for d in sorted(self.letters) if d != _INV[c]] for c in sorted(self.letters)}
 
     def validate(self, word: str) -> None:
         extra = set(word).difference(self.letters)
@@ -111,41 +121,44 @@ def is_cyclically_reduced(word: str) -> bool:
     return is_reduced(word) and (len(word) < 2 or word[0] != invert_letter(word[-1]))
 
 
-def rotations(word: str) -> list[str]:
-    return [word[i:] + word[:i] for i in range(max(1, len(word)))]
-
-
-def canonical_rotation(word: str) -> str:
-    """Lexicographically smallest rotation; canonical conjugacy-class tag."""
-    return min(rotations(word))
-
-
 def abelianization(word: str, basis: Basis) -> tuple[int, ...]:
     """Signed letter counts (one entry per generator)."""
-    basis.validate(word)
-    return tuple(word.count(s) - word.count(s.upper()) for s in basis.symbols)
+    # strip leaves a word nonempty exactly when it has an unknown symbol
+    if word.strip(basis.alphabet):
+        basis.validate(word)
+    return tuple(map(sub, map(word.count, basis.symbols), map(word.count, basis.alphabet[basis.rank :])))
 
 
 def reduced_words(basis: Basis, maxlen: int) -> list[str]:
     """All reduced words of length 1..maxlen, ordered by (length, lex)."""
+    after = basis.followers
     out: list[str] = []
-    frontier = [""]
-    for _ in range(maxlen):
-        nxt = []
-        for w in frontier:
-            for c in sorted(basis.letters):
-                if not w or c != invert_letter(w[-1]):
-                    nxt.append(w + c)
-        nxt.sort()
-        out.extend(nxt)
-        frontier = nxt
+    for n in range(maxlen):
+        # a sorted level extended in sorted order is sorted
+        level = [w + c for w in level for c in after[w[-1]]] if n else list(after)
+        out.extend(level)
+    return out
+
+
+def class_representatives(basis: Basis, maxlen: int) -> list[str]:
+    """The least rotation of every cyclically reduced word of length
+    1..maxlen, once each, ordered by (length, lex): one per nontrivial
+    conjugacy class.  Necklace generation (Fredricksen-Kessler-Maiorana;
+    Duval 1988): a prenecklace w carries the length p of its longest Lyndon
+    prefix, grows by letters c >= w[-p], and is a necklace when p divides len(w)."""
+    after = basis.followers
+    out: list[str] = []
+    level = [(c, 1) for c in after]
+    for n in range(1, maxlen + 1):
+        out.extend(w for w, p in level if n % p == 0 and w[0] != _INV[w[-1]])
+        if n < maxlen:
+            level = [(w + c, n + 1 if c > w[-p] else p) for w, p in level for c in after[w[-1]] if c >= w[-p]]
     return out
 
 
 def cyclically_reduced_words(basis: Basis, maxlen: int) -> list[str]:
     # the words are reduced, so only the two end letters can cancel
-    inv = _INV
-    return [w for w in reduced_words(basis, maxlen) if w[0] != inv[w[-1]]]
+    return [w for w in reduced_words(basis, maxlen) if w[0] != _INV[w[-1]]]
 
 
 def commutator(u: str, v: str) -> str:

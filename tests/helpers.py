@@ -361,6 +361,32 @@ def reference_convex(tree: MetricTree, names) -> bool:
     )
 
 
+def rotations(word: str) -> list[str]:
+    return [word[i:] + word[:i] for i in range(max(1, len(word)))]
+
+
+def canonical_rotation(word: str) -> str:
+    """Lexicographically smallest rotation; canonical conjugacy-class tag."""
+    return min(rotations(word))
+
+
+def reference_reduced_words(basis, maxlen: int) -> list[str]:
+    """Slow reference for reduced_words: every letter appended to every
+    word of the level below unless it cancels, each level sorted."""
+    out: list[str] = []
+    frontier = [""]
+    for _ in range(maxlen):
+        nxt = []
+        for w in frontier:
+            for c in sorted(basis.letters):
+                if not w or c != invert_word(w[-1]):
+                    nxt.append(w + c)
+        nxt.sort()
+        out.extend(nxt)
+        frontier = nxt
+    return out
+
+
 def reference_small_words(action, epsilon, maxlen: int) -> list:
     """Slow reference for small_words_search: every cyclically reduced word
     (rescanned by is_cyclically_reduced), its least rotation as class tag,

@@ -9,9 +9,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from rtreelab.cli import main
 from rtreelab.formats import FormatError, format_number
-from rtreelab.words import canonical_rotation
 
 import helpers
+from helpers import canonical_rotation
 
 SQRT2 = math.sqrt(2)
 

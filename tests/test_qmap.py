@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from helpers import (
+    canonical_rotation,
     reference_fiber_check,
     reference_fold,
     reference_mu,
@@ -13,6 +14,7 @@ from helpers import (
     reference_qmap_estimate,
     reference_small_words,
     reference_translation_length,
+    rotations,
 )
 from rtreelab.blend import length_function_from_line_action
 from rtreelab.boundary import BoundaryPoint, act, parse_boundary_point
@@ -38,13 +40,11 @@ from rtreelab.surds import Surd
 from rtreelab.words import (
     Basis,
     abelianization,
-    canonical_rotation,
     commutator,
     cyclic_reduce,
     cyclically_reduced_words,
     invert_letter,
     invert_word,
-    rotations,
 )
 
 B2 = Basis(2)
@@ -606,6 +606,8 @@ def test_line_action_agrees_with_the_slow_reference(case):
 
     # the fold on the orbit's ints at any head, against the fold on the line
     orbit, start, code = _orbit_sequence(action, x, base, depth)
+    # a coded line holds only the code's ints, so its fold skips the Ray scan
+    assert type(start) is int and {type(p) for p in orbit.take(depth)} == {int}
     res = liminf_from(LineOracle(code), start, orbit, depth, head=head)
     point, cert = reference_fold(reference_orbit(action, x, base, depth), base, head)
     assert same(code.value(res.point), point) and same(code.value(res.certificate), cert)

@@ -3,11 +3,13 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from helpers import canonical_rotation, reference_reduced_words
+from rtreelab.qmap import DenseLineAction
 from rtreelab.words import (
     Basis,
     UnknownSymbolError,
     abelianization,
-    canonical_rotation,
+    class_representatives,
     commutator,
     cyclic_reduce,
     cyclically_reduced_words,
@@ -81,6 +83,25 @@ def test_abelianization_counts_signed_letters():
     assert abelianization(commutator("a", "b"), B2) == (0, 0)
 
 
+def test_abelianization_names_the_least_unknown_symbol():
+    action = DenseLineAction({"a": 1, "b": 2}, B2)
+    for word in ("axb", "abz", "xa", "zyab", "a b", "aé"):
+        bad = min(set(word) - set(B2.letters))
+        for count in (lambda w: abelianization(w, B2), action.mu):
+            with pytest.raises(UnknownSymbolError, match=f"symbol {bad!r} not in basis"):
+                count(word)
+
+
+def test_abelianization_of_basis_words_skips_the_validation(monkeypatch):
+    def fail(self, word):
+        raise AssertionError(f"validated {word!r}")
+
+    monkeypatch.setattr(Basis, "validate", fail)
+    assert abelianization("", B2) == (0, 0)
+    assert abelianization("abBBAa", B2) == (1, -1)
+    assert DenseLineAction({"a": 1, "b": 2}, B2).mu("aabA") == 3
+
+
 def test_word_from_vector_realizes_vector_cyclically_reduced():
     for vec in [(3, -2), (0, 5), (-1, 0), (2, 2)]:
         w = word_from_vector(vec, B2)
@@ -97,6 +118,32 @@ def test_reduced_word_enumeration_counts():
     assert len(words3) == 4 + 12 + 36
     assert all(is_reduced(w) for w in words3)
     assert words3 == sorted(set(words3), key=lambda w: (len(w), w))
+
+
+# every maxlen up to 7 at rank 2, 5 at rank 3 and 4 at rank 4
+RANKS_AND_LENGTHS = [(r, n) for r, top in ((2, 7), (3, 5), (4, 4)) for n in range(top + 1)]
+
+
+@st.composite
+def bases_and_lengths(draw):
+    rank, maxlen = draw(st.sampled_from(RANKS_AND_LENGTHS))
+    symbols = draw(st.permutations("abcdefghijklmnopqrstuvwxyz"))[:rank]
+    return Basis(rank, tuple(symbols)), maxlen
+
+
+@given(bases_and_lengths())
+def test_reduced_words_is_the_sorted_nested_loop(case):
+    basis, maxlen = case
+    assert reduced_words(basis, maxlen) == reference_reduced_words(basis, maxlen)
+
+
+@given(bases_and_lengths())
+def test_class_representatives_are_the_least_rotations(case):
+    basis, maxlen = case
+    classes = {
+        canonical_rotation(w) for w in reduced_words(basis, maxlen) if is_cyclically_reduced(w)
+    }
+    assert class_representatives(basis, maxlen) == sorted(classes, key=lambda w: (len(w), w))
 
 
 def test_cyclically_reduced_enumeration_matches_filter():
