@@ -52,10 +52,13 @@ class MetricTable:
 
     Every constructor validates eagerly.  An exact table is realized as a
     tree from its first point and every distance is replayed against that
-    tree in integers, O(n²); a table that a tree reproduces is a tree
-    metric, hence a metric, and ``realized`` is set.  Only when the replay
-    fails does the O(n³) triangle scan run.  Exact equality proves nothing
-    for floats, so a float table is always scanned.
+    tree in integers, O(n²).  A row the tree does not reproduce is *off*
+    the tree and left out of it; the other rows form a tree metric, hence
+    a metric with no four-point defect, so every scan visits only tuples
+    that touch ``_off``: the triangle scan costs O(|off|·n² + n²), the
+    defect O(|off|·n³).  With no row off, ``realized`` is set and no scan
+    runs.  Exact equality proves nothing for floats, so every row of a
+    float table is off and its scans are the full ones.
     """
 
     def __init__(self, distances: Mapping[tuple[str, str], Num]):
@@ -141,11 +144,12 @@ class MetricTable:
 
     def _adopt(self, m: list[list], scale: int, exact: bool) -> None:
         """Take the checked matrix and prove the triangle inequality: by the
-        realization's replay on an exact table, by the scan otherwise."""
+        realization's replay on the rows it reproduces, by the scan on the
+        triangles that touch an off row."""
         self._m, self.scale, self.exact = m, scale, exact
         self._index = {name: i for i, name in enumerate(self.points)}
-        self._realization = _attachments(m, replay=True) if exact else None
-        if self._realization is None:
+        self._realization, self._off = _attachments(m, replay=True) if exact else (None, range(len(m)))
+        if self._off:
             self._triangle_scan()
 
     @property
@@ -153,15 +157,17 @@ class MetricTable:
         """Whether the table's realization reproduced every distance in the
         integer replay: an exact tree metric, 0-hyperbolic.  Always False
         on a float table, which is never replayed at construction."""
-        return self._realization is not None
+        return self.exact and not self._off
 
     def _triangle_scan(self) -> None:
-        m, n = self._m, len(self.points)
+        m, n, off = self._m, len(self.points), self._off
+        # the off rows after each on-tree j: the k that on-tree i < j need
+        later = {j: [k for k in off if k > j] for j in range(n) if j not in off}
         for i in range(n - 2):
-            mi = m[i]
+            mi, i_off = m[i], i in off
             for j in range(i + 1, n - 1):
                 mj, dij = m[j], mi[j]
-                for k in range(j + 1, n):
+                for k in later[j] if not i_off and j in later else range(j + 1, n):
                     dik, djk = mi[k], mj[k]
                     if dij > dik + djk or dik > dij + djk or djk > dij + dik:
                         x, y, z = self.points[i], self.points[j], self.points[k]
@@ -201,17 +207,21 @@ def gromov_product(space: MetricTable, x: str, z: str, w: str) -> Num:
 
 def _max_gap(space: MetricTable, stop_above=None):
     """Largest gap between the largest and second-largest pairing sums over
-    the 4-subsets of the table, in matrix units; returns the first gap above
-    ``stop_above`` as soon as one is found."""
+    the 4-subsets of the table, in matrix units; returns a gap above
+    ``stop_above`` as soon as one is found.  On-tree rows have gap 0, so it
+    visits each 4-subset with an off row once, from its smallest off i."""
     m, n = space._m, len(space.points)
-    worst = 0
-    for i in range(n - 3):
+    worst, done = 0, set()
+    for i in space._off:
+        done.add(i)
+        rest = [v for v in range(n) if v not in done]
         mi = m[i]
-        for j in range(i + 1, n - 2):
+        for a, j in enumerate(rest):
             mj, dij = m[j], mi[j]
-            for k in range(j + 1, n - 1):
+            for b in range(a + 1, len(rest) - 1):
+                k = rest[b]
                 mk, dik, djk = m[k], mi[k], mj[k]
-                for l in range(k + 1, n):
+                for l in rest[b + 1 :]:
                     s1, s2, s3 = dij + mk[l], dik + mj[l], mi[l] + djk
                     hi, lo = (s1, s2) if s1 >= s2 else (s2, s1)
                     if s3 > hi:
@@ -239,8 +249,9 @@ def check_hyperbolic(space: MetricTable, delta: Num = 0) -> HyperbolicityVerdict
     quadruple of table points.
 
     Quadruples with a repeated point satisfy the inequality automatically
-    (triangle inequality, validated at table construction), so the decision
-    scans 4-subsets; a failing table is rescanned in lexicographic order of
+    (triangle inequality, validated at table construction), and so do the
+    on-tree rows, so the decision scans the 4-subsets with an off row,
+    O(|off|·n³); a failing table is rescanned in lexicographic order of
     ordered quadruples so the reported witness is the first one.
     """
     if delta < 0:
@@ -256,15 +267,21 @@ def check_hyperbolic(space: MetricTable, delta: Num = 0) -> HyperbolicityVerdict
 
 def first_violation(space: MetricTable, delta: Num = 0) -> FourPointWitness | None:
     """First ordered quadruple (lexicographic in point names) violating the
-    four-point inequality, with its margin."""
-    m, n, limit = space._m, len(space.points), space._threshold(delta)
+    four-point inequality, with its margin.  A quadruple of on-tree rows
+    holds it, so w runs over the off rows when x, y and z are on the tree."""
+    if delta < 0:
+        raise ValueError("delta must be nonnegative")
+    m, n, off = space._m, len(space.points), space._off
+    if not off:
+        return None
+    limit = space._threshold(delta)
     for x in range(n):
-        mx = m[x]
+        mx, x_off = m[x], x in off
         for y in range(n):
-            my, dxy = m[y], mx[y]
+            my, dxy, xy_off = m[y], mx[y], x_off or y in off
             for z in range(n):
                 mz, dxz, dyz = m[z], mx[z], my[z]
-                for w in range(n):
+                for w in range(n) if xy_off or z in off else off:
                     # twice the Gromov products (x,y)_w, (y,z)_w, (x,z)_w
                     a = mx[w] + my[w] - dxy
                     b = my[w] + mz[w] - dyz
@@ -305,7 +322,7 @@ def reconstruct_tree(space: MetricTable) -> MetricTree:
         verdict = check_hyperbolic(space, 0)
         if not verdict.passes:
             raise NotZeroHyperbolicError(verdict.witness)
-        return _realize(space, _attachments(space._m, replay=False))
+        return _realize(space, _attachments(space._m, replay=False)[0])
     if not space.realized:
         witness = first_violation(space, 0)
         assert witness is not None
@@ -324,41 +341,49 @@ def realization_mismatch(space: MetricTable, tree: MetricTree) -> tuple[str, str
     return None
 
 
-def _attachments(m: list[list], replay: bool) -> list[tuple[Num, int]] | None:
+def _attachments(m: list[list], replay: bool) -> tuple[list[tuple[Num, int]], list[int]]:
     """Per point i in matrix order, (t, best): t = max over j < i of
     2 (x_i|x_j)_{x_0} in matrix units, first attained at j = best (0 when
     the max is 0).  The anchored realization hangs x_i at root distance t
     on the root path of x_best.
 
     With ``replay``, check that this tree reproduces every distance, and
-    return None at the first point where it does not.  While it does for
-    the points before x_i, twice the Gromov product at the anchor of two of
-    them is the root distance where their root paths part.  So the root
-    paths of x_i and x_j part at min(t, 2 (x_best|x_j)_{x_0}), which must
-    equal the table's 2 (x_i|x_j)_{x_0}, and x_i sits at its table
-    distance from the anchor unless t exceeds it.  Each row is O(i)
-    integer work, O(n²) in all, with no tree built.
+    return with the attachments the rows where it does not, in order: such
+    a row is off the tree and left out of the later rows' products, so
+    every max runs over the on-tree rows j < i.  While the tree reproduces
+    them, twice the Gromov product at the anchor of two of them is the root
+    distance where their root paths part.  So the root paths of x_i and
+    x_j part at min(t, 2 (x_best|x_j)_{x_0}), which must equal the table's
+    2 (x_i|x_j)_{x_0}, and x_i sits at its table distance from the anchor
+    unless t exceeds it.  Each row is O(i) integer work, O(n²) in all,
+    with no tree built; the anchor is always on the tree.
     """
     if not m:
-        return []
+        return [], []
     anchor = [row[0] for row in m]
     out: list[tuple[Num, int]] = [(0, 0)]
+    tree, off = [0], []
     for i in range(1, len(m)):
         mi, a = m[i], anchor[i]
-        products = [a + anchor[j] - mi[j] for j in range(i)]
+        products = [a + anchor[j] - mi[j] for j in tree]
         t = max(products)
-        best = products.index(t)
+        best = tree[products.index(t)]
         out.append((t, best))
-        if replay:
-            mb, b = m[best], anchor[best]
-            t = min(t, 2 * b)
-            if t > 2 * a:
-                return None
-            for j, p in enumerate(products):
+        if not replay:
+            tree.append(i)
+            continue
+        mb, b = m[best], anchor[best]
+        t = min(t, 2 * b)
+        if t <= 2 * a:
+            for j, p in zip(tree, products):
                 q = b + anchor[j] - mb[j]
                 if (t if t < q else q) != p:
-                    return None
-    return out
+                    break
+            else:
+                tree.append(i)
+                continue
+        off.append(i)
+    return out, off
 
 
 def _realize(space: MetricTable, attachments: list[tuple[Num, int]]) -> MetricTree:

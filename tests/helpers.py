@@ -136,6 +136,46 @@ def brute_force_max_defect(table: MetricTable):
     return worst
 
 
+def reference_triangle_scan(points, m):
+    """Integer oracle for MetricTable's triangle scan: the message for the
+    first triangle i < j < k of the matrix m (rows in point order) that
+    fails the inequality, every triangle scanned, or None."""
+    n = len(points)
+    for i in range(n - 2):
+        for j in range(i + 1, n - 1):
+            for k in range(j + 1, n):
+                dij, dik, djk = m[i][j], m[i][k], m[j][k]
+                if dij > dik + djk or dik > dij + djk or djk > dij + dik:
+                    return f"triangle inequality fails on ({points[i]},{points[j]},{points[k]})"
+    return None
+
+
+def reference_max_gap(table: MetricTable):
+    """Integer oracle for the four-point defect: the largest gap between the
+    largest and second-largest pairing sums over every 4-subset of the
+    table's matrix, in matrix units (twice the defect times the scale)."""
+    m, worst = table._m, 0
+    for i, j, k, l in combinations(range(len(table.points)), 4):
+        s = sorted((m[i][j] + m[k][l], m[i][k] + m[j][l], m[i][l] + m[j][k]))
+        worst = max(worst, s[2] - s[1])
+    return worst
+
+
+def reference_first_violation(table: MetricTable, delta) -> FourPointWitness | None:
+    """Integer oracle for first_violation: every ordered quadruple of the
+    table's matrix in lexicographic order, the first whose gap exceeds
+    2*delta in matrix units, with its margin."""
+    m, scale = table._m, table.scale
+    limit = math.floor(2 * Fr(delta) * scale)
+    for x, y, z, w in product(range(len(table.points)), repeat=4):
+        a, b = m[x][w] + m[y][w] - m[x][y], m[y][w] + m[z][w] - m[y][z]
+        gap = min(a, b) - (m[x][w] + m[z][w] - m[x][z])
+        if gap > limit:
+            quad = tuple(table.points[i] for i in (x, y, z, w))
+            return FourPointWitness(quad, Fr(gap, scale) / 2 - delta)
+    return None
+
+
 def brute_force_axiom_check(lf, words, basis=None, conjugators=None) -> AxiomVerdict:
     """Slow reference for length_axiom_check: the literal scan on raw
     values, evaluating lf afresh for every word it meets.  Inversion over

@@ -837,10 +837,15 @@ def _table_rows(kind, rng):
         rows = _cycle_rows(rng)
     else:
         rows = _tree_rows(rng)
-    if kind == "perturbed":
-        key = rng.choice(sorted(rows))
-        eps = Fr(1, rng.randint(2, 8))
-        rows[key] = max(rows[key] - eps, eps) if rng.random() < 0.8 else rows[key] + eps
+    if kind in ("perturbed", "perturbed twice"):
+        keys = [rng.choice(sorted(rows))]
+        if kind == "perturbed twice":  # one pair at the anchor, the first sorted name
+            first = min(p for key in rows for p in key)
+            keys = [rng.choice([key for key in sorted(rows) if first in key])]
+            keys += rng.sample([key for key in sorted(rows) if key != keys[0]], min(1, len(rows) - 1))
+        for key in keys:
+            eps = Fr(1, rng.randint(2, 8))
+            rows[key] = max(rows[key] - eps, eps) if rng.random() < 0.8 else rows[key] + eps
     elif kind in ("triangle", "triangle and cycle"):
         rows = _break_triangle(rng, rows)
     elif kind == "missing":
@@ -873,7 +878,9 @@ def _literal(rng, value):
     return f"{p}/{q}" if rng.random() < 0.8 else f"{2 * p}/{2 * q}"
 
 
-_TABLE_KINDS = ["tree", "perturbed", "triangle", "cycle", "triangle and cycle", "conflict", "missing", "zero"]
+_TABLE_KINDS = [
+    "tree", "perturbed", "perturbed twice", "triangle", "cycle", "triangle and cycle", "conflict", "missing", "zero",
+]
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])

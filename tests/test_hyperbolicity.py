@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as Fr
 from itertools import combinations, product
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from rtreelab.blend import certify_rtree
 from rtreelab.hyperbolicity import (
     FourPointWitness,
+    HyperbolicityVerdict,
     InvalidTableError,
     MetricTable,
     NotZeroHyperbolicError,
@@ -363,3 +365,109 @@ def test_from_tree_two_names_on_one_point_is_rejected():
     tree = MetricTree([("a", "b", Fr(3, 2)), ("b", "c", 2)], [("x", "b")])
     with pytest.raises(InvalidTableError, match=r"^d\(b,x\) must be positive$"):
         MetricTable.from_tree(tree)
+
+
+# -- the off-tree kernels at 12-40 points against the full integer scans -----------------
+
+
+def _random_edges(rng: random.Random, n: int) -> list:
+    """The edges of a random attachment tree on vertices v0..v{n-1}."""
+    return [(f"v{rng.randrange(i)}", f"v{i}", Fr(rng.randint(1, 24), rng.randint(1, 6))) for i in range(1, n)]
+
+
+def _leaf_tree_distances(rng: random.Random, n: int) -> dict:
+    """A tree metric on n leaves q0..q{n-1}: leaf qi hangs from vertex vi of
+    a random tree on a pendant edge 1 to 2 long.  Every point is a leaf
+    with its own neighbour, so moving any few distances by at most 1/2
+    keeps the triangle inequality."""
+    edges = _random_edges(rng, n) + [(f"v{i}", f"q{i}", 1 + Fr(rng.randint(0, 8), 8)) for i in range(n)]
+    tree = MetricTree(edges)
+    return {(f"q{i}", f"q{j}"): tree.distance(f"q{i}", f"q{j}") for i, j in combinations(range(n), 2)}
+
+
+def _perturbed_leaf_table(rng: random.Random, n: int) -> dict:
+    """1-4 distances moved by up to 1/2, the first one at the anchor."""
+    d = _leaf_tree_distances(rng, n)
+    anchor = min(p for key in d for p in key)
+    keys = [next(key for key in rng.sample(sorted(d), len(d)) if anchor in key)]
+    keys += rng.sample([key for key in sorted(d) if key != keys[0]], rng.randint(0, 3))
+    for key in keys:
+        d[key] += rng.choice([-1, 1]) * Fr(rng.randint(1, 8), 16)
+    return d
+
+
+def _broken_triangle_table(rng: random.Random, n: int) -> dict:
+    d = _leaf_tree_distances(rng, n)
+    x, y, z = rng.sample(sorted({p for key in d for p in key}), 3)
+
+    def dist(p, q):
+        return d[(p, q)] if (p, q) in d else d[(q, p)]
+
+    key = (x, y) if (x, y) in d else (y, x)
+    return d | {key: dist(x, z) + dist(z, y) + Fr(1, rng.randint(1, 9))}
+
+
+def _cycle_distances(rng: random.Random, n: int) -> dict:
+    """Shortest-path metric of an n-cycle with weights in [1, 2]."""
+    w = [1 + Fr(rng.randint(0, 16), 16) for _ in range(n)]
+    pos, total = [sum(w[:i]) for i in range(n)], sum(w)
+    return {
+        (f"c{i}", f"c{j}"): min(pos[j] - pos[i], total - pos[j] + pos[i])
+        for i, j in combinations(range(n), 2)
+    }
+
+
+def _l1_distances(rng: random.Random, n: int) -> dict:
+    table = random_l1_table(rng, n)
+    return {(x, y): table.distance(x, y) for x, y in combinations(table.points, 2)}
+
+
+OFF_TREE_FAMILIES = {
+    "perturbed tree": _perturbed_leaf_table,
+    "l1": _l1_distances,
+    "cycle": _cycle_distances,
+    "broken triangle": _broken_triangle_table,
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(OFF_TREE_FAMILIES)), st.integers(12, 40), st.integers(0, 2**32 - 1))
+def test_off_tree_kernels_agree_with_the_full_integer_scans(family, n, seed):
+    """The kernels that scan only tuples with an off-tree row against the
+    full integer scans, at sizes beyond the Fraction brute force: the load
+    error, realized, the defect, first_violation and check_hyperbolic."""
+    d = OFF_TREE_FAMILIES[family](random.Random(seed), n)
+    points = sorted({p for key in d for p in key})
+    scale = math.lcm(*(v.denominator for v in d.values()))
+    m = [[0] * len(points) for _ in points]
+    for (x, y), v in d.items():
+        i, j = points.index(x), points.index(y)
+        m[i][j] = m[j][i] = int(v * scale)
+    message = helpers.reference_triangle_scan(points, m)
+    if message is not None:
+        with pytest.raises(InvalidTableError) as exc:
+            MetricTable(d)
+        assert str(exc.value) == message
+        return
+    table = MetricTable(d)
+    gap = helpers.reference_max_gap(table)
+    defect = Fr(gap, 2 * scale)
+    assert table.realized == (gap == 0)
+    assert max_four_point_defect(table) == defect
+    for delta in (Fr(0), defect * Fr(63, 64), defect):
+        # the ordered scan finds a witness exactly when a 4-subset's gap
+        # exceeds 2*delta; a full ordered pass to confirm None is too slow
+        expected = None if gap <= 2 * delta * scale else helpers.reference_first_violation(table, delta)
+        assert check_hyperbolic(table, delta) == HyperbolicityVerdict(expected is None, delta, expected)
+        # on l1 and cycle tables nearly every row is off, so a None costs
+        # first_violation the full O(n⁴) pass; the subset scan decided it above
+        if expected is not None or family == "perturbed tree":
+            assert first_violation(table, delta) == expected
+
+
+def test_a_realized_table_runs_no_four_point_scan():
+    table = MetricTable.from_tree(MetricTree(_random_edges(random.Random(60), 60)))
+    assert table.realized and len(table.points) == 60
+    assert max_four_point_defect(table) == 0
+    assert first_violation(table, 1) is None
+    assert check_hyperbolic(table, 1).passes
