@@ -389,7 +389,7 @@ def _perturbed_leaf_table(rng: random.Random, n: int) -> dict:
     """1-4 distances moved by up to 1/2, the first one at the anchor."""
     d = _leaf_tree_distances(rng, n)
     anchor = min(p for key in d for p in key)
-    keys = [next(key for key in rng.sample(sorted(d), len(d)) if anchor in key)]
+    keys = [rng.choice([key for key in sorted(d) if anchor in key])]
     keys += rng.sample([key for key in sorted(d) if key != keys[0]], rng.randint(0, 3))
     for key in keys:
         d[key] += rng.choice([-1, 1]) * Fr(rng.randint(1, 8), 16)
@@ -397,6 +397,7 @@ def _perturbed_leaf_table(rng: random.Random, n: int) -> dict:
 
 
 def _broken_triangle_table(rng: random.Random, n: int) -> dict:
+    """Lengthen d(x, y) past d(x, z) + d(z, y)."""
     d = _leaf_tree_distances(rng, n)
     x, y, z = rng.sample(sorted({p for key in d for p in key}), 3)
 
@@ -451,13 +452,13 @@ def test_off_tree_kernels_agree_with_the_full_integer_scans(family, n, seed):
         return
     table = MetricTable(d)
     gap = helpers.reference_max_gap(table)
-    defect = Fr(gap, 2 * scale)
+    defect = Fr(gap, 2 * table.scale)
     assert table.realized == (gap == 0)
     assert max_four_point_defect(table) == defect
     for delta in (Fr(0), defect * Fr(63, 64), defect):
         # the ordered scan finds a witness exactly when a 4-subset's gap
         # exceeds 2*delta; a full ordered pass to confirm None is too slow
-        expected = None if gap <= 2 * delta * scale else helpers.reference_first_violation(table, delta)
+        expected = None if gap <= 2 * delta * table.scale else helpers.reference_first_violation(table, delta)
         assert check_hyperbolic(table, delta) == HyperbolicityVerdict(expected is None, delta, expected)
         # on l1 and cycle tables nearly every row is off, so a None costs
         # first_violation the full O(n⁴) pass; the subset scan decided it above
