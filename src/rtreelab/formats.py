@@ -25,11 +25,17 @@ class FormatError(ValueError):
     pass
 
 
+# Fraction("1e7007007007") would build a seven-billion-digit integer; an
+# exponent above the default digit limit of int(str) is a bad number
+_MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"e[+-]?([\d_]+)\s*$", re.IGNORECASE)
+
+
 def parse_ratio(text: str) -> tuple[int, int]:
     """A number literal as (numerator, denominator), the denominator
     positive and not necessarily in lowest terms.  Signed ASCII integers
     and ``p/q`` take a fast path; any other literal is read by
-    ``Fraction(text)``."""
+    ``Fraction(text)``, unless its decimal exponent exceeds 4300."""
     head, slash, tail = text.partition("/")
     digits = head[1:] if head[:1] in ("+", "-") else head
     try:
@@ -38,6 +44,9 @@ def parse_ratio(text: str) -> tuple[int, int]:
             if not den:
                 raise ZeroDivisionError(text)
             return int(head), den
+        exponent = _EXPONENT.search(text)
+        if exponent and int(exponent[1]) > _MAX_EXPONENT:
+            raise ValueError(text)
         value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise FormatError(f"bad number {text!r}") from exc
