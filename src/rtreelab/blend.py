@@ -16,13 +16,7 @@ from functools import lru_cache, partial
 from operator import add
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .hyperbolicity import (
-    HyperbolicityVerdict,
-    MetricTable,
-    NotZeroHyperbolicError,
-    realization_mismatch,
-    reconstruct_tree,
-)
+from .hyperbolicity import HyperbolicityVerdict, MetricTable, first_violation
 from .observers import verify_shape_map
 from .qmap import EmptyWordError
 from .surds import Surd
@@ -115,25 +109,19 @@ class CertifyResult:
 
     @property
     def passes(self) -> bool:
-        return self.verdict.passes and bool(self.realizable)
+        return self.verdict.passes
 
 
 def certify_rtree(space: MetricTable) -> CertifyResult:
     """Full certification at delta 0: a tree that reproduces every distance
-    of the table.  An exact table was realized and replayed when it was
-    built, so only a failed replay costs a scan, for the first violating
-    quadruple; a float table is scanned and rebuilt by reconstruct_tree and
-    replayed here."""
-    verdict = HyperbolicityVerdict(True, Fraction(0))
-    if not space.realized:
-        try:
-            mismatch = realization_mismatch(space, reconstruct_tree(space))
-        except NotZeroHyperbolicError as exc:
-            verdict = HyperbolicityVerdict(False, Fraction(0), exc.witness)
-            return CertifyResult(verdict, None, "four-point condition fails at delta=0")
-        if mismatch is not None:
-            return CertifyResult(verdict, False, "realization mismatch at ({},{})".format(*mismatch))
-    return CertifyResult(verdict, True, "0-hyperbolic; realized exactly by a finite tree")
+    of the table.  The table was realized and replayed when it was built,
+    so only a failed replay costs a scan, for the first violating
+    quadruple; ``realizable`` is then None."""
+    if space.realized:
+        verdict = HyperbolicityVerdict(True, Fraction(0))
+        return CertifyResult(verdict, True, "0-hyperbolic; realized exactly by a finite tree")
+    verdict = HyperbolicityVerdict(False, Fraction(0), first_violation(space, 0))
+    return CertifyResult(verdict, None, "four-point condition fails at delta=0")
 
 
 # -- marked roses -------------------------------------------------------------

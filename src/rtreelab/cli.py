@@ -402,8 +402,7 @@ def run_blend_metric(args, out) -> int:
         out.append("RESULT: pass")
         return PASS
     witness = result.verdict.witness
-    if witness is not None:
-        out.append(formats.witness_line("four_point", _four_point_witness_payload(table, witness, 0)))
+    out.append(formats.witness_line("four_point", _four_point_witness_payload(table, witness, 0)))
     out.append("RESULT: fail")
     return FAIL
 

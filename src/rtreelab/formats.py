@@ -437,8 +437,6 @@ def replay_witness(data: dict) -> bool:
         d_bt = _wnum(data["d_base_term"])
         d_rt = _wnum(data["d_rep_term"])
         return (d_br + d_bt - d_rt) / 2 == 0
-    if kind == "realization_mismatch":
-        return _wnum(data["expected"]) != _wnum(data["actual"])
     if kind == "fiber_mismatch":
         first, second = data["first"], data["second"]
         rays = {"+inf", "-inf"}

@@ -45,20 +45,18 @@ class MetricTable:
     """Finite symmetric metric (zero diagonal, positive off the diagonal,
     triangle inequality).
 
-    The distances live in one index-addressed matrix, points in sorted name
-    order: for ``exact`` tables (all distances ``int`` or ``Fraction``) the
-    distances times their common denominator ``scale``, as integers; for
-    float tables the floats themselves, with scale 1.
+    Distances are exact: ints and Fractions, and a float is taken at its
+    exact binary value, as in ``qmap`` and ``blend``.  They live in one
+    index-addressed matrix, points in sorted name order, as integers: the
+    distances times their common denominator ``scale``.
 
-    Every constructor validates eagerly.  An exact table is realized as a
-    tree from its first point and every distance is replayed against that
-    tree in integers, O(n²).  A row the tree does not reproduce is *off*
-    the tree and left out of it; the other rows form a tree metric, hence
-    a metric with no four-point defect, so every scan visits only tuples
-    that touch ``_off``: the triangle scan costs O(|off|·n² + n²), the
-    defect O(|off|·n³).  With no row off, ``realized`` is set and no scan
-    runs.  Exact equality proves nothing for floats, so every row of a
-    float table is off and its scans are the full ones.
+    Every constructor validates eagerly.  The table is realized as a tree
+    from its first point and every distance is replayed against that tree
+    in integers, O(n²).  A row the tree does not reproduce is *off* the
+    tree and left out of it; the other rows form a tree metric, hence a
+    metric with no four-point defect, so every scan visits only tuples that
+    touch ``_off``: the triangle scan costs O(|off|·n² + n²), the defect
+    O(|off|·n³).  With no row off, ``realized`` is set and no scan runs.
     """
 
     def __init__(self, distances: Mapping[tuple[str, str], Num]):
@@ -76,16 +74,14 @@ class MetricTable:
         den: list[list] = [[None] * n for _ in range(n)]
         for (x, y), v in canon.items():
             i, j = index[x], index[y]
-            exact = isinstance(v, Fraction)
-            num[i][j] = num[j][i] = v.numerator if exact else v
-            den[i][j] = den[j][i] = v.denominator if exact else None
+            num[i][j] = num[j][i] = v.numerator
+            den[i][j] = den[j][i] = v.denominator
         self._load(points, num, den)
 
     @classmethod
     def _from_fractions(cls, points: list[str], num: list[list], den: list[list]) -> "MetricTable":
         """A table from numerator and denominator matrices in point order
-        (ints; a float numerator and a None denominator for a float
-        distance; None in both for a missing one), which it takes over."""
+        (ints; None in both for a missing distance), which it takes over."""
         table = cls.__new__(cls)
         table._load(points, num, den)
         return table
@@ -94,12 +90,9 @@ class MetricTable:
     def from_tree(cls, tree: MetricTree, points=None) -> "MetricTable":
         table = cls.__new__(cls)
         table.points = tuple(sorted(set(tree.point_names if points is None else points)))
-        m, scale = tree._scaled_distances(table.points), tree._scale
+        m = tree._scaled_distances(table.points)
         table._check_entries(m)
-        if all(type(v) is int for row in m for v in row):
-            table._adopt(m, scale, True)
-        else:
-            table._adopt([[v / scale for v in row] for row in m], 1, False)
+        table._adopt(m, tree._scale)
         return table
 
     def _check_entries(self, m: list[list]) -> None:
@@ -120,19 +113,12 @@ class MetricTable:
 
     def _load(self, points: list[str], num: list[list], den: list[list]) -> None:
         """Check numerator and denominator matrices and adopt them over
-        their common denominator (floats if any distance is a float)."""
+        their common denominator."""
         self.points = tuple(points)
         self._check_entries(num)
         for i, (nrow, drow) in enumerate(zip(num, den)):
             nrow[i], drow[i] = 0, 1
         denominators = set().union(*den)
-        if None in denominators:
-            m = [
-                [float(v) if d is None else v / d for v, d in zip(nrow, drow)]
-                for nrow, drow in zip(num, den)
-            ]
-            self._adopt(m, 1, False)
-            return
         scale = math.lcm(*denominators)
         if scale > 1:
             # scale num in place, one int per pair
@@ -140,24 +126,23 @@ class MetricTable:
             for i, (nrow, drow) in enumerate(zip(num, den)):
                 nrow[i + 1 :] = [v * steps[d] for v, d in zip(nrow[i + 1 :], drow[i + 1 :])]
                 nrow[:i] = [num[j][i] for j in range(i)]
-        self._adopt(num, scale, True)
+        self._adopt(num, scale)
 
-    def _adopt(self, m: list[list], scale: int, exact: bool) -> None:
+    def _adopt(self, m: list[list], scale: int) -> None:
         """Take the checked matrix and prove the triangle inequality: by the
         realization's replay on the rows it reproduces, by the scan on the
         triangles that touch an off row."""
-        self._m, self.scale, self.exact = m, scale, exact
+        self._m, self.scale = m, scale
         self._index = {name: i for i, name in enumerate(self.points)}
-        self._realization, self._off = _attachments(m, replay=True) if exact else (None, range(len(m)))
+        self._realization, self._off = _attachments(m)
         if self._off:
             self._triangle_scan()
 
     @property
     def realized(self) -> bool:
         """Whether the table's realization reproduced every distance in the
-        integer replay: an exact tree metric, 0-hyperbolic.  Always False
-        on a float table, which is never replayed at construction."""
-        return self.exact and not self._off
+        integer replay: a tree metric, 0-hyperbolic."""
+        return not self._off
 
     def _triangle_scan(self) -> None:
         m, n, off = self._m, len(self.points), self._off
@@ -173,17 +158,15 @@ class MetricTable:
                         x, y, z = self.points[i], self.points[j], self.points[k]
                         raise InvalidTableError(f"triangle inequality fails on ({x},{y},{z})")
 
-    def _unscale(self, v) -> Num:
+    def _unscale(self, v: int) -> Fraction:
         """A matrix value back in distance units."""
-        return Fraction(v, self.scale) if self.exact else v
+        return Fraction(v, self.scale)
 
-    def _threshold(self, delta: Num):
+    def _threshold(self, delta: Num) -> int:
         """2*delta in matrix units: a quadruple violates the four-point
         inequality at delta exactly when its gap (twice the margin at
         delta 0, in matrix units) exceeds this."""
-        if self.exact:
-            return math.floor(2 * Fraction(delta) * self.scale)
-        return 2 * delta
+        return math.floor(2 * Fraction(delta) * self.scale)
 
     def distance(self, x: str, y: str) -> Num:
         if x == y:
@@ -274,6 +257,7 @@ def first_violation(space: MetricTable, delta: Num = 0) -> FourPointWitness | No
     m, n, off = space._m, len(space.points), space._off
     if not off:
         return None
+    delta = _exactify(delta)
     limit = space._threshold(delta)
     for x in range(n):
         mx, x_off = m[x], x in off
@@ -297,7 +281,7 @@ def verify_witness(space: MetricTable, witness: FourPointWitness, delta: Num = 0
     reported margin?"""
     x, y, z, w = witness.quadruple
     gp = space.gromov_product
-    margin = min(gp(x, y, w), gp(y, z, w)) - gp(x, z, w) - delta
+    margin = min(gp(x, y, w), gp(y, z, w)) - gp(x, z, w) - _exactify(delta)
     return margin == witness.margin and margin > 0
 
 
@@ -312,17 +296,11 @@ def reconstruct_tree(space: MetricTable) -> MetricTree:
     splitting an edge with a fresh Steiner vertex (".s1", ".s2", ..., skipping
     table point names) if needed.
 
-    An exact table was realized and replayed when it was built: a table
-    that a tree reproduces is a tree metric, hence 0-hyperbolic, so no
-    four-point scan runs unless the replay failed, and then the first
-    violating quadruple is raised.  Exact equality proves nothing for
-    floats, so a float table is scanned first and built without replay.
+    The table was realized and replayed when it was built: a table that a
+    tree reproduces is a tree metric, hence 0-hyperbolic, so no four-point
+    scan runs unless the replay failed, and then the first violating
+    quadruple is raised.
     """
-    if not space.exact:
-        verdict = check_hyperbolic(space, 0)
-        if not verdict.passes:
-            raise NotZeroHyperbolicError(verdict.witness)
-        return _realize(space, _attachments(space._m, replay=False)[0])
     if not space.realized:
         witness = first_violation(space, 0)
         assert witness is not None
@@ -330,25 +308,14 @@ def reconstruct_tree(space: MetricTable) -> MetricTree:
     return _realize(space, space._realization)
 
 
-def realization_mismatch(space: MetricTable, tree: MetricTree) -> tuple[str, str] | None:
-    """The first pair of table points (in sorted order) whose distance in
-    the tree differs from the table, or None when the tree reproduces it."""
-    points = space.points
-    for i, x in enumerate(points):
-        for y in points[i + 1 :]:
-            if tree.distance(x, y) != space.distance(x, y):
-                return x, y
-    return None
-
-
-def _attachments(m: list[list], replay: bool) -> tuple[list[tuple[Num, int]], list[int]]:
+def _attachments(m: list[list]) -> tuple[list[tuple[int, int]], list[int]]:
     """Per point i in matrix order, (t, best): t = max over j < i of
     2 (x_i|x_j)_{x_0} in matrix units, first attained at j = best (0 when
     the max is 0).  The anchored realization hangs x_i at root distance t
     on the root path of x_best.
 
-    With ``replay``, check that this tree reproduces every distance, and
-    return with the attachments the rows where it does not, in order: such
+    Check that this tree reproduces every distance, and return with the
+    attachments the rows where it does not, in order: such
     a row is off the tree and left out of the later rows' products, so
     every max runs over the on-tree rows j < i.  While the tree reproduces
     them, twice the Gromov product at the anchor of two of them is the root
@@ -361,7 +328,7 @@ def _attachments(m: list[list], replay: bool) -> tuple[list[tuple[Num, int]], li
     if not m:
         return [], []
     anchor = [row[0] for row in m]
-    out: list[tuple[Num, int]] = [(0, 0)]
+    out: list[tuple[int, int]] = [(0, 0)]
     tree, off = [0], []
     for i in range(1, len(m)):
         mi, a = m[i], anchor[i]
@@ -369,9 +336,6 @@ def _attachments(m: list[list], replay: bool) -> tuple[list[tuple[Num, int]], li
         t = max(products)
         best = tree[products.index(t)]
         out.append((t, best))
-        if not replay:
-            tree.append(i)
-            continue
         mb, b = m[best], anchor[best]
         t = min(t, 2 * b)
         if t <= 2 * a:
@@ -386,30 +350,29 @@ def _attachments(m: list[list], replay: bool) -> tuple[list[tuple[Num, int]], li
     return out, off
 
 
-def _realize(space: MetricTable, attachments: list[tuple[Num, int]]) -> MetricTree:
+def _realize(space: MetricTable, attachments: list[tuple[int, int]]) -> MetricTree:
     """The anchored realization behind reconstruct_tree, from the table's
     attachments, without checks.
 
     Vertices carry a parent and a root distance.  Every placed table point
     sits at (v, r): root distance r on the edge from vertex v up to its
     parent, or at v itself when r is v's root distance; a point whose
-    pendant would be empty stays such a designated point.  Lengths are
-    matrix values doubled, so that Gromov products keep the matrix's number
-    type.
+    pendant would be empty stays such a designated point.  Root distances
+    are matrix values doubled, so that Gromov products stay integers.
     """
     names, m = space.points, space._m
     anchor = names[0]
     parent: dict[str, str | None] = {anchor: None}
-    root: dict[str, Num] = {anchor: 0}
-    at: dict[str, tuple[str, Num]] = {anchor: (anchor, 0)}
+    root: dict[str, int] = {anchor: 0}
+    at: dict[str, tuple[str, int]] = {anchor: (anchor, 0)}
     taken, counter = set(names), 0
     for i in range(1, len(names)):
         x, mi = names[i], m[i]
         t, best = attachments[i]
         best = names[best]
-        # walk up from best to root distance t (never past best: floats may round)
-        vertex, r = at[best]
-        t = min(t, r)
+        # walk up from best to root distance t, which the replay holds to
+        # best's own root distance at most
+        vertex = at[best][0]
         while root[vertex] > t:
             below, vertex = vertex, parent[vertex]
         if 2 * mi[0] - t <= 0:

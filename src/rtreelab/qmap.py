@@ -30,7 +30,7 @@ from operator import mul
 from typing import Callable, Iterable, Protocol, runtime_checkable
 
 from .boundary import BoundaryPoint, BoundaryPair, LaminationSample, act
-from .formats import FormatError
+from .formats import FormatError, parse_number
 from .oracles import LINE_MINUS, LINE_PLUS, LineOracle, Ray, TreeOracle
 from .observers import LiminfResult, PointSequence, liminf_from
 from .surds import LineCode, Surd, coordinates, sign, value_of
@@ -448,7 +448,7 @@ def parse_weight(text: str):
         if text.startswith("sqrt:"):
             value = Surd.sqrt(int(text[5:]))
             return value, isinstance(value, Surd)
-        return Fraction(text), False
+        return parse_number(text), False
     except (ValueError, ZeroDivisionError) as exc:
         raise FormatError(f"bad weight {text!r}: {exc}") from exc
 

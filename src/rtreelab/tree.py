@@ -3,13 +3,13 @@
 A ``MetricTree`` is a finite combinatorial tree with strictly positive edge
 lengths.  Points are addressed by name (vertex names and designated point
 names share one namespace) or by an explicit :class:`Location` inside an
-edge.  Edge lengths and offsets should be exact numbers (``Fraction``/``int``)
-unless the caller deliberately works in floats; every operation is a pure
-function of the immutable tree.
+edge.  Edge lengths and offsets are exact: ints and Fractions, and a float
+is taken at its exact binary value, as in ``qmap`` and ``blend``; every
+operation is a pure function of the immutable tree.
 
 Every query runs on one rooted index: the tree is rooted at its smallest
 vertex, and each vertex keeps its parent, depth and root distance (ints
-over the common denominator of the lengths and offsets on an exact tree).
+over the common denominator of the lengths and offsets).
 Building costs O(V); each query walks parent pointers, O(depth).
 """
 from __future__ import annotations
@@ -33,8 +33,9 @@ class UnknownPointError(KeyError):
 
 
 def _exactify(x: Num) -> Num:
-    # ints become Fractions so that division stays exact by default
-    return Fraction(x) if isinstance(x, int) else x
+    # ints and floats (at their exact binary value) become Fractions, so
+    # that arithmetic stays exact
+    return Fraction(x) if isinstance(x, (int, float)) else x
 
 
 def canonical_edge(u: str, v: str) -> tuple[str, str]:
@@ -123,8 +124,7 @@ class MetricTree:
         points = list(points)
         # one denominator puts every vertex and designated point on the grid
         offsets = [_exactify(entry[3]) for entry in points if len(entry) == 4]
-        exact = [x for x in chain(self._lengths.values(), offsets) if isinstance(x, Fraction)]
-        self._scale = math.lcm(*(x.denominator for x in exact))
+        self._scale = math.lcm(*(x.denominator for x in chain(self._lengths.values(), offsets)))
 
         # the rooted index: parent, depth and scaled root distance per vertex
         root = min(adj)
@@ -161,11 +161,8 @@ class MetricTree:
             if v not in adj:
                 raise UnknownPointError(v)
         self._addr = {v: (v, r) for v, r in self._root.items()}
-        self._name_at: dict[Point, str] = {}
         for name in sorted(self._points):
-            loc = self._points[name]
-            self._addr[name] = self._locate(loc)
-            self._name_at.setdefault(loc, name)
+            self._addr[name] = self._locate(self._points[name])
 
     # -- construction helpers -------------------------------------------------
 
@@ -189,16 +186,13 @@ class MetricTree:
     # on the edge from vertex v up to its parent (r is v's own root
     # distance at v).
 
-    def _scaled(self, x: Num) -> Num:
+    def _scaled(self, x: Fraction) -> Num:
         """x in index units; an int whenever x lies on the grid."""
-        if isinstance(x, Fraction):
-            steps, off_grid = divmod(self._scale, x.denominator)
-            if not off_grid:
-                return x.numerator * steps
-        return x * self._scale
+        steps, off_grid = divmod(self._scale, x.denominator)
+        return x * self._scale if off_grid else x.numerator * steps
 
-    def _unscale(self, x: Num) -> Num:
-        return Fraction(x, self._scale) if isinstance(x, int) else x / self._scale
+    def _unscale(self, x: Num) -> Fraction:
+        return Fraction(x, self._scale)
 
     def _locate(self, loc: Point) -> tuple[str, Num]:
         """The address of a resolved point."""
@@ -261,7 +255,7 @@ class MetricTree:
 
     def _scaled_distances(self, points: list) -> list[list]:
         """The matrix of pairwise distances of the points in index units:
-        ints over the tree's scale on an exact tree."""
+        ints over the tree's scale."""
         addr, meets = self._meets(points)
         roots = [a[1] for a in addr]
         rows = [[ri + rj - 2 * m for rj, m in zip(roots, row)] for ri, row in zip(roots, meets)]
@@ -292,9 +286,7 @@ class MetricTree:
         up, root = self._parent[v], self._root
         if r >= root[v]:
             return v
-        # the offset from v; min() keeps a float rounding inside the edge
-        off = min(self._unscale(root[v] - r), self.edge_length(v, up))
-        return self._normalize_edge_point(v, up, off)
+        return self._normalize_edge_point(v, up, self._unscale(root[v] - r))
 
     def _climb(self, v: str, r: Num, top: Num) -> list[SegmentPiece]:
         """The pieces from address (v, r) up its root path to root distance top."""
@@ -350,7 +342,7 @@ class MetricTree:
     def name_of(self, p: Point) -> str | None:
         """Name addressing this location, if any (vertex name wins)."""
         loc = self.resolve(p)
-        return loc if isinstance(loc, str) else self._name_at.get(loc)
+        return loc if isinstance(loc, str) else self._names_by_address.get(self._locate(loc))
 
     def same_point(self, p: Point, q: Point) -> bool:
         return self.resolve(p) == self.resolve(q)
@@ -418,7 +410,7 @@ class MetricTree:
         their germs at p are equal and not None.  The label is the first
         vertex other than p on the way from p to r (for p inside an edge,
         the end of that edge toward r).  Only addresses and meets are
-        compared, so float trees round nothing.
+        compared, exactly.
         """
         a, b = self._address(p), self._address(r)
         u, ra = a

@@ -682,8 +682,7 @@ class ReferenceTree:
 
     def center(self, p1, p2, p3):
         d12, d13, d23 = self.distance(p1, p2), self.distance(p1, p3), self.distance(p2, p3)
-        # float sums can put t a rounding error outside [0, d12]
-        return self.point_along(p1, p2, min(max((d12 + d13 - d23) / 2, 0), d12))
+        return self.point_along(p1, p2, (d12 + d13 - d23) / 2)
 
     def name_of(self, p):
         loc = self.tree.resolve(p)

@@ -287,7 +287,7 @@ def test_qmap_smallwords_with_dependent_radicands_finds_exact_zeros(capsys):
     assert canonical_rotation("aaB") == "Baa"
 
 
-@pytest.mark.parametrize("weight", ["sqrt:-2", "sqrt:two", "sqrt:1/2", "1/0"])
+@pytest.mark.parametrize("weight", ["sqrt:-2", "sqrt:two", "sqrt:1/2", "1/0", "1e7007007007"])
 def test_qmap_rejects_a_bad_weight_literal_as_a_parse_error(weight, capsys):
     code, out, err = run_cli(capsys, "qmap", "estimate", "--weights", f"1,{weight}", "--word", ";ab")
     assert code == 64

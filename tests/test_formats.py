@@ -210,9 +210,10 @@ def test_witness_axiom():
     assert replay_witness(parse_witness_lines(line)[0])
 
 
-def test_unknown_witness_kind():
+@pytest.mark.parametrize("kind", ["mystery", "realization_mismatch"])
+def test_unknown_witness_kind(kind):
     with pytest.raises(FormatError):
-        replay_witness({"kind": "mystery"})
+        replay_witness({"kind": kind})
 
 
 _LITERAL_PIECES = st.sampled_from(

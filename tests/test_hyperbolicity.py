@@ -210,23 +210,37 @@ def random_l1_table(rng: random.Random, n: int) -> MetricTable:
             return MetricTable(d)
 
 
-def test_float_mode_uses_tolerance_delta():
-    """Float tables (the line-sandbox mode) are checked with an absolute
-    tolerance delta instead of exact zero: summation order can leave
-    ~1e-16 residue on a perfectly tree-like metric."""
-    import math
+def _line_table(xs: dict) -> MetricTable:
+    return MetricTable({(p, q): abs(xs[p] - xs[q]) for p, q in combinations(sorted(xs), 2)})
 
+
+def test_float_tables_are_judged_exactly_at_their_binary_values():
+    """A float distance is its exact binary value: a line table whose float
+    differences are exact is realized with no tolerance, and one whose
+    differences round gets an exact verdict with a replayable witness."""
     xs = {"a": 0.0, "b": 1.0, "c": math.sqrt(2), "d": 3.0, "e": math.pi}
-    table = MetricTable(
-        {(p, q): abs(xs[p] - xs[q]) for p, q in combinations(sorted(xs), 2)}
-    )
-    assert check_hyperbolic(table, 1e-9).passes
-    assert max_four_point_defect(table) <= 1e-9
-    # the gap scan sees no defect, but exact replay of a float realization fails
+    table = _line_table(xs)
+    assert table.realized
     result = certify_rtree(table)
-    assert result.verdict.passes
-    assert result.realizable is False
-    assert result.note.startswith("realization mismatch at (")
+    assert result.passes and result.realizable
+    assert result.verdict == HyperbolicityVerdict(True, 0)
+    tree = reconstruct_tree(table)
+    for p, q in combinations(sorted(xs), 2):
+        assert tree.distance(p, q) == table.distance(p, q) == Fr(abs(xs[p] - xs[q]))
+
+    # the rounded float differences leave a four-point gap of 2**-53
+    table = _line_table({"a": 2.1, "b": 0.6, "c": 1.0, "d": 0.7, "e": 1.6})
+    witness = FourPointWitness(("a", "b", "d", "c"), Fr(1, 2**54))
+    result = certify_rtree(table)
+    assert not result.passes and result.realizable is None
+    assert result.verdict == check_hyperbolic(table, 0) == HyperbolicityVerdict(False, 0, witness)
+    assert verify_witness(table, witness)
+    assert max_four_point_defect(table) == Fr(1, 2**54)
+    assert check_hyperbolic(table, Fr(1, 2**54)).passes
+
+    # the float 2.5 - 0.4 exceeds (2.5 - 0.8) + (0.8 - 0.4) by 2**-53
+    with pytest.raises(InvalidTableError, match=r"^triangle inequality fails on \(a,b,d\)$"):
+        _line_table({"a": 0.4, "b": 2.5, "c": 2.3, "d": 0.8, "e": 1.5})
 
 
 def test_subset_scan_agrees_with_ordered_brute_force_at_every_delta():
@@ -316,8 +330,8 @@ def test_kernel_and_builder_agree_with_the_slow_oracles(family, seed):
 
 def _tree_with_points(rng: random.Random, floats: bool) -> MetricTree:
     """A random tree with designated points inside edges and, sometimes,
-    one at a vertex; with ``floats``, most lengths and offsets are dyadic
-    floats, so every sum is exact in floating point."""
+    one at a vertex; with ``floats``, most lengths and offsets are given as
+    dyadic floats, which the tree takes at their exact binary values."""
     edges, points = [], []
     for i in range(1, rng.randint(2, 7)):
         length = Fr(rng.randint(1, 64), 8)
@@ -352,12 +366,10 @@ def test_from_tree_matrix_matches_pairwise_tree_distances(floats, seed):
         return
     table = MetricTable.from_tree(tree, names)
     assert table.points == tuple(sorted(set(names)))
-    assert table.exact == all(isinstance(v, Fr) for v in reference.values())
     for i, j in combinations(range(len(table.points)), 2):
-        expected = reference[(table.points[i], table.points[j])]
-        expected = expected * table.scale if table.exact else float(expected)
+        expected = reference[(table.points[i], table.points[j])] * table.scale
         assert table._m[i][j] == table._m[j][i] == expected
-        assert type(table._m[i][j]) is (int if table.exact else float)
+        assert type(table._m[i][j]) is int
     assert all(table._m[i][i] == 0 for i in range(len(table.points)))
 
 

@@ -117,8 +117,8 @@ def test_germ_labels_a_direction_by_its_first_vertex():
 
 
 def _float_tree(rng: random.Random) -> MetricTree:
-    """A random tree with float lengths and offsets on a dyadic grid, where
-    float sums are exact and the center reference rounds nothing."""
+    """A random tree with float lengths and offsets on a dyadic grid, which
+    the tree takes at their exact binary values."""
     n = rng.randint(2, 8)
     edges = [(f"p{rng.randrange(i)}", f"p{i}", rng.randint(1, 12) / 4) for i in range(1, n)]
     points = [(f"m{k}", u, v, length * rng.randint(1, 3) / 4) for k, (u, v, length) in enumerate(edges[:2])]
@@ -130,7 +130,7 @@ def _tree_points(tree: MetricTree) -> list:
     pool = list(tree.point_names)
     for u, v, length in tree.edges:
         for j in range(5):
-            off = length * j / 4 if isinstance(length, float) else length * Fr(j, 4)
+            off = length * Fr(j, 4)
             pool += [Location((u, v), off), Location((v, u), off)]
     return pool
 

@@ -1,4 +1,3 @@
-import math
 from fractions import Fraction as Fr
 from itertools import islice, permutations, product
 
@@ -335,7 +334,7 @@ def trees_with_queries(draw):
             queries.append(Location((v, u), length * Fr(draw(st.integers(0, 11)), 11)))
         for _ in range(2):
             queries.append(ref.midpoint(draw(st.sampled_from(names)), draw(st.sampled_from(names))))
-    return tree, ref, draw(st.lists(st.sampled_from(queries), min_size=1, max_size=5)), floats
+    return tree, ref, draw(st.lists(st.sampled_from(queries), min_size=1, max_size=5))
 
 
 @settings(max_examples=80, deadline=None)
@@ -343,34 +342,17 @@ def trees_with_queries(draw):
 def test_queries_agree_with_the_slow_reference(case):
     """distance, segment, point_along, midpoint, center and name_of on the
     rooted index against the all-pairs table and DFS paths: equal values
-    and types on exact trees, equal within 1e-9 on float trees."""
-    tree, ref, queries, floats = case
-
-    def same_point(got, expected):
-        if floats:
-            assert ref.distance(got, expected) <= 1e-9
-        else:
-            assert got == expected
-
+    and types, float lengths included, which both take at their exact
+    binary values."""
+    tree, ref, queries = case
     for p in queries:
         assert tree.name_of(p) == ref.name_of(p)
     for p, q in product(queries, repeat=2):
         got, expected = tree.distance(p, q), ref.distance(p, q)
-        if floats:
-            assert math.isclose(got, expected, abs_tol=1e-9)
-        else:
-            assert (got, type(got)) == (expected, type(expected))
-        pieces, expected_pieces = tree.segment(p, q), ref.segment(p, q)
-        if floats:
-            assert [s.edge for s in pieces] == [s.edge for s in expected_pieces]
-            for s, e in zip(pieces, expected_pieces):
-                assert math.isclose(s.start, e.start, abs_tol=1e-9)
-                assert math.isclose(s.end, e.end, abs_tol=1e-9)
-        else:
-            assert pieces == expected_pieces
-        total = min(got, expected)
-        for t in (0, total / 3, total / 2, total):
-            same_point(tree.point_along(p, q, t), ref.point_along(p, q, t))
-        same_point(tree.midpoint(p, q), ref.midpoint(p, q))
+        assert (got, type(got)) == (expected, type(expected))
+        assert tree.segment(p, q) == ref.segment(p, q)
+        for t in (0, got / 3, got / 2, got):
+            assert tree.point_along(p, q, t) == ref.point_along(p, q, t)
+        assert tree.midpoint(p, q) == ref.midpoint(p, q)
     for triple in product(queries[:4], repeat=3):
-        same_point(tree.center(*triple), ref.center(*triple))
+        assert tree.center(*triple) == ref.center(*triple)
