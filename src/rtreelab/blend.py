@@ -213,13 +213,12 @@ def marked_graph_length(
     edge_lengths: Mapping[str, Num],
     word: str,
     basis: Basis | None = None,
-    check_marking: bool = True,
 ) -> Num:
     """Translation length on the rose: the weighted cyclically reduced
     length of the marking image, weights given per generator."""
     if basis is None:
         basis = Basis(len(marking))
-    if check_marking and not nielsen_generates(marking, basis):
+    if not nielsen_generates(marking, basis):
         raise MarkingError("marking images do not freely generate")
     state, length = _rose_rule(marking, edge_lengths, basis)
     return _exactify(length(state(word)))

@@ -59,13 +59,14 @@ def _read(path: str) -> str:
         raise FormatError(f"cannot read {path}: {exc}") from exc
 
 
-def _echo_config(out, args, keys):
-    pairs = []
-    for key in sorted(keys):
-        value = getattr(args, key, None)
-        if value is not None:
-            pairs.append(f"{key}={value}")
-    out.append("config: " + " ".join(pairs) + f" seed={args.seed}")
+# parsed arguments that are not the subcommand's own, so not in its config line
+_NOT_CONFIG = frozenset({"seed", "out_format", "command", "subcommand", "handler"})
+
+
+def _echo_config(out, args):
+    """The subcommand's set arguments, sorted by name, then the seed."""
+    pairs = sorted((k, v) for k, v in vars(args).items() if v is not None and k not in _NOT_CONFIG)
+    out.append("config: " + " ".join(f"{k}={v}" for k, v in pairs) + f" seed={args.seed}")
 
 
 def _four_point_witness_payload(table: MetricTable, witness, delta):
@@ -143,18 +144,13 @@ def run_certify(args, out) -> int:
     else:
         table = formats.parse_table(_read(args.table))
         out.append(f"loaded table: {len(table.points)} points")
-    # a pass at delta 0 is a realized tree metric, whose defect is 0
-    if delta == 0:
-        result = certify_rtree(table)
-        witness = result.verdict.witness
-        defect = Fraction(0) if witness is None else max_four_point_defect(table)
-    else:
-        defect = max_four_point_defect(table)
-        witness = first_violation(table, delta) if defect > delta else None
+    # a realized table has no off-tree row, so its defect is 0 at once
+    defect = max_four_point_defect(table)
+    witness = first_violation(table, delta) if defect > delta else None
     out.append(f"four-point defect: {format_number(defect)}")
     if witness is None:
         if delta == 0:
-            out.append(f"realization: {result.note}")
+            out.append(f"realization: {certify_rtree(table).note}")
         out.append(f"RESULT: pass (delta={format_number(delta)})")
         return PASS
     out.append(f"RESULT: fail -- {witness}")
@@ -416,7 +412,6 @@ def run_blend_lengths(args, out) -> int:
         blend_action = DenseLineAction(
             {s: lam * a1.weights[s] + (1 - lam) * a0.weights[s] for s in a0.basis.symbols},
             a0.basis,
-            dense_image=a0.dense_image or a1.dense_image,
         )
         lf0 = length_function_from_line_action(a0)
         lf1 = length_function_from_line_action(a1)
@@ -526,20 +521,20 @@ def build_parser() -> argparse.ArgumentParser:
     certify.add_argument("--tree")
     certify.add_argument("--table")
     certify.add_argument("--delta", default="0")
-    certify.set_defaults(handler=run_certify, config_keys=("tree", "table", "delta"))
+    certify.set_defaults(handler=run_certify)
 
     center = sub.add_parser("center", help="center of three points")
     center.add_argument("--tree", required=True)
     center.add_argument("p")
     center.add_argument("q")
     center.add_argument("r")
-    center.set_defaults(handler=run_center, config_keys=("tree", "p", "q", "r"))
+    center.set_defaults(handler=run_center)
 
     segment = sub.add_parser("segment", help="the arc between two points")
     segment.add_argument("--tree", required=True)
     segment.add_argument("p")
     segment.add_argument("q")
-    segment.set_defaults(handler=run_segment, config_keys=("tree", "p", "q"))
+    segment.set_defaults(handler=run_segment)
 
     obs = sub.add_parser("observers", help="convergence machinery")
     obs_sub = obs.add_subparsers(dest="subcommand", required=True)
@@ -556,28 +551,19 @@ def build_parser() -> argparse.ArgumentParser:
     liminf_p.add_argument("--basepoint", required=True)
     liminf_p.add_argument("--head", type=int, default=None)
     liminf_p.add_argument("--tol", default="1e-9")
-    liminf_p.set_defaults(
-        handler=run_observers_liminf,
-        config_keys=("tree", "line", "multipod", "seq", "depth", "basepoint", "head", "tol"),
-    )
+    liminf_p.set_defaults(handler=run_observers_liminf)
 
     conv = obs_sub.add_parser("converge")
     add_oracle_flags(conv)
     conv.add_argument("--limit", required=True)
     conv.add_argument("--probes", required=True, help="directions file or auto:<k>")
-    conv.set_defaults(
-        handler=run_observers_converge,
-        config_keys=("tree", "line", "multipod", "seq", "depth", "limit", "probes"),
-    )
+    conv.set_defaults(handler=run_observers_converge)
 
     extract = obs_sub.add_parser("extract")
     add_oracle_flags(extract)
     extract.add_argument("--dirs", required=True, help="directions file or auto:<k>")
     extract.add_argument("--basepoint", default=None)
-    extract.set_defaults(
-        handler=run_observers_extract,
-        config_keys=("tree", "line", "multipod", "seq", "depth", "dirs", "basepoint"),
-    )
+    extract.set_defaults(handler=run_observers_extract)
 
     qmap_p = sub.add_parser("qmap", help="boundary-to-tree limit map")
     qmap_sub = qmap_p.add_subparsers(dest="subcommand", required=True)
@@ -592,10 +578,7 @@ def build_parser() -> argparse.ArgumentParser:
     estimate.add_argument("--basepoint", default="0")
     estimate.add_argument("--depth", type=int, default=10_000)
     estimate.add_argument("--tol", default="1e-6")
-    estimate.set_defaults(
-        handler=run_qmap_estimate,
-        config_keys=("weights", "action", "word", "basepoint", "depth", "tol"),
-    )
+    estimate.set_defaults(handler=run_qmap_estimate)
 
     fibers = qmap_sub.add_parser("fibers")
     add_action_flags(fibers)
@@ -603,10 +586,7 @@ def build_parser() -> argparse.ArgumentParser:
     fibers.add_argument("--pairs", help="file of 'X | Y' lines")
     fibers.add_argument("--depth", type=int, default=10_000)
     fibers.add_argument("--tol", default="1e-6")
-    fibers.set_defaults(
-        handler=run_qmap_fibers,
-        config_keys=("weights", "action", "pair", "pairs", "depth", "tol"),
-    )
+    fibers.set_defaults(handler=run_qmap_fibers)
 
     lam_p = qmap_sub.add_parser("lamination")
     add_action_flags(lam_p)
@@ -614,19 +594,13 @@ def build_parser() -> argparse.ArgumentParser:
     lam_p.add_argument("--maxlen", type=int, required=True)
     lam_p.add_argument("--depth", type=int, default=1000)
     lam_p.add_argument("--tol", default="1e-6")
-    lam_p.set_defaults(
-        handler=run_qmap_lamination,
-        config_keys=("weights", "action", "epsilon", "maxlen", "depth", "tol"),
-    )
+    lam_p.set_defaults(handler=run_qmap_lamination)
 
     small = qmap_sub.add_parser("smallwords")
     add_action_flags(small)
     small.add_argument("--epsilon", required=True)
     small.add_argument("--maxlen", type=int, required=True)
-    small.set_defaults(
-        handler=run_qmap_smallwords,
-        config_keys=("weights", "action", "epsilon", "maxlen"),
-    )
+    small.set_defaults(handler=run_qmap_smallwords)
 
     blend_p = sub.add_parser("blend", help="convex combinations of tree metrics")
     blend_sub = blend_p.add_subparsers(dest="subcommand", required=True)
@@ -634,7 +608,7 @@ def build_parser() -> argparse.ArgumentParser:
     metric = blend_sub.add_parser("metric")
     metric.add_argument("--pair", required=True, help="two-column shape file")
     metric.add_argument("--lambda", required=True)
-    metric.set_defaults(handler=run_blend_metric, config_keys=("pair", "lambda"))
+    metric.set_defaults(handler=run_blend_metric)
 
     lengths = blend_sub.add_parser("lengths")
     lengths.add_argument("--weights0")
@@ -645,33 +619,18 @@ def build_parser() -> argparse.ArgumentParser:
     lengths.add_argument("--lambda", required=True)
     lengths.add_argument("--maxlen", type=int, default=6)
     lengths.add_argument("--tol", default="0")
-    lengths.set_defaults(
-        handler=run_blend_lengths,
-        config_keys=(
-            "weights0",
-            "weights1",
-            "table0",
-            "table1",
-            "tableb",
-            "lambda",
-            "maxlen",
-            "tol",
-        ),
-    )
+    lengths.set_defaults(handler=run_blend_lengths)
 
     axioms = blend_sub.add_parser("axioms")
     axioms.add_argument("--marking", required=True, help="e.g. a:a,b:ba")
     axioms.add_argument("--marking0", default=None)
     axioms.add_argument("--lambda-grid", dest="lambda_grid", default="0:1:1/10")
     axioms.add_argument("--maxlen", type=int, default=6)
-    axioms.set_defaults(
-        handler=run_blend_axioms,
-        config_keys=("marking", "marking0", "lambda_grid", "maxlen"),
-    )
+    axioms.set_defaults(handler=run_blend_axioms)
 
     replay = sub.add_parser("replay", help="re-verify witnesses from a report")
     replay.add_argument("report")
-    replay.set_defaults(handler=run_replay, config_keys=("report",))
+    replay.set_defaults(handler=run_replay)
 
     return parser
 
@@ -692,17 +651,13 @@ def main(argv=None) -> int:
     out: list[str] = []
     name = args.command + (f" {args.subcommand}" if getattr(args, "subcommand", None) else "")
     out.append(f"rtreelab {name}")
-    _echo_config(out, args, args.config_keys)
+    _echo_config(out, args)
     try:
         code = args.handler(args, out)
     except FormatError as exc:
         print("\n".join(out))
         print(f"parse error: {exc}", file=sys.stderr)
         return PARSE_ERROR
-    except ParameterError as exc:
-        print("\n".join(out))
-        print(f"parameter error: {exc}", file=sys.stderr)
-        return BAD_PARAMS
     except (ValueError, KeyError) as exc:
         print("\n".join(out))
         print(f"parameter error: {exc}", file=sys.stderr)

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .tree import MetricTree, Num, UnknownPointError, _exactify
+from .tree import MetricTree, Num, UnknownPointError, _exact, _exactify
 
 
 class InvalidTableError(ValueError):
@@ -62,7 +62,7 @@ class MetricTable:
     def __init__(self, distances: Mapping[tuple[str, str], Num]):
         canon: dict[tuple[str, str], Num] = {}
         for (x, y), raw in distances.items():
-            val = _exactify(raw)
+            val = _exact(raw, InvalidTableError, "d({},{})", x, y)
             key = (x, y) if x <= y else (y, x)
             if key in canon and canon[key] != val:
                 raise InvalidTableError(f"conflicting distances for {x},{y}")

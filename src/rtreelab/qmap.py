@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, combinations
 from operator import mul
 from typing import Callable, Iterable, Protocol, runtime_checkable
 
@@ -64,8 +64,8 @@ class DenseLineAction:
     """Translation action on the line: a generator g moves every point by
     weight(g); a word moves by the signed sum of its letters' weights.
 
-    ``dense_image`` records whether some weight ratio is irrational (dense
-    orbit closure); it is a recorded hypothesis flag, not a checked one.
+    ``dense_image`` says whether the orbits are dense in the line, computed
+    from the weights: it holds exactly when they have rank >= 2 over Q.
     The action is never very small (the kernel of the weight map fixes the
     line pointwise).
 
@@ -79,7 +79,6 @@ class DenseLineAction:
     weights: dict
     basis: Basis
     basepoint: object = 0
-    dense_image: bool = False
     oracle: LineOracle = field(default_factory=LineOracle, compare=False)
     very_small: bool = field(default=False, init=False)
     radicands: tuple[int, ...] = field(default=(), init=False, repr=False, compare=False)
@@ -98,6 +97,14 @@ class DenseLineAction:
         object.__setattr__(self, "scale", scale)
         object.__setattr__(self, "columns", tuple(zip(*rows)))
         object.__setattr__(self, "_fraction_valued", any(type(w) is not int for w in values))
+
+    @property
+    def dense_image(self) -> bool:
+        """Whether the weights generate a dense subgroup of the line: two
+        generators' coordinate rows are not proportional."""
+        rows = list(zip(*self.columns))
+        pairs = list(combinations(range(len(self.columns)), 2))
+        return any(u[i] * v[j] != u[j] * v[i] for u, v in combinations(rows, 2) for i, j in pairs)
 
     def mu(self, word: str) -> object:
         """Signed weight sum, computed through the integer abelianization so
@@ -440,15 +447,12 @@ def parse_weight(text: str):
     """Weight literal: decimal/rational, or ``sqrt:<n>`` for an integer
     0 <= n <= 10**18, exact with the square factor taken out (``sqrt:8`` is
     2*sqrt(2), ``sqrt:9`` is 3).  A malformed literal is a FormatError.
-
-    Returns ``(value, irrational)``.
     """
     text = text.strip()
     try:
         if text.startswith("sqrt:"):
-            value = Surd.sqrt(int(text[5:]))
-            return value, isinstance(value, Surd)
-        return parse_number(text), False
+            return Surd.sqrt(int(text[5:]))
+        return parse_number(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise FormatError(f"bad weight {text!r}: {exc}") from exc
 
@@ -456,15 +460,10 @@ def parse_weight(text: str):
 def line_action_from_weights(
     weight_texts: Iterable[str], basis: Basis | None = None, basepoint=0
 ) -> DenseLineAction:
-    values = []
-    any_irrational = False
-    for t in weight_texts:
-        v, irr = parse_weight(t)
-        values.append(v)
-        any_irrational = any_irrational or irr
+    values = [parse_weight(t) for t in weight_texts]
     if basis is None:
         basis = Basis(len(values))
     if len(values) != basis.rank:
         raise ValueError("one weight per generator required")
     weights = dict(zip(basis.symbols, values))
-    return DenseLineAction(weights, basis, basepoint=basepoint, dense_image=any_irrational)
+    return DenseLineAction(weights, basis, basepoint=basepoint)

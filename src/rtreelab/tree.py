@@ -38,6 +38,13 @@ def _exactify(x: Num) -> Num:
     return Fraction(x) if isinstance(x, (int, float)) else x
 
 
+def _exact(x, error: type[ValueError], where: str, *names) -> Fraction:
+    """x as a Fraction if it is an int, a Fraction or a finite float, else ``error`` at ``where``."""
+    if isinstance(x, (int, Fraction)) or isinstance(x, float) and math.isfinite(x):
+        return x if isinstance(x, Fraction) else Fraction(x)
+    raise error(f"{where.format(*names)} must be an int, a Fraction or a finite float, got {x!r}")
+
+
 def canonical_edge(u: str, v: str) -> tuple[str, str]:
     return (u, v) if u <= v else (v, u)
 
@@ -105,7 +112,7 @@ class MetricTree:
         for u, v, raw in edges:
             if u == v:
                 raise TreeStructureError(f"loop edge at {u!r}")
-            length = _exactify(raw)
+            length = _exact(raw, TreeStructureError, "length of edge {}-{}", u, v)
             if not length > 0:
                 raise TreeStructureError(f"edge {u}-{v} has nonpositive length {raw}")
             e = canonical_edge(u, v)
@@ -123,7 +130,7 @@ class MetricTree:
         self._adj = adj
         points = list(points)
         # one denominator puts every vertex and designated point on the grid
-        offsets = [_exactify(entry[3]) for entry in points if len(entry) == 4]
+        offsets = [_exact(p[3], TreeStructureError, "offset of {}", p[0]) for p in points if len(p) == 4]
         self._scale = math.lcm(*(x.denominator for x in chain(self._lengths.values(), offsets)))
 
         # the rooted index: parent, depth and scaled root distance per vertex

@@ -306,7 +306,7 @@ def test_criterion_09_small_word_search():
     (17, -12), i.e. word length 29; at the literal bound 12 the minimum is
     |7 - 5*sqrt2| and both routes agree on that too.)"""
     start = time.monotonic()
-    action = DenseLineAction({"a": 1, "b": ROOT2}, B2, dense_image=True)
+    action = DenseLineAction({"a": 1, "b": ROOT2}, B2)
     value29, vec29, word29 = min_positive_translation(action, 29)
     assert abs(value29 - abs(17 - 12 * SQRT2)) < 1e-9
     assert vec29 in ((17, -12), (-17, 12))
@@ -345,7 +345,7 @@ def test_criterion_10_lamination_audits():
     """Every emitted dual-lamination sample at depth <= 1000 passes its
     closure audit; fiber checks are symmetric and reflexive on a 100-pair
     panel."""
-    action = DenseLineAction({"a": 1, "b": ROOT2}, B2, dense_image=True)
+    action = DenseLineAction({"a": 1, "b": ROOT2}, B2)
     for epsilon, maxlen, depth in ((0.2, 4, 100), (0.2, 5, 1000), (0.05, 4, 500)):
         sample = dual_lamination_sample(action, epsilon, maxlen, depth=depth)
         audit = sample.audit()

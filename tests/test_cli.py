@@ -511,6 +511,74 @@ def test_action_file_input(tmp_path, capsys):
     assert "estimate: -inf" in out
 
 
+CONFIG_FILES = {
+    "path.tree": PATH_TREE,
+    "square.table": SQUARE_TABLE,
+    "line.seq": "".join(f"{(-1) ** n}/{n}\n" for n in range(1, 9)),
+    "tree.seq": "A\nC\nA\nC\nA\nC\n",
+    "arms.seq": "".join(f"arm {n} 1\n" for n in range(4)),
+    "act.txt": "line\nweight a 1\nweight b sqrt:2\n",
+    "ends.pairs": ";a | ;A\n",
+    "shape.pair": PAIR_FILE,
+    "t0.len": "a 1\nb 2\nab 3\n",
+    "t1.len": "a 3\nb 1\nab 4\n",
+    "tb.len": "a 2\nb 3/2\nab 7/2\n",
+    "square.report": 'WITNESS {"delta": "0", "distances": [["a", "b", "1"], ["a", "c", "2"],'
+    ' ["a", "d", "1"], ["b", "c", "1"], ["b", "d", "2"], ["c", "d", "1"]], "kind": "four_point",'
+    ' "margin": "1", "quadruple": ["a", "b", "c", "d"]}\n',
+}
+
+# one run per subcommand; {name} stands for the path of CONFIG_FILES[name]
+CONFIG_LINES = {
+    "certify": ("--seed 7 certify --table {square.table} --delta 1/2",
+                "delta=1/2 table={square.table} seed=7"),
+    "center": ("center --tree {path.tree} A C B", "p=A q=C r=B tree={path.tree} seed=0"),
+    "segment": ("segment --tree {path.tree} C A", "p=C q=A tree={path.tree} seed=0"),
+    # --line is echoed as a flag, and an unset --head is left out
+    "observers liminf": ("observers liminf --line --seq {line.seq} --basepoint -5 --depth 8",
+                         "basepoint=-5 depth=8 line=True seq={line.seq} tol=1e-9 seed=0"),
+    "observers converge": (
+        "observers converge --tree {path.tree} --seq {tree.seq} --limit A --probes auto:3 --depth 6",
+        "depth=6 limit=A line=False probes=auto:3 seq={tree.seq} tree={path.tree} seed=0",
+    ),
+    "observers extract": ("observers extract --multipod 4 --seq {arms.seq} --dirs auto:2 --depth 4",
+                          "depth=4 dirs=auto:2 line=False multipod=4 seq={arms.seq} seed=0"),
+    "qmap estimate": ("qmap estimate --weights 1,sqrt:2 --word ;a",
+                      "basepoint=0 depth=10000 tol=1e-6 weights=1,sqrt:2 word=;a seed=0"),
+    "qmap fibers": ("qmap fibers --action {act.txt} --pairs {ends.pairs} --depth 50",
+                    "action={act.txt} depth=50 pairs={ends.pairs} tol=1e-6 seed=0"),
+    "qmap lamination": ("qmap lamination --weights 1,3/7 --epsilon 1/2 --maxlen 3 --depth 20",
+                        "depth=20 epsilon=1/2 maxlen=3 tol=1e-6 weights=1,3/7 seed=0"),
+    "qmap smallwords": ("qmap smallwords --weights 1,sqrt:2 --epsilon 0.2 --maxlen 4",
+                        "epsilon=0.2 maxlen=4 weights=1,sqrt:2 seed=0"),
+    "blend metric": ("blend metric --pair {shape.pair} --lambda 1/3", "lambda=1/3 pair={shape.pair} seed=0"),
+    "blend lengths": (
+        "blend lengths --table0 {t0.len} --table1 {t1.len} --tableb {tb.len} --lambda 1/2",
+        "lambda=1/2 maxlen=6 table0={t0.len} table1={t1.len} tableb={tb.len} tol=0 seed=0",
+    ),
+    "blend axioms": ("blend axioms --marking a:a,b:ba --marking0 a:a,b:b --maxlen 2",
+                     "lambda_grid=0:1:1/10 marking=a:a,b:ba marking0=a:a,b:b maxlen=2 seed=0"),
+    "replay": ("replay {square.report}", "report={square.report} seed=0"),
+}
+
+
+@pytest.mark.parametrize("argv, config", list(CONFIG_LINES.values()), ids=list(CONFIG_LINES))
+def test_config_line_lists_the_set_arguments_sorted_then_the_seed(tmp_path, capsys, argv, config):
+    paths = {}
+    for name, text in CONFIG_FILES.items():
+        (tmp_path / name).write_text(text)
+        paths["{" + name + "}"] = str(tmp_path / name)
+
+    def fill(text):
+        for key, path in paths.items():
+            text = text.replace(key, path)
+        return text
+
+    code, out, err = run_cli(capsys, *fill(argv).split())
+    assert code in (0, 1, 2), err
+    assert out.splitlines()[1] == "config: " + fill(config)
+
+
 def test_reports_are_byte_identical(tmp_path, capsys):
     path = tmp_path / "path.tree"
     path.write_text(PATH_TREE)

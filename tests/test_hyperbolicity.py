@@ -19,7 +19,8 @@ from rtreelab.hyperbolicity import (
     reconstruct_tree,
     verify_witness,
 )
-from rtreelab.tree import MetricTree, star_tree
+from rtreelab.surds import Surd
+from rtreelab.tree import MetricTree, TreeStructureError, star_tree
 
 import helpers
 
@@ -146,6 +147,22 @@ def test_table_validation():
         MetricTable({("a", "b"): 0, ("a", "c"): 1, ("b", "c"): 1})
     with pytest.raises(InvalidTableError):
         MetricTable({("a", "b"): 10, ("a", "c"): 1, ("b", "c"): 1})
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, Surd.sqrt(2)], ids=repr)
+@pytest.mark.parametrize(
+    "build, error, where",
+    [
+        (lambda x: MetricTable({("a", "b"): 1, ("b", "c"): x, ("a", "c"): 2}), InvalidTableError, "d(b,c)"),
+        (lambda x: MetricTree([("u", "v", 1), ("v", "w", x)]), TreeStructureError, "length of edge v-w"),
+        (lambda x: MetricTree([("u", "v", 1)], [("p", "u", "v", x)]), TreeStructureError, "offset of p"),
+    ],
+    ids=["table distance", "edge length", "point offset"],
+)
+def test_a_number_that_is_not_exact_and_finite_is_named(build, error, where, bad):
+    with pytest.raises(error) as info:
+        build(bad)
+    assert str(info.value) == f"{where} must be an int, a Fraction or a finite float, got {bad!r}"
 
 
 def test_reconstruct_two_points():

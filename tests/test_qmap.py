@@ -54,7 +54,7 @@ ROOT2 = Surd.sqrt(2)
 
 @pytest.fixture
 def irr_action():
-    return DenseLineAction({"a": 1, "b": ROOT2}, B2, basepoint=0, dense_image=True)
+    return DenseLineAction({"a": 1, "b": ROOT2}, B2, basepoint=0)
 
 
 @pytest.fixture
@@ -393,26 +393,42 @@ def test_dual_lamination_flip_closed_and_audit_passes(irr_action):
 
 
 def test_parse_weight_literals():
-    assert parse_weight("3/2") == (Fr(3, 2), False)
-    assert parse_weight("1.25") == (Fr(5, 4), False)
-    value, irr = parse_weight("sqrt:2")
-    assert irr and value == ROOT2 and float(value) == SQRT2
+    assert parse_weight("3/2") == Fr(3, 2)
+    assert parse_weight("1.25") == Fr(5, 4)
+    value = parse_weight("sqrt:2")
+    assert isinstance(value, Surd) and value == ROOT2 and float(value) == SQRT2
     # the square factor is taken out, and perfect squares are rational
-    assert parse_weight("sqrt:8") == (2 * ROOT2, True)
-    assert parse_weight("sqrt:72") == (6 * ROOT2, True)
-    assert parse_weight("sqrt:9") == (Fr(3), False)
-    assert parse_weight("sqrt:0") == (Fr(0), False)
+    assert parse_weight("sqrt:8") == 2 * ROOT2
+    assert parse_weight("sqrt:72") == 6 * ROOT2
+    assert parse_weight("sqrt:9") == Fr(3) and not isinstance(parse_weight("sqrt:9"), Surd)
+    assert parse_weight("sqrt:0") == Fr(0) and not isinstance(parse_weight("sqrt:0"), Surd)
     for bad in ("sqrt:-2", "sqrt:x", "sqrt:1.5", "1/0", f"sqrt:{10**18 + 1}"):
         with pytest.raises(FormatError):
             parse_weight(bad)
 
 
 def test_line_action_from_weights_sets_density_flag():
-    action = line_action_from_weights(["1", "sqrt:2"])
-    assert action.dense_image
-    assert action.basis.rank == 2
-    rational = line_action_from_weights(["1", "3/2"])
-    assert not rational.dense_image
+    # dense exactly when two weights are independent over Q
+    cases = {
+        "sqrt:2,sqrt:8": False,  # sqrt 8 is 2 sqrt 2: the group sqrt(2) Z
+        "sqrt:2,sqrt:2": False,
+        "0,sqrt:2": False,
+        "1,3/2": False,
+        "sqrt:9,3/2": False,
+        "1,sqrt:2": True,
+        "sqrt:2,sqrt:3": True,
+        "1,2,sqrt:5": True,
+        "sqrt:2,sqrt:8,sqrt:3": True,
+    }
+    for weights, dense in cases.items():
+        action = line_action_from_weights(weights.split(","))
+        assert action.basis.rank == len(weights.split(","))
+        assert action.dense_image is dense, weights
+    # the flag is computed for an action built directly, and cannot be set
+    assert DenseLineAction({"a": 1, "b": Surd.sqrt(2)}, Basis(2)).dense_image
+    assert not DenseLineAction({"a": Fr(1, 3), "b": 0.25}, Basis(2)).dense_image
+    with pytest.raises(TypeError):
+        DenseLineAction({"a": 1, "b": 2}, Basis(2), dense_image=True)
 
 
 def test_apply_is_an_action_preserving_distances(irr_action):
