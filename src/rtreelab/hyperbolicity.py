@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .tree import MetricTree, Num, UnknownPointError, _exact, _exactify
+from .tree import MetricTree, Num, UnknownPointError, _exact
 
 
 class InvalidTableError(ValueError):
@@ -162,12 +162,6 @@ class MetricTable:
         """A matrix value back in distance units."""
         return Fraction(v, self.scale)
 
-    def _threshold(self, delta: Num) -> int:
-        """2*delta in matrix units: a quadruple violates the four-point
-        inequality at delta exactly when its gap (twice the margin at
-        delta 0, in matrix units) exceeds this."""
-        return math.floor(2 * Fraction(delta) * self.scale)
-
     def distance(self, x: str, y: str) -> Num:
         if x == y:
             if x not in self._index:
@@ -188,24 +182,37 @@ def gromov_product(space: MetricTable, x: str, z: str, w: str) -> Num:
     return space.gromov_product(x, z, w)
 
 
-def _max_gap(space: MetricTable, stop_above=None):
-    """Largest gap between the largest and second-largest pairing sums over
-    the 4-subsets of the table, in matrix units; returns a gap above
-    ``stop_above`` as soon as one is found.  On-tree rows have gap 0, so it
-    visits each 4-subset with an off row once, from its smallest off i."""
-    m, n = space._m, len(space.points)
-    worst, done = 0, set()
-    for i in space._off:
-        done.add(i)
-        rest = [v for v in range(n) if v not in done]
-        mi = m[i]
-        for a, j in enumerate(rest):
-            mj, dij = m[j], mi[j]
-            for b in range(a + 1, len(rest) - 1):
-                k = rest[b]
-                mk, dik, djk = m[k], mi[k], mj[k]
-                for l in rest[b + 1 :]:
-                    s1, s2, s3 = dij + mk[l], dik + mj[l], mi[l] + djk
+def _four_point_scan(space: MetricTable, limit: int | None = None):
+    """The four-point scan, in matrix units.  Write S(ab|cd) = d(a,b) +
+    d(c,d); a 4-subset's gap is its largest pairing sum less the second.
+    Twice min{(x,y)_w, (y,z)_w} - (x,z)_w is S(xz|yw) - max{S(xy|zw),
+    S(yz|xw)}: (x, y, z, w) violates at delta exactly when {xz|yw} is the
+    strictly largest pairing and the gap exceeds 2*delta, by gap/2 - delta.
+    A subset's least such ordering has its smallest point as x, x's
+    partner as z and the other pair in order as y and w.
+
+    On-tree rows have gap 0, so each 4-subset with an off row is visited
+    once, O(|off|·n³), by smallest point x ascending, then smallest off
+    point.  With no ``limit`` it returns the largest gap, else the least
+    violating (x, y, z, w, gap) of the first x with a gap above it, or None.
+    """
+    m, n, off = space._m, len(space.points), set(space._off)
+    bar, first = limit or 0, None
+    # a subset whose smallest point is after the last off row holds none
+    for x in range(max(off, default=-1) + 1):
+        mx = m[x]
+        if x in off:
+            plan = [(j, range(j + 1, n)) for j in range(x + 1, n - 2)]
+        else:
+            plan = [(o, [v for v in range(x + 1, n) if v > o or v not in off]) for o in off if o > x]
+        for s, pool in plan:
+            ms, dxs = m[s], mx[s]
+            for a, p in enumerate(pool):
+                if first and min(s, p) > first[0]:
+                    break  # y is at least the least of s, p and q
+                mp, dxp, dsp = m[p], mx[p], ms[p]
+                for q in pool[a + 1 :]:
+                    s1, s2, s3 = dxs + mp[q], dxp + ms[q], mx[q] + dsp
                     hi, lo = (s1, s2) if s1 >= s2 else (s2, s1)
                     if s3 > hi:
                         gap = s3 - hi
@@ -213,67 +220,49 @@ def _max_gap(space: MetricTable, stop_above=None):
                         gap = hi - s3
                     else:
                         gap = hi - lo
-                    if gap > worst:
-                        worst = gap
-                        if stop_above is not None and gap > stop_above:
-                            return gap
-    return worst
+                    if gap > bar:
+                        if limit is None:
+                            bar = gap
+                            continue
+                        z = q if s3 > hi else s if s1 > s2 else p
+                        y, w = sorted({s, p, q} - {z})
+                        if first is None or (y, z, w) < first[:3]:
+                            first = (y, z, w, gap)
+        if first is not None:
+            return (x, *first)
+    return bar if limit is None else None
 
 
 def max_four_point_defect(space: MetricTable) -> Num:
     """The least delta for which check_hyperbolic passes: half the maximal
     gap between the largest and second-largest pairing sums over 4-subsets."""
-    worst = _max_gap(space)
-    return space._unscale(worst) / 2 if worst else Fraction(0)
+    return space._unscale(_four_point_scan(space)) / 2
 
 
 def check_hyperbolic(space: MetricTable, delta: Num = 0) -> HyperbolicityVerdict:
     """Whether (x,z)_w >= min{(x,y)_w, (y,z)_w} - delta for every ordered
-    quadruple of table points.
+    quadruple of table points, with the first witness when not.
 
     Quadruples with a repeated point satisfy the inequality automatically
     (triangle inequality, validated at table construction), and so do the
-    on-tree rows, so the decision scans the 4-subsets with an off row,
-    O(|off|·n³); a failing table is rescanned in lexicographic order of
-    ordered quadruples so the reported witness is the first one.
+    on-tree rows, so the decision is one scan of the 4-subsets with an off
+    row, O(|off|·n³).
     """
-    if delta < 0:
-        raise ValueError("delta must be nonnegative")
-    delta = _exactify(delta)
-    limit = space._threshold(delta)
-    if _max_gap(space, limit) <= limit:
-        return HyperbolicityVerdict(True, delta)
     witness = first_violation(space, delta)
-    assert witness is not None
-    return HyperbolicityVerdict(False, delta, witness)
+    return HyperbolicityVerdict(witness is None, _exact(delta, ValueError, "delta"), witness)
 
 
 def first_violation(space: MetricTable, delta: Num = 0) -> FourPointWitness | None:
     """First ordered quadruple (lexicographic in point names) violating the
-    four-point inequality, with its margin.  A quadruple of on-tree rows
-    holds it, so w runs over the off rows when x, y and z are on the tree."""
+    four-point inequality, with its margin."""
+    delta = _exact(delta, ValueError, "delta")
     if delta < 0:
         raise ValueError("delta must be nonnegative")
-    m, n, off = space._m, len(space.points), space._off
-    if not off:
+    found = _four_point_scan(space, math.floor(2 * delta * space.scale))
+    if found is None:
         return None
-    delta = _exactify(delta)
-    limit = space._threshold(delta)
-    for x in range(n):
-        mx, x_off = m[x], x in off
-        for y in range(n):
-            my, dxy, xy_off = m[y], mx[y], x_off or y in off
-            for z in range(n):
-                mz, dxz, dyz = m[z], mx[z], my[z]
-                for w in range(n) if xy_off or z in off else off:
-                    # twice the Gromov products (x,y)_w, (y,z)_w, (x,z)_w
-                    a = mx[w] + my[w] - dxy
-                    b = my[w] + mz[w] - dyz
-                    gap = (a if a < b else b) - (mx[w] + mz[w] - dxz)
-                    if gap > limit:
-                        quad = tuple(space.points[i] for i in (x, y, z, w))
-                        return FourPointWitness(quad, space._unscale(gap) / 2 - delta)
-    return None
+    *quad, gap = found
+    return FourPointWitness(tuple(space.points[i] for i in quad), space._unscale(gap) / 2 - delta)
 
 
 def verify_witness(space: MetricTable, witness: FourPointWitness, delta: Num = 0) -> bool:
@@ -281,7 +270,7 @@ def verify_witness(space: MetricTable, witness: FourPointWitness, delta: Num = 0
     reported margin?"""
     x, y, z, w = witness.quadruple
     gp = space.gromov_product
-    margin = min(gp(x, y, w), gp(y, z, w)) - gp(x, z, w) - _exactify(delta)
+    margin = min(gp(x, y, w), gp(y, z, w)) - gp(x, z, w) - _exact(delta, ValueError, "delta")
     return margin == witness.margin and margin > 0
 
 

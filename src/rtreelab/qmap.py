@@ -80,7 +80,6 @@ class DenseLineAction:
     basis: Basis
     basepoint: object = 0
     oracle: LineOracle = field(default_factory=LineOracle, compare=False)
-    very_small: bool = field(default=False, init=False)
     radicands: tuple[int, ...] = field(default=(), init=False, repr=False, compare=False)
     scale: int = field(default=1, init=False, repr=False, compare=False)
     columns: tuple[tuple[int, ...], ...] = field(default=(), init=False, repr=False, compare=False)

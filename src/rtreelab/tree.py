@@ -344,7 +344,8 @@ class MetricTree:
             if p in self._points:
                 return self._points[p]
             raise UnknownPointError(p)
-        return self._normalize_edge_point(p.edge[0], p.edge[1], _exactify(p.offset))
+        offset = _exact(p.offset, TreeStructureError, "offset of {}", p)
+        return self._normalize_edge_point(p.edge[0], p.edge[1], offset)
 
     def name_of(self, p: Point) -> str | None:
         """Name addressing this location, if any (vertex name wins)."""
@@ -376,7 +377,7 @@ class MetricTree:
 
     def point_along(self, p: Point, q: Point, t: Num) -> Point:
         """The point of [p, q] at distance t from p."""
-        t = _exactify(t)
+        t = _exact(t, ValueError, "t")
         a, b = self._address(p), self._address(q)
         meet = self._meet(a, b)
         total = self._unscale(a[1] + b[1] - 2 * meet)

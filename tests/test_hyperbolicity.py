@@ -20,7 +20,7 @@ from rtreelab.hyperbolicity import (
     verify_witness,
 )
 from rtreelab.surds import Surd
-from rtreelab.tree import MetricTree, TreeStructureError, star_tree
+from rtreelab.tree import Location, MetricTree, TreeStructureError, star_tree
 
 import helpers
 
@@ -156,13 +156,35 @@ def test_table_validation():
         (lambda x: MetricTable({("a", "b"): 1, ("b", "c"): x, ("a", "c"): 2}), InvalidTableError, "d(b,c)"),
         (lambda x: MetricTree([("u", "v", 1), ("v", "w", x)]), TreeStructureError, "length of edge v-w"),
         (lambda x: MetricTree([("u", "v", 1)], [("p", "u", "v", x)]), TreeStructureError, "offset of p"),
+        (lambda x: MetricTree([("u", "v", 1)]).point_along("u", "v", x), ValueError, "t"),
+        (
+            lambda x: MetricTree([("u", "v", 1)]).distance(Location(("u", "v"), x), "u"),
+            TreeStructureError,
+            "offset of u-v@{}",
+        ),
+        (lambda x: check_hyperbolic(unit_square_table(), x), ValueError, "delta"),
+        (lambda x: first_violation(unit_square_table(), x), ValueError, "delta"),
+        (
+            lambda x: verify_witness(unit_square_table(), first_violation(unit_square_table()), x),
+            ValueError,
+            "delta",
+        ),
     ],
-    ids=["table distance", "edge length", "point offset"],
+    ids=[
+        "table distance",
+        "edge length",
+        "point offset",
+        "point_along t",
+        "location offset",
+        "check_hyperbolic delta",
+        "first_violation delta",
+        "verify_witness delta",
+    ],
 )
 def test_a_number_that_is_not_exact_and_finite_is_named(build, error, where, bad):
     with pytest.raises(error) as info:
         build(bad)
-    assert str(info.value) == f"{where} must be an int, a Fraction or a finite float, got {bad!r}"
+    assert str(info.value) == f"{where.format(bad)} must be an int, a Fraction or a finite float, got {bad!r}"
 
 
 def test_reconstruct_two_points():
@@ -484,15 +506,12 @@ def test_off_tree_kernels_agree_with_the_full_integer_scans(family, n, seed):
     defect = Fr(gap, 2 * table.scale)
     assert table.realized == (gap == 0)
     assert max_four_point_defect(table) == defect
-    for delta in (Fr(0), defect * Fr(63, 64), defect):
+    for delta in (Fr(0), defect / 3, defect * Fr(63, 64), defect):
         # the ordered scan finds a witness exactly when a 4-subset's gap
         # exceeds 2*delta; a full ordered pass to confirm None is too slow
         expected = None if gap <= 2 * delta * table.scale else helpers.reference_first_violation(table, delta)
         assert check_hyperbolic(table, delta) == HyperbolicityVerdict(expected is None, delta, expected)
-        # on l1 and cycle tables nearly every row is off, so a None costs
-        # first_violation the full O(n⁴) pass; the subset scan decided it above
-        if expected is not None or family == "perturbed tree":
-            assert first_violation(table, delta) == expected
+        assert first_violation(table, delta) == expected
 
 
 def test_a_realized_table_runs_no_four_point_scan():
