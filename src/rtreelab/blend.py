@@ -10,6 +10,7 @@ it, which certifies 0-hyperbolicity and realizability at once.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -20,7 +21,7 @@ from .hyperbolicity import HyperbolicityVerdict, MetricTable, first_violation
 from .observers import verify_shape_map
 from .qmap import EmptyWordError
 from .surds import Surd
-from .tree import Location, MetricTree, Num, _exactify
+from .tree import Location, MetricTree, Num, _exact, _exactify
 from .words import (
     Basis,
     abelianization,
@@ -168,44 +169,43 @@ def nielsen_generates(marking: Mapping[str, str], basis: Basis) -> bool:
     return all(len(w) == 1 for w in images) and letters == sorted(basis.symbols)
 
 
-def _rose_rule(
-    marking: Mapping[str, str], edge_lengths: Mapping[str, Num], basis: Basis
-) -> tuple[Callable[[str], str], Callable[[str], Num]]:
-    """(state, length) of the rose length function.  The state of a word is
-    its reduced marking image: applying the marking commutes with free
-    reduction, so the word is not pre-reduced, and the image of a product
-    of reduced words is the reduced product of their images.  The length of
-    an image is the weighted length of its cyclic core, summed per
-    generator (an int when the weights are ints)."""
+def _rose(
+    marking: Mapping[str, str], edge_lengths: Mapping[str, Num], basis: Basis | None
+) -> tuple[Callable[[str], str], Callable[[str], int], int]:
+    """(state, length, unit) of the rose length function.  The state of a
+    word is its reduced marking image: applying the marking commutes with
+    free reduction, so the word is not pre-reduced, and the image of a
+    product of reduced words is the reduced product of their images.  The
+    length of an image is the weighted length of its cyclic core, an int
+    over ``unit``, the lcm of the weights' denominators (a float weight is
+    taken at its binary value): every letter counts the first generator's
+    weight, and the letters of a generator of another weight the
+    difference too."""
+    if basis is None:
+        basis = Basis(len(marking))
+    for name, keys in (("marking", marking), ("edge length", edge_lengths)):
+        if set(keys) != set(basis.symbols):
+            raise MarkingError(f"{name} keys {sorted(keys)} are not the generators {list(basis.symbols)}")
+    if not nielsen_generates(marking, basis):
+        raise MarkingError("marking images do not freely generate")
     table = _marking_table(marking)
-    symbols = [(g, g.upper()) for g in basis.symbols]
+    weights = [_exact(edge_lengths[g], MarkingError, "edge length of {}", g) for g in basis.symbols]
+    unit = math.lcm(*(w.denominator for w in weights))
+    base, *others = [w.numerator * (unit // w.denominator) for w in weights]
+    steps = [(g, g.upper(), w - base) for g, w in zip(basis.symbols[1:], others) if w != base]
 
     def state(word: str) -> str:
         basis.validate(word)
         return reduce_word(word.translate(table))
 
-    values = [edge_lengths.get(g) for g in basis.symbols]
-    if all(type(w) is int for w in values) and len(set(values)) == 1:
-        weight = values[0]
+    def length(image: str) -> int:
+        core = cyclic_core(image)
+        total = base * len(core)
+        for g, inverse, step in steps:
+            total += step * (core.count(g) + core.count(inverse))
+        return total
 
-        def length(image: str) -> Num:
-            # one int weight on every edge (every rose of the CLI): the sum
-            # below as one product, which saves about a third of the time of
-            # `blend axioms` at maxlen 6
-            return weight * len(cyclic_core(image))
-
-    else:
-
-        def length(image: str) -> Num:
-            core = cyclic_core(image)
-            total = 0
-            for g, inverse in symbols:
-                n = core.count(g) + core.count(inverse)
-                if n:
-                    total += n * edge_lengths[g]
-            return total
-
-    return state, length
+    return state, length, unit
 
 
 def marked_graph_length(
@@ -213,15 +213,10 @@ def marked_graph_length(
     edge_lengths: Mapping[str, Num],
     word: str,
     basis: Basis | None = None,
-) -> Num:
+) -> Fraction:
     """Translation length on the rose: the weighted cyclically reduced
     length of the marking image, weights given per generator."""
-    if basis is None:
-        basis = Basis(len(marking))
-    if not nielsen_generates(marking, basis):
-        raise MarkingError("marking images do not freely generate")
-    state, length = _rose_rule(marking, edge_lengths, basis)
-    return _exactify(length(state(word)))
+    return length_function_from_marked_graph(marking, edge_lengths, basis)(word)
 
 
 # -- length functions ----------------------------------------------------------
@@ -231,17 +226,25 @@ def _word_state(word: str) -> str:
     return word
 
 
+def _over(n, unit: int) -> Num:
+    """The value n / unit, exactly."""
+    return Fraction(n, unit) if type(n) is int else n / unit
+
+
 @dataclass(frozen=True, eq=False)
 class LengthFunction:
     """A conjugacy-class length evaluator with a provenance tag.
 
-    It also carries a per-word ``state`` with a ``product`` rule: for
-    reduced words u and v, ``length(product(state(u), state(v)))`` is the
-    evaluator's value at uv.  By default the state is the word itself, the
-    product is the reduced product and the length is the evaluator.  The
-    constructors below give roses, line actions and blends cheaper states,
-    and set ``class_function`` when the function is invariant under
-    inversion and conjugation by construction.
+    It also carries a per-word ``state`` with a ``product`` rule and a
+    ``length`` over one ``unit``: for reduced words u and v,
+    ``length(product(state(u), state(v))) / unit`` is the evaluator's value
+    at uv.  By default the state is the word itself, the product is the
+    reduced product, the unit is 1 and the length is the evaluator's value
+    exactly (a float at its binary value, an integral Fraction as an int).
+    The constructors below give roses, line actions and blends cheaper
+    states, and set ``class_function`` when the function is invariant
+    under inversion and conjugation by construction.  Their lengths are
+    ints whenever every weight is rational.
     """
 
     evaluator: Callable[[str], Num]
@@ -250,26 +253,30 @@ class LengthFunction:
     product: Callable[[object, object], object] = field(init=False, repr=False)
     length: Callable[[object], Num] = field(init=False, repr=False)
     class_function: bool = field(init=False, repr=False)
-    # when set, int_length(state) is length(state) * unit, an int
-    int_length: Callable[[object], int] | None = field(default=None, init=False, repr=False)
-    unit: int = field(default=1, init=False, repr=False)
+    unit: int = field(init=False, repr=False)
 
     def __post_init__(self):
-        _set_rule(self, _word_state, reduced_product, self.evaluator, False)
+        evaluator = self.evaluator
+
+        def length(word: str) -> Num:
+            # exactly, and integral values as ints, which compare and scale fastest
+            x = evaluator(word)
+            if type(x) is float:
+                x = Fraction(x)
+            return x.numerator if type(x) is Fraction and x.denominator == 1 else x
+
+        _set_rule(self, _word_state, reduced_product, length, False)
 
     def __call__(self, word: str) -> Num:
         return self.evaluator(word)
 
 
-def _set_rule(
-    lf: LengthFunction, state, product, length, class_function: bool, int_length=None, unit=1
-) -> LengthFunction:
+def _set_rule(lf: LengthFunction, state, product, length, class_function: bool, unit=1) -> LengthFunction:
     for name, value in (
         ("state", state),
         ("product", product),
         ("length", length),
         ("class_function", class_function),
-        ("int_length", int_length),
         ("unit", unit),
     ):
         object.__setattr__(lf, name, value)
@@ -288,8 +295,8 @@ def _vector_state(basis: Basis) -> Callable[[str], tuple[int, ...]]:
 
 def length_function_from_line_action(action) -> LengthFunction:
     """|mu| on conjugacy classes; the state of a word is its abelianization
-    vector, so products add vectors.  With rational weights a length is
-    also an int over the action's scale."""
+    vector, so products add vectors.  With rational weights the length is
+    an int over the action's scale."""
 
     def ev(word: str) -> Num:
         try:
@@ -298,65 +305,63 @@ def length_function_from_line_action(action) -> LengthFunction:
             return 0
 
     state = _vector_state(action.basis)
-
-    def length(vec: tuple[int, ...]) -> Num:
-        return abs(action.mu_of_vector(vec))
-
     lf = LengthFunction(ev, "line action")
     if action.radicands:
-        return _set_rule(lf, state, _vector_sum, length, True)
-    return _set_rule(lf, state, _vector_sum, length, True, action.int_length, action.scale)
+        return _set_rule(lf, state, _vector_sum, lambda vec: abs(action.mu_of_vector(vec)), True)
+    return _set_rule(lf, state, _vector_sum, action.int_length, True, action.scale)
 
 
 def length_function_from_marked_graph(
     marking: Mapping[str, str], edge_lengths: Mapping[str, Num], basis: Basis | None = None
 ) -> LengthFunction:
-    if basis is None:
-        basis = Basis(len(marking))
-    if not nielsen_generates(marking, basis):
-        raise MarkingError("marking images do not freely generate")
-    state, length = _rose_rule(marking, edge_lengths, basis)
+    state, length, unit = _rose(marking, edge_lengths, basis)
 
-    def ev(word: str) -> Num:
-        return _exactify(length(state(word)))
+    def ev(word: str) -> Fraction:
+        return Fraction(length(state(word)), unit)
 
-    return _set_rule(LengthFunction(ev, "marked graph"), state, reduced_product, length, True)
+    lf = LengthFunction(ev, "marked graph")
+    return _set_rule(lf, state, reduced_product, length, True, unit)
 
 
 def length_function_from_table(table: Mapping[str, Num]) -> LengthFunction:
     return LengthFunction(lambda w: _exactify(table[w]), "explicit table")
 
 
-def blend_length_functions(lf0: LengthFunction, lf1: LengthFunction, lam: Num) -> LengthFunction:
-    """lam*lf1 + (1-lam)*lf0, with lam taken exactly (a float at its binary
-    value).  Its state is the pair of the two states."""
+def _grid_slot(lam: Num, u0: int, u1: int) -> tuple:
+    """(lam, p*u0, r*u1, q*u0*u1) for lam = p/q and r = q - p: the blend of
+    lengths x0 and x1 over units u0 and u1 is p*u0*x1 + r*u1*x0 over
+    q*u0*u1, so int lengths stay ints.  A float lam is taken at its exact
+    binary value."""
     lam = Fraction(lam)
+    if lam < 0 or lam > 1:
+        raise BlendRangeError(f"lambda must lie in [0, 1], got {lam}")
+    p, q = lam.numerator, lam.denominator
+    return lam, p * u0, (q - p) * u1, q * u0 * u1
+
+
+def blend_length_functions(lf0: LengthFunction, lf1: LengthFunction, lam: Num) -> LengthFunction:
+    """lam*lf1 + (1-lam)*lf0 for lam = p/q in [0, 1], taken exactly (a float
+    at its binary value).  Its state is the pair of the two states; for
+    lengths x0 and x1 over units u0 and u1 its length is p*u0*x1 +
+    (q-p)*u1*x0 over the unit q*u0*u1."""
+    lam, p, r, unit = _grid_slot(lam, lf0.unit, lf1.unit)
+    state0, state1, len0, len1 = lf0.state, lf1.state, lf0.length, lf1.length
 
     def ev(word: str) -> Num:
-        return lam * lf1(word) + (1 - lam) * lf0(word)
+        return _over(p * len1(state1(word)) + r * len0(state0(word)), unit)
 
     def state(word: str) -> tuple:
-        return lf0.state(word), lf1.state(word)
+        return state0(word), state1(word)
 
     def product(a: tuple, b: tuple) -> tuple:
         return lf0.product(a[0], b[0]), lf1.product(a[1], b[1])
 
     def length(pair: tuple) -> Num:
-        return lam * lf1.length(pair[1]) + (1 - lam) * lf0.length(pair[0])
+        return p * len1(pair[1]) + r * len0(pair[0])
 
     blend = LengthFunction(ev, f"blend(lambda={lam})")
-    return _set_rule(blend, state, product, length, lf0.class_function and lf1.class_function)
-
-
-_RATIONAL = frozenset((int, Fraction))
-
-
-def _exact(x, unit: int):
-    """A length as an exact number: an int over its unit, a float at its
-    binary value, ints, Fractions and Surds as they are."""
-    if unit:
-        return Fraction(x, unit)
-    return Fraction(x) if isinstance(x, float) else x
+    class_function = lf0.class_function and lf1.class_function
+    return _set_rule(blend, state, product, length, class_function, unit)
 
 
 def affine_deviation(
@@ -372,57 +377,36 @@ def affine_deviation(
     0, else the value at the first word attaining the maximum.
 
     lam is taken exactly (a float at its binary value), and so is every
-    value.  For lam = p/q and rational values x0, x1, xb the deviation is
-    |q*xb - p*x1 - (q-p)*x0| / q, compared across words in integers over
-    the values' denominators (a function with an ``int_length`` gives its
-    numerator over its fixed ``unit``); a Fraction is made only for the
-    result.  A word with an irrational value is measured in Surds.
+    value.  For lam = p/q and values x0, x1, xb the deviation is
+    |q*xb - p*x1 - (q-p)*x0| / q, held as a numerator over a denominator:
+    a rational value is its integer ratio over its function's unit, a
+    Surd its own numerator.  A Fraction is made only for the result.
     """
     lam = Fraction(lam)
     p, q = lam.numerator, lam.denominator
     r = q - p
-
-    def rule(lf):
-        if lf.int_length is not None:
-            return lf.state, lf.int_length, lf.unit
-        return lf.state, lf.length, 0
-
-    (s0, l0, u0), (s1, l1, u1), (sb, lb, ub) = map(rule, (lf0, lf1, lf_blend))
-    # the worst deviation so far is worst_n / worst_d, or the Surd worst_surd
-    worst_n, worst_d, worst_surd, worst_word = 0, 1, None, None
+    s0, l0, u0 = lf0.state, lf0.length, lf0.unit
+    s1, l1, u1 = lf1.state, lf1.length, lf1.unit
+    sb, lb, ub = lf_blend.state, lf_blend.length, lf_blend.unit
+    # the worst deviation so far is worst_n / worst_d
+    worst_n, worst_d, worst_word = 0, 1, None
     for w in words:
         a0 = s0(w)
         x0, x1, xb = l0(a0), l1(a0 if s1 is s0 else s1(w)), lb(a0 if sb is s0 else sb(w))
-        if not (type(x0) in _RATIONAL and type(x1) in _RATIONAL and type(xb) in _RATIONAL):
-            v0, v1, vb = (_exact(x, u) for x, u in ((x0, u0), (x1, u1), (xb, ub)))
-            dev = abs(vb - (lam * v1 + (1 - lam) * v0))
-            worst = worst_surd if worst_surd is not None else Fraction(worst_n, worst_d)
-            if dev > worst:
-                worst_word = w
-                if isinstance(dev, Surd):
-                    worst_surd = dev
-                else:
-                    worst_n, worst_d, worst_surd = dev.numerator, dev.denominator, None
-            elif dev == worst and (worst_word is None or w > worst_word):
-                worst_word = w
-            continue
-        n0, d0 = (x0, u0) if u0 else (x0.numerator, x0.denominator)
-        n1, d1 = (x1, u1) if u1 else (x1.numerator, x1.denominator)
-        nb, db = (xb, ub) if ub else (xb.numerator, xb.denominator)
+        if Surd in (type(x0), type(x1), type(xb)):
+            n0, d0, n1, d1, nb, db = x0, u0, x1, u1, xb, ub
+        else:
+            (n0, d0), (n1, d1) = x0.as_integer_ratio(), x1.as_integer_ratio()
+            nb, db = xb.as_integer_ratio()
+            d0, d1, db = d0 * u0, d1 * u1, db * ub
         n = abs((q * nb * d1 - p * n1 * db) * d0 - r * n0 * d1 * db)
         d = q * d0 * d1 * db
-        if worst_surd is not None:
-            above = Fraction(n, d) > worst_surd
-            tie = False
-        else:
-            above, tie = n * worst_d > worst_n * d, n * worst_d == worst_n * d
-        if above:
-            worst_n, worst_d, worst_surd, worst_word = n, d, None, w
-        elif tie and (worst_word is None or w > worst_word):
+        above, below = n * worst_d, worst_n * d
+        if above > below:
+            worst_n, worst_d, worst_word = n, d, w
+        elif above == below and (worst_word is None or w > worst_word):
             worst_word = w
-    if worst_surd is not None:
-        return worst_surd, worst_word
-    return Fraction(worst_n, worst_d), worst_word
+    return _over(worst_n, worst_d), worst_word
 
 
 def convex_combination_length_check(
@@ -475,20 +459,6 @@ class AxiomScanEntry:
     witness: AxiomWitness | None
 
 
-def _grid_slot(lam: Num) -> tuple:
-    """(lam, p, r, q): the blend lam*x1 + (1-lam)*x0 is held as p*x1 + r*x0
-    in units of 1/q, so lam = p/q keeps integral values integral.  A float
-    lam is taken at its exact binary value, as blend_length_functions does."""
-    lam = Fraction(lam)
-    if lam < 0 or lam > 1:
-        raise BlendRangeError(f"lambda must lie in [0, 1], got {lam}")
-    return lam, lam.numerator, lam.denominator - lam.numerator, lam.denominator
-
-
-def _integral(x):
-    return x.numerator if type(x) is Fraction and x.denominator == 1 else x
-
-
 def _axiom_scan(
     lf0: LengthFunction,
     lf1: LengthFunction,
@@ -509,8 +479,8 @@ def _axiom_scan(
     Each word's state is computed once per function, and the values at
     conjugates, uv and uv^-1 are lengths of products of states; nothing
     else is kept.  Every lambda is exact (a float at its binary value) and
-    integral values are held as ints, so values compare exactly and
-    Fractions appear only in witnesses.
+    the functions' units go into the grid slots, so int lengths blend as
+    ints, values compare exactly and Fractions appear only in witnesses.
 
     When both functions are class functions, the pairs {u, v}, {u, v^-1},
     {u^-1, v} and {u^-1, v^-1} have the same values and so violate
@@ -519,7 +489,7 @@ def _axiom_scan(
     over the words that precede their inverse (or whose inverse is not
     among the words), and the first witness per lambda is unchanged.
     """
-    slots = [_grid_slot(lam) for lam in grid]
+    slots = [_grid_slot(lam, lf0.unit, lf1.unit) for lam in grid]
     found: dict[int, AxiomWitness] = {}
     same = lf1 is lf0
     prod0, len0, prod1, len1 = lf0.product, lf0.length, lf1.product, lf1.length
@@ -536,14 +506,12 @@ def _axiom_scan(
     s1, t1 = (s0, t0) if same else states(lf1)
 
     def values(a0, a1) -> tuple:
-        x0 = _integral(len0(a0))
-        return x0, x0 if same else _integral(len1(a1))
+        x0 = len0(a0)
+        return x0, x0 if same else len1(a1)
 
     def record(s: int, kind: str, u: str, v: str | None, scaled: dict) -> None:
         q = slots[s][3]
-        found[s] = AxiomWitness(
-            kind, u, v, {k: Fraction(n, q) if isinstance(n, int) else n / q for k, n in scaled.items()}
-        )
+        found[s] = AxiomWitness(kind, u, v, {k: _over(n, q) for k, n in scaled.items()})
 
     conj = []
     for v in basis.letters if conjugators is None else conjugators:
@@ -574,7 +542,6 @@ def _axiom_scan(
     rows = range(len(words))
     if lf0.class_function and lf1.class_function:
         rows = [i for i in rows if inverse_at[i] is None or inverse_at[i] > i]
-    integral = _integral
     for a, i in enumerate(rows):
         if not pending:
             break
@@ -582,11 +549,11 @@ def _axiom_scan(
         su0, su1 = s0[i], s1[i]
         for j in rows[a:]:
             v0, v1 = singles[j]
-            uv0, ui0 = integral(len0(prod0(su0, s0[j]))), integral(len0(prod0(su0, t0[j])))
+            uv0, ui0 = len0(prod0(su0, s0[j])), len0(prod0(su0, t0[j]))
             if same:
                 uv1, ui1 = uv0, ui0
             else:
-                uv1, ui1 = integral(len1(prod1(su1, s1[j]))), integral(len1(prod1(su1, t1[j])))
+                uv1, ui1 = len1(prod1(su1, s1[j])), len1(prod1(su1, t1[j]))
             b0, b1 = u0 + v0, u1 + v1
             # no positive margin against the sum bound in either function:
             # no lambda in [0, 1] can violate

@@ -407,8 +407,10 @@ def run_blend_lengths(args, out) -> int:
     lam = _parse_lambda(getattr(args, "lambda"))
     tol = formats.parse_number(args.tol)
     if args.weights0 and args.weights1:
-        a0 = line_action_from_weights(args.weights0.split(","))
-        a1 = line_action_from_weights(args.weights1.split(","))
+        a0, a1 = (line_action_from_weights(t.split(",")) for t in (args.weights0, args.weights1))
+        if a0.basis != a1.basis:
+            n0, n1 = a0.basis.rank, a1.basis.rank
+            raise ParameterError(f"--weights0 has {n0} weights but --weights1 has {n1}")
         blend_action = DenseLineAction(
             {s: lam * a1.weights[s] + (1 - lam) * a0.weights[s] for s in a0.basis.symbols},
             a0.basis,

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction as Fr
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations, permutations
 
 import pytest
@@ -29,6 +29,7 @@ from rtreelab.blend import (
 )
 from rtreelab.hyperbolicity import MetricTable
 from rtreelab.qmap import DenseLineAction, line_action_from_weights
+from rtreelab.surds import Surd
 from rtreelab.tree import Location, MetricTree, path_tree
 from rtreelab.words import (
     Basis,
@@ -79,6 +80,9 @@ def test_blend_rejects_lambda_outside_unit_interval():
             blend_metric(pair, lam)
         with pytest.raises(BlendRangeError):
             rose_blend_axiom_scan({"a": "a", "b": "ba"}, [Fr(1, 2), lam], maxlen=2)
+        rose = length_function_from_marked_graph({"a": "a", "b": "b"}, {"a": 1, "b": 1})
+        with pytest.raises(BlendRangeError):
+            blend_length_functions(rose, rose, lam)
 
 
 def test_random_blend_passes_certification_and_brute_force():
@@ -195,6 +199,23 @@ def test_marked_graph_length_nontrivial_marking():
 def test_marked_graph_respects_edge_weights():
     identity = {"a": "a", "b": "b"}
     assert marked_graph_length(identity, {"a": Fr(1, 2), "b": 3}, "ab") == Fr(7, 2)
+
+
+@pytest.mark.parametrize(
+    "marking, lengths, message",
+    [
+        ({"a": "a"}, {"a": 1, "b": 1}, "marking keys ['a'] are not the generators ['a', 'b']"),
+        ({"a": "a", "b": "b"}, {"a": 1}, "edge length keys ['a'] are not the generators ['a', 'b']"),
+        ({"a": "a", "b": "b"}, {"a": 1, "b": 1, "c": 1}, "edge length keys ['a', 'b', 'c'] are"),
+        ({"a": "a", "b": "b"}, {"a": 1, "b": float("nan")}, "edge length of b must be an int, a"),
+        ({"a": "a", "b": "b"}, {"a": Surd.sqrt(2), "b": 1}, "edge length of a must be an int, a"),
+    ],
+)
+def test_a_rose_needs_one_exact_weight_and_image_per_generator(marking, lengths, message):
+    for build in (length_function_from_marked_graph, partial(marked_graph_length, word="ab")):
+        with pytest.raises(MarkingError) as caught:
+            build(marking, lengths, basis=B2)
+        assert str(caught.value).startswith(message)
 
 
 def test_nielsen_generation_check():
@@ -432,6 +453,8 @@ _ROSE_WEIGHTS = st.one_of(
     st.fixed_dictionaries(
         {s: st.fractions(Fr(1, 5), 4, max_denominator=6).filter(bool) for s in "ab"}
     ),
+    # floats are taken at their binary value
+    st.fixed_dictionaries({s: st.sampled_from([0.1, 0.2, 0.3, 1 / 3, 2.5, 1]) for s in "ab"}),
 )
 _LINE_WEIGHT = st.one_of(
     st.integers(-5, 5).map(str),
@@ -473,27 +496,54 @@ _CLASS_FUNCTIONS = st.deferred(
 )
 def test_state_products_agree_with_evaluating_the_product_word(lf, u, v):
     """For roses, line actions and their blends, the length of a product of
-    states is the evaluator's value at the reduced product word."""
+    states over the unit is the evaluator's value at the reduced product
+    word."""
     assert lf.class_function
     su = lf.state(u)
-    assert lf.length(su) == lf(u)
+    assert lf.length(su) / Fr(lf.unit) == lf(u)
     for w in (v, invert_word(v)):
-        product = lf.length(lf.product(su, lf.state(w)))
+        product = lf.length(lf.product(su, lf.state(w))) / Fr(lf.unit)
         assert product == lf(reduced_product(u, w))
 
 
 @settings(max_examples=200, deadline=None)
 @given(_MARKINGS, _ROSE_WEIGHTS, _WORDS)
+@example({"a": "a", "b": "b"}, {"a": 0.1, "b": 0.2}, "ab")
 def test_rose_length_is_the_weighted_length_of_the_cyclic_core(marking, weights, word):
-    """Both rose length rules (one int weight on every edge, and counts per
-    generator) give the weighted letter count of the cyclically reduced
-    marking image."""
+    """The rose length is the weighted letter count of the cyclically
+    reduced marking image, each weight taken at its exact value (a float
+    at its binary value)."""
     assume(nielsen_generates(marking, B2))
     image = cyclic_reduce(apply_marking(marking, word))
-    expected = sum((weights[c.lower()] for c in image), Fr(0))
+    as_fractions = {s: Fr(w) for s, w in weights.items()}
+    expected = sum((as_fractions[c.lower()] for c in image), Fr(0))
     assert marked_graph_length(marking, weights, word, B2) == expected
-    as_fractions = {s: Fr(w) for s, w in weights.items()}  # never the one-int-weight rule
     assert marked_graph_length(marking, as_fractions, word, B2) == expected
+
+
+def test_a_float_weight_rose_is_its_exact_twin():
+    # each weight is taken at its binary value: summed in floats, |ab| was
+    # 0.30000000000000004 and the scan at lambda 1/3 found a false violation
+    floats = {"a": 0.1, "b": 0.2}
+    exact = {s: Fr(w) for s, w in floats.items()}
+    identity = {"a": "a", "b": "b"}
+    assert marked_graph_length(identity, floats, "ab", B2) == Fr(0.1) + Fr(0.2)
+    marking, words, grid = {"a": "a", "b": "ba"}, reduced_words(B2, 3), [Fr(1, 3), 0.3, Fr(1, 2)]
+    for lam in grid:
+        blends = [
+            blend_length_functions(
+                length_function_from_marked_graph(identity, lengths, B2),
+                length_function_from_marked_graph(marking, lengths, B2),
+                lam,
+            )
+            for lengths in (floats, exact)
+        ]
+        assert [blends[0](w) for w in words] == [blends[1](w) for w in words]
+    scans = [
+        rose_blend_axiom_scan(marking, grid, 3, B2, lengths0=lengths, lengths1=lengths)
+        for lengths in ({"a": 0.1, "b": 0.1}, {"a": Fr(0.1), "b": Fr(0.1)})
+    ]
+    assert scans[0] == scans[1] and all(entry.ok for entry in scans[1])
 
 
 def test_only_constructed_functions_are_class_functions():
@@ -503,7 +553,8 @@ def test_only_constructed_functions_are_class_functions():
     assert not table.class_function and not callable_lf.class_function
     assert not blend_length_functions(rose, callable_lf, Fr(1, 2)).class_function
     assert blend_length_functions(rose, rose, Fr(1, 2)).class_function
-    assert callable_lf.state("ab") == "ab" and callable_lf.length is callable_lf.evaluator
+    assert callable_lf.state("ab") == "ab" and callable_lf.unit == 1
+    assert callable_lf.length("ab") == callable_lf("ab")
 
 
 def test_a_table_that_is_no_class_function_gets_every_pair():
@@ -537,6 +588,10 @@ def test_a_table_that_is_no_class_function_gets_every_pair():
          [Fr(0), Fr(1, 10), 0.3, Fr(1)], 4)
 @example({"a": "ab", "b": "b"}, {"a": "a", "b": "ba"}, {"a": 2, "b": 1}, {"a": Fr(1, 2), "b": 3},
          [Fr(1, 3), Fr(9, 10)], 4)
+# summed in floats, the blend at 1/3 has |uv| = 0.7000000000000002 above |u| + |v| for
+# u = AAB, v = ABB; at the weights' binary value the two are equal
+@example({"a": "a", "b": "ba"}, {"a": "a", "b": "b"}, {"a": 0.1, "b": 0.1}, {"a": 0.1, "b": 0.1},
+         [Fr(1, 3)], 3)
 def test_symmetric_rose_scan_agrees_with_the_slow_reference(
     marking1, marking0, lengths1, lengths0, grid, maxlen
 ):

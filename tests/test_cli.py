@@ -657,6 +657,32 @@ def test_blend_checks_reject_an_empty_word_range(argv, capsys):
     assert err == "parameter error: maxlen must be >= 1\n"
 
 
+@pytest.mark.parametrize("w0, w1", [("1,2", "1,2,3"), ("1,2,3", "1,2")])
+def test_blend_lengths_rejects_weight_lists_of_different_lengths(w0, w1, capsys):
+    # a weight without a partner was dropped, or read as a missing generator
+    code, out, err = run_cli(
+        capsys, "blend", "lengths", "--weights0", w0, "--weights1", w1, "--lambda", "1/2", "--maxlen", "3"
+    )
+    assert code == 65 and "RESULT" not in out
+    n0, n1 = len(w0.split(",")), len(w1.split(","))
+    assert err == f"parameter error: --weights0 has {n0} weights but --weights1 has {n1}\n"
+
+
+@pytest.mark.parametrize(
+    "flags, keys",
+    [
+        (["--marking0", "a:a,b:b,c:c"], "['a', 'b', 'c']"),
+        (["--marking0", "a:a"], "['a']"),
+        (["--marking0", "a:a,c:c"], "['a', 'c']"),
+    ],
+)
+def test_blend_axioms_rejects_a_marking_off_the_generators(flags, keys, capsys):
+    # an extra generator was ignored and a missing one printed a bare 'b'
+    code, out, err = run_cli(capsys, "blend", "axioms", "--marking", "a:a,b:ba", *flags, "--maxlen", "2")
+    assert code == 65 and "RESULT" not in out and "no violation" not in out
+    assert err == f"parameter error: marking keys {keys} are not the generators ['a', 'b']\n"
+
+
 # -- pinned certify reports ------------------------------------------------------------
 
 POINTED_TREE = "edge A B 1\nedge B C 2\nedge B D 3/2\npoint M B C 1/2\n"
