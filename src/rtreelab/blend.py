@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
-from operator import add
+from operator import add, itemgetter
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .hyperbolicity import HyperbolicityVerdict, MetricTable, first_violation
@@ -25,7 +25,6 @@ from .tree import Location, MetricTree, Num, _exact, _exactify
 from .words import (
     Basis,
     abelianization,
-    cyclic_core,
     invert_word,
     reduce_word,
     reduced_product,
@@ -169,18 +168,17 @@ def nielsen_generates(marking: Mapping[str, str], basis: Basis) -> bool:
     return all(len(w) == 1 for w in images) and letters == sorted(basis.symbols)
 
 
-def _rose(
-    marking: Mapping[str, str], edge_lengths: Mapping[str, Num], basis: Basis | None
-) -> tuple[Callable[[str], str], Callable[[str], int], int]:
-    """(state, length, unit) of the rose length function.  The state of a
-    word is its reduced marking image: applying the marking commutes with
-    free reduction, so the word is not pre-reduced, and the image of a
-    product of reduced words is the reduced product of their images.  The
-    length of an image is the weighted length of its cyclic core, an int
-    over ``unit``, the lcm of the weights' denominators (a float weight is
-    taken at its binary value): every letter counts the first generator's
-    weight, and the letters of a generator of another weight the
-    difference too."""
+def _rose(marking: Mapping[str, str], edge_lengths: Mapping[str, Num], basis: Basis | None) -> tuple:
+    """(state, product, length, unit, pair) of the rose length function.
+
+    The state of a word is its reduced marking image and the image's norm:
+    applying the marking commutes with free reduction, so the word is not
+    pre-reduced, and the image of a product of reduced words is the
+    reduced product of their images.  The norm is the weighted letter
+    count, each weight an int over ``unit``, the lcm of the weights'
+    denominators (a float weight is taken at its binary value).  The
+    length of a state is the norm of the image's cyclic core, the pair of
+    it with the empty word."""
     if basis is None:
         basis = Basis(len(marking))
     for name, keys in (("marking", marking), ("edge length", edge_lengths)):
@@ -191,21 +189,51 @@ def _rose(
     table = _marking_table(marking)
     weights = [_exact(edge_lengths[g], MarkingError, "edge length of {}", g) for g in basis.symbols]
     unit = math.lcm(*(w.denominator for w in weights))
-    base, *others = [w.numerator * (unit // w.denominator) for w in weights]
-    steps = [(g, g.upper(), w - base) for g, w in zip(basis.symbols[1:], others) if w != base]
+    weight_of = {}
+    for g, w in zip(basis.symbols, weights):
+        if not w > 0:
+            raise MarkingError(f"edge length of {g} must be positive, got {edge_lengths[g]}")
+        weight_of[g] = weight_of[g.upper()] = w.numerator * (unit // w.denominator)
+    inverse = {c: invert_word(c) for c in weight_of}
 
-    def state(word: str) -> str:
+    def norm(image: str) -> int:
+        return sum(map(weight_of.__getitem__, image))
+
+    def state(word: str) -> tuple[str, int]:
         basis.validate(word)
-        return reduce_word(word.translate(table))
+        image = reduce_word(word.translate(table))
+        return image, norm(image)
 
-    def length(image: str) -> int:
-        core = cyclic_core(image)
-        total = base * len(core)
-        for g, inverse, step in steps:
-            total += step * (core.count(g) + core.count(inverse))
-        return total
+    def product(a: tuple[str, int], b: tuple[str, int]) -> tuple[str, int]:
+        image = reduced_product(a[0], b[0])
+        return image, norm(image)
 
-    return state, length, unit
+    def pair(a: tuple[str, int], b: tuple[str, int]) -> int:
+        # one pass over the letters that cancel in x*y, building no word:
+        # those at the junction, then matching pairs at the two outer ends
+        # of the reduced product x[:i] + y[j:], which leave x[h:i] + y[j:k]
+        (x, nx), (y, ny) = a, b
+        h, i, j, k = 0, len(x), 0, len(y)
+        cut = 0
+        while i and j < k and x[i - 1] == inverse[y[j]]:
+            cut += weight_of[y[j]]
+            i -= 1
+            j += 1
+        while h < i and j < k and x[h] == inverse[y[k - 1]]:
+            cut += weight_of[x[h]]
+            h += 1
+            k -= 1
+        if h == i or j == k:
+            # one part is used up; the rest of the other is a reduced word
+            # whose own ends may still match
+            w, h, i = (y, j, k) if h == i else (x, h, i)
+            while i - h >= 2 and w[h] == inverse[w[i - 1]]:
+                cut += weight_of[w[h]]
+                h += 1
+                i -= 1
+        return nx + ny - 2 * cut
+
+    return state, product, partial(pair, b=("", 0)), unit, pair
 
 
 def marked_graph_length(
@@ -245,6 +273,12 @@ class LengthFunction:
     states, and set ``class_function`` when the function is invariant
     under inversion and conjugation by construction.  Their lengths are
     ints whenever every weight is rational.
+
+    ``pair(a, b)`` is ``length(product(a, b))``; a rose computes it
+    without building the product.  A rose also has a ``norm`` on states,
+    the weighted letter count of the image: at least the length, the same
+    at the inverse, and subadditive under products, since every weight
+    is positive.  Every other function's norm is None.
     """
 
     evaluator: Callable[[str], Num]
@@ -254,6 +288,8 @@ class LengthFunction:
     length: Callable[[object], Num] = field(init=False, repr=False)
     class_function: bool = field(init=False, repr=False)
     unit: int = field(init=False, repr=False)
+    pair: Callable[[object, object], Num] = field(init=False, repr=False)
+    norm: Callable[[object], Num] | None = field(init=False, repr=False)
 
     def __post_init__(self):
         evaluator = self.evaluator
@@ -271,13 +307,17 @@ class LengthFunction:
         return self.evaluator(word)
 
 
-def _set_rule(lf: LengthFunction, state, product, length, class_function: bool, unit=1) -> LengthFunction:
+def _set_rule(
+    lf: LengthFunction, state, product, length, class_function: bool, unit=1, pair=None, norm=None
+) -> LengthFunction:
     for name, value in (
         ("state", state),
         ("product", product),
         ("length", length),
         ("class_function", class_function),
         ("unit", unit),
+        ("pair", pair or (lambda a, b: length(product(a, b)))),
+        ("norm", norm),
     ):
         object.__setattr__(lf, name, value)
     return lf
@@ -314,13 +354,13 @@ def length_function_from_line_action(action) -> LengthFunction:
 def length_function_from_marked_graph(
     marking: Mapping[str, str], edge_lengths: Mapping[str, Num], basis: Basis | None = None
 ) -> LengthFunction:
-    state, length, unit = _rose(marking, edge_lengths, basis)
+    state, product, length, unit, pair = _rose(marking, edge_lengths, basis)
 
     def ev(word: str) -> Fraction:
         return Fraction(length(state(word)), unit)
 
     lf = LengthFunction(ev, "marked graph")
-    return _set_rule(lf, state, reduced_product, length, True, unit)
+    return _set_rule(lf, state, product, length, True, unit, pair, itemgetter(1))
 
 
 def length_function_from_table(table: Mapping[str, Num]) -> LengthFunction:
@@ -476,23 +516,34 @@ def _axiom_scan(
     differ, the larger is at most |u| + |v|).  Each lambda keeps its first
     witness; the scan stops once every lambda has one.
 
-    Each word's state is computed once per function, and the values at
-    conjugates, uv and uv^-1 are lengths of products of states; nothing
-    else is kept.  Every lambda is exact (a float at its binary value) and
+    Each word's state is computed once per function; the values at
+    conjugates are lengths of products of states, and those at uv and
+    uv^-1 the functions' pairs of states.  Nothing else is kept.  Every lambda is exact (a float at its binary value) and
     the functions' units go into the grid slots, so int lengths blend as
     ints, values compare exactly and Fractions appear only in witnesses.
 
-    When both functions are class functions, the pairs {u, v}, {u, v^-1},
-    {u^-1, v} and {u^-1, v^-1} have the same values and so violate
-    together.  One of the last three comes earlier in scan order exactly
-    when u^-1 precedes u or v^-1 precedes v, so pairs are then taken only
-    over the words that precede their inverse (or whose inverse is not
-    among the words), and the first witness per lambda is unchanged.
+    When both functions are class functions, no blend can break inversion
+    or conjugation invariance, so that stage is skipped; and the pairs
+    {u, v}, {u, v^-1}, {u^-1, v} and {u^-1, v^-1} have the same values and
+    so violate together.  One of the last three comes earlier in scan
+    order exactly when u^-1 precedes u or v^-1 precedes v, so pairs are
+    then taken only over the words that precede their inverse (or whose
+    inverse is not among the words), and the first witness per lambda is
+    unchanged.
+
+    A word is tight when its length equals its norm in both functions.
+    For two tight words, |uv| and |uv^-1| are at most the norm sum |u| +
+    |v| in both functions, so no lambda can violate and the pair is
+    skipped.  A function without a norm has no tight words.  A pair whose
+    |uv| and |uv^-1| are equal in both functions has them equal in every
+    blend, so its lambdas are not tested one by one.
     """
     slots = [_grid_slot(lam, lf0.unit, lf1.unit) for lam in grid]
     found: dict[int, AxiomWitness] = {}
     same = lf1 is lf0
-    prod0, len0, prod1, len1 = lf0.product, lf0.length, lf1.product, lf1.length
+    class_functions = lf0.class_function and lf1.class_function
+    prod0, len0, pair0 = lf0.product, lf0.length, lf0.pair
+    prod1, len1, pair1 = lf1.product, lf1.length, lf1.pair
     index = {w: i for i, w in enumerate(words)}
     inverses = [invert_word(w) for w in words]
     inverse_at = [index.get(w) for w in inverses]
@@ -513,51 +564,58 @@ def _axiom_scan(
         q = slots[s][3]
         found[s] = AxiomWitness(kind, u, v, {k: _over(n, q) for k, n in scaled.items()})
 
-    conj = []
-    for v in basis.letters if conjugators is None else conjugators:
-        c = reduce_word(v)
-        conj.append((v, *(lf.state(w) for lf in (lf0, lf1) for w in (c, invert_word(c)))))
-
-    def invariances():
-        for i in range(len(words)):
-            yield "inversion", i, None, "u_inv", t0[i], t1[i]
-        for i in range(len(words)):
-            for v, c0, ci0, c1, ci1 in conj:
-                o1 = None if same else prod1(prod1(c1, s1[i]), ci1)
-                yield "conjugation", i, v, "conjugated", prod0(prod0(c0, s0[i]), ci0), o1
-
     singles = [values(a0, a1) for a0, a1 in zip(s0, s1)]
-    for kind, i, v, key, a0, a1 in invariances():
-        if len(found) == len(slots):
-            break
-        (u0, u1), (o0, o1) = singles[i], values(a0, a1)
-        if u0 == o0 and u1 == o1:
-            continue
-        for s, (_, p, r, _) in enumerate(slots):
-            nu, no = p * u1 + r * u0, p * o1 + r * o0
-            if s not in found and nu != no:
-                record(s, kind, words[i], v, {"u": nu, key: no})
-
-    pending = [s for s in range(len(slots)) if s not in found]
     rows = range(len(words))
-    if lf0.class_function and lf1.class_function:
+    if class_functions:
         rows = [i for i in rows if inverse_at[i] is None or inverse_at[i] > i]
+    else:
+        conj = []
+        for v in basis.letters if conjugators is None else conjugators:
+            c = reduce_word(v)
+            conj.append((v, *(lf.state(w) for lf in (lf0, lf1) for w in (c, invert_word(c)))))
+
+        def invariances():
+            for i in range(len(words)):
+                yield "inversion", i, None, "u_inv", t0[i], t1[i]
+            for i in range(len(words)):
+                for v, c0, ci0, c1, ci1 in conj:
+                    o1 = None if same else prod1(prod1(c1, s1[i]), ci1)
+                    yield "conjugation", i, v, "conjugated", prod0(prod0(c0, s0[i]), ci0), o1
+
+        for kind, i, v, key, a0, a1 in invariances():
+            if len(found) == len(slots):
+                break
+            (u0, u1), (o0, o1) = singles[i], values(a0, a1)
+            if u0 == o0 and u1 == o1:
+                continue
+            for s, (_, p, r, _) in enumerate(slots):
+                nu, no = p * u1 + r * u0, p * o1 + r * o0
+                if s not in found and nu != no:
+                    record(s, kind, words[i], v, {"u": nu, key: no})
+
+    norm0, norm1 = lf0.norm, lf1.norm
+    normed = norm0 is not None and norm1 is not None
+    tight = [normed and norm0(a0) == x0 and norm1(a1) == x1 for a0, a1, (x0, x1) in zip(s0, s1, singles)]
+    pending = [s for s in range(len(slots)) if s not in found]
     for a, i in enumerate(rows):
         if not pending:
             break
         u0, u1 = singles[i]
-        su0, su1 = s0[i], s1[i]
+        su0, su1, tight_u = s0[i], s1[i], tight[i]
         for j in rows[a:]:
+            if tight_u and tight[j]:
+                continue
             v0, v1 = singles[j]
-            uv0, ui0 = len0(prod0(su0, s0[j])), len0(prod0(su0, t0[j]))
+            uv0, ui0 = pair0(su0, s0[j]), pair0(su0, t0[j])
             if same:
                 uv1, ui1 = uv0, ui0
             else:
-                uv1, ui1 = len1(prod1(su1, s1[j])), len1(prod1(su1, t1[j]))
+                uv1, ui1 = pair1(su1, s1[j]), pair1(su1, t1[j])
             b0, b1 = u0 + v0, u1 + v1
-            # no positive margin against the sum bound in either function:
-            # no lambda in [0, 1] can violate
-            if uv0 <= b0 and uv1 <= b1 and ui0 <= b0 and ui1 <= b1:
+            # no lambda in [0, 1] can violate when neither function has a
+            # positive margin against the sum bound, or when |uv| = |uv^-1|
+            # in both (the disjoint-axes case), as then in every blend
+            if uv0 <= b0 and uv1 <= b1 and ui0 <= b0 and ui1 <= b1 or uv0 == ui0 and uv1 == ui1:
                 continue
             for s in pending:
                 _, p, r, _ = slots[s]

@@ -104,11 +104,7 @@ def reduced_product(u: str, v: str) -> str:
 def cyclic_reduce(word: str) -> str:
     """Free reduction, then the matching inverse pairs stripped from the
     two ends."""
-    return cyclic_core(word if is_reduced(word) else reduce_word(word))
-
-
-def cyclic_core(reduced: str) -> str:
-    """Strip matching inverse pairs from the two ends of a reduced word."""
+    reduced = word if is_reduced(word) else reduce_word(word)
     i, j = 0, len(reduced)
     inv = _INV
     while j - i >= 2 and reduced[i] == inv.get(reduced[j - 1]):

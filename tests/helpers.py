@@ -176,6 +176,13 @@ def reference_first_violation(table: MetricTable, delta) -> FourPointWitness | N
     return None
 
 
+def reference_rose_product_length(x, y, weights):
+    """Slow reference for the rose's pair kernel: the weighted length of
+    the cyclic reduction of the word x + y, each letter weighing
+    Fr(weights[generator])."""
+    return sum((Fr(weights[c.lower()]) for c in cyclic_reduce(x + y)), Fr(0))
+
+
 def brute_force_axiom_check(lf, words, basis=None, conjugators=None) -> AxiomVerdict:
     """Slow reference for length_axiom_check: the literal scan on raw
     values, evaluating lf afresh for every word it meets.  Inversion over

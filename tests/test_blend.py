@@ -45,6 +45,7 @@ from helpers import (
     brute_force_axiom_check,
     brute_force_four_point,
     random_compatible_pair,
+    reference_rose_product_length,
     unit_square_table,
 )
 
@@ -209,6 +210,12 @@ def test_marked_graph_respects_edge_weights():
         ({"a": "a", "b": "b"}, {"a": 1, "b": 1, "c": 1}, "edge length keys ['a', 'b', 'c'] are"),
         ({"a": "a", "b": "b"}, {"a": 1, "b": float("nan")}, "edge length of b must be an int, a"),
         ({"a": "a", "b": "b"}, {"a": Surd.sqrt(2), "b": 1}, "edge length of a must be an int, a"),
+        # a weight must be positive, or lengths go negative and the norm
+        # no longer bounds them
+        ({"a": "a", "b": "b"}, {"a": 0, "b": 1}, "edge length of a must be positive, got 0"),
+        ({"a": "a", "b": "b"}, {"a": 1, "b": -1}, "edge length of b must be positive, got -1"),
+        ({"a": "a", "b": "b"}, {"a": Fr(-1, 2), "b": 1}, "edge length of a must be positive, got -1/2"),
+        ({"a": "a", "b": "b"}, {"a": 1, "b": 0.0}, "edge length of b must be positive, got 0.0"),
     ],
 )
 def test_a_rose_needs_one_exact_weight_and_image_per_generator(marking, lengths, message):
@@ -521,6 +528,52 @@ def test_rose_length_is_the_weighted_length_of_the_cyclic_core(marking, weights,
     assert marked_graph_length(marking, as_fractions, word, B2) == expected
 
 
+_KERNEL_WEIGHTS = {
+    "int": st.integers(1, 5),
+    "fraction": st.fractions(Fr(1, 5), 4, max_denominator=6).filter(bool),
+    "float": st.sampled_from([0.1, 0.3, 1 / 3, 2.5, 1.0]),
+}
+
+
+@st.composite
+def _kernel_cases(draw):
+    """A basis of rank 2 or 3, equal or unequal weights of one kind, and two
+    reduced words x and y.  y is a word z between two parts drawn from the
+    inverses of x, of a suffix of x and of a prefix of x, so x*y often
+    cancels at the junction, at the outer ends or completely."""
+    basis = Basis(draw(st.sampled_from([2, 3])))
+    weight = _KERNEL_WEIGHTS[draw(st.sampled_from(sorted(_KERNEL_WEIGHTS)))]
+    if draw(st.booleans()):
+        weights = dict.fromkeys(basis.symbols, draw(weight))
+    else:
+        weights = {s: draw(weight) for s in basis.symbols}
+    word = st.lists(st.sampled_from(basis.letters), max_size=8).map(lambda cs: reduce_word("".join(cs)))
+    x, z = draw(word), draw(word)
+    k = draw(st.integers(0, len(x)))
+    parts = st.sampled_from(["", invert_word(x), invert_word(x[k:]), invert_word(x[:k])])
+    return basis, weights, x, reduce_word(draw(parts) + z + draw(parts))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_kernel_cases())
+@example((B2, {"a": 1, "b": 1}, "", ""))
+@example((B2, {"a": 1, "b": 2}, "aB", "bA"))  # cancels completely at the junction
+@example((B2, {"a": 0.1, "b": 0.3}, "ab", "aBA"))  # the outer ends cancel to the core a
+# Ab cancels at the junction, then c at the outer ends: the core is b
+@example((Basis(3), {"a": Fr(1, 2), "b": 3, "c": 1}, "cAb", "BabC"))
+def test_rose_pair_kernel_agrees_with_the_slow_reference(case):
+    """The rose's pair of two states is the weighted length of the cyclic
+    reduction of the product word, and so is the length of their product;
+    the length of a state is the pair with the empty word."""
+    basis, weights, x, y = case
+    identity = {s: s for s in basis.symbols}
+    lf = length_function_from_marked_graph(identity, weights, basis)
+    sx, sy = lf.state(x), lf.state(y)
+    assert Fr(lf.pair(sx, sy), lf.unit) == reference_rose_product_length(x, y, weights)
+    assert lf.pair(sx, sy) == lf.length(lf.product(sx, sy))
+    assert Fr(lf.length(sx), lf.unit) == reference_rose_product_length(x, "", weights)
+
+
 def test_a_float_weight_rose_is_its_exact_twin():
     # each weight is taken at its binary value: summed in floats, |ab| was
     # 0.30000000000000004 and the scan at lambda 1/3 found a false violation
@@ -592,22 +645,40 @@ def test_a_table_that_is_no_class_function_gets_every_pair():
 # u = AAB, v = ABB; at the weights' binary value the two are equal
 @example({"a": "a", "b": "ba"}, {"a": "a", "b": "b"}, {"a": 0.1, "b": 0.1}, {"a": 0.1, "b": 0.1},
          [Fr(1, 3)], 3)
+# most pairs are of two tight words, whose images are cyclically reduced
+@example({"a": "ba", "b": "b"}, {"a": "a", "b": "b"}, {"a": 1, "b": 1}, {"a": 1, "b": 1},
+         [Fr(1, 3), 0.75], 4)
+# rank 3: violations at lambda 1/3 and 1/2 (u = A, v = CBc)
+@example({"a": "ac", "b": "ba", "c": "c"}, {"a": "a", "b": "b", "c": "c"},
+         dict.fromkeys("abc", 1), dict.fromkeys("abc", 1), [Fr(0), Fr(1, 3), Fr(1, 2)], 3)
+# rank 3, no violation
+@example({"a": "ab", "b": "b", "c": "c"}, {"a": "a", "b": "b", "c": "c"},
+         {"a": 2, "b": Fr(1, 2), "c": 1}, {"a": 1, "b": 2, "c": Fr(1, 3)}, [Fr(1, 3), 0.75], 2)
 def test_symmetric_rose_scan_agrees_with_the_slow_reference(
     marking1, marking0, lengths1, lengths0, grid, maxlen
 ):
-    """Rose functions are class functions, so the scan takes the pairs of
-    words that precede their inverses only; per lambda it must still find
-    the slow reference's first witness on the blend, and so must
-    length_axiom_check on the blend (a class function too)."""
-    assume(nielsen_generates(marking1, B2) and nielsen_generates(marking0, B2))
+    """Rose functions are class functions, so the scan skips the invariance
+    stage, takes the pairs of words that precede their inverses only and
+    skips the pairs of two tight words; per lambda it must still find the
+    slow reference's first witness on the blend, and so must
+    length_axiom_check on the blend (a class function too) and on the rose
+    lf1 alone; and so must the scan of lf0 blended with a rational line
+    action, which has no norm, at the first lambda."""
+    basis = Basis(len(marking1))
+    assume(nielsen_generates(marking1, basis) and nielsen_generates(marking0, basis))
     entries = rose_blend_axiom_scan(
-        marking1, grid, maxlen, B2, marking0=marking0, lengths0=lengths0, lengths1=lengths1
+        marking1, grid, maxlen, basis, marking0=marking0, lengths0=lengths0, lengths1=lengths1
     )
-    lf0 = length_function_from_marked_graph(marking0, lengths0, B2)
-    lf1 = length_function_from_marked_graph(marking1, lengths1, B2)
-    words = reduced_words(B2, maxlen)
+    lf0 = length_function_from_marked_graph(marking0, lengths0, basis)
+    lf1 = length_function_from_marked_graph(marking1, lengths1, basis)
+    words = reduced_words(basis, maxlen)
     for lam, entry in zip(grid, entries):
         blend = blend_length_functions(lf0, lf1, lam)
-        expected = brute_force_axiom_check(blend, words, B2)
+        expected = brute_force_axiom_check(blend, words, basis)
         assert (entry.ok, entry.witness) == (expected.ok, expected.witness)
-        assert length_axiom_check(blend, words, B2) == expected
+        assert length_axiom_check(blend, words, basis) == expected
+    assert length_axiom_check(lf1, words, basis) == brute_force_axiom_check(lf1, words, basis)
+    line = length_function_from_line_action(line_action_from_weights(["1", "-1/2", "2"][: basis.rank], basis))
+    (entry,) = _axiom_scan(lf0, line, grid[:1], words, basis, None)
+    expected = brute_force_axiom_check(blend_length_functions(lf0, line, grid[0]), words, basis)
+    assert (entry.ok, entry.witness) == (expected.ok, expected.witness)
