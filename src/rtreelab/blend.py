@@ -383,7 +383,8 @@ def blend_length_functions(lf0: LengthFunction, lf1: LengthFunction, lam: Num) -
     """lam*lf1 + (1-lam)*lf0 for lam = p/q in [0, 1], taken exactly (a float
     at its binary value).  Its state is the pair of the two states; for
     lengths x0 and x1 over units u0 and u1 its length is p*u0*x1 +
-    (q-p)*u1*x0 over the unit q*u0*u1."""
+    (q-p)*u1*x0 over the unit q*u0*u1, and so are its pair and, when both
+    have one, its norm, which is then again a norm by linearity."""
     lam, p, r, unit = _grid_slot(lam, lf0.unit, lf1.unit)
     state0, state1, len0, len1 = lf0.state, lf1.state, lf0.length, lf1.length
 
@@ -399,9 +400,16 @@ def blend_length_functions(lf0: LengthFunction, lf1: LengthFunction, lam: Num) -
     def length(pair: tuple) -> Num:
         return p * len1(pair[1]) + r * len0(pair[0])
 
+    def pair(a: tuple, b: tuple) -> Num:
+        return p * lf1.pair(a[1], b[1]) + r * lf0.pair(a[0], b[0])
+
+    def norm(a: tuple) -> Num:
+        return p * lf1.norm(a[1]) + r * lf0.norm(a[0])
+
     blend = LengthFunction(ev, f"blend(lambda={lam})")
     class_function = lf0.class_function and lf1.class_function
-    return _set_rule(blend, state, product, length, class_function, unit)
+    normed = lf0.norm is not None and lf1.norm is not None
+    return _set_rule(blend, state, product, length, class_function, unit, pair, norm if normed else None)
 
 
 def affine_deviation(

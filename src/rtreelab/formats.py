@@ -3,8 +3,8 @@ weights, compatible pairs, length tables, and self-contained witness
 records.
 
 Numbers in files are decimals or rationals ``p/q`` (parsed exactly);
-weight values additionally admit ``sqrt:<n>`` literals.  Comment lines
-start with ``#``; blank lines are ignored.
+weight values additionally admit ``sqrt:<n>`` literals.  ``#`` starts a
+comment; blank lines are ignored.  Files are read a chunk of lines at a time.
 """
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ import json
 import math
 import re
 from fractions import Fraction
-from itertools import chain
+from itertools import count
 from typing import Iterator
 
 from .hyperbolicity import MetricTable
@@ -72,30 +72,41 @@ def format_number(x) -> str:
     return str(x)
 
 
-# line breaks of str.splitlines other than "\n"
-_OTHER_BREAKS = re.compile("[\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
+_CHUNK = 1 << 16
 
 
-def _raw_lines(text: str) -> Iterator[str]:
-    """The lines of str.splitlines, one at a time when "\n" is the only
-    line break, so that a large file is never held as a list of lines."""
-    if _OTHER_BREAKS.search(text):
-        yield from text.splitlines()
-        return
-    start, end = 0, len(text)
+def _chunks(text: str) -> Iterator[tuple[int, list[list[str]]]]:
+    """The fields of the lines of str.splitlines, a chunk of lines at a time
+    with the number of its first line: a chunk runs to the first "\n" after
+    about 64 K characters.  A comment starts at ``#``; a blank line has no
+    fields."""
+    lineno, start, end = 1, 0, len(text)
     while start < end:
-        stop = text.find("\n", start)
-        if stop < 0:
-            stop = end
-        yield text[start:stop]
-        start = stop + 1
+        stop = text.find("\n", start + _CHUNK)
+        stop = end if stop < 0 else stop + 1
+        chunk = text[start:stop]
+        lines = chunk.splitlines()
+        if "#" in chunk:
+            lines = [line.partition("#")[0] for line in lines]
+        yield lineno, list(map(str.split, lines))
+        lineno += len(lines)
+        start = stop
 
 
 def _content_lines(text: str) -> Iterator[tuple[int, list[str]]]:
-    for lineno, raw in enumerate(_raw_lines(text), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line.split()
+    for first, rows in _chunks(text):
+        for lineno, fields in enumerate(rows, first):
+            if fields:
+                yield lineno, fields
+
+
+def _bar_pairs(text: str, expected: str) -> Iterator[tuple[int, str, str]]:
+    """The two sides of each ``<left> | <right>`` line."""
+    for lineno, fields in _content_lines(text):
+        left, bar, right = " ".join(fields).partition("|")
+        if not bar:
+            raise FormatError(f"line {lineno}: expected {expected}")
+        yield lineno, left.strip(), right.strip()
 
 
 # -- trees ---------------------------------------------------------------------
@@ -159,59 +170,45 @@ def format_point(tree: MetricTree, p) -> str:
 
 
 def parse_table(text: str) -> MetricTable:
-    """``dist <x> <y> <value>`` records.
-
-    The lines are read one at a time into numerator and denominator
-    matrices indexed by first appearance, one cell per ordered pair: a
-    repeated ``dist x y`` keeps its last value, while ``dist y x`` with a
-    different value is a conflict, reported at the first line that named
-    the second order of a pair.
+    """``dist <x> <y> <value>`` records, read a chunk of lines at a time into
+    columns of name and literal indexes, each distinct literal read once;
+    the table is one scaled int matrix built from them.  The first bad line,
+    a bad row or a bad number, is the error.  A repeated ``dist x y`` keeps
+    its last value, while ``dist y x`` with a different value is a conflict,
+    reported at the first line that named the second order of a pair.
     """
-    index: dict[str, int] = {}
-    num: list[list] = []
-    den: list[list] = []
-    second_orders: list[tuple[int, int]] = []
-
-    def add_point(name: str) -> int:
-        i = index[name] = len(index)
-        for row in chain(num, den):
-            row.append(None)
-        num.append([None] * (i + 1))
-        den.append([None] * (i + 1))
-        return i
-
-    for lineno, fields in _content_lines(text):
-        if fields[0] != "dist" or len(fields) != 4:
-            raise FormatError(f"line {lineno}: expected 'dist <x> <y> <value>'")
-        _, x, y, literal = fields
-        i = index.get(x)
-        if i is None:
-            i = add_point(x)
-        j = index.get(y)
-        if j is None:
-            j = add_point(y)
-        p, q = parse_ratio(literal)
-        if num[i][j] is None and num[j][i] is not None:
-            second_orders.append((i, j))
-        num[i][j], den[i][j] = p, q
+    # name and literal indexes, the literals' integer ratios, the columns
+    index, ids, ratios, xs, ys, ks = {}, {}, [], [], [], []
+    for first, lines in _chunks(text):
+        rows = list(filter(None, lines))
+        if not rows:
+            continue
+        try:
+            kinds, x, y, literals = zip(*rows, strict=True)
+            if kinds.count("dist") != len(rows):
+                raise ValueError
+            new = set(literals).difference(ids)
+            ratios += map(parse_ratio, new)
+            ids.update(zip(new, count(len(ids))))
+        except ValueError:
+            # the first bad line, a bad row or a bad number, is the error
+            for lineno, fields in enumerate(lines, first):
+                if fields and (fields[0] != "dist" or len(fields) != 4):
+                    raise FormatError(f"line {lineno}: expected 'dist <x> <y> <value>'") from None
+                if fields:
+                    parse_ratio(fields[3])
+        index.update(zip(set(x).union(y).difference(index), count(len(index))))
+        xs += map(index.__getitem__, x)
+        ys += map(index.__getitem__, y)
+        ks += map(ids.__getitem__, literals)
     if not index:
         raise FormatError("table file has no distances")
-    names = list(index)
-    for i, j in second_orders:
-        if num[i][j] * den[j][i] != num[j][i] * den[i][j]:
-            raise FormatError(f"conflicting distances for {names[i]},{names[j]}")
-    # sorted point order; a pair named in one order only fills both cells
-    order = sorted(range(len(names)), key=names.__getitem__)
-
-    def merged(cells):
-        return [[cells[i][j] if cells[i][j] is not None else cells[j][i] for j in order] for i in order]
-
-    num = merged(num)
-    den = merged(den)
+    table = MetricTable.__new__(MetricTable)
     try:
-        return MetricTable._from_fractions([names[i] for i in order], num, den)
+        table._load(list(index), xs, ys, ks, ratios)
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
+    return table
 
 
 # -- oracle points and sequences -----------------------------------------------------
@@ -265,11 +262,7 @@ def parse_directions(text: str, oracle: TreeOracle, tree: MetricTree | None = No
     from .observers import Direction
 
     dirs = []
-    for lineno, fields in _content_lines(text):
-        joined = " ".join(fields)
-        if "|" not in joined:
-            raise FormatError(f"line {lineno}: expected '<base> | <representative>'")
-        left, right = (part.strip() for part in joined.split("|", 1))
+    for lineno, left, right in _bar_pairs(text, "'<base> | <representative>'"):
         base, rep = parse_oracle_point(left, oracle, tree), parse_oracle_point(right, oracle, tree)
         if oracle.points_equal(base, rep):
             raise FormatError(f"line {lineno}: a direction needs a representative distinct from its base")
@@ -349,13 +342,7 @@ def parse_length_table(text: str) -> dict[str, Fraction]:
 
 def parse_boundary_pairs(text: str, basis) -> list[tuple[str, str]]:
     """``X | X'`` per line in prefix;period notation."""
-    pairs = []
-    for lineno, fields in _content_lines(text):
-        joined = " ".join(fields)
-        if "|" not in joined:
-            raise FormatError(f"line {lineno}: expected 'X | X''")
-        left, right = (part.strip() for part in joined.split("|", 1))
-        pairs.append((left, right))
+    pairs = [(left, right) for _, left, right in _bar_pairs(text, "'X | X''")]
     if not pairs:
         raise FormatError("pair file has no boundary pairs")
     return pairs

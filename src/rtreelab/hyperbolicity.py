@@ -48,7 +48,8 @@ class MetricTable:
     Distances are exact: ints and Fractions, and a float is taken at its
     exact binary value, as in ``qmap`` and ``blend``.  They live in one
     index-addressed matrix, points in sorted name order, as integers: the
-    distances times their common denominator ``scale``.
+    distances times their common denominator ``scale``, built from rows
+    (``_load``) or from a tree's integer distances (``from_tree``).
 
     Every constructor validates eagerly.  The table is realized as a tree
     from its first point and every distance is replayed against that tree
@@ -60,31 +61,11 @@ class MetricTable:
     """
 
     def __init__(self, distances: Mapping[tuple[str, str], Num]):
-        canon: dict[tuple[str, str], Num] = {}
-        for (x, y), raw in distances.items():
-            val = _exact(raw, InvalidTableError, "d({},{})", x, y)
-            key = (x, y) if x <= y else (y, x)
-            if key in canon and canon[key] != val:
-                raise InvalidTableError(f"conflicting distances for {x},{y}")
-            canon[key] = val
-        points = sorted({p for key in canon for p in key})
-        index = {name: i for i, name in enumerate(points)}
-        n = len(points)
-        num: list[list] = [[None] * n for _ in range(n)]
-        den: list[list] = [[None] * n for _ in range(n)]
-        for (x, y), v in canon.items():
-            i, j = index[x], index[y]
-            num[i][j] = num[j][i] = v.numerator
-            den[i][j] = den[j][i] = v.denominator
-        self._load(points, num, den)
-
-    @classmethod
-    def _from_fractions(cls, points: list[str], num: list[list], den: list[list]) -> "MetricTable":
-        """A table from numerator and denominator matrices in point order
-        (ints; None in both for a missing distance), which it takes over."""
-        table = cls.__new__(cls)
-        table._load(points, num, den)
-        return table
+        ratios = [_exact(v, InvalidTableError, "d({},{})", *key).as_integer_ratio() for key, v in distances.items()]
+        names = sorted({p for key in distances for p in key})
+        index = {name: i for i, name in enumerate(names)}
+        xs, ys = [index[x] for x, _ in distances], [index[y] for _, y in distances]
+        self._load(names, xs, ys, range(len(ratios)), ratios)
 
     @classmethod
     def from_tree(cls, tree: MetricTree, points=None) -> "MetricTable":
@@ -97,7 +78,7 @@ class MetricTable:
 
     def _check_entries(self, m: list[list]) -> None:
         """Missing and nonpositive distances, first pair in sorted order
-        first, then nonzero diagonal entries."""
+        first, then nonzero diagonal entries; a missing diagonal becomes 0."""
         points, n = self.points, len(self.points)
         for i in range(n - 1):
             row = m[i]
@@ -108,25 +89,40 @@ class MetricTable:
                 if not v > 0:
                     raise InvalidTableError(f"d({points[i]},{points[j]}) must be positive")
         for i, x in enumerate(points):
-            if m[i][i] is not None and m[i][i] != 0:
+            if m[i][i]:
                 raise InvalidTableError(f"d({x},{x}) must be zero")
+            m[i][i] = 0
 
-    def _load(self, points: list[str], num: list[list], den: list[list]) -> None:
-        """Check numerator and denominator matrices and adopt them over
-        their common denominator."""
-        self.points = tuple(points)
-        self._check_entries(num)
-        for i, (nrow, drow) in enumerate(zip(num, den)):
-            nrow[i], drow[i] = 0, 1
-        denominators = set().union(*den)
-        scale = math.lcm(*denominators)
-        if scale > 1:
-            # scale num in place, one int per pair
-            steps = {d: scale // d for d in denominators}
-            for i, (nrow, drow) in enumerate(zip(num, den)):
-                nrow[i + 1 :] = [v * steps[d] for v, d in zip(nrow[i + 1 :], drow[i + 1 :])]
-                nrow[:i] = [num[j][i] for j in range(i)]
-        self._adopt(num, scale)
+    def _load(self, names: list[str], xs, ys, ks, ratios: list[tuple[int, int]]) -> None:
+        """The one matrix of the rows d(names[x], names[y]) = p/q, (p, q) =
+        ratios[k], per x, y, k of the index columns, checked and adopted.  A
+        pair repeated in one order keeps its last value; in both orders it
+        must agree, else the first row in its second order is the conflict."""
+        n = len(names)
+        order = sorted(range(n), key=names.__getitem__)
+        self.points = tuple(map(names.__getitem__, order))
+        rank = sorted(range(n), key=order.__getitem__)  # the inverse of order
+        scale = math.lcm(*{q for _, q in ratios})
+        values = [p * (scale // q) for p, q in ratios]
+
+        def rows():
+            return zip(map(rank.__getitem__, xs), map(rank.__getitem__, ys), map(values.__getitem__, ks))
+
+        # mirrors first, then the rows as given: a pair given in one order
+        # fills both cells, and only a conflict breaks symmetry
+        m: list[list] = [[None] * n for _ in range(n)]
+        for i, j, v in rows():
+            m[j][i] = v
+        for i, j, v in rows():
+            m[i][j] = v
+        if any(tuple(row) != col for row, col in zip(m, zip(*m))):
+            seen = set()
+            for i, j, _ in rows():
+                if (j, i) in seen and (i, j) not in seen and m[i][j] != m[j][i]:
+                    raise InvalidTableError(f"conflicting distances for {self.points[i]},{self.points[j]}")
+                seen.add((i, j))
+        self._check_entries(m)
+        self._adopt(m, scale)
 
     def _adopt(self, m: list[list], scale: int) -> None:
         """Take the checked matrix and prove the triangle inequality: by the

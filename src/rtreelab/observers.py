@@ -238,29 +238,29 @@ def subbasis_from_sample(oracle: TreeOracle, sample, k: int) -> list[Direction]:
     """Directions based at all pairwise midpoints of the first k distinct
     sample points, toward each sample point; duplicates (same base, same
     component) are dropped.  A countable neighborhood-basis approximation.
+    Points and midpoints go by their canonical forms, each kept as first met.
     """
     if k < 2:
         raise DegenerateSampleError("need k >= 2 sample points")
-    pts: list = []
+    pts: dict = {}
     budget = max(1000, 50 * k)  # guard against low-diversity infinite streams
     for p in sample:
         budget -= 1
-        if not oracle.is_boundary(p) and not any(oracle.points_equal(p, q) for q in pts):
-            pts.append(p)
+        if not oracle.is_boundary(p):
+            pts.setdefault(oracle.canonical(p), p)
         if len(pts) == k or budget == 0:
             break
     if len(pts) < 2:
         raise DegenerateSampleError("sample yields fewer than 2 distinct points")
-    mids: list = []
-    for a, b in combinations(pts, 2):
+    mids: dict = {}
+    for a, b in combinations(pts.values(), 2):
         m = oracle.midpoint(a, b)
-        if not any(oracle.points_equal(m, m2) for m2 in mids):
-            mids.append(m)
+        mids.setdefault(oracle.canonical(m), m)
     out: list[Direction] = []
     # the midpoints are distinct, so directions can only repeat at one midpoint
-    for m in mids:
+    for m in mids.values():
         seen = {None}
-        for q in pts:
+        for q in pts.values():
             g = oracle.germ(m, q)
             if g not in seen:
                 seen.add(g)

@@ -5,7 +5,8 @@ tree (or its completion-with-ends), without materializing the tree.  Three
 oracles are provided: any finite :class:`~rtreelab.tree.MetricTree`, the
 real line with coordinate points and two ends, and the (possibly
 lazily-infinite) multipod.  Boundary points at infinite distance are opaque
-:class:`Ray` identifiers; their equality is exact, never metric.
+:class:`Ray` identifiers; their equality is exact, never metric.  Two
+points are equal exactly when their hashable ``canonical`` forms are.
 """
 from __future__ import annotations
 
@@ -50,11 +51,17 @@ class TreeOracle(Protocol):
 
     def points_equal(self, p, q) -> bool: ...
 
+    def canonical(self, p): ...
+
     def germ(self, p, r): ...
 
     def common_segment_end(self, basepoint, points): ...
 
     def sample_stream(self) -> Iterator: ...
+
+
+def _points_equal(oracle, p, q) -> bool:
+    return oracle.canonical(p) == oracle.canonical(q)
 
 
 def _center_fold(oracle, basepoint, points):
@@ -86,8 +93,10 @@ class FiniteTreeOracle:
     def is_boundary(self, p) -> bool:
         return False
 
-    def points_equal(self, p, q) -> bool:
-        return self.tree.same_point(p, q)
+    def canonical(self, p):
+        return self.tree.resolve(p)
+
+    points_equal = _points_equal
 
     def germ(self, p, r):
         return self.tree.germ(p, r)
@@ -136,6 +145,9 @@ class LineOracle:
         if p == LINE_MINUS:
             return -math.inf
         raise BoundaryPointError(f"unknown ray {p}")
+
+    canonical = _coord
+    points_equal = _points_equal
 
     def _from_coord(self, c):
         if c == math.inf:
@@ -198,9 +210,6 @@ class LineOracle:
     def is_boundary(self, p) -> bool:
         return isinstance(p, Ray)
 
-    def points_equal(self, p, q) -> bool:
-        return self._coord(p) == self._coord(q)
-
     def germ(self, p, r):
         """The side of p that r lies on: True above, False below, None at p."""
         a, b = self._coord(p), self._coord(r)
@@ -248,6 +257,9 @@ class MultipodOracle:
             return None
         return (arm, off)
 
+    canonical = _resolve
+    points_equal = _points_equal
+
     def distance(self, p, q) -> Num:
         a, b = self._resolve(p), self._resolve(q)
         if a is None and b is None:
@@ -285,9 +297,6 @@ class MultipodOracle:
 
     def is_boundary(self, p) -> bool:
         return False
-
-    def points_equal(self, p, q) -> bool:
-        return self._resolve(p) == self._resolve(q)
 
     def germ(self, p, r):
         """The direction at p containing r: the arm index at the hub, "out"

@@ -265,10 +265,8 @@ class MetricTree:
         ints over the tree's scale."""
         addr, meets = self._meets(points)
         roots = [a[1] for a in addr]
-        rows = [[ri + rj - 2 * m for rj, m in zip(roots, row)] for ri, row in zip(roots, meets)]
-        for i, row in enumerate(rows):
-            row[i] = 0
-        return rows
+        # the diagonal meet is the point's own root distance: 0 on the diagonal
+        return [[ri + rj - 2 * m for rj, m in zip(roots, row)] for ri, row in zip(roots, meets)]
 
     def _meet_names(self, points: list) -> tuple[list[list], list[list]]:
         """The pairwise meets of the points and, per pair, the name of the

@@ -85,6 +85,27 @@ def reference_parse_table(text: str) -> ReferenceTable:
         raise FormatError(str(exc)) from exc
 
 
+def assert_parses_as_reference(text: str):
+    """formats.parse_table gives reference_parse_table's table, or its error
+    message; returns the table, or None on an error."""
+    from rtreelab.formats import parse_table
+
+    try:
+        expected = reference_parse_table(text)
+    except FormatError as exc:
+        try:
+            parse_table(text)
+        except FormatError as got:
+            assert str(got) == str(exc)
+            return None
+        raise AssertionError(f"parse_table accepted a table the reference rejects: {exc}")
+    table = parse_table(text)
+    assert table.points == expected.points
+    for x, y in combinations(table.points, 2):
+        assert table.distance(x, y) == expected.distance(x, y)
+    return table
+
+
 def reference_certify_table(text: str, path: str, delta: str):
     """The (exit code, stdout, stderr) that ``rtreelab certify --table path
     --delta delta`` must give on a table file with this text, from

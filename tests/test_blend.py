@@ -329,6 +329,34 @@ def test_rose_blend_scan_agrees_with_generic_checker():
             assert (generic.witness.u, generic.witness.v) == (entry.witness.u, entry.witness.v)
 
 
+@pytest.mark.parametrize(
+    "marking1, lengths0, lengths1, lam, maxlen",
+    [
+        ({"a": "a", "b": "ba"}, {"a": 1, "b": 1}, {"a": 1, "b": 1}, Fr(1, 3), 4),
+        ({"a": "abb", "b": "b"}, {"a": 1, "b": 1}, {"a": 1, "b": 1}, Fr(1, 10), 4),
+        ({"a": "abb", "b": "b"}, {"a": 1, "b": 1}, {"a": 1, "b": 1}, Fr(1, 2), 3),
+        ({"a": "ab", "b": "b"}, {"a": 2, "b": 1}, {"a": Fr(1, 2), "b": 3}, Fr(9, 10), 4),
+        ({"a": "ba", "b": "b"}, {"a": 1, "b": 1}, {"a": 0.1, "b": 0.3}, 0.75, 3),
+        ({"a": "a", "b": "ba"}, {"a": 1, "b": 2}, {"a": 1, "b": 1}, Fr(0), 3),
+        ({"a": "a", "b": "ba"}, {"a": 1, "b": 2}, {"a": 1, "b": 1}, Fr(1), 3),
+    ],
+)
+def test_a_blend_of_roses_checks_as_its_pairless_evaluator(marking1, lengths0, lengths1, lam, maxlen):
+    """A blend of two roses has a norm and a pair kernel, so the axiom check
+    skips tight pairs and builds no product word; its verdict and witness
+    must be those of the same evaluator with the default word rule."""
+    lf0 = length_function_from_marked_graph({"a": "a", "b": "b"}, lengths0, B2)
+    lf1 = length_function_from_marked_graph(marking1, lengths1, B2)
+    blend = blend_length_functions(lf0, lf1, lam)
+    assert blend.norm is not None
+    pairless = LengthFunction(blend.evaluator, "pairless")
+    assert pairless.norm is None
+    words = reduced_words(B2, maxlen)
+    assert length_axiom_check(blend, words, B2) == length_axiom_check(pairless, words, B2)
+    line = length_function_from_line_action(line_action_from_weights(["1", "3/2"], B2))
+    assert blend_length_functions(lf0, line, lam).norm is None
+
+
 def _cached(evaluator, provenance):
     return LengthFunction(lru_cache(maxsize=None)(evaluator), provenance)
 

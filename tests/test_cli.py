@@ -955,6 +955,9 @@ def _table_rows(kind, rng):
         extra.append((y, x, changed))
         if rng.random() < 0.3:
             extra.append((x, y, changed))  # the later row overwrites: no conflict left
+    elif kind == "two conflicts":  # the first line in its second order is reported
+        for x, y in rng.sample(sorted(rows), min(2, len(rows))):
+            extra.append((y, x, rows[(x, y)] + Fr(1, rng.randint(1, 5))))
     listed = [(x, y, v) if rng.random() < 0.5 else (y, x, v) for (x, y), v in rows.items()]
     rng.shuffle(listed)
     for row in extra:
@@ -974,23 +977,49 @@ def _literal(rng, value):
 
 _TABLE_KINDS = [
     "tree", "perturbed", "perturbed twice", "triangle", "cycle", "triangle and cycle", "conflict", "missing", "zero",
+    "two conflicts", "bad row", "bad number", "bad number before bad row",
 ]
+_BAD_ROWS = ["dist a b", "dist a b 1 2", "dst a b 1", "a b 1", "dist"]
+_BAD_NUMBERS = ["1/0", "x", "1.2.3", "--1", "1e", "2/", "/2", "1/2/3", "\u0663/"]
+# line breaks of str.splitlines; the CLI reads "\r" and "\r\n" as "\n"
+_BREAKS = ["\n", "\r\n", "\r", "\x85", "\u2028", "\x0c"]
 
 
-@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def _table_lines(kind, rng):
+    """The lines of a table file of the given kind: rows with comments and
+    blank lines, a bad row or number spliced in for the bad kinds."""
+    lines = [f"dist {x} {y} {_literal(rng, v)}" for x, y, v in _table_rows(kind, rng)]
+    if kind in ("bad number", "bad number before bad row"):
+        at = rng.randrange(len(lines))
+        lines[at] = lines[at].rsplit(" ", 1)[0] + " " + rng.choice(_BAD_NUMBERS)
+        lo = at + 1
+    else:
+        lo = 0
+    if kind in ("bad row", "bad number before bad row"):
+        lines.insert(rng.randint(lo, len(lines)), rng.choice(_BAD_ROWS))
+    if rng.random() < 0.3:
+        lines.insert(rng.randint(0, len(lines)), "# a comment")
+        lines.insert(rng.randint(0, len(lines)), "")
+    if rng.random() < 0.3:
+        lines = [line + "  # dist a b 1" if rng.random() < 0.3 else line for line in lines]
+    return lines
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.sampled_from(_TABLE_KINDS), st.integers(0, 2**32 - 1))
 def test_certify_table_matches_the_reference_table(tmp_path, capsys, kind, seed):
     """Exit code, stdout and stderr of ``certify --table`` at delta 0, at the
     defect and just below it, against ReferenceTable (eager Fraction dict and
     O(n³) triangle scan) and the brute-force four-point scans."""
     rng = random.Random(seed)
-    lines = [f"dist {x} {y} {_literal(rng, v)}" for x, y, v in _table_rows(kind, rng)]
-    if rng.random() < 0.3:
-        lines.insert(rng.randint(0, len(lines)), "# a comment")
-        lines.insert(rng.randint(0, len(lines)), "")
-    text = ("\r\n" if rng.random() < 0.2 else "\n").join(lines) + "\n"
+    lines = _table_lines(kind, rng)
+    if rng.random() < 0.5:
+        text = "\n".join(lines) + "\n"
+    else:
+        text = "".join(line + rng.choice(_BREAKS) for line in lines)
     path = tmp_path / "table.metric"
     path.write_bytes(text.encode())
+    helpers.assert_parses_as_reference(text)
     deltas = ["0"]
     try:
         defect = helpers.brute_force_max_defect(helpers.reference_parse_table(text))

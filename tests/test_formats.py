@@ -1,10 +1,13 @@
 import math
+import random
 from fractions import Fraction as Fr
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from rtreelab.formats import (
+    _CHUNK,
     FormatError,
     format_number,
     format_oracle_point,
@@ -28,6 +31,8 @@ from rtreelab.formats import (
 from rtreelab.oracles import LINE_PLUS, LineOracle, MultipodOracle
 from rtreelab.tree import Location
 from rtreelab.words import Basis
+
+import helpers
 
 TREE_TEXT = """
 # a path with one marked point
@@ -290,3 +295,96 @@ def test_number_literal_edge_cases_match_fraction(text):
             parse_number(text)
         return
     assert parse_number(text) == expected
+
+
+# -- the chunked reader ---------------------------------------------------------
+
+_TOKEN_LITERALS = st.one_of(
+    st.builds("{}/{}".format, st.integers(0, 10**6), st.integers(0, 40)),
+    st.builds(str, st.integers(0, 10**6)),
+    st.sampled_from(["+3", "-1/2", "0", "2.5", "1e2", "07", "1_0", "x", "1/", "/2", "1//2", "٣", "1" * 5000]),
+    st.text("0123456789/.+-e", min_size=1, max_size=6),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_TOKEN_LITERALS, min_size=3, max_size=6))
+def test_table_literals_read_as_the_reference_reads_them(literals):
+    """A column of literals, read at once when every one is an unsigned
+    ASCII p or p/q, else one by one: the reference's values or first error."""
+    pairs = [("a", "b"), ("b", "c"), ("a", "c"), ("c", "a"), ("b", "a"), ("c", "b")]
+    helpers.assert_parses_as_reference("".join(f"dist {x} {y} {v}\n" for (x, y), v in zip(pairs, literals)))
+
+
+def _chunked_table(rng, fault, newline):
+    """The lines of a table text of about three chunks with this line break:
+    a line metric's rows repeated in random orders and orientations, comment
+    lines, one row whose line break ends exactly at the first chunk
+    boundary, and the fault after that row (a bad number, when a bad row
+    follows, before it; two conflicting rows at the end)."""
+    xs = {f"p{i}": rng.randint(0, 60) + Fr(i, 64) for i in range(12)}
+
+    def row():
+        p, q = rng.sample(sorted(xs), 2)
+        d = abs(xs[p] - xs[q])
+        return f"dist {p} {q} {d}" if rng.random() < 0.8 else f"dist {p} {q} {2 * d.numerator}/{2 * d.denominator}"
+
+    lines = [f"dist {p} {q} {abs(xs[p] - xs[q])}" for p, q in combinations(sorted(xs), 2)]
+    size = sum(len(line) + len(newline) for line in lines)
+    while size < _CHUNK - 200:
+        lines.append(row() if rng.random() < 0.9 else "# " + "x" * rng.randint(0, 80))
+        size += len(lines[-1]) + len(newline)
+    last = row()
+    lines.append("#" * (_CHUNK + 1 - size - 2 * len(newline) - len(last)))
+    lines.append(last)
+    boundary = len(lines)
+    for _ in range(2 * boundary):
+        lines.append(row() + (" # dist a b 1" if rng.random() < 0.05 else ""))
+    at = rng.randrange(boundary, len(lines))
+    if fault == "bad row":
+        lines.insert(at, rng.choice(["dist p1 p2", "dst p1 p2 1", "dist p1 p2 1 1"]))
+    elif fault == "bad number":
+        lines[at] = lines[at].split("#")[0].rsplit(" ", 1)[0] + " " + rng.choice(["1/0", "1.2.3", "1" * 5000])
+    elif fault == "bad number before bad row":
+        at_number = rng.randrange(boundary - 1)  # padded, so the boundary stays
+        lines[at_number] = "dist p1 p2 --1".ljust(len(lines[at_number]))
+        lines.insert(at, "dist p1 p2")
+    elif fault == "conflicts":  # the last rows of their orders, so they stand
+        for p, q in rng.sample(list(combinations(sorted(xs), 2)), 2):
+            lines.append(f"dist {p} {q} {abs(xs[p] - xs[q]) + 1}" if rng.random() < 0.5 else f"dist {q} {p} 1/3")
+    return lines, boundary
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    st.sampled_from(["none", "bad row", "bad number", "bad number before bad row", "conflicts"]),
+    st.sampled_from(["\n", "\r\n", "\x85", "mixed"]),
+    st.integers(0, 2**32 - 1),
+)
+def test_a_table_of_several_chunks_reads_as_the_reference(fault, newline, seed):
+    rng = random.Random(seed)
+    lines, boundary = _chunked_table(rng, fault, "\n" if newline == "mixed" else newline)
+    if newline == "mixed":
+        text = "".join(line + rng.choice(["\n", "\r", "\r\n", "\u2028", "\x0c"]) for line in lines)
+    else:
+        text = "".join(line + newline for line in lines)
+        # the row before the boundary ends the first chunk
+        assert text[_CHUNK] == newline[-1] and len(text[: _CHUNK + 1].splitlines()) == boundary
+    table = helpers.assert_parses_as_reference(text)
+    assert (table is None) == (fault != "none")
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\x85"])
+def test_tree_errors_are_numbered_past_a_chunk_boundary(newline):
+    edges = [f"edge vertex{i} vertex{i + 1} {i % 7 + 1}" for i in range(5000)]
+    lines = ["# a path"] + edges[:3000] + ["", "edge vertex1 vertex2"] + edges[3000:]
+    text = newline.join(lines) + newline
+    assert len(newline.join(lines[:3002])) > _CHUNK and len(text) > 2 * _CHUNK
+    with pytest.raises(FormatError, match=r"^line 3003: edge needs <v1> <v2> <length>$"):
+        parse_tree(text)
+    lines[3002] = "point q vertex1 vertex2 1/2 # a comment"
+    lines.insert(4500, "squiggle")
+    with pytest.raises(FormatError, match=r"^line 4501: unknown record 'squiggle'$"):
+        parse_tree(newline.join(lines))
+    del lines[4500]
+    assert parse_tree(newline.join(lines)).distance("vertex0", "q") == Fr(3, 2)
