@@ -61,7 +61,7 @@ class CompatibleMetricPair:
         t0, t1 = self.tree0, self.tree1
         if t0.vertices != t1.vertices:
             raise IncompatiblePairError("vertex sets differ")
-        if {e[:2] for e in t0.edges} != {e[:2] for e in t1.edges}:
+        if t0._lengths.keys() != t1._lengths.keys():
             raise IncompatiblePairError("edge sets differ")
         if sorted(t0.designated) != sorted(t1.designated):
             raise IncompatiblePairError("designated point names differ")
@@ -86,10 +86,9 @@ def blend_metric(pair: CompatibleMetricPair, lam: Num) -> MetricTree:
     if lam < 0 or lam > 1:
         raise BlendRangeError(f"lambda must lie in [0, 1], got {lam}")
     t0, t1 = pair.tree0, pair.tree1
-    lengths1 = {e[:2]: e[2] for e in t1.edges}
-    edges = [
-        (u, v, lam * lengths1[(u, v)] + (1 - lam) * l0) for u, v, l0 in t0.edges
-    ]
+    # the trees' scaled int lengths, each tree's weight over its own scale
+    w0, w1, lengths1 = (1 - lam) / t0._scale, lam / t1._scale, t1._lengths
+    edges = [(u, v, w1 * lengths1[(u, v)] + w0 * l0) for (u, v), l0 in sorted(t0._lengths.items())]
     points = []
     for name, loc0 in sorted(t0.designated.items()):
         loc1 = t1.designated[name]

@@ -140,7 +140,8 @@ def run_certify(args, out) -> int:
     if args.tree:
         tree = formats.parse_tree(_read(args.tree))
         table = MetricTable.from_tree(tree)
-        out.append(f"loaded tree: {len(tree.vertices)} vertices, {len(tree.edges)} edges")
+        n = len(tree.vertices)  # a tree has one edge fewer, counted without its lengths
+        out.append(f"loaded tree: {n} vertices, {n - 1} edges")
     else:
         table = formats.parse_table(_read(args.table))
         out.append(f"loaded table: {len(table.points)} points")

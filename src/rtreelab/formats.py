@@ -57,6 +57,14 @@ def parse_number(text: str) -> Fraction:
     return Fraction(*parse_ratio(text))
 
 
+class _Numbers(dict):
+    """Literal text to its number, each distinct literal read once."""
+
+    def __missing__(self, text: str) -> Fraction:
+        value = self[text] = parse_number(text)
+        return value
+
+
 def format_number(x) -> str:
     """A rational as an int or p/q, a float as its repr, and a Surd (a
     number with a nonzero irrational part) as the repr of its correctly
@@ -73,17 +81,20 @@ def format_number(x) -> str:
 
 
 _CHUNK = 1 << 16
+# the line breaks of str.splitlines, a "\r\n" as one; the two breaks past
+# Latin-1 stand alone, since a class holding them costs 128-256 KB to compile
+_BREAK = re.compile("\r\n?|[\n\v\f\x1c-\x1e\x85]|\u2028|\u2029")
 
 
 def _chunks(text: str) -> Iterator[tuple[int, list[list[str]]]]:
     """The fields of the lines of str.splitlines, a chunk of lines at a time
-    with the number of its first line: a chunk runs to the first "\n" after
-    about 64 K characters.  A comment starts at ``#``; a blank line has no
-    fields."""
+    with the number of its first line: a chunk runs to the first line break
+    after about 64 K characters.  A comment starts at ``#``; a blank line has
+    no fields."""
     lineno, start, end = 1, 0, len(text)
     while start < end:
-        stop = text.find("\n", start + _CHUNK)
-        stop = end if stop < 0 else stop + 1
+        stop = _BREAK.search(text, start + _CHUNK)
+        stop = stop.end() if stop else end
         chunk = text[start:stop]
         lines = chunk.splitlines()
         if "#" in chunk:
@@ -115,19 +126,19 @@ def _bar_pairs(text: str, expected: str) -> Iterator[tuple[int, str, str]]:
 def parse_tree(text: str) -> MetricTree:
     """``edge <v1> <v2> <length>`` and ``point <name> <v1> <v2> <offset>``
     records, one per line."""
-    edges, points = [], []
+    edges, points, numbers = [], [], _Numbers()
     for lineno, fields in _content_lines(text):
         kind, *rest = fields
         if kind == "edge":
             if len(rest) != 3:
                 raise FormatError(f"line {lineno}: edge needs <v1> <v2> <length>")
-            edges.append((rest[0], rest[1], parse_number(rest[2])))
+            edges.append((rest[0], rest[1], numbers[rest[2]]))
         elif kind == "point":
             if len(rest) != 4:
                 raise FormatError(f"line {lineno}: point needs <name> <v1> <v2> <offset>")
             if rest[0].startswith("."):
                 raise FormatError(f"line {lineno}: point names must not start with '.'")
-            points.append((rest[0], rest[1], rest[2], parse_number(rest[3])))
+            points.append((rest[0], rest[1], rest[2], numbers[rest[3]]))
         else:
             raise FormatError(f"line {lineno}: unknown record {kind!r}")
     if not edges:
@@ -139,11 +150,12 @@ def parse_tree(text: str) -> MetricTree:
 
 
 def format_tree(tree: MetricTree) -> str:
-    lines = [f"edge {u} {v} {format_number(l)}" for u, v, l in tree.edges]
+    edges = tree.edges
+    lines = [f"edge {u} {v} {format_number(l)}" for u, v, l in edges]
     for name in sorted(tree.designated):
         loc = tree.designated[name]
         if isinstance(loc, str):
-            for u, v, l in tree.edges:
+            for u, v, l in edges:
                 if loc in (u, v):
                     off = 0 if loc == u else l
                     lines.append(f"point {name} {u} {v} {format_number(off)}")
@@ -308,15 +320,15 @@ def parse_action_file(text: str):
 def parse_pair_file(text: str):
     """Shape records with two metric columns: ``edge <v1> <v2> <len0> <len1>``
     and ``point <name> <v1> <v2> <off0> <off1>``.  Returns the two trees."""
-    edges0, edges1, points0, points1 = [], [], [], []
+    edges0, edges1, points0, points1, numbers = [], [], [], [], _Numbers()
     for lineno, fields in _content_lines(text):
         kind, *rest = fields
         if kind == "edge" and len(rest) == 4:
-            edges0.append((rest[0], rest[1], parse_number(rest[2])))
-            edges1.append((rest[0], rest[1], parse_number(rest[3])))
+            edges0.append((rest[0], rest[1], numbers[rest[2]]))
+            edges1.append((rest[0], rest[1], numbers[rest[3]]))
         elif kind == "point" and len(rest) == 5:
-            points0.append((rest[0], rest[1], rest[2], parse_number(rest[3])))
-            points1.append((rest[0], rest[1], rest[2], parse_number(rest[4])))
+            points0.append((rest[0], rest[1], rest[2], numbers[rest[3]]))
+            points1.append((rest[0], rest[1], rest[2], numbers[rest[4]]))
         else:
             raise FormatError(f"line {lineno}: bad pair record")
     if not edges0:

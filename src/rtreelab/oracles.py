@@ -260,17 +260,17 @@ class MultipodOracle:
     canonical = _resolve
     points_equal = _points_equal
 
-    def distance(self, p, q) -> Num:
-        a, b = self._resolve(p), self._resolve(q)
-        if a is None and b is None:
-            return 0
+    @staticmethod
+    def _distance(a, b) -> Num:
+        """The distance of two resolved points."""
         if a is None:
-            return b[1]
+            return 0 if b is None else b[1]
         if b is None:
             return a[1]
-        if a[0] == b[0]:
-            return abs(a[1] - b[1])
-        return a[1] + b[1]
+        return abs(a[1] - b[1]) if a[0] == b[0] else a[1] + b[1]
+
+    def distance(self, p, q) -> Num:
+        return self._distance(self._resolve(p), self._resolve(q))
 
     def _point_along(self, a, b, t):
         """Point at distance t from a on [a, b]; a, b resolved."""
@@ -287,13 +287,13 @@ class MultipodOracle:
         return (a[0], off) if off > 0 else self.HUB
 
     def center(self, p, q, r):
-        a, b = self._resolve(p), self._resolve(q)
-        self._resolve(r)
-        t = (self.distance(p, q) + self.distance(p, r) - self.distance(q, r)) / 2
-        return self._point_along(a, b, t)
+        a, b, c = self._resolve(p), self._resolve(q), self._resolve(r)
+        d = self._distance
+        return self._point_along(a, b, (d(a, b) + d(a, c) - d(b, c)) / 2)
 
     def midpoint(self, p, q):
-        return self._point_along(self._resolve(p), self._resolve(q), self.distance(p, q) / 2)
+        a, b = self._resolve(p), self._resolve(q)
+        return self._point_along(a, b, self._distance(a, b) / 2)
 
     def is_boundary(self, p) -> bool:
         return False

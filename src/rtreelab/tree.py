@@ -9,16 +9,20 @@ operation is a pure function of the immutable tree.
 
 Every query runs on one rooted index: the tree is rooted at its smallest
 vertex, and each vertex keeps its parent, depth and root distance (ints
-over the common denominator of the lengths and offsets).
-Building costs O(V); each query walks parent pointers, O(depth).
+over the common denominator of the lengths and offsets).  The build reads
+each length and offset once, as an integer ratio, and keeps the edge
+lengths only as scaled ints; every check and sum of the build is integer
+work, and Fraction lengths are made only when ``edges``, ``edge_length``
+or a segment asks for them.  Building costs O(V); each query walks parent
+pointers, O(depth).
 """
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
 from typing import Iterable, Mapping, Union
 
 Num = Union[int, Fraction, float]
@@ -43,6 +47,13 @@ def _exact(x, error: type[ValueError], where: str, *names) -> Fraction:
     if isinstance(x, (int, Fraction)) or isinstance(x, float) and math.isfinite(x):
         return x if isinstance(x, Fraction) else Fraction(x)
     raise error(f"{where.format(*names)} must be an int, a Fraction or a finite float, got {x!r}")
+
+
+def _ratio(x, where: str, *names) -> tuple[int, int]:
+    """A tree's length or offset as (numerator, denominator), read once."""
+    if not isinstance(x, (int, Fraction)):
+        x = _exact(x, TreeStructureError, where, *names)
+    return x.as_integer_ratio()
 
 
 def canonical_edge(u: str, v: str) -> tuple[str, str]:
@@ -105,52 +116,52 @@ class MetricTree:
         vertices: Iterable[str] = (),
         open_ends: Iterable[str] = (),
     ):
-        self._lengths: dict[tuple[str, str], Num] = {}
-        adj: dict[str, list[tuple[str, Num]]] = {}
-        for v in vertices:
-            adj.setdefault(v, [])
+        # each length read once: its numerator per edge and its denominator
+        # in order, scaled to ints over one denominator below
+        lengths: dict[tuple[str, str], int] = {}
+        dens: list[int] = []
+        adj: dict[str, list[tuple[str, tuple[str, str]]]] = defaultdict(list, {v: [] for v in vertices})
         for u, v, raw in edges:
             if u == v:
                 raise TreeStructureError(f"loop edge at {u!r}")
-            length = _exact(raw, TreeStructureError, "length of edge {}-{}", u, v)
-            if not length > 0:
+            num, den = _ratio(raw, "length of edge {}-{}", u, v)
+            if num <= 0:
                 raise TreeStructureError(f"edge {u}-{v} has nonpositive length {raw}")
-            e = canonical_edge(u, v)
-            if e in self._lengths:
+            e = (u, v) if u <= v else (v, u)
+            if e in lengths:
                 raise TreeStructureError(f"duplicate edge {u}-{v}")
-            self._lengths[e] = length
-            adj.setdefault(u, []).append((v, length))
-            adj.setdefault(v, []).append((u, length))
+            lengths[e] = num
+            dens.append(den)
+            adj[u].append((v, e))
+            adj[v].append((u, e))
         if not adj:
             raise TreeStructureError("tree needs at least one vertex")
-        if len(self._lengths) != len(adj) - 1:
-            raise TreeStructureError(
-                f"{len(adj)} vertices and {len(self._lengths)} edges cannot form a tree"
-            )
-        self._adj = adj
+        if len(lengths) != len(adj) - 1:
+            raise TreeStructureError(f"{len(adj)} vertices and {len(lengths)} edges cannot form a tree")
+        self._adj = adj = dict(adj)
         points = list(points)
+        offsets = [_ratio(p[3], "offset of {}", p[0]) for p in points if len(p) == 4]
         # one denominator puts every vertex and designated point on the grid
-        offsets = [_exact(p[3], TreeStructureError, "offset of {}", p[0]) for p in points if len(p) == 4]
-        self._scale = math.lcm(*(x.denominator for x in chain(self._lengths.values(), offsets)))
+        self._scale = scale = math.lcm(*dens, *(den for _, den in offsets))
+        self._lengths = lengths = {e: num * (scale // den) for (e, num), den in zip(lengths.items(), dens)}
 
         # the rooted index: parent, depth and scaled root distance per vertex
         root = min(adj)
         self._parent: dict[str, str | None] = {root: None}
-        self._depth = {root: 0}
-        self._root = {root: 0}
-        stack = [root]
+        self._depth, self._root = {root: 0}, {root: 0}
+        parent, depth, rooted, stack = self._parent, self._depth, self._root, [root]
         while stack:
             x = stack.pop()
-            for y, length in adj[x]:
-                if y not in self._parent:
-                    self._parent[y] = x
-                    self._depth[y] = self._depth[x] + 1
-                    self._root[y] = self._root[x] + self._scaled(length)
+            below, r = depth[x] + 1, rooted[x]
+            for y, e in adj[x]:
+                if y not in parent:
+                    parent[y], depth[y], rooted[y] = x, below, r + lengths[e]
                     stack.append(y)
-        if len(self._parent) != len(adj):
+        if len(parent) != len(adj):
             raise TreeStructureError("edge graph is not connected")
 
         self._points: dict[str, Point] = {}
+        offsets = iter(offsets)
         for entry in points:
             if len(entry) == 2:
                 name, vertex = entry
@@ -158,8 +169,9 @@ class MetricTree:
                     raise UnknownPointError(vertex)
                 loc: Point = vertex
             else:
-                name, u, v, off = entry
-                loc = self._normalize_edge_point(u, v, _exactify(off))
+                name, u, v, _ = entry
+                num, den = next(offsets)
+                loc = self._edge_point(u, v, num * (scale // den))
             if name in adj or name in self._points:
                 raise TreeStructureError(f"point name {name!r} already in use")
             self._points[name] = loc
@@ -167,26 +179,28 @@ class MetricTree:
         for v in self.open_ends:
             if v not in adj:
                 raise UnknownPointError(v)
-        self._addr = {v: (v, r) for v, r in self._root.items()}
+        self._addr = {v: (v, r) for v, r in rooted.items()}
         for name in sorted(self._points):
             self._addr[name] = self._locate(self._points[name])
 
     # -- construction helpers -------------------------------------------------
 
-    def _normalize_edge_point(self, u: str, v: str, off: Num) -> Point:
+    def _edge_point(self, u: str, v: str, s: Num) -> Point:
+        """The point s index units from u along edge u-v: an end vertex, or
+        a Location strictly inside the edge."""
         e = canonical_edge(u, v)
-        if e not in self._lengths:
+        length = self._lengths.get(e)
+        if length is None:
             raise UnknownPointError(f"no edge {u}-{v}")
-        length = self._lengths[e]
         if u != e[0]:
-            off = length - off
-        if off < 0 or off > length:
-            raise TreeStructureError(f"offset {off} outside edge {e} of length {length}")
-        if off == 0:
+            s = length - s
+        if s < 0 or s > length:
+            raise TreeStructureError(
+                f"offset {self._unscale(s)} outside edge {e} of length {self._unscale(length)}"
+            )
+        if s == 0:
             return e[0]
-        if off == length:
-            return e[1]
-        return Location(e, off)
+        return e[1] if s == length else Location(e, self._unscale(s))
 
     # -- the rooted index ------------------------------------------------------
     # A point is addressed as (v, r): root distance r, in units of 1/scale,
@@ -229,16 +243,10 @@ class MetricTree:
 
     def _offset(self, v: str, r: Num) -> Num:
         """Offset, from the smaller-named end, of the point at root distance
-        r on the edge from v up to its parent; the ends give 0 and the
-        stored length."""
+        r on the edge from v up to its parent; 0 at that end."""
         up, root = self._parent[v], self._root
-        if v < up:
-            if r == root[v]:
-                return 0
-            return self._lengths[(v, up)] if r == root[up] else self._unscale(root[v] - r)
-        if r == root[up]:
-            return 0
-        return self._lengths[(up, v)] if r == root[v] else self._unscale(r - root[up])
+        off = root[v] - r if v < up else r - root[up]
+        return self._unscale(off) if off else 0
 
     def _canonical(self, v: str, r: Num) -> tuple[str, Num]:
         """The address of the point at root distance r on the root path of
@@ -288,10 +296,9 @@ class MetricTree:
     def _point_at(self, v: str, r: Num) -> Point:
         """The point at root distance r on the root path of vertex v."""
         v, r = self._canonical(v, r)
-        up, root = self._parent[v], self._root
-        if r >= root[v]:
+        if r >= self._root[v]:
             return v
-        return self._normalize_edge_point(v, up, self._unscale(root[v] - r))
+        return Location(canonical_edge(v, self._parent[v]), self._offset(v, r))
 
     def _climb(self, v: str, r: Num, top: Num) -> list[SegmentPiece]:
         """The pieces from address (v, r) up its root path to root distance top."""
@@ -312,7 +319,7 @@ class MetricTree:
 
     @property
     def edges(self) -> tuple[tuple[str, str, Num], ...]:
-        return tuple((u, v, self._lengths[(u, v)]) for u, v in sorted(self._lengths))
+        return tuple((u, v, self._unscale(length)) for (u, v), length in sorted(self._lengths.items()))
 
     @property
     def point_names(self) -> tuple[str, ...]:
@@ -324,10 +331,10 @@ class MetricTree:
         return dict(self._points)
 
     def edge_length(self, u: str, v: str) -> Num:
-        e = canonical_edge(u, v)
-        if e not in self._lengths:
+        length = self._lengths.get(canonical_edge(u, v))
+        if length is None:
             raise UnknownPointError(f"no edge {u}-{v}")
-        return self._lengths[e]
+        return self._unscale(length)
 
     def degree(self, vertex: str) -> int:
         if vertex not in self._adj:
@@ -343,7 +350,7 @@ class MetricTree:
                 return self._points[p]
             raise UnknownPointError(p)
         offset = _exact(p.offset, TreeStructureError, "offset of {}", p)
-        return self._normalize_edge_point(p.edge[0], p.edge[1], offset)
+        return self._edge_point(p.edge[0], p.edge[1], self._scaled(offset))
 
     def name_of(self, p: Point) -> str | None:
         """Name addressing this location, if any (vertex name wins)."""
@@ -459,11 +466,7 @@ class MetricTree:
             for name, loc in self._points.items()
             if not (isinstance(loc, str) and loc in leaves)
         ]
-        return MetricTree(
-            ((u, v, self._lengths[(u, v)]) for u, v in sorted(self._lengths)),
-            kept_points,
-            open_ends=self.open_ends | leaves,
-        )
+        return MetricTree(self.edges, kept_points, open_ends=self.open_ends | leaves)
 
     def __repr__(self) -> str:
         return (

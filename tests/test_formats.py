@@ -1,7 +1,7 @@
 import math
 import random
 from fractions import Fraction as Fr
-from itertools import combinations
+from itertools import accumulate, combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from rtreelab.formats import (
     _CHUNK,
     FormatError,
+    _chunks,
     format_number,
     format_oracle_point,
     format_point,
@@ -374,12 +375,18 @@ def test_a_table_of_several_chunks_reads_as_the_reference(fault, newline, seed):
     assert (table is None) == (fault != "none")
 
 
-@pytest.mark.parametrize("newline", ["\n", "\r\n", "\x85"])
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r", "\x85", "\u2028"])
 def test_tree_errors_are_numbered_past_a_chunk_boundary(newline):
+    """A text of about 150,000 characters is read as more than one chunk
+    whatever its line break, with the same line numbers and messages."""
     edges = [f"edge vertex{i} vertex{i + 1} {i % 7 + 1}" for i in range(5000)]
     lines = ["# a path"] + edges[:3000] + ["", "edge vertex1 vertex2"] + edges[3000:]
     text = newline.join(lines) + newline
     assert len(newline.join(lines[:3002])) > _CHUNK and len(text) > 2 * _CHUNK
+    chunks = list(_chunks(text))
+    assert len(chunks) > 2 and [first for first, _ in chunks] == list(
+        accumulate((len(rows) for _, rows in chunks[:-1]), initial=1))
+    assert [fields for _, rows in chunks for fields in rows] == [line.partition("#")[0].split() for line in lines]
     with pytest.raises(FormatError, match=r"^line 3003: edge needs <v1> <v2> <length>$"):
         parse_tree(text)
     lines[3002] = "point q vertex1 vertex2 1/2 # a comment"

@@ -4,6 +4,7 @@ from itertools import islice, permutations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rtreelab.formats import FormatError, format_tree, parse_pair_file, parse_tree
 from rtreelab.oracles import FiniteTreeOracle
 from rtreelab.tree import (
     Location,
@@ -294,6 +295,147 @@ def test_tree_rejects_cycles_and_nonpositive_lengths():
         MetricTree([("A", "B", 0)])
     with pytest.raises(TreeStructureError):
         MetricTree([("A", "B", 1), ("C", "D", 1)])
+
+
+NAN = float("nan")
+DISCONNECTED = [("A", "B", 1), ("B", "C", 1), ("C", "A", 1), ("D", "E", 1)]
+
+# id, edges, points, open ends, the error and its message; then the same
+# tree as a tree file, when one can say it, and the message parse_tree gives
+TREE_ERRORS = [
+    ("loop", [("A", "B", 1), ("B", "B", 2)], [], (), TreeStructureError, "loop edge at 'B'",
+     "edge A B 1\nedge B B 2\n", "loop edge at 'B'"),
+    ("nan loop", [("A", "A", NAN)], [], (), TreeStructureError, "loop edge at 'A'",
+     "edge A A nan\n", "bad number 'nan'"),
+    ("nan after a loop", [("A", "A", 1), ("A", "B", NAN)], [], (), TreeStructureError, "loop edge at 'A'",
+     "edge A A 1\nedge A B nan\n", "bad number 'nan'"),
+    ("nan length", [("A", "B", 1), ("B", "C", NAN)], [], (), TreeStructureError,
+     "length of edge B-C must be an int, a Fraction or a finite float, got nan", None, None),
+    ("text length", [("A", "B", "1")], [], (), TreeStructureError,
+     "length of edge A-B must be an int, a Fraction or a finite float, got '1'", None, None),
+    ("zero", [("A", "B", 0)], [], (), TreeStructureError, "edge A-B has nonpositive length 0",
+     "edge A B 0\n", "edge A-B has nonpositive length 0"),
+    ("negative Fraction", [("A", "B", Fr(-1, 2))], [], (), TreeStructureError,
+     "edge A-B has nonpositive length -1/2", "edge A B -1/2\n", "edge A-B has nonpositive length -1/2"),
+    ("negative float", [("A", "B", -0.5)], [], (), TreeStructureError,
+     "edge A-B has nonpositive length -0.5", "edge A B -0.5\n", "edge A-B has nonpositive length -1/2"),
+    ("duplicate", [("A", "B", 1), ("B", "A", 2)], [], (), TreeStructureError, "duplicate edge B-A",
+     "edge A B 1\nedge B A 2\n", "duplicate edge B-A"),
+    ("nonpositive duplicate", [("A", "B", 1), ("B", "A", 0)], [], (), TreeStructureError,
+     "edge B-A has nonpositive length 0", "edge A B 1\nedge B A 0\n", "edge B-A has nonpositive length 0"),
+    ("cycle", [("A", "B", 1), ("B", "C", 1), ("C", "A", 1)], [], (), TreeStructureError,
+     "3 vertices and 3 edges cannot form a tree", "edge A B 1\nedge B C 1\nedge C A 1\n",
+     "3 vertices and 3 edges cannot form a tree"),
+    ("cycle and a component", DISCONNECTED, [], (), TreeStructureError, "edge graph is not connected",
+     "edge A B 1\nedge B C 1\nedge C A 1\nedge D E 1\n", "edge graph is not connected"),
+    ("nan offset, disconnected", DISCONNECTED, [("p", "A", "B", NAN)], (), TreeStructureError,
+     "offset of p must be an int, a Fraction or a finite float, got nan",
+     "edge A B 1\nedge B C 1\nedge C A 1\nedge D E 1\npoint p A B nan\n", "bad number 'nan'"),
+    ("bad offset after a good one", DISCONNECTED, [("p", "A", "B", Fr(1, 2)), ("q", "A", "B", "1/2")], (),
+     TreeStructureError, "offset of q must be an int, a Fraction or a finite float, got '1/2'", None, None),
+    ("no edge", [("A", "B", 1), ("B", "C", 1)], [("p", "A", "C", Fr(1, 2))], (), UnknownPointError,
+     "'no edge A-C'", "edge A B 1\nedge B C 1\npoint p A C 1/2\n", "'no edge A-C'"),
+    ("no edge before a name in use", [("A", "B", 1), ("B", "C", 1)], [("B", "A", "C", 1)], (),
+     UnknownPointError, "'no edge A-C'", "edge A B 1\nedge B C 1\npoint B A C 1\n", "'no edge A-C'"),
+    ("offset past the far end", [("A", "B", Fr(3, 2))], [("p", "A", "B", Fr(5, 2))], (), TreeStructureError,
+     "offset 5/2 outside edge ('A', 'B') of length 3/2", "edge A B 3/2\npoint p A B 5/2\n",
+     "offset 5/2 outside edge ('A', 'B') of length 3/2"),
+    ("offset past the far end, given from v", [("A", "B", Fr(3, 2))], [("p", "B", "A", 2)], (),
+     TreeStructureError, "offset -1/2 outside edge ('A', 'B') of length 3/2", "edge A B 3/2\npoint p B A 2\n",
+     "offset -1/2 outside edge ('A', 'B') of length 3/2"),
+    ("negative offset", [("A", "B", 1)], [("p", "A", "B", -0.25)], (), TreeStructureError,
+     "offset -1/4 outside edge ('A', 'B') of length 1", "edge A B 1\npoint p A B -0.25\n",
+     "offset -1/4 outside edge ('A', 'B') of length 1"),
+    ("negative offset, given from v", [("B", "A", 1)], [("p", "B", "A", Fr(-1, 3))], (), TreeStructureError,
+     "offset 4/3 outside edge ('A', 'B') of length 1", "edge B A 1\npoint p B A -1/3\n",
+     "offset 4/3 outside edge ('A', 'B') of length 1"),
+    ("name of a vertex", [("A", "B", 1)], [("B", "A", "B", Fr(1, 2))], (), TreeStructureError,
+     "point name 'B' already in use", "edge A B 1\npoint B A B 1/2\n", "point name 'B' already in use"),
+    ("name of a point", [("A", "B", 1), ("B", "C", 1)], [("p", "A", "B", Fr(1, 4)), ("p", "C", "B", 1)], (),
+     TreeStructureError, "point name 'p' already in use", "edge A B 1\nedge B C 1\npoint p A B 1/4\npoint p C B 1\n",
+     "point name 'p' already in use"),
+    ("unknown vertex", [("A", "B", 1)], [("p", "Z")], (), UnknownPointError, "'Z'", None, None),
+    ("unknown vertex before a name in use", [("A", "B", 1)], [("A", "Z")], (), UnknownPointError, "'Z'", None, None),
+    ("unknown open end", [("A", "B", 1)], [("p", "A", "B", Fr(1, 2))], ("A", "Z"), UnknownPointError, "'Z'",
+     None, None),
+]
+
+
+@pytest.mark.parametrize(
+    "edges, points, open_ends, error, message, text, text_message",
+    [case[1:] for case in TREE_ERRORS],
+    ids=[case[0] for case in TREE_ERRORS],
+)
+def test_tree_errors_and_which_one_wins(edges, points, open_ends, error, message, text, text_message):
+    """Each bad tree raises its one named error with this exact message, the
+    first error of the build winning; a tree file says the same, or names
+    its bad number."""
+    with pytest.raises(error) as raised:
+        MetricTree(edges, points, open_ends=open_ends)
+    assert type(raised.value) is error and str(raised.value) == message
+    if text is not None:
+        with pytest.raises(FormatError) as raised:
+            parse_tree(text)
+        assert str(raised.value) == text_message
+
+
+# the exact values of 3, 3/7 and 0.1; designated offsets given as the same kind
+VALUE_KINDS = {
+    "int": (3, 1, Fr(3), Fr(1)),
+    "Fraction": (Fr(3, 7), Fr(1, 7), Fr(3, 7), Fr(1, 7)),
+    "float": (0.1, 0.025, Fr(0.1), Fr(0.025)),
+}
+
+
+@pytest.mark.parametrize("kind", VALUE_KINDS)
+def test_lengths_and_offsets_read_as_their_exact_values(kind):
+    """Lengths and offsets of every exact kind come back as Fractions of the
+    same values: edges, edge_length, designated Locations (offsets given from
+    either end and at either end) and the tree file format_tree writes."""
+    length, offset, exact_length, exact_offset = VALUE_KINDS[kind]
+    tree = MetricTree(
+        [("B", "A", length), ("B", "C", 2 * length)],
+        [("p", "A", "B", offset), ("q", "B", "A", offset), ("r", "C", "B", 0), ("s", "B", "C", 2 * length)],
+    )
+    assert [(u, v, l, type(l)) for u, v, l in tree.edges] == [
+        ("A", "B", exact_length, Fr), ("B", "C", 2 * exact_length, Fr)]
+    for u, v, expected in (("A", "B", exact_length), ("C", "B", 2 * exact_length)):
+        got = tree.edge_length(u, v)
+        assert (got, type(got)) == (expected, Fr)
+    assert tree.designated == {
+        "p": Location(("A", "B"), exact_offset),
+        "q": Location(("A", "B"), exact_length - exact_offset),
+        "r": "C",
+        "s": "C",
+    }
+    assert all(type(tree.designated[name].offset) is Fr for name in "pq")
+    assert format_tree(tree) == (
+        f"edge A B {exact_length}\nedge B C {2 * exact_length}\n"
+        f"point p A B {exact_offset}\npoint q A B {exact_length - exact_offset}\n"
+        f"point r B C {2 * exact_length}\npoint s B C {2 * exact_length}\n"
+    )
+    assert tree.distance("p", "q") == exact_length - 2 * exact_offset
+    interior = tree.interior_tree()
+    assert interior.edges == tree.edges and interior.designated == {"p": tree.designated["p"], "q": tree.designated["q"]}
+
+
+def test_equal_literals_give_equal_trees():
+    """Literals written differently but equal, and repeated literals, give
+    the same tree, whichever spelling comes first."""
+    texts = [
+        "edge A B 1/2\nedge B C 2/4\nedge C D 0.5\npoint p A B 1/4\npoint q C D 0.25\n",
+        "edge A B 0.5\nedge B C 1/2\nedge C D 2/4\npoint p A B 2/8\npoint q C D 1/4\n",
+        "edge A B 2/4\nedge B C 2/4\nedge C D 2/4\npoint p A B 0.25\npoint q C D 0.25\n",
+    ]
+    trees = [parse_tree(text) for text in texts]
+    for tree in trees:
+        assert tree.edges == (("A", "B", Fr(1, 2)), ("B", "C", Fr(1, 2)), ("C", "D", Fr(1, 2)))
+        assert tree.designated == {"p": Location(("A", "B"), Fr(1, 4)), "q": Location(("C", "D"), Fr(1, 4))}
+        assert tree.distance("p", "q") == 1
+        assert format_tree(tree) == format_tree(trees[0])
+    left, right = parse_pair_file("edge A B 1/2 0.5\nedge B C 2/4 1\npoint p A B 1/4 0.25\n")
+    assert left.edges == trees[0].edges[:2] and right.edges == (("A", "B", Fr(1, 2)), ("B", "C", Fr(1)))
+    assert left.designated == right.designated == {"p": Location(("A", "B"), Fr(1, 4))}
 
 
 def test_point_along_walks_segments(star_xyz):
