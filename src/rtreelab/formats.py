@@ -258,12 +258,18 @@ def parse_oracle_point(fields: list[str] | str, oracle: TreeOracle, tree: Metric
 
 
 def parse_sequence(text: str, oracle: TreeOracle, tree: MetricTree | None = None) -> list:
-    pts = []
+    """One point per line; each distinct line is parsed once, and a repeated
+    line gives the point parsed at its first occurrence."""
+    pts, parsed = [], {}
     for lineno, fields in _content_lines(text):
-        try:
-            pts.append(parse_oracle_point(fields, oracle, tree))
-        except FormatError as exc:
-            raise FormatError(f"line {lineno}: {exc}") from exc
+        key = tuple(fields)
+        p = parsed.get(key)
+        if p is None:
+            try:
+                p = parsed[key] = parse_oracle_point(fields, oracle, tree)
+            except FormatError as exc:
+                raise FormatError(f"line {lineno}: {exc}") from exc
+        pts.append(p)
     if not pts:
         raise FormatError("sequence file has no points")
     return pts

@@ -3,7 +3,7 @@
 The topology in play is generated by *directions*: for a point ``P`` and a
 second point ``Q``, the direction of ``Q`` at ``P`` is the connected
 component of the tree-minus-``P`` containing ``Q``.  Membership reduces to
-the oracle's ``germ`` query (R lies in the direction of Q at P iff the
+the oracle's ``germs`` query (R lies in the direction of Q at P iff the
 germs of R and Q at P are equal and not None), so everything here runs
 over any :class:`~rtreelab.oracles.TreeOracle`, finite or lazy-infinite.
 
@@ -53,16 +53,16 @@ def direction_of(oracle: TreeOracle, p, q) -> Direction:
 
 def in_direction(oracle: TreeOracle, d: Direction, r) -> bool:
     """Whether r lies in d: r and the representative have one germ at the base."""
-    g = oracle.germ(d.base, r)
+    g, rep = oracle.germs(d.base, (r, d.representative))
     if g is None:
         raise ValueError("the base of a direction is not a member of it")
-    return g == oracle.germ(d.base, d.representative)
+    return g == rep
 
 
 def _contains(oracle: TreeOracle, d: Direction, r) -> bool:
     # membership with the base itself counted as outside
-    g = oracle.germ(d.base, r)
-    return g is not None and g == oracle.germ(d.base, d.representative)
+    g, rep = oracle.germs(d.base, (r, d.representative))
+    return g is not None and g == rep
 
 
 def _slots(points) -> tuple[list, list[int]]:
@@ -73,19 +73,16 @@ def _slots(points) -> tuple[list, list[int]]:
     return list(index), slots
 
 
-def _member_flags(oracle: TreeOracle, base, rep_germ, distinct: list, slots) -> list[bool]:
-    """Whether the point in each slot has the germ ``rep_germ`` at ``base``
-    (the base itself counted as outside), with one germ query per distinct
-    point that a slot names."""
-    hits: list = [None] * len(distinct)
-    out = []
-    for s in slots:
-        hit = hits[s]
-        if hit is None:
-            g = oracle.germ(base, distinct[s])
-            hit = hits[s] = g is not None and g == rep_germ
-        out.append(hit)
-    return out
+def _member_flags(oracle: TreeOracle, d: Direction, distinct: list, slots) -> list[bool]:
+    """Whether the point in each slot lies in d (the base itself counted as
+    outside): one ``germs`` query at the base, over the representative and
+    the distinct points the slots name, in order of first appearance."""
+    named = list(dict.fromkeys(slots))
+    rep, *germs = oracle.germs(d.base, [d.representative, *map(distinct.__getitem__, named)])
+    hits = [False] * len(distinct)
+    for s, g in zip(named, germs):
+        hits[s] = g is not None and g == rep
+    return [hits[s] for s in slots]
 
 
 def same_direction(oracle: TreeOracle, d1: Direction, d2: Direction) -> bool:
@@ -175,6 +172,7 @@ def liminf_from(
         raise EmptySequenceError("cannot take a limit of an empty sequence")
     h = n // 2 if head is None else head
     h = max(0, min(h, n - 1))
+    oracle.canonical(basepoint)  # a bad basepoint raises, though the fold may not reach it
     point = oracle.common_segment_end(basepoint, terms[h:])
     # at head 0 nothing was compared: the estimate is uncertified
     if h == 0:
@@ -220,12 +218,11 @@ def converges_obs(
     reports = []
     refuting = None
     for d in probes:
-        g = oracle.germ(d.base, limit)
-        rep = oracle.germ(d.base, d.representative)
+        g, rep = oracle.germs(d.base, (limit, d.representative))
         if g is None or g != rep:
             reports.append(ProbeReport(d, False, -1))
             continue
-        flags = _member_flags(oracle, d.base, rep, distinct, slots)
+        flags = _member_flags(oracle, d, distinct, slots)
         last_out = max((i for i, hit in enumerate(flags) if not hit), default=-1)
         report = ProbeReport(d, True, last_out)
         reports.append(report)
@@ -260,8 +257,7 @@ def subbasis_from_sample(oracle: TreeOracle, sample, k: int) -> list[Direction]:
     # the midpoints are distinct, so directions can only repeat at one midpoint
     for m in mids.values():
         seen = {None}
-        for q in pts.values():
-            g = oracle.germ(m, q)
+        for q, g in zip(pts.values(), oracle.germs(m, pts.values())):
             if g not in seen:
                 seen.add(g)
                 out.append(Direction(m, q))
@@ -292,8 +288,7 @@ def extract_convergent_subsequence(
     indices = list(range(len(terms)))
     exhausted_at = None
     for j, d in enumerate(dirs):
-        rep = oracle.germ(d.base, d.representative)
-        flags = _member_flags(oracle, d.base, rep, distinct, [slots[i] for i in indices])
+        flags = _member_flags(oracle, d, distinct, [slots[i] for i in indices])
         inside = [i for i, hit in zip(indices, flags) if hit]
         outside = [i for i, hit in zip(indices, flags) if not hit]
         if len(inside) > len(outside):
@@ -377,11 +372,7 @@ def _germ_classes(tree: MetricTree, r, points) -> list[int]:
     """Per point, -1 where it is r, else the index of the first point in
     the same direction at r."""
     first: dict = {}
-    out = []
-    for i, p in enumerate(points):
-        g = tree.germ(r, p)
-        out.append(-1 if g is None else first.setdefault(g, i))
-    return out
+    return [-1 if g is None else first.setdefault(g, i) for i, g in enumerate(tree.germs(r, points))]
 
 
 def is_convex_point_set(tree: MetricTree, names: Iterable[str]) -> bool:
@@ -395,7 +386,7 @@ def is_convex_point_set(tree: MetricTree, names: Iterable[str]) -> bool:
     # r lies on a segment between members unless all of them share one germ at r
     for r in tree.point_names:
         if r not in chosen_set:
-            germs = {tree.germ(r, a) for a in chosen}
+            germs = set(tree.germs(r, chosen))
             if None in germs or len(germs) > 1:
                 return False
     return True

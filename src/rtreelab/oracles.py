@@ -53,7 +53,7 @@ class TreeOracle(Protocol):
 
     def canonical(self, p): ...
 
-    def germ(self, p, r): ...
+    def germs(self, p, points) -> list: ...
 
     def common_segment_end(self, basepoint, points): ...
 
@@ -98,8 +98,8 @@ class FiniteTreeOracle:
 
     points_equal = _points_equal
 
-    def germ(self, p, r):
-        return self.tree.germ(p, r)
+    def germs(self, p, points) -> list:
+        return self.tree.germs(p, points)
 
     common_segment_end = _center_fold
 
@@ -130,7 +130,7 @@ class LineOracle:
     integer order is the order of the numbers outside the code's window,
     and comparisons inside it are decided exactly.  Such a line answers the
     fold's queries (``common_segment_end``, ``center``, ``distance``) and
-    the comparisons (``points_equal``, ``germ``), not ``midpoint``.
+    the comparisons (``points_equal``, ``germs``), not ``midpoint``.
     """
 
     def __init__(self, code: LineCode | None = None):
@@ -210,10 +210,11 @@ class LineOracle:
     def is_boundary(self, p) -> bool:
         return isinstance(p, Ray)
 
-    def germ(self, p, r):
-        """The side of p that r lies on: True above, False below, None at p."""
-        a, b = self._coord(p), self._coord(r)
-        return None if a == b else self._above(b, a)
+    def germs(self, p, points) -> list:
+        """The side of p that each point lies on: True above, False below,
+        None at p."""
+        a, coord, above = self._coord(p), self._coord, self._above
+        return [None if a == (b := coord(r)) else above(b, a) for r in points]
 
     def sample_stream(self) -> Iterator:
         # Farey-style enumeration of the rationals: dense, deterministic
@@ -244,6 +245,8 @@ class MultipodOracle:
             raise ValueError("arm length must be positive")
         self.arms = arms
         self.arm_length = arm_length
+        # an int or Fraction arm length as an integer ratio, read once
+        self._ratio = arm_length.as_integer_ratio() if isinstance(arm_length, (int, Fraction)) else None
 
     def _resolve(self, p):
         if p == self.HUB:
@@ -251,11 +254,14 @@ class MultipodOracle:
         arm, off = p
         if arm < 0 or (self.arms is not None and arm >= self.arms):
             raise ValueError(f"arm {arm} out of range")
-        if off < 0 or off > self.arm_length:
+        if self._ratio is not None and isinstance(off, (int, Fraction)):
+            (num, den), (length, unit) = off.as_integer_ratio(), self._ratio
+            outside, at_hub = num < 0 or num * unit > length * den, not num
+        else:
+            outside, at_hub = off < 0 or off > self.arm_length, off == 0
+        if outside:
             raise ValueError(f"offset {off} outside [0, {self.arm_length}]")
-        if off == 0:
-            return None
-        return (arm, off)
+        return None if at_hub else (arm, off)
 
     canonical = _resolve
     points_equal = _points_equal
@@ -298,15 +304,20 @@ class MultipodOracle:
     def is_boundary(self, p) -> bool:
         return False
 
-    def germ(self, p, r):
-        """The direction at p containing r: the arm index at the hub, "out"
-        or "in" along p's arm, and None when r is p."""
-        a, b = self._resolve(p), self._resolve(r)
-        if a == b:
-            return None
-        if a is None:
-            return b[0]
-        return "out" if b is not None and b[0] == a[0] and b[1] > a[1] else "in"
+    def germs(self, p, points) -> list:
+        """The direction at p containing each point: the arm index at the
+        hub, "out" or "in" along p's arm, and None where the point is p."""
+        a, resolve = self._resolve(p), self._resolve
+        out = []
+        for r in points:
+            b = resolve(r)
+            if a == b:
+                out.append(None)
+            elif a is None:
+                out.append(b[0])
+            else:
+                out.append("out" if b is not None and b[0] == a[0] and b[1] > a[1] else "in")
+        return out
 
     common_segment_end = _center_fold
 

@@ -22,7 +22,6 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterable, Mapping, Union
 
 Num = Union[int, Fraction, float]
@@ -182,6 +181,8 @@ class MetricTree:
         self._addr = {v: (v, r) for v, r in rooted.items()}
         for name in sorted(self._points):
             self._addr[name] = self._locate(self._points[name])
+        # set here, so that filling it later keeps the instance dict's shared keys
+        self._names: dict[tuple[str, Num], str] | None = None
 
     # -- construction helpers -------------------------------------------------
 
@@ -281,17 +282,17 @@ class MetricTree:
         meet point (vertex name first, then the first designated name) or
         None."""
         addr, meets = self._meets(points)
-        names, canonical = self._names_by_address, self._canonical
+        names, canonical = self._names_by_address(), self._canonical
         return meets, [[names.get(canonical(a[0], m)) for m in row] for a, row in zip(addr, meets)]
 
-    @cached_property
     def _names_by_address(self) -> dict[tuple[str, Num], str]:
         """Address to name, as name_of names a point: a vertex name first,
-        then the first designated name in sorted order."""
-        names: dict[tuple[str, Num], str] = {}
-        for name, addr in self._addr.items():
-            names.setdefault(addr, name)
-        return names
+        then the first designated name in sorted order; made on first use."""
+        if self._names is None:
+            self._names = {}
+            for name, addr in self._addr.items():
+                self._names.setdefault(addr, name)
+        return self._names
 
     def _point_at(self, v: str, r: Num) -> Point:
         """The point at root distance r on the root path of vertex v."""
@@ -355,7 +356,7 @@ class MetricTree:
     def name_of(self, p: Point) -> str | None:
         """Name addressing this location, if any (vertex name wins)."""
         loc = self.resolve(p)
-        return loc if isinstance(loc, str) else self._names_by_address.get(self._locate(loc))
+        return loc if isinstance(loc, str) else self._names_by_address().get(self._locate(loc))
 
     def same_point(self, p: Point, q: Point) -> bool:
         return self.resolve(p) == self.resolve(q)
@@ -416,33 +417,36 @@ class MetricTree:
             self.gromov_product(p, r, w), self.gromov_product(q, r, w)
         )
 
-    def germ(self, p: Point, r: Point) -> str | None:
-        """The direction at p containing r, as a label, or None when r is p.
+    def germs(self, p: Point, points: Iterable[Point]) -> list[str | None]:
+        """The direction at p containing each point, as a label, or None
+        where the point is p; p is resolved once.
 
         Two points lie in one component of the tree minus p exactly when
         their germs at p are equal and not None.  The label is the first
         vertex other than p on the way from p to r (for p inside an edge,
-        the end of that edge toward r).  Only addresses and meets are
-        compared, exactly.
+        the end of that edge toward r).  Only addresses are compared,
+        exactly: r lies below p when its root path passes through p.
         """
-        a, b = self._address(p), self._address(r)
-        u, ra = a
-        if self._meet(a, b) < ra:
-            return self._parent[u]
-        v, rb = b
-        if rb == ra:
-            return None
-        if ra < self._root[u]:
-            return u
-        # r lies below the vertex u: the child of u on r's root path
-        depth, parent = self._depth, self._parent
-        below = depth[u] + 1
-        while depth[v] > below:
-            v = parent[v]
-        return v
+        u, ra = self._address(p)
+        address, parent, depth = self._address, self._parent, self._depth
+        up, top, inside = parent[u], depth[u], ra < self._root[u]
+        out = []
+        for r in points:
+            v, rb = address(r)
+            child = None
+            while depth[v] > top:
+                child, v = v, parent[v]
+            if v != u or rb < ra:
+                out.append(up)
+            elif rb == ra:
+                out.append(None)
+            else:
+                # below p: along p's own edge, or into the child of the vertex p
+                out.append(u if inside else child)
+        return out
 
     def point_on_segment(self, r: Point, p: Point, q: Point) -> bool:
-        gp, gq = self.germ(r, p), self.germ(r, q)
+        gp, gq = self.germs(r, (p, q))
         return gp is None or gq is None or gp != gq
 
     # -- extremal structure ------------------------------------------------------

@@ -641,6 +641,82 @@ def test_observers_liminf_still_rejects_a_bad_term_before_the_head(tmp_path, cap
     assert "RESULT" not in out and err == "parameter error: 'Z'\n"
 
 
+_REPEATING_SEQ = (
+    "u\nedge u v 1/2\nedge v u 3/2\nx\n# settles at w\nw\nedge v w 1/2\nw\nedge w v 1/2\nw\n"
+    "edge u v 1/2\nw\nedge v w 1/2\nw\nw\n"
+)
+
+
+@pytest.mark.parametrize(
+    "args, expected",
+    [
+        (
+            ["liminf", "--basepoint", "u"],
+            ["terms used: 14 (head 7)", "liminf: edge u v 1/2", "certificate: 0", "RESULT: pass (stabilized at this depth)"],
+        ),
+        (
+            ["converge", "--limit", "w", "--probes", "auto:3"],
+            [
+                "probes: 6 total, 3 containing the limit",
+                "probe dir[edge u v 1 -> v]: last outside index 9",
+                "probe dir[edge u v 3/2 -> v]: last outside index 9",
+                "probe dir[edge v w 1/2 -> w]: last outside index 11",
+                "RESULT: pass (consistent with convergence at depth 14)",
+            ],
+        ),
+        (
+            ["extract", "--dirs", "auto:3"],
+            ["indices: 4 6 8 10 12 13", "limit estimate: w", "certificate: 0", "RESULT: pass"],
+        ),
+    ],
+)
+def test_observers_read_a_sequence_with_repeated_lines(tmp_path, capsys, monkeypatch, args, expected):
+    # repeated lines, and one point written along both orientations of its edge
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "t.tree").write_text("edge u v 2\nedge v w 1\nedge v x 1\n")
+    (tmp_path / "s.seq").write_text(_REPEATING_SEQ)
+    code, out, err = run_cli(capsys, "observers", *args, "--tree", "t.tree", "--seq", "s.seq", "--depth", "14")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[2:] == expected
+
+
+def test_observers_report_the_first_of_a_repeated_bad_sequence_line(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "t.tree").write_text("edge u v 2\n")
+    (tmp_path / "s.seq").write_text("u\nv\n\nbad point\nv\nbad point\n")
+    code, out, err = run_cli(capsys, "observers", "liminf", "--tree", "t.tree", "--seq", "s.seq", "--basepoint", "u", "--depth", "5")
+    assert code == 64
+    assert "RESULT" not in out and err == "parse error: line 4: bad tree point 'bad point'\n"
+
+
+_TREE4, _POD3 = ["--tree", "t.tree", "--seq", "s.seq"], ["--multipod", "3", "--seq", "m.seq"]
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["liminf", *_TREE4, "--basepoint", "zz", "--depth", "1"], "'zz'"),
+        (["liminf", *_TREE4, "--basepoint", "zz", "--depth", "2"], "'zz'"),
+        (["liminf", *_TREE4, "--basepoint", "zz", "--depth", "4", "--head", "0"], "'zz'"),
+        (["liminf", "--tree", "t.tree", "--seq", "one.seq", "--basepoint", "zz", "--depth", "4", "--head", "0"], "'zz'"),
+        (["extract", *_TREE4, "--basepoint", "zz", "--depth", "1", "--dirs", "auto:2"], "'zz'"),
+        (["liminf", *_POD3, "--basepoint", "arm:7:1/2", "--depth", "1"], "arm 7 out of range"),
+        (["liminf", *_POD3, "--basepoint", "arm:7:1/2", "--depth", "1", "--head", "0"], "arm 7 out of range"),
+        (["extract", *_POD3, "--basepoint", "arm:7:1/2", "--depth", "1", "--dirs", "auto:2"], "arm 7 out of range"),
+    ],
+)
+def test_observers_reject_a_bad_basepoint_at_head_0(tmp_path, capsys, monkeypatch, argv, err):
+    # at head 0 the fold of a one-term window never reaches the basepoint
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "t.tree").write_text("edge a b 1\nedge b c 2\nedge b d 1\n")
+    (tmp_path / "s.seq").write_text("a\nc\nzz\nd\n")
+    (tmp_path / "one.seq").write_text("a\n")
+    (tmp_path / "m.seq").write_text("arm 0 1\narm 1 1/2\n")
+    code, out, stderr = run_cli(capsys, "observers", *argv)
+    assert code == 65
+    assert "RESULT" not in out and stderr == f"parameter error: {err}\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

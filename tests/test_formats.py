@@ -29,7 +29,7 @@ from rtreelab.formats import (
     replay_witness,
     witness_line,
 )
-from rtreelab.oracles import LINE_PLUS, LineOracle, MultipodOracle
+from rtreelab.oracles import LINE_MINUS, LINE_PLUS, LineOracle, MultipodOracle
 from rtreelab.tree import Location
 from rtreelab.words import Basis
 
@@ -95,6 +95,34 @@ def test_parse_sequence_per_oracle():
     tree_pts = parse_sequence("A\nM\nedge B C 1\n", None, tree)
     assert tree_pts[0] == "A"
     assert tree.same_point(tree_pts[2], Location(("B", "C"), 1))
+
+
+def test_parse_sequence_reads_a_repeated_line_as_its_first_occurrence():
+    tree = parse_tree("edge u v 2\nedge v w 1\n")
+    lines = ["u", "edge u v 1/2", "edge v u 1/2", "u", "edge u v 1/2", "edge v u 3/2", "edge v u 1/2", "w"]
+    pts = parse_sequence("\n# a comment\n".join(lines) + "\n", None, tree)
+    assert pts == [parse_oracle_point(line.split(), None, tree) for line in lines]
+    assert pts[1] is pts[4] and pts[2] is pts[6]
+    # the two orientations of one edge are two lines: one point, two Locations
+    assert pts[5] == Location(("v", "u"), Fr(3, 2)) != pts[1] and tree.same_point(pts[1], pts[5])
+    assert not tree.same_point(pts[1], pts[2])
+    assert parse_sequence("1/2\n2/4\n1/2\n-inf\n1/2 \n", LineOracle()) == [Fr(1, 2)] * 3 + [LINE_MINUS, Fr(1, 2)]
+    pod = parse_sequence("arm 0 1\nhub\narm  0  1\narm 0 2/2\nhub\n", MultipodOracle(2))
+    assert pod == [(0, 1), "hub", (0, 1), (0, 1), "hub"]
+
+
+@pytest.mark.parametrize(
+    "text, oracle, error",
+    [
+        ("arm 0 1\nhub\n\narm 0 x\narm 0 1\narm 0 x\n", MultipodOracle(2), "line 4: bad number 'x'"),
+        ("1\n# two\n1\n2 3\n1\n2 3\n", LineOracle(), "line 4: bad line point '2 3'"),
+        ("hub\nhub\nspoke 1\nhub\nspoke 1\n", MultipodOracle(2), "line 3: bad multipod point 'spoke 1'"),
+    ],
+)
+def test_parse_sequence_reports_the_first_bad_line_when_it_repeats(text, oracle, error):
+    with pytest.raises(FormatError) as info:
+        parse_sequence(text, oracle)
+    assert str(info.value) == error
 
 
 def test_parse_oracle_point_colon_form():

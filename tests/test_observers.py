@@ -1,7 +1,7 @@
 import math
 import random
 from fractions import Fraction as Fr
-from itertools import islice
+from itertools import combinations, islice
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -25,7 +25,7 @@ from rtreelab.observers import (
 )
 from rtreelab.formats import format_number, format_point
 from rtreelab.oracles import FiniteTreeOracle, LineOracle, MultipodOracle, LINE_MINUS, LINE_PLUS
-from rtreelab.tree import Location, MetricTree, path_tree, star_tree
+from rtreelab.tree import Location, MetricTree, UnknownPointError, path_tree, star_tree
 
 from helpers import (
     random_tree,
@@ -108,12 +108,12 @@ def test_germ_labels_a_direction_by_its_first_vertex():
     # vertex names that read like labels do not confuse the directions
     tree = MetricTree([("a", "b", 1), ("b", "up", 1), ("b", "down", 2)], [("m", "b", "up", Fr(1, 2))])
     oracle = FiniteTreeOracle(tree)
-    assert [tree.germ("b", p) for p in ("a", "up", "m", "down", "b")] == ["a", "up", "up", "down", None]
-    assert [tree.germ("m", p) for p in ("a", "b", "up", "m")] == ["b", "b", "up", None]
+    assert tree.germs("b", ["a", "up", "m", "down", "b"]) == ["a", "up", "up", "down", None]
+    assert tree.germs("m", ["a", "b", "up", "m"]) == ["b", "b", "up", None]
     assert not in_direction(oracle, direction_of(oracle, "b", "a"), "up")
-    assert LineOracle().germ(0, LINE_PLUS) is True and LineOracle().germ(LINE_PLUS, 0) is False
+    assert LineOracle().germs(0, [LINE_PLUS])[0] is True and LineOracle().germs(LINE_PLUS, [0])[0] is False
     pod = MultipodOracle()
-    assert [pod.germ("hub", (7, 1)), pod.germ((7, Fr(1, 2)), (7, 1)), pod.germ((7, 1), (2, 1))] == [7, "out", "in"]
+    assert [pod.germs("hub", [(7, 1)]), pod.germs((7, Fr(1, 2)), [(7, 1)]), pod.germs((7, 1), [(2, 1)])] == [[7], ["out"], ["in"]]
 
 
 def _float_tree(rng: random.Random) -> MetricTree:
@@ -135,10 +135,10 @@ def _tree_points(tree: MetricTree) -> list:
     return pool
 
 
-@st.composite
-def membership_cases(draw):
-    """(oracle, direction, points) on exact and float trees, the line with
-    ints, Fractions, floats and rays, and finite and infinite multipods."""
+def _oracle_and_points(draw):
+    """An oracle and a strategy for its points: exact and float trees, the
+    line with ints, Fractions, floats and rays, and finite and infinite
+    multipods."""
     kind = draw(st.sampled_from(["exact tree", "float tree", "line", "multipod"]))
     if kind == "line":
         oracle, points = LineOracle(), _LINE_TERMS
@@ -155,8 +155,28 @@ def membership_cases(draw):
         tree = random_tree(rng, 9, edge_points=2) if kind == "exact tree" else _float_tree(rng)
         oracle = FiniteTreeOracle(tree)
         points = st.sampled_from(_tree_points(tree))
+    return oracle, points
+
+
+@st.composite
+def membership_cases(draw):
+    """(oracle, direction, points) over the oracles of _oracle_and_points."""
+    oracle, points = _oracle_and_points(draw)
     d = Direction(draw(points), draw(points))
     return oracle, d, draw(st.lists(points, min_size=1, max_size=8))
+
+
+@st.composite
+def germs_cases(draw):
+    """(oracle, base, points) over the oracles of _oracle_and_points: the
+    list may be empty, repeat its points and hold the base."""
+    oracle, points = _oracle_and_points(draw)
+    base, pts = draw(points), draw(st.lists(points, max_size=8))
+    if pts:
+        pts += draw(st.lists(st.sampled_from(pts), max_size=3))
+    if draw(st.booleans()):
+        pts.append(base)
+    return oracle, base, draw(st.permutations(pts))
 
 
 @settings(max_examples=500, deadline=None)
@@ -170,7 +190,7 @@ def test_germ_membership_agrees_with_the_center_reference(case):
         try:
             expected = reference_in_direction(oracle, d, r)
         except ValueError:
-            assert oracle.germ(d.base, r) is None
+            assert oracle.germs(d.base, [r]) == [None]
             with pytest.raises(ValueError):
                 in_direction(oracle, d, r)
             continue
@@ -184,6 +204,25 @@ def test_germ_membership_agrees_with_the_center_reference(case):
             assert tree.point_on_segment(r, d.base, d.representative) == reference_point_on_segment(
                 tree, r, d.base, d.representative
             )
+
+
+@settings(max_examples=500, deadline=None)
+@given(germs_cases())
+@example((LineOracle(), LINE_PLUS, [math.inf, 3, LINE_MINUS, -math.inf, 3]))
+@example((LineOracle(), Fr(1, 2), [0.5, 1, 0, LINE_PLUS, 1]))
+@example((MultipodOracle(), (4, 1), []))
+@example((MultipodOracle(None, Fr(3, 2)), "hub", [(9, Fr(3, 2)), (9, 0), (2, 1), (9, Fr(3, 2))]))
+def test_germs_partition_the_points_as_the_center_reference(case):
+    # one germs call: None exactly at the base, and two other points share a
+    # label exactly when one lies in the direction of the other
+    oracle, base, points = case
+    labels = oracle.germs(base, points)
+    assert len(labels) == len(points)
+    assert [g is None for g in labels] == [oracle.points_equal(p, base) for p in points]
+    for i, j in combinations(range(len(points)), 2):
+        if labels[i] is not None and labels[j] is not None:
+            expected = reference_in_direction(oracle, Direction(base, points[i]), points[j])
+            assert (labels[i] == labels[j]) == expected
 
 
 # -- liminf ------------------------------------------------------------------
@@ -226,6 +265,26 @@ def test_liminf_empty_sequence_errors(line):
 def test_liminf_rejects_boundary_basepoint(line):
     with pytest.raises(ValueError):
         liminf_from(line, LINE_PLUS, PointSequence([1, 2]), depth=2)
+
+
+def _bad_basepoint_cases():
+    tree = MetricTree([("a", "b", 1), ("b", "c", 2), ("b", "d", 1)])
+    return [
+        (FiniteTreeOracle(tree), "zz", ["a", "c", "zz", "d"], UnknownPointError),
+        (MultipodOracle(3), (7, Fr(1, 2)), [(0, 1), (1, Fr(1, 2)), (2, 1)], ValueError),
+    ]
+
+
+@pytest.mark.parametrize("oracle, basepoint, terms, error", _bad_basepoint_cases())
+def test_liminf_rejects_a_bad_basepoint_the_fold_never_reaches(oracle, basepoint, terms, error):
+    # a window of one term at head 0 folds no center with the basepoint
+    seq = PointSequence(terms)
+    with pytest.raises(error):
+        liminf_from(oracle, basepoint, seq, depth=1)
+    with pytest.raises(error):
+        liminf_from(oracle, basepoint, PointSequence(terms[:1]), depth=4, head=0)
+    with pytest.raises(error):
+        extract_convergent_subsequence(oracle, seq, [Direction(terms[0], terms[1])], 1, basepoint)
 
 
 def test_liminf_basepoint_independent_for_settled_sequences():

@@ -25,6 +25,27 @@ def pod5():
     return MultipodOracle(5)
 
 
+@pytest.mark.parametrize("length", [1, 3, Fr(3, 2), 1.5])
+@pytest.mark.parametrize("kind", [int, Fr, float])
+def test_multipod_offsets_are_checked_against_the_arm_length(length, kind):
+    # 0 is the hub, (0, L] lies on the arm, and anything past either end is refused
+    pod, tiny = MultipodOracle(2, length), {int: 1, Fr: Fr(1, 10**30), float: 5e-324}[kind]
+    ends = [kind(0)] + ([kind(length)] if kind(length) == length else [])
+    inside = [kind(length) / 2] if kind is not int else [kind(1)] * (length > 1)
+    for off in ends + inside:
+        assert pod.canonical((1, off)) == (None if off == 0 else (1, off))
+    assert pod.points_equal((1, kind(0)), "hub") and pod.distance((1, kind(0)), (0, length)) == length
+    if length in ends:
+        assert pod.points_equal((1, length), (1, Fr(length))) and pod.distance((0, length), (1, kind(length))) == 2 * length
+    outside = [kind(0) - tiny, kind(length) + tiny if kind is not float else math.nextafter(length, math.inf)]
+    for off in outside:
+        with pytest.raises(ValueError) as info:
+            pod.canonical((0, off))
+        assert str(info.value) == f"offset {off} outside [0, {length}]"
+    # nan compares false with both ends and with 0: a point on the arm
+    assert pod.canonical((1, math.nan))[0] == 1 and math.isnan(pod.canonical((1, math.nan))[1])
+
+
 def test_line_distance_and_center_are_coordinate_median(line):
     assert line.distance(-2, 3) == 5
     assert line.center(0, 10, 4) == 4

@@ -107,6 +107,16 @@ def test_unknown_point_raises(path_abc):
         path_abc.distance("A", "nope")
 
 
+def test_naming_a_point_adds_no_attribute_to_the_tree():
+    # the name map is made on first use into an attribute set at build time,
+    # so the instance dict keeps the keys every tree shares
+    tree = MetricTree([("A", "B", 2), ("B", "C", 1)], [("M", "A", "B", 1), ("N", "B", "A", 1)])
+    keys = list(vars(tree))
+    assert tree.name_of(Location(("A", "B"), 1)) == "M" and tree.name_of("B") == "B"
+    assert tree.name_of(Location(("A", "B"), Fr(1, 2))) is None
+    assert list(vars(tree)) == keys
+
+
 def test_center_degenerate_pair(path_abc):
     assert path_abc.same_point(path_abc.center("A", "A", "C"), "A")
 
