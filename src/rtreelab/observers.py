@@ -321,36 +321,37 @@ def verify_shape_map(tree_a: MetricTree, tree_b: MetricTree, bijection: dict) ->
     is a named point on one side must be the image/preimage name on the
     other), and ``point_on_segment`` must agree on every ordered named
     triple.  First violation (centers scanned first, sorted order) wins.
+
+    A pass skips both scans: a center is the one point on the three
+    segments of its triple, so equal germ rows, and each point's name mapped
+    to its image's name, keep every center.  The scans only find a witness.
     """
     names_a = tree_a.point_names
     if sorted(bijection) != sorted(names_a):
         raise ShapeMapError("map must be defined exactly on the tree's named points")
-    values = list(bijection.values())
-    if len(set(values)) != len(values):
+    inverse_range = set(bijection.values())
+    if len(inverse_range) != len(bijection):
         raise ShapeMapError("map is not injective")
-    for v in values:
+    for v in bijection.values():
         tree_b.resolve(v)
-    inverse_range = set(values)
     names = sorted(names_a)
+    images = [bijection[p] for p in names]
+    # r lies on [p, q] unless p and q share one germ at r: equal class rows
+    # mean every triple at r agrees
+    rows_a = [_germ_classes(tree_a, r, names) for r in names]
+    rows_b = [_germ_classes(tree_b, r, images) for r in images]
+    if rows_a == rows_b and all(bijection[tree_a.name_of(p)] == tree_b.name_of(q) for p, q in zip(names, images)):
+        return ShapeMapVerdict(True)
 
     # the center of a triple is the deepest of its three pairwise meets, so
     # its name is the name at the meet of a pair with the largest meet
-    images = [bijection[p] for p in names]
     meets_a, at_a = tree_a._meet_names(names)
     meets_b, at_b = tree_b._meet_names(images)
     for i, j, k in combinations(range(len(names)), 3):
         na, nb = _center_name(meets_a, at_a, i, j, k), _center_name(meets_b, at_b, i, j, k)
-        if na is not None:
-            if nb is None or nb != bijection[na]:
-                return ShapeMapVerdict(False, ("center", names[i], names[j], names[k]))
-        else:
-            if nb is not None and nb in inverse_range:
-                return ShapeMapVerdict(False, ("center", names[i], names[j], names[k]))
-    # r lies on [p, q] unless p and q share one germ at r: equal class rows
-    # mean every triple at r agrees, and only a differing row is scanned
-    for r in names:
-        ca = _germ_classes(tree_a, r, names)
-        cb = _germ_classes(tree_b, bijection[r], images)
+        if (nb != bijection[na] if na is not None else nb in inverse_range):
+            return ShapeMapVerdict(False, ("center", names[i], names[j], names[k]))
+    for r, ca, cb in zip(names, rows_a, rows_b):
         if ca == cb:
             continue
         for i, j in product(range(len(names)), repeat=2):

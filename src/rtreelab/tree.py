@@ -14,7 +14,8 @@ each length and offset once, as an integer ratio, and keeps the edge
 lengths only as scaled ints; every check and sum of the build is integer
 work, and Fraction lengths are made only when ``edges``, ``edge_length``
 or a segment asks for them.  Building costs O(V); each query walks parent
-pointers, O(depth).
+pointers, O(depth); the pairwise meets of n points cost n - 1 such walks,
+between preorder neighbours, plus an O(n²) sweep of running minima.
 """
 from __future__ import annotations
 
@@ -144,13 +145,14 @@ class MetricTree:
         self._scale = scale = math.lcm(*dens, *(den for _, den in offsets))
         self._lengths = lengths = {e: num * (scale // den) for (e, num), den in zip(lengths.items(), dens)}
 
-        # the rooted index: parent, depth and scaled root distance per vertex
+        # the rooted index: parent, depth, scaled root distance and preorder rank per vertex
         root = min(adj)
         self._parent: dict[str, str | None] = {root: None}
-        self._depth, self._root = {root: 0}, {root: 0}
-        parent, depth, rooted, stack = self._parent, self._depth, self._root, [root]
+        self._depth, self._root, self._pre = {root: 0}, {root: 0}, {}
+        parent, depth, rooted, pre, stack = self._parent, self._depth, self._root, self._pre, [root]
         while stack:
             x = stack.pop()
+            pre[x] = len(pre)
             below, r = depth[x] + 1, rooted[x]
             for y, e in adj[x]:
                 if y not in parent:
@@ -259,14 +261,19 @@ class MetricTree:
 
     def _meets(self, points: list) -> tuple[list, list[list]]:
         """The addresses of the points and the matrix of their pairwise
-        meets; the diagonal holds each point's own root distance."""
+        meets; the diagonal holds each point's own root distance.  In
+        preorder, ancestors first, a meet is the least of the adjacent meets
+        between the two points (Bender and Farach-Colton's range minimum), so
+        only n - 1 adjacent pairs walk the tree."""
         addr = [self._address(p) for p in points]
-        n, meet = len(addr), self._meet
-        rows = [[a[1]] * n for a in addr]
-        for i, a in enumerate(addr):
-            row = rows[i]
-            for j in range(i + 1, n):
-                row[j] = rows[j][i] = meet(a, addr[j])
+        order = sorted(range(len(addr)), key=lambda i: (self._pre[addr[i][0]], addr[i][1]))
+        steps = [self._meet(addr[i], addr[j]) for i, j in zip(order, order[1:])]
+        rows = [[a[1]] * len(addr) for a in addr]
+        for k, i in enumerate(order):
+            row, m = rows[i], addr[i][1]
+            for j, step in zip(order[k + 1:], steps[k:]):
+                m = step if step < m else m
+                row[j] = rows[j][i] = m
         return addr, rows
 
     def _scaled_distances(self, points: list) -> list[list]:
@@ -428,11 +435,11 @@ class MetricTree:
         exactly: r lies below p when its root path passes through p.
         """
         u, ra = self._address(p)
-        address, parent, depth = self._address, self._parent, self._depth
+        known, address, parent, depth = self._addr.get, self._address, self._parent, self._depth
         up, top, inside = parent[u], depth[u], ra < self._root[u]
         out = []
         for r in points:
-            v, rb = address(r)
+            v, rb = known(r) or address(r)
             child = None
             while depth[v] > top:
                 child, v = v, parent[v]

@@ -723,10 +723,12 @@ class ReferenceTree:
         return None
 
 
-def random_tree(rng: random.Random, max_points: int = 12, edge_points: int = 0) -> MetricTree:
+def random_tree(
+    rng: random.Random, max_points: int = 12, edge_points: int = 0, min_points: int = 2
+) -> MetricTree:
     """Random tree with rational edge lengths (random attachment model) and
     optionally some designated points strictly inside edges."""
-    n = rng.randint(2, max(2, max_points - edge_points))
+    n = rng.randint(min_points, max(min_points, max_points - edge_points))
     edges = []
     for i in range(1, n):
         parent = rng.randrange(i)

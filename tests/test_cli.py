@@ -886,6 +886,28 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     assert "RESULT: pass (delta=0)" in proc.stdout
 
 
+def test_a_closed_output_pipe_exits_141_without_a_traceback():
+    # the read end is closed before the run, so the report's first write
+    # meets a closed pipe however fast the command is
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "rtreelab", "blend", "axioms", "--marking", "a:a,b:ba", "--maxlen", "6"],
+            stdout=write, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+        )
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (141, "")
+
+
 def test_one_parser_serves_every_call_in_a_process(tmp_path, capsys):
     import os
     import subprocess

@@ -731,12 +731,12 @@ def _tiny_tree(rng: random.Random, prefix: str) -> MetricTree:
     return _with_aliases(rng, tree, prefix)
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.sampled_from(["identity", "relengthed", "scrambled", "other tree", "tiny"]))
-def test_shape_map_agrees_with_the_triple_loop_reference(seed, kind):
-    rng = random.Random(seed)
+def _shape_case(rng: random.Random, kind: str) -> tuple[MetricTree, MetricTree, dict]:
+    """Two trees and a bijection of the first one's names into the second."""
     if kind == "tiny":
         t0 = _tiny_tree(rng, "z")
+    elif kind == "relengthed above desk size":
+        t0 = _with_aliases(rng, random_tree(rng, 60, edge_points=rng.randint(0, 3), min_points=30))
     else:
         t0 = _with_aliases(rng, random_tree(rng, 8, edge_points=rng.randint(0, 3)))
     names = sorted(t0.point_names)
@@ -747,7 +747,7 @@ def test_shape_map_agrees_with_the_triple_loop_reference(seed, kind):
         while len(t1.point_names) < len(names):
             t1 = _tiny_tree(rng, "y")
         bijection = dict(zip(names, rng.sample(t1.point_names, len(names))))
-    elif kind == "relengthed":
+    elif kind.startswith("relengthed"):
         t1 = _relengthed(rng, t0)
     elif kind == "scrambled":
         images = names[:]
@@ -758,6 +758,36 @@ def test_shape_map_agrees_with_the_triple_loop_reference(seed, kind):
         while len(t1.point_names) < len(names):
             t1 = _with_aliases(rng, random_tree(rng, 12, edge_points=3))
         bijection = dict(zip(names, rng.sample(t1.point_names, len(names))))
+    elif kind == "vertex-alias swap":
+        # the germ rows of both sides agree, as the swapped names share a
+        # point, but the name of that point maps to its other name
+        vertex = rng.choice(t0.vertices)
+        t0 = t1 = MetricTree(t0.edges, _point_rows(t0, [("w", vertex)]), vertices=t0.vertices)
+        bijection = {n: n for n in t0.point_names} | {vertex: "w", "w": vertex}
+    return t0, t1, bijection
+
+
+SHAPE_KINDS = ["identity", "relengthed", "scrambled", "other tree", "tiny", "vertex-alias swap"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(SHAPE_KINDS))
+def test_shape_map_agrees_with_the_triple_loop_reference(seed, kind):
+    t0, t1, bijection = _shape_case(random.Random(seed), kind)
+    verdict = verify_shape_map(t0, t1, bijection)
+    assert verdict == reference_shape_map(t0, t1, bijection)
+    assert verdict.passes or kind != "identity"
+    assert not verdict.passes or kind != "vertex-alias swap"
+
+
+@settings(max_examples=5, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_shape_map_agrees_with_the_triple_loop_reference_above_desk_size(seed):
+    """The relengthed kind at 30 to 60 points (and up to three aliases),
+    where a pass is decided from germ rows and names alone; the reference
+    makes O(n³) center queries, about a second a case, so few cases run."""
+    t0, t1, bijection = _shape_case(random.Random(seed), "relengthed above desk size")
+    assert 30 <= len(bijection) <= 63
     assert verify_shape_map(t0, t1, bijection) == reference_shape_map(t0, t1, bijection)
 
 

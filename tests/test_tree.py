@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rtreelab.formats import FormatError, format_tree, parse_pair_file, parse_tree
+from rtreelab.hyperbolicity import MetricTable
 from rtreelab.oracles import FiniteTreeOracle
 from rtreelab.tree import (
     Location,
@@ -508,3 +509,42 @@ def test_queries_agree_with_the_slow_reference(case):
         assert tree.midpoint(p, q) == ref.midpoint(p, q)
     for triple in product(queries[:4], repeat=3):
         assert tree.center(*triple) == ref.center(*triple)
+
+
+@settings(max_examples=80, deadline=None)
+@given(trees_with_queries(), st.data())
+def test_pairwise_meets_agree_with_the_slow_reference(case, data):
+    """The pairwise matrices on points in shuffled order with repeats (vertex
+    names, designated names sharing a point, Locations) against the
+    reference: scaled distances, the meet of two root paths as the center of
+    the pair with the root, and the name at that meet."""
+    tree, ref, queries = case
+    points = data.draw(st.permutations([*tree.point_names, *queries, *queries[:2]]))
+    root = min(tree.vertices)
+    scaled = tree._scaled_distances(points)
+    meets, names = tree._meet_names(points)
+    for (i, p), (j, q) in product(enumerate(points), repeat=2):
+        assert scaled[i][j] == ref.distance(p, q) * tree._scale
+        meet = ref.center(p, q, root)
+        assert meets[i][j] == ref.distance(root, meet) * tree._scale
+        assert names[i][j] == ref.name_of(meet)
+    # a table needs distinct points: one name per place
+    distinct = sorted({tree.name_of(p) for p in tree.point_names})
+    table = MetricTable.from_tree(tree, distinct)
+    for p, q in product(distinct, repeat=2):
+        assert table.distance(p, q) == ref.distance(p, q)
+
+
+def test_pairwise_meets_walk_only_adjacent_pairs(monkeypatch):
+    """n points cost at most n - 1 walks up the tree, whatever their order;
+    the rest of the matrix is running minima."""
+    edges = [(f"v{i}", f"v{(i - 1) // 2 if i % 3 else i - 1}", Fr(i % 5 + 1, i % 3 + 1)) for i in range(1, 40)]
+    tree = MetricTree(edges, [("m", "v1", "v4", Fr(1, 3)), ("a", "v7")])
+    points = [*tree.point_names, Location(("v0", "v1"), Fr(1, 7)), "v9", "m", "a"][::-1]
+    walks = []
+    meet = MetricTree._meet
+    monkeypatch.setattr(MetricTree, "_meet", lambda self, a, b: walks.append(1) or meet(self, a, b))
+    for order in (points, sorted(points, key=str), points[::3] + points[1::3] + points[2::3]):
+        walks.clear()
+        tree._meets(order)
+        assert 0 < len(walks) <= len(order) - 1
