@@ -1,12 +1,5 @@
-import os
 import sys
 
-from .cli import main
+from .cli import entry
 
-try:
-    code = main()
-    sys.stdout.flush()
-except BrokenPipeError:  # the reader closed stdout: drop the rest, exit 128 + SIGPIPE
-    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    code = 141
-sys.exit(code)
+sys.exit(entry())

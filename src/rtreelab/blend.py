@@ -113,9 +113,9 @@ class CertifyResult:
 
 def certify_rtree(space: MetricTable) -> CertifyResult:
     """Full certification at delta 0: a tree that reproduces every distance
-    of the table.  The table was realized and replayed when it was built,
-    so only a failed replay costs a scan, for the first violating
-    quadruple; ``realizable`` is then None."""
+    of the table.  Whether the table is a tree metric was settled when it
+    was built, so only a table that is not one costs a scan, for the first
+    violating quadruple; ``realizable`` is then None."""
     if space.realized:
         verdict = HyperbolicityVerdict(True, Fraction(0))
         return CertifyResult(verdict, True, "0-hyperbolic; realized exactly by a finite tree")

@@ -51,13 +51,15 @@ class MetricTable:
     distances times their common denominator ``scale``, built from rows
     (``_load``) or from a tree's integer distances (``from_tree``).
 
-    Every constructor validates eagerly.  The table is realized as a tree
-    from its first point and every distance is replayed against that tree
-    in integers, O(n²).  A row the tree does not reproduce is *off* the
-    tree and left out of it; the other rows form a tree metric, hence a
-    metric with no four-point defect, so every scan visits only tuples that
-    touch ``_off``: the triangle scan costs O(|off|·n² + n²), the defect
-    O(|off|·n³).  With no row off, ``realized`` is set and no scan runs.
+    Every constructor validates eagerly.  A table read from rows is
+    realized as a tree from its first point and every distance is replayed
+    against that tree in integers, O(n²).  A row the tree does not
+    reproduce is *off* the tree and left out of it; the other rows form a
+    tree metric, hence a metric with no four-point defect, so every scan
+    visits only tuples that touch ``_off``: the triangle scan costs
+    O(|off|·n² + n²), the defect O(|off|·n³).  A tree's own distances are
+    a tree metric, so ``from_tree`` has no row off and runs no replay.
+    With no row off, ``realized`` is set and no scan runs.
     """
 
     def __init__(self, distances: Mapping[tuple[str, str], Num]):
@@ -73,7 +75,7 @@ class MetricTable:
         table.points = tuple(sorted(set(tree.point_names if points is None else points)))
         m = tree._scaled_distances(table.points)
         table._check_entries(m)
-        table._adopt(m, tree._scale)
+        table._adopt(m, tree._scale, [])
         return table
 
     def _check_entries(self, m: list[list]) -> None:
@@ -122,22 +124,22 @@ class MetricTable:
                     raise InvalidTableError(f"conflicting distances for {self.points[i]},{self.points[j]}")
                 seen.add((i, j))
         self._check_entries(m)
-        self._adopt(m, scale)
+        self._adopt(m, scale, _attachments(m)[1])
 
-    def _adopt(self, m: list[list], scale: int) -> None:
-        """Take the checked matrix and prove the triangle inequality: by the
-        realization's replay on the rows it reproduces, by the scan on the
-        triangles that touch an off row."""
-        self._m, self.scale = m, scale
+    def _adopt(self, m: list[list], scale: int, off: list[int]) -> None:
+        """Take the checked matrix and its off rows (none for a tree's own
+        distances), and prove the triangle inequality: the other rows form a
+        tree metric, and the scan covers the triangles that touch an off row."""
+        self._m, self.scale, self._off = m, scale, off
         self._index = {name: i for i, name in enumerate(self.points)}
-        self._realization, self._off = _attachments(m)
-        if self._off:
+        if off:
             self._triangle_scan()
 
     @property
     def realized(self) -> bool:
-        """Whether the table's realization reproduced every distance in the
-        integer replay: a tree metric, 0-hyperbolic."""
+        """Whether the table is a tree metric, 0-hyperbolic: its realization
+        reproduced every distance in the integer replay, or it was taken
+        from a tree."""
         return not self._off
 
     def _triangle_scan(self) -> None:
@@ -281,16 +283,16 @@ def reconstruct_tree(space: MetricTable) -> MetricTree:
     splitting an edge with a fresh Steiner vertex (".s1", ".s2", ..., skipping
     table point names) if needed.
 
-    The table was realized and replayed when it was built: a table that a
-    tree reproduces is a tree metric, hence 0-hyperbolic, so no four-point
-    scan runs unless the replay failed, and then the first violating
-    quadruple is raised.
+    Whether the table is a tree metric was settled when it was built, so no
+    four-point scan runs unless it is not, and then the first violating
+    quadruple is raised.  The attachments are computed here, one O(n²)
+    pass.
     """
     if not space.realized:
         witness = first_violation(space, 0)
         assert witness is not None
         raise NotZeroHyperbolicError(witness)
-    return _realize(space, space._realization)
+    return _realize(space, _attachments(space._m)[0])
 
 
 def _attachments(m: list[list]) -> tuple[list[tuple[int, int]], list[int]]:

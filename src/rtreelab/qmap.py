@@ -1,17 +1,17 @@
-"""The boundary-to-tree limit map for pluggable isometric actions.
+"""The boundary-to-tree limit map for the line action.
 
-For an action of the free group on a tree oracle and a boundary point X,
-the orbit of a basepoint along the prefixes of X has an inferior limit
-from that basepoint; this module estimates it at finite depth, compares
+For an action of the free group on a tree and a boundary point X, the
+orbit of a basepoint along the prefixes of X has an inferior limit from
+that basepoint; this module estimates it at finite depth, compares
 estimates across boundary points (fiber checks), searches for conjugacy
 classes of small translation length, and assembles finite dual-lamination
 samples from them.
 
-The bundled sandbox action is the line action: each generator translates
-the real line by its weight.  It is computable and realizes every example
-here, but it does NOT satisfy the dense-orbit/very-small hypotheses the
-theory needs for basepoint independence and continuity (arc stabilizers
-contain the whole kernel of the weight homomorphism); results on it are
+The one action is the line action: each generator translates the real
+line by its weight.  It is computable and realizes every example here,
+but it does NOT satisfy the dense-orbit/very-small hypotheses the theory
+needs for basepoint independence and continuity (arc stabilizers contain
+the whole kernel of the weight homomorphism); results on it are
 estimates with certificates, never unconditional claims.
 
 Its numbers are exact for every weight, ``sqrt:`` weights (the dense-orbit
@@ -27,12 +27,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, combinations
 from operator import mul
-from typing import Callable, Iterable, Protocol, runtime_checkable
+from typing import Callable, Iterable
 
 from .boundary import BoundaryPoint, BoundaryPair, LaminationSample, act
 from .formats import FormatError, parse_number
 from .oracles import LINE_MINUS, LINE_PLUS, LineOracle, Ray, TreeOracle
-from .observers import LiminfResult, PointSequence, liminf_from
+from .observers import PointSequence, liminf_from
 from .surds import LineCode, Surd, coordinates, sign, value_of
 from .words import (
     Basis,
@@ -48,15 +48,6 @@ from .words import (
 
 class EmptyWordError(ValueError):
     pass
-
-
-@runtime_checkable
-class IsometricAction(Protocol):
-    oracle: TreeOracle
-    basepoint: object
-    basis: Basis
-
-    def apply(self, word: str, point): ...
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,39 +149,6 @@ class DenseLineAction:
 
 
 @dataclass(frozen=True)
-class TranslationLength:
-    value: object
-    method: str  # "exact" or "sampled"
-    sample_size: int | None = None
-
-
-def translation_length(action, word: str, sample_size: int = 64) -> TranslationLength:
-    """Translation length of a conjugacy class under an action.
-
-    Exact for actions that provide their own ``translation_length``
-    (e.g. the line action); marked-rose length functions live in
-    ``rtreelab.blend.marked_graph_length``.  Other oracle actions get a
-    lower-bound estimate: the infimum of d(P, w P) over the first
-    ``sample_size`` sample points, with the sample size recorded.
-    """
-    w = cyclic_reduce(word)
-    if not w:
-        raise EmptyWordError("translation length of the empty word")
-    own = getattr(action, "translation_length", None)
-    if own is not None:
-        return TranslationLength(own(w), "exact")
-    best = None
-    count = 0
-    for p in action.oracle.sample_stream():
-        d = action.oracle.distance(p, action.apply(w, p))
-        best = d if best is None else min(best, d)
-        count += 1
-        if count >= sample_size:
-            break
-    return TranslationLength(best, "sampled", count)
-
-
-@dataclass(frozen=True)
 class QEstimate:
     """Estimated limit of the orbit along a boundary word.
 
@@ -209,16 +167,12 @@ class QEstimate:
         return self.certificate <= tol
 
 
-def qmap_estimate(action, x: BoundaryPoint, basepoint=None, depth: int = 10_000) -> QEstimate:
+def qmap_estimate(action: DenseLineAction, x: BoundaryPoint, basepoint=None, depth: int = 10_000) -> QEstimate:
     """Inferior limit, from the basepoint, of the orbit (prefix_i(X)) . P."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
     if basepoint is None:
         basepoint = action.basepoint
-    if not isinstance(action, DenseLineAction):
-        orbit = PointSequence(lambda i: action.apply(x.prefix(i + 1), basepoint))
-        res: LiminfResult = liminf_from(action.oracle, basepoint, orbit, depth)
-        return QEstimate(res.point, res.certificate, "liminf", res.terms_used)
     if x.periodic_form is not None:
         prefix, block = x.periodic_form
         drift = action.mu(block)
@@ -285,7 +239,7 @@ class FiberCheck:
 
 
 def q_fiber_check(
-    action, x: BoundaryPoint, y: BoundaryPoint, depth: int = 10_000, tol: float = 1e-6
+    action: DenseLineAction, x: BoundaryPoint, y: BoundaryPoint, depth: int = 10_000, tol: float = 1e-6
 ) -> FiberCheck:
     e1 = qmap_estimate(action, x, depth=depth)
     e2 = qmap_estimate(action, y, depth=depth)
@@ -305,7 +259,7 @@ class ConjugacyClassRecord:
     vector: tuple[int, ...]  # abelianization
 
 
-def small_words_search(action, epsilon, maxlen: int) -> list[ConjugacyClassRecord]:
+def small_words_search(action: DenseLineAction, epsilon, maxlen: int) -> list[ConjugacyClassRecord]:
     """Every conjugacy class of cyclically reduced words of length <= maxlen
     with translation length < epsilon, one canonical representative each,
     sorted by (translation length, word length, lexicographic)."""
@@ -342,7 +296,7 @@ def min_positive_translation(action: DenseLineAction, maxlen: int):
 
 
 def dual_lamination_sample(
-    action, epsilon, maxlen: int, depth: int = 1000, tol: float = 1e-6
+    action: DenseLineAction, epsilon, maxlen: int, depth: int = 1000, tol: float = 1e-6
 ) -> LaminationSample:
     """Pairs (w^inf, w^-inf) for every small-translation-length class, with
     per-pair fiber residuals; flip-closed by construction.
@@ -396,7 +350,7 @@ class ContinuityProbe:
 
 
 def q_continuity_probe(
-    action, x: BoundaryPoint, k: int, depth: int = 10_000, continuations: Iterable[str] | None = None
+    action: DenseLineAction, x: BoundaryPoint, k: int, depth: int = 10_000, continuations: Iterable[str] | None = None
 ) -> ContinuityProbe:
     """Maximal separation of limit estimates over a deterministic family of
     boundary points sharing prefix(k) with X.
@@ -434,7 +388,7 @@ def q_continuity_probe(
     return ContinuityProbe(k, base, tuple(results), worst)
 
 
-def equivariance_check(action, word: str, x: BoundaryPoint, depth: int = 10_000):
+def equivariance_check(action: DenseLineAction, word: str, x: BoundaryPoint, depth: int = 10_000):
     """Separation between the limit of w.X and w applied to the limit of X."""
     word = reduce_word(word, action.basis)
     lhs = qmap_estimate(action, act(word, x), depth=depth).point

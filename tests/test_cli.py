@@ -331,6 +331,16 @@ def test_blend_metric(tmp_path, capsys):
     assert "edge B C 3/2" in out
 
 
+def test_blend_metric_with_a_point_at_a_vertex(tmp_path, capsys):
+    """The point blends as the vertex it sits at; the blend's table then
+    names that point twice, which it refuses."""
+    pair = tmp_path / "pair.txt"
+    pair.write_text(PAIR_FILE + "point P A B 0 0\n")
+    code, out, err = run_cli(capsys, "blend", "metric", "--pair", str(pair), "--lambda", "1/3")
+    assert (code, err) == (65, "parameter error: d(A,P) must be positive\n")
+    assert out == f"rtreelab blend metric\nconfig: lambda=1/3 pair={pair} seed=0\n"
+
+
 def test_blend_metric_rejects_bad_lambda(tmp_path, capsys):
     pair = tmp_path / "pair.txt"
     pair.write_text(PAIR_FILE)
@@ -887,25 +897,31 @@ def test_python_dash_m_runs_the_cli(tmp_path):
 
 
 def test_a_closed_output_pipe_exits_141_without_a_traceback():
-    # the read end is closed before the run, so the report's first write
+    # the read end is closed before each run, so the report's first write
     # meets a closed pipe however fast the command is
     import os
     import subprocess
     import sys
+    import tomllib
     from pathlib import Path
 
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
-    read, write = os.pipe()
-    os.close(read)
-    try:
-        proc = subprocess.run(
-            [sys.executable, "-m", "rtreelab", "blend", "axioms", "--marking", "a:a,b:ba", "--maxlen", "6"],
-            stdout=write, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
-        )
-    finally:
-        os.close(write)
-    assert (proc.returncode, proc.stderr) == (141, "")
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    # the console script imports its target and exits with what it returns
+    target = tomllib.loads((root / "pyproject.toml").read_text())["project"]["scripts"]["rtreelab"]
+    module, function = target.split(":")
+    script = f"import sys; from {module} import {function}; sys.exit({function}())"
+    for launch in (["-m", "rtreelab"], ["-m", "rtreelab.cli"], ["-c", script]):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run(
+                [sys.executable, *launch, "blend", "axioms", "--marking", "a:a,b:ba", "--maxlen", "6"],
+                stdout=write, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+            )
+        finally:
+            os.close(write)
+        assert (launch[1], proc.returncode, proc.stderr) == (launch[1], 141, "")
 
 
 def test_one_parser_serves_every_call_in_a_process(tmp_path, capsys):

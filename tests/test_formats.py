@@ -4,7 +4,7 @@ from fractions import Fraction as Fr
 from itertools import accumulate, combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rtreelab.formats import (
     _CHUNK,
@@ -375,8 +375,10 @@ def _chunked_table(rng, fault, newline):
     elif fault == "bad number":
         lines[at] = lines[at].split("#")[0].rsplit(" ", 1)[0] + " " + rng.choice(["1/0", "1.2.3", "1" * 5000])
     elif fault == "bad number before bad row":
-        at_number = rng.randrange(boundary - 1)  # padded, so the boundary stays
-        lines[at_number] = "dist p1 p2 --1".ljust(len(lines[at_number]))
+        bad = "dist p1 p2 --1"
+        # over a line at least as long, padded, so the boundary stays
+        at_number = rng.choice([i for i in range(boundary - 1) if len(lines[i]) >= len(bad)])
+        lines[at_number] = bad.ljust(len(lines[at_number]))
         lines.insert(at, "dist p1 p2")
     elif fault == "conflicts":  # the last rows of their orders, so they stand
         for p, q in rng.sample(list(combinations(sorted(xs), 2)), 2):
@@ -385,6 +387,7 @@ def _chunked_table(rng, fault, newline):
 
 
 @settings(max_examples=15, deadline=None)
+@example(fault="bad number before bad row", newline="\n", seed=35578)
 @given(
     st.sampled_from(["none", "bad row", "bad number", "bad number before bad row", "conflicts"]),
     st.sampled_from(["\n", "\r\n", "\x85", "mixed"]),

@@ -514,6 +514,27 @@ def test_off_tree_kernels_agree_with_the_full_integer_scans(family, n, seed):
         assert first_violation(table, delta) == expected
 
 
+def test_only_a_table_read_from_rows_replays_its_distances(monkeypatch):
+    """A tree's own distances are a tree metric by construction, so
+    from_tree runs no replay; a table from a mapping or from rows runs one,
+    and reconstruct_tree one for its attachments."""
+    import rtreelab.hyperbolicity as hyperbolicity
+    from rtreelab.formats import format_number, parse_table
+
+    calls = []
+    replay = hyperbolicity._attachments
+    monkeypatch.setattr(hyperbolicity, "_attachments", lambda m: calls.append("replay") or replay(m))
+    table = MetricTable.from_tree(MetricTree(_random_edges(random.Random(61), 12)))
+    assert calls == [] and table.realized
+    distances = {(x, y): table.distance(x, y) for x, y in combinations(table.points, 2)}
+    from_mapping = MetricTable(distances)
+    assert calls == ["replay"] and from_mapping.realized and from_mapping._off == []
+    parse_table("".join(f"dist {x} {y} {format_number(v)}\n" for (x, y), v in distances.items()))
+    assert calls == ["replay"] * 2
+    reconstruct_tree(table)
+    assert calls == ["replay"] * 3
+
+
 def test_a_realized_table_runs_no_four_point_scan():
     table = MetricTable.from_tree(MetricTree(_random_edges(random.Random(60), 60)))
     assert table.realized and len(table.points) == 60

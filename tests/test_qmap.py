@@ -34,7 +34,6 @@ from rtreelab.qmap import (
     q_fiber_check,
     qmap_estimate,
     small_words_search,
-    translation_length,
 )
 from rtreelab.surds import Surd
 from rtreelab.words import (
@@ -101,11 +100,6 @@ def test_translation_length_empty_word_errors(irr_action):
         irr_action.translation_length("aA")
 
 
-def test_translation_length_wrapper_exact_flag(irr_action):
-    res = translation_length(irr_action, "a")
-    assert res.method == "exact" and res.value == 1
-
-
 def test_translation_length_is_class_function(irr_action):
     rng = random.Random(0)
     words = cyclically_reduced_words(B2, 8)
@@ -116,21 +110,6 @@ def test_translation_length_is_class_function(irr_action):
         u = rng.choice(["a", "b", "ab", "BA"])
         assert irr_action.translation_length(u + w + invert_word(u)) == tl
         assert irr_action.translation_length(invert_word(w)) == tl
-
-
-def test_generic_action_translation_is_sampled_lower_bound(irr_action):
-    class BareAction:
-        oracle = irr_action.oracle
-        basis = B2
-        basepoint = 0
-
-        def apply(self, word, point):
-            return irr_action.apply(word, point)
-
-    res = translation_length(BareAction(), "a", sample_size=8)
-    assert res.method == "sampled"
-    assert res.sample_size == 8
-    assert res.value <= 1  # lower-bound estimate
 
 
 # -- small words ------------------------------------------------------------------
@@ -657,6 +636,5 @@ def test_line_action_agrees_with_the_slow_reference(case):
         expected = reference_translation_length(action, w)
         assert same(action.translation_length(w), expected)
         assert type(action.translation_length(w)) is type(expected)
-        assert same(translation_length(action, w).value, expected)
         assert same(line_length(w), expected)
         assert line_length.length(abelianization(w, basis)) / Fr(line_length.unit) == expected
