@@ -43,7 +43,7 @@ from .qmap import (
     qmap_estimate,
     small_words_search,
 )
-from .words import Basis, cyclically_reduced_words
+from .words import Basis, _keyed_cyclic_words
 
 PASS, FAIL, INCONCLUSIVE, PARSE_ERROR, BAD_PARAMS = 0, 1, 2, 64, 65
 
@@ -412,12 +412,16 @@ def run_blend_lengths(args, out) -> int:
             {s: lam * a1.weights[s] + (1 - lam) * a0.weights[s] for s in a0.basis.symbols},
             a0.basis,
         )
-        lf0 = length_function_from_line_action(a0)
-        lf1 = length_function_from_line_action(a1)
-        lfb = length_function_from_line_action(blend_action)
+        lf0, lf1, lfb = map(length_function_from_line_action, (a0, a1, blend_action))
         if args.maxlen < 1:
             raise ParameterError("maxlen must be >= 1")
-        words = cyclically_reduced_words(a0.basis, args.maxlen)
+        # the lengths are functions of the letter counts: the largest word
+        # per key gives the deviation and word of a scan of every word
+        largest: dict[int, str] = {}
+        for checked, (w, key) in enumerate(_keyed_cyclic_words(a0.basis, args.maxlen), 1):
+            if w > largest.get(key, ""):
+                largest[key] = w
+        words = list(largest.values())
     elif args.table0 and args.table1 and args.tableb:
         t0 = formats.parse_length_table(_read(args.table0))
         t1 = formats.parse_length_table(_read(args.table1))
@@ -425,17 +429,16 @@ def run_blend_lengths(args, out) -> int:
         words = sorted(set(t0) & set(t1) & set(tb), key=lambda w: (len(w), w))
         if not words:
             raise ParameterError("length tables share no words")
+        checked = len(words)
         lf0, lf1, lfb = map(length_function_from_table, (t0, t1, tb))
     else:
         raise ParameterError("need --weights0/--weights1 or --table0/--table1/--tableb")
     deviation, worst_word = affine_deviation(lf0, lf1, lfb, lam, words)
-    out.append(f"words checked: {len(words)}")
+    out.append(f"words checked: {checked}")
     out.append(f"max deviation: {format_number(deviation)}")
     if deviation <= tol:
         out.append("RESULT: pass")
         return PASS
-    if worst_word is None:
-        raise ParameterError("no words to check")
     out.append(f"RESULT: fail -- blend is not the affine combination (word {worst_word})")
     out.append(
         formats.witness_line(

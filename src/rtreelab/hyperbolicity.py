@@ -72,7 +72,9 @@ class MetricTable:
     @classmethod
     def from_tree(cls, tree: MetricTree, points=None) -> "MetricTable":
         table = cls.__new__(cls)
-        table.points = tuple(sorted(set(tree.point_names if points is None else points)))
+        # by default one name per place, as name_of picks it
+        names = tree._names_by_address().values() if points is None else points
+        table.points = tuple(sorted(set(names)))
         m = tree._scaled_distances(table.points)
         table._check_entries(m)
         table._adopt(m, tree._scale, [])

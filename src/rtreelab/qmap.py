@@ -36,8 +36,8 @@ from .observers import PointSequence, liminf_from
 from .surds import LineCode, Surd, coordinates, sign, value_of
 from .words import (
     Basis,
+    _keyed_class_representatives,
     abelianization,
-    class_representatives,
     cyclic_reduce,
     enumerate_integer_vectors,
     invert_word,
@@ -265,12 +265,18 @@ def small_words_search(action: DenseLineAction, epsilon, maxlen: int) -> list[Co
     sorted by (translation length, word length, lexicographic)."""
     if maxlen < 1:
         raise ValueError("maxlen must be >= 1")
-    # a representative's translation length is |mu| of its letter counts
-    vectors = {w: abelianization(w, action.basis) for w in class_representatives(action.basis, maxlen)}
-    short = action.shorter_than(epsilon)
-    lengths = {vec: abs(action.mu_of_vector(vec)) for vec in set(vectors.values()) if short(vec)}
-    records = [ConjugacyClassRecord(w, lengths[vec], vec) for w, vec in vectors.items() if vec in lengths]
-    return sorted(records, key=lambda r: (r.translation_length, len(r.word), r.word))
+    # a representative's translation length is |mu| of its letter counts:
+    # one test per key, and None for a key that is not short
+    short, found, records = action.shorter_than(epsilon), {}, []
+    for w, key in _keyed_class_representatives(action.basis, maxlen):
+        if key not in found:
+            vec = abelianization(w, action.basis)
+            found[key] = (abs(action.mu_of_vector(vec)), vec) if short(vec) else None
+        if found[key]:
+            records.append(ConjugacyClassRecord(w, *found[key]))
+    rank = {tl: i for i, tl in enumerate(sorted({r.translation_length for r in records}))}
+    # the representatives come in (length, lex) order, and the sort is stable
+    return sorted(records, key=lambda r: rank[r.translation_length])
 
 
 def min_positive_translation(action: DenseLineAction, maxlen: int):

@@ -125,36 +125,61 @@ def abelianization(word: str, basis: Basis) -> tuple[int, ...]:
     return tuple(map(sub, map(word.count, basis.symbols), map(word.count, basis.alphabet[basis.rank :])))
 
 
+def _steps(basis: Basis, maxlen: int) -> dict[str, int]:
+    """Each letter's step, +-B^k for generator k with B = 2*maxlen + 1.  The
+    key of a word of length <= maxlen is the sum of its letters' steps; its
+    letter counts are the balanced base-B digits of the key, so two words
+    share a key exactly when their abelianizations are equal."""
+    steps = {s: (2 * maxlen + 1) ** k for k, s in enumerate(basis.symbols)}
+    return steps | {s.upper(): -step for s, step in steps.items()}
+
+
+def _keyed_reduced_words(basis: Basis, maxlen: int):
+    """Every reduced word of length 1..maxlen and its key, by (length, lex)."""
+    steps = _steps(basis, maxlen)
+    # the empty word is followed by every letter
+    after = {x: [(c, steps[c]) for c in cs] for x, cs in ({"": sorted(steps)} | basis.followers).items()}
+    level = [("", 0)]
+    for n in range(maxlen):
+        # a sorted level extended in sorted order is sorted; the last one streams
+        grown = ((w + c, key + s) for w, key in level for c, s in after[w[-1:]])
+        level = grown if n == maxlen - 1 else list(grown)
+        yield from level
+
+
+def _keyed_cyclic_words(basis: Basis, maxlen: int):
+    # the words are reduced, so only the two end letters can cancel
+    return ((w, key) for w, key in _keyed_reduced_words(basis, maxlen) if w[0] != _INV[w[-1]])
+
+
+def _keyed_class_representatives(basis: Basis, maxlen: int):
+    """The least rotation of every cyclically reduced word of length
+    1..maxlen and its key, by (length, lex).  Necklace generation
+    (Fredricksen-Kessler-Maiorana; Duval 1988): a prenecklace w carries the
+    length p of its longest Lyndon prefix, grows by letters c >= w[-p], and
+    is a necklace when p divides len(w)."""
+    steps, after = _steps(basis, maxlen), basis.followers
+    level = [(c, 1, steps[c]) for c in after]
+    for n in range(1, maxlen + 1):
+        yield from ((w, key) for w, p, key in level if n % p == 0 and w[0] != _INV[w[-1]])
+        if n < maxlen:
+            grow = ((w, p, key, c) for w, p, key in level for c in after[w[-1]] if c >= w[-p])
+            level = [(w + c, n + 1 if c > w[-p] else p, key + steps[c]) for w, p, key, c in grow]
+
+
 def reduced_words(basis: Basis, maxlen: int) -> list[str]:
     """All reduced words of length 1..maxlen, ordered by (length, lex)."""
-    after = basis.followers
-    out: list[str] = []
-    for n in range(maxlen):
-        # a sorted level extended in sorted order is sorted
-        level = [w + c for w in level for c in after[w[-1]]] if n else list(after)
-        out.extend(level)
-    return out
+    return [w for w, _ in _keyed_reduced_words(basis, maxlen)]
 
 
 def class_representatives(basis: Basis, maxlen: int) -> list[str]:
-    """The least rotation of every cyclically reduced word of length
-    1..maxlen, once each, ordered by (length, lex): one per nontrivial
-    conjugacy class.  Necklace generation (Fredricksen-Kessler-Maiorana;
-    Duval 1988): a prenecklace w carries the length p of its longest Lyndon
-    prefix, grows by letters c >= w[-p], and is a necklace when p divides len(w)."""
-    after = basis.followers
-    out: list[str] = []
-    level = [(c, 1) for c in after]
-    for n in range(1, maxlen + 1):
-        out.extend(w for w, p in level if n % p == 0 and w[0] != _INV[w[-1]])
-        if n < maxlen:
-            level = [(w + c, n + 1 if c > w[-p] else p) for w, p in level for c in after[w[-1]] if c >= w[-p]]
-    return out
+    """One word per nontrivial conjugacy class of length 1..maxlen: the
+    least rotation of each cyclically reduced word, by (length, lex)."""
+    return [w for w, _ in _keyed_class_representatives(basis, maxlen)]
 
 
 def cyclically_reduced_words(basis: Basis, maxlen: int) -> list[str]:
-    # the words are reduced, so only the two end letters can cancel
-    return [w for w in reduced_words(basis, maxlen) if w[0] != _INV[w[-1]]]
+    return [w for w, _ in _keyed_cyclic_words(basis, maxlen)]
 
 
 def commutator(u: str, v: str) -> str:

@@ -2,16 +2,24 @@
 tables, pairs, and sequences."""
 import math
 import random
+import re
 from fractions import Fraction as Fr
 from itertools import combinations, product
 
-from rtreelab.blend import AxiomVerdict, AxiomWitness, CompatibleMetricPair, IncompatiblePairError
+from rtreelab.blend import (
+    AxiomVerdict,
+    AxiomWitness,
+    CompatibleMetricPair,
+    IncompatiblePairError,
+    affine_deviation,
+    length_function_from_line_action,
+)
 from rtreelab.boundary import BoundaryFormatError
 from rtreelab.formats import FormatError, format_number, witness_line
 from rtreelab.hyperbolicity import FourPointWitness, InvalidTableError, MetricTable
 from rtreelab.observers import Direction, LiminfResult, ShapeMapVerdict
 from rtreelab.oracles import LINE_MINUS, LINE_PLUS, Ray
-from rtreelab.qmap import ConjugacyClassRecord, EmptyWordError, QEstimate
+from rtreelab.qmap import ConjugacyClassRecord, DenseLineAction, EmptyWordError, QEstimate, line_action_from_weights
 from rtreelab.tree import Location, MetricTree, SegmentPiece, canonical_edge
 from rtreelab.words import (
     Basis,
@@ -64,8 +72,10 @@ class ReferenceTable:
 
 def reference_parse_table(text: str) -> ReferenceTable:
     """Slow reference for formats.parse_table: every line split up front,
-    every literal read by Fraction(text), a dict keyed by the pair as
-    written (a repeated row keeps its last value), then ReferenceTable."""
+    every literal read by Fraction(text) unless its decimal exponent is
+    above 4300 (a bad number, as formats documents), a dict keyed by the
+    pair as written (a repeated row keeps its last value), then
+    ReferenceTable."""
     d = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         fields = raw.split("#", 1)[0].split()
@@ -74,6 +84,9 @@ def reference_parse_table(text: str) -> ReferenceTable:
         if fields[0] != "dist" or len(fields) != 4:
             raise FormatError(f"line {lineno}: expected 'dist <x> <y> <value>'")
         try:
+            exponent = re.search(r"e[+-]?([\d_]+)$", fields[3], re.IGNORECASE)
+            if exponent and int(exponent[1]) > 4300:
+                raise ValueError(fields[3])
             d[(fields[1], fields[2])] = Fr(fields[3])
         except (ValueError, ZeroDivisionError) as exc:
             raise FormatError(f"bad number {fields[3]!r}") from exc
@@ -472,6 +485,23 @@ def reference_small_words(action, epsilon, maxlen: int) -> list:
             records.append(ConjugacyClassRecord(rep, tl, abelianization(rep, action.basis)))
     records.sort(key=lambda r: (r.translation_length, len(r.word), r.word))
     return records
+
+
+def reference_blend_lengths(weights0: str, weights1: str, lam, maxlen: int, tol=0) -> tuple[int, list[str]]:
+    """Slow reference for ``blend lengths --weights0/--weights1``: the exit
+    code and the report lines after the header, from affine_deviation over
+    every cyclically reduced word, each counted from its string."""
+    a0, a1 = (line_action_from_weights(t.split(",")) for t in (weights0, weights1))
+    blend = DenseLineAction({s: lam * a1.weights[s] + (1 - lam) * a0.weights[s] for s in a0.basis.symbols}, a0.basis)
+    lf0, lf1, lfb = map(length_function_from_line_action, (a0, a1, blend))
+    words = [w for w in reduced_words(a0.basis, maxlen) if is_cyclically_reduced(w)]
+    deviation, word = affine_deviation(lf0, lf1, lfb, lam, words)
+    lines = [f"words checked: {len(words)}", f"max deviation: {format_number(deviation)}"]
+    if deviation <= tol:
+        return 0, lines + ["RESULT: pass"]
+    values = {"word": word, "lambda": lam, "lf0": lf0(word), "lf1": lf1(word), "blend": lfb(word), "tol": tol}
+    lines.append(f"RESULT: fail -- blend is not the affine combination (word {word})")
+    return 1, lines + [witness_line("affine_deviation", values)]
 
 
 def reference_qmap_estimate(action, x, basepoint=None, depth: int = 10_000) -> QEstimate:

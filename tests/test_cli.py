@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import random
@@ -5,7 +7,7 @@ from fractions import Fraction as Fr
 from itertools import combinations
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from rtreelab.cli import main
 from rtreelab.formats import FormatError, format_number
@@ -332,13 +334,29 @@ def test_blend_metric(tmp_path, capsys):
 
 
 def test_blend_metric_with_a_point_at_a_vertex(tmp_path, capsys):
-    """The point blends as the vertex it sits at; the blend's table then
-    names that point twice, which it refuses."""
+    """The point blends as the vertex it sits at, and the blend's table
+    takes the place once, under the vertex name."""
     pair = tmp_path / "pair.txt"
     pair.write_text(PAIR_FILE + "point P A B 0 0\n")
     code, out, err = run_cli(capsys, "blend", "metric", "--pair", str(pair), "--lambda", "1/3")
-    assert (code, err) == (65, "parameter error: d(A,P) must be positive\n")
-    assert out == f"rtreelab blend metric\nconfig: lambda=1/3 pair={pair} seed=0\n"
+    assert (code, err) == (0, "")
+    assert out == (
+        f"rtreelab blend metric\nconfig: lambda=1/3 pair={pair} seed=0\n"
+        "edge A B 5/3\nedge B C 5/3\npoint P A B 0\n"
+        "certification: 0-hyperbolic; realized exactly by a finite tree\nRESULT: pass\n"
+    )
+
+
+def test_certify_tree_with_a_point_at_a_vertex(tmp_path, capsys):
+    path = tmp_path / "tree.txt"
+    path.write_text(PATH_TREE + "point P A B 0\n")
+    code, out, err = run_cli(capsys, "certify", "--tree", str(path))
+    assert (code, err) == (0, "")
+    assert out == (
+        f"rtreelab certify\nconfig: delta=0 tree={path} seed=0\nloaded tree: 3 vertices, 2 edges\n"
+        "four-point defect: 0\nrealization: 0-hyperbolic; realized exactly by a finite tree\n"
+        "RESULT: pass (delta=0)\n"
+    )
 
 
 def test_blend_metric_rejects_bad_lambda(tmp_path, capsys):
@@ -509,6 +527,32 @@ def test_blend_lengths_failing_report_bytes(case, capsys):
         f"config: lambda={lam} maxlen={maxlen} tol=0 weights0={w0} weights1={w1} seed=0\n"
         + LENGTHS_REPORTS[case]
     )
+
+
+BLEND_WEIGHTS = ["1", "3", "1/2", "-2", "-7/3", "sqrt:2", "sqrt:12"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(2, 3).flatmap(lambda n: st.tuples(*[st.lists(st.sampled_from(BLEND_WEIGHTS), min_size=n, max_size=n)] * 2)),
+    st.sampled_from(["0", "1/2", "3/10", "1"]),
+    st.integers(1, 4),
+)
+# ties: with -w0 every key of the largest |mu0| attains the deviation, and
+# with 2*w0 every word attains 0 (shown through a negative tol)
+@example((["1", "1"], ["-1", "-1"]), "3/10", 4)
+@example((["1", "3", "1/2"], ["2", "6", "1"]), "3/10", 3)
+@example((["1", "sqrt:2"], ["2", "3"]), "1/3", 4)
+@example((["1", "3"], ["2", "-5"]), "3/10", 5)
+def test_blend_lengths_reports_as_the_per_word_reference(weights, lam, maxlen):
+    w0, w1 = (",".join(w) for w in weights)
+    tol = "-1" if w0 == "1,3,1/2" else "0"
+    argv = ["blend", "lengths", f"--weights0={w0}", f"--weights1={w1}", "--lambda", lam, "--maxlen", str(maxlen)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([*argv, "--tol", tol])
+    expected = helpers.reference_blend_lengths(w0, w1, Fr(lam), maxlen, Fr(tol))
+    assert (code, out.getvalue().splitlines()[2:], err.getvalue()) == (*expected, "")
 
 
 def test_action_file_input(tmp_path, capsys):

@@ -338,6 +338,8 @@ _TOKEN_LITERALS = st.one_of(
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(_TOKEN_LITERALS, min_size=3, max_size=6))
+@example(["5e7669", "65536/11", "8970"])
+@example(["0", "0e4301", "x"])
 def test_table_literals_read_as_the_reference_reads_them(literals):
     """A column of literals, read at once when every one is an unsigned
     ASCII p or p/q, else one by one: the reference's values or first error."""

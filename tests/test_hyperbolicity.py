@@ -413,9 +413,14 @@ def test_from_tree_matrix_matches_pairwise_tree_distances(floats, seed):
 
 
 def test_from_tree_two_names_on_one_point_is_rejected():
-    tree = MetricTree([("a", "b", Fr(3, 2)), ("b", "c", 2)], [("x", "b")])
+    """Two names of one place, given as points, are refused; by default the
+    table names each place once, as name_of does."""
+    tree = MetricTree([("a", "b", Fr(3, 2)), ("b", "c", 2)], [("x", "b"), ("y", "b", "c", 1), ("z", "c", "b", 1)])
     with pytest.raises(InvalidTableError, match=r"^d\(b,x\) must be positive$"):
-        MetricTable.from_tree(tree)
+        MetricTable.from_tree(tree, tree.point_names)
+    table = MetricTable.from_tree(tree)
+    assert table.points == ("a", "b", "c", "y")
+    assert table.points == tuple(sorted({tree.name_of(p) for p in tree.point_names}))
 
 
 # -- the off-tree kernels at 12-40 points against the full integer scans -----------------

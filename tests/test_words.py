@@ -1,12 +1,14 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from helpers import canonical_rotation, reference_reduced_words
 from rtreelab.qmap import DenseLineAction
 from rtreelab.words import (
     Basis,
+    _keyed_class_representatives,
+    _keyed_reduced_words,
     UnknownSymbolError,
     abelianization,
     class_representatives,
@@ -144,6 +146,26 @@ def test_class_representatives_are_the_least_rotations(case):
         canonical_rotation(w) for w in reduced_words(basis, maxlen) if is_cyclically_reduced(w)
     }
     assert class_representatives(basis, maxlen) == sorted(classes, key=lambda w: (len(w), w))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 4), st.integers(1, 6))
+@example(4, 6)
+@example(2, 1)
+def test_two_words_share_a_key_exactly_when_their_abelianizations_agree(rank, maxlen):
+    """Over every enumerated word, key and abelianization determine each
+    other.  The words include each generator's powers, whose letter count
+    reaches +-maxlen, and words such as A^(maxlen-1)b beside them."""
+    basis = Basis(rank)
+    for keyed in (_keyed_reduced_words, _keyed_class_representatives):
+        by_key, by_vector = {}, {}
+        for w, key in keyed(basis, maxlen):
+            vector = abelianization(w, basis)
+            assert by_key.setdefault(key, vector) == vector, (w, key)
+            assert by_vector.setdefault(vector, key) == key, (w, vector)
+        extremes = {tuple(n * (i == k) for i in range(rank)) for k in range(rank) for n in (maxlen, -maxlen)}
+        assert extremes <= by_vector.keys()
+        assert (1 - maxlen, 1) + (0,) * (rank - 2) in by_vector
 
 
 def test_cyclically_reduced_enumeration_matches_filter():
