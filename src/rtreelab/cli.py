@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import os
 import sys
 from fractions import Fraction
@@ -28,6 +29,7 @@ from .boundary import BoundaryPair, parse_boundary_point
 from .formats import FormatError, format_number
 from .hyperbolicity import MetricTable, first_violation, max_four_point_defect
 from .observers import (
+    Direction,
     PointSequence,
     converges_obs,
     extract_convergent_subsequence,
@@ -184,11 +186,6 @@ def run_segment(args, out) -> int:
     return PASS
 
 
-def _sequence_from_args(args, oracle, tree):
-    pts = formats.parse_sequence(_read(args.seq), oracle, tree)
-    return PointSequence(pts)
-
-
 def _directions_from_arg(text, oracle, tree):
     """A directions file, or ``auto:<k>``: the subbasis from k sample points."""
     if not text.startswith("auto:"):
@@ -202,20 +199,68 @@ def _directions_from_arg(text, oracle, tree):
     return subbasis_from_sample(oracle, oracle.sample_stream(), k)
 
 
+# the most bits the distinct denominators may have in all, a bound on S: timed
+# on both paths, every command runs faster on the grid at 2048 bits, and
+# liminf on the line runs slower than on Fractions at 4096
+_GRID_BITS = 2048
+
+
+class _Grid:
+    """A line or multipod command's points on one integer grid: coordinates
+    and offsets times S, the lcm of their denominators, and arms of length S.
+    The homothety keeps centers, germs and ties, so the observers run on
+    ints; a reported value is divided by S.  A tree, a multipod with a point
+    off its arms (its error names that offset), or denominators past
+    ``_GRID_BITS`` keep their values."""
+
+    def __init__(self, oracle, points, dirs=()):
+        self.oracle, self.scale, self._on = oracle, None, {}
+        if isinstance(oracle, FiniteTreeOracle):
+            return
+        line = isinstance(oracle, LineOracle)
+        points = {*points, *(p for d in dirs for p in (d.base, d.representative))}
+        # the coordinate or offset of each point but the hub and the line's ends, as an integer ratio
+        ratios = {p: x if isinstance(x, tuple) else x.as_integer_ratio()
+                  for p in points if isinstance(p, (tuple, int, Fraction)) for x in [p if line else p[1]]}
+        dens = {d for _, d in ratios.values()}
+        fits = line or all(0 <= p[0] < oracle.arms and 0 <= n <= d * oracle.arm_length for p, (n, d) in ratios.items())
+        if fits and sum(d.bit_length() for d in dens) <= _GRID_BITS:
+            self.scale = scale = math.lcm(*dens)
+            self.oracle = LineOracle() if line else MultipodOracle(oracle.arms, scale)
+            numbers = {p: n * (scale // d) for p, (n, d) in ratios.items()}
+        else:
+            numbers = {p: Fraction(n, d) for p, (n, d) in ratios.items()}
+        self._on = on = {p: x if line else (p[0], x) for p, x in numbers.items()}
+        on |= {d: Direction(on.get(d.base, d.base), on.get(d.representative, d.representative)) for d in dirs}
+
+    def on(self, x):
+        """A point or direction on the grid."""
+        return self._on.get(x, x)
+
+    def off(self, x):
+        """A point or distance of the grid in file units."""
+        if self.scale is None or not isinstance(x, (int, Fraction, tuple)):
+            return x
+        return (x[0], Fraction(x[1], self.scale)) if isinstance(x, tuple) else Fraction(x, self.scale)
+
+
 def run_observers_liminf(args, out) -> int:
     oracle, tree = _oracle_from_args(args)
-    seq = _sequence_from_args(args, oracle, tree)
-    basepoint = formats.parse_oracle_point(args.basepoint, oracle, tree)
+    terms = formats.parse_sequence(_read(args.seq), oracle, tree, number=formats.parse_ratio)
+    basepoint = formats.parse_oracle_point(args.basepoint, oracle, tree, number=formats.parse_ratio)
     if args.depth < 1:
         raise ParameterError("depth must be >= 1")
-    res = liminf_from(oracle, basepoint, seq, args.depth, head=args.head)
+    grid = _Grid(oracle, [*terms, basepoint])
+    seq = PointSequence(map(grid.on, terms))
+    res = liminf_from(grid.oracle, grid.on(basepoint), seq, args.depth, head=args.head)
     # the fold stops at head - 1; the terms before it are still checked, last first
     for p in reversed(seq.take(res.head - 1)):
-        oracle.points_equal(p, p)
+        grid.oracle.points_equal(p, p)
+    certificate = grid.off(res.certificate)
     out.append(f"terms used: {res.terms_used} (head {res.head})")
-    out.append(f"liminf: {formats.format_oracle_point(res.point, oracle, tree)}")
-    out.append(f"certificate: {format_number(res.certificate)}")
-    if res.certificate <= formats.parse_number(args.tol):
+    out.append(f"liminf: {formats.format_oracle_point(grid.off(res.point), oracle, tree)}")
+    out.append(f"certificate: {format_number(certificate)}")
+    if certificate <= formats.parse_number(args.tol):
         out.append("RESULT: pass (stabilized at this depth)")
         return PASS
     out.append("RESULT: inconclusive (estimate still moving at this depth)")
@@ -224,15 +269,17 @@ def run_observers_liminf(args, out) -> int:
 
 def run_observers_converge(args, out) -> int:
     oracle, tree = _oracle_from_args(args)
-    seq = _sequence_from_args(args, oracle, tree)
-    limit = formats.parse_oracle_point(args.limit, oracle, tree)
+    terms = formats.parse_sequence(_read(args.seq), oracle, tree, number=formats.parse_ratio)
+    limit = formats.parse_oracle_point(args.limit, oracle, tree, number=formats.parse_ratio)
     probes = _directions_from_arg(args.probes, oracle, tree)
-    verdict = converges_obs(oracle, seq, limit, probes, args.depth)
+    grid = _Grid(oracle, [*terms, limit], probes)
+    seq = PointSequence(map(grid.on, terms))
+    verdict = converges_obs(grid.oracle, seq, grid.on(limit), map(grid.on, probes), args.depth)
     relevant = [r for r in verdict.reports if r.contains_limit]
     out.append(f"probes: {len(probes)} total, {len(relevant)} containing the limit")
     for report in relevant:
-        base = formats.format_oracle_point(report.direction.base, oracle, tree)
-        rep = formats.format_oracle_point(report.direction.representative, oracle, tree)
+        base = formats.format_oracle_point(grid.off(report.direction.base), oracle, tree)
+        rep = formats.format_oracle_point(grid.off(report.direction.representative), oracle, tree)
         out.append(f"probe dir[{base} -> {rep}]: last outside index {report.last_outside}")
     if not relevant:
         out.append("RESULT: inconclusive (no probe direction contains the limit)")
@@ -241,11 +288,13 @@ def run_observers_converge(args, out) -> int:
         out.append(f"RESULT: pass (consistent with convergence at depth {verdict.depth})")
         return PASS
     refuting = verdict.refuting
-    term = seq.point(refuting.last_outside)
+    # the witness's distances are taken in file units, so each keeps its type there
+    base, rep = grid.off(refuting.direction.base), grid.off(refuting.direction.representative)
+    term = grid.off(seq.point(refuting.last_outside))
     payload = {
-        "d_base_rep": oracle.distance(refuting.direction.base, refuting.direction.representative),
-        "d_base_term": oracle.distance(refuting.direction.base, term),
-        "d_rep_term": oracle.distance(refuting.direction.representative, term),
+        "d_base_rep": oracle.distance(base, rep),
+        "d_base_term": oracle.distance(base, term),
+        "d_rep_term": oracle.distance(rep, term),
         "term_index": refuting.last_outside,
     }
     out.append("RESULT: fail -- sequence leaves a neighborhood of the limit and stays out")
@@ -255,15 +304,18 @@ def run_observers_converge(args, out) -> int:
 
 def run_observers_extract(args, out) -> int:
     oracle, tree = _oracle_from_args(args)
-    seq = _sequence_from_args(args, oracle, tree)
+    terms = formats.parse_sequence(_read(args.seq), oracle, tree, number=formats.parse_ratio)
     dirs = _directions_from_arg(args.dirs, oracle, tree)
     basepoint = (
-        formats.parse_oracle_point(args.basepoint, oracle, tree) if args.basepoint else None
+        formats.parse_oracle_point(args.basepoint, oracle, tree, number=formats.parse_ratio) if args.basepoint else None
     )
-    res = extract_convergent_subsequence(oracle, seq, dirs, args.depth, basepoint)
+    grid = _Grid(oracle, [*terms, basepoint], dirs)
+    seq = PointSequence(map(grid.on, terms))
+    dirs = list(map(grid.on, dirs))
+    res = extract_convergent_subsequence(grid.oracle, seq, dirs, args.depth, grid.on(basepoint))
     out.append("indices: " + " ".join(str(i) for i in res.indices))
-    out.append(f"limit estimate: {formats.format_oracle_point(res.limit.point, oracle, tree)}")
-    out.append(f"certificate: {format_number(res.limit.certificate)}")
+    out.append(f"limit estimate: {formats.format_oracle_point(grid.off(res.limit.point), oracle, tree)}")
+    out.append(f"certificate: {format_number(grid.off(res.limit.certificate))}")
     if res.exhausted_at is not None:
         out.append(f"RESULT: inconclusive (window exhausted at direction {res.exhausted_at})")
         return INCONCLUSIVE

@@ -8,6 +8,7 @@ comment; blank lines are ignored.  Files are read a chunk of lines at a time.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 import re
@@ -55,14 +56,6 @@ def parse_ratio(text: str) -> tuple[int, int]:
 
 def parse_number(text: str) -> Fraction:
     return Fraction(*parse_ratio(text))
-
-
-class _Numbers(dict):
-    """Literal text to its number, each distinct literal read once."""
-
-    def __missing__(self, text: str) -> Fraction:
-        value = self[text] = parse_number(text)
-        return value
 
 
 def format_number(x) -> str:
@@ -125,20 +118,21 @@ def _bar_pairs(text: str, expected: str) -> Iterator[tuple[int, str, str]]:
 
 def parse_tree(text: str) -> MetricTree:
     """``edge <v1> <v2> <length>`` and ``point <name> <v1> <v2> <offset>``
-    records, one per line."""
-    edges, points, numbers = [], [], _Numbers()
+    records, one per line; each distinct number is read once, and goes to
+    the tree as its integer ratio."""
+    edges, points, ratio = [], [], functools.cache(parse_ratio)
     for lineno, fields in _content_lines(text):
         kind, *rest = fields
         if kind == "edge":
             if len(rest) != 3:
                 raise FormatError(f"line {lineno}: edge needs <v1> <v2> <length>")
-            edges.append((rest[0], rest[1], numbers[rest[2]]))
+            edges.append((rest[0], rest[1], ratio(rest[2])))
         elif kind == "point":
             if len(rest) != 4:
                 raise FormatError(f"line {lineno}: point needs <name> <v1> <v2> <offset>")
             if rest[0].startswith("."):
                 raise FormatError(f"line {lineno}: point names must not start with '.'")
-            points.append((rest[0], rest[1], rest[2], numbers[rest[3]]))
+            points.append((rest[0], rest[1], rest[2], ratio(rest[3])))
         else:
             raise FormatError(f"line {lineno}: unknown record {kind!r}")
     if not edges:
@@ -226,10 +220,12 @@ def parse_table(text: str) -> MetricTable:
 # -- oracle points and sequences -----------------------------------------------------
 
 
-def parse_oracle_point(fields: list[str] | str, oracle: TreeOracle, tree: MetricTree | None = None):
+def parse_oracle_point(fields: list[str] | str, oracle: TreeOracle, tree: MetricTree | None = None, *,
+                       number=parse_number):
     """A point in the oracle's own syntax: a tree point name, ``hub`` /
     ``arm <i> <offset>`` (colon form ``arm:i:offset`` accepted), a line
-    coordinate, or ``+inf`` / ``-inf`` for the line ends."""
+    coordinate, or ``+inf`` / ``-inf`` for the line ends; ``number`` reads
+    an offset or coordinate."""
     if isinstance(fields, str):
         fields = fields.replace(":", " ").split()
     if not fields:
@@ -238,7 +234,7 @@ def parse_oracle_point(fields: list[str] | str, oracle: TreeOracle, tree: Metric
         if fields[0] == "hub":
             return "hub"
         if fields[0] == "arm" and len(fields) == 3:
-            return (int(fields[1]), parse_number(fields[2]))
+            return (int(fields[1]), number(fields[2]))
         raise FormatError(f"bad multipod point {' '.join(fields)!r}")
     if isinstance(oracle, LineOracle):
         if fields[0] in ("+inf", "inf"):
@@ -246,7 +242,7 @@ def parse_oracle_point(fields: list[str] | str, oracle: TreeOracle, tree: Metric
         if fields[0] == "-inf":
             return LINE_MINUS
         if len(fields) == 1:
-            return parse_number(fields[0])
+            return number(fields[0])
         raise FormatError(f"bad line point {' '.join(fields)!r}")
     if tree is None:
         raise FormatError("tree oracle points need the tree")
@@ -257,16 +253,17 @@ def parse_oracle_point(fields: list[str] | str, oracle: TreeOracle, tree: Metric
     raise FormatError(f"bad tree point {' '.join(fields)!r}")
 
 
-def parse_sequence(text: str, oracle: TreeOracle, tree: MetricTree | None = None) -> list:
-    """One point per line; each distinct line is parsed once, and a repeated
-    line gives the point parsed at its first occurrence."""
+def parse_sequence(text: str, oracle: TreeOracle, tree: MetricTree | None = None, *, number=parse_number) -> list:
+    """One point per line, its numbers read by ``number``; each distinct
+    line is parsed once, and a repeated line gives the point parsed at its
+    first occurrence."""
     pts, parsed = [], {}
     for lineno, fields in _content_lines(text):
         key = tuple(fields)
         p = parsed.get(key)
         if p is None:
             try:
-                p = parsed[key] = parse_oracle_point(fields, oracle, tree)
+                p = parsed[key] = parse_oracle_point(fields, oracle, tree, number=number)
             except FormatError as exc:
                 raise FormatError(f"line {lineno}: {exc}") from exc
         pts.append(p)
@@ -326,15 +323,15 @@ def parse_action_file(text: str):
 def parse_pair_file(text: str):
     """Shape records with two metric columns: ``edge <v1> <v2> <len0> <len1>``
     and ``point <name> <v1> <v2> <off0> <off1>``.  Returns the two trees."""
-    edges0, edges1, points0, points1, numbers = [], [], [], [], _Numbers()
+    edges0, edges1, points0, points1, ratio = [], [], [], [], functools.cache(parse_ratio)
     for lineno, fields in _content_lines(text):
         kind, *rest = fields
         if kind == "edge" and len(rest) == 4:
-            edges0.append((rest[0], rest[1], numbers[rest[2]]))
-            edges1.append((rest[0], rest[1], numbers[rest[3]]))
+            edges0.append((rest[0], rest[1], ratio(rest[2])))
+            edges1.append((rest[0], rest[1], ratio(rest[3])))
         elif kind == "point" and len(rest) == 5:
-            points0.append((rest[0], rest[1], rest[2], numbers[rest[3]]))
-            points1.append((rest[0], rest[1], rest[2], numbers[rest[4]]))
+            points0.append((rest[0], rest[1], rest[2], ratio(rest[3])))
+            points1.append((rest[0], rest[1], rest[2], ratio(rest[4])))
         else:
             raise FormatError(f"line {lineno}: bad pair record")
     if not edges0:

@@ -60,6 +60,18 @@ class TreeOracle(Protocol):
     def sample_stream(self) -> Iterator: ...
 
 
+def _half(x: Num) -> Num:
+    """x / 2 exactly: an int for an even int, a Fraction for an odd one."""
+    if isinstance(x, int):
+        return Fraction(x, 2) if x & 1 else x >> 1
+    return x / 2
+
+
+def _infinite(x) -> bool:
+    # only a float is infinite; math.isinf would overflow on an int past the float range
+    return isinstance(x, float) and math.isinf(x)
+
+
 def _points_equal(oracle, p, q) -> bool:
     return oracle.canonical(p) == oracle.canonical(q)
 
@@ -122,8 +134,9 @@ class FiniteTreeOracle:
 
 class LineOracle:
     """The real line as an oracle; points are numbers (ints, Fractions,
-    floats and Surds), and the two ends are ``LINE_PLUS`` and
-    ``LINE_MINUS``.
+    floats and Surds; the observers commands pass ints, their file values
+    times one scale, and a midpoint halves ints exactly), and the two ends
+    are ``LINE_PLUS`` and ``LINE_MINUS``.
 
     A line built with a :class:`~rtreelab.surds.LineCode` takes its finite
     points as the code's ints, the exact numbers of an orbit.  Their
@@ -164,7 +177,7 @@ class LineOracle:
         a, b = self._coord(p), self._coord(q)
         if self.code is not None:
             return a - b if self._above(a, b) else b - a
-        if math.isinf(a) or math.isinf(b):
+        if _infinite(a) or _infinite(b):
             return 0 if a == b else math.inf
         return abs(a - b)
 
@@ -203,9 +216,9 @@ class LineOracle:
         if self.code is not None:
             raise ValueError("a coded line has no midpoints")
         a, b = self._coord(p), self._coord(q)
-        if math.isinf(a) or math.isinf(b):
+        if _infinite(a) or _infinite(b):
             raise BoundaryPointError("midpoint needs finite points")
-        return (a + b) / 2
+        return _half(a + b)
 
     def is_boundary(self, p) -> bool:
         return isinstance(p, Ray)
@@ -233,7 +246,9 @@ class MultipodOracle:
     (``arms=None`` gives the lazily-infinite multipod).
 
     Points are ``"hub"`` or ``(arm_index, offset)`` with ``0 < offset <=
-    arm_length``; offset 0 normalizes to the hub.  No boundary points.
+    arm_length``, compared directly (exact for ints, Fractions and floats);
+    offset 0 normalizes to the hub.  No boundary points.  The observers
+    commands pass int offsets on arms of length S, one scale per command.
     """
 
     HUB = "hub"
@@ -245,8 +260,6 @@ class MultipodOracle:
             raise ValueError("arm length must be positive")
         self.arms = arms
         self.arm_length = arm_length
-        # an int or Fraction arm length as an integer ratio, read once
-        self._ratio = arm_length.as_integer_ratio() if isinstance(arm_length, (int, Fraction)) else None
 
     def _resolve(self, p):
         if p == self.HUB:
@@ -254,14 +267,9 @@ class MultipodOracle:
         arm, off = p
         if arm < 0 or (self.arms is not None and arm >= self.arms):
             raise ValueError(f"arm {arm} out of range")
-        if self._ratio is not None and isinstance(off, (int, Fraction)):
-            (num, den), (length, unit) = off.as_integer_ratio(), self._ratio
-            outside, at_hub = num < 0 or num * unit > length * den, not num
-        else:
-            outside, at_hub = off < 0 or off > self.arm_length, off == 0
-        if outside:
+        if off < 0 or off > self.arm_length:
             raise ValueError(f"offset {off} outside [0, {self.arm_length}]")
-        return None if at_hub else (arm, off)
+        return None if off == 0 else (arm, off)
 
     canonical = _resolve
     points_equal = _points_equal
@@ -295,11 +303,11 @@ class MultipodOracle:
     def center(self, p, q, r):
         a, b, c = self._resolve(p), self._resolve(q), self._resolve(r)
         d = self._distance
-        return self._point_along(a, b, (d(a, b) + d(a, c) - d(b, c)) / 2)
+        return self._point_along(a, b, _half(d(a, b) + d(a, c) - d(b, c)))
 
     def midpoint(self, p, q):
         a, b = self._resolve(p), self._resolve(q)
-        return self._point_along(a, b, self._distance(a, b) / 2)
+        return self._point_along(a, b, _half(self._distance(a, b)))
 
     def is_boundary(self, p) -> bool:
         return False

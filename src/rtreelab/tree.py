@@ -10,7 +10,8 @@ operation is a pure function of the immutable tree.
 Every query runs on one rooted index: the tree is rooted at its smallest
 vertex, and each vertex keeps its parent, depth and root distance (ints
 over the common denominator of the lengths and offsets).  The build reads
-each length and offset once, as an integer ratio, and keeps the edge
+each length and offset once, as an integer ratio (a tree file hands over
+its literals' ratios, with no Fraction per literal), and keeps the edge
 lengths only as scaled ints; every check and sum of the build is integer
 work, and Fraction lengths are made only when ``edges``, ``edge_length``
 or a segment asks for them.  Building costs O(V); each query walks parent
@@ -50,7 +51,10 @@ def _exact(x, error: type[ValueError], where: str, *names) -> Fraction:
 
 
 def _ratio(x, where: str, *names) -> tuple[int, int]:
-    """A tree's length or offset as (numerator, denominator), read once."""
+    """A tree's length or offset as (numerator, denominator), read once; a
+    file's literal comes as that pair already."""
+    if isinstance(x, tuple):
+        return x
     if not isinstance(x, (int, Fraction)):
         x = _exact(x, TreeStructureError, where, *names)
     return x.as_integer_ratio()
@@ -126,7 +130,8 @@ class MetricTree:
                 raise TreeStructureError(f"loop edge at {u!r}")
             num, den = _ratio(raw, "length of edge {}-{}", u, v)
             if num <= 0:
-                raise TreeStructureError(f"edge {u}-{v} has nonpositive length {raw}")
+                shown = Fraction(num, den) if isinstance(raw, tuple) else raw
+                raise TreeStructureError(f"edge {u}-{v} has nonpositive length {shown}")
             e = (u, v) if u <= v else (v, u)
             if e in lengths:
                 raise TreeStructureError(f"duplicate edge {u}-{v}")

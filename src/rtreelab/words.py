@@ -134,15 +134,18 @@ def _steps(basis: Basis, maxlen: int) -> dict[str, int]:
     return steps | {s.upper(): -step for s, step in steps.items()}
 
 
-def _keyed_reduced_words(basis: Basis, maxlen: int):
-    """Every reduced word of length 1..maxlen and its key, by (length, lex)."""
+def _keyed_reduced_words(basis: Basis, maxlen: int, keyed: bool = True):
+    """Every reduced word of length 1..maxlen and, if ``keyed``, its key, by (length, lex)."""
     steps = _steps(basis, maxlen)
     # the empty word is followed by every letter
     after = {x: [(c, steps[c]) for c in cs] for x, cs in ({"": sorted(steps)} | basis.followers).items()}
-    level = [("", 0)]
+    level = [("", 0)] if keyed else [""]
     for n in range(maxlen):
         # a sorted level extended in sorted order is sorted; the last one streams
-        grown = ((w + c, key + s) for w, key in level for c, s in after[w[-1:]])
+        if keyed:
+            grown = ((w + c, key + s) for w, key in level for c, s in after[w[-1:]])
+        else:
+            grown = (w + c for w in level for c, _ in after[w[-1:]])
         level = grown if n == maxlen - 1 else list(grown)
         yield from level
 
@@ -169,7 +172,7 @@ def _keyed_class_representatives(basis: Basis, maxlen: int):
 
 def reduced_words(basis: Basis, maxlen: int) -> list[str]:
     """All reduced words of length 1..maxlen, ordered by (length, lex)."""
-    return [w for w, _ in _keyed_reduced_words(basis, maxlen)]
+    return list(_keyed_reduced_words(basis, maxlen, keyed=False))
 
 
 def class_representatives(basis: Basis, maxlen: int) -> list[str]:

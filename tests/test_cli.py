@@ -10,7 +10,9 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from rtreelab.cli import main
-from rtreelab.formats import FormatError, format_number
+from rtreelab.formats import FormatError, format_number, format_oracle_point, parse_tree, replay_witness
+from rtreelab.observers import Direction, subbasis_from_sample
+from rtreelab.oracles import LINE_MINUS, LINE_PLUS, LineOracle, MultipodOracle
 
 import helpers
 from helpers import canonical_rotation
@@ -1188,3 +1190,208 @@ def test_certify_table_matches_the_reference_table(tmp_path, capsys, kind, seed)
     for delta in deltas:
         expected = helpers.reference_certify_table(text, str(path), delta)
         assert run_cli(capsys, "certify", "--table", str(path), "--delta", delta) == expected
+
+
+# denominators of the grid tests: small ones, and primes whose lcm is huge
+_GRID_DENOMS = (1, 2, 3, 4, 6, 7, 10, 12, 9973, 1_000_003, 2**61 - 1)
+
+
+def _grid_number(rng, low, high):
+    den = rng.choice(_GRID_DENOMS)
+    return Fr(rng.randint(low * den, high * den), den)
+
+
+def _grid_literal(x):
+    # the same value under another denominator, so equal points have unequal texts
+    k = random.Random(hash(x)).choice((1, 1, 2, 5))
+    return f"{x.numerator * k}/{x.denominator * k}"
+
+
+def _grid_point(rng, pod, rays=True):
+    """A random line or multipod point (from the --multipod arm count) and its text."""
+    if pod:
+        if rng.random() < 0.2:
+            return "hub", "hub"
+        arm, off = rng.randrange(pod), _grid_number(rng, 0, 1)
+        return (arm, off), f"arm {arm} {_grid_literal(off)}"
+    if rays and rng.random() < 0.1:
+        return (LINE_PLUS, "+inf") if rng.random() < 0.5 else (LINE_MINUS, "-inf")
+    x = _grid_number(rng, -3, 3)
+    return x, _grid_literal(x)
+
+
+def _grid_expected_converge(oracle, terms, limit, dirs):
+    """Report lines and exit code of converge from the center-query reference."""
+    lines, refuting = [], None
+
+    def inside(d, r):
+        return not oracle.points_equal(r, d.base) and helpers.reference_in_direction(oracle, d, r)
+
+    for d in dirs:
+        if not inside(d, limit):
+            continue
+        last = max((i for i, r in enumerate(terms) if not inside(d, r)), default=-1)
+        base, rep = (format_oracle_point(p, oracle) for p in (d.base, d.representative))
+        lines.append(f"probe dir[{base} -> {rep}]: last outside index {last}")
+        if last == len(terms) - 1 and refuting is None:
+            refuting = d
+    code = 2 if not lines else 0 if refuting is None else 1
+    return [f"probes: {len(dirs)} total, {len(lines)} containing the limit", *lines], code
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(["liminf", "converge", "extract"]), st.sampled_from([0, 1, 3, 5]), st.integers(0, 2**32 - 1))
+@example("liminf", 3, 1)
+@example("converge", 0, 2)
+def test_observers_on_the_grid_report_as_the_references(tmp_path, capsys, command, pod, seed):
+    """liminf, converge and extract on the line (pod 0) and the multipod (pod
+    arms) report the points, certificates, probe lines, indices and exit
+    codes of the slow references run on the Fraction points, with mixed and
+    huge denominators, ends, the hub, probe files and auto:<k>; a
+    direction_exit witness at a finite term replays."""
+    rng = random.Random(seed)
+    oracle = MultipodOracle(pod) if pod else LineOracle()
+    flag = ["--multipod", str(pod)] if pod else ["--line"]
+    n = rng.randint(1, 14)
+    terms, texts = zip(*(_grid_point(rng, pod) for _ in range(n)))
+    terms = list(terms)
+    (tmp_path / "s.seq").write_text("".join(t + "\n" for t in texts))
+    argv = ["observers", command, *flag, "--seq", str(tmp_path / "s.seq"), "--depth", str(n)]
+    dirs = None
+    if command != "liminf":
+        if rng.random() < 0.4:
+            k = rng.randint(2, 6)
+            spec, dirs = f"auto:{k}", subbasis_from_sample(oracle, oracle.sample_stream(), k)
+        else:
+            dirs, rows = [], []
+            while len(dirs) < rng.randint(1, 5):
+                (base, bt), (rep, rt) = _grid_point(rng, pod, rays=False), _grid_point(rng, pod)
+                if not oracle.points_equal(base, rep):
+                    dirs.append(Direction(base, rep))
+                    rows.append(f"{bt.replace(' ', ':')} | {rt}\n")
+            spec = str(tmp_path / "d.dirs")
+            (tmp_path / "d.dirs").write_text("".join(rows))
+        argv += ["--probes" if command == "converge" else "--dirs", spec]
+    point, text = _grid_point(rng, pod, rays=command == "converge")
+    if command == "liminf":
+        head = rng.choice([None, 0, rng.randint(0, n)])
+        argv += ["--basepoint=" + text.replace(" ", ":")] + ([] if head is None else ["--head", str(head)])
+        ref = helpers.reference_liminf(oracle, point, terms, head)
+        expected = [f"terms used: {n} (head {ref.head})", f"liminf: {format_oracle_point(ref.point, oracle)}",
+                    f"certificate: {format_number(ref.certificate)}"]
+        code = 0 if ref.certificate <= Fr(1, 10**9) else 2
+    elif command == "converge":
+        argv.append("--limit=" + text.replace(" ", ":"))
+        expected, code = _grid_expected_converge(oracle, terms, point, dirs)
+    else:
+        basepoint = point if rng.random() < 0.5 else None
+        argv += [] if basepoint is None else ["--basepoint=" + text.replace(" ", ":")]
+        indices, exhausted = helpers.reference_extract_window(oracle, terms, dirs)
+        basepoint = terms[indices[0]] if basepoint is None else basepoint
+        if oracle.is_boundary(basepoint):
+            # the first kept term is a line end: no liminf from it
+            assert run_cli(capsys, *argv)[::2] == (65, "parameter error: basepoint must not be a boundary point\n")
+            return
+        ref = helpers.reference_liminf(oracle, basepoint, [terms[i] for i in indices])
+        expected = ["indices: " + " ".join(map(str, indices)),
+                    f"limit estimate: {format_oracle_point(ref.point, oracle)}",
+                    f"certificate: {format_number(ref.certificate)}"]
+        code = 2 if exhausted is not None else 0
+    got_code, out, err = run_cli(capsys, *argv)
+    assert (got_code, err) == (code, "")
+    lines = out.splitlines()[2:]
+    assert [line for line in lines if not line.startswith(("RESULT", "WITNESS"))] == expected
+    witnesses = [json.loads(line[len("WITNESS "):]) for line in lines if line.startswith("WITNESS ")]
+    assert len(witnesses) == (code == 1 and command == "converge")
+    # a witness whose term is a line end has infinite distances, which it cannot replay
+    assert all(replay_witness(w) for w in witnesses if "inf" not in (w["d_base_term"], w["d_rep_term"]))
+
+
+def test_observers_name_the_first_bad_multipod_offset_in_file_units(tmp_path, capsys):
+    """The fold meets arm 1 at 5/4 before the file's first bad term, and the
+    error names it as the file writes it."""
+    seq = tmp_path / "bad.seq"
+    seq.write_text("arm 1 1/2\narm 2 3/2\narm 1 5/4\narm 0 1/3\n")
+    argv = ["observers", "liminf", "--multipod", "3", "--seq", str(seq), "--basepoint", "arm:0:1/2", "--depth", "4"]
+    assert run_cli(capsys, *argv) == (
+        65,
+        "rtreelab observers liminf\n"
+        f"config: basepoint=arm:0:1/2 depth=4 line=False multipod=3 seq={seq} tol=1e-9 seed=0\n",
+        "parameter error: offset 5/4 outside [0, 1]\n",
+    )
+
+
+@pytest.fixture
+def fraction_count(monkeypatch):
+    """The number of Fractions constructed so far, as a callable."""
+    made, new = [0], Fr.__new__
+
+    def counting(cls, *args, **kwargs):
+        made[0] += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fr, "__new__", counting)
+    return lambda: made[0]
+
+
+@pytest.mark.parametrize("n", [250, 500])
+def test_observers_line_makes_fractions_only_for_its_report(tmp_path, capsys, fraction_count, n):
+    """liminf on the line runs on ints: a rational file of n terms makes the
+    same few Fractions at any n, for the tolerance and the reported values."""
+    rng = random.Random(n)
+    terms = [Fr(rng.randint(-500, 500), rng.choice((3, 7, 8, 11, 12))) for _ in range(n)]
+    (tmp_path / "s.seq").write_text("".join(f"{x.numerator}/{x.denominator}\n" for x in terms))
+    before = fraction_count()
+    code, out, _ = run_cli(capsys, "observers", "liminf", "--line", "--seq", str(tmp_path / "s.seq"),
+                           "--basepoint=-100/3", "--depth", str(n))
+    made = fraction_count() - before
+    assert code in (0, 2) and "liminf: " in out
+    assert made <= 6
+
+
+def test_parse_tree_makes_a_fraction_per_designated_point_only(fraction_count):
+    """Edge literals go to the build as integer ratios; only each designated
+    point's Location offset is a Fraction."""
+    rng = random.Random(5)
+    lines = [f"edge v{i} v{i + 1} {rng.randint(1, 99)}/{rng.choice((2, 3, 5, 7))}" for i in range(200)]
+    lines += [f"point p{i} v{i} v{i + 1} 1/{rng.choice((4, 9, 11))}" for i in range(0, 200, 20)]
+    before = fraction_count()
+    tree = parse_tree("\n".join(lines) + "\n")
+    assert fraction_count() - before == 10 == len(tree.designated)
+
+
+def _primes_from(low: int, count: int) -> list[int]:
+    out, x = [], low
+    while len(out) < count:
+        x += 1
+        if all(x % p for p in range(2, math.isqrt(x) + 1)):
+            out.append(x)
+    return out
+
+
+@pytest.mark.parametrize("count", [80, 300])
+def test_observers_line_with_many_large_denominators(tmp_path, capsys, count):
+    """Distinct prime denominators near 10^5: 80 of them put S past the
+    float range (an int coordinate no longer converts to a float), and 300
+    put it past the grid's bound, where the points stay Fractions; liminf,
+    extract and converge report as the references, a term of 1e400
+    included."""
+    rng = random.Random(count)
+    terms = [Fr(rng.randint(-5 * p, 5 * p), p) for p in _primes_from(10**5, count)] + [Fr(10**400)]
+    rng.shuffle(terms)
+    (tmp_path / "s.seq").write_text("".join("1e400\n" if x == 10**400 else f"{x.numerator}/{x.denominator}\n" for x in terms))
+    seq, line, n = str(tmp_path / "s.seq"), LineOracle(), len(terms)
+    code, out, err = run_cli(capsys, "observers", "liminf", "--line", "--seq", seq, "--basepoint=0", "--depth", str(n))
+    ref = helpers.reference_liminf(line, Fr(0), terms)
+    assert (code, err) == (0 if ref.certificate <= Fr(1, 10**9) else 2, "")
+    assert f"liminf: {format_number(ref.point)}\ncertificate: {format_number(ref.certificate)}\n" in out
+    dirs = subbasis_from_sample(line, line.sample_stream(), 4)
+    indices, _ = helpers.reference_extract_window(line, terms, dirs)
+    ref = helpers.reference_liminf(line, terms[indices[0]], [terms[i] for i in indices])
+    code, out, err = run_cli(capsys, "observers", "extract", "--line", "--seq", seq, "--dirs", "auto:4", "--depth", str(n))
+    assert err == "" and "indices: " + " ".join(map(str, indices)) + "\n" in out
+    assert f"limit estimate: {format_number(ref.point)}\ncertificate: {format_number(ref.certificate)}\n" in out
+    expected, code = _grid_expected_converge(line, terms, Fr(10**400), subbasis_from_sample(line, line.sample_stream(), 5))
+    got = run_cli(capsys, "observers", "converge", "--line", "--seq", seq, "--limit=1e400", "--probes", "auto:5",
+                  "--depth", str(n))
+    assert got[::2] == (code, "") and "\n".join(expected) in got[1]

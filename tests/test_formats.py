@@ -6,6 +6,7 @@ from itertools import accumulate, combinations
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from rtreelab.cli import main
 from rtreelab.formats import (
     _CHUNK,
     FormatError,
@@ -30,7 +31,7 @@ from rtreelab.formats import (
     witness_line,
 )
 from rtreelab.oracles import LINE_MINUS, LINE_PLUS, LineOracle, MultipodOracle
-from rtreelab.tree import Location
+from rtreelab.tree import Location, MetricTree
 from rtreelab.words import Basis
 
 import helpers
@@ -428,3 +429,69 @@ def test_tree_errors_are_numbered_past_a_chunk_boundary(newline):
         parse_tree(newline.join(lines))
     del lines[4500]
     assert parse_tree(newline.join(lines)).distance("vertex0", "q") == Fr(3, 2)
+
+
+def _tree_literal(rng, x: Fr) -> str:
+    """x as a file writes it: p/q, the same over another denominator, an
+    int, or a decimal when it has one."""
+    k = rng.choice((1, 3))
+    forms = [f"{x.numerator * k}/{x.denominator * k}"]
+    if x.denominator == 1:
+        forms.append(str(x.numerator))
+    if 10**6 % x.denominator == 0:
+        forms.append(f"{float(x):.6f}")
+    return rng.choice(forms)
+
+
+def _assert_same_tree(got, want):
+    assert got.edges == want.edges and got.point_names == want.point_names
+    assert got.designated == want.designated
+    names = got.point_names
+    assert [[got.distance(p, q) for q in names] for p in names] == [[want.distance(p, q) for q in names] for p in names]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_tree_files_build_the_trees_of_their_fractions(seed):
+    """parse_tree and parse_pair_file hand integer ratios to the tree build;
+    the trees equal the ones MetricTree builds from the Fractions: edges,
+    designated points and distances."""
+    rng = random.Random(seed)
+    t0, lines, pair_lines = helpers.random_tree(rng, 8, edge_points=rng.randint(0, 3)), [], []
+    for u, v, length in t0.edges:
+        lines.append(f"edge {u} {v} {_tree_literal(rng, length)}")
+    for name, loc in sorted(t0.designated.items()):
+        lines.append(f"point {name} {loc.edge[0]} {loc.edge[1]} {_tree_literal(rng, loc.offset)}")
+    _assert_same_tree(parse_tree("\n".join(lines) + "\n"), t0)
+    # a second metric on t0's shape: its lengths scaled edge by edge
+    factors = {(u, v): Fr(rng.randint(1, 9), rng.randint(1, 9)) for u, v, _ in t0.edges}
+    edges1 = [(u, v, length * factors[u, v]) for u, v, length in t0.edges]
+    for (u, v, l0), (_, _, l1) in zip(t0.edges, edges1):
+        pair_lines.append(f"edge {u} {v} {_tree_literal(rng, l0)} {_tree_literal(rng, l1)}")
+    points1 = []
+    for name, loc in sorted(t0.designated.items()):
+        f = factors[loc.edge]
+        points1.append((name, *loc.edge, loc.offset * f))
+        pair_lines.append(f"point {name} {loc.edge[0]} {loc.edge[1]} "
+                          f"{_tree_literal(rng, loc.offset)} {_tree_literal(rng, loc.offset * f)}")
+    p0, p1 = parse_pair_file("\n".join(pair_lines) + "\n")
+    _assert_same_tree(p0, t0)
+    _assert_same_tree(p1, MetricTree(edges1, points1))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("edge A B -6/4\n", "edge A-B has nonpositive length -3/2"),
+        ("edge A B 4/2\npoint P A B 5/2\n", "offset 5/2 outside edge ('A', 'B') of length 2"),
+    ],
+)
+def test_tree_file_errors_name_the_reduced_values(tmp_path, capsys, text, message):
+    """A tree file's bad length or offset is named as its reduced Fraction,
+    by parse_tree and, with exit 64, by the CLI."""
+    with pytest.raises(FormatError) as raised:
+        parse_tree(text)
+    assert str(raised.value) == message
+    (tmp_path / "t.tree").write_text(text)
+    assert main(["certify", "--tree", str(tmp_path / "t.tree")]) == 64
+    assert capsys.readouterr().err == f"parse error: {message}\n"

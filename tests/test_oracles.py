@@ -153,3 +153,31 @@ def test_finite_tree_oracle_wraps_tree():
     assert not oracle.is_boundary("x")
     stream = list(islice(oracle.sample_stream(), 10))
     assert "H" in stream and "x" in stream
+
+
+BIG_ODD = 10**17 + 1
+
+
+@pytest.mark.parametrize(
+    "halve, expected",
+    [
+        (lambda: LineOracle().midpoint(0, BIG_ODD), Fr(BIG_ODD, 2)),
+        (lambda: LineOracle().midpoint(-3, 7), 2),
+        (lambda: LineOracle().midpoint(Fr(1, 3), 1), Fr(2, 3)),
+        (lambda: LineOracle().midpoint(0.5, 2.0), 1.25),
+        (lambda: MultipodOracle(3, BIG_ODD).midpoint("hub", (0, BIG_ODD)), (0, Fr(BIG_ODD, 2))),
+        (lambda: MultipodOracle(3, BIG_ODD).midpoint((1, BIG_ODD), (0, 1)), (1, (BIG_ODD - 1) // 2)),
+        (lambda: MultipodOracle(3, 4).midpoint((1, 4), (1, 1)), (1, Fr(5, 2))),
+        (lambda: MultipodOracle(3, 4).midpoint((1, 4), (2, 2)), (1, 1)),
+        (lambda: MultipodOracle(3, BIG_ODD).center((0, BIG_ODD), (0, BIG_ODD - 2), (1, 1)), (0, BIG_ODD - 2)),
+        (lambda: MultipodOracle(3, 1.5).midpoint("hub", (0, 1.5)), (0, 0.75)),
+    ],
+)
+def test_halving_is_exact_on_ints(halve, expected):
+    """An int sum is halved exactly: an int when even, else a Fraction;
+    Fractions stay Fractions and floats halve as floats."""
+    got = halve()
+    assert got == expected
+    values = got[1:] if isinstance(got, tuple) else (got,)
+    kinds = expected[1:] if isinstance(expected, tuple) else (expected,)
+    assert [type(v) for v in values] == [type(v) for v in kinds]
