@@ -97,7 +97,7 @@ def blend_metric(pair: CompatibleMetricPair, lam: Num) -> MetricTree:
         else:
             off = lam * loc1.offset + (1 - lam) * loc0.offset
             points.append((name, loc0.edge[0], loc0.edge[1], off))
-    return MetricTree(edges, points, open_ends=t0.open_ends)
+    return MetricTree(edges, points)
 
 
 @dataclass(frozen=True)
@@ -131,12 +131,6 @@ def _marking_table(marking: Mapping[str, str]) -> dict[int, str]:
     return str.maketrans(
         dict(marking) | {g.upper(): invert_word(image) for g, image in marking.items()}
     )
-
-
-def apply_marking(marking: Mapping[str, str], word: str) -> str:
-    """Image of a word under the endomorphism sending each generator to its
-    marking image."""
-    return reduce_word(word.translate(_marking_table(marking)))
 
 
 def nielsen_generates(marking: Mapping[str, str], basis: Basis) -> bool:
@@ -233,17 +227,6 @@ def _rose(marking: Mapping[str, str], edge_lengths: Mapping[str, Num], basis: Ba
         return nx + ny - 2 * cut
 
     return state, product, partial(pair, b=("", 0)), unit, pair
-
-
-def marked_graph_length(
-    marking: Mapping[str, str],
-    edge_lengths: Mapping[str, Num],
-    word: str,
-    basis: Basis | None = None,
-) -> Fraction:
-    """Translation length on the rose: the weighted cyclically reduced
-    length of the marking image, weights given per generator."""
-    return length_function_from_marked_graph(marking, edge_lengths, basis)(word)
 
 
 # -- length functions ----------------------------------------------------------

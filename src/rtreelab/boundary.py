@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable
 
 from .words import (
     Basis,
@@ -110,12 +110,6 @@ def parse_boundary_point(text: str, basis: Basis) -> BoundaryPoint:
     return BoundaryPoint.periodic(basis, prefix, block)
 
 
-def format_boundary_point(x: BoundaryPoint) -> str:
-    if x.periodic_form is None:
-        raise BoundaryFormatError("only eventually periodic points have a text form")
-    return f"{x.periodic_form[0]};{x.periodic_form[1]}"
-
-
 def act(w: str, x: BoundaryPoint) -> BoundaryPoint:
     """Left translation w . x with cancellation absorbed lazily.
 
@@ -150,17 +144,6 @@ def act(w: str, x: BoundaryPoint) -> BoundaryPoint:
         return s[i]
 
     return BoundaryPoint.from_function(basis, fn)
-
-
-def common_prefix(x: BoundaryPoint, y: BoundaryPoint, k: int) -> int:
-    """Length of the longest common prefix of x and y, capped at k."""
-    if k < 1:
-        raise ValueError("cap must be >= 1")
-    a, b = x.prefix(k), y.prefix(k)
-    n = 0
-    while n < k and a[n] == b[n]:
-        n += 1
-    return n
 
 
 def points_equal_to_depth(x: BoundaryPoint, y: BoundaryPoint, depth: int) -> bool:
@@ -203,10 +186,6 @@ def flip(pair: BoundaryPair) -> BoundaryPair:
 
 def act_pair(w: str, pair: BoundaryPair) -> BoundaryPair:
     return BoundaryPair(act(w, pair.x), act(w, pair.y), pair.distinct_by)
-
-
-class SaturationOverflowError(RuntimeError):
-    pass
 
 
 @dataclass
@@ -255,40 +234,3 @@ class AuditResult:
     flip_violations: tuple = ()
     action_violations: tuple = ()
 
-
-def saturate(
-    sample: LaminationSample,
-    action_words: Iterable[str],
-    depth: int,
-    max_size: int = 100_000,
-) -> LaminationSample:
-    """Close a sample under the flip and under the listed word actions,
-    deduplicating by prefix keys at ``depth`` (the finite key space makes
-    the closure terminate; ``max_size`` guards runaway growth).
-    """
-    action_words = tuple(action_words)
-    seen: dict[tuple[str, str], BoundaryPair] = {}
-    work: list[BoundaryPair] = list(sample.pairs)
-    while work:
-        p = work.pop()
-        k = p.key(depth)
-        if k in seen:
-            continue
-        seen[k] = p
-        if len(seen) > max_size:
-            raise SaturationOverflowError(f"closure exceeded {max_size} pairs")
-        work.append(flip(p))
-        for w in action_words:
-            work.append(act_pair(w, p))
-    ordered = tuple(seen[k] for k in sorted(seen))
-    return LaminationSample(
-        ordered,
-        depth,
-        words=action_words,
-        provenance={
-            "operation": "saturate",
-            "seed_size": len(sample.pairs),
-            "parent": sample.provenance,
-        },
-        annotations=dict(sample.annotations),
-    )

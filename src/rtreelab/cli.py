@@ -36,7 +36,7 @@ from .observers import (
     liminf_from,
     subbasis_from_sample,
 )
-from .oracles import FiniteTreeOracle, LineOracle, MultipodOracle
+from .oracles import LINE_PLUS, FiniteTreeOracle, LineOracle, MultipodOracle
 from .qmap import (
     DenseLineAction,
     dual_lamination_sample,
@@ -97,11 +97,14 @@ def _oracle_from_args(args):
     return MultipodOracle(arms), None
 
 
-def _parse_lambda(text: str) -> Fraction:
-    lam = formats.parse_number(text)
+def _unit_lambda(lam: Fraction, shown: str) -> Fraction:
     if lam < 0 or lam > 1:
-        raise ParameterError(f"lambda must lie in [0, 1], got {text}")
+        raise ParameterError(f"lambda must lie in [0, 1], got {shown}")
     return lam
+
+
+def _parse_lambda(text: str) -> Fraction:
+    return _unit_lambda(formats.parse_number(text), text)
 
 
 def _parse_lambda_grid(text: str) -> list[Fraction]:
@@ -112,10 +115,13 @@ def _parse_lambda_grid(text: str) -> list[Fraction]:
         start, end, step = (formats.parse_number(p) for p in parts)
         if step <= 0:
             raise ParameterError("grid step must be positive")
+        if start > end:
+            # an empty grid checks nothing, so its pass would be vacuous
+            raise ParameterError("grid start must not exceed its end")
         grid = []
         lam = start
         while lam <= end:
-            grid.append(_parse_lambda(format_number(lam)))
+            grid.append(_unit_lambda(lam, format_number(lam)))
             lam += step
         return grid
     return [_parse_lambda(p) for p in text.split(",")]
@@ -267,6 +273,19 @@ def run_observers_liminf(args, out) -> int:
     return INCONCLUSIVE
 
 
+def _finite_stand_ins(oracle, points: list) -> list:
+    """The points with each line end put one unit beyond the finite points
+    on its side (beyond 0 when none is finite).  The order on the line,
+    ties included, is kept, so a term outside a direction stays outside it
+    and the distances of a witness are finite.  Points with no line end, as
+    on a tree or the multipod, come back as they are."""
+    if not any(map(oracle.is_boundary, points)):
+        return points
+    finite = [p for p in points if not oracle.is_boundary(p)] or [0]
+    top, bottom = max(finite) + 1, min(finite) - 1
+    return [p if not oracle.is_boundary(p) else top if p == LINE_PLUS else bottom for p in points]
+
+
 def run_observers_converge(args, out) -> int:
     oracle, tree = _oracle_from_args(args)
     terms = formats.parse_sequence(_read(args.seq), oracle, tree, number=formats.parse_ratio)
@@ -289,8 +308,8 @@ def run_observers_converge(args, out) -> int:
         return PASS
     refuting = verdict.refuting
     # the witness's distances are taken in file units, so each keeps its type there
-    base, rep = grid.off(refuting.direction.base), grid.off(refuting.direction.representative)
-    term = grid.off(seq.point(refuting.last_outside))
+    points = (refuting.direction.base, refuting.direction.representative, seq.point(refuting.last_outside))
+    base, rep, term = _finite_stand_ins(oracle, [grid.off(p) for p in points])
     payload = {
         "d_base_rep": oracle.distance(base, rep),
         "d_base_term": oracle.distance(base, term),

@@ -178,10 +178,6 @@ class MetricTable:
         return f"MetricTable({len(self.points)} points)"
 
 
-def gromov_product(space: MetricTable, x: str, z: str, w: str) -> Num:
-    return space.gromov_product(x, z, w)
-
-
 def _four_point_scan(space: MetricTable, limit: int | None = None):
     """The four-point scan, in matrix units.  Write S(ab|cd) = d(a,b) +
     d(c,d); a 4-subset's gap is its largest pairing sum less the second.

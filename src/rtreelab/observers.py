@@ -45,12 +45,6 @@ class Direction:
         return f"dir_{self.base}({self.representative})"
 
 
-def direction_of(oracle: TreeOracle, p, q) -> Direction:
-    if oracle.points_equal(p, q):
-        raise ValueError("a direction needs a representative distinct from its base")
-    return Direction(p, q)
-
-
 def in_direction(oracle: TreeOracle, d: Direction, r) -> bool:
     """Whether r lies in d: r and the representative have one germ at the base."""
     g, rep = oracle.germs(d.base, (r, d.representative))
@@ -375,19 +369,3 @@ def _germ_classes(tree: MetricTree, r, points) -> list[int]:
     first: dict = {}
     return [-1 if g is None else first.setdefault(g, i) for i, g in enumerate(tree.germs(r, points))]
 
-
-def is_convex_point_set(tree: MetricTree, names: Iterable[str]) -> bool:
-    """Whether the named subset contains every named point lying on a
-    segment between two of its members (connectedness at named resolution,
-    which for finite trees is the observers' notion as well)."""
-    chosen = list(names)
-    if len(chosen) < 2:
-        return True
-    chosen_set = set(chosen)
-    # r lies on a segment between members unless all of them share one germ at r
-    for r in tree.point_names:
-        if r not in chosen_set:
-            germs = set(tree.germs(r, chosen))
-            if None in germs or len(germs) > 1:
-                return False
-    return True

@@ -29,7 +29,7 @@ from itertools import accumulate, combinations
 from operator import mul
 from typing import Callable, Iterable
 
-from .boundary import BoundaryPoint, BoundaryPair, LaminationSample, act
+from .boundary import BoundaryPoint, BoundaryPair, LaminationSample
 from .formats import FormatError, parse_number
 from .oracles import LINE_MINUS, LINE_PLUS, LineOracle, Ray, TreeOracle
 from .observers import PointSequence, liminf_from
@@ -41,7 +41,6 @@ from .words import (
     cyclic_reduce,
     enumerate_integer_vectors,
     invert_word,
-    reduce_word,
     word_from_vector,
 )
 
@@ -307,10 +306,10 @@ def dual_lamination_sample(
     """Pairs (w^inf, w^-inf) for every small-translation-length class, with
     per-pair fiber residuals; flip-closed by construction.
 
-    The recorded action-word list is empty: closure under even one letter
-    at a large truncation depth is exponentially big, so group saturation
-    is left to explicit saturate() calls at small depth.  The generating
-    words live in the provenance.
+    The recorded action-word list is empty: the sample is not closed under
+    the group action, since closure under even one letter at a large
+    truncation depth is exponentially big.  The generating words live in
+    the provenance.
     """
     records = small_words_search(action, epsilon, maxlen)
     pairs = []
@@ -345,61 +344,6 @@ def dual_lamination_sample(
         },
         annotations=annotations,
     )
-
-
-@dataclass(frozen=True)
-class ContinuityProbe:
-    prefix_length: int
-    base_estimate: QEstimate
-    separations: tuple  # (continuation block, separation) pairs
-    max_separation: object
-
-
-def q_continuity_probe(
-    action: DenseLineAction, x: BoundaryPoint, k: int, depth: int = 10_000, continuations: Iterable[str] | None = None
-) -> ContinuityProbe:
-    """Maximal separation of limit estimates over a deterministic family of
-    boundary points sharing prefix(k) with X.
-
-    Default continuations: the rotations of X's periodic block when X is
-    eventually periodic (perturbations within the same dynamical cylinder),
-    else each basis letter; junctions that cancel are skipped.  For
-    hypothesis-satisfying actions the max separation should shrink as k
-    grows; the line sandbox can legitimately hold at infinity when an
-    explicit continuation flips the escape direction.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    prefix = x.prefix(k)
-    base = qmap_estimate(action, x, depth=depth)
-    if continuations is None:
-        if x.periodic_form is not None:
-            block = x.periodic_form[1]
-            continuations = sorted({block[i:] + block[:i] for i in range(len(block))})
-        else:
-            continuations = sorted(action.basis.letters)
-    results = []
-    worst = 0
-    for block in continuations:
-        if not block:
-            continue
-        try:
-            y = BoundaryPoint.periodic(action.basis, prefix, block)
-        except ValueError:
-            continue  # junction cancels: not a valid continuation
-        est = qmap_estimate(action, y, depth=depth)
-        sep = separation(action.oracle, base.point, est.point)
-        results.append((block, sep))
-        worst = max(worst, sep)
-    return ContinuityProbe(k, base, tuple(results), worst)
-
-
-def equivariance_check(action: DenseLineAction, word: str, x: BoundaryPoint, depth: int = 10_000):
-    """Separation between the limit of w.X and w applied to the limit of X."""
-    word = reduce_word(word, action.basis)
-    lhs = qmap_estimate(action, act(word, x), depth=depth).point
-    rhs = action.apply(word, qmap_estimate(action, x, depth=depth).point)
-    return separation(action.oracle, lhs, rhs)
 
 
 def parse_weight(text: str):

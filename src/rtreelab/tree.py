@@ -1,4 +1,4 @@
-"""Finite metric trees: distances, centers, segments, extremal points.
+"""Finite metric trees: distances, centers, segments, germs.
 
 A ``MetricTree`` is a finite combinatorial tree with strictly positive edge
 lengths.  Points are addressed by name (vertex names and designated point
@@ -107,9 +107,6 @@ class MetricTree:
         placing it at a vertex.
     vertices:
         extra isolated vertices (only useful for the single-vertex tree).
-    open_ends:
-        vertices flagged as removed boundary (half-open ends); produced by
-        :meth:`interior_tree`.
     """
 
     def __init__(
@@ -118,7 +115,6 @@ class MetricTree:
         points: Iterable[tuple] = (),
         *,
         vertices: Iterable[str] = (),
-        open_ends: Iterable[str] = (),
     ):
         # each length read once: its numerator per edge and its denominator
         # in order, scaled to ints over one denominator below
@@ -181,10 +177,6 @@ class MetricTree:
             if name in adj or name in self._points:
                 raise TreeStructureError(f"point name {name!r} already in use")
             self._points[name] = loc
-        self.open_ends = frozenset(open_ends)
-        for v in self.open_ends:
-            if v not in adj:
-                raise UnknownPointError(v)
         self._addr = {v: (v, r) for v, r in rooted.items()}
         for name in sorted(self._points):
             self._addr[name] = self._locate(self._points[name])
@@ -349,11 +341,6 @@ class MetricTree:
             raise UnknownPointError(f"no edge {u}-{v}")
         return self._unscale(length)
 
-    def degree(self, vertex: str) -> int:
-        if vertex not in self._adj:
-            raise UnknownPointError(vertex)
-        return len(self._adj[vertex])
-
     def resolve(self, p: Point) -> Point:
         """Normalize a point reference: vertex name, or interior Location."""
         if isinstance(p, str):
@@ -372,13 +359,6 @@ class MetricTree:
 
     def same_point(self, p: Point, q: Point) -> bool:
         return self.resolve(p) == self.resolve(q)
-
-    def contains(self, p: Point) -> bool:
-        """Membership, honoring half-open ends of an interior tree."""
-        loc = self.resolve(p)
-        if isinstance(loc, str):
-            return loc not in self.open_ends
-        return True
 
     # -- metric ----------------------------------------------------------------
 
@@ -460,29 +440,6 @@ class MetricTree:
     def point_on_segment(self, r: Point, p: Point, q: Point) -> bool:
         gp, gq = self.germs(r, (p, q))
         return gp is None or gq is None or gp != gq
-
-    # -- extremal structure ------------------------------------------------------
-
-    def is_extremal(self, p: Point) -> bool:
-        """Whether removing p leaves the tree connected (leaves and the
-        single-vertex case; interior edge points never qualify)."""
-        loc = self.resolve(p)
-        if isinstance(loc, Location):
-            return False
-        return len(self._adj[loc]) <= 1
-
-    def interior_tree(self) -> "MetricTree":
-        """The tree without its extremal points; removed leaf vertices are
-        flagged as half-open ends rather than deleted."""
-        if not self._lengths:
-            raise TreeStructureError("a single-point tree has no interior")
-        leaves = {v for v in self._adj if len(self._adj[v]) <= 1}
-        kept_points = [
-            (name, loc) if isinstance(loc, str) else (name, *loc.edge, loc.offset)
-            for name, loc in self._points.items()
-            if not (isinstance(loc, str) and loc in leaves)
-        ]
-        return MetricTree(self.edges, kept_points, open_ends=self.open_ends | leaves)
 
     def __repr__(self) -> str:
         return (

@@ -175,18 +175,8 @@ def reduced_words(basis: Basis, maxlen: int) -> list[str]:
     return list(_keyed_reduced_words(basis, maxlen, keyed=False))
 
 
-def class_representatives(basis: Basis, maxlen: int) -> list[str]:
-    """One word per nontrivial conjugacy class of length 1..maxlen: the
-    least rotation of each cyclically reduced word, by (length, lex)."""
-    return [w for w, _ in _keyed_class_representatives(basis, maxlen)]
-
-
 def cyclically_reduced_words(basis: Basis, maxlen: int) -> list[str]:
     return [w for w, _ in _keyed_cyclic_words(basis, maxlen)]
-
-
-def commutator(u: str, v: str) -> str:
-    return reduce_word(u + v + invert_word(u) + invert_word(v))
 
 
 def enumerate_integer_vectors(rank: int, total: int):

@@ -431,15 +431,14 @@ def reference_shape_map(tree_a: MetricTree, tree_b: MetricTree, bijection: dict)
     return ShapeMapVerdict(True)
 
 
-def reference_convex(tree: MetricTree, names) -> bool:
-    """Slow reference for is_convex_point_set: every pair, every outside name."""
-    chosen = list(names)
-    return not any(
-        reference_point_on_segment(tree, r, a, b)
-        for a, b in combinations(chosen, 2)
-        for r in tree.point_names
-        if r not in chosen
-    )
+def commutator(u: str, v: str) -> str:
+    return reduce_word(u + v + invert_word(u) + invert_word(v))
+
+
+def apply_marking(marking, word: str) -> str:
+    """Image of a word under the endomorphism sending each generator to its
+    marking image, letter by letter."""
+    return reduce_word("".join(marking[c] if c in marking else invert_word(marking[c.lower()]) for c in word))
 
 
 def rotations(word: str) -> list[str]:

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction as Fr
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import combinations, permutations
 
 import pytest
@@ -13,7 +13,6 @@ from rtreelab.blend import (
     IncompatiblePairError,
     LengthFunction,
     MarkingError,
-    apply_marking,
     blend_length_functions,
     blend_metric,
     certify_rtree,
@@ -22,7 +21,6 @@ from rtreelab.blend import (
     length_function_from_line_action,
     length_function_from_marked_graph,
     length_function_from_table,
-    marked_graph_length,
     nielsen_generates,
     _axiom_scan,
     rose_blend_axiom_scan,
@@ -42,6 +40,7 @@ from rtreelab.words import (
 )
 
 from helpers import (
+    apply_marking,
     brute_force_axiom_check,
     brute_force_four_point,
     random_compatible_pair,
@@ -186,20 +185,21 @@ def test_incompatible_pairs_rejected():
 def test_marked_graph_length_identity_marking():
     identity = {"a": "a", "b": "b"}
     unit = {"a": 1, "b": 1}
-    assert marked_graph_length(identity, unit, "abab") == 4
-    assert marked_graph_length(identity, unit, "abA") == 1  # conjugate of b
+    length = length_function_from_marked_graph(identity, unit)
+    assert length("abab") == 4
+    assert length("abA") == 1  # conjugate of b
 
 
 def test_marked_graph_length_nontrivial_marking():
     marking = {"a": "a", "b": "ba"}
     unit = {"a": 1, "b": 1}
     assert apply_marking(marking, "b") == "ba"
-    assert marked_graph_length(marking, unit, "b") == 2
+    assert length_function_from_marked_graph(marking, unit)("b") == 2
 
 
 def test_marked_graph_respects_edge_weights():
     identity = {"a": "a", "b": "b"}
-    assert marked_graph_length(identity, {"a": Fr(1, 2), "b": 3}, "ab") == Fr(7, 2)
+    assert length_function_from_marked_graph(identity, {"a": Fr(1, 2), "b": 3})("ab") == Fr(7, 2)
 
 
 @pytest.mark.parametrize(
@@ -219,10 +219,9 @@ def test_marked_graph_respects_edge_weights():
     ],
 )
 def test_a_rose_needs_one_exact_weight_and_image_per_generator(marking, lengths, message):
-    for build in (length_function_from_marked_graph, partial(marked_graph_length, word="ab")):
-        with pytest.raises(MarkingError) as caught:
-            build(marking, lengths, basis=B2)
-        assert str(caught.value).startswith(message)
+    with pytest.raises(MarkingError) as caught:
+        length_function_from_marked_graph(marking, lengths, basis=B2)
+    assert str(caught.value).startswith(message)
 
 
 def test_nielsen_generation_check():
@@ -232,7 +231,7 @@ def test_nielsen_generation_check():
     assert not nielsen_generates({"a": "a", "b": "a"}, B2)
     assert not nielsen_generates({"a": "abAB", "b": "b"}, B2)
     with pytest.raises(MarkingError):
-        marked_graph_length({"a": "ab", "b": "ab"}, {"a": 1, "b": 1}, "a")
+        length_function_from_marked_graph({"a": "ab", "b": "ab"}, {"a": 1, "b": 1})("a")
 
 
 # -- length functions -----------------------------------------------------------------
@@ -552,8 +551,8 @@ def test_rose_length_is_the_weighted_length_of_the_cyclic_core(marking, weights,
     image = cyclic_reduce(apply_marking(marking, word))
     as_fractions = {s: Fr(w) for s, w in weights.items()}
     expected = sum((as_fractions[c.lower()] for c in image), Fr(0))
-    assert marked_graph_length(marking, weights, word, B2) == expected
-    assert marked_graph_length(marking, as_fractions, word, B2) == expected
+    assert length_function_from_marked_graph(marking, weights, B2)(word) == expected
+    assert length_function_from_marked_graph(marking, as_fractions, B2)(word) == expected
 
 
 _KERNEL_WEIGHTS = {
@@ -608,7 +607,7 @@ def test_a_float_weight_rose_is_its_exact_twin():
     floats = {"a": 0.1, "b": 0.2}
     exact = {s: Fr(w) for s, w in floats.items()}
     identity = {"a": "a", "b": "b"}
-    assert marked_graph_length(identity, floats, "ab", B2) == Fr(0.1) + Fr(0.2)
+    assert length_function_from_marked_graph(identity, floats, B2)("ab") == Fr(0.1) + Fr(0.2)
     marking, words, grid = {"a": "a", "b": "ba"}, reduced_words(B2, 3), [Fr(1, 3), 0.3, Fr(1, 2)]
     for lam in grid:
         blends = [

@@ -149,6 +149,40 @@ def test_observers_converge_multipod_pass_and_refute(tmp_path, capsys):
     assert code2 == 0
 
 
+@pytest.mark.parametrize(
+    "terms, probe, limit, distances",
+    [
+        # the term is a line end: it stands one unit below -1/2, the lowest finite point
+        ("-475536/1000003\n2/3\n-3\n-inf\n", "-1/2 | 2", "5/2",
+         '"d_base_rep": "5/2", "d_base_term": "1", "d_rep_term": "7/2"'),
+        # the representative is a line end: it stands one unit above the base
+        ("1\n-1\n", "0 | +inf", "2", '"d_base_rep": "1", "d_base_term": "1", "d_rep_term": "2"'),
+        # the base and the term are the same line end: they stand at one point
+        ("0\n1\n+inf\n", "+inf | 0", "0", '"d_base_rep": "1", "d_base_term": "0", "d_rep_term": "1"'),
+        # no finite point: the ends stand at 1 and -1
+        ("+inf\n+inf\n", "+inf | -inf", "0", '"d_base_rep": 2, "d_base_term": 0, "d_rep_term": 2'),
+    ],
+)
+def test_a_direction_exit_witness_at_a_line_end_replays(tmp_path, capsys, terms, probe, limit, distances):
+    (tmp_path / "s.seq").write_text(terms)
+    (tmp_path / "p.dirs").write_text(probe + "\n")
+    depth = str(terms.count("\n"))
+    code, out, err = run_cli(
+        capsys, "observers", "converge", "--line", "--seq", str(tmp_path / "s.seq"),
+        "--probes", str(tmp_path / "p.dirs"), f"--limit={limit}", "--depth", depth,
+    )
+    assert (code, err) == (1, "")
+    index = int(depth) - 1
+    assert out.splitlines()[-1] == (
+        f'WITNESS {{{distances}, "kind": "direction_exit", "term_index": {index}}}'
+    )
+    (tmp_path / "report.txt").write_text(out)
+    assert run_cli(capsys, "replay", str(tmp_path / "report.txt"))[:2] == (
+        0, f"rtreelab replay\nconfig: report={tmp_path / 'report.txt'} seed=0\n"
+        "witness 0 (direction_exit): confirmed\nRESULT: pass (1 witnesses)\n",
+    )
+
+
 def test_observers_converge_with_auto_subbasis(tmp_path, capsys):
     seq = tmp_path / "seq.txt"
     seq.write_text("".join(f"1/{n}\n" for n in range(1, 21)))
@@ -789,7 +823,28 @@ def test_blend_checks_reject_an_empty_word_range(argv, capsys):
     assert err == "parameter error: maxlen must be >= 1\n"
 
 
-@pytest.mark.parametrize("w0, w1", [("1,2", "1,2,3"), ("1,2,3", "1,2")])
+@pytest.mark.parametrize(
+    "grid, err",
+    [
+        # start past the end: no lambda to check, so a pass would be vacuous
+        ("1:0:1/2", "grid start must not exceed its end"),
+        ("1/2:1/3:1", "grid start must not exceed its end"),
+        # the first value out of range is named as written by format_number
+        ("-1/2:1:1/2", "lambda must lie in [0, 1], got -1/2"),
+        ("0.5:2:0.25", "lambda must lie in [0, 1], got 5/4"),
+        ("1/3:5:1/3", "lambda must lie in [0, 1], got 4/3"),
+    ],
+)
+def test_blend_axioms_rejects_an_empty_or_out_of_range_grid(grid, err, capsys):
+    code, out, stderr = run_cli(
+        capsys, "blend", "axioms", "--marking", "a:a,b:ba", f"--lambda-grid={grid}", "--maxlen", "2"
+    )
+    assert code == 65
+    assert "RESULT" not in out and "no violation" not in out
+    assert stderr == f"parameter error: {err}\n"
+
+
+@pytest.mark.parametrize("w0, w1",[("1,2", "1,2,3"), ("1,2,3", "1,2")])
 def test_blend_lengths_rejects_weight_lists_of_different_lengths(w0, w1, capsys):
     # a weight without a partner was dropped, or read as a missing generator
     code, out, err = run_cli(
@@ -1248,7 +1303,7 @@ def test_observers_on_the_grid_report_as_the_references(tmp_path, capsys, comman
     arms) report the points, certificates, probe lines, indices and exit
     codes of the slow references run on the Fraction points, with mixed and
     huge denominators, ends, the hub, probe files and auto:<k>; a
-    direction_exit witness at a finite term replays."""
+    direction_exit witness replays, line ends included."""
     rng = random.Random(seed)
     oracle = MultipodOracle(pod) if pod else LineOracle()
     flag = ["--multipod", str(pod)] if pod else ["--line"]
@@ -1303,8 +1358,7 @@ def test_observers_on_the_grid_report_as_the_references(tmp_path, capsys, comman
     assert [line for line in lines if not line.startswith(("RESULT", "WITNESS"))] == expected
     witnesses = [json.loads(line[len("WITNESS "):]) for line in lines if line.startswith("WITNESS ")]
     assert len(witnesses) == (code == 1 and command == "converge")
-    # a witness whose term is a line end has infinite distances, which it cannot replay
-    assert all(replay_witness(w) for w in witnesses if "inf" not in (w["d_base_term"], w["d_rep_term"]))
+    assert all(replay_witness(w) for w in witnesses)
 
 
 def test_observers_name_the_first_bad_multipod_offset_in_file_units(tmp_path, capsys):

@@ -310,7 +310,7 @@ def test_reconstruct_skips_steiner_names_that_are_table_points():
     table = MetricTable({(x, y): 2 for x, y in combinations(names, 2)})
     tree = reconstruct_tree(table)
     assert tree.vertices == (".s1", ".s2", "a", "b", "c")
-    assert tree.degree(".s2") == 4
+    assert len(set(tree.germs(".s2", [".s1", "a", "b", "c"]))) == 4
     for x, y in combinations(names, 2):
         assert tree.distance(x, y) == 2
     assert certify_rtree(table).passes

@@ -14,10 +14,8 @@ from rtreelab.observers import (
     PointSequence,
     ShapeMapError,
     converges_obs,
-    direction_of,
     extract_convergent_subsequence,
     in_direction,
-    is_convex_point_set,
     liminf_from,
     same_direction,
     subbasis_from_sample,
@@ -29,7 +27,6 @@ from rtreelab.tree import Location, MetricTree, UnknownPointError, path_tree, st
 
 from helpers import (
     random_tree,
-    reference_convex,
     reference_extract_window,
     reference_in_direction,
     reference_liminf,
@@ -69,13 +66,13 @@ def full_direction_family(tree):
 
 def test_direction_at_cut_point_of_path():
     oracle = FiniteTreeOracle(path_tree([1, 2], names=["A", "B", "C"]))
-    d = direction_of(oracle, "B", "A")
+    d = Direction("B", "A")
     assert in_direction(oracle, d, "A")
     assert not in_direction(oracle, d, "C")
 
 
 def test_direction_at_star_hub_is_single_arm(star_oracle):
-    d = direction_of(star_oracle, "H", "x")
+    d = Direction("H", "x")
     assert in_direction(star_oracle, d, "x")
     assert not in_direction(star_oracle, d, "y")
     assert not in_direction(star_oracle, d, "z")
@@ -84,24 +81,22 @@ def test_direction_at_star_hub_is_single_arm(star_oracle):
 def test_direction_at_multipod_hub_is_single_arm():
     pod = MultipodOracle()
     for i in (0, 3, 17):
-        d = direction_of(pod, "hub", (i, 1))
+        d = Direction("hub", (i, 1))
         assert in_direction(pod, d, (i, Fr(1, 2)))
         assert not in_direction(pod, d, (i + 1, 1))
 
 
 def test_direction_requires_distinct_base(star_oracle):
-    with pytest.raises(ValueError):
-        direction_of(star_oracle, "H", "H")
-    d = direction_of(star_oracle, "H", "x")
+    d = Direction("H", "x")
     with pytest.raises(ValueError):
         in_direction(star_oracle, d, "H")
 
 
 def test_in_direction_representative_and_path_case(star_oracle):
-    d = direction_of(star_oracle, "H", "x")
+    d = Direction("H", "x")
     assert in_direction(star_oracle, d, "x")
     oracle = FiniteTreeOracle(path_tree([1, 1, 1], names=["A", "B", "C", "D"]))
-    assert in_direction(oracle, direction_of(oracle, "B", "D"), "C")
+    assert in_direction(oracle, Direction("B", "D"), "C")
 
 
 def test_germ_labels_a_direction_by_its_first_vertex():
@@ -110,7 +105,7 @@ def test_germ_labels_a_direction_by_its_first_vertex():
     oracle = FiniteTreeOracle(tree)
     assert tree.germs("b", ["a", "up", "m", "down", "b"]) == ["a", "up", "up", "down", None]
     assert tree.germs("m", ["a", "b", "up", "m"]) == ["b", "b", "up", None]
-    assert not in_direction(oracle, direction_of(oracle, "b", "a"), "up")
+    assert not in_direction(oracle, Direction("b", "a"), "up")
     assert LineOracle().germs(0, [LINE_PLUS])[0] is True and LineOracle().germs(LINE_PLUS, [0])[0] is False
     pod = MultipodOracle()
     assert [pod.germs("hub", [(7, 1)]), pod.germs((7, Fr(1, 2)), [(7, 1)]), pod.germs((7, 1), [(2, 1)])] == [[7], ["out"], ["in"]]
@@ -325,7 +320,7 @@ def test_liminf_of_direction_confined_sequence_stays_in_closure():
         base, rep = rng.choice(names), rng.choice(names)
         if tree.same_point(base, rep):
             continue
-        d = direction_of(oracle, base, rep)
+        d = Direction(base, rep)
         inside = [
             p for p in names
             if not tree.same_point(p, base) and in_direction(oracle, d, p)
@@ -441,7 +436,7 @@ def test_liminf_agrees_with_the_full_fold(case):
 
 def test_constant_sequence_consistent_for_any_probes(star_oracle):
     seq = PointSequence(lambda i: "x")
-    probes = [direction_of(star_oracle, "H", "x"), direction_of(star_oracle, "H", "y")]
+    probes = [Direction("H", "x"), Direction("H", "y")]
     verdict = converges_obs(star_oracle, seq, "x", probes, depth=8)
     assert verdict.consistent
 
@@ -449,8 +444,8 @@ def test_constant_sequence_consistent_for_any_probes(star_oracle):
 def test_multipod_turning_sequence_converges_to_hub_only():
     pod = MultipodOracle()
     seq = PointSequence(lambda i: (i, 1))
-    probes = [direction_of(pod, (i, Fr(1, 2)), "hub") for i in range(6)]
-    probes += [direction_of(pod, (i, Fr(1, 2)), (i, 1)) for i in range(6)]
+    probes = [Direction((i, Fr(1, 2)), "hub") for i in range(6)]
+    probes += [Direction((i, Fr(1, 2)), (i, 1)) for i in range(6)]
     verdict = converges_obs(pod, seq, "hub", probes, depth=40)
     assert verdict.consistent
     # any tip is refuted by the direction at its arm midpoint toward the tip
@@ -462,8 +457,8 @@ def test_multipod_turning_sequence_converges_to_hub_only():
 def test_line_one_over_n_consistent(line):
     seq = PointSequence(lambda i: Fr(1, i + 1))
     probes = [
-        direction_of(line, Fr(1, 2), 0),
-        direction_of(line, Fr(-1, 2), 0),
+        Direction(Fr(1, 2), 0),
+        Direction(Fr(-1, 2), 0),
     ]
     verdict = converges_obs(line, seq, 0, probes, depth=30)
     assert verdict.consistent
@@ -612,7 +607,7 @@ def test_subbasis_degenerate_sample(line):
 
 def test_extract_keeps_convergent_sequence(star_oracle):
     seq = PointSequence(lambda i: "x")
-    dirs = [direction_of(star_oracle, "H", "x"), direction_of(star_oracle, "H", "y")]
+    dirs = [Direction("H", "x"), Direction("H", "y")]
     res = extract_convergent_subsequence(star_oracle, seq, dirs, depth=12)
     assert len(res.indices) >= 6
     assert star_oracle.points_equal(res.limit.point, "x")
@@ -621,7 +616,7 @@ def test_extract_keeps_convergent_sequence(star_oracle):
 
 def test_extract_parity_subsequence_on_line(line):
     seq = PointSequence(lambda i: (-1) ** i)
-    dirs = [direction_of(line, Fr(1, 2), 1)]
+    dirs = [Direction(Fr(1, 2), 1)]
     res = extract_convergent_subsequence(line, seq, dirs, depth=10, basepoint=0)
     values = {seq.point(i) for i in res.indices}
     assert values in ({1}, {-1})
@@ -632,7 +627,7 @@ def test_extract_parity_subsequence_on_line(line):
 def test_extract_multipod_turning_limit_is_hub():
     pod = MultipodOracle()
     seq = PointSequence(lambda i: (i, 1))
-    dirs = [direction_of(pod, (i, Fr(1, 2)), (i, 1)) for i in range(3)]
+    dirs = [Direction((i, Fr(1, 2)), (i, 1)) for i in range(3)]
     res = extract_convergent_subsequence(pod, seq, dirs, depth=30, basepoint="hub")
     assert pod.points_equal(res.limit.point, "hub")
 
@@ -685,16 +680,6 @@ def test_shape_map_rejects_non_bijection():
         verify_shape_map(t, t, {"A": "A"})
     with pytest.raises(ShapeMapError):
         verify_shape_map(t, t, {"A": "A", "B": "A"})
-
-
-def test_convexity_agrees_across_shape_equivalent_metrics():
-    t0 = path_tree([1, 2], names=["A", "B", "C"])
-    t1 = path_tree([3, 1], names=["A", "B", "C"])
-    assert verify_shape_map(t0, t1, {n: n for n in "ABC"}).passes
-    for subset in [["A", "C"], ["A", "B"], ["A", "B", "C"], ["B"]]:
-        assert is_convex_point_set(t0, subset) == is_convex_point_set(t1, subset)
-    assert not is_convex_point_set(t0, ["A", "C"])
-    assert is_convex_point_set(t0, ["A", "B"])
 
 
 def _point_rows(tree: MetricTree, extra=()) -> list:
@@ -791,15 +776,6 @@ def test_shape_map_agrees_with_the_triple_loop_reference_above_desk_size(seed):
     assert verify_shape_map(t0, t1, bijection) == reference_shape_map(t0, t1, bijection)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.integers(0, 5))
-def test_convexity_agrees_with_the_pairwise_reference(seed, size):
-    rng = random.Random(seed)
-    tree = _with_aliases(rng, random_tree(rng, 9, edge_points=2))
-    chosen = [rng.choice(tree.point_names) for _ in range(size)]
-    assert is_convex_point_set(tree, chosen) == reference_convex(tree, chosen)
-
-
 def test_point_sequence_from_list_and_fn():
     seq = PointSequence([1, 2, 3])
     assert seq.take(5) == [1, 2, 3]
@@ -808,7 +784,7 @@ def test_point_sequence_from_list_and_fn():
 
 def test_convergence_verdict_reports(star_oracle):
     seq = PointSequence(["y", "x", "x", "x"])
-    probes = [direction_of(star_oracle, "H", "x")]
+    probes = [Direction("H", "x")]
     verdict = converges_obs(star_oracle, seq, "x", probes, depth=4)
     assert isinstance(verdict, ConvergenceVerdict)
     assert verdict.consistent

@@ -1,4 +1,5 @@
 import ast
+import importlib.util
 from pathlib import Path
 
 import rtreelab
@@ -15,3 +16,27 @@ def test_every_export_resolves_and_every_public_import_is_exported():
         for alias in node.names
     }
     assert sorted(name for name in imported if not name.startswith("_")) == sorted(rtreelab.__all__)
+
+
+def _load_tracing():
+    # the bench tracer is loaded from its file and never installed
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("_bench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_bench_tracer_target_resolves():
+    """Each span, counter and result-count target of the bench tracer names
+    a function or method that src still defines, so deleting a traced name
+    fails here and not first in a traced bench run."""
+    tracing = _load_tracing()
+    targets = [t for group in (tracing.SPANS, tracing.COUNTS) for ts in group.values() for t in ts]
+    targets += list(tracing.RESULT_COUNTS)
+    missing = []
+    for target in targets:
+        owner, attr = tracing._resolve(target)
+        if attr not in vars(owner) or not callable(getattr(owner, attr)):
+            missing.append(target)
+    assert len(targets) > 40 and missing == []

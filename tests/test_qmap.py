@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from helpers import (
     canonical_rotation,
+    commutator,
     reference_fiber_check,
     reference_fold,
     reference_mu,
@@ -26,11 +27,9 @@ from rtreelab.qmap import (
     EmptyWordError,
     _orbit_sequence,
     dual_lamination_sample,
-    equivariance_check,
     line_action_from_weights,
     min_positive_translation,
     parse_weight,
-    q_continuity_probe,
     q_fiber_check,
     qmap_estimate,
     small_words_search,
@@ -39,7 +38,6 @@ from rtreelab.surds import Surd
 from rtreelab.words import (
     Basis,
     abelianization,
-    commutator,
     cyclic_reduce,
     cyclically_reduced_words,
     invert_letter,
@@ -243,65 +241,6 @@ def test_fiber_finite_estimates_compare_with_tolerance(irr_action):
     cx = q_fiber_check(irr_action, x, y, depth=4000, tol=1e-6)
     assert cx.status == "different"
     assert abs(cx.residual - SQRT2) < 1e-9
-
-
-# -- continuity probe --------------------------------------------------------------
-
-
-def test_probe_positive_drift_continuations_keep_the_end(irr_action):
-    probe = q_continuity_probe(
-        irr_action, periodic("", "a"), k=3, depth=200, continuations=["a", "b"]
-    )
-    assert probe.max_separation == 0
-    assert all(sep == 0 for _, sep in probe.separations)
-
-
-def test_probe_default_family_rotations_sees_zero_for_periodic(irr_action):
-    x = periodic("", "abAB")
-    probe = q_continuity_probe(irr_action, x, k=8, depth=2000)
-    assert probe.max_separation == 0
-
-
-def test_probe_full_depth_prefix_gives_zero(irr_action):
-    depth = 400
-    x = periodic("", "abAB")
-    probe = q_continuity_probe(irr_action, x, k=depth, depth=depth)
-    assert probe.max_separation == 0
-
-
-def test_probe_residuals_nonincreasing_in_k(irr_action):
-    x = periodic("", "ab")
-    values = [
-        q_continuity_probe(irr_action, x, k=k, depth=500).max_separation for k in (2, 4, 8)
-    ]
-    assert all(a >= b for a, b in zip(values, values[1:]))
-
-
-def test_probe_letter_continuations_document_sandbox_discontinuity(irr_action):
-    # flipping the escape direction within any cylinder: the line action is
-    # not in the theory's hypothesis class and the probe reports it
-    probe = q_continuity_probe(
-        irr_action, periodic("", "a"), k=3, depth=200, continuations=["B"]
-    )
-    assert math.isinf(probe.max_separation)
-
-
-# -- equivariance -------------------------------------------------------------------
-
-
-def test_equivariance_identity_word(irr_action):
-    assert equivariance_check(irr_action, "", periodic("", "abAB"), depth=500) == 0
-
-
-def test_equivariance_translation_preserves_end(irr_action):
-    assert equivariance_check(irr_action, "b", periodic("", "a"), depth=200) == 0
-
-
-def test_equivariance_convergent_case_bounded_by_certificates(irr_action):
-    x = periodic("", "abAB")
-    res = equivariance_check(irr_action, "a", x, depth=2000)
-    est = qmap_estimate(irr_action, x, depth=2000)
-    assert res <= 2 * est.certificate + 1e-9
 
 
 # -- basepoint panel ------------------------------------------------------------------

@@ -237,68 +237,6 @@ def test_point_on_segment_iff_distances_add(star_xyz):
                 assert star_xyz.point_on_segment(r, p, q) == adds
 
 
-def test_extremal_leaf_and_midpoint(path_abc):
-    assert path_abc.is_extremal("A")
-    t = MetricTree([("A", "B", 2)], [("M", "A", "B", 1)])
-    assert not t.is_extremal("M")
-
-
-def test_extremal_hub_is_not(star_xyz):
-    assert not star_xyz.is_extremal("H")
-    # oracle: component count after vertex removal
-    comps = star_xyz.degree("H")
-    assert comps > 1
-
-
-def test_interior_of_path_keeps_length_flags_ends():
-    t = path_tree([3], names=["A", "B"])
-    interior = t.interior_tree()
-    assert interior.open_ends == {"A", "B"}
-    assert interior.distance("A", "B") == 3
-    assert not interior.contains("A")
-    assert interior.contains(Location(("A", "B"), Fr(1))) or interior.contains(
-        interior.midpoint("A", "B")
-    )
-
-
-def test_interior_of_star_keeps_hub(star_xyz):
-    interior = star_xyz.interior_tree()
-    assert interior.open_ends == {"x", "y", "z"}
-    assert interior.contains("H")
-
-
-def test_interior_drops_points_sitting_at_leaves():
-    t = MetricTree(
-        [("H", "x", 1), ("H", "y", 1)],
-        [("P", "x"), ("M", "H", "x", Fr(1, 2))],
-    )
-    interior = t.interior_tree()
-    assert "P" not in interior.designated  # sat exactly at a removed end
-    assert "M" in interior.designated
-
-
-def test_interior_tripod_of_tripods_strips_all_leaves():
-    edges = [("H", "h1", 1), ("H", "h2", 1), ("H", "h3", 1)]
-    for i in (1, 2, 3):
-        edges += [(f"h{i}", f"l{i}a", 1), (f"h{i}", f"l{i}b", 1)]
-    t = MetricTree(edges)
-    interior = t.interior_tree()
-    leaves = {f"l{i}{s}" for i in (1, 2, 3) for s in "ab"}
-    assert interior.open_ends == leaves
-    for i in (1, 2, 3):
-        assert interior.contains(f"h{i}")
-    assert interior.contains("H")
-    # per-point oracle: extremal iff leaf
-    for v in t.vertices:
-        assert t.is_extremal(v) == (v in leaves)
-
-
-def test_interior_of_single_vertex_errors():
-    t = MetricTree((), vertices=("A",))
-    with pytest.raises(TreeStructureError):
-        t.interior_tree()
-
-
 def test_tree_rejects_cycles_and_nonpositive_lengths():
     with pytest.raises(TreeStructureError):
         MetricTree([("A", "B", 1), ("B", "C", 1), ("C", "A", 1)])
@@ -314,75 +252,73 @@ DISCONNECTED = [("A", "B", 1), ("B", "C", 1), ("C", "A", 1), ("D", "E", 1)]
 # id, edges, points, open ends, the error and its message; then the same
 # tree as a tree file, when one can say it, and the message parse_tree gives
 TREE_ERRORS = [
-    ("loop", [("A", "B", 1), ("B", "B", 2)], [], (), TreeStructureError, "loop edge at 'B'",
+    ("loop", [("A", "B", 1), ("B", "B", 2)], [], TreeStructureError, "loop edge at 'B'",
      "edge A B 1\nedge B B 2\n", "loop edge at 'B'"),
-    ("nan loop", [("A", "A", NAN)], [], (), TreeStructureError, "loop edge at 'A'",
+    ("nan loop", [("A", "A", NAN)], [], TreeStructureError, "loop edge at 'A'",
      "edge A A nan\n", "bad number 'nan'"),
-    ("nan after a loop", [("A", "A", 1), ("A", "B", NAN)], [], (), TreeStructureError, "loop edge at 'A'",
+    ("nan after a loop", [("A", "A", 1), ("A", "B", NAN)], [], TreeStructureError, "loop edge at 'A'",
      "edge A A 1\nedge A B nan\n", "bad number 'nan'"),
-    ("nan length", [("A", "B", 1), ("B", "C", NAN)], [], (), TreeStructureError,
+    ("nan length", [("A", "B", 1), ("B", "C", NAN)], [], TreeStructureError,
      "length of edge B-C must be an int, a Fraction or a finite float, got nan", None, None),
-    ("text length", [("A", "B", "1")], [], (), TreeStructureError,
+    ("text length", [("A", "B", "1")], [], TreeStructureError,
      "length of edge A-B must be an int, a Fraction or a finite float, got '1'", None, None),
-    ("zero", [("A", "B", 0)], [], (), TreeStructureError, "edge A-B has nonpositive length 0",
+    ("zero", [("A", "B", 0)], [], TreeStructureError, "edge A-B has nonpositive length 0",
      "edge A B 0\n", "edge A-B has nonpositive length 0"),
-    ("negative Fraction", [("A", "B", Fr(-1, 2))], [], (), TreeStructureError,
+    ("negative Fraction", [("A", "B", Fr(-1, 2))], [], TreeStructureError,
      "edge A-B has nonpositive length -1/2", "edge A B -1/2\n", "edge A-B has nonpositive length -1/2"),
-    ("negative float", [("A", "B", -0.5)], [], (), TreeStructureError,
+    ("negative float", [("A", "B", -0.5)], [], TreeStructureError,
      "edge A-B has nonpositive length -0.5", "edge A B -0.5\n", "edge A-B has nonpositive length -1/2"),
-    ("duplicate", [("A", "B", 1), ("B", "A", 2)], [], (), TreeStructureError, "duplicate edge B-A",
+    ("duplicate", [("A", "B", 1), ("B", "A", 2)], [], TreeStructureError, "duplicate edge B-A",
      "edge A B 1\nedge B A 2\n", "duplicate edge B-A"),
-    ("nonpositive duplicate", [("A", "B", 1), ("B", "A", 0)], [], (), TreeStructureError,
+    ("nonpositive duplicate", [("A", "B", 1), ("B", "A", 0)], [], TreeStructureError,
      "edge B-A has nonpositive length 0", "edge A B 1\nedge B A 0\n", "edge B-A has nonpositive length 0"),
-    ("cycle", [("A", "B", 1), ("B", "C", 1), ("C", "A", 1)], [], (), TreeStructureError,
+    ("cycle", [("A", "B", 1), ("B", "C", 1), ("C", "A", 1)], [], TreeStructureError,
      "3 vertices and 3 edges cannot form a tree", "edge A B 1\nedge B C 1\nedge C A 1\n",
      "3 vertices and 3 edges cannot form a tree"),
-    ("cycle and a component", DISCONNECTED, [], (), TreeStructureError, "edge graph is not connected",
+    ("cycle and a component", DISCONNECTED, [], TreeStructureError, "edge graph is not connected",
      "edge A B 1\nedge B C 1\nedge C A 1\nedge D E 1\n", "edge graph is not connected"),
-    ("nan offset, disconnected", DISCONNECTED, [("p", "A", "B", NAN)], (), TreeStructureError,
+    ("nan offset, disconnected", DISCONNECTED, [("p", "A", "B", NAN)], TreeStructureError,
      "offset of p must be an int, a Fraction or a finite float, got nan",
      "edge A B 1\nedge B C 1\nedge C A 1\nedge D E 1\npoint p A B nan\n", "bad number 'nan'"),
-    ("bad offset after a good one", DISCONNECTED, [("p", "A", "B", Fr(1, 2)), ("q", "A", "B", "1/2")], (),
+    ("bad offset after a good one", DISCONNECTED, [("p", "A", "B", Fr(1, 2)), ("q", "A", "B", "1/2")],
      TreeStructureError, "offset of q must be an int, a Fraction or a finite float, got '1/2'", None, None),
-    ("no edge", [("A", "B", 1), ("B", "C", 1)], [("p", "A", "C", Fr(1, 2))], (), UnknownPointError,
+    ("no edge", [("A", "B", 1), ("B", "C", 1)], [("p", "A", "C", Fr(1, 2))], UnknownPointError,
      "'no edge A-C'", "edge A B 1\nedge B C 1\npoint p A C 1/2\n", "'no edge A-C'"),
-    ("no edge before a name in use", [("A", "B", 1), ("B", "C", 1)], [("B", "A", "C", 1)], (),
+    ("no edge before a name in use", [("A", "B", 1), ("B", "C", 1)], [("B", "A", "C", 1)],
      UnknownPointError, "'no edge A-C'", "edge A B 1\nedge B C 1\npoint B A C 1\n", "'no edge A-C'"),
-    ("offset past the far end", [("A", "B", Fr(3, 2))], [("p", "A", "B", Fr(5, 2))], (), TreeStructureError,
+    ("offset past the far end", [("A", "B", Fr(3, 2))], [("p", "A", "B", Fr(5, 2))], TreeStructureError,
      "offset 5/2 outside edge ('A', 'B') of length 3/2", "edge A B 3/2\npoint p A B 5/2\n",
      "offset 5/2 outside edge ('A', 'B') of length 3/2"),
-    ("offset past the far end, given from v", [("A", "B", Fr(3, 2))], [("p", "B", "A", 2)], (),
+    ("offset past the far end, given from v", [("A", "B", Fr(3, 2))], [("p", "B", "A", 2)],
      TreeStructureError, "offset -1/2 outside edge ('A', 'B') of length 3/2", "edge A B 3/2\npoint p B A 2\n",
      "offset -1/2 outside edge ('A', 'B') of length 3/2"),
-    ("negative offset", [("A", "B", 1)], [("p", "A", "B", -0.25)], (), TreeStructureError,
+    ("negative offset", [("A", "B", 1)], [("p", "A", "B", -0.25)], TreeStructureError,
      "offset -1/4 outside edge ('A', 'B') of length 1", "edge A B 1\npoint p A B -0.25\n",
      "offset -1/4 outside edge ('A', 'B') of length 1"),
-    ("negative offset, given from v", [("B", "A", 1)], [("p", "B", "A", Fr(-1, 3))], (), TreeStructureError,
+    ("negative offset, given from v", [("B", "A", 1)], [("p", "B", "A", Fr(-1, 3))], TreeStructureError,
      "offset 4/3 outside edge ('A', 'B') of length 1", "edge B A 1\npoint p B A -1/3\n",
      "offset 4/3 outside edge ('A', 'B') of length 1"),
-    ("name of a vertex", [("A", "B", 1)], [("B", "A", "B", Fr(1, 2))], (), TreeStructureError,
+    ("name of a vertex", [("A", "B", 1)], [("B", "A", "B", Fr(1, 2))], TreeStructureError,
      "point name 'B' already in use", "edge A B 1\npoint B A B 1/2\n", "point name 'B' already in use"),
-    ("name of a point", [("A", "B", 1), ("B", "C", 1)], [("p", "A", "B", Fr(1, 4)), ("p", "C", "B", 1)], (),
+    ("name of a point", [("A", "B", 1), ("B", "C", 1)], [("p", "A", "B", Fr(1, 4)), ("p", "C", "B", 1)],
      TreeStructureError, "point name 'p' already in use", "edge A B 1\nedge B C 1\npoint p A B 1/4\npoint p C B 1\n",
      "point name 'p' already in use"),
-    ("unknown vertex", [("A", "B", 1)], [("p", "Z")], (), UnknownPointError, "'Z'", None, None),
-    ("unknown vertex before a name in use", [("A", "B", 1)], [("A", "Z")], (), UnknownPointError, "'Z'", None, None),
-    ("unknown open end", [("A", "B", 1)], [("p", "A", "B", Fr(1, 2))], ("A", "Z"), UnknownPointError, "'Z'",
-     None, None),
+    ("unknown vertex", [("A", "B", 1)], [("p", "Z")], UnknownPointError, "'Z'", None, None),
+    ("unknown vertex before a name in use", [("A", "B", 1)], [("A", "Z")], UnknownPointError, "'Z'", None, None),
 ]
 
 
 @pytest.mark.parametrize(
-    "edges, points, open_ends, error, message, text, text_message",
+    "edges, points, error, message, text, text_message",
     [case[1:] for case in TREE_ERRORS],
     ids=[case[0] for case in TREE_ERRORS],
 )
-def test_tree_errors_and_which_one_wins(edges, points, open_ends, error, message, text, text_message):
+def test_tree_errors_and_which_one_wins(edges, points, error, message, text, text_message):
     """Each bad tree raises its one named error with this exact message, the
     first error of the build winning; a tree file says the same, or names
     its bad number."""
     with pytest.raises(error) as raised:
-        MetricTree(edges, points, open_ends=open_ends)
+        MetricTree(edges, points)
     assert type(raised.value) is error and str(raised.value) == message
     if text is not None:
         with pytest.raises(FormatError) as raised:
@@ -426,8 +362,6 @@ def test_lengths_and_offsets_read_as_their_exact_values(kind):
         f"point r B C {2 * exact_length}\npoint s B C {2 * exact_length}\n"
     )
     assert tree.distance("p", "q") == exact_length - 2 * exact_offset
-    interior = tree.interior_tree()
-    assert interior.edges == tree.edges and interior.designated == {"p": tree.designated["p"], "q": tree.designated["q"]}
 
 
 def test_equal_literals_give_equal_trees():
