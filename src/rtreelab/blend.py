@@ -21,7 +21,7 @@ from .hyperbolicity import HyperbolicityVerdict, MetricTable, first_violation
 from .observers import verify_shape_map
 from .qmap import EmptyWordError
 from .surds import Surd
-from .tree import Location, MetricTree, Num, _exact, _exactify
+from .tree import Location, MetricTree, Num, _exact
 from .words import (
     Basis,
     abelianization,
@@ -81,23 +81,13 @@ class CompatibleMetricPair:
 def blend_metric(pair: CompatibleMetricPair, lam: Num) -> MetricTree:
     """The tree with edge lengths lam*d1 + (1-lam)*d0 and designated point
     offsets combined the same way (so distances to the edge endpoints blend
-    affinely as well)."""
-    lam = _exactify(lam)
+    affinely as well), rooted as tree0.  With lam = p/q, each scaled int
+    length x blends as (q-p)*s1*x0 + p*s0*x1 over the scale q*s0*s1, for
+    each tree's scale s (``MetricTree._blend``)."""
+    lam = _exact(lam, BlendRangeError, "lambda")
     if lam < 0 or lam > 1:
         raise BlendRangeError(f"lambda must lie in [0, 1], got {lam}")
-    t0, t1 = pair.tree0, pair.tree1
-    # the trees' scaled int lengths, each tree's weight over its own scale
-    w0, w1, lengths1 = (1 - lam) / t0._scale, lam / t1._scale, t1._lengths
-    edges = [(u, v, w1 * lengths1[(u, v)] + w0 * l0) for (u, v), l0 in sorted(t0._lengths.items())]
-    points = []
-    for name, loc0 in sorted(t0.designated.items()):
-        loc1 = t1.designated[name]
-        if isinstance(loc0, str):
-            points.append((name, loc0))
-        else:
-            off = lam * loc1.offset + (1 - lam) * loc0.offset
-            points.append((name, loc0.edge[0], loc0.edge[1], off))
-    return MetricTree(edges, points)
+    return pair.tree0._blend(pair.tree1, *lam.as_integer_ratio())
 
 
 @dataclass(frozen=True)
@@ -346,7 +336,8 @@ def length_function_from_marked_graph(
 
 
 def length_function_from_table(table: Mapping[str, Num]) -> LengthFunction:
-    return LengthFunction(lambda w: _exactify(table[w]), "explicit table")
+    # ints and floats (at their exact binary value) become Fractions
+    return LengthFunction(lambda w: Fraction(x) if isinstance(x := table[w], (int, float)) else x, "explicit table")
 
 
 def _grid_slot(lam: Num, u0: int, u1: int) -> tuple:

@@ -396,7 +396,7 @@ def parse_witness_lines(text: str) -> list[dict]:
         if line.startswith(WITNESS_PREFIX):
             try:
                 out.append(json.loads(line[len(WITNESS_PREFIX) :]))
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:  # JSON errors, ints past the digit limit, deep nesting
                 raise FormatError(f"bad witness line: {line!r}") from exc
     return out
 
@@ -408,7 +408,20 @@ def _wnum(x):
 
 
 def replay_witness(data: dict) -> bool:
-    """Re-verify a self-contained witness record from its own numbers."""
+    """Re-verify a self-contained witness record from its own numbers; a
+    record that is not an object, or lacks or mistypes a field, is a FormatError."""
+    if not isinstance(data, dict):
+        raise FormatError(f"bad witness {json.dumps(data)}: not a JSON object")
+    try:
+        return _replay(data)
+    except FormatError:
+        raise
+    except (LookupError, TypeError, ValueError, AttributeError, ArithmeticError) as exc:
+        missing = "missing " if isinstance(exc, KeyError) else ""
+        raise FormatError(f"bad witness {data['kind']}: {missing}{exc}") from exc
+
+
+def _replay(data: dict) -> bool:
     kind = data.get("kind")
     if kind == "four_point":
         raw = data["distances"]

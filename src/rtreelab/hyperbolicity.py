@@ -337,13 +337,13 @@ def _attachments(m: list[list]) -> tuple[list[tuple[int, int]], list[int]]:
 
 def _realize(space: MetricTable, attachments: list[tuple[int, int]]) -> MetricTree:
     """The anchored realization behind reconstruct_tree, from the table's
-    attachments, without checks.
+    attachments, without checks: a parent map and root distances, rooted
+    at the anchor, handed to ``MetricTree._rooted``.
 
-    Vertices carry a parent and a root distance.  Every placed table point
-    sits at (v, r): root distance r on the edge from vertex v up to its
-    parent, or at v itself when r is v's root distance; a point whose
-    pendant would be empty stays such a designated point.  Root distances
-    are matrix values doubled, so that Gromov products stay integers.
+    Every placed table point sits at (v, r): root distance r on the root
+    path of vertex v, at or below the point; a point whose pendant would
+    be empty stays such a designated point.  Root distances are matrix
+    values doubled, so that Gromov products stay integers.
     """
     names, m = space.points, space._m
     anchor = names[0]
@@ -354,41 +354,21 @@ def _realize(space: MetricTable, attachments: list[tuple[int, int]]) -> MetricTr
     for i in range(1, len(names)):
         x, mi = names[i], m[i]
         t, best = attachments[i]
-        best = names[best]
-        # walk up from best to root distance t, which the replay holds to
-        # best's own root distance at most
-        vertex = at[best][0]
+        # the replay holds t to best's own root distance at most, so best's
+        # vertex lies at or below root distance t
+        vertex = at[names[best]][0]
+        if 2 * mi[0] <= t:
+            at[x] = (vertex, t)
+            continue
         while root[vertex] > t:
             below, vertex = vertex, parent[vertex]
-        if 2 * mi[0] - t <= 0:
-            at[x] = (vertex, t) if root[vertex] == t else (below, t)
-            continue
         if root[vertex] != t:
             counter += 1
             while f".s{counter}" in taken:
                 counter += 1
             vertex = f".s{counter}"
             parent[vertex], parent[below], root[vertex] = parent[below], vertex, t
-            for p, (lower, r) in at.items():
-                if lower == below and r <= t:
-                    at[p] = (vertex, r)
         parent[x], root[x] = vertex, 2 * mi[0]
         at[x] = (x, root[x])
-
-    def length(v):
-        return space._unscale(v) / 2
-
-    edges = [(v, u, length(root[v] - root[u])) for v, u in parent.items() if u is not None]
-    points = []
-    for p in names:
-        lower, r = at[p]
-        if p == lower:
-            continue
-        if r == root[lower]:
-            points.append((p, lower))
-        else:
-            upper = parent[lower]
-            # offsets run from the smaller-named endpoint of the edge
-            u, v = sorted((upper, lower))
-            points.append((p, u, v, length(r - root[upper] if u == upper else root[lower] - r)))
-    return MetricTree(edges, points, vertices=(anchor,))
+    points = {p: a for p, a in at.items() if p not in parent}
+    return MetricTree._rooted(parent, root, 2 * space.scale, points)

@@ -45,14 +45,6 @@ class Direction:
         return f"dir_{self.base}({self.representative})"
 
 
-def in_direction(oracle: TreeOracle, d: Direction, r) -> bool:
-    """Whether r lies in d: r and the representative have one germ at the base."""
-    g, rep = oracle.germs(d.base, (r, d.representative))
-    if g is None:
-        raise ValueError("the base of a direction is not a member of it")
-    return g == rep
-
-
 def _contains(oracle: TreeOracle, d: Direction, r) -> bool:
     # membership with the base itself counted as outside
     g, rep = oracle.germs(d.base, (r, d.representative))
@@ -313,7 +305,7 @@ def verify_shape_map(tree_a: MetricTree, tree_b: MetricTree, bijection: dict) ->
 
     Centers of named triples must correspond through the map (a center that
     is a named point on one side must be the image/preimage name on the
-    other), and ``point_on_segment`` must agree on every ordered named
+    other), and membership of r in [p, q] must agree on every ordered named
     triple.  First violation (centers scanned first, sorted order) wins.
 
     A pass skips both scans: a center is the one point on the three

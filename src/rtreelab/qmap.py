@@ -135,11 +135,6 @@ class DenseLineAction:
 
         return test
 
-    def apply(self, word: str, point):
-        if isinstance(point, Ray):
-            return point  # translations fix both ends
-        return point + self.mu(word)
-
     def translation_length(self, word: str):
         w = cyclic_reduce(word)
         if not w:
@@ -231,10 +226,6 @@ class FiberCheck:
     residual: object
     first: QEstimate
     second: QEstimate
-
-    @property
-    def equal(self) -> bool | None:
-        return None if self.status == "inconclusive" else self.status == "equal"
 
 
 def q_fiber_check(

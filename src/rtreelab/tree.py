@@ -7,16 +7,19 @@ edge.  Edge lengths and offsets are exact: ints and Fractions, and a float
 is taken at its exact binary value, as in ``qmap`` and ``blend``; every
 operation is a pure function of the immutable tree.
 
-Every query runs on one rooted index: the tree is rooted at its smallest
-vertex, and each vertex keeps its parent, depth and root distance (ints
-over the common denominator of the lengths and offsets).  The build reads
-each length and offset once, as an integer ratio (a tree file hands over
-its literals' ratios, with no Fraction per literal), and keeps the edge
-lengths only as scaled ints; every check and sum of the build is integer
-work, and Fraction lengths are made only when ``edges``, ``edge_length``
-or a segment asks for them.  Building costs O(V); each query walks parent
-pointers, O(depth); the pairwise meets of n points cost n - 1 such walks,
-between preorder neighbours, plus an O(n²) sweep of running minima.
+Every query runs on one rooted index: each vertex keeps its parent, depth
+and root distance, ints over one scale.  An edge list is rooted at its
+smallest vertex, over the common denominator of its lengths and offsets,
+each read once as an integer ratio (a tree file hands over its literals'
+ratios, with no Fraction per literal).  A realized table comes as a parent
+map with int root distances (``_rooted``), rooted where it was built, and
+a blend as its first tree's edges with int lengths blended edge by edge
+(``_blend``), rooted as that tree; all take one DFS (``_build``), and no
+answer depends on the root.  Fraction lengths are made only when
+``edges``, ``edge_length`` or a segment asks for them.  Building costs
+O(V); each query walks parent pointers, O(depth); the pairwise meets of n
+points cost n - 1 such walks, between preorder neighbours, plus an O(n²)
+sweep of running minima.
 """
 from __future__ import annotations
 
@@ -35,12 +38,6 @@ class TreeStructureError(ValueError):
 
 class UnknownPointError(KeyError):
     pass
-
-
-def _exactify(x: Num) -> Num:
-    # ints and floats (at their exact binary value) become Fractions, so
-    # that arithmetic stays exact
-    return Fraction(x) if isinstance(x, (int, float)) else x
 
 
 def _exact(x, error: type[ValueError], where: str, *names) -> Fraction:
@@ -139,15 +136,51 @@ class MetricTree:
             raise TreeStructureError("tree needs at least one vertex")
         if len(lengths) != len(adj) - 1:
             raise TreeStructureError(f"{len(adj)} vertices and {len(lengths)} edges cannot form a tree")
-        self._adj = adj = dict(adj)
         points = list(points)
         offsets = [_ratio(p[3], "offset of {}", p[0]) for p in points if len(p) == 4]
         # one denominator puts every vertex and designated point on the grid
-        self._scale = scale = math.lcm(*dens, *(den for _, den in offsets))
-        self._lengths = lengths = {e: num * (scale // den) for (e, num), den in zip(lengths.items(), dens)}
+        scale = math.lcm(*dens, *(den for _, den in offsets))
+        lengths = {e: num * (scale // den) for (e, num), den in zip(lengths.items(), dens)}
+        offsets = iter([num * (scale // den) for num, den in offsets])
+        placed = (p if len(p) == 2 else (p[0], self._edge_point(p[1], p[2], next(offsets))) for p in points)
+        self._build(dict(adj), scale, lengths, min(adj), placed)
 
-        # the rooted index: parent, depth, scaled root distance and preorder rank per vertex
-        root = min(adj)
+    @classmethod
+    def _rooted(cls, parent: dict, root: dict, scale: int, at: dict) -> MetricTree:
+        """The tree of a parent map (None at the root) with int root distances
+        over ``scale``, and designated points at addresses (v, r), v any vertex
+        at or below the point; unchecked, as its caller built a tree."""
+        tree, adj, lengths = cls.__new__(cls), {v: [] for v in parent}, {}
+        for v, up in parent.items():
+            if up is not None:
+                e = canonical_edge(v, up)
+                lengths[e] = root[v] - root[up]
+                adj[v].append((up, e))
+                adj[up].append((v, e))
+        top = next(v for v, up in parent.items() if up is None)
+        tree._build(adj, scale, lengths, top, ((name, tree._point_at(*a)) for name, a in at.items()))
+        return tree
+
+    def _blend(self, other: MetricTree, p: int, q: int) -> MetricTree:
+        """blend_metric at p/q, rooted as this tree: ``other`` has its edges
+        and each point at the same vertex or on the same edge."""
+        tree, w0, w1 = MetricTree.__new__(MetricTree), (q - p) * other._scale, p * self._scale
+        lengths = {e: w0 * n + w1 * other._lengths[e] for e, n in self._lengths.items()}
+        at = {}
+        for name in sorted(self._points):  # its lower end v here is an end of its edge in other too
+            (v, r), r1 = self._addr[name], other._addr[name][1]
+            at[name] = v, w0 * (self._root[v] - r) + w1 * abs(other._root[v] - r1)
+        points = ((name, tree._point_at(v, tree._root[v] - d)) for name, (v, d) in at.items())
+        tree._build(self._adj, q * self._scale * other._scale, lengths, next(iter(self._parent)), points)
+        return tree
+
+    # -- construction helpers -------------------------------------------------
+
+    def _build(self, adj: dict, scale: int, lengths: dict, root: str, points: Iterable[tuple[str, Point]]) -> None:
+        """The one DFS from ``root`` for the rooted index (parent, depth,
+        scaled root distance and preorder rank per vertex), then the
+        designated (name, point) pairs and every name's address."""
+        self._adj, self._scale, self._lengths = adj, scale, lengths
         self._parent: dict[str, str | None] = {root: None}
         self._depth, self._root, self._pre = {root: 0}, {root: 0}, {}
         parent, depth, rooted, pre, stack = self._parent, self._depth, self._root, self._pre, [root]
@@ -163,17 +196,9 @@ class MetricTree:
             raise TreeStructureError("edge graph is not connected")
 
         self._points: dict[str, Point] = {}
-        offsets = iter(offsets)
-        for entry in points:
-            if len(entry) == 2:
-                name, vertex = entry
-                if vertex not in adj:
-                    raise UnknownPointError(vertex)
-                loc: Point = vertex
-            else:
-                name, u, v, _ = entry
-                num, den = next(offsets)
-                loc = self._edge_point(u, v, num * (scale // den))
+        for name, loc in points:
+            if not isinstance(loc, Location) and loc not in adj:
+                raise UnknownPointError(loc)
             if name in adj or name in self._points:
                 raise TreeStructureError(f"point name {name!r} already in use")
             self._points[name] = loc
@@ -182,8 +207,6 @@ class MetricTree:
             self._addr[name] = self._locate(self._points[name])
         # set here, so that filling it later keeps the instance dict's shared keys
         self._names: dict[tuple[str, Num], str] | None = None
-
-    # -- construction helpers -------------------------------------------------
 
     def _edge_point(self, u: str, v: str, s: Num) -> Point:
         """The point s index units from u along edge u-v: an end vertex, or
@@ -436,10 +459,6 @@ class MetricTree:
                 # below p: along p's own edge, or into the child of the vertex p
                 out.append(u if inside else child)
         return out
-
-    def point_on_segment(self, r: Point, p: Point, q: Point) -> bool:
-        gp, gq = self.germs(r, (p, q))
-        return gp is None or gq is None or gp != gq
 
     def __repr__(self) -> str:
         return (

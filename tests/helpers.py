@@ -347,9 +347,9 @@ def reference_liminf(oracle, basepoint, points: list, head=None) -> LiminfResult
 
 
 def reference_in_direction(oracle, d, r) -> bool:
-    """Slow reference for in_direction through a center query: r lies in d
-    iff the center of (base, representative, r) is not the base; raises at
-    the base."""
+    """Slow reference for direction membership through a center query: r
+    lies in d iff the center of (base, representative, r) is not the base;
+    raises at the base."""
     if oracle.points_equal(r, d.base):
         raise ValueError("the base of a direction is not a member of it")
     z = oracle.center(d.base, d.representative, r)
@@ -357,7 +357,7 @@ def reference_in_direction(oracle, d, r) -> bool:
 
 
 def reference_point_on_segment(tree: MetricTree, r, p, q) -> bool:
-    """Slow reference for point_on_segment: r is the center of (p, q, r)."""
+    """Slow reference for segment membership: r is the center of (p, q, r)."""
     return tree.same_point(tree.center(p, q, r), r)
 
 
@@ -532,6 +532,29 @@ def reference_fiber_check(action, x, y, depth: int, tol):
     if not (e1.certificate <= tol and e2.certificate <= tol):
         return "inconclusive", residual, e1, e2
     return ("equal" if residual <= tol else "different"), residual, e1, e2
+
+
+def designated_rows(tree: MetricTree) -> list[tuple]:
+    """A tree's designated points as MetricTree rows: (name, vertex) or
+    (name, u, v, offset)."""
+    return [(name, loc) if isinstance(loc, str) else (name, *loc.edge, loc.offset) for name, loc in tree.designated.items()]
+
+
+def reference_blend_metric(pair: CompatibleMetricPair, lam) -> MetricTree:
+    """Slow reference for blend_metric: the edge list of Fraction lengths
+    lam*d1 + (1-lam)*d0, the offsets blended the same way, built by
+    MetricTree from its edges (a float lam at its binary value)."""
+    lam = Fr(lam)
+    t0, t1 = pair.tree0, pair.tree1
+    edges = [(u, v, lam * l1 + (1 - lam) * l0) for (u, v, l0), (_, _, l1) in zip(t0.edges, t1.edges)]
+    points = []
+    for name, loc0 in sorted(t0.designated.items()):
+        loc1 = t1.designated[name]
+        if isinstance(loc0, str):
+            points.append((name, loc0))
+        else:
+            points.append((name, *loc0.edge, lam * loc1.offset + (1 - lam) * loc0.offset))
+    return MetricTree(edges, points)
 
 
 def reference_realization(space: MetricTable) -> MetricTree:

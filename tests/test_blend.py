@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as Fr
 from functools import lru_cache
@@ -83,6 +84,10 @@ def test_blend_rejects_lambda_outside_unit_interval():
         rose = length_function_from_marked_graph({"a": "a", "b": "b"}, {"a": 1, "b": 1})
         with pytest.raises(BlendRangeError):
             blend_length_functions(rose, rose, lam)
+    # the blend is taken on the integer ratio of lambda, which other numbers lack
+    for lam in (Surd.sqrt(2) / 2, math.nan, "1/2"):
+        with pytest.raises(BlendRangeError, match="lambda must be an int, a Fraction or a finite float"):
+            blend_metric(pair, lam)
 
 
 def test_random_blend_passes_certification_and_brute_force():

