@@ -192,15 +192,13 @@ def act_pair(w: str, pair: BoundaryPair) -> BoundaryPair:
 class LaminationSample:
     """A finite, flip-closed stand-in for a subset of the double boundary.
 
-    ``pairs`` are dedplicated by their prefix keys at ``depth``; ``words``
-    is the action word list the sample is closed under (possibly empty);
+    ``pairs`` are deduplicated by their prefix keys at ``depth``;
     ``provenance`` records how the sample was produced.  ``annotations``
     carries per-pair metadata keyed like the pairs.
     """
 
     pairs: tuple[BoundaryPair, ...]
     depth: int
-    words: tuple[str, ...] = ()
     provenance: dict = field(default_factory=dict)
     annotations: dict = field(default_factory=dict)
 
@@ -211,26 +209,13 @@ class LaminationSample:
         return pair.key(self.depth) in self.keys()
 
     def audit(self) -> "AuditResult":
-        """Check flip closure and closure under the recorded action words."""
+        """Check flip closure."""
         keys = self.keys()
-        flip_violations = []
-        action_violations = []
-        for p in self.pairs:
-            if flip(p).key(self.depth) not in keys:
-                flip_violations.append(p.key(self.depth))
-            for w in self.words:
-                if act_pair(w, p).key(self.depth) not in keys:
-                    action_violations.append((w, p.key(self.depth)))
-        return AuditResult(
-            not flip_violations and not action_violations,
-            tuple(flip_violations),
-            tuple(action_violations),
-        )
+        flip_violations = [p.key(self.depth) for p in self.pairs if flip(p).key(self.depth) not in keys]
+        return AuditResult(not flip_violations, tuple(flip_violations))
 
 
 @dataclass(frozen=True)
 class AuditResult:
     closed: bool
     flip_violations: tuple = ()
-    action_violations: tuple = ()
-

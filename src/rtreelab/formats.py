@@ -116,31 +116,47 @@ def _bar_pairs(text: str, expected: str) -> Iterator[tuple[int, str, str]]:
 # -- trees ---------------------------------------------------------------------
 
 
+_TREE_USAGE = {"edge": "edge needs <v1> <v2> <length>", "point": "point needs <name> <v1> <v2> <offset>"}
+
+
+def _tree_records(text: str, columns: int, usage) -> Iterator[tuple[str, list[str]]]:
+    """The ``edge <v1> <v2>`` and ``point <name> <v1> <v2>`` records of a
+    tree or pair file, each followed by ``columns`` numbers, as (kind, the
+    fields after it); a record of another kind or length is the error
+    ``usage(kind)``, and a point name must not start with '.'."""
+    for lineno, fields in _content_lines(text):
+        kind, *rest = fields
+        if kind == "edge" and len(rest) == 2 + columns:
+            yield kind, rest
+        elif kind == "point" and len(rest) == 3 + columns:
+            if rest[0].startswith("."):
+                raise FormatError(f"line {lineno}: point names must not start with '.'")
+            yield kind, rest
+        else:
+            raise FormatError(f"line {lineno}: {usage(kind)}")
+
+
+def _built(what: str, *columns: tuple[list, list]) -> tuple[MetricTree, ...]:
+    """One tree per (edges, points) column."""
+    if not columns[0][0]:
+        raise FormatError(f"{what} file has no edges")
+    try:
+        return tuple(MetricTree(edges, points) for edges, points in columns)
+    except (ValueError, KeyError) as exc:
+        raise FormatError(str(exc)) from exc
+
+
 def parse_tree(text: str) -> MetricTree:
     """``edge <v1> <v2> <length>`` and ``point <name> <v1> <v2> <offset>``
     records, one per line; each distinct number is read once, and goes to
     the tree as its integer ratio."""
     edges, points, ratio = [], [], functools.cache(parse_ratio)
-    for lineno, fields in _content_lines(text):
-        kind, *rest = fields
+    for kind, rest in _tree_records(text, 1, lambda kind: _TREE_USAGE.get(kind, f"unknown record {kind!r}")):
         if kind == "edge":
-            if len(rest) != 3:
-                raise FormatError(f"line {lineno}: edge needs <v1> <v2> <length>")
             edges.append((rest[0], rest[1], ratio(rest[2])))
-        elif kind == "point":
-            if len(rest) != 4:
-                raise FormatError(f"line {lineno}: point needs <name> <v1> <v2> <offset>")
-            if rest[0].startswith("."):
-                raise FormatError(f"line {lineno}: point names must not start with '.'")
-            points.append((rest[0], rest[1], rest[2], ratio(rest[3])))
         else:
-            raise FormatError(f"line {lineno}: unknown record {kind!r}")
-    if not edges:
-        raise FormatError("tree file has no edges")
-    try:
-        return MetricTree(edges, points)
-    except (ValueError, KeyError) as exc:
-        raise FormatError(str(exc)) from exc
+            points.append((rest[0], rest[1], rest[2], ratio(rest[3])))
+    return _built("tree", (edges, points))[0]
 
 
 def format_tree(tree: MetricTree) -> str:
@@ -324,22 +340,14 @@ def parse_pair_file(text: str):
     """Shape records with two metric columns: ``edge <v1> <v2> <len0> <len1>``
     and ``point <name> <v1> <v2> <off0> <off1>``.  Returns the two trees."""
     edges0, edges1, points0, points1, ratio = [], [], [], [], functools.cache(parse_ratio)
-    for lineno, fields in _content_lines(text):
-        kind, *rest = fields
-        if kind == "edge" and len(rest) == 4:
+    for kind, rest in _tree_records(text, 2, lambda kind: "bad pair record"):
+        if kind == "edge":
             edges0.append((rest[0], rest[1], ratio(rest[2])))
             edges1.append((rest[0], rest[1], ratio(rest[3])))
-        elif kind == "point" and len(rest) == 5:
+        else:
             points0.append((rest[0], rest[1], rest[2], ratio(rest[3])))
             points1.append((rest[0], rest[1], rest[2], ratio(rest[4])))
-        else:
-            raise FormatError(f"line {lineno}: bad pair record")
-    if not edges0:
-        raise FormatError("pair file has no edges")
-    try:
-        return MetricTree(edges0, points0), MetricTree(edges1, points1)
-    except (ValueError, KeyError) as exc:
-        raise FormatError(str(exc)) from exc
+    return _built("pair", (edges0, points0), (edges1, points1))
 
 
 def parse_length_table(text: str) -> dict[str, Fraction]:

@@ -204,8 +204,7 @@ def converges_obs(
     reports = []
     refuting = None
     for d in probes:
-        g, rep = oracle.germs(d.base, (limit, d.representative))
-        if g is None or g != rep:
+        if not _contains(oracle, d, limit):
             reports.append(ProbeReport(d, False, -1))
             continue
         flags = _member_flags(oracle, d, distinct, slots)
@@ -297,62 +296,55 @@ def extract_convergent_subsequence(
 @dataclass(frozen=True)
 class ShapeMapVerdict:
     passes: bool
-    witness: tuple | None = None  # ("center" | "segment", points...)
+    # ("segment", r, p, q): r lies on [p, q] on one side only; ("center",
+    # x, y, z): the center of x, y, z is a named point on both sides, and
+    # its name does not map to the name of its image
+    witness: tuple | None = None
 
 
 def verify_shape_map(tree_a: MetricTree, tree_b: MetricTree, bijection: dict) -> ShapeMapVerdict:
     """Whether a point bijection preserves centers and segment membership.
 
-    Centers of named triples must correspond through the map (a center that
-    is a named point on one side must be the image/preimage name on the
-    other), and membership of r in [p, q] must agree on every ordered named
-    triple.  First violation (centers scanned first, sorted order) wins.
-
-    A pass skips both scans: a center is the one point on the three
-    segments of its triple, so equal germ rows, and each point's name mapped
-    to its image's name, keep every center.  The scans only find a witness.
+    Membership of r in [p, q] must agree on every ordered named triple, and
+    the center of every named triple must correspond through the map (a
+    center that is a named point on one side must be the image/preimage
+    name on the other).  Both are read from one row of direction classes
+    per named point (2n ``germs`` calls): r lies on [p, q] unless p and q
+    share one germ at r.  The first triple (r, p, q) in sorted order whose
+    membership differs is a segment witness.  With every row equal, the
+    named centers are the names p that lie between two other names, and
+    each maps to the center of the images; the witness is then the first
+    such p whose name does not map to the name of its image, with the
+    first pair of other names it lies between.
     """
     names_a = tree_a.point_names
     if sorted(bijection) != sorted(names_a):
         raise ShapeMapError("map must be defined exactly on the tree's named points")
-    inverse_range = set(bijection.values())
-    if len(inverse_range) != len(bijection):
+    if len(set(bijection.values())) != len(bijection):
         raise ShapeMapError("map is not injective")
     for v in bijection.values():
         tree_b.resolve(v)
     names = sorted(names_a)
     images = [bijection[p] for p in names]
-    # r lies on [p, q] unless p and q share one germ at r: equal class rows
-    # mean every triple at r agrees
     rows_a = [_germ_classes(tree_a, r, names) for r in names]
     rows_b = [_germ_classes(tree_b, r, images) for r in images]
-    if rows_a == rows_b and all(bijection[tree_a.name_of(p)] == tree_b.name_of(q) for p, q in zip(names, images)):
-        return ShapeMapVerdict(True)
-
-    # the center of a triple is the deepest of its three pairwise meets, so
-    # its name is the name at the meet of a pair with the largest meet
-    meets_a, at_a = tree_a._meet_names(names)
-    meets_b, at_b = tree_b._meet_names(images)
-    for i, j, k in combinations(range(len(names)), 3):
-        na, nb = _center_name(meets_a, at_a, i, j, k), _center_name(meets_b, at_b, i, j, k)
-        if (nb != bijection[na] if na is not None else nb in inverse_range):
-            return ShapeMapVerdict(False, ("center", names[i], names[j], names[k]))
     for r, ca, cb in zip(names, rows_a, rows_b):
         if ca == cb:
             continue
         for i, j in product(range(len(names)), repeat=2):
             if (ca[i] < 0 or ca[i] != ca[j]) != (cb[i] < 0 or cb[i] != cb[j]):
                 return ShapeMapVerdict(False, ("segment", r, names[i], names[j]))
+    for k, (p, q, row) in enumerate(zip(names, images, rows_a)):
+        if bijection[tree_a.name_of(p)] == tree_b.name_of(q):
+            continue
+        # p is a center when another name is an alias at p or two other
+        # names sit in different directions at p
+        others = [i for i in range(len(names)) if i != k]
+        classes = {row[i] for i in others}
+        if len(others) > 1 and (len(classes) > 1 or -1 in classes):
+            i, j = next((i, j) for i, j in combinations(others, 2) if row[i] < 0 or row[i] != row[j])
+            return ShapeMapVerdict(False, ("center", *sorted((p, names[i], names[j]))))
     return ShapeMapVerdict(True)
-
-
-def _center_name(meets, at, i: int, j: int, k: int) -> str | None:
-    """The name at the center of points i, j, k from their pairwise meets
-    and the names at those meets; a tie names one point."""
-    ij, ik, jk = meets[i][j], meets[i][k], meets[j][k]
-    if ij >= ik and ij >= jk:
-        return at[i][j]
-    return at[i][k] if ik >= jk else at[j][k]
 
 
 def _germ_classes(tree: MetricTree, r, points) -> list[int]:

@@ -295,13 +295,7 @@ def dual_lamination_sample(
     action: DenseLineAction, epsilon, maxlen: int, depth: int = 1000, tol: float = 1e-6
 ) -> LaminationSample:
     """Pairs (w^inf, w^-inf) for every small-translation-length class, with
-    per-pair fiber residuals; flip-closed by construction.
-
-    The recorded action-word list is empty: the sample is not closed under
-    the group action, since closure under even one letter at a large
-    truncation depth is exponentially big.  The generating words live in
-    the provenance.
-    """
+    per-pair fiber residuals; flip-closed by construction."""
     records = small_words_search(action, epsilon, maxlen)
     pairs = []
     annotations = {}
@@ -326,7 +320,6 @@ def dual_lamination_sample(
     return LaminationSample(
         tuple(pairs),
         depth,
-        words=(),
         provenance={
             "operation": "dual_lamination_sample",
             "epsilon": epsilon,

@@ -304,14 +304,6 @@ class MetricTree:
         # the diagonal meet is the point's own root distance: 0 on the diagonal
         return [[ri + rj - 2 * m for rj, m in zip(roots, row)] for ri, row in zip(roots, meets)]
 
-    def _meet_names(self, points: list) -> tuple[list[list], list[list]]:
-        """The pairwise meets of the points and, per pair, the name of the
-        meet point (vertex name first, then the first designated name) or
-        None."""
-        addr, meets = self._meets(points)
-        names, canonical = self._names_by_address(), self._canonical
-        return meets, [[names.get(canonical(a[0], m)) for m in row] for a, row in zip(addr, meets)]
-
     def _names_by_address(self) -> dict[tuple[str, Num], str]:
         """Address to name, as name_of names a point: a vertex name first,
         then the first designated name in sorted order; made on first use."""

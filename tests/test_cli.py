@@ -402,6 +402,37 @@ def test_blend_metric_rejects_bad_lambda(tmp_path, capsys):
     assert code == 65
 
 
+def test_blend_metric_rejects_a_point_name_a_tree_file_rejects(tmp_path, capsys):
+    """A pair file names its points as a tree file does, so a blend it
+    accepts is a tree file that certify accepts."""
+    pair = tmp_path / "pair.txt"
+    pair.write_text(PAIR_FILE + "point .q A B 1/2 3/4\n")
+    code, out, err = run_cli(capsys, "blend", "metric", "--pair", str(pair), "--lambda", "1/2")
+    assert (code, err) == (64, "parse error: line 3: point names must not start with '.'\n")
+    assert "RESULT" not in out
+
+
+def _pair_text(pair) -> str:
+    t1 = pair.tree1
+    lines = [f"edge {u} {v} {format_number(l)} {format_number(t1.edge_length(u, v))}" for u, v, l in pair.tree0.edges]
+    for name, loc in sorted(pair.tree0.designated.items()):
+        u, v = loc.edge
+        lines.append(f"point {name} {u} {v} {format_number(loc.offset)} {format_number(t1.designated[name].offset)}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_blend_metric_prints_a_tree_that_certify_accepts(tmp_path, capsys, seed):
+    pair = tmp_path / "pair.txt"
+    pair.write_text(_pair_text(helpers.random_compatible_pair(random.Random(seed))))
+    code, out, err = run_cli(capsys, "blend", "metric", "--pair", str(pair), "--lambda", "2/7")
+    assert (code, err) == (0, "")
+    tree = tmp_path / "blend.tree"
+    tree.write_text("".join(line + "\n" for line in out.splitlines() if line.startswith(("edge ", "point "))))
+    code, out, err = run_cli(capsys, "certify", "--tree", str(tree))
+    assert (code, err) == (0, "") and out.endswith("RESULT: pass (delta=0)\n")
+
+
 def test_blend_lengths_table_mismatch_emits_replayable_witness(tmp_path, capsys):
     (tmp_path / "t0.txt").write_text("a 1\nb 1\n")
     (tmp_path / "t1.txt").write_text("a 3\nb 1\n")

@@ -743,6 +743,12 @@ def _shape_case(rng: random.Random, kind: str) -> tuple[MetricTree, MetricTree, 
         while len(t1.point_names) < len(names):
             t1 = _with_aliases(rng, random_tree(rng, 12, edge_points=3))
         bijection = dict(zip(names, rng.sample(t1.point_names, len(names))))
+    elif kind == "edge swap":
+        # two designated points swapped inside one edge: the rows at both differ
+        u, v, length = rng.choice(t0.edges)
+        swapped = [("s0", u, v, length / 3), ("s1", u, v, 2 * length / 3)]
+        t0 = t1 = MetricTree(t0.edges, _point_rows(t0) + swapped, vertices=t0.vertices)
+        bijection = {n: n for n in t0.point_names} | {"s0": "s1", "s1": "s0"}
     elif kind == "vertex-alias swap":
         # the germ rows of both sides agree, as the swapped names share a
         # point, but the name of that point maps to its other name
@@ -752,17 +758,46 @@ def _shape_case(rng: random.Random, kind: str) -> tuple[MetricTree, MetricTree, 
     return t0, t1, bijection
 
 
-SHAPE_KINDS = ["identity", "relengthed", "scrambled", "other tree", "tiny", "vertex-alias swap"]
+SHAPE_KINDS = ["identity", "relengthed", "scrambled", "other tree", "tiny", "edge swap", "vertex-alias swap"]
+
+
+def _fails_the_reference_center_test(tree_a: MetricTree, tree_b: MetricTree, bijection: dict, triple) -> bool:
+    """The center test of reference_shape_map on one triple."""
+    na = tree_a.name_of(tree_a.center(*triple))
+    nb = tree_b.name_of(tree_b.center(*(bijection[p] for p in triple)))
+    if na is None:
+        return nb is not None and nb in bijection.values()
+    return nb is None or nb != bijection[na]
+
+
+def _assert_agrees_with_the_reference(tree_a: MetricTree, tree_b: MetricTree, bijection: dict):
+    """The verdict passes as the reference's does; it is the reference's
+    whenever that is a pass or a segment witness, the first violation in
+    both scans; a center witness names a triple that fails the reference's
+    center test."""
+    verdict, expected = verify_shape_map(tree_a, tree_b, bijection), reference_shape_map(tree_a, tree_b, bijection)
+    assert verdict.passes == expected.passes
+    if expected.witness is None or expected.witness[0] == "segment":
+        assert verdict == expected
+    if verdict.witness is not None and verdict.witness[0] == "center":
+        assert _fails_the_reference_center_test(tree_a, tree_b, bijection, verdict.witness[1:])
+    return verdict
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.sampled_from(SHAPE_KINDS))
+@example(0, "edge swap")
+@example(0, "vertex-alias swap")
 def test_shape_map_agrees_with_the_triple_loop_reference(seed, kind):
     t0, t1, bijection = _shape_case(random.Random(seed), kind)
-    verdict = verify_shape_map(t0, t1, bijection)
-    assert verdict == reference_shape_map(t0, t1, bijection)
+    verdict = _assert_agrees_with_the_reference(t0, t1, bijection)
     assert verdict.passes or kind != "identity"
-    assert not verdict.passes or kind != "vertex-alias swap"
+    assert not verdict.passes or kind not in ("edge swap", "vertex-alias swap")
+    if kind == "edge swap":
+        assert verdict.witness[0] == "segment"
+    if kind == "vertex-alias swap":
+        # the rows agree, so only a name can fail
+        assert verdict.witness[0] == "center"
 
 
 @settings(max_examples=5, deadline=None)
@@ -773,7 +808,23 @@ def test_shape_map_agrees_with_the_triple_loop_reference_above_desk_size(seed):
     makes O(n³) center queries, about a second a case, so few cases run."""
     t0, t1, bijection = _shape_case(random.Random(seed), "relengthed above desk size")
     assert 30 <= len(bijection) <= 63
-    assert verify_shape_map(t0, t1, bijection) == reference_shape_map(t0, t1, bijection)
+    _assert_agrees_with_the_reference(t0, t1, bijection)
+
+
+def test_shape_map_takes_no_meets_and_no_centers(monkeypatch):
+    """The verdict comes from germ rows and names alone, on a pass, a
+    segment witness and a center witness."""
+    cases = [_shape_case(random.Random(5), kind) for kind in ("identity", "edge swap", "vertex-alias swap")]
+    expected = [reference_shape_map(*case) for case in cases]
+
+    def refuse(*args):
+        raise AssertionError("the shape check took a meet or a center")
+
+    monkeypatch.setattr(MetricTree, "_meets", refuse)
+    monkeypatch.setattr(MetricTree, "center", refuse)
+    verdicts = [verify_shape_map(*case) for case in cases]
+    assert [v.passes for v in verdicts] == [e.passes for e in expected] == [True, False, False]
+    assert [v.witness and v.witness[0] for v in verdicts] == [None, "segment", "center"]
 
 
 def test_point_sequence_from_list_and_fn():

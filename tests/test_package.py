@@ -40,3 +40,29 @@ def test_every_bench_tracer_target_resolves():
         if attr not in vars(owner) or not callable(getattr(owner, attr)):
             missing.append(target)
     assert len(targets) > 40 and missing == []
+
+
+def test_every_private_function_in_src_is_referenced():
+    """Each ``_``-prefixed module-level function and method in src is named
+    somewhere in src besides its own ``def``: a call, an attribute or an
+    import, so a helper whose last caller is deleted fails here."""
+    modules = [ast.parse(path.read_text()) for path in Path(rtreelab.__file__).parent.glob("*.py")]
+    defined = set()
+    for module in modules:
+        for node in module.body:
+            scope = node.body if isinstance(node, ast.ClassDef) else [node]
+            defined.update(
+                f.name for f in scope
+                if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and f.name.startswith("_") and not f.name.endswith("__")
+            )
+    referenced = set()
+    for module in modules:
+        for node in ast.walk(module):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.alias):
+                referenced.add(node.name)
+    assert len(defined) > 20 and sorted(defined - referenced) == []
