@@ -4,6 +4,8 @@ and realization of 0-hyperbolic tables as metric trees.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
@@ -51,15 +53,17 @@ class MetricTable:
     distances times their common denominator ``scale``, built from rows
     (``_load``) or from a tree's integer distances (``from_tree``).
 
-    Every constructor validates eagerly.  A table read from rows is
-    realized as a tree from its first point and every distance is replayed
-    against that tree in integers, O(n²).  A row the tree does not
-    reproduce is *off* the tree and left out of it; the other rows form a
-    tree metric, hence a metric with no four-point defect, so every scan
-    visits only tuples that touch ``_off``: the triangle scan costs
-    O(|off|·n² + n²), the defect O(|off|·n³).  A tree's own distances are
-    a tree metric, so ``from_tree`` has no row off and runs no replay.
-    With no row off, ``realized`` is set and no scan runs.
+    Every constructor validates eagerly.  A table read from rows is realized
+    as a tree from its first point and every distance is replayed against
+    that tree in integers, O(n²); when two or more rows are off, the reverse
+    row order replays too, and the smaller off set is kept.  A row the tree
+    does not reproduce is *off* the tree and left out of it; the other rows
+    form a tree metric, hence a metric with no four-point defect, so every
+    scan visits only tuples that touch ``_off``: the triangle scan costs
+    O(|off|·n² + n²), the defect O(|off|·n²) when one wrong distance
+    explains each off row.  A tree's own distances are a tree metric, so
+    ``from_tree`` has no row off and runs no replay.  With no row off,
+    ``realized`` is set and no scan runs.
     """
 
     def __init__(self, distances: Mapping[tuple[str, str], Num]):
@@ -99,9 +103,10 @@ class MetricTable:
 
     def _load(self, names: list[str], xs, ys, ks, ratios: list[tuple[int, int]]) -> None:
         """The one matrix of the rows d(names[x], names[y]) = p/q, (p, q) =
-        ratios[k], per x, y, k of the index columns, checked and adopted.  A
-        pair repeated in one order keeps its last value; in both orders it
-        must agree, else the first row in its second order is the conflict."""
+        ratios[k], per x, y, k of the index columns, checked and adopted with
+        the smaller off set of the forward and the reverse replay.  A pair
+        repeated in one order keeps its last value; in both orders it must
+        agree, else the first row in its second order is the conflict."""
         n = len(names)
         order = sorted(range(n), key=names.__getitem__)
         self.points = tuple(map(names.__getitem__, order))
@@ -126,7 +131,10 @@ class MetricTable:
                     raise InvalidTableError(f"conflicting distances for {self.points[i]},{self.points[j]}")
                 seen.add((i, j))
         self._check_entries(m)
-        self._adopt(m, scale, _attachments(m)[1])
+        off = _attachments(m, range(n))[1]
+        if len(off) > 1:  # a wrong d(anchor, x) for an early x can put many later rows off
+            off = min(off, sorted(_attachments(m, [0, *range(n - 1, 0, -1)])[1]), key=len)
+        self._adopt(m, scale, off)
 
     def _adopt(self, m: list[list], scale: int, off: list[int]) -> None:
         """Take the checked matrix and its off rows (none for a tree's own
@@ -136,6 +144,7 @@ class MetricTable:
         self._index = {name: i for i, name in enumerate(self.points)}
         if off:
             self._triangle_scan()
+        self._quiet = {o: _quiet_rows(m, set(off), o) for o in off}
 
     @property
     def realized(self) -> bool:
@@ -178,6 +187,31 @@ class MetricTable:
         return f"MetricTable({len(self.points)} points)"
 
 
+def _quiet_rows(m: list[list], off: set[int], o: int) -> set[int]:
+    """The on-tree rows in the largest error class of a proxy o′ for off row
+    o.  From base z, with a_j = d(z, j), o′ hangs on the on-tree rows' tree
+    at doubled height h = min(t, 2 a_best) on the path to best, the first
+    on-tree j to attain t = max a_o + a_j - m[o][j].  Up to a constant, the
+    error E_j = 2 m[o][j] - 2 d(o′, j) is 2 (m[o][j] - a_j + min(h, a_best +
+    a_j - m[best][j])).  For on-tree a, b, c the doubled pairing sums of {o,
+    a, b, c} are those of {o′, a, b, c}, a tree quadruple, plus E_a, E_b and
+    E_c: equal errors give gap 0.  A wrong d(o, z) or d(o, best) moves o′,
+    so the bases are the anchor, a middle and the last on-tree row, until
+    one leaves at most one row loud.  A proxy pays when most rows are on."""
+    on, mo, quiet = [j for j in range(len(m)) if j not in off], m[o], set()
+    for z in (on[0], on[len(on) // 2], on[-1]) if len(on) > len(off) else ():
+        a = m[z]
+        products = [a[o] + a[j] - mo[j] for j in on]
+        best = on[products.index(t := max(products))]
+        h, ab, mb = min(t, 2 * a[best]), a[best], m[best]
+        errors = [w - v + h if h + b < ab + v else w + ab - b for v, w, b in zip(a, mo, mb)]
+        mode = Counter(errors).most_common(1)[0][0]
+        quiet = max(quiet, {j for j, e in enumerate(errors) if e == mode} - off, key=len)
+        if len(quiet) + 1 >= len(on):
+            break
+    return quiet
+
+
 def _four_point_scan(space: MetricTable, limit: int | None = None):
     """The four-point scan, in matrix units.  Write S(ab|cd) = d(a,b) +
     d(c,d); a 4-subset's gap is its largest pairing sum less the second.
@@ -187,27 +221,38 @@ def _four_point_scan(space: MetricTable, limit: int | None = None):
     A subset's least such ordering has its smallest point as x, x's
     partner as z and the other pair in order as y and w.
 
-    On-tree rows have gap 0, so each 4-subset with an off row is visited
-    once, O(|off|·n³), by smallest point x ascending, then smallest off
-    point.  With no ``limit`` it returns the largest gap, else the least
-    violating (x, y, z, w, gap) of the first x with a gap above it, or None.
+    On-tree rows have gap 0, and so has a subset whose other rows are all
+    quiet (not loud) for its one off row (``_quiet_rows``).  Each other
+    4-subset with an off row is visited once, by smallest point x, then
+    smallest off point: O(|off|·n²) with one off row and few loud rows,
+    O(|off|²·n²) with two, O(n⁴) when nearly every row is off.  With no
+    ``limit`` it returns the largest gap, else the least violating (x, y,
+    z, w, gap) of the first x with a gap above it, or None.
     """
-    m, n, off = space._m, len(space.points), set(space._off)
+    m, n, off, quiet = space._m, len(space.points), set(space._off), space._quiet
+    # the rows of a subset whose least off row is o, and the loud ones
+    pools = {o: [v for v in range(n) if v > o or v not in off] for o in off}
+    louds = {o: [v for v in pools[o] if v not in quiet[o]] for o in off}
     bar, first = limit or 0, None
     # a subset whose smallest point is after the last off row holds none
     for x in range(max(off, default=-1) + 1):
-        mx = m[x]
+        mx, plan = m[x], []
+        # (s, pool, inner, loud): with x and s, pairs p < q of pool, q loud if p is inner
         if x in off:
-            plan = [(j, range(j + 1, n)) for j in range(x + 1, n - 2)]
+            whole = [(s, range(s + 1, n)) for s in range(x + 1, n - 2)]
+            plan = [(s, pool, quiet[x], louds[x]) if s in quiet[x] else (s, pool, (), pool) for s, pool in whole]
         else:
-            plan = [(o, [v for v in range(x + 1, n) if v > o or v not in off]) for o in off if o > x]
-        for s, pool in plan:
-            ms, dxs = m[s], mx[s]
+            for o in space._off[bisect_right(space._off, x) :]:
+                pool = pools[o][bisect_right(pools[o], x) :]
+                loud = louds[o][bisect_right(louds[o], x) :]
+                plan.append((o, pool, quiet[o], loud) if x in quiet[o] else (o, pool, (), pool))
+        for s, pool, inner, loud in plan:
+            ms, dxs, last = m[s], mx[s], loud[-1] if loud else -1
             for a, p in enumerate(pool):
-                if first and min(s, p) > first[0]:
-                    break  # y is at least the least of s, p and q
+                if p > last or first and min(s, p) > first[0]:
+                    break  # no loud q > p is left, or y is at least min(s, p)
                 mp, dxp, dsp = m[p], mx[p], ms[p]
-                for q in pool[a + 1 :]:
+                for q in loud[bisect_right(loud, p) :] if p in inner else pool[a + 1 :]:
                     s1, s2, s3 = dxs + mp[q], dxp + ms[q], mx[q] + dsp
                     hi, lo = (s1, s2) if s1 >= s2 else (s2, s1)
                     if s3 > hi:
@@ -242,7 +287,7 @@ def check_hyperbolic(space: MetricTable, delta: Num = 0) -> HyperbolicityVerdict
     Quadruples with a repeated point satisfy the inequality automatically
     (triangle inequality, validated at table construction), and so do the
     on-tree rows, so the decision is one scan of the 4-subsets with an off
-    row, O(|off|·n³).
+    row that the tree cannot explain (``_four_point_scan``).
     """
     witness = first_violation(space, delta)
     return HyperbolicityVerdict(witness is None, _exact(delta, ValueError, "delta"), witness)
@@ -290,19 +335,19 @@ def reconstruct_tree(space: MetricTable) -> MetricTree:
         witness = first_violation(space, 0)
         assert witness is not None
         raise NotZeroHyperbolicError(witness)
-    return _realize(space, _attachments(space._m)[0])
+    return _realize(space, _attachments(space._m, range(len(space.points)))[0])
 
 
-def _attachments(m: list[list]) -> tuple[list[tuple[int, int]], list[int]]:
-    """Per point i in matrix order, (t, best): t = max over j < i of
-    2 (x_i|x_j)_{x_0} in matrix units, first attained at j = best (0 when
-    the max is 0).  The anchored realization hangs x_i at root distance t
-    on the root path of x_best.
+def _attachments(m: list[list], order) -> tuple[list[tuple[int, int]], list[int]]:
+    """Per row i of ``order``, which starts at the anchor 0, (t, best): t =
+    max over the rows j before i of 2 (x_i|x_j)_{x_0} in matrix units, first
+    attained at j = best (0 when the max is 0).  The anchored realization
+    hangs x_i at root distance t on the root path of x_best.
 
     Check that this tree reproduces every distance, and return with the
     attachments the rows where it does not, in order: such
     a row is off the tree and left out of the later rows' products, so
-    every max runs over the on-tree rows j < i.  While the tree reproduces
+    every max runs over the on-tree rows before i.  While the tree reproduces
     them, twice the Gromov product at the anchor of two of them is the root
     distance where their root paths part.  So the root paths of x_i and
     x_j part at min(t, 2 (x_best|x_j)_{x_0}), which must equal the table's
@@ -315,7 +360,7 @@ def _attachments(m: list[list]) -> tuple[list[tuple[int, int]], list[int]]:
     anchor = [row[0] for row in m]
     out: list[tuple[int, int]] = [(0, 0)]
     tree, off = [0], []
-    for i in range(1, len(m)):
+    for i in order[1:]:
         mi, a = m[i], anchor[i]
         products = [a + anchor[j] - mi[j] for j in tree]
         t = max(products)

@@ -824,6 +824,46 @@ def random_cycle_table(rng: random.Random) -> MetricTable:
     return MetricTable(d)
 
 
+def random_edges(rng: random.Random, n: int) -> list:
+    """The edges of a random attachment tree on vertices v0..v{n-1}."""
+    return [(f"v{rng.randrange(i)}", f"v{i}", Fr(rng.randint(1, 24), rng.randint(1, 6))) for i in range(1, n)]
+
+
+def leaf_tree_distances(rng: random.Random, n: int) -> dict:
+    """A tree metric on n leaves q0..q{n-1}: leaf qi hangs from vertex vi of
+    a random tree on a pendant edge 1 to 2 long.  Every point is a leaf
+    with its own neighbour, so moving any few distances by at most 1/2
+    keeps the triangle inequality."""
+    edges = random_edges(rng, n) + [(f"v{i}", f"q{i}", 1 + Fr(rng.randint(0, 8), 8)) for i in range(n)]
+    tree = MetricTree(edges)
+    return {(f"q{i}", f"q{j}"): tree.distance(f"q{i}", f"q{j}") for i, j in combinations(range(n), 2)}
+
+
+def shortened_leaf_pair(rng: random.Random, n: int, ranks: tuple[int, int]) -> tuple[dict, Fr]:
+    """The distances of the n vertices of a random tree, with d(a, b) shortened
+    by eps below the shortest edge for two leaves a, b with different
+    neighbours, as the refute benchmark builds them: a and b take the names
+    of the given ranks in sorted order.  The defect is eps/2, attained by a,
+    b and their neighbours, and it is the largest a change by eps allows."""
+    while True:
+        edges = random_edges(rng, n)
+        ends = [v for u, w, _ in edges for v in (u, w)]
+        nbr = {v: w for u, x, _ in edges for v, w in ((u, x), (x, u)) if ends.count(v) == 1}
+        pairs = [(a, b) for a, b in combinations(sorted(nbr), 2) if nbr[a] != nbr[b]]
+        if pairs:
+            break
+    pair, ranked = rng.choice(pairs), sorted(set(ends))
+    order = [v for v in ranked if v not in pair]
+    for v, rank in sorted(zip(pair, ranks), key=lambda t: t[1]):
+        order.insert(rank, v)
+    name = dict(zip(order, ranked))
+    table = MetricTable.from_tree(MetricTree([(name[u], name[v], length) for u, v, length in edges]))
+    d = {(x, y): table.distance(x, y) for x, y in combinations(table.points, 2)}
+    eps = min(length for _, _, length in edges) * Fr(rng.randint(1, 7), 8)
+    d[tuple(sorted(name[v] for v in pair))] -= eps
+    return d, eps
+
+
 def random_compatible_pair(rng: random.Random, max_vertices: int = 5) -> CompatibleMetricPair:
     """Two random positive rational length assignments on one random shape,
     with designated points kept in the same order along each edge (retried

@@ -1016,6 +1016,22 @@ def test_certify_report_bytes_fail_below_defect(tmp_path, capsys):
     )
 
 
+def test_certify_a_250_point_table_with_one_shortened_leaf_distance(tmp_path, capsys):
+    """A failing certify at scale, on a tree table with one leaf distance
+    shortened by eps as the refute benchmark builds them: it prints the
+    defect eps/2 and a witness that replays."""
+    d, eps = helpers.shortened_leaf_pair(random.Random(250), 250, (250 // 3, 2 * 250 // 3))
+    path = tmp_path / "near-tree.metric"
+    path.write_text("".join(f"dist {x} {y} {format_number(v)}\n" for (x, y), v in d.items()))
+    code, out, _ = run_cli(capsys, "certify", "--table", str(path))
+    assert code == 1
+    assert f"four-point defect: {format_number(eps / 2)}\n" in out
+    report = tmp_path / "report.txt"
+    report.write_text(out)
+    code, out, _ = run_cli(capsys, "replay", str(report))
+    assert code == 0 and "NOT CONFIRMED" not in out
+
+
 def test_certify_table_with_steiner_like_point_name(tmp_path, capsys):
     # a 4-point star: the first minted Steiner name would be the point '.s1'
     names = [".s1", "a", "b", "c"]

@@ -13,13 +13,13 @@ from hypothesis import given, settings, strategies as st
 
 from rtreelab.boundary import BoundaryPoint, act
 from rtreelab.cli import main
-from rtreelab.formats import WITNESS_PREFIX
-from rtreelab.hyperbolicity import MetricTable, reconstruct_tree
+from rtreelab.formats import WITNESS_PREFIX, format_number
+from rtreelab.hyperbolicity import InvalidTableError, MetricTable, reconstruct_tree
 from rtreelab.observers import PointSequence, liminf_from
 from rtreelab.oracles import FiniteTreeOracle
 from rtreelab.words import Basis, cyclic_reduce, cyclically_reduced_words, reduce_word, reduced_words
 
-from helpers import random_tree, reference_point_on_segment
+from helpers import leaf_tree_distances, random_tree, reference_max_gap, reference_point_on_segment
 
 B2 = Basis(2)
 
@@ -199,6 +199,52 @@ def test_line_action_commands_exit_cleanly_and_their_witnesses_replay(
             fh.write(out)
         replay_code, replay_out = _run(["replay", report])
     assert replay_code == 0 and "NOT CONFIRMED" not in replay_out
+
+
+# -- certify --table fuzz over near-tree tables --------------------------------------
+
+
+@st.composite
+def _near_tree_distances(draw):
+    """The distances of 4-12 leaves of a random tree (``leaf_tree_distances``),
+    with 0-3 of them moved by ±k/16; half the time the first move is on the
+    anchor's row.  A move beyond 2 can break the triangle inequality."""
+    d = leaf_tree_distances(random.Random(draw(st.integers(0, 2**32 - 1))), draw(st.integers(4, 12)))
+    moves = draw(st.lists(st.sampled_from(sorted(d)), max_size=3))
+    if moves and draw(st.booleans()):
+        moves[0] = draw(st.sampled_from([key for key in sorted(d) if "q0" in key]))
+    for key in moves:
+        d[key] += draw(st.sampled_from([-1, 1])) * Fr(draw(st.integers(1, 48)), 16)
+    return d
+
+
+@settings(max_examples=150, deadline=None)
+@given(_near_tree_distances(), st.fractions(0, 2, max_denominator=64))
+def test_certify_table_on_near_tree_tables_exits_cleanly_and_its_witnesses_replay(d, delta):
+    """certify --table at delta 0, at the defect and at a random delta: a
+    table that is no metric is a parse error, any other prints the
+    reference defect, and every printed WITNESS replays."""
+    try:
+        table = MetricTable(d)
+    except InvalidTableError:
+        table = None
+    defect = None if table is None else Fr(reference_max_gap(table), 2 * table.scale)
+    with tempfile.TemporaryDirectory() as tmp:
+        path, report = os.path.join(tmp, "table.metric"), os.path.join(tmp, "report.txt")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("".join(f"dist {x} {y} {format_number(v)}\n" for (x, y), v in d.items()))
+        for value in {Fr(0), delta} if defect is None else {Fr(0), defect, delta}:
+            code, out = _run(["certify", "--table", path, f"--delta={format_number(value)}"])
+            if defect is None:
+                assert code == 64
+                continue
+            assert code == (1 if defect > value else 0)
+            assert f"four-point defect: {format_number(defect)}\n" in out
+            if WITNESS_PREFIX in out:
+                with open(report, "w", encoding="utf-8") as fh:
+                    fh.write(out)
+                replay_code, replay_out = _run(["replay", report])
+                assert replay_code == 0 and "NOT CONFIRMED" not in replay_out
 
 
 # -- replay fuzz over witness records ------------------------------------------------

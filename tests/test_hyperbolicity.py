@@ -478,24 +478,9 @@ def test_from_tree_two_names_on_one_point_is_rejected():
 # -- the off-tree kernels at 12-40 points against the full integer scans -----------------
 
 
-def _random_edges(rng: random.Random, n: int) -> list:
-    """The edges of a random attachment tree on vertices v0..v{n-1}."""
-    return [(f"v{rng.randrange(i)}", f"v{i}", Fr(rng.randint(1, 24), rng.randint(1, 6))) for i in range(1, n)]
-
-
-def _leaf_tree_distances(rng: random.Random, n: int) -> dict:
-    """A tree metric on n leaves q0..q{n-1}: leaf qi hangs from vertex vi of
-    a random tree on a pendant edge 1 to 2 long.  Every point is a leaf
-    with its own neighbour, so moving any few distances by at most 1/2
-    keeps the triangle inequality."""
-    edges = _random_edges(rng, n) + [(f"v{i}", f"q{i}", 1 + Fr(rng.randint(0, 8), 8)) for i in range(n)]
-    tree = MetricTree(edges)
-    return {(f"q{i}", f"q{j}"): tree.distance(f"q{i}", f"q{j}") for i, j in combinations(range(n), 2)}
-
-
 def _perturbed_leaf_table(rng: random.Random, n: int) -> dict:
     """1-4 distances moved by up to 1/2, the first one at the anchor."""
-    d = _leaf_tree_distances(rng, n)
+    d = helpers.leaf_tree_distances(rng, n)
     anchor = min(p for key in d for p in key)
     keys = [rng.choice([key for key in sorted(d) if anchor in key])]
     keys += rng.sample([key for key in sorted(d) if key != keys[0]], rng.randint(0, 3))
@@ -504,9 +489,21 @@ def _perturbed_leaf_table(rng: random.Random, n: int) -> dict:
     return d
 
 
+def _early_wrong_row_table(rng: random.Random, n: int) -> dict:
+    """As _perturbed_leaf_table, with d(anchor, second point) among the moved
+    distances: the forward replay keeps the second point and can put many
+    later rows off, the reverse replay puts the second point off."""
+    d = helpers.leaf_tree_distances(rng, n)
+    first = tuple(sorted({p for key in d for p in key})[:2])
+    keys = [first] + rng.sample([key for key in sorted(d) if key != first], rng.randint(0, 2))
+    for key in keys:
+        d[key] += rng.choice([-1, 1]) * Fr(rng.randint(1, 8), 16)
+    return d
+
+
 def _broken_triangle_table(rng: random.Random, n: int) -> dict:
     """Lengthen d(x, y) past d(x, z) + d(z, y)."""
-    d = _leaf_tree_distances(rng, n)
+    d = helpers.leaf_tree_distances(rng, n)
     x, y, z = rng.sample(sorted({p for key in d for p in key}), 3)
 
     def dist(p, q):
@@ -536,6 +533,7 @@ OFF_TREE_FAMILIES = {
     "l1": _l1_distances,
     "cycle": _cycle_distances,
     "broken triangle": _broken_triangle_table,
+    "early wrong row": _early_wrong_row_table,
 }
 
 
@@ -571,6 +569,17 @@ def test_off_tree_kernels_agree_with_the_full_integer_scans(family, n, seed):
         assert first_violation(table, delta) == expected
 
 
+@pytest.mark.parametrize("n", [60, 120])
+def test_one_wrong_distance_at_the_anchor_leaves_one_row_off(n):
+    """A wrong d(anchor, second point) keeps the second point on the forward
+    replay's tree and can put many later rows off; the reverse replay puts
+    only the second point off, and the defect is the one built."""
+    d, eps = helpers.shortened_leaf_pair(random.Random(n), n, (0, 1))
+    table = MetricTable(d)
+    assert table._off == [1]
+    assert max_four_point_defect(table) == eps / 2
+
+
 def test_only_a_table_read_from_rows_replays_its_distances(monkeypatch):
     """A tree's own distances are a tree metric by construction, so
     from_tree runs no replay; a table from a mapping or from rows runs one,
@@ -580,8 +589,8 @@ def test_only_a_table_read_from_rows_replays_its_distances(monkeypatch):
 
     calls = []
     replay = hyperbolicity._attachments
-    monkeypatch.setattr(hyperbolicity, "_attachments", lambda m: calls.append("replay") or replay(m))
-    table = MetricTable.from_tree(MetricTree(_random_edges(random.Random(61), 12)))
+    monkeypatch.setattr(hyperbolicity, "_attachments", lambda *args: calls.append("replay") or replay(*args))
+    table = MetricTable.from_tree(MetricTree(helpers.random_edges(random.Random(61), 12)))
     assert calls == [] and table.realized
     distances = {(x, y): table.distance(x, y) for x, y in combinations(table.points, 2)}
     from_mapping = MetricTable(distances)
@@ -593,7 +602,7 @@ def test_only_a_table_read_from_rows_replays_its_distances(monkeypatch):
 
 
 def test_a_realized_table_runs_no_four_point_scan():
-    table = MetricTable.from_tree(MetricTree(_random_edges(random.Random(60), 60)))
+    table = MetricTable.from_tree(MetricTree(helpers.random_edges(random.Random(60), 60)))
     assert table.realized and len(table.points) == 60
     assert max_four_point_defect(table) == 0
     assert first_violation(table, 1) is None
