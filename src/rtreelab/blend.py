@@ -124,31 +124,41 @@ def _marking_table(marking: Mapping[str, str]) -> dict[int, str]:
 
 
 def nielsen_generates(marking: Mapping[str, str], basis: Basis) -> bool:
-    """Greedy Nielsen reduction of the image multiset: replace any image by
-    a strictly shorter product with another (or its inverse) until no move
-    shrinks the total length; the images generate freely iff the reduced
-    multiset is the standard basis up to inversion and order.  Complete at
-    desk scale for rank 2; a documented heuristic beyond."""
-    images = [reduce_word(marking[s], basis) for s in basis.symbols]
-    if any(not w for w in images):
-        return False
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(images)):
-            for j in range(len(images)):
-                if i == j:
-                    continue
-                for other in (images[j], invert_word(images[j])):
-                    for cand in (
-                        reduce_word(images[i] + other),
-                        reduce_word(other + images[i]),
-                    ):
-                        if cand and len(cand) < len(images[i]):
-                            images[i] = cand
-                            changed = True
-    letters = sorted(w.lower() for w in images)
-    return all(len(w) == 1 for w in images) and letters == sorted(basis.symbols)
+    """Whether the images of the generators form a basis, by Stallings
+    folding: wedge one loop per image at a base vertex, then identify the
+    ends of any two edges that leave a vertex with the same label.  The
+    images generate the free group exactly when the folded graph is the
+    standard rose, one vertex with one loop per generator; as there are
+    as many images as generators and F_N is Hopfian, they then form a
+    basis."""
+    parent: list[int] = [0]
+    out: list[dict[str, int]] = [{}]  # out[v][c] = w: an edge v -> w reading c
+    edges = []
+    for s in basis.symbols:
+        image = reduce_word(marking[s], basis)
+        # the loop of the image: new vertices between its letters, base at both ends
+        inner = list(range(len(out), len(out) + len(image) - 1))
+        parent += inner
+        out += ({} for _ in inner)
+        path = [0, *inner, 0]
+        for v, c, w in zip(path, image, path[1:]):
+            edges += [(v, c, w), (w, invert_word(c), v)]
+
+    def find(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        return v
+
+    while edges:
+        v, c, w = edges.pop()
+        v, w = find(v), find(w)
+        x = find(out[v].setdefault(c, w))
+        if x != w:
+            # fold: w joins x, and its edges move to x
+            parent[w] = x
+            edges += [(x, d, y) for d, y in out[w].items()]
+            out[w] = {}
+    return sum(parent[v] == v for v in range(len(parent))) == 1 and len(out[find(0)]) == 2 * basis.rank
 
 
 def _rose(marking: Mapping[str, str], edge_lengths: Mapping[str, Num], basis: Basis | None) -> tuple:
@@ -487,6 +497,7 @@ def _axiom_scan(
     words: Sequence[str],
     basis: Basis,
     conjugators: Sequence[str] | None,
+    trees: bool = False,
 ) -> list[AxiomScanEntry]:
     """Axiom scan of every blend lam*lf1 + (1-lam)*lf0 on the grid, in one
     pass over ``words`` (reduced, distinct, in scan order).
@@ -518,6 +529,19 @@ def _axiom_scan(
     skipped.  A function without a norm has no tight words.  A pair whose
     |uv| and |uv^-1| are equal in both functions has them equal in every
     blend, so its lambdas are not tested one by one.
+
+    ``trees`` says that both functions are translation-length functions of
+    trees by construction (the two roses of ``rose_blend_axiom_scan``), so
+    the Culler-Morgan axioms hold in each, and the scan uses two of their
+    consequences.  (i) The slots lambda = 0 and 1 are lf0 and lf1
+    themselves and cannot violate, so they are never pending.  (ii) In a
+    tree, |uv| > |u| + |v| holds exactly when the axes of u and v are
+    disjoint (for an elliptic element, its fixed set), and then |uv| =
+    |uv^-1| = |u| + |v| + 2d for the distance d between them; when they
+    meet, neither exceeds the sum.  So a pair whose |uv| exceeds its sum
+    in both functions has |uv| = |uv^-1| in every blend, one that exceeds
+    it in neither has both at most the sum in every blend, and |uv^-1| is
+    computed only for the pairs in between.
     """
     slots = [_grid_slot(lam, lf0.unit, lf1.unit) for lam in grid]
     found: dict[int, AxiomWitness] = {}
@@ -577,7 +601,7 @@ def _axiom_scan(
     norm0, norm1 = lf0.norm, lf1.norm
     normed = norm0 is not None and norm1 is not None
     tight = [normed and norm0(a0) == x0 and norm1(a1) == x1 for a0, a1, (x0, x1) in zip(s0, s1, singles)]
-    pending = [s for s in range(len(slots)) if s not in found]
+    pending = [s for s in range(len(slots)) if s not in found and not (trees and 0 in slots[s][1:3])]
     for a, i in enumerate(rows):
         if not pending:
             break
@@ -587,17 +611,19 @@ def _axiom_scan(
             if tight_u and tight[j]:
                 continue
             v0, v1 = singles[j]
-            uv0, ui0 = pair0(su0, s0[j]), pair0(su0, t0[j])
-            if same:
-                uv1, ui1 = uv0, ui0
-            else:
-                uv1, ui1 = pair1(su1, s1[j]), pair1(su1, t1[j])
             b0, b1 = u0 + v0, u1 + v1
+            uv0 = pair0(su0, s0[j])
+            uv1 = uv0 if same else pair1(su1, s1[j])
+            if trees and (uv0 > b0) == (uv1 > b1):
+                continue
+            ui0 = pair0(su0, t0[j])
+            ui1 = ui0 if same else pair1(su1, t1[j])
             # no lambda in [0, 1] can violate when neither function has a
             # positive margin against the sum bound, or when |uv| = |uv^-1|
             # in both (the disjoint-axes case), as then in every blend
             if uv0 <= b0 and uv1 <= b1 and ui0 <= b0 and ui1 <= b1 or uv0 == ui0 and uv1 == ui1:
                 continue
+            hits = len(found)
             for s in pending:
                 _, p, r, _ = slots[s]
                 nuv, nui = p * uv1 + r * uv0, p * ui1 + r * ui0
@@ -605,7 +631,7 @@ def _axiom_scan(
                 if nuv != nui and (nuv > nu + nv or nui > nu + nv):
                     scaled = {"uv": nuv, "uv_inv": nui, "u": nu, "v": nv}
                     record(s, "product", words[i], words[j], scaled)
-            if len(found) + len(pending) > len(slots):
+            if len(found) > hits:
                 pending = [s for s in pending if s not in found]
                 if not pending:
                     break
@@ -649,7 +675,9 @@ def rose_blend_axiom_scan(
     length <= maxlen, sharing the word computations across the whole
     lambda grid.  The first witness per lambda is reported; blends of
     class functions keep inversion and conjugation invariance, so the
-    witnesses found are product violations.
+    witnesses found are product violations.  Both roses are tree length
+    functions, so the scan leaves out what the tree axioms imply (see
+    ``_axiom_scan``).
     """
     if maxlen < 1:
         raise ValueError("maxlen must be >= 1")
@@ -663,4 +691,4 @@ def rose_blend_axiom_scan(
     lf1 = length_function_from_marked_graph(
         marking1, unit if lengths1 is None else lengths1, basis
     )
-    return _axiom_scan(lf0, lf1, lambdas, reduced_words(basis, maxlen), basis, None)
+    return _axiom_scan(lf0, lf1, lambdas, reduced_words(basis, maxlen), basis, None, trees=True)

@@ -107,6 +107,11 @@ def _parse_lambda(text: str) -> Fraction:
     return _unit_lambda(formats.parse_number(text), text)
 
 
+# one report line per grid point: a grid past this many is refused before
+# any point is made
+_MAX_GRID_POINTS = 100_000
+
+
 def _parse_lambda_grid(text: str) -> list[Fraction]:
     if ":" in text:
         parts = text.split(":")
@@ -118,6 +123,8 @@ def _parse_lambda_grid(text: str) -> list[Fraction]:
         if start > end:
             # an empty grid checks nothing, so its pass would be vacuous
             raise ParameterError("grid start must not exceed its end")
+        if (end - start) // step >= _MAX_GRID_POINTS:
+            raise ParameterError(f"grid has more than {_MAX_GRID_POINTS} points")
         grid = []
         lam = start
         while lam <= end:

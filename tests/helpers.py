@@ -4,6 +4,7 @@ import math
 import random
 import re
 from fractions import Fraction as Fr
+from functools import lru_cache
 from itertools import combinations, product
 
 from rtreelab.blend import (
@@ -439,6 +440,31 @@ def apply_marking(marking, word: str) -> str:
     """Image of a word under the endomorphism sending each generator to its
     marking image, letter by letter."""
     return reduce_word("".join(marking[c] if c in marking else invert_word(marking[c.lower()]) for c in word))
+
+
+@lru_cache(maxsize=None)
+def nielsen_composites(rank: int, moves: int) -> tuple[tuple[str, ...], ...]:
+    """The images of the standard basis under every composite of at most
+    ``moves`` Nielsen moves (swap two images, invert one, or multiply one
+    by another on the right or on the left), sorted."""
+    swaps = [(i, j) for i in range(rank) for j in range(i + 1, rank)]
+    products = [(i, j) for i in range(rank) for j in range(rank) if i != j]
+
+    def neighbours(im):
+        for i, j in swaps:
+            yield im[:i] + (im[j],) + im[i + 1 : j] + (im[i],) + im[j + 1 :]
+        for i in range(rank):
+            yield im[:i] + (invert_word(im[i]),) + im[i + 1 :]
+        for i, j in products:
+            for w in (im[i] + im[j], im[j] + im[i]):
+                yield im[:i] + (reduce_word(w),) + im[i + 1 :]
+
+    level = {tuple(Basis(rank).symbols)}
+    seen = set(level)
+    for _ in range(moves):
+        level = {n for im in level for n in neighbours(im)} - seen
+        seen |= level
+    return tuple(sorted(seen))
 
 
 def rotations(word: str) -> list[str]:

@@ -44,6 +44,7 @@ from helpers import (
     apply_marking,
     brute_force_axiom_check,
     brute_force_four_point,
+    nielsen_composites,
     random_compatible_pair,
     reference_rose_product_length,
     unit_square_table,
@@ -237,6 +238,33 @@ def test_nielsen_generation_check():
     assert not nielsen_generates({"a": "abAB", "b": "b"}, B2)
     with pytest.raises(MarkingError):
         length_function_from_marked_graph({"a": "ab", "b": "ab"}, {"a": 1, "b": 1})("a")
+
+
+@pytest.mark.parametrize("rank, count", [(2, 834), (3, 31387)])
+def test_stallings_folding_accepts_every_composite_of_up_to_4_nielsen_moves(rank, count):
+    basis = Basis(rank)
+    composites = nielsen_composites(rank, 4)
+    assert len(composites) == count
+    for images in composites:
+        assert nielsen_generates(dict(zip(basis.symbols, images)), basis), images
+
+
+@pytest.mark.parametrize(
+    "marking, expected",
+    [
+        # ba*(ca)^-1 = bC, then b, a and c: no single move shortens an image,
+        # so the greedy reduction this replaced refused it
+        ({"a": "ba", "b": "bCb", "c": "ca"}, True),
+        ({"a": "ab", "b": "ab"}, False),
+        ({"a": "aa", "b": "b"}, False),  # a proper subgroup of index 2
+        ({"a": "abAB", "b": "b"}, False),
+        ({"a": "a", "b": "b", "c": "ab"}, False),
+        ({"a": "", "b": "b"}, False),
+        ({"a": "abA", "b": "b"}, False),  # the folded graph keeps a hair
+    ],
+)
+def test_stallings_folding_decides_a_basis(marking, expected):
+    assert nielsen_generates(marking, Basis(len(marking))) is expected
 
 
 # -- length functions -----------------------------------------------------------------
@@ -714,3 +742,81 @@ def test_symmetric_rose_scan_agrees_with_the_slow_reference(
     (entry,) = _axiom_scan(lf0, line, grid[:1], words, basis, None)
     expected = brute_force_axiom_check(blend_length_functions(lf0, line, grid[0]), words, basis)
     assert (entry.ok, entry.witness) == (expected.ok, expected.witness)
+
+
+_GRID_LAMBDA = st.one_of(
+    st.sampled_from([Fr(0), Fr(1), 0.0, 1.0]),
+    st.fractions(0, 1, max_denominator=12),
+    st.floats(0, 1),
+)
+
+
+@st.composite
+def _rose_blend_cases(draw):
+    """A rank 2 or 3 basis, two Nielsen markings (marking0 the identity half
+    the time), positive rational lengths, a grid of rational and float
+    lambdas, and a maxlen of 1-4 (1-3 at rank 3, whose 937 words of length
+    <= 4 make the reference scan too slow)."""
+    rank = draw(st.sampled_from([2, 3]))
+    basis = Basis(rank)
+    composites = nielsen_composites(rank, 3)
+
+    def marking():
+        return dict(zip(basis.symbols, draw(st.sampled_from(composites))))
+
+    marking0 = marking() if draw(st.booleans()) else dict(zip(basis.symbols, basis.symbols))
+    weights = st.fixed_dictionaries({s: _KERNEL_WEIGHTS["fraction"] for s in basis.symbols})
+    lengths = [draw(weights), draw(weights)]
+    grid = draw(st.lists(_GRID_LAMBDA, min_size=1, max_size=4))
+    return basis, marking(), marking0, *lengths, grid, draw(st.integers(1, 4 if rank == 2 else 3))
+
+
+_ONES = {"a": 1, "b": 1}
+
+
+@settings(max_examples=30, deadline=None)
+@given(_rose_blend_cases())
+# the endpoints are never pending: after the first witness at 1/3 the pending
+# slots must be refreshed, or a later pair overwrites it
+@example((B2, {"a": "abb", "b": "b"}, {"a": "a", "b": "b"}, _ONES, _ONES,
+          [Fr(0), Fr(1, 3), Fr(2, 3), Fr(1)], 4))
+# |uv| exceeds the sum in lf0 alone at the witness (u = A, v = BAb)
+@example((B2, {"a": "a", "b": "b"}, {"a": "abb", "b": "b"}, _ONES, _ONES, [Fr(1, 2), 0.25], 4))
+@example((Basis(3), {"a": "ba", "b": "bCb", "c": "ca"}, {"a": "a", "b": "b", "c": "c"},
+          dict.fromkeys("abc", 1), {"a": Fr(1, 2), "b": 2, "c": 1}, [Fr(0), Fr(1, 2), 0.75, 1.0], 3))
+def test_rose_blend_scan_on_the_tree_path_agrees_with_the_slow_reference(case):
+    """rose_blend_axiom_scan, which drops the grid endpoints and decides
+    most pairs from |uv| alone, against the literal scan of every blend."""
+    basis, marking1, marking0, lengths0, lengths1, grid, maxlen = case
+    entries = rose_blend_axiom_scan(
+        marking1, grid, maxlen, basis, marking0=marking0, lengths0=lengths0, lengths1=lengths1
+    )
+    lf0 = length_function_from_marked_graph(marking0, lengths0, basis)
+    lf1 = length_function_from_marked_graph(marking1, lengths1, basis)
+    words = reduced_words(basis, maxlen)
+    assert [entry.lam for entry in entries] == grid
+    for lam, entry in zip(grid, entries):
+        expected = brute_force_axiom_check(blend_length_functions(lf0, lf1, lam), words, basis)
+        assert (entry.ok, entry.witness) == (expected.ok, expected.witness)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([2, 3]), st.data())
+def test_rose_length_functions_satisfy_the_two_facts_the_scan_relies_on(rank, data):
+    """(i) a rose's length function passes the axiom scan, and (ii) for every
+    pair, |uv| > |u| + |v| implies |uv| = |uv^-1|: over the words of length
+    <= 4 (<= 3 at rank 3)."""
+    basis = Basis(rank)
+    images = data.draw(st.sampled_from(nielsen_composites(rank, 3)))
+    lengths = data.draw(st.fixed_dictionaries({s: _KERNEL_WEIGHTS["fraction"] for s in basis.symbols}))
+    lf = length_function_from_marked_graph(dict(zip(basis.symbols, images)), lengths, basis)
+    words = reduced_words(basis, 4 if rank == 2 else 3)
+    assert length_axiom_check(lf, words, basis).ok
+    states = [lf.state(w) for w in words]
+    inverses = [lf.state(invert_word(w)) for w in words]
+    sizes = [lf.length(s) for s in states]
+    for su, u in zip(states, sizes):
+        for sv, sv_inv, v in zip(states, inverses, sizes):
+            uv = lf.pair(su, sv)
+            if uv > u + v:
+                assert uv == lf.pair(su, sv_inv)

@@ -901,6 +901,28 @@ def test_blend_axioms_rejects_an_empty_or_out_of_range_grid(grid, err, capsys):
     assert stderr == f"parameter error: {err}\n"
 
 
+@pytest.mark.parametrize("grid", ["0:1:1e-400", "0:1:1/1000000000", "0:1:1/100000", "-1:1:1e-9"])
+def test_blend_axioms_refuses_a_grid_of_more_than_100000_points_before_making_it(grid, capsys):
+    # the count floor((end - start)/step) + 1 is taken first: the grid 0:1:1e-400
+    # was built a Fraction at a time and never returned
+    code, out, stderr = run_cli(
+        capsys, "blend", "axioms", "--marking", "a:a,b:ba", f"--lambda-grid={grid}", "--maxlen", "2"
+    )
+    assert code == 65
+    assert "RESULT" not in out and "no violation" not in out
+    assert stderr == "parameter error: grid has more than 100000 points\n"
+
+
+def test_blend_axioms_accepts_a_rank_3_marking_that_greedy_reduction_refused(capsys):
+    # ba*(ca)^-1 = bC, and then b, a and c follow: a composite of Nielsen moves
+    # in which no single move shortens an image
+    code, out, stderr = run_cli(
+        capsys, "blend", "axioms", "--marking", "a:ba,b:bCb,c:ca", "--lambda-grid", "0:1:1/2", "--maxlen", "2"
+    )
+    assert code == 0 and stderr == ""
+    assert out.count("no violation found (words <= 2)") == 3 and "RESULT: pass" in out
+
+
 @pytest.mark.parametrize("w0, w1",[("1,2", "1,2,3"), ("1,2,3", "1,2")])
 def test_blend_lengths_rejects_weight_lists_of_different_lengths(w0, w1, capsys):
     # a weight without a partner was dropped, or read as a missing generator

@@ -19,7 +19,13 @@ from rtreelab.observers import PointSequence, liminf_from
 from rtreelab.oracles import FiniteTreeOracle
 from rtreelab.words import Basis, cyclic_reduce, cyclically_reduced_words, reduce_word, reduced_words
 
-from helpers import leaf_tree_distances, random_tree, reference_max_gap, reference_point_on_segment
+from helpers import (
+    leaf_tree_distances,
+    nielsen_composites,
+    random_tree,
+    reference_max_gap,
+    reference_point_on_segment,
+)
 
 B2 = Basis(2)
 
@@ -162,6 +168,18 @@ def _run(argv) -> tuple[int, str]:
     return code, out.getvalue()
 
 
+def _assert_witnesses_replay(out: str) -> None:
+    """Every WITNESS line of a report replays through ``rtreelab replay``."""
+    if WITNESS_PREFIX not in out:
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        report = os.path.join(tmp, "report.txt")
+        with open(report, "w", encoding="utf-8") as fh:
+            fh.write(out)
+        replay_code, replay_out = _run(["replay", report])
+    assert replay_code == 0 and "NOT CONFIRMED" not in replay_out
+
+
 @settings(max_examples=120, deadline=None)
 @given(
     st.sampled_from(["estimate", "fibers", "smallwords", "lengths"]),
@@ -191,14 +209,64 @@ def test_line_action_commands_exit_cleanly_and_their_witnesses_replay(
                 f"--lambda={number}", "--maxlen", str(maxlen)]
     code, out = _run(argv)
     assert code in _EXIT_CODES
-    if WITNESS_PREFIX not in out:
-        return
-    with tempfile.TemporaryDirectory() as tmp:
-        report = os.path.join(tmp, "report.txt")
-        with open(report, "w", encoding="utf-8") as fh:
-            fh.write(out)
-        replay_code, replay_out = _run(["replay", report])
-    assert replay_code == 0 and "NOT CONFIRMED" not in replay_out
+    _assert_witnesses_replay(out)
+
+
+# -- blend axioms fuzz over markings and grids ---------------------------------------
+
+_MALFORMED_MARKING = st.sampled_from(
+    ["", "a", "a:a", "a:a,b", "a:x,b:b", "a:ab,b:ab", "a:,b:b", "a:a,c:c", ":a,b:b", "a:a,b:b,c:ab",
+     "a:aa,b:b"]
+)
+_BAD_NUMBER = st.sampled_from(["-1/2", "3/2", "1e-400", "x", "1/0", ""])
+_BAD_STEP = st.sampled_from(["0", "-1/4", "2", "1e-400", "1/1000000000", "x"])
+
+
+@st.composite
+def _grid(draw):
+    """A comma list of lambdas or start:end:step, one in four with a part
+    out of range, malformed, or a step that is zero, negative or makes more
+    than 100000 points."""
+    listed = draw(st.booleans())
+    if listed:
+        lambdas = st.sampled_from(["0", "1", "1/3", "0.25", "2/3", "0.1"])
+        parts = draw(st.lists(lambdas, min_size=1, max_size=4))
+        bad = _BAD_NUMBER
+    else:
+        parts = [draw(st.sampled_from(options)) for options in (["0", "1/4", "1/3"], ["1/2", "2/3", "1"])]
+        parts.append(draw(st.sampled_from(["1/2", "1/3", "1/10", "0.25", "1"])))
+        bad = _BAD_STEP if draw(st.booleans()) else _BAD_NUMBER
+    if draw(st.integers(0, 3)) == 0:
+        parts[draw(st.integers(0, len(parts) - 1))] = draw(bad)
+    return ("," if listed else ":").join(parts)
+
+
+@st.composite
+def _blend_axioms_argv(draw):
+    """Markings of one rank, 2 or 3, each a Nielsen composite as gen:image
+    text or, one in six, malformed; marking0 half the time."""
+    rank = draw(st.sampled_from([2, 3]))
+
+    def marking():
+        if draw(st.integers(0, 5)) == 0:
+            return draw(_MALFORMED_MARKING)
+        images = draw(st.sampled_from(nielsen_composites(rank, 3)))
+        return ",".join(f"{g}:{w}" for g, w in zip("abc", images))
+
+    argv = ["blend", "axioms", f"--marking={marking()}", f"--lambda-grid={draw(_grid())}"]
+    argv += ["--maxlen", str(draw(st.integers(0, 4)))]
+    return argv + [f"--marking0={marking()}"] if draw(st.booleans()) else argv
+
+
+@settings(max_examples=120, deadline=None)
+@given(_blend_axioms_argv())
+def test_blend_axioms_exits_cleanly_and_its_witnesses_replay(argv):
+    """Any marking (a Nielsen composite or malformed), with or without a
+    marking0, on a grid of either syntax, gives a documented exit code and
+    no traceback, and every printed WITNESS replays."""
+    code, out = _run(argv)
+    assert code in {0, 1, 64, 65}
+    _assert_witnesses_replay(out)
 
 
 # -- certify --table fuzz over near-tree tables --------------------------------------
