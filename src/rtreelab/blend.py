@@ -31,6 +31,8 @@ from .words import (
     reduced_words,
 )
 
+REALIZED = "0-hyperbolic; realized exactly by a finite tree"
+
 
 class IncompatiblePairError(ValueError):
     pass
@@ -63,10 +65,11 @@ class CompatibleMetricPair:
             raise IncompatiblePairError("vertex sets differ")
         if t0._lengths.keys() != t1._lengths.keys():
             raise IncompatiblePairError("edge sets differ")
-        if sorted(t0.designated) != sorted(t1.designated):
+        d0, d1 = t0.designated, t1.designated  # each call makes the Locations anew
+        if sorted(d0) != sorted(d1):
             raise IncompatiblePairError("designated point names differ")
-        for name, loc0 in t0.designated.items():
-            loc1 = t1.designated[name]
+        for name, loc0 in d0.items():
+            loc1 = d1[name]
             if isinstance(loc0, str) != isinstance(loc1, str):
                 raise IncompatiblePairError(f"point {name!r} changes between vertex and edge")
             if isinstance(loc0, str) and loc0 != loc1:
@@ -108,7 +111,7 @@ def certify_rtree(space: MetricTable) -> CertifyResult:
     violating quadruple; ``realizable`` is then None."""
     if space.realized:
         verdict = HyperbolicityVerdict(True, Fraction(0))
-        return CertifyResult(verdict, True, "0-hyperbolic; realized exactly by a finite tree")
+        return CertifyResult(verdict, True, REALIZED)
     verdict = HyperbolicityVerdict(False, Fraction(0), first_violation(space, 0))
     return CertifyResult(verdict, None, "four-point condition fails at delta=0")
 

@@ -17,6 +17,7 @@ from itertools import combinations
 
 from . import formats
 from .blend import (
+    REALIZED,
     CompatibleMetricPair,
     affine_deviation,
     blend_metric,
@@ -139,8 +140,10 @@ def _parse_marking(text: str) -> dict[str, str]:
     for piece in text.split(","):
         if ":" not in piece:
             raise ParameterError(f"marking entries look like gen:image, got {piece!r}")
-        gen, image = piece.split(":", 1)
-        marking[gen.strip()] = image.strip()
+        gen, image = (part.strip() for part in piece.split(":", 1))
+        if gen in marking:
+            raise ParameterError(f"marking entries repeat the generator {gen!r}")
+        marking[gen] = image
     return marking
 
 
@@ -155,19 +158,20 @@ def run_certify(args, out) -> int:
         raise ParameterError("delta must be nonnegative")
     if args.tree:
         tree = formats.parse_tree(_read(args.tree))
-        table = MetricTable.from_tree(tree)
         n = len(tree.vertices)  # a tree has one edge fewer, counted without its lengths
         out.append(f"loaded tree: {n} vertices, {n - 1} edges")
+        # a tree that builds realizes its own 0-hyperbolic metric: no table, no scan
+        defect, witness = 0, None
     else:
         table = formats.parse_table(_read(args.table))
         out.append(f"loaded table: {len(table.points)} points")
-    # a realized table has no off-tree row, so its defect is 0 at once
-    defect = max_four_point_defect(table)
-    witness = first_violation(table, delta) if defect > delta else None
+        # a realized table has no off-tree row, so its defect is 0 at once
+        defect = max_four_point_defect(table)
+        witness = first_violation(table, delta) if defect > delta else None
     out.append(f"four-point defect: {format_number(defect)}")
     if witness is None:
         if delta == 0:
-            out.append(f"realization: {certify_rtree(table).note}")
+            out.append(f"realization: {REALIZED if args.tree else certify_rtree(table).note}")
         out.append(f"RESULT: pass (delta={format_number(delta)})")
         return PASS
     out.append(f"RESULT: fail -- {witness}")

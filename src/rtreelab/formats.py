@@ -8,7 +8,6 @@ comment; blank lines are ignored.  Files are read a chunk of lines at a time.
 """
 from __future__ import annotations
 
-import functools
 import json
 import math
 import re
@@ -119,21 +118,33 @@ def _bar_pairs(text: str, expected: str) -> Iterator[tuple[int, str, str]]:
 _TREE_USAGE = {"edge": "edge needs <v1> <v2> <length>", "point": "point needs <name> <v1> <v2> <offset>"}
 
 
-def _tree_records(text: str, columns: int, usage) -> Iterator[tuple[str, list[str]]]:
+def _tree_rows(text: str, columns: int, usage) -> tuple[list[list], list[list]]:
     """The ``edge <v1> <v2>`` and ``point <name> <v1> <v2>`` records of a
-    tree or pair file, each followed by ``columns`` numbers, as (kind, the
-    fields after it); a record of another kind or length is the error
-    ``usage(kind)``, and a point name must not start with '.'."""
-    for lineno, fields in _content_lines(text):
-        kind, *rest = fields
-        if kind == "edge" and len(rest) == 2 + columns:
-            yield kind, rest
-        elif kind == "point" and len(rest) == 3 + columns:
-            if rest[0].startswith("."):
-                raise FormatError(f"line {lineno}: point names must not start with '.'")
-            yield kind, rest
-        else:
-            raise FormatError(f"line {lineno}: {usage(kind)}")
+    tree or pair file, each followed by ``columns`` numbers, as edge and
+    point rows: the fields after the kind, each distinct number literal read
+    once into its integer ratio.  The first bad line is the error: a record
+    of another kind or length is ``usage(kind)``, and a point name must not
+    start with '.'; a bad number is named without its line."""
+    edges, points, ratios = [], [], {}
+    for first, lines in _chunks(text):
+        for lineno, fields in enumerate(lines, first):
+            if not fields:
+                continue
+            kind, numbers = fields[0], len(fields) - columns
+            if kind == "edge" and numbers == 3:
+                edges.append(row := fields[1:3])
+            elif kind == "point" and numbers == 4:
+                if fields[1].startswith("."):
+                    raise FormatError(f"line {lineno}: point names must not start with '.'")
+                points.append(row := fields[1:4])
+            else:
+                raise FormatError(f"line {lineno}: {usage(kind)}")
+            for literal in fields[numbers:]:
+                ratio = ratios.get(literal)
+                if ratio is None:
+                    ratio = ratios[literal] = parse_ratio(literal)
+                row.append(ratio)
+    return edges, points
 
 
 def _built(what: str, *columns: tuple[list, list]) -> tuple[MetricTree, ...]:
@@ -150,20 +161,13 @@ def parse_tree(text: str) -> MetricTree:
     """``edge <v1> <v2> <length>`` and ``point <name> <v1> <v2> <offset>``
     records, one per line; each distinct number is read once, and goes to
     the tree as its integer ratio."""
-    edges, points, ratio = [], [], functools.cache(parse_ratio)
-    for kind, rest in _tree_records(text, 1, lambda kind: _TREE_USAGE.get(kind, f"unknown record {kind!r}")):
-        if kind == "edge":
-            edges.append((rest[0], rest[1], ratio(rest[2])))
-        else:
-            points.append((rest[0], rest[1], rest[2], ratio(rest[3])))
-    return _built("tree", (edges, points))[0]
+    return _built("tree", _tree_rows(text, 1, lambda kind: _TREE_USAGE.get(kind, f"unknown record {kind!r}")))[0]
 
 
 def format_tree(tree: MetricTree) -> str:
     edges = tree.edges
     lines = [f"edge {u} {v} {format_number(l)}" for u, v, l in edges]
-    for name in sorted(tree.designated):
-        loc = tree.designated[name]
+    for name, loc in sorted(tree.designated.items()):
         if isinstance(loc, str):
             for u, v, l in edges:
                 if loc in (u, v):
@@ -339,15 +343,10 @@ def parse_action_file(text: str):
 def parse_pair_file(text: str):
     """Shape records with two metric columns: ``edge <v1> <v2> <len0> <len1>``
     and ``point <name> <v1> <v2> <off0> <off1>``.  Returns the two trees."""
-    edges0, edges1, points0, points1, ratio = [], [], [], [], functools.cache(parse_ratio)
-    for kind, rest in _tree_records(text, 2, lambda kind: "bad pair record"):
-        if kind == "edge":
-            edges0.append((rest[0], rest[1], ratio(rest[2])))
-            edges1.append((rest[0], rest[1], ratio(rest[3])))
-        else:
-            points0.append((rest[0], rest[1], rest[2], ratio(rest[3])))
-            points1.append((rest[0], rest[1], rest[2], ratio(rest[4])))
-    return _built("pair", (edges0, points0), (edges1, points1))
+    edges, points = _tree_rows(text, 2, lambda kind: "bad pair record")
+    column0 = [(u, v, x) for u, v, x, _ in edges], [(name, u, v, x) for name, u, v, x, _ in points]
+    column1 = [(u, v, y) for u, v, _, y in edges], [(name, u, v, y) for name, u, v, _, y in points]
+    return _built("pair", column0, column1)
 
 
 def parse_length_table(text: str) -> dict[str, Fraction]:

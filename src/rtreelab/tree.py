@@ -7,19 +7,21 @@ edge.  Edge lengths and offsets are exact: ints and Fractions, and a float
 is taken at its exact binary value, as in ``qmap`` and ``blend``; every
 operation is a pure function of the immutable tree.
 
-Every query runs on one rooted index: each vertex keeps its parent, depth
-and root distance, ints over one scale.  An edge list is rooted at its
-smallest vertex, over the common denominator of its lengths and offsets,
-each read once as an integer ratio (a tree file hands over its literals'
-ratios, with no Fraction per literal).  A realized table comes as a parent
-map with int root distances (``_rooted``), rooted where it was built, and
-a blend as its first tree's edges with int lengths blended edge by edge
-(``_blend``), rooted as that tree; all take one DFS (``_build``), and no
-answer depends on the root.  Fraction lengths are made only when
-``edges``, ``edge_length`` or a segment asks for them.  Building costs
-O(V); each query walks parent pointers, O(depth); the pairwise meets of n
-points cost n - 1 such walks, between preorder neighbours, plus an O(n²)
-sweep of running minima.
+Every query runs on one rooted index: each vertex keeps its parent, its
+root distance (an int over one scale) and its preorder rank, and each
+designated point only its address, its Location made on demand.  An edge
+list is rooted at its smallest vertex, over the common denominator of its
+lengths and offsets, each read once as an integer ratio (a tree file hands
+over its literals' ratios, with no Fraction per literal).  A realized
+table comes as a parent map with int root distances (``_rooted``), rooted
+where it was built, and a blend as its first tree's edges with int lengths
+blended edge by edge (``_blend``), rooted as that tree; all take one DFS
+(``_build``), and no answer depends on the root.  Fraction lengths are
+made only when ``edges``, ``edge_length`` or a segment asks for them.
+Building costs O(V); each query walks parent pointers, O(depth), and root
+distance alone says which side climbs; the pairwise meets of n points cost
+n - 1 walks, between preorder neighbours, plus an O(n²) sweep of running
+minima.
 """
 from __future__ import annotations
 
@@ -113,15 +115,15 @@ class MetricTree:
         *,
         vertices: Iterable[str] = (),
     ):
-        # each length read once: its numerator per edge and its denominator
-        # in order, scaled to ints over one denominator below
+        # each length read once (a file's literal as its ratio already): the
+        # numerators per edge and denominators in order, scaled to ints below
         lengths: dict[tuple[str, str], int] = {}
         dens: list[int] = []
         adj: dict[str, list[tuple[str, tuple[str, str]]]] = defaultdict(list, {v: [] for v in vertices})
         for u, v, raw in edges:
             if u == v:
                 raise TreeStructureError(f"loop edge at {u!r}")
-            num, den = _ratio(raw, "length of edge {}-{}", u, v)
+            num, den = raw if isinstance(raw, tuple) else _ratio(raw, "length of edge {}-{}", u, v)
             if num <= 0:
                 shown = Fraction(num, den) if isinstance(raw, tuple) else raw
                 raise TreeStructureError(f"edge {u}-{v} has nonpositive length {shown}")
@@ -142,7 +144,7 @@ class MetricTree:
         scale = math.lcm(*dens, *(den for _, den in offsets))
         lengths = {e: num * (scale // den) for (e, num), den in zip(lengths.items(), dens)}
         offsets = iter([num * (scale // den) for num, den in offsets])
-        placed = (p if len(p) == 2 else (p[0], self._edge_point(p[1], p[2], next(offsets))) for p in points)
+        placed = ((*p, None) if len(p) == 2 else (p[0], *self._edge_address(p[1], p[2], next(offsets))) for p in points)
         self._build(dict(adj), scale, lengths, min(adj), placed)
 
     @classmethod
@@ -158,7 +160,7 @@ class MetricTree:
                 adj[v].append((up, e))
                 adj[up].append((v, e))
         top = next(v for v, up in parent.items() if up is None)
-        tree._build(adj, scale, lengths, top, ((name, tree._point_at(*a)) for name, a in at.items()))
+        tree._build(adj, scale, lengths, top, ((name, *a) for name, a in at.items()))
         return tree
 
     def _blend(self, other: MetricTree, p: int, q: int) -> MetricTree:
@@ -167,50 +169,48 @@ class MetricTree:
         tree, w0, w1 = MetricTree.__new__(MetricTree), (q - p) * other._scale, p * self._scale
         lengths = {e: w0 * n + w1 * other._lengths[e] for e, n in self._lengths.items()}
         at = {}
-        for name in sorted(self._points):  # its lower end v here is an end of its edge in other too
+        for name in sorted(self._addr):  # its lower end v here is an end of its edge in other too
             (v, r), r1 = self._addr[name], other._addr[name][1]
             at[name] = v, w0 * (self._root[v] - r) + w1 * abs(other._root[v] - r1)
-        points = ((name, tree._point_at(v, tree._root[v] - d)) for name, (v, d) in at.items())
+        points = ((name, v, tree._root[v] - d) for name, (v, d) in at.items())
         tree._build(self._adj, q * self._scale * other._scale, lengths, next(iter(self._parent)), points)
         return tree
 
     # -- construction helpers -------------------------------------------------
 
-    def _build(self, adj: dict, scale: int, lengths: dict, root: str, points: Iterable[tuple[str, Point]]) -> None:
-        """The one DFS from ``root`` for the rooted index (parent, depth,
-        scaled root distance and preorder rank per vertex), then the
-        designated (name, point) pairs and every name's address."""
+    def _build(self, adj: dict, scale: int, lengths: dict, root: str, points: Iterable[tuple]) -> None:
+        """The one DFS from ``root`` for the rooted index (parent, scaled root
+        distance and preorder rank per vertex), then the designated points,
+        each given as (name, v, r): the point at root distance r on the root
+        path of vertex v, or the vertex v itself where r is None."""
         self._adj, self._scale, self._lengths = adj, scale, lengths
         self._parent: dict[str, str | None] = {root: None}
-        self._depth, self._root, self._pre = {root: 0}, {root: 0}, {}
-        parent, depth, rooted, pre, stack = self._parent, self._depth, self._root, self._pre, [root]
+        self._root, self._pre = {root: 0}, {}
+        parent, rooted, pre, stack = self._parent, self._root, self._pre, [root]
         while stack:
             x = stack.pop()
             pre[x] = len(pre)
-            below, r = depth[x] + 1, rooted[x]
+            r = rooted[x]
             for y, e in adj[x]:
                 if y not in parent:
-                    parent[y], depth[y], rooted[y] = x, below, r + lengths[e]
+                    parent[y], rooted[y] = x, r + lengths[e]
                     stack.append(y)
         if len(parent) != len(adj):
             raise TreeStructureError("edge graph is not connected")
 
-        self._points: dict[str, Point] = {}
-        for name, loc in points:
-            if not isinstance(loc, Location) and loc not in adj:
-                raise UnknownPointError(loc)
-            if name in adj or name in self._points:
+        # a designated point keeps its address only; its Location is made on demand
+        self._addr: dict[str, tuple[str, Num]] = {}
+        for name, v, r in points:
+            if r is None and v not in adj:
+                raise UnknownPointError(v)
+            if name in adj or name in self._addr:
                 raise TreeStructureError(f"point name {name!r} already in use")
-            self._points[name] = loc
-        self._addr = {v: (v, r) for v, r in rooted.items()}
-        for name in sorted(self._points):
-            self._addr[name] = self._locate(self._points[name])
+            self._addr[name] = self._canonical(v, rooted[v] if r is None else r)
         # set here, so that filling it later keeps the instance dict's shared keys
         self._names: dict[tuple[str, Num], str] | None = None
 
-    def _edge_point(self, u: str, v: str, s: Num) -> Point:
-        """The point s index units from u along edge u-v: an end vertex, or
-        a Location strictly inside the edge."""
+    def _edge_address(self, u: str, v: str, s: Num) -> tuple[str, Num]:
+        """The address of the point s index units from u along edge u-v."""
         e = canonical_edge(u, v)
         length = self._lengths.get(e)
         if length is None:
@@ -221,9 +221,10 @@ class MetricTree:
             raise TreeStructureError(
                 f"offset {self._unscale(s)} outside edge {e} of length {self._unscale(length)}"
             )
-        if s == 0:
-            return e[0]
-        return e[1] if s == length else Location(e, self._unscale(s))
+        a, b = e
+        if self._parent[b] == a:  # b hangs below a
+            return self._canonical(b, self._root[a] + s)
+        return self._canonical(a, self._root[a] - s)
 
     # -- the rooted index ------------------------------------------------------
     # A point is addressed as (v, r): root distance r, in units of 1/scale,
@@ -238,31 +239,30 @@ class MetricTree:
     def _unscale(self, x: Num) -> Fraction:
         return Fraction(x, self._scale)
 
-    def _locate(self, loc: Point) -> tuple[str, Num]:
-        """The address of a resolved point."""
-        if isinstance(loc, str):
-            return loc, self._root[loc]
-        u, w = loc.edge
-        off = self._scaled(loc.offset)
-        if self._parent[u] == w:
-            return u, self._root[u] - off
-        return w, self._root[u] + off
-
     def _address(self, p: Point) -> tuple[str, Num]:
-        addr = self._addr.get(p)
-        return self._locate(self.resolve(p)) if addr is None else addr
+        """The address of a vertex or designated point name, or a Location."""
+        if isinstance(p, str):
+            r = self._root.get(p)
+            if r is None and p not in self._addr:
+                raise UnknownPointError(p)
+            return (p, r) if r is not None else self._addr[p]
+        offset = _exact(p.offset, TreeStructureError, "offset of {}", p)
+        return self._edge_address(p.edge[0], p.edge[1], self._scaled(offset))
 
     def _meet(self, a: tuple[str, Num], b: tuple[str, Num]) -> Num:
-        """Root distance at which the root paths of two addresses part."""
-        (u, ru), (v, rv) = a, b
-        depth, parent = self._depth, self._parent
-        while depth[u] > depth[v]:
-            u = parent[u]
-        while depth[v] > depth[u]:
-            v = parent[v]
+        """Root distance at which the root paths of two addresses part; root
+        distance grows strictly downward, so a side at least as far down climbs."""
+        (u, x), (v, y) = a, b
+        parent, root = self._parent, self._root
+        ru, rv = root[u], root[v]
         while u != v:
-            u, v = parent[u], parent[v]
-        return min(self._root[u], ru, rv)
+            while ru > rv:
+                u = parent[u]
+                ru = root[u]
+            if u != v:
+                v = parent[v]
+                rv = root[v]
+        return min(ru, x, y)
 
     def _offset(self, v: str, r: Num) -> Num:
         """Offset, from the smaller-named end, of the point at root distance
@@ -308,9 +308,9 @@ class MetricTree:
         """Address to name, as name_of names a point: a vertex name first,
         then the first designated name in sorted order; made on first use."""
         if self._names is None:
-            self._names = {}
-            for name, addr in self._addr.items():
-                self._names.setdefault(addr, name)
+            self._names = {(v, r): v for v, r in self._root.items()}
+            for name in sorted(self._addr):
+                self._names.setdefault(self._addr[name], name)
         return self._names
 
     def _point_at(self, v: str, r: Num) -> Point:
@@ -344,11 +344,11 @@ class MetricTree:
     @property
     def point_names(self) -> tuple[str, ...]:
         """Designated point names and vertex names, sorted."""
-        return tuple(sorted(self._adj)) + tuple(sorted(self._points))
+        return tuple(sorted(self._adj)) + tuple(sorted(self._addr))
 
     @property
     def designated(self) -> dict[str, Point]:
-        return dict(self._points)
+        return {name: self._point_at(*addr) for name, addr in self._addr.items()}
 
     def edge_length(self, u: str, v: str) -> Num:
         length = self._lengths.get(canonical_edge(u, v))
@@ -358,19 +358,12 @@ class MetricTree:
 
     def resolve(self, p: Point) -> Point:
         """Normalize a point reference: vertex name, or interior Location."""
-        if isinstance(p, str):
-            if p in self._adj:
-                return p
-            if p in self._points:
-                return self._points[p]
-            raise UnknownPointError(p)
-        offset = _exact(p.offset, TreeStructureError, "offset of {}", p)
-        return self._edge_point(p.edge[0], p.edge[1], self._scaled(offset))
+        return p if isinstance(p, str) and p in self._adj else self._point_at(*self._address(p))
 
     def name_of(self, p: Point) -> str | None:
         """Name addressing this location, if any (vertex name wins)."""
-        loc = self.resolve(p)
-        return loc if isinstance(loc, str) else self._names_by_address().get(self._locate(loc))
+        v, r = addr = self._address(p)
+        return v if r == self._root[v] else self._names_by_address().get(addr)
 
     def same_point(self, p: Point, q: Point) -> bool:
         return self.resolve(p) == self.resolve(q)
@@ -435,13 +428,14 @@ class MetricTree:
         exactly: r lies below p when its root path passes through p.
         """
         u, ra = self._address(p)
-        known, address, parent, depth = self._addr.get, self._address, self._parent, self._depth
-        up, top, inside = parent[u], depth[u], ra < self._root[u]
+        address, parent, root = self._address, self._parent, self._root
+        up, top, inside = parent[u], root[u], ra < root[u]
         out = []
         for r in points:
-            v, rb = known(r) or address(r)
+            v, rb = (r, root[r]) if r in root else address(r)
             child = None
-            while depth[v] > top:
+            # up to the root distance of p's vertex, the lowest at or below p
+            while root[v] > top:
                 child, v = v, parent[v]
             if v != u or rb < ra:
                 out.append(up)
@@ -455,7 +449,7 @@ class MetricTree:
     def __repr__(self) -> str:
         return (
             f"MetricTree({len(self._adj)} vertices, {len(self._lengths)} edges, "
-            f"{len(self._points)} designated points)"
+            f"{len(self._addr)} designated points)"
         )
 
 

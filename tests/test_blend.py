@@ -688,62 +688,6 @@ def test_a_table_that_is_no_class_function_gets_every_pair():
     assert entry.witness == verdict.witness
 
 
-@settings(max_examples=30, deadline=None)
-@given(
-    _MARKINGS,
-    _MARKINGS,
-    _ROSE_WEIGHTS,
-    _ROSE_WEIGHTS,
-    st.lists(st.sampled_from(AXIOM_LAMBDAS), min_size=1, max_size=3),
-    st.integers(1, 3),
-)
-@example({"a": "abb", "b": "b"}, {"a": "a", "b": "b"}, {"a": 1, "b": 1}, {"a": 1, "b": 1},
-         [Fr(0), Fr(1, 10), 0.3, Fr(1)], 4)
-@example({"a": "ab", "b": "b"}, {"a": "a", "b": "ba"}, {"a": 2, "b": 1}, {"a": Fr(1, 2), "b": 3},
-         [Fr(1, 3), Fr(9, 10)], 4)
-# summed in floats, the blend at 1/3 has |uv| = 0.7000000000000002 above |u| + |v| for
-# u = AAB, v = ABB; at the weights' binary value the two are equal
-@example({"a": "a", "b": "ba"}, {"a": "a", "b": "b"}, {"a": 0.1, "b": 0.1}, {"a": 0.1, "b": 0.1},
-         [Fr(1, 3)], 3)
-# most pairs are of two tight words, whose images are cyclically reduced
-@example({"a": "ba", "b": "b"}, {"a": "a", "b": "b"}, {"a": 1, "b": 1}, {"a": 1, "b": 1},
-         [Fr(1, 3), 0.75], 4)
-# rank 3: violations at lambda 1/3 and 1/2 (u = A, v = CBc)
-@example({"a": "ac", "b": "ba", "c": "c"}, {"a": "a", "b": "b", "c": "c"},
-         dict.fromkeys("abc", 1), dict.fromkeys("abc", 1), [Fr(0), Fr(1, 3), Fr(1, 2)], 3)
-# rank 3, no violation
-@example({"a": "ab", "b": "b", "c": "c"}, {"a": "a", "b": "b", "c": "c"},
-         {"a": 2, "b": Fr(1, 2), "c": 1}, {"a": 1, "b": 2, "c": Fr(1, 3)}, [Fr(1, 3), 0.75], 2)
-def test_symmetric_rose_scan_agrees_with_the_slow_reference(
-    marking1, marking0, lengths1, lengths0, grid, maxlen
-):
-    """Rose functions are class functions, so the scan skips the invariance
-    stage, takes the pairs of words that precede their inverses only and
-    skips the pairs of two tight words; per lambda it must still find the
-    slow reference's first witness on the blend, and so must
-    length_axiom_check on the blend (a class function too) and on the rose
-    lf1 alone; and so must the scan of lf0 blended with a rational line
-    action, which has no norm, at the first lambda."""
-    basis = Basis(len(marking1))
-    assume(nielsen_generates(marking1, basis) and nielsen_generates(marking0, basis))
-    entries = rose_blend_axiom_scan(
-        marking1, grid, maxlen, basis, marking0=marking0, lengths0=lengths0, lengths1=lengths1
-    )
-    lf0 = length_function_from_marked_graph(marking0, lengths0, basis)
-    lf1 = length_function_from_marked_graph(marking1, lengths1, basis)
-    words = reduced_words(basis, maxlen)
-    for lam, entry in zip(grid, entries):
-        blend = blend_length_functions(lf0, lf1, lam)
-        expected = brute_force_axiom_check(blend, words, basis)
-        assert (entry.ok, entry.witness) == (expected.ok, expected.witness)
-        assert length_axiom_check(blend, words, basis) == expected
-    assert length_axiom_check(lf1, words, basis) == brute_force_axiom_check(lf1, words, basis)
-    line = length_function_from_line_action(line_action_from_weights(["1", "-1/2", "2"][: basis.rank], basis))
-    (entry,) = _axiom_scan(lf0, line, grid[:1], words, basis, None)
-    expected = brute_force_axiom_check(blend_length_functions(lf0, line, grid[0]), words, basis)
-    assert (entry.ok, entry.witness) == (expected.ok, expected.witness)
-
-
 _GRID_LAMBDA = st.one_of(
     st.sampled_from([Fr(0), Fr(1), 0.0, 1.0]),
     st.fractions(0, 1, max_denominator=12),
@@ -771,23 +715,54 @@ def _rose_blend_cases(draw):
     return basis, marking(), marking0, *lengths, grid, draw(st.integers(1, 4 if rank == 2 else 3))
 
 
+@st.composite
+def _symmetric_rose_cases(draw):
+    """Rank 2 markings after up to four Nielsen moves, int, rational and
+    float lengths, a grid from AXIOM_LAMBDAS and a maxlen of 1-3."""
+    markings, lengths = [draw(_MARKINGS), draw(_MARKINGS)], [draw(_ROSE_WEIGHTS), draw(_ROSE_WEIGHTS)]
+    grid = draw(st.lists(st.sampled_from(AXIOM_LAMBDAS), min_size=1, max_size=3))
+    return B2, *markings, *lengths, grid, draw(st.integers(1, 3))
+
+
 _ONES = {"a": 1, "b": 1}
+_ONES3 = dict.fromkeys("abc", 1)
+_ID3 = {"a": "a", "b": "b", "c": "c"}
 
 
 @settings(max_examples=30, deadline=None)
-@given(_rose_blend_cases())
+@given(st.one_of(_rose_blend_cases(), _symmetric_rose_cases()))
 # the endpoints are never pending: after the first witness at 1/3 the pending
 # slots must be refreshed, or a later pair overwrites it
 @example((B2, {"a": "abb", "b": "b"}, {"a": "a", "b": "b"}, _ONES, _ONES,
           [Fr(0), Fr(1, 3), Fr(2, 3), Fr(1)], 4))
 # |uv| exceeds the sum in lf0 alone at the witness (u = A, v = BAb)
 @example((B2, {"a": "a", "b": "b"}, {"a": "abb", "b": "b"}, _ONES, _ONES, [Fr(1, 2), 0.25], 4))
-@example((Basis(3), {"a": "ba", "b": "bCb", "c": "ca"}, {"a": "a", "b": "b", "c": "c"},
-          dict.fromkeys("abc", 1), {"a": Fr(1, 2), "b": 2, "c": 1}, [Fr(0), Fr(1, 2), 0.75, 1.0], 3))
+@example((Basis(3), {"a": "ba", "b": "bCb", "c": "ca"}, _ID3,
+          _ONES3, {"a": Fr(1, 2), "b": 2, "c": 1}, [Fr(0), Fr(1, 2), 0.75, 1.0], 3))
+@example((B2, {"a": "abb", "b": "b"}, {"a": "a", "b": "b"}, _ONES, _ONES, [Fr(0), Fr(1, 10), 0.3, Fr(1)], 4))
+@example((B2, {"a": "ab", "b": "b"}, {"a": "a", "b": "ba"}, {"a": Fr(1, 2), "b": 3}, {"a": 2, "b": 1},
+          [Fr(1, 3), Fr(9, 10)], 4))
+# summed in floats, the blend at 1/3 has |uv| = 0.7000000000000002 above |u| + |v| for
+# u = AAB, v = ABB; at the weights' binary value the two are equal
+@example((B2, {"a": "a", "b": "ba"}, {"a": "a", "b": "b"}, {"a": 0.1, "b": 0.1}, {"a": 0.1, "b": 0.1},
+          [Fr(1, 3)], 3))
+# most pairs are of two tight words, whose images are cyclically reduced
+@example((B2, {"a": "ba", "b": "b"}, {"a": "a", "b": "b"}, _ONES, _ONES, [Fr(1, 3), 0.75], 4))
+# rank 3: violations at lambda 1/3 and 1/2 (u = A, v = CBc)
+@example((Basis(3), {"a": "ac", "b": "ba", "c": "c"}, _ID3, _ONES3, _ONES3, [Fr(0), Fr(1, 3), Fr(1, 2)], 3))
+# rank 3, no violation
+@example((Basis(3), {"a": "ab", "b": "b", "c": "c"}, _ID3, {"a": 1, "b": 2, "c": Fr(1, 3)},
+          {"a": 2, "b": Fr(1, 2), "c": 1}, [Fr(1, 3), 0.75], 2))
 def test_rose_blend_scan_on_the_tree_path_agrees_with_the_slow_reference(case):
-    """rose_blend_axiom_scan, which drops the grid endpoints and decides
-    most pairs from |uv| alone, against the literal scan of every blend."""
+    """rose_blend_axiom_scan, which drops the grid endpoints, takes the
+    pairs of words that precede their inverses only and decides most pairs
+    from |uv| alone, against the literal scan of every blend; per lambda
+    length_axiom_check on the blend (a class function too) must find the
+    same first witness, and so must it on the rose lf1 alone, and so must
+    the scan of lf0 blended with a rational line action, which has no norm,
+    at the first lambda."""
     basis, marking1, marking0, lengths0, lengths1, grid, maxlen = case
+    assume(nielsen_generates(marking1, basis) and nielsen_generates(marking0, basis))
     entries = rose_blend_axiom_scan(
         marking1, grid, maxlen, basis, marking0=marking0, lengths0=lengths0, lengths1=lengths1
     )
@@ -796,8 +771,15 @@ def test_rose_blend_scan_on_the_tree_path_agrees_with_the_slow_reference(case):
     words = reduced_words(basis, maxlen)
     assert [entry.lam for entry in entries] == grid
     for lam, entry in zip(grid, entries):
-        expected = brute_force_axiom_check(blend_length_functions(lf0, lf1, lam), words, basis)
+        blend = blend_length_functions(lf0, lf1, lam)
+        expected = brute_force_axiom_check(blend, words, basis)
         assert (entry.ok, entry.witness) == (expected.ok, expected.witness)
+        assert length_axiom_check(blend, words, basis) == expected
+    assert length_axiom_check(lf1, words, basis) == brute_force_axiom_check(lf1, words, basis)
+    line = length_function_from_line_action(line_action_from_weights(["1", "-1/2", "2"][: basis.rank], basis))
+    (entry,) = _axiom_scan(lf0, line, grid[:1], words, basis, None)
+    expected = brute_force_axiom_check(blend_length_functions(lf0, line, grid[0]), words, basis)
+    assert (entry.ok, entry.witness) == (expected.ok, expected.witness)
 
 
 @settings(max_examples=25, deadline=None)

@@ -949,6 +949,22 @@ def test_blend_axioms_rejects_a_marking_off_the_generators(flags, keys, capsys):
     assert err == f"parameter error: marking keys {keys} are not the generators ['a', 'b']\n"
 
 
+@pytest.mark.parametrize(
+    "flags, gen",
+    [
+        # the last entry won: the marking a:abb,b:b was scanned, exit 1
+        (["--marking", "a:a,a:abb,b:b", "--lambda-grid", "0:1:1/2", "--maxlen", "3"], "a"),
+        # the rank-1 marking a:b was refused without naming an entry
+        (["--marking", "a:a,a:b"], "a"),
+        (["--marking", "a:a,b:ba", "--marking0", "b:b, b :a,a:a"], "b"),
+    ],
+)
+def test_blend_axioms_rejects_a_repeated_generator(flags, gen, capsys):
+    code, out, err = run_cli(capsys, "blend", "axioms", *flags)
+    assert code == 65 and "RESULT" not in out and "no violation" not in out and "WITNESS" not in out
+    assert err == f"parameter error: marking entries repeat the generator {gen!r}\n"
+
+
 # -- pinned certify reports ------------------------------------------------------------
 
 POINTED_TREE = "edge A B 1\nedge B C 2\nedge B D 3/2\npoint M B C 1/2\n"
@@ -1501,14 +1517,17 @@ def test_observers_line_makes_fractions_only_for_its_report(tmp_path, capsys, fr
 
 
 def test_parse_tree_makes_a_fraction_per_designated_point_only(fraction_count):
-    """Edge literals go to the build as integer ratios; only each designated
-    point's Location offset is a Fraction."""
+    """Edge literals go to the build as integer ratios and a designated point
+    is kept as its address, so the build makes no Fraction; only each
+    designated point's Location offset is one, made when it is asked for."""
     rng = random.Random(5)
     lines = [f"edge v{i} v{i + 1} {rng.randint(1, 99)}/{rng.choice((2, 3, 5, 7))}" for i in range(200)]
     lines += [f"point p{i} v{i} v{i + 1} 1/{rng.choice((4, 9, 11))}" for i in range(0, 200, 20)]
     before = fraction_count()
     tree = parse_tree("\n".join(lines) + "\n")
-    assert fraction_count() - before == 10 == len(tree.designated)
+    assert fraction_count() == before
+    points = tree.designated
+    assert fraction_count() - before == 10 == len(points)
 
 
 def _primes_from(low: int, count: int) -> list[int]:

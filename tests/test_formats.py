@@ -161,6 +161,54 @@ def test_parse_pair_file():
     assert t1.distance("A", "M") == Fr(3, 4)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("edge A B 1\n", "line 1: bad pair record"),
+        ("edge A B 1 2 3\n", "line 1: bad pair record"),
+        ("edge A B 1 2\npoint p A B 1/2\n", "line 2: bad pair record"),
+        ("edge A B 1 2\n\n# a comment\nvertex A\n", "line 4: bad pair record"),
+        ("edge A B 1 2\npoint .s A B 1/2 1\n", "line 2: point names must not start with '.'"),
+        ("edge A B 1 2\npoint .s A B 1/2\n", "line 2: bad pair record"),
+        ("squiggle\nedge A B 1 x\n", "line 1: bad pair record"),
+        ("edge A B 1 x\nsquiggle\n", "bad number 'x'"),
+        ("point p A B 1 2\n", "pair file has no edges"),
+        ("edge A B 1 2\nedge B A 1 2\n", "duplicate edge B-A"),
+        ("edge A B 1 0\n", "edge A-B has nonpositive length 0"),
+        ("edge A B 1 2\npoint p A B 3/2 1\n", "offset 3/2 outside edge ('A', 'B') of length 1"),
+        ("edge A B 1 2\npoint p A B 1/2 5/2\n", "offset 5/2 outside edge ('A', 'B') of length 2"),
+        ("edge A B 1 2\npoint p B A 1/2 -1/2\n", "offset 5/2 outside edge ('A', 'B') of length 2"),
+        # the first column's tree is built first, so its error wins
+        ("edge A B 1 2\npoint p A B 1/2 3\npoint q A B 5 1\n", "offset 5 outside edge ('A', 'B') of length 1"),
+    ],
+)
+def test_pair_file_errors_and_which_one_wins(text, message):
+    """A bad pair file raises one FormatError with this exact message: the
+    first bad record or number in line order, then the first tree's
+    structure error, then the second's."""
+    with pytest.raises(FormatError) as raised:
+        parse_pair_file(text)
+    assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\x85"])
+def test_pair_file_errors_are_numbered_past_a_chunk_boundary(newline):
+    """A pair text of more than two chunks names a bad record by its line
+    number in the file, whatever its line break."""
+    edges = [f"edge vertex{i} vertex{i + 1} {i % 7 + 1} {i % 5 + 1}" for i in range(5000)]
+    lines = ["# a path"] + edges[:3000] + ["", "edge vertex1 vertex2 1"] + edges[3000:]
+    text = newline.join(lines) + newline
+    assert len(newline.join(lines[:3002])) > _CHUNK and len(list(_chunks(text))) > 2
+    with pytest.raises(FormatError, match=r"^line 3003: bad pair record$"):
+        parse_pair_file(text)
+    lines[3002] = "point .q vertex1 vertex2 1/2 1 # a comment"
+    with pytest.raises(FormatError, match=r"^line 3003: point names must not start with '.'$"):
+        parse_pair_file(newline.join(lines))
+    lines[3002] = "point q vertex1 vertex2 1/2 1"
+    t0, t1 = parse_pair_file(newline.join(lines))
+    assert (t0.distance("vertex0", "q"), t1.distance("vertex0", "q")) == (Fr(3, 2), 2)
+
+
 def test_parse_length_table():
     table = parse_length_table("a 1\nab 2\n1 0\n")
     assert table["a"] == 1 and table[""] == 0
