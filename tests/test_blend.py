@@ -729,31 +729,7 @@ _ONES3 = dict.fromkeys("abc", 1)
 _ID3 = {"a": "a", "b": "b", "c": "c"}
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.one_of(_rose_blend_cases(), _symmetric_rose_cases()))
-# the endpoints are never pending: after the first witness at 1/3 the pending
-# slots must be refreshed, or a later pair overwrites it
-@example((B2, {"a": "abb", "b": "b"}, {"a": "a", "b": "b"}, _ONES, _ONES,
-          [Fr(0), Fr(1, 3), Fr(2, 3), Fr(1)], 4))
-# |uv| exceeds the sum in lf0 alone at the witness (u = A, v = BAb)
-@example((B2, {"a": "a", "b": "b"}, {"a": "abb", "b": "b"}, _ONES, _ONES, [Fr(1, 2), 0.25], 4))
-@example((Basis(3), {"a": "ba", "b": "bCb", "c": "ca"}, _ID3,
-          _ONES3, {"a": Fr(1, 2), "b": 2, "c": 1}, [Fr(0), Fr(1, 2), 0.75, 1.0], 3))
-@example((B2, {"a": "abb", "b": "b"}, {"a": "a", "b": "b"}, _ONES, _ONES, [Fr(0), Fr(1, 10), 0.3, Fr(1)], 4))
-@example((B2, {"a": "ab", "b": "b"}, {"a": "a", "b": "ba"}, {"a": Fr(1, 2), "b": 3}, {"a": 2, "b": 1},
-          [Fr(1, 3), Fr(9, 10)], 4))
-# summed in floats, the blend at 1/3 has |uv| = 0.7000000000000002 above |u| + |v| for
-# u = AAB, v = ABB; at the weights' binary value the two are equal
-@example((B2, {"a": "a", "b": "ba"}, {"a": "a", "b": "b"}, {"a": 0.1, "b": 0.1}, {"a": 0.1, "b": 0.1},
-          [Fr(1, 3)], 3))
-# most pairs are of two tight words, whose images are cyclically reduced
-@example((B2, {"a": "ba", "b": "b"}, {"a": "a", "b": "b"}, _ONES, _ONES, [Fr(1, 3), 0.75], 4))
-# rank 3: violations at lambda 1/3 and 1/2 (u = A, v = CBc)
-@example((Basis(3), {"a": "ac", "b": "ba", "c": "c"}, _ID3, _ONES3, _ONES3, [Fr(0), Fr(1, 3), Fr(1, 2)], 3))
-# rank 3, no violation
-@example((Basis(3), {"a": "ab", "b": "b", "c": "c"}, _ID3, {"a": 1, "b": 2, "c": Fr(1, 3)},
-          {"a": 2, "b": Fr(1, 2), "c": 1}, [Fr(1, 3), 0.75], 2))
-def test_rose_blend_scan_on_the_tree_path_agrees_with_the_slow_reference(case):
+def _check_rose_scan_against_the_slow_reference(case):
     """rose_blend_axiom_scan, which drops the grid endpoints, takes the
     pairs of words that precede their inverses only and decides most pairs
     from |uv| alone, against the literal scan of every blend; per lambda
@@ -780,6 +756,45 @@ def test_rose_blend_scan_on_the_tree_path_agrees_with_the_slow_reference(case):
     (entry,) = _axiom_scan(lf0, line, grid[:1], words, basis, None)
     expected = brute_force_axiom_check(blend_length_functions(lf0, line, grid[0]), words, basis)
     assert (entry.ok, entry.witness) == (expected.ok, expected.witness)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_rose_blend_cases())
+# the endpoints are never pending: after the first witness at 1/3 the pending
+# slots must be refreshed, or a later pair overwrites it
+@example((B2, {"a": "abb", "b": "b"}, {"a": "a", "b": "b"}, _ONES, _ONES,
+          [Fr(0), Fr(1, 3), Fr(2, 3), Fr(1)], 4))
+# |uv| exceeds the sum in lf0 alone at the witness (u = A, v = BAb)
+@example((B2, {"a": "a", "b": "b"}, {"a": "abb", "b": "b"}, _ONES, _ONES, [Fr(1, 2), 0.25], 4))
+@example((Basis(3), {"a": "ba", "b": "bCb", "c": "ca"}, _ID3,
+          _ONES3, {"a": Fr(1, 2), "b": 2, "c": 1}, [Fr(0), Fr(1, 2), 0.75, 1.0], 3))
+def test_rose_blend_scan_on_the_tree_path_agrees_with_the_slow_reference(case):
+    """The scan against the slow reference on rank 2 and 3 Nielsen markings
+    with rational lengths and rational and float grids."""
+    _check_rose_scan_against_the_slow_reference(case)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_symmetric_rose_cases())
+@example((B2, {"a": "abb", "b": "b"}, {"a": "a", "b": "b"}, _ONES, _ONES, [Fr(0), Fr(1, 10), 0.3, Fr(1)], 4))
+@example((B2, {"a": "ab", "b": "b"}, {"a": "a", "b": "ba"}, {"a": Fr(1, 2), "b": 3}, {"a": 2, "b": 1},
+          [Fr(1, 3), Fr(9, 10)], 4))
+# summed in floats, the blend at 1/3 has |uv| = 0.7000000000000002 above |u| + |v| for
+# u = AAB, v = ABB; at the weights' binary value the two are equal
+@example((B2, {"a": "a", "b": "ba"}, {"a": "a", "b": "b"}, {"a": 0.1, "b": 0.1}, {"a": 0.1, "b": 0.1},
+          [Fr(1, 3)], 3))
+# most pairs are of two tight words, whose images are cyclically reduced
+@example((B2, {"a": "ba", "b": "b"}, {"a": "a", "b": "b"}, _ONES, _ONES, [Fr(1, 3), 0.75], 4))
+# rank 3: violations at lambda 1/3 and 1/2 (u = A, v = CBc)
+@example((Basis(3), {"a": "ac", "b": "ba", "c": "c"}, _ID3, _ONES3, _ONES3, [Fr(0), Fr(1, 3), Fr(1, 2)], 3))
+# rank 3, no violation
+@example((Basis(3), {"a": "ab", "b": "b", "c": "c"}, _ID3, {"a": 1, "b": 2, "c": Fr(1, 3)},
+          {"a": 2, "b": Fr(1, 2), "c": 1}, [Fr(1, 3), 0.75], 2))
+def test_symmetric_rose_scan_agrees_with_the_slow_reference(case):
+    """The same checks on rank 2 markings that need not generate (the draws
+    that do not are discarded), int, rational and float lengths and grids
+    from AXIOM_LAMBDAS, plus the float-sum and rank 3 examples."""
+    _check_rose_scan_against_the_slow_reference(case)
 
 
 @settings(max_examples=25, deadline=None)
