@@ -372,7 +372,7 @@ def run_qmap_estimate(args, out) -> int:
     x = parse_boundary_point(args.word, action.basis)
     basepoint = formats.parse_number(args.basepoint)
     est = qmap_estimate(action, x, basepoint=basepoint, depth=args.depth)
-    out.append(f"estimate: {formats.format_oracle_point(est.point, action.oracle)}")
+    out.append(f"estimate: {formats.format_oracle_point(est.point, LineOracle())}")
     out.append(f"method: {est.method}")
     out.append(f"certificate: {format_number(est.certificate)}")
     if est.method == "drift" or est.certificate <= formats.parse_number(args.tol):
@@ -384,7 +384,7 @@ def run_qmap_estimate(args, out) -> int:
 
 def _fiber_payload(action, check, tol):
     def enc(estimate):
-        return formats.format_oracle_point(estimate.point, action.oracle)
+        return formats.format_oracle_point(estimate.point, LineOracle())
 
     return {
         "first": enc(check.first),

@@ -16,7 +16,7 @@ from itertools import count
 from typing import Iterator
 
 from .hyperbolicity import MetricTable
-from .oracles import LINE_MINUS, LINE_PLUS, LineOracle, MultipodOracle, Ray, TreeOracle
+from .oracles import LINE_MINUS, LINE_PLUS, LineOracle, MultipodOracle, TreeOracle, _infinite
 from .surds import Surd
 from .tree import Location, MetricTree
 
@@ -308,14 +308,12 @@ def parse_directions(text: str, oracle: TreeOracle, tree: MetricTree | None = No
 
 
 def format_oracle_point(p, oracle: TreeOracle, tree: MetricTree | None = None) -> str:
-    if isinstance(p, Ray):
-        return "+inf" if p == LINE_PLUS else "-inf" if p == LINE_MINUS else f"ray:{p.label}"
     if isinstance(oracle, MultipodOracle):
         if oracle.points_equal(p, "hub"):
             return "hub"
         return f"arm {p[0]} {format_number(p[1])}"
     if isinstance(oracle, LineOracle):
-        return format_number(p)
+        return ("+inf" if p > 0 else "-inf") if _infinite(p) else format_number(p)
     if tree is not None:
         return format_point(tree, p)
     return str(p)
@@ -461,8 +459,8 @@ def _replay(data: dict) -> bool:
         return (d_br + d_bt - d_rt) / 2 == 0
     if kind == "fiber_mismatch":
         first, second = data["first"], data["second"]
-        rays = {"+inf", "-inf"}
-        if first in rays or second in rays:
+        ends = {"+inf", "-inf"}
+        if first in ends or second in ends:
             return first != second
         return abs(_wnum(first) - _wnum(second)) > _wnum(data["tol"])
     if kind == "affine_deviation":

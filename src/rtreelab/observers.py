@@ -265,7 +265,9 @@ def extract_convergent_subsequence(
 ) -> ExtractionResult:
     """Greedy diagonal extraction: for each direction in order, keep the
     majority side of the current index window (ties go to the side holding
-    the latest index, the finite-depth proxy for the infinite side)."""
+    the latest index, the finite-depth proxy for the infinite side).  The
+    limit is the liminf of the kept terms from the basepoint, by default
+    the first kept term that is not a boundary point."""
     terms = seq.take(depth)
     if not terms:
         raise EmptySequenceError("empty sequence")
@@ -287,7 +289,9 @@ def extract_convergent_subsequence(
             break
         indices = chosen
     if basepoint is None:
-        basepoint = terms[indices[0]]
+        basepoint = next((terms[i] for i in indices if not oracle.is_boundary(terms[i])), None)
+        if basepoint is None:
+            raise ValueError("every kept term is a boundary point; give a basepoint")
     sub = PointSequence([terms[i] for i in indices])
     limit = liminf_from(oracle, basepoint, sub, len(indices))
     return ExtractionResult(tuple(indices), limit, exhausted_at)

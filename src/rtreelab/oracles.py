@@ -3,15 +3,15 @@
 An oracle answers distance / center / midpoint queries about points of a
 tree (or its completion-with-ends), without materializing the tree.  Three
 oracles are provided: any finite :class:`~rtreelab.tree.MetricTree`, the
-real line with coordinate points and two ends, and the (possibly
-lazily-infinite) multipod.  Boundary points at infinite distance are opaque
-:class:`Ray` identifiers; their equality is exact, never metric.  Two
-points are equal exactly when their hashable ``canonical`` forms are.
+real line with coordinate points and its two ends, and the (possibly
+lazily-infinite) multipod.  The line's ends, its only boundary points, are
+the floats ``math.inf`` and ``-math.inf``, so the line with its ends is the
+extended line and its ends compare exactly.  Two points are equal exactly
+when their hashable ``canonical`` forms are.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import count
@@ -21,18 +21,8 @@ from .surds import LineCode
 from .tree import Location, MetricTree, Num
 
 
-@dataclass(frozen=True)
-class Ray:
-    """A boundary point, named by the ray it represents."""
-
-    label: str
-
-    def __repr__(self) -> str:
-        return f"Ray({self.label})"
-
-
-LINE_PLUS = Ray("+")
-LINE_MINUS = Ray("-")
+LINE_PLUS = math.inf
+LINE_MINUS = -math.inf
 
 
 class BoundaryPointError(ValueError):
@@ -136,7 +126,7 @@ class LineOracle:
     """The real line as an oracle; points are numbers (ints, Fractions,
     floats and Surds; the observers commands pass ints, their file values
     times one scale, and a midpoint halves ints exactly), and the two ends
-    are ``LINE_PLUS`` and ``LINE_MINUS``.
+    are the floats ``LINE_PLUS`` (inf) and ``LINE_MINUS`` (-inf).
 
     A line built with a :class:`~rtreelab.surds.LineCode` takes its finite
     points as the code's ints, the exact numbers of an orbit.  Their
@@ -149,45 +139,29 @@ class LineOracle:
     def __init__(self, code: LineCode | None = None):
         self.code = code
 
-    def _coord(self, p):
-        # the type test first: a number compared with a Ray takes the slow path
-        if not isinstance(p, Ray):
-            return p
-        if p == LINE_PLUS:
-            return math.inf
-        if p == LINE_MINUS:
-            return -math.inf
-        raise BoundaryPointError(f"unknown ray {p}")
+    def canonical(self, p):
+        return p
 
-    canonical = _coord
     points_equal = _points_equal
-
-    def _from_coord(self, c):
-        if c == math.inf:
-            return LINE_PLUS
-        if c == -math.inf:
-            return LINE_MINUS
-        return c
 
     def _above(self, a, b) -> bool:
         """a > b for coordinates, exactly."""
         return a > b if self.code is None else self.code.sign(a - b) > 0
 
     def distance(self, p, q) -> Num:
-        a, b = self._coord(p), self._coord(q)
         if self.code is not None:
-            return a - b if self._above(a, b) else b - a
-        if _infinite(a) or _infinite(b):
-            return 0 if a == b else math.inf
-        return abs(a - b)
+            return p - q if self._above(p, q) else q - p
+        if _infinite(p) or _infinite(q):
+            return 0 if p == q else math.inf
+        return abs(p - q)
 
     def center(self, p, q, r):
-        coords = [self._coord(p), self._coord(q), self._coord(r)]
+        coords = [p, q, r]
         if self.code is None:
             coords.sort()
         else:
             coords.sort(key=cmp_to_key(lambda a, b: self.code.sign(a - b)))
-        return self._from_coord(coords[1])
+        return coords[1]
 
     def common_segment_end(self, basepoint, points):
         """The center fold in closed form: with Q the basepoint, the
@@ -195,39 +169,34 @@ class LineOracle:
         every point is <= Q, at the smallest when every point is > Q, and at
         Q otherwise.  Ties go to the latest largest and the earliest smallest
         point, the objects the fold's stable medians keep.  A coded line
-        holds only the code's ints, never a Ray, and settles its largest
+        holds only the code's ints, never an end, and settles its largest
         and smallest ints exactly within the window."""
         if len(points) == 1:
-            return points[0]  # as the fold returns it, uncoordinatized
-        if self.code is None and Ray in set(map(type, points)):
-            points = list(map(self._coord, points))
-        q = self._coord(basepoint)
+            return points[0]
         top = max(reversed(points))
         if self.code is not None:
             top = self.code.extreme(points, top, upper=True)
-        if not self._above(top, q):
-            return self._from_coord(top)
+        if not self._above(top, basepoint):
+            return top
         low = min(points)
         if self.code is not None:
             low = self.code.extreme(points, low, upper=False)
-        return self._from_coord(low if self._above(low, q) else q)
+        return low if self._above(low, basepoint) else basepoint
 
     def midpoint(self, p, q):
         if self.code is not None:
             raise ValueError("a coded line has no midpoints")
-        a, b = self._coord(p), self._coord(q)
-        if _infinite(a) or _infinite(b):
+        if _infinite(p) or _infinite(q):
             raise BoundaryPointError("midpoint needs finite points")
-        return _half(a + b)
+        return _half(p + q)
 
-    def is_boundary(self, p) -> bool:
-        return isinstance(p, Ray)
+    is_boundary = staticmethod(_infinite)
 
     def germs(self, p, points) -> list:
         """The side of p that each point lies on: True above, False below,
         None at p."""
-        a, coord, above = self._coord(p), self._coord, self._above
-        return [None if a == (b := coord(r)) else above(b, a) for r in points]
+        above = self._above
+        return [None if p == r else above(r, p) for r in points]
 
     def sample_stream(self) -> Iterator:
         # Farey-style enumeration of the rationals: dense, deterministic

@@ -31,7 +31,7 @@ from typing import Callable, Iterable
 
 from .boundary import BoundaryPoint, BoundaryPair, LaminationSample
 from .formats import FormatError, parse_number
-from .oracles import LINE_MINUS, LINE_PLUS, LineOracle, Ray, TreeOracle
+from .oracles import LINE_MINUS, LINE_PLUS, LineOracle, _infinite
 from .observers import PointSequence, liminf_from
 from .surds import LineCode, Surd, coordinates, sign, value_of
 from .words import (
@@ -69,7 +69,6 @@ class DenseLineAction:
     weights: dict
     basis: Basis
     basepoint: object = 0
-    oracle: LineOracle = field(default_factory=LineOracle, compare=False)
     radicands: tuple[int, ...] = field(default=(), init=False, repr=False, compare=False)
     scale: int = field(default=1, init=False, repr=False, compare=False)
     columns: tuple[tuple[int, ...], ...] = field(default=(), init=False, repr=False, compare=False)
@@ -146,8 +145,8 @@ class DenseLineAction:
 class QEstimate:
     """Estimated limit of the orbit along a boundary word.
 
-    ``point`` is a finite oracle point or a boundary Ray; ``method`` is
-    "drift" when an eventually periodic word with nonzero per-block drift
+    ``point`` is a finite line point or a line end, inf or -inf; ``method``
+    is "drift" when an eventually periodic word with nonzero per-block drift
     certifies escape to an end exactly, else "liminf" with the truncated
     inferior-limit certificate.
     """
@@ -171,8 +170,7 @@ def qmap_estimate(action: DenseLineAction, x: BoundaryPoint, basepoint=None, dep
         prefix, block = x.periodic_form
         drift = action.mu(block)
         if drift != 0:
-            ray = LINE_PLUS if drift > 0 else LINE_MINUS
-            return QEstimate(ray, 0, "drift", depth)
+            return QEstimate(LINE_PLUS if drift > 0 else LINE_MINUS, 0, "drift", depth)
     orbit, start, code = _orbit_sequence(action, x, basepoint, depth)
     # the fold takes maxima, minima and differences of the orbit's ints on
     # the line of their code, and only the results are decoded
@@ -205,15 +203,6 @@ def _orbit_sequence(action: DenseLineAction, x: BoundaryPoint, basepoint, depth:
     return PointSequence(pts), start, code
 
 
-def separation(oracle: TreeOracle, a, b):
-    """Distance between two estimates; boundary identifiers compare exactly
-    (0 when equal, infinite otherwise)."""
-    a_ray, b_ray = isinstance(a, Ray), isinstance(b, Ray)
-    if a_ray or b_ray:
-        return 0 if (a_ray and b_ray and a == b) else math.inf
-    return oracle.distance(a, b)
-
-
 @dataclass(frozen=True)
 class FiberCheck:
     """Comparison of the limits of two boundary points.
@@ -233,12 +222,12 @@ def q_fiber_check(
 ) -> FiberCheck:
     e1 = qmap_estimate(action, x, depth=depth)
     e2 = qmap_estimate(action, y, depth=depth)
-    if isinstance(e1.point, Ray) and isinstance(e2.point, Ray):
-        same = e1.point == e2.point
-        return FiberCheck("equal" if same else "different", 0 if same else math.inf, e1, e2)
+    residual = LineOracle().distance(e1.point, e2.point)
+    # two ends are settled exactly, whatever the tolerance
+    if _infinite(e1.point) and _infinite(e2.point):
+        return FiberCheck("equal" if residual == 0 else "different", residual, e1, e2)
     if not (e1.stabilized(tol) and e2.stabilized(tol)):
-        return FiberCheck("inconclusive", separation(action.oracle, e1.point, e2.point), e1, e2)
-    residual = separation(action.oracle, e1.point, e2.point)
+        return FiberCheck("inconclusive", residual, e1, e2)
     return FiberCheck("equal" if residual <= tol else "different", residual, e1, e2)
 
 

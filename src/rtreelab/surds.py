@@ -382,7 +382,7 @@ class LineCode:
         return reduce(lambda a, b: b if self.sign(b - a) == s else a, sorted(near))
 
     def value(self, n):
-        """The number an int stands for; infinities (and rays) pass through."""
+        """The number an int stands for; the line's ends, inf and -inf, pass through."""
         if not isinstance(n, int):
             return n
         if self.int_valued:

@@ -7,21 +7,21 @@ edge.  Edge lengths and offsets are exact: ints and Fractions, and a float
 is taken at its exact binary value, as in ``qmap`` and ``blend``; every
 operation is a pure function of the immutable tree.
 
-Every query runs on one rooted index: each vertex keeps its parent, its
-root distance (an int over one scale) and its preorder rank, and each
-designated point only its address, its Location made on demand.  An edge
-list is rooted at its smallest vertex, over the common denominator of its
-lengths and offsets, each read once as an integer ratio (a tree file hands
-over its literals' ratios, with no Fraction per literal).  A realized
-table comes as a parent map with int root distances (``_rooted``), rooted
-where it was built, and a blend as its first tree's edges with int lengths
-blended edge by edge (``_blend``), rooted as that tree; all take one DFS
+Every query runs on one rooted index: each vertex keeps its parent and its
+root distance (an int over one scale), and each designated point only its
+address, its Location made on demand.  An edge list is rooted at its
+smallest vertex, over the common denominator of its lengths and offsets,
+each read once as an integer ratio (a tree file hands over its literals'
+ratios, with no Fraction per literal).  A realized table comes as a
+parent map with int root distances (``_rooted``), rooted where it was
+built, and a blend as its first tree's edges with int lengths blended
+edge by edge (``_blend``), rooted as that tree; all take one DFS
 (``_build``), and no answer depends on the root.  Fraction lengths are
 made only when ``edges``, ``edge_length`` or a segment asks for them.
 Building costs O(V); each query walks parent pointers, O(depth), and root
 distance alone says which side climbs; the pairwise meets of n points cost
-n - 1 walks, between preorder neighbours, plus an O(n²) sweep of running
-minima.
+one preorder DFS and n - 1 walks, between preorder neighbours, plus an
+O(n²) sweep of running minima.
 """
 from __future__ import annotations
 
@@ -179,17 +179,16 @@ class MetricTree:
     # -- construction helpers -------------------------------------------------
 
     def _build(self, adj: dict, scale: int, lengths: dict, root: str, points: Iterable[tuple]) -> None:
-        """The one DFS from ``root`` for the rooted index (parent, scaled root
-        distance and preorder rank per vertex), then the designated points,
-        each given as (name, v, r): the point at root distance r on the root
-        path of vertex v, or the vertex v itself where r is None."""
+        """The one DFS from ``root`` for the rooted index (parent and scaled
+        root distance per vertex), then the designated points, each given as
+        (name, v, r): the point at root distance r on the root path of
+        vertex v, or the vertex v itself where r is None."""
         self._adj, self._scale, self._lengths = adj, scale, lengths
         self._parent: dict[str, str | None] = {root: None}
-        self._root, self._pre = {root: 0}, {}
-        parent, rooted, pre, stack = self._parent, self._root, self._pre, [root]
+        self._root = {root: 0}
+        parent, rooted, stack = self._parent, self._root, [root]
         while stack:
             x = stack.pop()
-            pre[x] = len(pre)
             r = rooted[x]
             for y, e in adj[x]:
                 if y not in parent:
@@ -286,7 +285,12 @@ class MetricTree:
         between the two points (Bender and Farach-Colton's range minimum), so
         only n - 1 adjacent pairs walk the tree."""
         addr = [self._address(p) for p in points]
-        order = sorted(range(len(addr)), key=lambda i: (self._pre[addr[i][0]], addr[i][1]))
+        parent, pre, stack = self._parent, {}, [next(iter(self._parent))]
+        while stack:
+            x = stack.pop()
+            pre[x] = len(pre)
+            stack.extend(y for y, _ in self._adj[x] if y != parent[x])
+        order = sorted(range(len(addr)), key=lambda i: (pre[addr[i][0]], addr[i][1]))
         steps = [self._meet(addr[i], addr[j]) for i, j in zip(order, order[1:])]
         rows = [[a[1]] * len(addr) for a in addr]
         for k, i in enumerate(order):

@@ -19,7 +19,7 @@ from rtreelab.boundary import BoundaryFormatError
 from rtreelab.formats import FormatError, format_number, witness_line
 from rtreelab.hyperbolicity import FourPointWitness, InvalidTableError, MetricTable
 from rtreelab.observers import Direction, LiminfResult, ShapeMapVerdict
-from rtreelab.oracles import LINE_MINUS, LINE_PLUS, Ray
+from rtreelab.oracles import LINE_MINUS, LINE_PLUS
 from rtreelab.qmap import ConjugacyClassRecord, DenseLineAction, EmptyWordError, QEstimate, line_action_from_weights
 from rtreelab.tree import Location, MetricTree, SegmentPiece, canonical_edge
 from rtreelab.words import (
@@ -548,12 +548,12 @@ def reference_fiber_check(action, x, y, depth: int, tol):
     residual, first estimate, second estimate)."""
     e1 = reference_qmap_estimate(action, x, depth=depth)
     e2 = reference_qmap_estimate(action, y, depth=depth)
-    a_ray, b_ray = isinstance(e1.point, Ray), isinstance(e2.point, Ray)
-    if a_ray or b_ray:
-        residual = 0 if (a_ray and b_ray and e1.point == e2.point) else math.inf
+    a_end, b_end = math.isinf(e1.point), math.isinf(e2.point)
+    if a_end or b_end:
+        residual = 0 if (a_end and b_end and e1.point == e2.point) else math.inf
     else:
         residual = abs(e1.point - e2.point)
-    if a_ray and b_ray:
+    if a_end and b_end:
         return ("equal" if residual == 0 else "different"), residual, e1, e2
     if not (e1.certificate <= tol and e2.certificate <= tol):
         return "inconclusive", residual, e1, e2

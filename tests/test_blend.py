@@ -1,7 +1,7 @@
 import math
 import random
 from fractions import Fraction as Fr
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import combinations, permutations
 
 import pytest
@@ -729,14 +729,22 @@ _ONES3 = dict.fromkeys("abc", 1)
 _ID3 = {"a": "a", "b": "b", "c": "c"}
 
 
+def _reference_blend(c0, c1, lam):
+    """lam*c1 + (1-lam)*c0 word by word, a float lam at its binary value."""
+    lam = Fr(lam)
+    rest = 1 - lam
+    return cache(lambda w: lam * c1(w) + rest * c0(w))
+
+
 def _check_rose_scan_against_the_slow_reference(case):
     """rose_blend_axiom_scan, which drops the grid endpoints, takes the
     pairs of words that precede their inverses only and decides most pairs
-    from |uv| alone, against the literal scan of every blend; per lambda
-    length_axiom_check on the blend (a class function too) must find the
-    same first witness, and so must it on the rose lf1 alone, and so must
-    the scan of lf0 blended with a rational line action, which has no norm,
-    at the first lambda."""
+    from |uv| alone, against the literal scan of every blend, made from each
+    word's two rose lengths, evaluated once; per lambda length_axiom_check
+    on the blend (a class function too) must find the same first witness,
+    and so must it on the rose lf1 alone, and so must the scan of lf0
+    blended with a rational line action, which has no norm, at the first
+    lambda."""
     basis, marking1, marking0, lengths0, lengths1, grid, maxlen = case
     assume(nielsen_generates(marking1, basis) and nielsen_generates(marking0, basis))
     entries = rose_blend_axiom_scan(
@@ -744,17 +752,17 @@ def _check_rose_scan_against_the_slow_reference(case):
     )
     lf0 = length_function_from_marked_graph(marking0, lengths0, basis)
     lf1 = length_function_from_marked_graph(marking1, lengths1, basis)
+    c0, c1 = cache(lf0), cache(lf1)
     words = reduced_words(basis, maxlen)
     assert [entry.lam for entry in entries] == grid
     for lam, entry in zip(grid, entries):
-        blend = blend_length_functions(lf0, lf1, lam)
-        expected = brute_force_axiom_check(blend, words, basis)
+        expected = brute_force_axiom_check(_reference_blend(c0, c1, lam), words, basis)
         assert (entry.ok, entry.witness) == (expected.ok, expected.witness)
-        assert length_axiom_check(blend, words, basis) == expected
-    assert length_axiom_check(lf1, words, basis) == brute_force_axiom_check(lf1, words, basis)
+        assert length_axiom_check(blend_length_functions(lf0, lf1, lam), words, basis) == expected
+    assert length_axiom_check(lf1, words, basis) == brute_force_axiom_check(c1, words, basis)
     line = length_function_from_line_action(line_action_from_weights(["1", "-1/2", "2"][: basis.rank], basis))
     (entry,) = _axiom_scan(lf0, line, grid[:1], words, basis, None)
-    expected = brute_force_axiom_check(blend_length_functions(lf0, line, grid[0]), words, basis)
+    expected = brute_force_axiom_check(_reference_blend(c0, cache(line), grid[0]), words, basis)
     assert (entry.ok, entry.witness) == (expected.ok, expected.witness)
 
 

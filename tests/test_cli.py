@@ -227,6 +227,27 @@ def test_observers_extract_line(tmp_path, capsys):
     assert "limit estimate:" in out
 
 
+def test_observers_extract_defaults_to_the_first_kept_finite_term(tmp_path, capsys):
+    """Without --basepoint the liminf runs from the first kept term that is
+    not a line end; with only ends kept, or an end given, it exits 65."""
+    (tmp_path / "mixed.seq").write_text("+inf\n1\n2\n3\n")
+    (tmp_path / "ends.seq").write_text("1\n+inf\n2\n+inf\n-inf\n+inf\n")
+    (tmp_path / "up.dirs").write_text("0 | 5\n")
+    (tmp_path / "ends.dirs").write_text("+inf | 0\n0 | +inf\n-inf | 5\n")
+
+    def extract(seq, dirs, *extra):
+        return run_cli(capsys, "observers", "extract", "--line", "--seq", str(tmp_path / seq),
+                       "--dirs", str(tmp_path / dirs), "--depth", "6", *extra)
+
+    code, out, err = extract("mixed.seq", "up.dirs")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[2:5] == ["indices: 0 1 2 3", "limit estimate: 2", "certificate: 1"]
+    code, _, err = extract("ends.seq", "ends.dirs")
+    assert (code, err) == (65, "parameter error: every kept term is a boundary point; give a basepoint\n")
+    code, _, err = extract("mixed.seq", "up.dirs", "--basepoint=+inf")
+    assert (code, err) == (65, "parameter error: basepoint must not be a boundary point\n")
+
+
 def test_qmap_estimate_escape(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -1455,10 +1476,12 @@ def test_observers_on_the_grid_report_as_the_references(tmp_path, capsys, comman
         basepoint = point if rng.random() < 0.5 else None
         argv += [] if basepoint is None else ["--basepoint=" + text.replace(" ", ":")]
         indices, exhausted = helpers.reference_extract_window(oracle, terms, dirs)
-        basepoint = terms[indices[0]] if basepoint is None else basepoint
-        if oracle.is_boundary(basepoint):
-            # the first kept term is a line end: no liminf from it
-            assert run_cli(capsys, *argv)[::2] == (65, "parameter error: basepoint must not be a boundary point\n")
+        if basepoint is None:
+            # the first kept term that is not a line end
+            basepoint = next((terms[i] for i in indices if not oracle.is_boundary(terms[i])), None)
+        if basepoint is None:
+            message = "every kept term is a boundary point; give a basepoint"
+            assert run_cli(capsys, *argv)[::2] == (65, f"parameter error: {message}\n")
             return
         ref = helpers.reference_liminf(oracle, basepoint, [terms[i] for i in indices])
         expected = ["indices: " + " ".join(map(str, indices)),

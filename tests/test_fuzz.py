@@ -212,6 +212,64 @@ def test_line_action_commands_exit_cleanly_and_their_witnesses_replay(
     _assert_witnesses_replay(out)
 
 
+# -- observers fuzz over the line with its ends ----------------------------------------
+
+_LINE_POINT = st.sampled_from(["0", "1", "-2", "3", "1/3", "-7/2", "2/4", "0.5", "-0.25", "+inf", "-inf", "inf"])
+
+
+@st.composite
+def _line_observers_run(draw):
+    """A line observers command as (command, sequence text, directions text
+    or auto:<k> spec, further argv): terms, the basepoint or limit and both
+    sides of each direction mix literals with the ends, a direction's
+    representative is its base one time in five, k runs 0-6, --depth 0 to n+2 and
+    --head -1 to n+1."""
+    command = draw(st.sampled_from(["liminf", "converge", "extract"]))
+    terms = draw(st.lists(_LINE_POINT, min_size=1, max_size=8))
+    n = len(terms)
+    args = ["--depth", str(draw(st.integers(0, n + 2)))]
+    point = draw(_LINE_POINT)
+    dirs = None
+    if command == "liminf":
+        args.append(f"--basepoint={point}")
+        if draw(st.booleans()):
+            args.append(f"--head={draw(st.integers(-1, n + 1))}")
+    else:
+        if draw(st.booleans()):
+            dirs = f"auto:{draw(st.integers(0, 6))}"
+        else:
+            rows = draw(st.lists(st.tuples(_LINE_POINT, _LINE_POINT, st.integers(0, 4)), min_size=1, max_size=4))
+            dirs = "".join(f"{b} | {r if k else b}\n" for b, r, k in rows)
+        if command == "converge":
+            args.append(f"--limit={point}")
+        elif draw(st.booleans()):
+            args.append(f"--basepoint={point}")
+    return command, "".join(t + "\n" for t in terms), dirs, args
+
+
+@settings(max_examples=200, deadline=None)
+@given(_line_observers_run())
+def test_line_observers_with_ends_exit_cleanly_and_their_witnesses_replay(run):
+    """observers liminf, converge and extract on the line, with +inf and
+    -inf among the terms, as the basepoint or limit and on either side of a
+    direction, give a documented exit code and no traceback, and every
+    printed WITNESS replays."""
+    command, seq, dirs, args = run
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = ["observers", command, "--line", "--seq", os.path.join(tmp, "s.seq"), *args]
+        with open(argv[4], "w", encoding="utf-8") as fh:
+            fh.write(seq)
+        if dirs is not None:
+            spec = dirs if dirs.startswith("auto:") else os.path.join(tmp, "d.dirs")
+            if spec != dirs:
+                with open(spec, "w", encoding="utf-8") as fh:
+                    fh.write(dirs)
+            argv += ["--probes" if command == "converge" else "--dirs", spec]
+        code, out = _run(argv)
+    assert code in _EXIT_CODES
+    _assert_witnesses_replay(out)
+
+
 # -- blend axioms fuzz over markings and grids ---------------------------------------
 
 _MALFORMED_MARKING = st.sampled_from(

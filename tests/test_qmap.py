@@ -21,7 +21,7 @@ from rtreelab.blend import length_function_from_line_action
 from rtreelab.boundary import BoundaryPoint, act, parse_boundary_point
 from rtreelab.formats import FormatError, format_number
 from rtreelab.observers import liminf_from
-from rtreelab.oracles import LINE_MINUS, LINE_PLUS, LineOracle, Ray
+from rtreelab.oracles import LINE_MINUS, LINE_PLUS, LineOracle
 from rtreelab.qmap import (
     DenseLineAction,
     EmptyWordError,
@@ -476,8 +476,8 @@ def same(a, b):
 def same_type(action, basepoint, value) -> bool:
     """Ints when every weight and the basepoint are ints, Fractions when
     some input is a Fraction and the value is rational, Surds for
-    irrational values; inf and rays pass through."""
-    if isinstance(value, (float, Ray)):
+    irrational values; the ends inf and -inf pass through."""
+    if isinstance(value, float):
         return True
     ints = all(type(w) is int for w in action.weights.values()) and type(basepoint) is int
     if ints:
@@ -486,9 +486,9 @@ def same_type(action, basepoint, value) -> bool:
 
 
 def close(a, b) -> bool:
-    """A sqrt: value against the float loop's: rays and infinities equal,
-    numbers within a relative 1e-9."""
-    if isinstance(a, Ray) or isinstance(b, Ray) or math.isinf(a) or math.isinf(b):
+    """A sqrt: value against the float loop's: infinities equal, numbers
+    within a relative 1e-9."""
+    if math.isinf(a) or math.isinf(b):
         return a == b
     return abs(float(a) - float(b)) <= 1e-9 * max(1.0, abs(float(b)))
 
@@ -538,7 +538,7 @@ def test_line_action_agrees_with_the_slow_reference(case):
 
     # the fold on the orbit's ints at any head, against the fold on the line
     orbit, start, code = _orbit_sequence(action, x, base, depth)
-    # a coded line holds only the code's ints, so its fold skips the Ray scan
+    # a coded line holds only the code's ints, never an end
     assert type(start) is int and {type(p) for p in orbit.take(depth)} == {int}
     res = liminf_from(LineOracle(code), start, orbit, depth, head=head)
     point, cert = reference_fold(reference_orbit(action, x, base, depth), base, head)
