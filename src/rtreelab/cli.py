@@ -50,6 +50,10 @@ from .words import Basis, _keyed_cyclic_words
 
 PASS, FAIL, INCONCLUSIVE, PARSE_ERROR, BAD_PARAMS = 0, 1, 2, 64, 65
 
+# the largest liminf certificate that counts as stabilized: `observers
+# liminf`'s default --tol, and the bound `observers extract` applies
+LIMINF_TOL = "1e-9"
+
 
 class ParameterError(ValueError):
     pass
@@ -345,9 +349,13 @@ def run_observers_extract(args, out) -> int:
     res = extract_convergent_subsequence(grid.oracle, seq, dirs, args.depth, grid.on(basepoint))
     out.append("indices: " + " ".join(str(i) for i in res.indices))
     out.append(f"limit estimate: {formats.format_oracle_point(grid.off(res.limit.point), oracle, tree)}")
-    out.append(f"certificate: {format_number(grid.off(res.limit.certificate))}")
+    certificate = grid.off(res.limit.certificate)
+    out.append(f"certificate: {format_number(certificate)}")
     if res.exhausted_at is not None:
         out.append(f"RESULT: inconclusive (window exhausted at direction {res.exhausted_at})")
+        return INCONCLUSIVE
+    if certificate > formats.parse_number(LIMINF_TOL):
+        out.append("RESULT: inconclusive (estimate still moving at this depth)")
         return INCONCLUSIVE
     out.append("RESULT: pass")
     return PASS
@@ -634,7 +642,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_oracle_flags(liminf_p)
     liminf_p.add_argument("--basepoint", required=True)
     liminf_p.add_argument("--head", type=int, default=None)
-    liminf_p.add_argument("--tol", default="1e-9")
+    liminf_p.add_argument("--tol", default=LIMINF_TOL)
     liminf_p.set_defaults(handler=run_observers_liminf)
 
     conv = obs_sub.add_parser("converge")

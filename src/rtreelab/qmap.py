@@ -161,21 +161,43 @@ class QEstimate:
 
 
 def qmap_estimate(action: DenseLineAction, x: BoundaryPoint, basepoint=None, depth: int = 10_000) -> QEstimate:
-    """Inferior limit, from the basepoint, of the orbit (prefix_i(X)) . P."""
+    """Inferior limit, from the basepoint, of the orbit (prefix_i(X)) . P:
+    the fold of :func:`liminf_from` over ``depth`` orbit points.
+
+    X = prefix . block^inf escapes to a line end when the block drifts.  With
+    zero drift, past the first p + b points (p = |prefix|, b = |block|) point
+    i is point p + (i - p) mod b, so only those are walked: O(p + b) at any
+    depth.  A programmatic X walks all ``depth`` letters.
+    """
     if depth < 1:
         raise ValueError("depth must be >= 1")
     if basepoint is None:
         basepoint = action.basepoint
+    m = depth
     if x.periodic_form is not None:
         prefix, block = x.periodic_form
         drift = action.mu(block)
         if drift != 0:
             return QEstimate(LINE_PLUS if drift > 0 else LINE_MINUS, 0, "drift", depth)
-    orbit, start, code = _orbit_sequence(action, x, basepoint, depth)
+        p, b = len(prefix), len(block)
+        m = min(depth, p + b)
+    orbit, start, code = _orbit_sequence(action, x, basepoint, m)
+    # the fold reads the point before the head and the points from the head on
+    h = depth // 2
+    pts = orbit.take(m)
+    if m < depth:
+
+        def at(i):  # the walked point that orbit point i equals
+            return i if i < m else p + (i - p) % b
+
+        window = sorted({at(i) for i in range(h, min(depth, max(h, m) + b))})
+        pts = [pts[at(i)] for i in [h - 1] * (h > 0) + window]
+    else:
+        pts = pts[max(h - 1, 0) :]
     # the fold takes maxima, minima and differences of the orbit's ints on
     # the line of their code, and only the results are decoded
-    res = liminf_from(LineOracle(code), start, orbit, depth)
-    return QEstimate(code.value(res.point), code.value(res.certificate), "liminf", res.terms_used)
+    res = liminf_from(LineOracle(code), start, PointSequence(pts), len(pts), head=min(h, 1))
+    return QEstimate(code.value(res.point), code.value(res.certificate), "liminf", depth)
 
 
 def _orbit_sequence(action: DenseLineAction, x: BoundaryPoint, basepoint, depth: int):
@@ -183,8 +205,10 @@ def _orbit_sequence(action: DenseLineAction, x: BoundaryPoint, basepoint, depth:
     weights and the basepoint as integer coordinates over one basis and one
     denominator, each point the int of a LineCode for them, one signed
     weight added per letter.  Returns the points, the basepoint's int and
-    the code.  For rational weights and basepoint the code is the identity,
-    so the points are the numbers times the common denominator.
+    the code, whose bounds cover these points only.  For rational weights
+    and basepoint the code is the identity, so the points are the numbers
+    times the common denominator.  :func:`qmap_estimate` asks a zero-drift
+    periodic point for at most one prefix and one block of points.
     """
     letters = x.prefix(depth)
     symbols = action.basis.symbols

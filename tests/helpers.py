@@ -415,8 +415,9 @@ def reference_extract_window(oracle, terms: list, dirs) -> tuple[list, int | Non
 
 def reference_shape_map(tree_a: MetricTree, tree_b: MetricTree, bijection: dict) -> ShapeMapVerdict:
     """Slow reference for verify_shape_map on a valid bijection: the center
-    pass, then all ordered triples with center-based segment membership,
-    the first violation in sorted order."""
+    pass, then all ordered triples (r, p, q), the first violation in sorted
+    order.  Segment membership is d(p, r) + d(r, q) = d(p, q) on one
+    all-pairs matrix of ReferenceTree distances per tree."""
     names = sorted(tree_a.point_names)
     images = set(bijection.values())
     for p, q, r in combinations(names, 3):
@@ -424,12 +425,21 @@ def reference_shape_map(tree_a: MetricTree, tree_b: MetricTree, bijection: dict)
         nb = tree_b.name_of(tree_b.center(bijection[p], bijection[q], bijection[r]))
         if (nb is None or nb != bijection[na]) if na is not None else (nb is not None and nb in images):
             return ShapeMapVerdict(False, ("center", p, q, r))
-    for r, p, q in product(names, repeat=3):
-        mem_a = reference_point_on_segment(tree_a, r, p, q)
-        mem_b = reference_point_on_segment(tree_b, bijection[r], bijection[p], bijection[q])
-        if mem_a != mem_b:
-            return ShapeMapVerdict(False, ("segment", r, p, q))
+    da = reference_distance_matrix(tree_a, names)
+    db = reference_distance_matrix(tree_b, [bijection[p] for p in names])
+    for r, p, q in product(range(len(names)), repeat=3):
+        if (da[p][r] + da[r][q] == da[p][q]) != (db[p][r] + db[r][q] == db[p][q]):
+            return ShapeMapVerdict(False, ("segment", names[r], names[p], names[q]))
     return ShapeMapVerdict(True)
+
+
+def reference_distance_matrix(tree: MetricTree, points: list) -> list[list[int]]:
+    """ReferenceTree distances between every two of the points, as ints
+    over their common denominator."""
+    ref = ReferenceTree(tree)
+    rows = [[Fr(ref.distance(p, q)) for q in points] for p in points]
+    scale = math.lcm(*(d.denominator for row in rows for d in row))
+    return [[d.numerator * (scale // d.denominator) for d in row] for row in rows]
 
 
 def commutator(u: str, v: str) -> str:

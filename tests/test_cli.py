@@ -240,12 +240,29 @@ def test_observers_extract_defaults_to_the_first_kept_finite_term(tmp_path, caps
                        "--dirs", str(tmp_path / dirs), "--depth", "6", *extra)
 
     code, out, err = extract("mixed.seq", "up.dirs")
-    assert (code, err) == (0, "")
+    assert (code, err) == (2, "")
     assert out.splitlines()[2:5] == ["indices: 0 1 2 3", "limit estimate: 2", "certificate: 1"]
     code, _, err = extract("ends.seq", "ends.dirs")
     assert (code, err) == (65, "parameter error: every kept term is a boundary point; give a basepoint\n")
     code, _, err = extract("mixed.seq", "up.dirs", "--basepoint=+inf")
     assert (code, err) == (65, "parameter error: basepoint must not be a boundary point\n")
+
+
+def test_observers_extract_with_a_moving_certificate_is_inconclusive(tmp_path, capsys):
+    """extract compares its liminf certificate with liminf's default --tol:
+    a certificate of 1 is no pass, as `observers liminf` says on the same
+    terms, and the config line gains no tolerance."""
+    (tmp_path / "mixed.seq").write_text("+inf\n1\n2\n3\n")
+    (tmp_path / "up.dirs").write_text("0 | 5\n")
+    code, out, err = run_cli(capsys, "observers", "extract", "--line", "--seq", str(tmp_path / "mixed.seq"),
+                             "--dirs", str(tmp_path / "up.dirs"), "--depth", "6")
+    lines = out.splitlines()
+    assert (code, err) == (2, "")
+    assert not [word for word in lines[1].split() if word.startswith("tol=")]
+    assert lines[4:] == ["certificate: 1", "RESULT: inconclusive (estimate still moving at this depth)"]
+    code, out, _ = run_cli(capsys, "observers", "liminf", "--line", "--seq", str(tmp_path / "mixed.seq"),
+                           "--basepoint", "1", "--depth", "6")
+    assert code == 2 and out.splitlines()[-2:] == lines[-2:]
 
 
 def test_qmap_estimate_escape(capsys):
@@ -1487,7 +1504,7 @@ def test_observers_on_the_grid_report_as_the_references(tmp_path, capsys, comman
         expected = ["indices: " + " ".join(map(str, indices)),
                     f"limit estimate: {format_oracle_point(ref.point, oracle)}",
                     f"certificate: {format_number(ref.certificate)}"]
-        code = 2 if exhausted is not None else 0
+        code = 2 if exhausted is not None or ref.certificate > Fr(1, 10**9) else 0
     got_code, out, err = run_cli(capsys, *argv)
     assert (got_code, err) == (code, "")
     lines = out.splitlines()[2:]

@@ -9,7 +9,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as Fr
 from itertools import combinations
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rtreelab.boundary import BoundaryPoint, act
 from rtreelab.cli import main
@@ -189,13 +189,17 @@ def _assert_witnesses_replay(out: str) -> None:
     _boundary(),
     _NUMBERS,
     st.integers(1, 4),
-    st.integers(1, 400),
+    st.one_of(st.integers(1, 400), st.just(10**12)),
 )
+@example("estimate", "1,sqrt:2", "1,1", "ab;abAB", ";a", "1/3", 1, 10**12)
+@example("fibers", "1,sqrt:2,sqrt:3", "1,1", ";abAB", "aa;bABa", "1e-6", 1, 10**12)  # a witness
 def test_line_action_commands_exit_cleanly_and_their_witnesses_replay(
     command, weights, weights1, x, y, number, maxlen, depth
 ):
     """Any sqrt:/rational weight list and boundary word gives a documented
-    exit code and no traceback, and every printed WITNESS replays."""
+    exit code and no traceback, and every printed WITNESS replays; estimate
+    and fibers also run at depth 10**12, where a zero-drift word reads one
+    period and a drifting one reads none."""
     if command == "estimate":
         argv = ["qmap", "estimate", f"--weights={weights}", f"--word={x}", f"--basepoint={number}",
                 "--depth", str(depth)]

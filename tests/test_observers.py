@@ -805,7 +805,8 @@ def test_shape_map_agrees_with_the_triple_loop_reference(seed, kind):
 def test_shape_map_agrees_with_the_triple_loop_reference_above_desk_size(seed):
     """The relengthed kind at 30 to 60 points (and up to three aliases),
     where a pass is decided from germ rows and names alone; the reference
-    makes O(n³) center queries, about a second a case, so few cases run."""
+    makes n³/6 center queries and reads n³ segment rows off a distance
+    matrix, about a tenth of a second a case."""
     t0, t1, bijection = _shape_case(random.Random(seed), "relengthed above desk size")
     assert 30 <= len(bijection) <= 63
     _assert_agrees_with_the_reference(t0, t1, bijection)

@@ -419,6 +419,25 @@ def boundary_specs(draw, rank):
     return ("periodic", prefix, block)
 
 
+def test_a_zero_drift_estimate_reads_one_period_at_any_depth(monkeypatch):
+    """At depth 10**9 a zero-drift periodic point reads at most |prefix| +
+    |block| letters, and its estimate is the slow reference's at a depth
+    with the same residue mod 2|block| whose head is past the prefix."""
+    basis, prefix, block = B2, "ab", "abAB"
+    action = DenseLineAction({"a": 1, "b": ROOT2}, basis, basepoint=Fr(1, 3))
+    x = BoundaryPoint.periodic(basis, prefix, block)
+    read, letters = [], BoundaryPoint.prefix
+    monkeypatch.setattr(BoundaryPoint, "prefix", lambda self, k: read.append(k) or letters(self, k))
+    est = qmap_estimate(action, x, depth=10**9)
+    monkeypatch.undo()
+    assert read and max(read) <= len(prefix) + len(block)
+    period = 2 * len(block)
+    depth = 10**9 % period + 4 * period
+    ref = reference_qmap_estimate(action, x, depth=depth)
+    assert (est.method, est.depth, ref.method) == ("liminf", 10**9, "liminf")
+    assert same(est.point, ref.point) and same(est.certificate, ref.certificate)
+
+
 def boundary_point(basis, spec):
     if spec[0] == "periodic":
         return BoundaryPoint.periodic(basis, spec[1], spec[2])
@@ -512,6 +531,33 @@ def float_twin(action, basepoint):
 @example(([Fr(1, 2), ROOT2], Fr(3, 11), Fr(-5, 17), ("periodic", "a", "abAB"), ("random", 3), 250, 299, 1e-6))
 @example(([Surd.sqrt(3), Fr(2, 9), Fr(-1, 4)], 0, 1, ("random", 11), ("periodic", "", "acAC"), 300, 17, Fr(1, 3)))
 @example(([ROOT2, -Surd.sqrt(8)], 0, None, ("periodic", "", "aab"), ("periodic", "a", "aaB"), 200, None, 0))
+# zero block drift, read through the period: depth below |prefix| + |block|
+@example(([Fr(1, 2), ROOT2], 0, Fr(1, 3), ("periodic", "ab", "abAB"), ("periodic", "", "aBAb"), 5, None, 1e-6))
+# the head inside the prefix, with a part of the block and with all of it
+@example(([Fr(1), Fr(-2, 3)], Fr(1, 7), None, ("periodic", "ababab", "abAB"), ("periodic", "b", "aBAb"), 11, 3, 0))
+@example(([Fr(1), Fr(-2, 3)], 2, None, ("periodic", "ababababab", "abAB"), ("periodic", "", "abAB"), 19, None, 0))
+# a window holding part of a period past the first one
+@example(([Fr(-2, 3), Fr(3)], Fr(5, 7), None, ("periodic", "B", "ABab"), ("periodic", "", "abAB"), 8, None, 0))
+# the point before the head moves the estimate: a nonzero certificate
+@example(([Fr(-2), Fr(6)], Fr(-6, 7), None, ("periodic", "AABB", "AbaBabAB"), ("periodic", "", "aB"), 13, None, 0))
+# depth 1 (head 0, no certificate) and depth 2
+@example(([ROOT2, Fr(1, 3)], Fr(2, 7), None, ("periodic", "a", "bABa"), ("periodic", "", "ab"), 1, None, 0))
+@example(([ROOT2, Fr(1, 3)], Fr(2, 7), None, ("periodic", "a", "bABa"), ("periodic", "", "ab"), 2, None, 0))
+# the least point of the block, which is the liminf, comes twice a period
+@example(([1, -1], 0, None, ("periodic", "aa", "ababABAB"), ("periodic", "", "abAB"), 40, None, 0))
+# four radicands: the code orders the ints only outside a nonzero window
+@example(
+    (
+        [ROOT2, Surd.sqrt(3), Surd.sqrt(5), Surd.sqrt(7)],
+        Fr(10**6, 7),
+        None,
+        ("periodic", "a", "bcdBCD"),
+        ("periodic", "", "acAC"),
+        40,
+        None,
+        1e-6,
+    )
+)
 def test_line_action_agrees_with_the_slow_reference(case):
     """Every value equals the reference loops' on the exact weights (term by
     term in Fractions and Surds), with the same types; sqrt: cases also
