@@ -2,18 +2,14 @@
 lamination samples.
 
 A boundary point is an infinite reduced word, exposed through its finite
-prefixes.  Two concrete sources exist: eventually periodic points
-(``prefix . block^infinity`` with exact arithmetic on the representation)
-and programmatic letter generators (prefix access only).  Equality of
-arbitrary boundary points is only semi-decidable and is exposed as
-equality up to a depth; for two eventually periodic points it is decided
-exactly.
+prefixes.  Every point here is eventually periodic, ``prefix .
+block^infinity``, and two points are equal exactly when their least forms
+are: the block cut to its primitive root, and the prefix's last letter
+rotated into the root while it equals the root's last letter.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 from .words import (
     Basis,
@@ -32,18 +28,13 @@ class IndistinguishablePointsError(ValueError):
     pass
 
 
+@dataclass(frozen=True, eq=False, repr=False)
 class BoundaryPoint:
-    """An infinite reduced word over a basis, accessed by prefixes.
+    """An eventually periodic infinite reduced word over a basis, accessed
+    by prefixes.  Use :meth:`periodic` to construct."""
 
-    Use :meth:`periodic` or :meth:`from_function` to construct.
-    """
-
-    def __init__(self, basis: Basis, fn: Callable[[int], str] | None, periodic: tuple[str, str] | None):
-        self.basis = basis
-        self._fn = fn  # None for a periodic point
-        self._cache = ""
-        self._inverse = None if fn is None else {c: invert_letter(c) for c in basis.letters}
-        self.periodic_form = periodic  # (prefix, block) or None
+    basis: Basis
+    periodic_form: tuple[str, str]  # (prefix, block)
 
     @classmethod
     def periodic(cls, basis: Basis, prefix: str, block: str) -> "BoundaryPoint":
@@ -58,48 +49,35 @@ class BoundaryPoint:
             raise BoundaryFormatError(f"block {block!r} is not cyclically reduced")
         if prefix and block and prefix[-1] == invert_letter(block[0]):
             raise BoundaryFormatError("prefix cancels into the block")
-        return cls(basis, None, (prefix, block))
-
-    @classmethod
-    def from_function(cls, basis: Basis, fn: Callable[[int], str]) -> "BoundaryPoint":
-        """A programmatic point; letters are validated as they are consumed."""
-        return cls(basis, fn, None)
+        return cls(basis, (prefix, block))
 
     def prefix(self, k: int) -> str:
-        """The first k letters (always reduced; re-entrant).
+        """The first k letters, sliced from the form that :meth:`periodic`
+        checked once (so always reduced)."""
+        head, block = self.periodic_form
+        return (head + block * -(-max(0, k - len(head)) // len(block)))[:k]
 
-        A periodic point slices them from its form, which :meth:`periodic`
-        checked once.  For a programmatic point each generator output must
-        be one letter of the basis that does not cancel the letter before
-        it; the first faulty output raises, and the generator is not called
-        past it."""
-        if self.periodic_form is not None:
-            head, block = self.periodic_form
-            return (head + block * -(-max(0, k - len(head)) // len(block)))[:k]
-        cache = self._cache
-        if k <= len(cache):
-            return cache[:k]
-        fn, letters, inverse = self._fn, self.basis.letters, self._inverse
-        last = cache[-1:]
-        new = []
-        for i in range(len(cache), k):
-            c = fn(i)
-            if c not in letters:
-                if not isinstance(c, str) or len(c) != 1:
-                    raise BoundaryFormatError(f"generator output at position {i} is not one letter: {c!r}")
-                self.basis.validate(c)  # raises UnknownSymbolError
-            if inverse[c] == last:
-                raise BoundaryFormatError(f"generator produced a cancellation at position {i}")
-            new.append(c)
-            last = c
-        self._cache = cache + "".join(new)
-        return self._cache
+    def _least(self) -> tuple[str, str]:
+        """The one (prefix, block) of this word with the shortest prefix and
+        the shortest block: the block cut to its primitive root, then the
+        prefix's last letter rotated into the root while they are equal."""
+        head, block = self.periodic_form
+        root = block[: (block + block).find(block, 1)]
+        while head and head[-1] == root[-1]:
+            head, root = head[:-1], root[-1] + root[:-1]
+        return head, root
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, BoundaryPoint):
+            return NotImplemented
+        return self.basis == other.basis and self._least() == other._least()
+
+    def __hash__(self) -> int:
+        return hash(self._least())
 
     def __repr__(self) -> str:
-        if self.periodic_form is not None:
-            p, b = self.periodic_form
-            return f"{p};{b}"
-        return f"{self.prefix(8)}..."
+        p, b = self.periodic_form
+        return f"{p};{b}"
 
 
 def parse_boundary_point(text: str, basis: Basis) -> BoundaryPoint:
@@ -111,90 +89,57 @@ def parse_boundary_point(text: str, basis: Basis) -> BoundaryPoint:
 
 
 def act(w: str, x: BoundaryPoint) -> BoundaryPoint:
-    """Left translation w . x with cancellation absorbed lazily.
-
-    For an eventually periodic point the result stays eventually periodic
-    (cancellation consumes at most |w| letters, so at most a rotation of
-    the block survives at the junction).
-    """
+    """Left translation w . x.  The result stays eventually periodic:
+    cancellation consumes at most |w| letters, so at most a rotation of the
+    block survives at the junction."""
     basis = x.basis
     basis.validate(w)
     w = reduce_word(w)
     if not w:
         return x
-    if x.periodic_form is not None:
-        prefix, block = x.periodic_form
-        need = len(w) + 1
-        copies = -(-max(0, need - len(prefix)) // len(block))  # ceil
-        head = prefix + block * copies
-        cancel = 0
-        while cancel < len(w) and cancel < len(head) and w[len(w) - 1 - cancel] == invert_letter(
-            head[cancel]
-        ):
-            cancel += 1
-        new_prefix = w[: len(w) - cancel]
-        if cancel <= len(prefix):
-            return BoundaryPoint.periodic(basis, new_prefix + prefix[cancel:], block)
-        shift = (cancel - len(prefix)) % len(block)
-        return BoundaryPoint.periodic(basis, new_prefix, block[shift:] + block[:shift])
-
-    def fn(i: int, w=w, x=x) -> str:
-        # cancellation is bounded by |w|, so |w| + i + |w| letters suffice
-        s = reduce_word(w + x.prefix(i + 2 * len(w)))
-        return s[i]
-
-    return BoundaryPoint.from_function(basis, fn)
-
-
-def points_equal_to_depth(x: BoundaryPoint, y: BoundaryPoint, depth: int) -> bool:
-    return x.prefix(depth) == y.prefix(depth)
-
-
-def _periodic_equal(x: BoundaryPoint, y: BoundaryPoint) -> bool:
-    px, bx = x.periodic_form
-    py, by = y.periodic_form
-    bound = len(px) + len(py) + 2 * math.lcm(len(bx), len(by))
-    return x.prefix(bound) == y.prefix(bound)
+    prefix, block = x.periodic_form
+    need = len(w) + 1
+    copies = -(-max(0, need - len(prefix)) // len(block))  # ceil
+    head = prefix + block * copies
+    cancel = 0
+    while cancel < len(w) and cancel < len(head) and w[len(w) - 1 - cancel] == invert_letter(
+        head[cancel]
+    ):
+        cancel += 1
+    new_prefix = w[: len(w) - cancel]
+    if cancel <= len(prefix):
+        return BoundaryPoint.periodic(basis, new_prefix + prefix[cancel:], block)
+    shift = (cancel - len(prefix)) % len(block)
+    return BoundaryPoint.periodic(basis, new_prefix, block[shift:] + block[:shift])
 
 
 @dataclass(frozen=True)
 class BoundaryPair:
     """An ordered pair of distinct boundary points (distinctness is
-    certified at construction: exactly for two periodic points, else up to
-    ``distinct_by`` letters)."""
+    decided exactly at construction)."""
 
     x: BoundaryPoint
     y: BoundaryPoint
-    distinct_by: int = 64
 
     def __post_init__(self):
-        if self.x.periodic_form is not None and self.y.periodic_form is not None:
-            if _periodic_equal(self.x, self.y):
-                raise IndistinguishablePointsError("the two components are equal")
-        elif points_equal_to_depth(self.x, self.y, self.distinct_by):
-            raise IndistinguishablePointsError(
-                f"components agree to depth {self.distinct_by}; cannot certify a pair"
-            )
-
-    def key(self, depth: int) -> tuple[str, str]:
-        return (self.x.prefix(depth), self.y.prefix(depth))
+        if self.x == self.y:
+            raise IndistinguishablePointsError("the two components are equal")
 
 
 def flip(pair: BoundaryPair) -> BoundaryPair:
-    return BoundaryPair(pair.y, pair.x, pair.distinct_by)
+    return BoundaryPair(pair.y, pair.x)
 
 
 def act_pair(w: str, pair: BoundaryPair) -> BoundaryPair:
-    return BoundaryPair(act(w, pair.x), act(w, pair.y), pair.distinct_by)
+    return BoundaryPair(act(w, pair.x), act(w, pair.y))
 
 
 @dataclass
 class LaminationSample:
     """A finite, flip-closed stand-in for a subset of the double boundary.
 
-    ``pairs`` are deduplicated by their prefix keys at ``depth``;
-    ``provenance`` records how the sample was produced.  ``annotations``
-    carries per-pair metadata keyed like the pairs.
+    ``pairs`` are distinct; ``provenance`` records how the sample was
+    produced.  ``annotations`` carries per-pair metadata keyed by the pairs.
     """
 
     pairs: tuple[BoundaryPair, ...]
@@ -202,17 +147,14 @@ class LaminationSample:
     provenance: dict = field(default_factory=dict)
     annotations: dict = field(default_factory=dict)
 
-    def keys(self) -> frozenset[tuple[str, str]]:
-        return frozenset(p.key(self.depth) for p in self.pairs)
-
     def contains(self, pair: BoundaryPair) -> bool:
-        return pair.key(self.depth) in self.keys()
+        return pair in self.pairs
 
     def audit(self) -> "AuditResult":
         """Check flip closure."""
-        keys = self.keys()
-        flip_violations = [p.key(self.depth) for p in self.pairs if flip(p).key(self.depth) not in keys]
-        return AuditResult(not flip_violations, tuple(flip_violations))
+        pairs = set(self.pairs)
+        flip_violations = tuple(p for p in self.pairs if flip(p) not in pairs)
+        return AuditResult(not flip_violations, flip_violations)
 
 
 @dataclass(frozen=True)

@@ -445,14 +445,18 @@ def run_qmap_lamination(args, out) -> int:
     )
     inconclusive = 0
     for pair in sample.pairs:
-        meta = sample.annotations[pair.key(sample.depth)]
+        meta = sample.annotations[pair]
         out.append(
             f"pair word={meta['word']} tl={format_number(meta['translation_length'])}"
             f" fiber={meta['fiber_status']} residual={format_number(meta['fiber_residual'])}"
         )
         inconclusive += meta["fiber_status"] == "inconclusive"
     audit = sample.audit()
-    out.append(f"audit: {'closed' if audit.closed else 'NOT CLOSED'}")
+    out.append(
+        "audit: closed (by construction: each class adds its pair and its flip)"
+        if audit.closed
+        else "audit: NOT CLOSED"
+    )
     if not audit.closed:
         out.append("RESULT: fail")
         return FAIL

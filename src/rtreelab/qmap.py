@@ -167,33 +167,28 @@ def qmap_estimate(action: DenseLineAction, x: BoundaryPoint, basepoint=None, dep
     X = prefix . block^inf escapes to a line end when the block drifts.  With
     zero drift, past the first p + b points (p = |prefix|, b = |block|) point
     i is point p + (i - p) mod b, so only those are walked: O(p + b) at any
-    depth.  A programmatic X walks all ``depth`` letters.
+    depth.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
     if basepoint is None:
         basepoint = action.basepoint
-    m = depth
-    if x.periodic_form is not None:
-        prefix, block = x.periodic_form
-        drift = action.mu(block)
-        if drift != 0:
-            return QEstimate(LINE_PLUS if drift > 0 else LINE_MINUS, 0, "drift", depth)
-        p, b = len(prefix), len(block)
-        m = min(depth, p + b)
+    prefix, block = x.periodic_form
+    drift = action.mu(block)
+    if drift != 0:
+        return QEstimate(LINE_PLUS if drift > 0 else LINE_MINUS, 0, "drift", depth)
+    p, b = len(prefix), len(block)
+    m = min(depth, p + b)
     orbit, start, code = _orbit_sequence(action, x, basepoint, m)
     # the fold reads the point before the head and the points from the head on
     h = depth // 2
-    pts = orbit.take(m)
-    if m < depth:
 
-        def at(i):  # the walked point that orbit point i equals
-            return i if i < m else p + (i - p) % b
+    def at(i):  # the walked point that orbit point i equals (i when m = depth)
+        return i if i < m else p + (i - p) % b
 
-        window = sorted({at(i) for i in range(h, min(depth, max(h, m) + b))})
-        pts = [pts[at(i)] for i in [h - 1] * (h > 0) + window]
-    else:
-        pts = pts[max(h - 1, 0) :]
+    window = sorted({at(i) for i in range(h, min(depth, max(h, m) + b))})
+    walked = orbit.take(m)
+    pts = [walked[at(i)] for i in [h - 1] * (h > 0) + window]
     # the fold takes maxima, minima and differences of the orbit's ints on
     # the line of their code, and only the results are decoded
     res = liminf_from(LineOracle(code), start, PointSequence(pts), len(pts), head=min(h, 1))
@@ -310,28 +305,23 @@ def dual_lamination_sample(
     """Pairs (w^inf, w^-inf) for every small-translation-length class, with
     per-pair fiber residuals; flip-closed by construction."""
     records = small_words_search(action, epsilon, maxlen)
-    pairs = []
     annotations = {}
-    seen = set()
     for rec in records:
         w = rec.word
         forward = BoundaryPoint.periodic(action.basis, "", w)
         backward = BoundaryPoint.periodic(action.basis, "", invert_word(w))
         for pair in (BoundaryPair(forward, backward), BoundaryPair(backward, forward)):
-            key = pair.key(depth)
-            if key in seen:
+            if pair in annotations:
                 continue
-            seen.add(key)
             check = q_fiber_check(action, pair.x, pair.y, depth=depth, tol=tol)
-            pairs.append(pair)
-            annotations[key] = {
+            annotations[pair] = {
                 "word": w,
                 "translation_length": rec.translation_length,
                 "fiber_status": check.status,
                 "fiber_residual": check.residual,
             }
     return LaminationSample(
-        tuple(pairs),
+        tuple(annotations),
         depth,
         provenance={
             "operation": "dual_lamination_sample",

@@ -285,13 +285,27 @@ def reference_prefix(basis, fn, cache: list, k: int) -> str:
     return letters
 
 
+def reference_points_equal(x, y) -> bool:
+    """Slow reference for BoundaryPoint equality: two eventually periodic
+    words p.b^inf and q.c^inf are equal when their first |p| + |q| +
+    2 lcm(|b|, |c|) letters are (past both prefixes, two words of periods
+    |b| and |c| that agree on that many letters agree forever)."""
+    (p, b), (q, c) = x.periodic_form, y.periodic_form
+    bound = len(p) + len(q) + 2 * math.lcm(len(b), len(c))
+    return (p + b * bound)[:bound] == (q + c * bound)[:bound]
+
+
 def reference_mu(action, word: str):
     """Slow reference for DenseLineAction.mu: the signed weight sum term by
-    term on the weights themselves (Fraction, Surd or float arithmetic)."""
-    total = 0
-    for n, s in zip(abelianization(word, action.basis), action.basis.symbols):
+    term on the weights themselves (Fraction, Surd or float arithmetic).
+    As for mu, the sum of a word with letter counts left is an int only
+    when every weight is one."""
+    total, vec = 0, abelianization(word, action.basis)
+    for n, s in zip(vec, action.basis.symbols):
         if n:
             total += n * action.weights[s]
+    if type(total) is int and any(vec) and any(type(w) is not int for w in action.weights.values()):
+        return Fr(total)
     return total
 
 
@@ -544,10 +558,9 @@ def reference_qmap_estimate(action, x, basepoint=None, depth: int = 10_000) -> Q
     eventually periodic word, else the fold over the orbit."""
     if basepoint is None:
         basepoint = action.basepoint
-    if x.periodic_form is not None:
-        drift = reference_mu(action, x.periodic_form[1])
-        if drift != 0:
-            return QEstimate(LINE_PLUS if drift > 0 else LINE_MINUS, 0, "drift", depth)
+    drift = reference_mu(action, x.periodic_form[1])
+    if drift != 0:
+        return QEstimate(LINE_PLUS if drift > 0 else LINE_MINUS, 0, "drift", depth)
     pts = reference_orbit(action, x, basepoint, depth)
     point, cert = reference_fold(pts, basepoint)
     return QEstimate(point, cert, "liminf", len(pts))

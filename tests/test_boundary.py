@@ -15,14 +15,13 @@ from rtreelab.boundary import (
 )
 from rtreelab.words import (
     Basis,
-    UnknownSymbolError,
     cyclically_reduced_words,
     invert_word,
     reduce_word,
     reduced_words,
 )
 
-from helpers import reference_prefix
+from helpers import reference_points_equal, reference_prefix
 
 B2 = Basis(2)
 
@@ -59,81 +58,6 @@ def test_every_prefix_is_reduced():
         assert is_reduced(x.prefix(20))
 
 
-def test_from_function_detects_cancellation():
-    bad = BoundaryPoint.from_function(B2, lambda i: "a" if i % 2 == 0 else "A")
-    with pytest.raises(BoundaryFormatError):
-        bad.prefix(2)
-
-
-@pytest.mark.parametrize("output", ["ab", "", None, 1])
-def test_from_function_rejects_outputs_that_are_not_one_letter(output):
-    x = BoundaryPoint.from_function(B2, lambda i: output)
-    for _ in range(2):  # the second call fails the same way
-        with pytest.raises(BoundaryFormatError, match="position 0 is not one letter"):
-            x.prefix(3)
-
-
-def test_prefix_errors_name_the_earliest_faulty_position():
-    # the cancellation at 6 comes in a later call than the letters before it
-    x = BoundaryPoint.from_function(B2, lambda i: "B" if i == 6 else "ab"[i % 2])
-    assert x.prefix(3) == "aba"
-    with pytest.raises(BoundaryFormatError, match="cancellation at position 6$"):
-        x.prefix(8)
-    assert x.prefix(6) == "ababab"
-    # a cancellation against the last cached letter
-    y = BoundaryPoint.from_function(B2, lambda i: "abaA"[i])
-    assert y.prefix(3) == "aba"
-    with pytest.raises(BoundaryFormatError, match="cancellation at position 3$"):
-        y.prefix(4)
-    # an unknown symbol before a cancellation, and after one
-    with pytest.raises(UnknownSymbolError, match="'x'"):
-        BoundaryPoint.from_function(B2, lambda i: "abxzA"[i]).prefix(5)
-    with pytest.raises(BoundaryFormatError, match="cancellation at position 3$"):
-        BoundaryPoint.from_function(B2, lambda i: "abaAx"[i]).prefix(5)
-
-
-def test_prefix_stops_calling_the_generator_at_the_first_fault():
-    # a finite generator: a call past its end would raise IndexError
-    with pytest.raises(BoundaryFormatError, match="cancellation at position 2$"):
-        BoundaryPoint.from_function(B2, lambda i: "abB"[i]).prefix(10)
-    with pytest.raises(BoundaryFormatError, match="position 1 is not one letter"):
-        BoundaryPoint.from_function(B2, lambda i: "a?"[i] * (i + 1)).prefix(10)
-    calls = []
-    x = BoundaryPoint.from_function(B2, lambda i: calls.append(i) or "aA"[i % 2])
-    with pytest.raises(BoundaryFormatError, match="cancellation at position 1$"):
-        x.prefix(50)
-    assert calls == [0, 1]
-
-
-_OUTPUTS = st.sampled_from(["a", "b", "A", "B", "x", "ab", ""])
-
-
-@settings(max_examples=150, deadline=None)
-@given(
-    st.lists(st.sampled_from(["a", "b", "A", "B"]), min_size=1, max_size=40),
-    st.dictionaries(st.integers(0, 39), _OUTPUTS, max_size=3),
-    st.lists(st.integers(0, 45), min_size=1, max_size=5),
-)
-def test_prefix_agrees_with_the_letter_by_letter_reference(letters, faults, requests):
-    """prefix gives every prefix, error type and message that the
-    letter-by-letter reference gives, over repeated and growing requests."""
-
-    def fn(i):
-        return faults.get(i, letters[i % len(letters)])
-
-    x, cache = BoundaryPoint.from_function(B2, fn), [""]
-    for k in requests:
-        try:
-            expected = reference_prefix(B2, fn, cache, k)
-        except ValueError as exc:
-            expected = (type(exc), str(exc))
-        try:
-            got = x.prefix(k)
-        except ValueError as exc:
-            got = (type(exc), str(exc))
-        assert got == expected
-
-
 _PERIODIC_FORMS = st.tuples(
     st.sampled_from([""] + reduced_words(B2, 4)), st.sampled_from(cyclically_reduced_words(B2, 4))
 ).filter(lambda form: not form[0] or form[0][-1] != invert_word(form[1][0]))
@@ -144,16 +68,45 @@ _PERIODIC_FORMS = st.tuples(
 @example(("ab", "ba"), [0, 1, 2, 3, 9, 4, 0, 12, 13])
 @example(("", "aBAb"), [5, 4, 8, 1])
 def test_periodic_prefix_agrees_with_the_letter_by_letter_reference(form, requests):
-    """A periodic point's prefixes, sliced from its form, are the letters a
-    checked generator of the same word gives: at k = 0, inside and past
-    the prefix part, over growing and shrinking requests."""
+    """A periodic point's prefixes, sliced from its form, are the letters
+    the letter-by-letter reference checks one at a time: at k = 0, inside
+    and past the prefix part, over growing and shrinking requests."""
     head, block = form
     x = periodic(head, block)
-    letters = head + block * 31
-    y, cache = BoundaryPoint.from_function(B2, letters.__getitem__), [""]
+    letters, cache = head + block * 31, [""]
     for k in [0, len(head) // 2, len(head), len(head) + 1] + requests:
-        expected = reference_prefix(B2, letters.__getitem__, cache, k)
-        assert x.prefix(k) == y.prefix(k) == expected
+        assert x.prefix(k) == reference_prefix(B2, letters.__getitem__, cache, k)
+
+
+@st.composite
+def _form_pairs(draw):
+    """Two periodic forms: drawn apart, or the second a rewriting of the
+    first's word (its block repeated and some of its letters unrolled into
+    the prefix), so that equal and unequal points both come often."""
+    first = draw(_PERIODIC_FORMS)
+    if draw(st.booleans()):
+        return first, draw(_PERIODIC_FORMS)
+    head, block = first
+    block *= draw(st.integers(1, 3))
+    j = draw(st.integers(0, 2 * len(block)))
+    r = j % len(block)
+    return first, (head + (block * 3)[:j], block[r:] + block[:r])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_form_pairs())
+@example((("ab", "ab"), ("", "ab")))
+@example((("", "abab"), ("", "ab")))
+@example((("a", "ba"), ("", "ab")))
+@example((("b", "ab"), ("", "ab")))
+def test_point_equality_and_hash_agree_with_the_prefix_rule(forms):
+    """Two periodic points are equal exactly when they agree on |p| + |q| +
+    2 lcm(|b|, |c|) letters (forms p;b and q;c), and equal points hash
+    alike."""
+    x, y = periodic(*forms[0]), periodic(*forms[1])
+    equal = reference_points_equal(x, y)
+    assert (x == y) is (y == x) is equal
+    assert hash(x) == hash(y) or not equal
 
 
 def test_parse_and_format_round_trip():
@@ -199,12 +152,6 @@ def test_act_composition_agrees_with_product():
     assert lhs.prefix(20) == rhs.prefix(20)
 
 
-def test_act_on_programmatic_point():
-    x = BoundaryPoint.from_function(B2, lambda i: "a" if i % 2 == 0 else "b")
-    y = act("A", x)
-    assert y.prefix(5) == reduce_word("A" + x.prefix(6))[:5]
-
-
 # -- pairs and flip -------------------------------------------------------------
 
 
@@ -219,13 +166,6 @@ def test_flip_is_involution_and_swaps():
 def test_pair_rejects_equal_periodic_points():
     with pytest.raises(IndistinguishablePointsError):
         BoundaryPair(periodic("", "ab"), periodic("ab", "ab"))
-
-
-def test_pair_distinct_by_depth_for_programmatic():
-    x = BoundaryPoint.from_function(B2, lambda i: "a")
-    y = BoundaryPoint.from_function(B2, lambda i: "a")
-    with pytest.raises(IndistinguishablePointsError):
-        BoundaryPair(x, y, distinct_by=16)
 
 
 def test_act_pair_acts_diagonally():

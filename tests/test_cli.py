@@ -3,8 +3,10 @@ import io
 import json
 import math
 import random
+import shlex
 from fractions import Fraction as Fr
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -396,6 +398,56 @@ def test_qmap_lamination(capsys):
     )
     assert code == 0
     assert "audit: closed" in out
+
+
+def _lamination(capsys, depth, maxlen):
+    code, out, _ = run_cli(
+        capsys, "qmap", "lamination", "--weights", "1,sqrt:2", "--epsilon", "0.9", "--maxlen", str(maxlen),
+        "--depth", str(depth),
+    )
+    lines = out.splitlines()
+    return code, lines, [line.split()[1] for line in lines if line.startswith("pair word=")]
+
+
+def test_qmap_lamination_pairs_do_not_depend_on_the_depth(capsys):
+    """Pairs are told apart exactly, not by their first --depth letters: at
+    depth 1 the ten classes give the same ten pairs, in the same order, as
+    at depth 1000."""
+    _, lines, words = _lamination(capsys, 1, 4)
+    _, _, deep_words = _lamination(capsys, 1000, 4)
+    assert "sample: 10 pairs at depth 1 from 10 classes" in lines
+    assert words == deep_words and len(words) == 10
+
+
+def test_qmap_lamination_reads_at_most_maxlen_letters_per_point(capsys, monkeypatch):
+    """At depth 10**12 each point w^inf of a class reads at most |w| <=
+    maxlen letters: a drifting one none, a zero-drift one one period."""
+    from rtreelab.boundary import BoundaryPoint
+
+    read, letters = [], BoundaryPoint.prefix
+    monkeypatch.setattr(BoundaryPoint, "prefix", lambda self, k: read.append(k) or letters(self, k))
+    code, lines, words = _lamination(capsys, 10**12, 5)
+    monkeypatch.undo()
+    assert code == 0 and lines[-1] == "RESULT: pass" and words
+    assert read and max(read) <= 5
+
+
+def test_the_readme_command_lines_without_input_files_run(capsys):
+    """The README's qmap, blend lengths and blend axioms examples, which
+    read no file, run with the flags as written and give their exits."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    runs = [
+        shlex.split(line, comments=True)[1:]
+        for line in lines
+        if line.startswith(("rtreelab qmap ", "rtreelab blend lengths ", "rtreelab blend axioms "))
+    ]
+    assert [argv[:2] for argv in runs] == [
+        ["qmap", "estimate"], ["qmap", "fibers"], ["qmap", "lamination"], ["qmap", "smallwords"],
+        ["blend", "lengths"], ["blend", "axioms"],
+    ]
+    assert [run_cli(capsys, *argv)[0] for argv in runs] == [0, 1, 0, 0, 0, 0]
 
 
 def test_blend_metric(tmp_path, capsys):

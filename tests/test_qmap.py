@@ -403,7 +403,7 @@ def reduced_words_st(draw, rank, min_size=0, max_size=8):
 @st.composite
 def boundary_specs(draw, rank):
     """("periodic", prefix, block) with drift of either sign or none, or
-    ("random", seed): a non-periodic reduced word from a seeded walk."""
+    ("random", seed): a seeded 300-letter walk before a zero-drift block."""
     if draw(st.booleans()):
         return ("random", draw(st.integers(0, 2**32 - 1)))
     if draw(st.booleans()):
@@ -447,18 +447,21 @@ def boundary_point(basis, spec):
         c = rng.choice(basis.letters)
         if not letters or letters[-1] != invert_letter(c):
             letters.append(c)
-    return BoundaryPoint.from_function(basis, letters.__getitem__)
+    # a rotation of the commutator that does not cancel into the walk: zero
+    # drift, so every depth of 300 or less walks all the drawn letters
+    block = rng.choice([b for b in ("abAB", "bABa", "ABab", "BAba") if b[0] != invert_letter(letters[-1])])
+    return BoundaryPoint.periodic(basis, "".join(letters), block)
 
 
 @st.composite
 def line_cases(draw):
-    """Weights all-int, rational with mixed denominators, negative, or
-    mixed sqrt:/rational (sqrt:8 is 2*sqrt:2, so two radicands may be
+    """Weights all-int, rational with mixed denominators, negative, ints
+    beside Fractions, or mixed sqrt:/rational (sqrt:8 is 2*sqrt:2, so two radicands may be
     dependent); the action's basepoint and an explicit one (None for the
     action's), with denominators not among the weights'; two boundary
     points, a depth, a head and a fiber tolerance."""
     rank = draw(st.integers(2, 3))
-    kind = draw(st.sampled_from(["int", "rational", "negative", "mixed"]))
+    kind = draw(st.sampled_from(["int", "rational", "negative", "int+rational", "mixed"]))
 
     def rational(lo=-12, hi=12):
         return Fr(draw(st.integers(lo, hi)), draw(st.sampled_from(WEIGHT_DENOMINATORS)))
@@ -469,6 +472,10 @@ def line_cases(draw):
         weights = [rational() for _ in range(rank)]
     elif kind == "negative":
         weights = [rational(-12, -1) for _ in range(rank)]
+    elif kind == "int+rational":
+        weights = [rational() for _ in range(rank)]
+        for i in draw(st.sets(st.integers(0, rank - 1), min_size=1, max_size=rank - 1)):
+            weights[i] = draw(st.integers(-6, 6))
     else:
         weights = [rational() for _ in range(rank)]
         for i in draw(st.sets(st.integers(0, rank - 1), min_size=1)):
@@ -531,6 +538,8 @@ def float_twin(action, basepoint):
 @example(([Fr(1, 2), ROOT2], Fr(3, 11), Fr(-5, 17), ("periodic", "a", "abAB"), ("random", 3), 250, 299, 1e-6))
 @example(([Surd.sqrt(3), Fr(2, 9), Fr(-1, 4)], 0, 1, ("random", 11), ("periodic", "", "acAC"), 300, 17, Fr(1, 3)))
 @example(([ROOT2, -Surd.sqrt(8)], 0, None, ("periodic", "", "aab"), ("periodic", "a", "aaB"), 200, None, 0))
+# an int weight beside a Fraction one: mu of a word with no b is a Fraction
+@example(([1, Fr(-2, 3)], 0, None, ("periodic", "aa", "abAB"), ("periodic", "", "a"), 30, None, 0))
 # zero block drift, read through the period: depth below |prefix| + |block|
 @example(([Fr(1, 2), ROOT2], 0, Fr(1, 3), ("periodic", "ab", "abAB"), ("periodic", "", "aBAb"), 5, None, 1e-6))
 # the head inside the prefix, with a part of the block and with all of it
