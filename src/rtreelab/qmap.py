@@ -36,6 +36,7 @@ from .observers import PointSequence, liminf_from
 from .surds import LineCode, Surd, coordinates, sign, value_of
 from .words import (
     Basis,
+    _distances_to,
     _keyed_class_representatives,
     abelianization,
     cyclic_reduce,
@@ -264,14 +265,14 @@ def small_words_search(action: DenseLineAction, epsilon, maxlen: int) -> list[Co
     if maxlen < 1:
         raise ValueError("maxlen must be >= 1")
     # a representative's translation length is |mu| of its letter counts:
-    # one test per key, and None for a key that is not short
-    short, found, records = action.shorter_than(epsilon), {}, []
-    for w, key in _keyed_class_representatives(action.basis, maxlen):
-        if key not in found:
-            vec = abelianization(w, action.basis)
-            found[key] = (abs(action.mu_of_vector(vec)), vec) if short(vec) else None
-        if found[key]:
-            records.append(ConjugacyClassRecord(w, *found[key]))
+    # one test per key of the box, and |mu| once per short key
+    box, distance = _distances_to(action.basis, maxlen, action.shorter_than(epsilon))
+    lengths = {key: abs(action.mu_of_vector(box[key])) for key, d in distance.items() if d == 0}
+    records = [
+        ConjugacyClassRecord(w, lengths[key], box[key])
+        for w, key in _keyed_class_representatives(action.basis, maxlen, distance)
+        if key in lengths
+    ]
     rank = {tl: i for i, tl in enumerate(sorted({r.translation_length for r in records}))}
     # the representatives come in (length, lex) order, and the sort is stable
     return sorted(records, key=lambda r: rank[r.translation_length])
@@ -310,16 +311,19 @@ def dual_lamination_sample(
         w = rec.word
         forward = BoundaryPoint.periodic(action.basis, "", w)
         backward = BoundaryPoint.periodic(action.basis, "", invert_word(w))
-        for pair in (BoundaryPair(forward, backward), BoundaryPair(backward, forward)):
-            if pair in annotations:
-                continue
-            check = q_fiber_check(action, pair.x, pair.y, depth=depth, tol=tol)
-            annotations[pair] = {
-                "word": w,
-                "translation_length": rec.translation_length,
-                "fiber_status": check.status,
-                "fiber_residual": check.residual,
-            }
+        pair = BoundaryPair(forward, backward)
+        # a power or the inverse of a class met before adds nothing
+        if pair in annotations:
+            continue
+        # the flip's check swaps the two estimates, and status and residual
+        # are symmetric: each point is estimated once
+        check = q_fiber_check(action, forward, backward, depth=depth, tol=tol)
+        annotations[pair] = annotations[BoundaryPair(backward, forward)] = {
+            "word": w,
+            "translation_length": rec.translation_length,
+            "fiber_status": check.status,
+            "fiber_residual": check.residual,
+        }
     return LaminationSample(
         tuple(annotations),
         depth,

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import sub
+from operator import mul, sub
 
 _ALPHABET = "abcdefghijklmnopqrstuvwxyz"
 _INV = {c: c.upper() for c in _ALPHABET} | {c.upper(): c for c in _ALPHABET}
@@ -155,19 +155,43 @@ def _keyed_cyclic_words(basis: Basis, maxlen: int):
     return ((w, key) for w, key in _keyed_reduced_words(basis, maxlen) if w[0] != _INV[w[-1]])
 
 
-def _keyed_class_representatives(basis: Basis, maxlen: int):
+def _keyed_class_representatives(basis: Basis, maxlen: int, distance: dict[int, int]):
     """The least rotation of every cyclically reduced word of length
-    1..maxlen and its key, by (length, lex).  Necklace generation
+    1..maxlen and its key, by (length, lex), pruned by ``distance`` (see
+    :func:`_distances_to`).  Necklace generation
     (Fredricksen-Kessler-Maiorana; Duval 1988): a prenecklace w carries the
     length p of its longest Lyndon prefix, grows by letters c >= w[-p], and
-    is a necklace when p divides len(w)."""
+    is a necklace when p divides len(w).  A prenecklace of length n is kept
+    only while its key's distance is at most maxlen - n, the letters it may
+    still gain: no cut subtree holds a key at distance 0, and the rest keep
+    their order and Lyndon-prefix lengths.  An empty ``distance`` keeps none."""
     steps, after = _steps(basis, maxlen), basis.followers
-    level = [(c, 1, steps[c]) for c in after]
+    level = [(c, 1, steps[c]) for c in after if distance.get(steps[c], maxlen) < maxlen]
     for n in range(1, maxlen + 1):
         yield from ((w, key) for w, p, key in level if n % p == 0 and w[0] != _INV[w[-1]])
         if n < maxlen:
-            grow = ((w, p, key, c) for w, p, key in level for c in after[w[-1]] if c >= w[-p])
-            level = [(w + c, n + 1 if c > w[-p] else p, key + steps[c]) for w, p, key, c in grow]
+            grow = ((w, p, key + steps[c], c) for w, p, key in level for c in after[w[-1]] if c >= w[-p])
+            level = [(w + c, n + 1 if c > w[-p] else p, key) for w, p, key, c in grow if distance[key] < maxlen - n]
+
+
+def _distances_to(basis: Basis, maxlen: int, near) -> tuple[dict, dict[int, int]]:
+    """The box of vectors |v|_1 <= maxlen by key (see :func:`_steps`), and
+    each key's L1 distance to the nearest box vector that ``near`` holds for
+    (empty when there is none), by breadth-first search over letter steps
+    inside the box.  In an L1 ball the steps that shrink coordinates, then
+    those that grow them, stay inside, so the two distances agree; a step
+    out of the box lands on no box key."""
+    steps = _steps(basis, maxlen)
+    powers = [steps[s] for s in basis.symbols]
+    box = {sum(map(mul, vec, powers)): vec for vec in enumerate_integer_vectors(basis.rank, maxlen)}
+    queue = [key for key, vec in box.items() if near(vec)]
+    distance = dict.fromkeys(queue, 0)
+    for key in queue:  # a list grown while it is read: the search's queue
+        for step in steps.values():
+            if key + step in box and key + step not in distance:
+                distance[key + step] = distance[key] + 1
+                queue.append(key + step)
+    return box, distance
 
 
 def reduced_words(basis: Basis, maxlen: int) -> list[str]:

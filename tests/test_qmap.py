@@ -307,6 +307,25 @@ def test_dual_lamination_flip_closed_and_audit_passes(irr_action):
     assert sample.audit().closed
 
 
+@pytest.mark.parametrize("weights,epsilon,maxlen", [("1,sqrt:2", Fr(1, 5), 5), ("1,sqrt:2", Fr(9, 10), 4), ("2,3", 2, 4)])
+def test_dual_lamination_estimates_each_point_once(monkeypatch, weights, epsilon, maxlen):
+    """One qmap_estimate per distinct point, and every pair's annotation,
+    the flip's included, is what its own fiber check gives."""
+    import rtreelab.qmap as qmap
+
+    action = line_action_from_weights(weights.split(","))
+    calls, estimate = [], qmap.qmap_estimate
+    monkeypatch.setattr(qmap, "qmap_estimate", lambda a, x, **kw: calls.append(x) or estimate(a, x, **kw))
+    sample = dual_lamination_sample(action, epsilon, maxlen, depth=600)
+    monkeypatch.undo()
+    points = {p for pair in sample.pairs for p in (pair.x, pair.y)}
+    assert sample.pairs and len(calls) == len(points) and set(calls) == points
+    for pair in sample.pairs:
+        check = q_fiber_check(action, pair.x, pair.y, depth=600)
+        note = sample.annotations[pair]
+        assert (note["fiber_status"], note["fiber_residual"]) == (check.status, check.residual)
+
+
 # -- parsing ---------------------------------------------------------------------------
 
 
@@ -371,11 +390,13 @@ def test_act_then_estimate_consistency(irr_action):
     assert abs(est.point - 2 * SQRT2) < 1e-9
 
 
-@pytest.mark.parametrize("weights", ["1,2", "1,sqrt:2", "2,3,5", "1,sqrt:3,1/2"])
+@pytest.mark.parametrize("weights", ["1,2", "1,sqrt:2", "2,3,5", "1,sqrt:3,1/2", "1,sqrt:2,sqrt:3"])
 def test_small_words_search_agrees_with_the_slow_reference(weights):
+    """The epsilons include ones that cut most of the necklace tree (0 cuts
+    all of it) and a float taken at its binary value."""
     action = line_action_from_weights(weights.split(","))
     for maxlen in range(1, 7):
-        for epsilon in (1.5, math.inf):
+        for epsilon in (0, 1e-6, Fr(1, 5), 0.3, 1.5, math.inf):
             got = small_words_search(action, epsilon, maxlen)
             expected = reference_small_words(action, epsilon, maxlen)
             assert got == expected

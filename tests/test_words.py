@@ -1,12 +1,16 @@
+import itertools
+import math
 import random
+from fractions import Fraction as Fr
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from helpers import canonical_rotation, commutator, reference_reduced_words
-from rtreelab.qmap import DenseLineAction
+from rtreelab.qmap import DenseLineAction, line_action_from_weights
 from rtreelab.words import (
     Basis,
+    _distances_to,
     _keyed_class_representatives,
     _keyed_reduced_words,
     UnknownSymbolError,
@@ -137,13 +141,50 @@ def test_reduced_words_is_the_sorted_nested_loop(case):
     assert reduced_words(basis, maxlen) == reference_reduced_words(basis, maxlen)
 
 
+def every_class(basis, maxlen):
+    """Every class representative and its key: no prenecklace is pruned
+    when every key of the box is at distance 0."""
+    return _keyed_class_representatives(basis, maxlen, _distances_to(basis, maxlen, lambda vec: True)[1])
+
+
 @given(bases_and_lengths())
 def test_class_representatives_are_the_least_rotations(case):
     basis, maxlen = case
     classes = {
         canonical_rotation(w) for w in reduced_words(basis, maxlen) if is_cyclically_reduced(w)
     }
-    assert [w for w, _ in _keyed_class_representatives(basis, maxlen)] == sorted(classes, key=lambda w: (len(w), w))
+    assert [w for w, _ in every_class(basis, maxlen)] == sorted(classes, key=lambda w: (len(w), w))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(2, 3),
+    st.integers(1, 6),
+    st.sampled_from(["1,2,3", "1,sqrt:2,1/3", "sqrt:2,sqrt:3,sqrt:5", "3,-5,7/2"]),
+    st.sampled_from([0, 1e-6, Fr(1, 5), 0.3, Fr(3, 2), 4, math.inf]),
+)
+@example(2, 6, "1,sqrt:2,1/3", Fr(1, 5))
+@example(3, 6, "sqrt:2,sqrt:3,sqrt:5", 0.3)
+@example(2, 3, "1,2,3", 0)
+def test_key_distances_are_the_least_l1_distances_to_a_short_vector(rank, maxlen, weights, epsilon):
+    """Over the box |v|_1 <= maxlen, built here from the product of the
+    coordinate ranges, each key's distance is the brute-force minimum of
+    |v - s|_1 over the short vectors s of the box."""
+    action = line_action_from_weights(weights.split(",")[:rank])
+    short = action.shorter_than(epsilon)
+    base = 2 * maxlen + 1
+    box = {
+        sum(n * base**k for k, n in enumerate(vec)): vec
+        for vec in itertools.product(range(-maxlen, maxlen + 1), repeat=rank)
+        if sum(map(abs, vec)) <= maxlen
+    }
+    targets = [vec for vec in box.values() if short(vec)]
+    expected = {
+        key: min(sum(abs(n - m) for n, m in zip(vec, s)) for s in targets) for key, vec in box.items()
+    } if targets else {}
+    got_box, distance = _distances_to(action.basis, maxlen, short)
+    assert got_box == box
+    assert distance == expected
 
 
 @settings(max_examples=30, deadline=None)
@@ -155,7 +196,7 @@ def test_two_words_share_a_key_exactly_when_their_abelianizations_agree(rank, ma
     other.  The words include each generator's powers, whose letter count
     reaches +-maxlen, and words such as A^(maxlen-1)b beside them."""
     basis = Basis(rank)
-    for keyed in (_keyed_reduced_words, _keyed_class_representatives):
+    for keyed in (_keyed_reduced_words, every_class):
         by_key, by_vector = {}, {}
         for w, key in keyed(basis, maxlen):
             vector = abelianization(w, basis)
