@@ -25,6 +25,7 @@ from .tree import Location, MetricTree, Num, _exact
 from .words import (
     Basis,
     abelianization,
+    enumerate_integer_vectors,
     invert_word,
     reduce_word,
     reduced_product,
@@ -398,35 +399,17 @@ def blend_length_functions(lf0: LengthFunction, lf1: LengthFunction, lam: Num) -
     return _set_rule(blend, state, product, length, class_function, unit, pair, norm if normed else None)
 
 
-def affine_deviation(
-    lf0: LengthFunction,
-    lf1: LengthFunction,
-    lf_blend: LengthFunction,
-    lam: Num,
-    words: Iterable[str],
-) -> tuple[Num, str | None]:
-    """The largest |lf_blend(w) - (lam*lf1(w) + (1-lam)*lf0(w))| over the
-    words, and the largest word (in string order) attaining it; None when
-    there are no words.  The deviation is Fraction(0) when every word's is
-    0, else the value at the first word attaining the maximum.
-
-    lam is taken exactly (a float at its binary value), and so is every
-    value.  For lam = p/q and values x0, x1, xb the deviation is
-    |q*xb - p*x1 - (q-p)*x0| / q, held as a numerator over a denominator:
-    a rational value is its integer ratio over its function's unit, a
-    Surd its own numerator.  A Fraction is made only for the result.
-    """
-    lam = Fraction(lam)
-    p, q = lam.numerator, lam.denominator
+def _worst_deviation(lam: Num, u0: int, u1: int, ub: int, rows) -> tuple[Num, list]:
+    """The largest |xb - (lam*x1 + (1-lam)*x0)| over ``rows`` (item, x0, x1,
+    xb), each x over its unit u, and the items attaining it, all exact (a
+    float at its binary value).  For lam = p/q it is |q*xb - p*x1 -
+    (q-p)*x0| / q, a numerator over a denominator until the result: a
+    rational value is its integer ratio over its unit, a Surd its own."""
+    p, q = Fraction(lam).as_integer_ratio()
     r = q - p
-    s0, l0, u0 = lf0.state, lf0.length, lf0.unit
-    s1, l1, u1 = lf1.state, lf1.length, lf1.unit
-    sb, lb, ub = lf_blend.state, lf_blend.length, lf_blend.unit
     # the worst deviation so far is worst_n / worst_d
-    worst_n, worst_d, worst_word = 0, 1, None
-    for w in words:
-        a0 = s0(w)
-        x0, x1, xb = l0(a0), l1(a0 if s1 is s0 else s1(w)), lb(a0 if sb is s0 else sb(w))
+    worst_n, worst_d, tied = 0, 1, []
+    for item, x0, x1, xb in rows:
         if Surd in (type(x0), type(x1), type(xb)):
             n0, d0, n1, d1, nb, db = x0, u0, x1, u1, xb, ub
         else:
@@ -437,21 +420,44 @@ def affine_deviation(
         d = q * d0 * d1 * db
         above, below = n * worst_d, worst_n * d
         if above > below:
-            worst_n, worst_d, worst_word = n, d, w
-        elif above == below and (worst_word is None or w > worst_word):
-            worst_word = w
-    return _over(worst_n, worst_d), worst_word
+            worst_n, worst_d, tied = n, d, [item]
+        elif above == below:
+            tied.append(item)
+    return _over(worst_n, worst_d), tied
+
+
+def affine_deviation(
+    lf0: LengthFunction, lf1: LengthFunction, lf_blend: LengthFunction, lam: Num, words: Iterable[str]
+) -> tuple[Num, str | None]:
+    """The largest |lf_blend(w) - (lam*lf1(w) + (1-lam)*lf0(w))| over the
+    words, exactly (see :func:`_worst_deviation`), and the largest word (in
+    string order) attaining it; None when there are no words."""
+    s0, s1, sb = lf0.state, lf1.state, lf_blend.state
+    l0, l1, lb = lf0.length, lf1.length, lf_blend.length
+    rows = ((w, l0(a := s0(w)), l1(a if s1 is s0 else s1(w)), lb(a if sb is s0 else sb(w))) for w in words)
+    deviation, tied = _worst_deviation(lam, lf0.unit, lf1.unit, lf_blend.unit, rows)
+    return deviation, max(tied, default=None)
+
+
+def _line_blend_deviation(lf0, lf1, lf_blend, lam: Num, basis: Basis, maxlen: int) -> tuple[int, Num, set]:
+    """The number of cyclically reduced words of length 1..maxlen, their
+    :func:`affine_deviation` for line actions, and the set of states v (the
+    abelianizations) attaining it, over |v|_1 <= maxlen.  The words have
+    each such v but 0 below maxlen 4 (abAB); v = 0 deviates by 0 and has no
+    shorter word, so it moves neither the maximum nor the largest tied word.
+    Rank k has (2k-1)^n + 1 + (k-1)(1 + (-1)^n) words of length n: the trace
+    of the n-th power of the letter-follower matrix."""
+    k = basis.rank
+    count = sum((2 * k - 1) ** n + 1 + (k - 1) * (1 + (-1) ** n) for n in range(1, maxlen + 1))
+    rows = ((v, lf0.length(v), lf1.length(v), lf_blend.length(v)) for v in enumerate_integer_vectors(k, maxlen))
+    deviation, tied = _worst_deviation(lam, lf0.unit, lf1.unit, lf_blend.unit, rows)
+    return count, deviation, set(tied)
 
 
 def convex_combination_length_check(
-    lf0: LengthFunction,
-    lf1: LengthFunction,
-    lf_blend: LengthFunction,
-    lam: Num,
-    words: Iterable[str],
+    lf0: LengthFunction, lf1: LengthFunction, lf_blend: LengthFunction, lam: Num, words: Iterable[str]
 ) -> Num:
-    """Max over the words of |lf_blend(w) - (lam*lf1(w) + (1-lam)*lf0(w))|,
-    with lam taken exactly (a float at its binary value)."""
+    """The deviation alone of :func:`affine_deviation`."""
     return affine_deviation(lf0, lf1, lf_blend, lam, words)[0]
 
 

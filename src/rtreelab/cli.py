@@ -19,6 +19,7 @@ from . import formats
 from .blend import (
     REALIZED,
     CompatibleMetricPair,
+    _line_blend_deviation,
     affine_deviation,
     blend_metric,
     certify_rtree,
@@ -46,7 +47,7 @@ from .qmap import (
     qmap_estimate,
     small_words_search,
 )
-from .words import Basis, _keyed_cyclic_words
+from .words import Basis, _largest_cyclic_word
 
 PASS, FAIL, INCONCLUSIVE, PARSE_ERROR, BAD_PARAMS = 0, 1, 2, 64, 65
 
@@ -500,8 +501,7 @@ def run_blend_lengths(args, out) -> int:
     if args.weights0 and args.weights1:
         a0, a1 = (line_action_from_weights(t.split(",")) for t in (args.weights0, args.weights1))
         if a0.basis != a1.basis:
-            n0, n1 = a0.basis.rank, a1.basis.rank
-            raise ParameterError(f"--weights0 has {n0} weights but --weights1 has {n1}")
+            raise ParameterError(f"--weights0 has {a0.basis.rank} weights but --weights1 has {a1.basis.rank}")
         blend_action = DenseLineAction(
             {s: lam * a1.weights[s] + (1 - lam) * a0.weights[s] for s in a0.basis.symbols},
             a0.basis,
@@ -509,13 +509,8 @@ def run_blend_lengths(args, out) -> int:
         lf0, lf1, lfb = map(length_function_from_line_action, (a0, a1, blend_action))
         if args.maxlen < 1:
             raise ParameterError("maxlen must be >= 1")
-        # the lengths are functions of the letter counts: the largest word
-        # per key gives the deviation and word of a scan of every word
-        largest: dict[int, str] = {}
-        for checked, (w, key) in enumerate(_keyed_cyclic_words(a0.basis, args.maxlen), 1):
-            if w > largest.get(key, ""):
-                largest[key] = w
-        words = list(largest.values())
+        checked, deviation, tied = _line_blend_deviation(lf0, lf1, lfb, lam, a0.basis, args.maxlen)
+        worst_word = _largest_cyclic_word(a0.basis, args.maxlen, tied) if deviation > tol else None
     elif args.table0 and args.table1 and args.tableb:
         t0 = formats.parse_length_table(_read(args.table0))
         t1 = formats.parse_length_table(_read(args.table1))
@@ -525,9 +520,9 @@ def run_blend_lengths(args, out) -> int:
             raise ParameterError("length tables share no words")
         checked = len(words)
         lf0, lf1, lfb = map(length_function_from_table, (t0, t1, tb))
+        deviation, worst_word = affine_deviation(lf0, lf1, lfb, lam, words)
     else:
         raise ParameterError("need --weights0/--weights1 or --table0/--table1/--tableb")
-    deviation, worst_word = affine_deviation(lf0, lf1, lfb, lam, words)
     out.append(f"words checked: {checked}")
     out.append(f"max deviation: {format_number(deviation)}")
     if deviation <= tol:

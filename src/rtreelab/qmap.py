@@ -287,13 +287,9 @@ def min_positive_translation(action: DenseLineAction, maxlen: int):
     cyclically reduced word of that length, so the lattice enumeration is
     an exact reformulation of the word search.
     """
-    best = None
-    for vec in enumerate_integer_vectors(action.basis.rank, maxlen):
-        if all(n == 0 for n in vec):
-            continue
-        value = abs(action.mu_of_vector(vec))
-        if best is None or value < best[0]:
-            best = (value, vec)
+    nonzero = (vec for vec in enumerate_integer_vectors(action.basis.rank, maxlen) if any(vec))
+    # the first least value, in enumeration order
+    best = min(((abs(action.mu_of_vector(vec)), vec) for vec in nonzero), key=lambda pair: pair[0], default=None)
     if best is None:
         raise ValueError("maxlen admits no nonzero vector")
     value, vec = best

@@ -134,27 +134,6 @@ def _steps(basis: Basis, maxlen: int) -> dict[str, int]:
     return steps | {s.upper(): -step for s, step in steps.items()}
 
 
-def _keyed_reduced_words(basis: Basis, maxlen: int, keyed: bool = True):
-    """Every reduced word of length 1..maxlen and, if ``keyed``, its key, by (length, lex)."""
-    steps = _steps(basis, maxlen)
-    # the empty word is followed by every letter
-    after = {x: [(c, steps[c]) for c in cs] for x, cs in ({"": sorted(steps)} | basis.followers).items()}
-    level = [("", 0)] if keyed else [""]
-    for n in range(maxlen):
-        # a sorted level extended in sorted order is sorted; the last one streams
-        if keyed:
-            grown = ((w + c, key + s) for w, key in level for c, s in after[w[-1:]])
-        else:
-            grown = (w + c for w in level for c, _ in after[w[-1:]])
-        level = grown if n == maxlen - 1 else list(grown)
-        yield from level
-
-
-def _keyed_cyclic_words(basis: Basis, maxlen: int):
-    # the words are reduced, so only the two end letters can cancel
-    return ((w, key) for w, key in _keyed_reduced_words(basis, maxlen) if w[0] != _INV[w[-1]])
-
-
 def _keyed_class_representatives(basis: Basis, maxlen: int, distance: dict[int, int]):
     """The least rotation of every cyclically reduced word of length
     1..maxlen and its key, by (length, lex), pruned by ``distance`` (see
@@ -196,29 +175,53 @@ def _distances_to(basis: Basis, maxlen: int, near) -> tuple[dict, dict[int, int]
 
 def reduced_words(basis: Basis, maxlen: int) -> list[str]:
     """All reduced words of length 1..maxlen, ordered by (length, lex)."""
-    return list(_keyed_reduced_words(basis, maxlen, keyed=False))
+    # the empty word is followed by every letter; a sorted level extended in sorted order is sorted
+    after = {"": sorted(basis.letters)} | basis.followers
+    words, level = [], [""]
+    for _ in range(maxlen):
+        level = [w + c for w in level for c in after[w[-1:]]]
+        words += level
+    return words
 
 
 def cyclically_reduced_words(basis: Basis, maxlen: int) -> list[str]:
-    return [w for w, _ in _keyed_cyclic_words(basis, maxlen)]
+    # the words are reduced, so only the two end letters can cancel
+    return [w for w in reduced_words(basis, maxlen) if w[0] != _INV[w[-1]]]
+
+
+def _largest_cyclic_word(basis: Basis, maxlen: int, vectors) -> str | None:
+    """The string-largest cyclically reduced word of length 1..maxlen whose
+    abelianization is in ``vectors``, or None: a depth-first walk, largest
+    letter first and a prefix's extensions (which sort above it) before the
+    prefix, that keeps a prefix of length n only while its key's distance to
+    ``vectors`` (see :func:`_distances_to`) is at most maxlen - n."""
+    steps, letters = _steps(basis, maxlen), sorted(basis.letters, reverse=True)
+    distance = _distances_to(basis, maxlen, vectors.__contains__)[1]
+    # each entry is a prefix, its key and the letters it has yet to try
+    stack = [("", 0, iter(letters))]
+    while stack:
+        w, key, todo = stack[-1]
+        for c in todo:
+            if c != _INV.get(w[-1:]) and distance.get(key + steps[c], maxlen) < maxlen - len(w):
+                stack.append((w + c, key + steps[c], iter(letters)))
+                break
+        else:
+            stack.pop()
+            if w and distance[key] == 0 and w[0] != _INV[w[-1]]:
+                return w
+    return None
 
 
 def enumerate_integer_vectors(rank: int, total: int):
-    """All integer vectors with |n_1| + ... + |n_rank| <= total."""
-    if rank == 0:
-        yield ()
-        return
-    for head in range(-total, total + 1):
-        for rest in enumerate_integer_vectors(rank - 1, total - abs(head)):
-            yield (head,) + rest
+    """All integer vectors with |n_1| + ... + |n_rank| <= total, in lex order."""
+    # partial vectors carry the total they have left; the last coordinate streams
+    rows = [((), total)]
+    for _ in range(rank - 1):
+        rows = [(vec + (n,), left - abs(n)) for vec, left in rows for n in range(-left, left + 1)]
+    return (vec + (n,) for vec, left in rows for n in range(-left, left + 1)) if rank else iter([()])
 
 
 def word_from_vector(vector: tuple[int, ...], basis: Basis) -> str:
     """A cyclically reduced word realizing the given abelianization."""
-    parts = []
-    for n, s in zip(vector, basis.symbols):
-        if n > 0:
-            parts.append(s * n)
-        elif n < 0:
-            parts.append(s.upper() * (-n))
-    return "".join(parts)
+    # a string times a count below 1 is empty
+    return "".join(s * n + s.upper() * -n for n, s in zip(vector, basis.symbols))

@@ -689,27 +689,60 @@ def test_blend_lengths_failing_report_bytes(case, capsys):
 BLEND_WEIGHTS = ["1", "3", "1/2", "-2", "-7/3", "sqrt:2", "sqrt:12"]
 
 
+def blend_weights_and_maxlen():
+    """Two weight lists of one rank, and a maxlen of 1-7 in rank 2, 1-5 in rank 3."""
+    return st.integers(2, 3).flatmap(lambda n: st.tuples(
+        st.tuples(*[st.lists(st.sampled_from(BLEND_WEIGHTS), min_size=n, max_size=n)] * 2),
+        st.integers(1, 7 if n == 2 else 5),
+    ))
+
+
 @settings(max_examples=40, deadline=None)
-@given(
-    st.integers(2, 3).flatmap(lambda n: st.tuples(*[st.lists(st.sampled_from(BLEND_WEIGHTS), min_size=n, max_size=n)] * 2)),
-    st.sampled_from(["0", "1/2", "3/10", "1"]),
-    st.integers(1, 4),
-)
+@given(blend_weights_and_maxlen(), st.sampled_from(["0", "1/2", "3/10", "1"]), st.sampled_from(["0", "-1", "1/2"]))
 # ties: with -w0 every key of the largest |mu0| attains the deviation, and
 # with 2*w0 every word attains 0 (shown through a negative tol)
-@example((["1", "1"], ["-1", "-1"]), "3/10", 4)
-@example((["1", "3", "1/2"], ["2", "6", "1"]), "3/10", 3)
-@example((["1", "sqrt:2"], ["2", "3"]), "1/3", 4)
-@example((["1", "3"], ["2", "-5"]), "3/10", 5)
-def test_blend_lengths_reports_as_the_per_word_reference(weights, lam, maxlen):
+@example(((["1", "1"], ["-1", "-1"]), 4), "3/10", "0")
+@example(((["1", "3", "1/2"], ["2", "6", "1"]), 3), "3/10", "-1")
+@example(((["1", "sqrt:2"], ["2", "3"]), 4), "1/3", "0")
+@example(((["1", "3"], ["2", "-5"]), 5), "3/10", "0")
+# a zero weight
+@example(((["0", "1"], ["2", "-5"]), 7), "3/10", "0")
+# lambda 0 and 1 blend to lf0 and lf1: every word attains 0
+@example(((["1", "3"], ["2", "-5"]), 6), "0", "-1")
+@example(((["1", "sqrt:2", "-2"], ["2", "-5", "1/2"]), 5), "1", "0")
+# a negative tol: every word of rank-3 sqrt weights attains 0 and fails
+@example(((["sqrt:2", "1", "sqrt:12"], ["sqrt:2", "1", "sqrt:12"]), 5), "1/2", "-1")
+# witnesses shorter than maxlen: the tied key (-3, 2) has odd length
+# (bbAAA at maxlen 6), and bbbAB, the one length-5 word of key (-1, 2)
+# after bb, ends in the inverse of its first letter (bbA at maxlen 5)
+@example(((["1", "1"], ["1", "3"]), 6), "3/10", "0")
+@example(((["3", "1"], ["sqrt:2", "1"]), 5), "1/2", "0")
+def test_blend_lengths_reports_as_the_per_word_reference(case, lam, tol):
+    (weights, maxlen) = case
     w0, w1 = (",".join(w) for w in weights)
-    tol = "-1" if w0 == "1,3,1/2" else "0"
     argv = ["blend", "lengths", f"--weights0={w0}", f"--weights1={w1}", "--lambda", lam, "--maxlen", str(maxlen)]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main([*argv, "--tol", tol])
+        code = main([*argv, f"--tol={tol}"])
     expected = helpers.reference_blend_lengths(w0, w1, Fr(lam), maxlen, Fr(tol))
     assert (code, out.getvalue().splitlines()[2:], err.getvalue()) == (*expected, "")
+
+
+def test_blend_lengths_at_maxlen_24_counts_by_the_closed_form_and_replays(capsys, tmp_path):
+    """At maxlen 24 the report counts the (2k-1)^n + 1 + (k-1)(1 + (-1)^n)
+    cyclically reduced words of each length n (4.2 * 10**11 of them) and
+    its witness b^24 replays."""
+    code, out, _ = run_cli(
+        capsys, "blend", "lengths", "--weights0", "1,3", "--weights1", "2,-5", "--lambda", "3/10", "--maxlen", "24"
+    )
+    count = sum(3**n + 1 + (1 + (-1) ** n) for n in range(1, 25))
+    assert (code, count) == (1, 423644304768)
+    assert f"words checked: {count}\n" in out
+    assert "(word " + "b" * 24 + ")" in out
+    report = tmp_path / "report.txt"
+    report.write_text(out)
+    code, replayed, _ = run_cli(capsys, "replay", str(report))
+    assert code == 0 and "NOT CONFIRMED" not in replayed
 
 
 def test_action_file_input(tmp_path, capsys):

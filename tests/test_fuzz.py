@@ -197,17 +197,21 @@ def _assert_witnesses_replay(out: str) -> None:
     _NUMBERS,
     st.integers(1, 4),
     st.one_of(st.integers(1, 400), st.just(10**12)),
+    st.integers(1, 12),
+    _NUMBERS,
 )
-@example("estimate", "1,sqrt:2", "1,1", "ab;abAB", ";a", "1/3", 1, 10**12)
-@example("fibers", "1,sqrt:2,sqrt:3", "1,1", ";abAB", "aa;bABa", "1e-6", 1, 10**12)  # a witness
-@example("lamination", "1,sqrt:2", "1,1", ";a", ";b", "1/3", 4, 10**12)
+@example("estimate", "1,sqrt:2", "1,1", "ab;abAB", ";a", "1/3", 1, 10**12, 1, "0")
+@example("fibers", "1,sqrt:2,sqrt:3", "1,1", ";abAB", "aa;bABa", "1e-6", 1, 10**12, 1, "0")  # a witness
+@example("lamination", "1,sqrt:2", "1,1", ";a", ";b", "1/3", 4, 10**12, 1, "0")
+@example("lengths", "1,sqrt:2,sqrt:3", "1,sqrt:2,sqrt:3", ";a", ";b", "1/2", 1, 1, 12, "-2")  # every word fails
 def test_line_action_commands_exit_cleanly_and_their_witnesses_replay(
-    command, weights, weights1, x, y, number, maxlen, depth
+    command, weights, weights1, x, y, number, maxlen, depth, lengths_maxlen, tol
 ):
     """Any sqrt:/rational weight list and boundary word gives a documented
     exit code and no traceback, and every printed WITNESS replays; estimate,
     fibers and lamination also run at depth 10**12, where a zero-drift word
-    reads one period and a drifting one reads none."""
+    reads one period and a drifting one reads none, and blend lengths up to
+    maxlen 12, whose vector walk never lists the words."""
     if command == "estimate":
         argv = ["qmap", "estimate", f"--weights={weights}", f"--word={x}", f"--basepoint={number}",
                 "--depth", str(depth)]
@@ -221,7 +225,7 @@ def test_line_action_commands_exit_cleanly_and_their_witnesses_replay(
         argv = ["qmap", "smallwords", f"--weights={weights}", f"--epsilon={number}", "--maxlen", str(maxlen)]
     else:
         argv = ["blend", "lengths", f"--weights0={weights}", f"--weights1={weights1}",
-                f"--lambda={number}", "--maxlen", str(maxlen)]
+                f"--lambda={number}", "--maxlen", str(lengths_maxlen), f"--tol={tol}"]
     code, out = _run(argv)
     assert code in _EXIT_CODES
     _assert_witnesses_replay(out)

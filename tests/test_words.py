@@ -12,11 +12,12 @@ from rtreelab.words import (
     Basis,
     _distances_to,
     _keyed_class_representatives,
-    _keyed_reduced_words,
+    _largest_cyclic_word,
     UnknownSymbolError,
     abelianization,
     cyclic_reduce,
     cyclically_reduced_words,
+    enumerate_integer_vectors,
     invert_word,
     is_cyclically_reduced,
     is_reduced,
@@ -114,6 +115,13 @@ def test_word_from_vector_realizes_vector_cyclically_reduced():
         assert len(w) == abs(vec[0]) + abs(vec[1])
 
 
+@pytest.mark.parametrize("rank", [0, 1, 2, 3, 4])
+def test_integer_vectors_are_the_filtered_product_in_lex_order(rank):
+    for total in range(6):
+        cube = itertools.product(range(-total, total + 1), repeat=rank)
+        assert list(enumerate_integer_vectors(rank, total)) == [vec for vec in cube if sum(map(abs, vec)) <= total]
+
+
 def test_reduced_word_enumeration_counts():
     # rank 2: 4 words of length 1, then each extends by 3 letters
     words1 = reduced_words(B2, 1)
@@ -192,19 +200,49 @@ def test_key_distances_are_the_least_l1_distances_to_a_short_vector(rank, maxlen
 @example(4, 6)
 @example(2, 1)
 def test_two_words_share_a_key_exactly_when_their_abelianizations_agree(rank, maxlen):
-    """Over every enumerated word, key and abelianization determine each
-    other.  The words include each generator's powers, whose letter count
-    reaches +-maxlen, and words such as A^(maxlen-1)b beside them."""
+    """Over every class representative, key and abelianization determine
+    each other.  The words include each generator's powers, whose letter
+    count reaches +-maxlen, and words such as A^(maxlen-1)b beside them."""
     basis = Basis(rank)
-    for keyed in (_keyed_reduced_words, every_class):
-        by_key, by_vector = {}, {}
-        for w, key in keyed(basis, maxlen):
-            vector = abelianization(w, basis)
-            assert by_key.setdefault(key, vector) == vector, (w, key)
-            assert by_vector.setdefault(vector, key) == key, (w, vector)
-        extremes = {tuple(n * (i == k) for i in range(rank)) for k in range(rank) for n in (maxlen, -maxlen)}
-        assert extremes <= by_vector.keys()
-        assert (1 - maxlen, 1) + (0,) * (rank - 2) in by_vector
+    by_key, by_vector = {}, {}
+    for w, key in every_class(basis, maxlen):
+        vector = abelianization(w, basis)
+        assert by_key.setdefault(key, vector) == vector, (w, key)
+        assert by_vector.setdefault(vector, key) == key, (w, vector)
+    extremes = {tuple(n * (i == k) for i in range(rank)) for k in range(rank) for n in (maxlen, -maxlen)}
+    assert extremes <= by_vector.keys()
+    assert (1 - maxlen, 1) + (0,) * (rank - 2) in by_vector
+
+
+@st.composite
+def tied_vector_sets(draw):
+    """A rank of 2-3, a maxlen of 1-6 and a set of vectors of the box
+    |v|_1 <= maxlen: empty, a few, or most of the box."""
+    rank, maxlen = draw(st.integers(2, 3)), draw(st.integers(1, 6))
+    box = sorted(enumerate_integer_vectors(rank, maxlen))
+    size = draw(st.sampled_from([0, 1, 2, 5, len(box) // 2, len(box)]))
+    return rank, maxlen, set(draw(st.lists(st.sampled_from(box), min_size=size, max_size=size)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(tied_vector_sets())
+# the zero vector alone: abAB-type words exist from maxlen 4 on, none below
+@example((2, 3, {(0, 0)}))
+@example((2, 6, {(0, 0)}))
+# dead ends after bb: key (0, -1) at maxlen 5 needs BBB, which cannot follow b,
+# and key (1, 0) at maxlen 6 reaches bbaBB, which ends in the inverse of b
+@example((2, 5, {(0, -1)}))
+@example((2, 6, {(1, 0)}))
+@example((3, 6, {(1, -2, 1), (0, 0, 6)}))
+@example((3, 2, set()))
+def test_largest_cyclic_word_is_the_largest_enumerated_word_of_a_tied_vector(case):
+    """The witness search returns the string-largest cyclically reduced word
+    of length 1..maxlen whose abelianization lies in the set, as the filter
+    over the enumeration finds it, and None when no such word exists."""
+    rank, maxlen, tied = case
+    basis = Basis(rank)
+    words = (w for w in cyclically_reduced_words(basis, maxlen) if abelianization(w, basis) in tied)
+    assert _largest_cyclic_word(basis, maxlen, tied) == max(words, default=None)
 
 
 def test_cyclically_reduced_enumeration_matches_filter():
