@@ -687,17 +687,33 @@ def rose_blend_axiom_scan(
     witnesses found are product violations.  Both roses are tree length
     functions, so the scan leaves out what the tree axioms imply (see
     ``_axiom_scan``).
+
+    In rank 2, a pair one theta graph apart (``_one_theta_apart``) passes at
+    every lambda and word length, so the scan is skipped with the same entries.
     """
     if maxlen < 1:
         raise ValueError("maxlen must be >= 1")
     if basis is None:
         basis = Basis(2)
-    identity = {s: s for s in basis.symbols}
+    marking0 = {s: s for s in basis.symbols} if marking0 is None else marking0
     unit = {s: 1 for s in basis.symbols}
-    lf0 = length_function_from_marked_graph(
-        identity if marking0 is None else marking0, unit if lengths0 is None else lengths0, basis
-    )
-    lf1 = length_function_from_marked_graph(
-        marking1, unit if lengths1 is None else lengths1, basis
-    )
+    lf0 = length_function_from_marked_graph(marking0, unit if lengths0 is None else lengths0, basis)
+    lf1 = length_function_from_marked_graph(marking1, unit if lengths1 is None else lengths1, basis)
+    if basis.rank == 2 and _one_theta_apart(marking0, marking1, basis):
+        return [AxiomScanEntry(_grid_slot(lam, 1, 1)[0], True, None) for lam in lambdas]
     return _axiom_scan(lf0, lf1, lambdas, reduced_words(basis, maxlen), basis, None, trees=True)
+
+
+def _one_theta_apart(marking0: Mapping[str, str], marking1: Mapping[str, str], basis: Basis) -> bool:
+    """Whether two rank-2 markings (both bases) collapse from one theta graph:
+    M = A1 adj(A0) = +-A1 A0^-1, for A the images' abelianizations as
+    columns, has every entry in {-1, 0, 1}.  Such an invertible M has a zero
+    entry (else det M is even), so it is a signed permutation, or one times
+    [[1, 1], [0, 1]] times another; as Out(F_2) -> GL(2, Z) is an isomorphism
+    (Nielsen), the markings differ by a rose symmetry or b -> ab, up to inner
+    automorphisms and rose symmetries.  Each blend is then the theta graph's
+    length function at the interpolated edge lengths (Culler-Vogtmann 1986).
+    With R the rows, adj(R0) R1 is M transposed."""
+    (p, q), (r, s) = (abelianization(marking0[g], basis) for g in basis.symbols)
+    rows = [abelianization(marking1[g], basis) for g in basis.symbols]
+    return all(abs(x * c0 + y * c1) <= 1 for x, y in ((s, -q), (-r, p)) for c0, c1 in zip(*rows))

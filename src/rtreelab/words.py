@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import mul, sub
+from operator import add, mul, sub
 
 _ALPHABET = "abcdefghijklmnopqrstuvwxyz"
 _INV = {c: c.upper() for c in _ALPHABET} | {c.upper(): c for c in _ALPHABET}
@@ -193,21 +193,23 @@ def _largest_cyclic_word(basis: Basis, maxlen: int, vectors) -> str | None:
     """The string-largest cyclically reduced word of length 1..maxlen whose
     abelianization is in ``vectors``, or None: a depth-first walk, largest
     letter first and a prefix's extensions (which sort above it) before the
-    prefix, that keeps a prefix of length n only while its key's distance to
-    ``vectors`` (see :func:`_distances_to`) is at most maxlen - n."""
-    steps, letters = _steps(basis, maxlen), sorted(basis.letters, reverse=True)
-    distance = _distances_to(basis, maxlen, vectors.__contains__)[1]
-    # each entry is a prefix, its key and the letters it has yet to try
-    stack = [("", 0, iter(letters))]
+    prefix, that keeps a prefix of length n only while its letter counts lie
+    within L1 distance maxlen - n of ``vectors``."""
+    letters = sorted(basis.letters, reverse=True)
+    step = {c: abelianization(c, basis) for c in letters}
+    # each entry is a prefix, its letter counts and the letters it has yet to try
+    stack = [("", (0,) * basis.rank, iter(letters))]
     while stack:
-        w, key, todo = stack[-1]
+        w, vec, todo = stack[-1]
         for c in todo:
-            if c != _INV.get(w[-1:]) and distance.get(key + steps[c], maxlen) < maxlen - len(w):
-                stack.append((w + c, key + steps[c], iter(letters)))
-                break
+            if c != _INV.get(w[-1:]):
+                counts = tuple(map(add, vec, step[c]))
+                if min((sum(map(abs, map(sub, counts, t))) for t in vectors), default=maxlen) < maxlen - len(w):
+                    stack.append((w + c, counts, iter(letters)))
+                    break
         else:
             stack.pop()
-            if w and distance[key] == 0 and w[0] != _INV[w[-1]]:
+            if w and vec in vectors and w[0] != _INV[w[-1]]:
                 return w
     return None
 

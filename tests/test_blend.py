@@ -24,6 +24,7 @@ from rtreelab.blend import (
     length_function_from_table,
     nielsen_generates,
     _axiom_scan,
+    _one_theta_apart,
     rose_blend_axiom_scan,
 )
 from rtreelab.hyperbolicity import MetricTable
@@ -754,10 +755,12 @@ def _check_rose_scan_against_the_slow_reference(case):
     lf1 = length_function_from_marked_graph(marking1, lengths1, basis)
     c0, c1 = cache(lf0), cache(lf1)
     words = reduced_words(basis, maxlen)
-    assert [entry.lam for entry in entries] == grid
-    for lam, entry in zip(grid, entries):
+    # the tree-path scan itself, which the rank-2 certificate skips
+    scanned = _axiom_scan(lf0, lf1, grid, words, basis, None, trees=True)
+    assert [entry.lam for entry in entries] == [entry.lam for entry in scanned] == grid
+    for lam, entry, direct in zip(grid, entries, scanned):
         expected = brute_force_axiom_check(_reference_blend(c0, c1, lam), words, basis)
-        assert (entry.ok, entry.witness) == (expected.ok, expected.witness)
+        assert (entry.ok, entry.witness) == (direct.ok, direct.witness) == (expected.ok, expected.witness)
         assert length_axiom_check(blend_length_functions(lf0, lf1, lam), words, basis) == expected
     assert length_axiom_check(lf1, words, basis) == brute_force_axiom_check(c1, words, basis)
     line = length_function_from_line_action(line_action_from_weights(["1", "-1/2", "2"][: basis.rank], basis))
@@ -803,6 +806,45 @@ def test_symmetric_rose_scan_agrees_with_the_slow_reference(case):
     that do not are discarded), int, rational and float lengths and grids
     from AXIOM_LAMBDAS, plus the float-sum and rank 3 examples."""
     _check_rose_scan_against_the_slow_reference(case)
+
+
+_ID2 = {"a": "a", "b": "b"}
+
+
+@st.composite
+def _rank_2_rose_pairs(draw):
+    """Two rank 2 markings after up to three Nielsen moves each (marking0 the
+    identity half the time), positive rational lengths and a grid."""
+    composites = nielsen_composites(2, 3)
+    marking1 = dict(zip("ab", draw(st.sampled_from(composites))))
+    marking0 = dict(zip("ab", draw(st.sampled_from(composites)))) if draw(st.booleans()) else _ID2
+    weights = st.fixed_dictionaries({s: _KERNEL_WEIGHTS["fraction"] for s in "ab"})
+    return marking1, marking0, draw(weights), draw(weights), draw(st.lists(_GRID_LAMBDA, min_size=1, max_size=4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_rank_2_rose_pairs())
+# b -> ba and b -> bA: the roses collapse from one theta graph
+@example(({"a": "a", "b": "ba"}, _ID2, _ONES, _ONES, [Fr(0), Fr(1, 3), 0.75, Fr(1)]))
+@example(({"a": "a", "b": "bA"}, _ID2, {"a": Fr(1, 2), "b": 3}, {"a": 2, "b": Fr(1, 5)}, [Fr(1, 10), Fr(1, 2)]))
+# certified from a marking0 that is not the identity: M = [[0, 1], [-1, 1]]
+@example(({"a": "a", "b": "ba"}, {"a": "ab", "b": "b"}, _ONES, {"a": 3, "b": Fr(1, 2)}, [Fr(1, 3), Fr(2, 3)]))
+# b -> aba: M = [[1, 0], [2, 1]], not certified; the scan's witnesses stand
+@example(({"a": "a", "b": "aba"}, _ID2, _ONES, _ONES, [Fr(0), Fr(1, 4), Fr(1, 2), Fr(1)]))
+# each marking alone is one theta graph from the identity, but not from the other
+@example(({"a": "a", "b": "ba"}, {"a": "a", "b": "bA"}, _ONES, _ONES, [Fr(1, 2)]))
+def test_rank_2_pairs_one_theta_graph_apart_pass_the_scan_that_they_skip(case):
+    """Whenever two rank 2 markings are certified one theta graph apart, the
+    tree-path scan at maxlen 4 finds no violation at any lambda; and for
+    every pair, rose_blend_axiom_scan returns that scan's entries."""
+    marking1, marking0, lengths0, lengths1, grid = case
+    lf0 = length_function_from_marked_graph(marking0, lengths0, B2)
+    lf1 = length_function_from_marked_graph(marking1, lengths1, B2)
+    scan = _axiom_scan(lf0, lf1, grid, reduced_words(B2, 4), B2, None, trees=True)
+    if _one_theta_apart(marking0, marking1, B2):
+        assert all(entry.ok for entry in scan)
+    entries = rose_blend_axiom_scan(marking1, grid, 4, B2, marking0=marking0, lengths0=lengths0, lengths1=lengths1)
+    assert entries == scan
 
 
 @settings(max_examples=25, deadline=None)

@@ -642,6 +642,41 @@ def test_blend_axioms_report_bytes(marking, capsys):
     )
 
 
+def test_blend_axioms_still_scans_a_rank_3_marking_with_the_identity_matrix(capsys):
+    """a:a,b:b,c:cabAB abelianizes to the identity, yet its blend at 1/2
+    breaks the pairing bound: in rank 3 a matrix does not decide the pair."""
+    code, out, _ = run_cli(
+        capsys, "blend", "axioms", "--marking", "a:a,b:b,c:cabAB", "--lambda-grid", "0:1:1/2", "--maxlen", "3"
+    )
+    assert code == 1
+    assert out == (
+        "rtreelab blend axioms\n"
+        "config: lambda_grid=0:1:1/2 marking=a:a,b:b,c:cabAB maxlen=3 seed=0\n"
+        "lambda 0: no violation found (words <= 3)\n"
+        "lambda 1/2: VIOLATION u=A v=BCb uv=3 uv_inv=5 bound=4\n"
+        'WITNESS {"axiom": "product", "kind": "axiom", "u": "A", "v": "BCb", "values":'
+        ' {"u": "1", "uv": "3", "uv_inv": "5", "v": "3"}}\n'
+        "lambda 1: no violation found (words <= 3)\n"
+        "RESULT: fail (1 violating lambdas)\n"
+    )
+
+
+def test_blend_axioms_passes_a_rank_2_pair_one_theta_graph_apart_at_maxlen_8(capsys):
+    """a:a,b:ba and the identity collapse from one theta graph, so every
+    lambda passes without the scan over the words of length <= 8."""
+    code, out, _ = run_cli(
+        capsys, "blend", "axioms", "--marking", "a:a,b:ba", "--lambda-grid", "0:1:1/10", "--maxlen", "8"
+    )
+    lams = ["0", "1/10", "1/5", "3/10", "2/5", "1/2", "3/5", "7/10", "4/5", "9/10", "1"]
+    assert code == 0
+    assert out == (
+        "rtreelab blend axioms\n"
+        "config: lambda_grid=0:1:1/10 marking=a:a,b:ba maxlen=8 seed=0\n"
+        + "".join(f"lambda {lam}: no violation found (words <= 8)\n" for lam in lams)
+        + "RESULT: pass (0 violating lambdas)\n"
+    )
+
+
 LENGTHS_REPORTS = {
     # rational weights: every value is exact
     "1/2,3 -2,1/6 7/10 4": (
