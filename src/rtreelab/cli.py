@@ -267,6 +267,7 @@ class _Grid:
 
 
 def run_observers_liminf(args, out) -> int:
+    tol = formats.parse_number(args.tol)
     oracle, tree = _oracle_from_args(args)
     terms = formats.parse_sequence(_read(args.seq), oracle, tree, number=formats.parse_ratio)
     basepoint = formats.parse_oracle_point(args.basepoint, oracle, tree, number=formats.parse_ratio)
@@ -282,7 +283,7 @@ def run_observers_liminf(args, out) -> int:
     out.append(f"terms used: {res.terms_used} (head {res.head})")
     out.append(f"liminf: {formats.format_oracle_point(grid.off(res.point), oracle, tree)}")
     out.append(f"certificate: {format_number(certificate)}")
-    if certificate <= formats.parse_number(args.tol):
+    if certificate <= tol:
         out.append("RESULT: pass (stabilized at this depth)")
         return PASS
     out.append("RESULT: inconclusive (estimate still moving at this depth)")
@@ -377,14 +378,14 @@ def _action_from_args(args):
 
 
 def run_qmap_estimate(args, out) -> int:
-    action = _action_from_args(args)
+    action, tol = _action_from_args(args), formats.parse_number(args.tol)
     x = parse_boundary_point(args.word, action.basis)
     basepoint = formats.parse_number(args.basepoint)
     est = qmap_estimate(action, x, basepoint=basepoint, depth=args.depth)
     out.append(f"estimate: {formats.format_oracle_point(est.point, LineOracle())}")
     out.append(f"method: {est.method}")
     out.append(f"certificate: {format_number(est.certificate)}")
-    if est.method == "drift" or est.certificate <= formats.parse_number(args.tol):
+    if est.method == "drift" or est.certificate <= tol:
         out.append("RESULT: pass")
         return PASS
     out.append("RESULT: inconclusive (estimate still moving at this depth)")

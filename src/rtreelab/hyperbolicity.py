@@ -8,6 +8,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Mapping
 
 from .tree import MetricTree, Num, UnknownPointError, _exact
@@ -59,8 +60,9 @@ class MetricTable:
     row order replays too, and the smaller off set is kept.  A row the tree
     does not reproduce is *off* the tree and left out of it; the other rows
     form a tree metric, hence a metric with no four-point defect, so every
-    scan visits only tuples that touch ``_off``: the triangle scan costs
-    O(|off|·n² + n²), the defect O(|off|·n²) when one wrong distance
+    scan visits only tuples that touch ``_off``, less those that each off
+    row's proxy (``_quiet_rows``) settles: O(n) triangles per loud row, and
+    O(|off|·n) subsets once the defect is found, when one wrong distance
     explains each off row.  A tree's own distances are a tree metric, so
     ``from_tree`` has no row off and runs no replay.  With no row off,
     ``realized`` is set and no scan runs.
@@ -138,13 +140,16 @@ class MetricTable:
 
     def _adopt(self, m: list[list], scale: int, off: list[int]) -> None:
         """Take the checked matrix and its off rows (none for a tree's own
-        distances), and prove the triangle inequality: the other rows form a
-        tree metric, and the scan covers the triangles that touch an off row."""
+        distances), hang a proxy on each, and prove the triangle inequality:
+        the other rows form a tree metric, and the scan covers the rest."""
         self._m, self.scale, self._off = m, scale, off
         self._index = {name: i for i, name in enumerate(self.points)}
-        if off:
-            self._triangle_scan()
-        self._quiet = {o: _quiet_rows(m, set(off), o) for o in off}
+        offs = set(off)
+        # per off row o: its proxy, the rows of a tuple whose least off row is o, and the loud ones
+        self._proxies = {o: _quiet_rows(m, offs, o) for o in off}
+        self._pools = {o: [v for v in range(len(m)) if v > o or v not in offs] for o in off}
+        self._louds = {o: [v for v in self._pools[o] if v not in self._proxies[o][0]] for o in off}
+        self._triangle_scan()
 
     @property
     def realized(self) -> bool:
@@ -154,18 +159,26 @@ class MetricTable:
         return not self._off
 
     def _triangle_scan(self) -> None:
-        m, n, off = self._m, len(self.points), self._off
-        # the off rows after each on-tree j: the k that on-tree i < j need
-        later = {j: [k for k in off if k > j] for j in range(n) if j not in off}
-        for i in range(n - 2):
-            mi, i_off = m[i], i in off
-            for j in range(i + 1, n - 1):
-                mj, dij = m[j], mi[j]
-                for k in later[j] if not i_off and j in later else range(j + 1, n):
-                    dik, djk = mi[k], mj[k]
-                    if dij > dik + djk or dik > dij + djk or djk > dij + dik:
-                        x, y, z = self.points[i], self.points[j], self.points[k]
-                        raise InvalidTableError(f"triangle inequality fails on ({x},{y},{z})")
+        """Raise the first failing triangle in sorted point order: the least
+        of the first failures per off row o, over the pairs a < b of its
+        pool, met in the sorted order of (o, a, b).  With o's offset c >= 0,
+        o and two quiet rows make a tree triangle with two sides lengthened
+        by c, which holds, so only pairs with a loud row are checked, O(n)
+        per loud row; with c < 0 every pair is."""
+        m, firsts = self._m, []
+        for o in self._off:
+            (quiet, _, offset), pool, mo = self._proxies[o], self._pools[o], m[o]
+            inner, loud = (quiet, self._louds[o]) if offset >= 0 else ((), pool)
+            pairs = (
+                (a, b) for i, a in enumerate(pool) for b in (loud[bisect_right(loud, a) :] if a in inner else pool[i + 1 :])
+            )
+            for a, b in pairs:
+                if mo[a] > mo[b] + m[a][b] or mo[b] > mo[a] + m[a][b] or m[a][b] > mo[a] + mo[b]:
+                    firsts.append(sorted((o, a, b)))
+                    break
+        if firsts:
+            x, y, z = map(self.points.__getitem__, min(firsts))
+            raise InvalidTableError(f"triangle inequality fails on ({x},{y},{z})")
 
     def _unscale(self, v: int) -> Fraction:
         """A matrix value back in distance units."""
@@ -187,29 +200,32 @@ class MetricTable:
         return f"MetricTable({len(self.points)} points)"
 
 
-def _quiet_rows(m: list[list], off: set[int], o: int) -> set[int]:
-    """The on-tree rows in the largest error class of a proxy o′ for off row
-    o.  From base z, with a_j = d(z, j), o′ hangs on the on-tree rows' tree
-    at doubled height h = min(t, 2 a_best) on the path to best, the first
-    on-tree j to attain t = max a_o + a_j - m[o][j].  Up to a constant, the
-    error E_j = 2 m[o][j] - 2 d(o′, j) is 2 (m[o][j] - a_j + min(h, a_best +
-    a_j - m[best][j])).  For on-tree a, b, c the doubled pairing sums of {o,
-    a, b, c} are those of {o′, a, b, c}, a tree quadruple, plus E_a, E_b and
-    E_c: equal errors give gap 0.  A wrong d(o, z) or d(o, best) moves o′,
-    so the bases are the anchor, a middle and the last on-tree row, until
-    one leaves at most one row loud.  A proxy pays when most rows are on."""
-    on, mo, quiet = [j for j in range(len(m)) if j not in off], m[o], set()
-    for z in (on[0], on[len(on) // 2], on[-1]) if len(on) > len(off) else ():
+def _quiet_rows(m: list[list], off: set[int], o: int) -> tuple[set[int], list[int], int]:
+    """Off row o's proxy o′: its quiet class (the on-tree rows of its most
+    common error), its errors e_j and its doubled offset 2c, in matrix
+    units.  From base z, with a_j = d(z, j), o′ hangs on the on-tree rows'
+    tree at doubled height h = min(t, 2 a_best) on the path to best, the
+    first on-tree j to attain t = max a_o + a_j - m[o][j].  With e_j =
+    m[o][j] - a_j + min(h, a_best + a_j - m[best][j]), d(o, j) = d(o′, j) +
+    e_j - h/2 on on-tree rows, and c = mode - h/2; so the gap of {o, a, b,
+    c} is at most the span of e_a, e_b and e_c (an off row's reads as the
+    mode).  A wrong d(o, z) or d(o, best) moves o′, so the bases are the
+    anchor, a middle and the last on-tree row, until one leaves at most one
+    row loud."""
+    on, mo, quiet = [j for j in range(len(m)) if j not in off], m[o], None
+    for z in (on[0], on[len(on) // 2], on[-1]):
         a = m[z]
         products = [a[o] + a[j] - mo[j] for j in on]
         best = on[products.index(t := max(products))]
         h, ab, mb = min(t, 2 * a[best]), a[best], m[best]
         errors = [w - v + h if h + b < ab + v else w + ab - b for v, w, b in zip(a, mo, mb)]
         mode = Counter(errors).most_common(1)[0][0]
-        quiet = max(quiet, {j for j, e in enumerate(errors) if e == mode} - off, key=len)
+        rows = {j for j, e in enumerate(errors) if e == mode} - off
+        if quiet is None or len(rows) > len(quiet):
+            quiet, kept, offset = rows, [mode if j in off else e for j, e in enumerate(errors)], 2 * mode - h
         if len(quiet) + 1 >= len(on):
             break
-    return quiet
+    return quiet, kept, offset
 
 
 def _four_point_scan(space: MetricTable, limit: int | None = None):
@@ -221,36 +237,43 @@ def _four_point_scan(space: MetricTable, limit: int | None = None):
     A subset's least such ordering has its smallest point as x, x's
     partner as z and the other pair in order as y and w.
 
-    On-tree rows have gap 0, and so has a subset whose other rows are all
-    quiet (not loud) for its one off row (``_quiet_rows``).  Each other
-    4-subset with an off row is visited once, by smallest point x, then
-    smallest off point: O(|off|·n²) with one off row and few loud rows,
-    O(|off|²·n²) with two, O(n⁴) when nearly every row is off.  With no
-    ``limit`` it returns the largest gap, else the least violating (x, y,
-    z, w, gap) of the first x with a gap above it, or None.
+    On-tree rows have gap 0; a subset with one off row o, at most the span
+    of o's proxy errors over its other rows (``_quiet_rows``).  Each other
+    subset with an off row is visited once, by smallest point x, smallest
+    off point s (a level), then p < q, and a level whose subsets all have
+    one off row skips, before any slice, itself or a p whose rows' errors
+    span at most the bar (the best gap so far, or the limit).  O(|off|·n)
+    with one off row once the bar is reached, O(|off|²·n²) with two, O(n⁴)
+    when nearly every row is off.  With no ``limit`` it returns the largest
+    gap, else the least violating (x, y, z, w, gap) of the first x with a
+    gap above it, or None.
     """
-    m, n, off, quiet = space._m, len(space.points), set(space._off), space._quiet
-    # the rows of a subset whose least off row is o, and the loud ones
-    pools = {o: [v for v in range(n) if v > o or v not in off] for o in off}
-    louds = {o: [v for v in pools[o] if v not in quiet[o]] for o in off}
+    m, n, off, last_off = space._m, len(space.points), set(space._off), max(space._off, default=-1)
+    proxies, pools, louds = space._proxies, space._pools, space._louds
+    # per off row o: the largest and the least error over the rows from v on
+    most = {o: list(accumulate(reversed(proxies[o][1]), max))[::-1] for o in off}
+    least = {o: list(accumulate(reversed(proxies[o][1]), min))[::-1] for o in off}
     bar, first = limit or 0, None
     # a subset whose smallest point is after the last off row holds none
-    for x in range(max(off, default=-1) + 1):
-        mx, plan = m[x], []
-        # (s, pool, inner, loud): with x and s, pairs p < q of pool, q loud if p is inner
-        if x in off:
-            whole = [(s, range(s + 1, n)) for s in range(x + 1, n - 2)]
-            plan = [(s, pool, quiet[x], louds[x]) if s in quiet[x] else (s, pool, (), pool) for s, pool in whole]
-        else:
-            for o in space._off[bisect_right(space._off, x) :]:
-                pool = pools[o][bisect_right(pools[o], x) :]
-                loud = louds[o][bisect_right(louds[o], x) :]
-                plan.append((o, pool, quiet[o], loud) if x in quiet[o] else (o, pool, (), pool))
-        for s, pool, inner, loud in plan:
-            ms, dxs, last = m[s], mx[s], loud[-1] if loud else -1
+    for x in range(last_off + 1):
+        mx, x_off = m[x], x in off
+        for s in range(x + 1, n - 2) if x_off else space._off[bisect_right(space._off, x) :]:
+            # o: the level's least off row, f: its other fixed row; lone: o is every subset's one off row
+            o, f = (x, s) if x_off else (s, x)
+            (quiet, errors, _), top, bottom = proxies[o], most[o], least[o]
+            lone = f not in off and last_off <= s
+            if lone and top[f] - bottom[f] <= bar:
+                continue
+            pool = range(s + 1, n) if x_off else pools[o][bisect_right(pools[o], x) :]
+            loud = louds[o] if x_off else louds[o][bisect_right(louds[o], x) :]
+            # with x and s, pairs p < q of pool, q loud if p is inner
+            inner, loud = (quiet, loud) if f in quiet else ((), pool)
+            ms, dxs, ef, last = m[s], mx[s], errors[f], loud[-1] if loud else -1
             for a, p in enumerate(pool):
                 if p > last or first and min(s, p) > first[0]:
                     break  # no loud q > p is left, or y is at least min(s, p)
+                if lone and max(ef, top[p]) - min(ef, bottom[p]) <= bar:
+                    continue
                 mp, dxp, dsp = m[p], mx[p], ms[p]
                 for q in loud[bisect_right(loud, p) :] if p in inner else pool[a + 1 :]:
                     s1, s2, s3 = dxs + mp[q], dxp + ms[q], mx[q] + dsp

@@ -372,6 +372,24 @@ def test_qmap_rejects_a_bad_weight_literal_as_a_parse_error(weight, capsys):
     assert "RESULT" not in out and err.startswith(f"parse error: bad weight '{weight}'")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["qmap", "estimate", "--weights", "1,2", "--word", ";ab"],  # a drift pass reads no certificate
+        ["qmap", "estimate", "--weights", "1,2", "--word", ";abAB"],
+        ["observers", "liminf", "--line", "--seq", "{seq}", "--basepoint", "0", "--depth", "4"],
+    ],
+    ids=["drift", "liminf estimate", "observers liminf"],
+)
+def test_a_bad_tol_is_a_parse_error_before_any_work(argv, tmp_path, capsys):
+    seq = tmp_path / "s.seq"
+    seq.write_text("1\n-1\n1\n-1\n")
+    code, out, err = run_cli(capsys, *(a.format(seq=seq) for a in argv), "--tol", "nan")
+    assert (code, err) == (64, "parse error: bad number 'nan'\n")
+    banner, config = out.splitlines()
+    assert banner == f"rtreelab {argv[0]} {argv[1]}" and config.startswith("config: ")
+
+
 def test_qmap_estimate_reports_exact_irrational_values(capsys):
     code, out, _ = run_cli(
         capsys, "qmap", "estimate", "--weights", "1,sqrt:2", "--word", "b;aabAAB", "--depth", "3000"
@@ -1270,15 +1288,17 @@ def test_a_closed_output_pipe_exits_141_without_a_traceback():
     # the read end is closed before each run, so the report's first write
     # meets a closed pipe however fast the command is
     import os
+    import re
     import subprocess
     import sys
-    import tomllib
     from pathlib import Path
 
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     # the console script imports its target and exits with what it returns
-    target = tomllib.loads((root / "pyproject.toml").read_text())["project"]["scripts"]["rtreelab"]
+    # one regex, not tomllib, which Python 3.10, the declared floor, lacks
+    pyproject = (root / "pyproject.toml").read_text()
+    target = re.search(r'^\[project\.scripts\]\s*^rtreelab\s*=\s*"([^"]+)"', pyproject, re.M)[1]
     module, function = target.split(":")
     script = f"import sys; from {module} import {function}; sys.exit({function}())"
     for launch in (["-m", "rtreelab"], ["-m", "rtreelab.cli"], ["-c", script]):

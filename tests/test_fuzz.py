@@ -349,35 +349,59 @@ def test_blend_axioms_exits_cleanly_and_its_witnesses_replay(argv):
 # -- certify --table fuzz over near-tree tables --------------------------------------
 
 
+# literals a row may take instead of its own, with their values; None for
+# the ones the file format rejects (a zero denominator, an exponent above 4300)
+_ROW_LITERALS = {
+    "-3": Fr(-3), "0": Fr(0), "1/0": None, "1e400": Fr(10) ** 400, "1e4301": None, "7" * 41: Fr(int("7" * 41))
+}
+
+
 @st.composite
-def _near_tree_distances(draw):
-    """The distances of 4-12 leaves of a random tree (``leaf_tree_distances``),
-    with 0-3 of them moved by ±k/16; half the time the first move is on the
-    anchor's row.  A move beyond 2 can break the triangle inequality."""
+def _near_tree_table(draw):
+    """A table file of 4-12 leaves of a random tree (``leaf_tree_distances``),
+    with 0-3 distances moved by ±k/16; half the time the first move is on
+    the anchor's row.  A move beyond 2 can break the triangle inequality.
+    Sometimes one row's literal is one of ``_ROW_LITERALS``, and one point is
+    renamed ``.s1`` (a Steiner-like name, which the realization skips) or
+    ``up``.  Returns the text and its distances, or None for distances when
+    a literal is rejected."""
     d = leaf_tree_distances(random.Random(draw(st.integers(0, 2**32 - 1))), draw(st.integers(4, 12)))
     moves = draw(st.lists(st.sampled_from(sorted(d)), max_size=3))
     if moves and draw(st.booleans()):
         moves[0] = draw(st.sampled_from([key for key in sorted(d) if "q0" in key]))
     for key in moves:
         d[key] += draw(st.sampled_from([-1, 1])) * Fr(draw(st.integers(1, 48)), 16)
-    return d
+    literals = {key: format_number(v) for key, v in d.items()}
+    if (literal := draw(st.none() | st.sampled_from(sorted(_ROW_LITERALS)))) is not None:
+        key = draw(st.sampled_from(sorted(d)))
+        literals[key], d[key] = literal, _ROW_LITERALS[literal]
+    if (name := draw(st.none() | st.sampled_from([".s1", "up"]))) is not None:
+        old = draw(st.sampled_from(sorted({p for key in d for p in key})))
+
+        def rename(key):
+            return tuple(name if p == old else p for p in key)
+
+        literals, d = {rename(k): v for k, v in literals.items()}, {rename(k): v for k, v in d.items()}
+    text = "".join(f"dist {x} {y} {v}\n" for (x, y), v in literals.items())
+    return text, None if None in d.values() else d
 
 
 @settings(max_examples=150, deadline=None)
-@given(_near_tree_distances(), st.fractions(0, 2, max_denominator=64))
-def test_certify_table_on_near_tree_tables_exits_cleanly_and_its_witnesses_replay(d, delta):
+@given(_near_tree_table(), st.fractions(0, 2, max_denominator=64))
+def test_certify_table_on_near_tree_tables_exits_cleanly_and_its_witnesses_replay(case, delta):
     """certify --table at delta 0, at the defect and at a random delta: a
-    table that is no metric is a parse error, any other prints the
-    reference defect, and every printed WITNESS replays."""
+    table that is no metric or holds a bad literal is a parse error, any
+    other prints the reference defect, and every printed WITNESS replays."""
+    text, d = case
     try:
-        table = MetricTable(d)
+        table = None if d is None else MetricTable(d)
     except InvalidTableError:
         table = None
     defect = None if table is None else Fr(reference_max_gap(table), 2 * table.scale)
     with tempfile.TemporaryDirectory() as tmp:
         path, report = os.path.join(tmp, "table.metric"), os.path.join(tmp, "report.txt")
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write("".join(f"dist {x} {y} {format_number(v)}\n" for (x, y), v in d.items()))
+            fh.write(text)
         for value in {Fr(0), delta} if defect is None else {Fr(0), defect, delta}:
             code, out = _run(["certify", "--table", path, f"--delta={format_number(value)}"])
             if defect is None:

@@ -501,6 +501,27 @@ def _early_wrong_row_table(rng: random.Random, n: int) -> dict:
     return d
 
 
+def _shifted_leaf_row_table(rng: random.Random, n: int) -> dict:
+    """One leaf's whole row moved by ±k/8, k <= 24, which passes its pendant
+    of 1 to 2 in both directions (half the time the anchor's row), and 0-2
+    distances moved by ±k/16, k <= 8: quiet classes whose offset takes both
+    signs, and a negative one breaks triangles whose other two rows are
+    quiet.  Every distance stays at least 1/2."""
+    d = helpers.leaf_tree_distances(rng, n)
+    points = sorted({p for key in d for p in key})
+    leaf = points[0] if rng.random() < 0.5 else rng.choice(points)
+    row = [key for key in sorted(d) if leaf in key]
+    sign = rng.choice([-1, 1])
+    # a shortened row stays at least 1 long, so that a single move keeps it positive
+    top = 24 if sign > 0 else min(24, math.floor(8 * min(d[key] for key in row)) - 8)
+    shift = sign * Fr(rng.randint(1, top), 8)
+    for key in row:
+        d[key] += shift
+    for key in rng.sample(sorted(d), rng.randint(0, 2)):
+        d[key] += rng.choice([-1, 1]) * Fr(rng.randint(1, 8), 16)
+    return d
+
+
 def _broken_triangle_table(rng: random.Random, n: int) -> dict:
     """Lengthen d(x, y) past d(x, z) + d(z, y)."""
     d = helpers.leaf_tree_distances(rng, n)
@@ -534,6 +555,7 @@ OFF_TREE_FAMILIES = {
     "cycle": _cycle_distances,
     "broken triangle": _broken_triangle_table,
     "early wrong row": _early_wrong_row_table,
+    "shifted leaf row": _shifted_leaf_row_table,
 }
 
 
